@@ -419,9 +419,10 @@ fn handle(
             }
         }
         CtrlRequest::EngineStats => {
-            match cluster.stats().sites.into_iter().find(|s| s.site == site) {
+            let stats = cluster.stats();
+            match stats.sites.iter().find(|s| s.site == site) {
                 Some(s) => CtrlReply::Engine {
-                    stats: site_stats_wire(&s),
+                    stats: Box::new(site_stats_wire(s, stats.router_pending)),
                 },
                 None => CtrlReply::Err {
                     detail: format!("no stats for site {}", site.0),
@@ -472,8 +473,9 @@ fn err(e: CamelotError) -> CtrlReply {
     }
 }
 
-/// Flattens a runtime stats snapshot into the ctrl wire form.
-fn site_stats_wire(s: &SiteStats) -> SiteStatsWire {
+/// Flattens a runtime stats snapshot into the ctrl wire form. A site
+/// process hosts one site, so the cluster's router is this site's.
+fn site_stats_wire(s: &SiteStats, router_pending: u64) -> SiteStatsWire {
     SiteStatsWire {
         site: s.site,
         begins: s.engine.begins,
@@ -493,6 +495,8 @@ fn site_stats_wire(s: &SiteStats) -> SiteStatsWire {
         wal_forces_effective: s.wal.forces_effective,
         lock_wait_us: s.lock_wait.as_micros() as u64,
         inputs: s.inputs,
+        worker_inputs: s.worker_inputs,
+        router_pending,
         platter_writes: s.platter_writes,
         forces_satisfied: s.forces_satisfied,
         max_batch: s.max_batch,

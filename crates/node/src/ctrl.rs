@@ -342,9 +342,10 @@ pub enum CtrlReply {
         phases: Box<PhaseSnapshot>,
         proto: Box<ProtocolPhaseSnapshot>,
     },
-    /// Engine/WAL/server/queue counter snapshot.
+    /// Engine/WAL/server/queue counter snapshot (boxed for the same
+    /// reason as the histograms).
     Engine {
-        stats: SiteStatsWire,
+        stats: Box<SiteStatsWire>,
     },
 }
 
@@ -375,6 +376,12 @@ pub struct SiteStatsWire {
     // Runtime counters.
     pub lock_wait_us: u64,
     pub inputs: u64,
+    /// Inputs that crossed to the TranMan worker pool (thread
+    /// hand-offs); `inputs` counts every engine step on any thread.
+    pub worker_inputs: u64,
+    /// Gauge: deliveries the site's router holds (live timers plus
+    /// datagrams in flight).
+    pub router_pending: u64,
     pub platter_writes: u64,
     pub forces_satisfied: u64,
     pub max_batch: u64,
@@ -395,6 +402,10 @@ pub struct SiteStatsWire {
 }
 
 impl SiteStatsWire {
+    /// The fields that are levels, not cumulative counters: they fall
+    /// in normal operation, so a drop says nothing about a restart.
+    pub const GAUGES: [&'static str; 2] = ["live_families", "router_pending"];
+
     /// All-zero counters for `site`.
     pub fn zeroed(site: SiteId) -> Self {
         SiteStatsWire {
@@ -416,6 +427,8 @@ impl SiteStatsWire {
             wal_forces_effective: 0,
             lock_wait_us: 0,
             inputs: 0,
+            worker_inputs: 0,
+            router_pending: 0,
             platter_writes: 0,
             forces_satisfied: 0,
             max_batch: 0,
@@ -436,7 +449,7 @@ impl SiteStatsWire {
 
     /// The counters in stable `(name, value)` order — one source for
     /// the wire layout, JSON rendering, and rate derivation.
-    pub fn fields(&self) -> [(&'static str, u64); 32] {
+    pub fn fields(&self) -> [(&'static str, u64); 34] {
         [
             ("begins", self.begins),
             ("nested_begins", self.nested_begins),
@@ -455,6 +468,8 @@ impl SiteStatsWire {
             ("wal_forces_effective", self.wal_forces_effective),
             ("lock_wait_us", self.lock_wait_us),
             ("inputs", self.inputs),
+            ("worker_inputs", self.worker_inputs),
+            ("router_pending", self.router_pending),
             ("platter_writes", self.platter_writes),
             ("forces_satisfied", self.forces_satisfied),
             ("max_batch", self.max_batch),
@@ -473,7 +488,7 @@ impl SiteStatsWire {
         ]
     }
 
-    fn fields_mut(&mut self) -> [&mut u64; 32] {
+    fn fields_mut(&mut self) -> [&mut u64; 34] {
         [
             &mut self.begins,
             &mut self.nested_begins,
@@ -492,6 +507,8 @@ impl SiteStatsWire {
             &mut self.wal_forces_effective,
             &mut self.lock_wait_us,
             &mut self.inputs,
+            &mut self.worker_inputs,
+            &mut self.router_pending,
             &mut self.platter_writes,
             &mut self.forces_satisfied,
             &mut self.max_batch,
@@ -613,7 +630,7 @@ impl Wire for CtrlReply {
             }
             CtrlReply::Engine { stats } => {
                 w.put_u8(R_ENGINE);
-                w.put(stats);
+                w.put(stats.as_ref());
             }
         }
     }
@@ -645,7 +662,9 @@ impl Wire for CtrlReply {
                 phases: Box::new(r.get()?),
                 proto: Box::new(r.get()?),
             },
-            R_ENGINE => CtrlReply::Engine { stats: r.get()? },
+            R_ENGINE => CtrlReply::Engine {
+                stats: Box::new(r.get()?),
+            },
             v => return Err(CamelotError::Codec(format!("unknown ctrl reply {v}"))),
         })
     }
@@ -871,7 +890,7 @@ impl CtrlClient {
 
     pub fn engine_stats(&mut self) -> Result<SiteStatsWire> {
         match self.call_ok(&CtrlRequest::EngineStats)? {
-            CtrlReply::Engine { stats } => Ok(stats),
+            CtrlReply::Engine { stats } => Ok(*stats),
             other => Err(unexpected(other)),
         }
     }
@@ -1109,7 +1128,7 @@ mod tests {
                 proto: Box::new(sample_proto_phases()),
             },
             CtrlReply::Engine {
-                stats: sample_engine_stats(),
+                stats: Box::new(sample_engine_stats()),
             },
         ]
     }

@@ -6,7 +6,6 @@ use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Instant;
 
-use crossbeam::channel::bounded;
 use parking_lot::Mutex;
 
 use camelot_core::{Action, CommitMode, ExecMode, Input, TwoPhaseVariant};
@@ -15,7 +14,7 @@ use camelot_obs::{AuditProtocol, Phase};
 use camelot_server::Request;
 use camelot_types::{AbortReason, CamelotError, FamilyId, ObjectId, Result, ServerId, SiteId, Tid};
 
-use crate::cluster::ClusterInner;
+use crate::cluster::{reply_req, ClusterInner};
 use crate::queue::{queue_shard_of, QueueJob};
 
 /// A client application homed at one site.
@@ -252,28 +251,44 @@ impl Client {
         participants
     }
 
-    /// One synchronous call into the home TranMan. A reply that never
-    /// arrives within `call_timeout` surfaces as the typed
-    /// [`CamelotError::Timeout`] carrying `tid`: the outcome is
-    /// *unknown* (the engine may still resolve the transaction later),
-    /// which is a different situation from [`CamelotError::SiteDown`],
-    /// where the call provably never started.
+    /// One synchronous call into the home TranMan, run on the calling
+    /// thread (as the real TranMan's RPC stub runs in the caller's
+    /// thread of control): the engine step, its actions, and whatever
+    /// local work they produce. A reply produced along the way is
+    /// handed straight back; only a call the engine leaves pending — a
+    /// force, remote votes — parks a completion for the thread that
+    /// finishes it. A reply that never arrives within `call_timeout`
+    /// surfaces as the typed [`CamelotError::Timeout`] carrying `tid`:
+    /// the outcome is *unknown* (the engine may still resolve the
+    /// transaction later), which is a different situation from
+    /// [`CamelotError::SiteDown`], where the call provably never
+    /// started.
     fn tm_call(&self, tid: Option<Tid>, make: impl FnOnce(u64) -> Input) -> Result<Action> {
-        let req = self.inner.alloc_req();
-        let (tx, rx) = bounded(1);
-        self.inner.pending.insert(req, tx);
         let site = self.inner.sites.get(&self.home).expect("home exists");
-        if !site.alive.load(std::sync::atomic::Ordering::SeqCst) {
-            self.inner.pending.remove(req);
-            return Err(CamelotError::SiteDown(self.home));
+        let req = self.inner.alloc_req();
+        let mut parked = None;
+        let actions = self.inner.handle_then(site, make(req), |actions| {
+            // Still under the shard lock: if the engine kept the call
+            // pending, no other thread can have answered it yet, so a
+            // completion parked now cannot miss its reply.
+            if !actions.iter().any(|a| reply_req(a) == Some(req)) {
+                parked = Some(self.inner.pending.park(req));
+            }
+        });
+        match (self.inner.apply_for(site, actions, Some(req)), parked) {
+            (Some(reply), parked) => {
+                if parked.is_some() {
+                    self.inner.pending.cancel(req);
+                }
+                Ok(reply)
+            }
+            (None, Some(rx)) => rx.recv_timeout(self.inner.cfg.call_timeout).map_err(|_| {
+                self.inner.pending.cancel(req);
+                CamelotError::Timeout { tid }
+            }),
+            // The engine never saw the call: the site was down.
+            (None, None) => Err(CamelotError::SiteDown(self.home)),
         }
-        site.tm_tx
-            .send(Some(make(req)))
-            .map_err(|_| CamelotError::SiteDown(self.home))?;
-        rx.recv_timeout(self.inner.cfg.call_timeout).map_err(|_| {
-            self.inner.pending.remove(req);
-            CamelotError::Timeout { tid }
-        })
     }
 
     /// A data-server operation, with bounded retry: if the target site
@@ -332,8 +347,6 @@ impl Client {
         make: impl Fn(u64, Tid) -> Request,
     ) -> Result<Vec<u8>> {
         let req = self.inner.alloc_req();
-        let (tx, rx) = bounded(1);
-        self.inner.pending_ops.insert(req, tx);
         // Remote spread tracking (the CornMan spying of §3.1).
         if site_id != self.home {
             let home = self.inner.sites.get(&self.home).expect("home exists");
@@ -345,13 +358,14 @@ impl Client {
             .get(&site_id)
             .ok_or(CamelotError::SiteDown(site_id))?;
         if !site.alive.load(std::sync::atomic::Ordering::SeqCst) {
-            self.inner.pending_ops.remove(req);
             return Err(CamelotError::SiteDown(site_id));
         }
-        if !site.servers.contains_key(&server) {
-            self.inner.pending_ops.remove(req);
+        let Some(data_server) = site.servers.get(&server) else {
             return Err(CamelotError::UnknownService(format!("{server}")));
-        }
+        };
+        // The reply, if this thread produces it; otherwise the
+        // completion parked for the thread that will.
+        let (mut reply, mut parked) = (None, None);
         if self.inner.cfg.exec_mode == ExecMode::Queued && !site.queue_txs.is_empty() {
             // Queued execution: route to the owning shard's FIFO; the
             // shard-owner worker executes speculatively and completes
@@ -370,27 +384,33 @@ impl Client {
                 incarnation: site.incarnation.load(Ordering::SeqCst),
                 enqueued: Instant::now(),
             };
+            parked = Some(self.inner.pending_ops.park(req));
             if tx.send(job).is_err() {
-                self.inner.pending_ops.remove(req);
+                self.inner.pending_ops.cancel(req);
                 return Err(CamelotError::SiteDown(site_id));
             }
         } else {
-            let fx = {
-                let mut server = site
-                    .servers
-                    .get(&server)
-                    .expect("presence checked above")
-                    .lock();
-                server.handle(make(req, tid.clone()))
+            let mut fx = {
+                let mut data_server = data_server.lock();
+                let fx = data_server.handle(make(req, tid.clone()));
+                // A blocked operation is answered by whichever thread
+                // releases the lock, under this same server mutex:
+                // parked before unlocking, it cannot miss that reply.
+                if fx.blocked {
+                    parked = Some(self.inner.pending_ops.park(req));
+                }
+                fx
             };
             let deadlock = fx.deadlock;
+            if let Some(mine) = fx.replies.iter().position(|r| r.req == req) {
+                reply = Some(fx.replies.swap_remove(mine));
+            }
             self.inner.route_server_effects(site, server, fx);
             if deadlock {
                 // Deadlock-avoidance denied the operation (this caller
                 // is the victim): fail fast instead of waiting out the
                 // call timeout, so the application aborts and its peer
                 // runs.
-                self.inner.pending_ops.remove(req);
                 return Err(CamelotError::LockTimeout);
             }
         }
@@ -400,16 +420,22 @@ impl Client {
             let home = self.inner.sites.get(&self.home).expect("home exists");
             home.comman.lock().merge_reply_stamp(tid.family, &stamp);
         }
-        let reply = rx.recv_timeout(self.inner.cfg.call_timeout).map_err(|_| {
-            self.inner.pending_ops.remove(req);
-            // The operation was accepted but its reply never came —
-            // typically a lock wait that outlived the call timeout.
-            // The outcome is unknown; the typed error names the
-            // transaction so the application can abort it.
-            CamelotError::Timeout {
-                tid: Some(tid.clone()),
-            }
-        })?;
+        let reply = match reply {
+            Some(reply) => reply,
+            None => parked
+                .and_then(|rx| rx.recv_timeout(self.inner.cfg.call_timeout).ok())
+                .ok_or_else(|| {
+                    self.inner.pending_ops.cancel(req);
+                    // The operation was accepted but its reply never
+                    // came — typically a lock wait that outlived the
+                    // call timeout. The outcome is unknown; the typed
+                    // error names the transaction so the application
+                    // can abort it.
+                    CamelotError::Timeout {
+                        tid: Some(tid.clone()),
+                    }
+                })?,
+        };
         Ok(reply.value)
     }
 }

@@ -24,7 +24,7 @@
 //!   ([`Wal::force_to`]); everything appended during the write rides
 //!   the next one.
 
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -70,7 +70,9 @@ pub struct RtConfig {
     pub batch: BatchPolicy,
     /// Background flush period for lazily appended records.
     pub lazy_flush: StdDuration,
-    /// TranMan worker threads per site.
+    /// TranMan worker threads per site, serving the inputs that arrive
+    /// asynchronously (datagrams, timer firings, log completions).
+    /// Application calls run on the calling thread.
     pub tm_threads: usize,
     /// Engine shards per site. Families are partitioned over the
     /// shards, each behind its own lock, so TranMan work on unrelated
@@ -186,11 +188,13 @@ pub(crate) enum DiskJob {
 }
 
 pub(crate) enum RouterJob {
+    /// Deliver `input` to `to` at `at`: a datagram in flight, or a
+    /// timer firing ([`Input::TimerFired`]), which stays cancellable
+    /// until it is delivered.
     Deliver {
         at: Instant,
         to: SiteId,
         input: Input,
-        timer: Option<(SiteId, TimerToken)>,
     },
     CancelTimer {
         site: SiteId,
@@ -302,10 +306,15 @@ impl SiteShared {
 pub(crate) struct ClusterInner {
     pub sites: BTreeMap<SiteId, Arc<SiteShared>>,
     pub router_tx: Sender<RouterJob>,
-    /// Completions for application-level engine calls (begin, commit),
-    /// striped to keep completion bookkeeping off the hot-lock list.
+    /// Deliveries the router holds: live timers plus datagrams in
+    /// flight (a gauge, written by the router after every job).
+    pub router_pending: AtomicU64,
+    /// Completions for application-level engine calls (begin, commit)
+    /// whose reply comes from another thread, striped to keep
+    /// completion bookkeeping off the hot-lock list.
     pub pending: ShardedMap<Action>,
-    /// Completions for data-server operations.
+    /// Completions for data-server operations that went asynchronous
+    /// (a lock wait, a shard queue).
     pub pending_ops: ShardedMap<OpReply>,
     pub next_req: AtomicU64,
     pub epoch: Instant,
@@ -337,6 +346,19 @@ impl ClusterInner {
     /// the wait), handle, charge the modeled TranMan CPU. Returns the
     /// engine's actions for the caller to apply with no locks held.
     pub fn handle_on_shard(&self, site: &SiteShared, input: Input) -> Vec<Action> {
+        self.handle_then(site, input, |_| ())
+    }
+
+    /// [`ClusterInner::handle_on_shard`], calling `locked` on the
+    /// actions before the shard lock is released (not at all if the
+    /// site is down). Whatever `locked` does is ordered before every
+    /// later input to this shard.
+    pub fn handle_then(
+        &self,
+        site: &SiteShared,
+        input: Input,
+        locked: impl FnOnce(&[Action]),
+    ) -> Vec<Action> {
         if !site.alive.load(Ordering::SeqCst) {
             return Vec::new();
         }
@@ -357,6 +379,7 @@ impl ClusterInner {
                 // would hold it.
                 std::thread::sleep(self.cfg.tm_service_time);
             }
+            locked(&actions);
             actions
         };
         site.counters.inputs.fetch_add(1, Ordering::Relaxed);
@@ -382,7 +405,6 @@ impl ClusterInner {
                 at,
                 to,
                 input: Input::Datagram { from, msg },
-                timer: None,
             });
         };
         match self.fault.link_decision(from, to) {
@@ -418,23 +440,30 @@ impl ClusterInner {
             site.append(&rec);
         }
         for reply in fx.replies {
-            if let Some(tx) = self.pending_ops.remove(reply.req) {
-                let _ = tx.send(reply);
-            }
+            self.pending_ops.complete(reply.req, reply);
         }
     }
 
     /// Applies the engine's actions (called with no locks held).
     pub fn apply_actions(&self, site: &Arc<SiteShared>, actions: Vec<Action>) {
-        for action in actions {
+        self.apply_for(site, actions, None);
+    }
+
+    /// [`ClusterInner::apply_actions`] on behalf of application call
+    /// `caller`: the reply to that call, if this thread produces it,
+    /// is returned instead of going through the completion table.
+    pub fn apply_for(
+        &self,
+        site: &Arc<SiteShared>,
+        actions: Vec<Action>,
+        caller: Option<u64>,
+    ) -> Option<Action> {
+        let mut reply = None;
+        let mut queue = VecDeque::from(actions);
+        while let Some(action) = queue.pop_front() {
             match action {
                 a @ (Action::Began { .. } | Action::Resolved { .. } | Action::Rejected { .. }) => {
-                    let req = match &a {
-                        Action::Began { req, .. }
-                        | Action::Resolved { req, .. }
-                        | Action::Rejected { req, .. } => *req,
-                        _ => unreachable!(),
-                    };
+                    let req = reply_req(&a).expect("matched a reply");
                     if let Action::Resolved { tid, outcome, .. } = &a {
                         site.tracer().family(
                             tid.family,
@@ -446,13 +475,15 @@ impl ClusterInner {
                             },
                         );
                     }
-                    if let Some(tx) = self.pending.remove(req) {
-                        let _ = tx.send(a);
+                    if caller == Some(req) {
+                        reply = Some(a);
+                    } else {
+                        self.pending.complete(req, a);
                     }
                 }
                 Action::AskVote { tid, servers } => {
                     if self.cfg.exec_mode == ExecMode::Queued {
-                        self.queued_ask_vote(site, &tid, &servers);
+                        self.queued_ask_vote(site, &mut queue, &tid, &servers);
                     } else {
                         for server in servers {
                             let vote = site
@@ -461,11 +492,13 @@ impl ClusterInner {
                                 .expect("server exists")
                                 .lock()
                                 .vote(tid.family);
-                            let _ = site.tm_tx.send(Some(Input::ServerVote {
-                                tid: tid.clone(),
-                                server,
-                                vote,
-                            }));
+                            // The vote is an input of the family this
+                            // thread is already working for: it runs
+                            // through the engine here, to completion,
+                            // and its actions queue behind this batch.
+                            let tid = tid.clone();
+                            let input = Input::ServerVote { tid, server, vote };
+                            queue.extend(self.handle_on_shard(site, input));
                         }
                     }
                 }
@@ -588,7 +621,6 @@ impl ClusterInner {
                         at,
                         to: site.id,
                         input: Input::TimerFired { token },
-                        timer: Some((site.id, token)),
                     });
                 }
                 Action::CancelTimer { token } => {
@@ -599,6 +631,17 @@ impl ClusterInner {
                 }
             }
         }
+        reply
+    }
+}
+
+/// The application request an action answers, if it is a reply.
+pub(crate) fn reply_req(action: &Action) -> Option<u64> {
+    match action {
+        Action::Began { req, .. } | Action::Resolved { req, .. } | Action::Rejected { req, .. } => {
+            Some(*req)
+        }
+        _ => None,
     }
 }
 
@@ -723,6 +766,7 @@ impl Cluster {
         let inner = Arc::new(ClusterInner {
             sites,
             router_tx,
+            router_pending: AtomicU64::new(0),
             pending: ShardedMap::new(16),
             pending_ops: ShardedMap::new(16),
             next_req: AtomicU64::new(1),
@@ -1062,6 +1106,7 @@ impl Cluster {
                     wal,
                     lock_wait: StdDuration::from_nanos(c.lock_wait_ns.load(Ordering::Relaxed)),
                     inputs: c.inputs.load(Ordering::Relaxed),
+                    worker_inputs: c.worker_inputs.load(Ordering::Relaxed),
                     platter_writes: c.platter_writes.load(Ordering::Relaxed),
                     forces_satisfied: c.forces_satisfied.load(Ordering::Relaxed),
                     max_batch: c.max_batch.load(Ordering::Relaxed),
@@ -1078,7 +1123,10 @@ impl Cluster {
                 }
             })
             .collect();
-        ClusterStats { sites }
+        ClusterStats {
+            sites,
+            router_pending: self.inner.router_pending.load(Ordering::Relaxed),
+        }
     }
 
     /// Stops every thread and joins them.
@@ -1099,11 +1147,15 @@ impl Cluster {
     }
 }
 
-/// One TranMan worker. Any thread serves any input (§3.4); the input's
-/// transaction family picks the engine shard, so threads working on
-/// different families hold different locks.
+/// One TranMan worker. Any thread serves any input (§3.4) that arrives
+/// asynchronously — a datagram, a timer firing, a log completion, a
+/// queued-mode vote aggregate; application calls and the local work
+/// they produce run on the calling thread and never come here. The
+/// input's transaction family picks the engine shard, so threads
+/// working on different families hold different locks.
 fn tm_worker(inner: Arc<ClusterInner>, site: Arc<SiteShared>, rx: Receiver<Option<Input>>) {
     while let Ok(Some(input)) = rx.recv() {
+        site.counters.worker_inputs.fetch_add(1, Ordering::Relaxed);
         let forced = matches!(input, Input::LogForced { .. });
         let actions = inner.handle_on_shard(&site, input);
         // Crash point: the force hit the platter (the decision is
@@ -1386,72 +1438,171 @@ fn drain_lazy(site: &SiteShared, durable: Lsn) {
     }
 }
 
+/// The router's pending set, ordered by `(due, seq)`, with an index
+/// from each live timer to its key: cancelling or re-arming a timer
+/// deletes its entry, so the set holds only live timers and datagrams
+/// in flight, and every operation is O(log n).
+#[derive(Default)]
+struct RouterQueue {
+    due: BTreeMap<(Instant, u64), (SiteId, Input)>,
+    timers: HashMap<(SiteId, TimerToken), (Instant, u64)>,
+    seq: u64,
+}
+
+impl RouterQueue {
+    fn push(&mut self, at: Instant, to: SiteId, input: Input) {
+        self.seq += 1;
+        let key = (at, self.seq);
+        if let Input::TimerFired { token } = &input {
+            if let Some(old) = self.timers.insert((to, *token), key) {
+                self.due.remove(&old);
+            }
+        }
+        self.due.insert(key, (to, input));
+    }
+
+    fn cancel(&mut self, site: SiteId, token: TimerToken) {
+        if let Some(key) = self.timers.remove(&(site, token)) {
+            self.due.remove(&key);
+        }
+    }
+
+    fn next_due(&self) -> Option<Instant> {
+        self.due.first_key_value().map(|(key, _)| key.0)
+    }
+
+    /// Removes and returns the earliest delivery if it is due by `now`.
+    fn pop_due(&mut self, now: Instant) -> Option<(SiteId, Input)> {
+        let first = self.due.first_entry()?;
+        if first.key().0 > now {
+            return None;
+        }
+        let (to, input) = first.remove();
+        if let Input::TimerFired { token } = &input {
+            self.timers.remove(&(to, *token));
+        }
+        Some((to, input))
+    }
+}
+
 /// The router: delayed delivery of datagrams and timer firings, with
 /// cancellation; drops traffic to dead sites.
 fn router_main(inner: Arc<ClusterInner>, rx: Receiver<RouterJob>) {
-    struct Entry {
-        at: Instant,
-        seq: u64,
-        to: SiteId,
-        input: Input,
-        timer: Option<(SiteId, TimerToken)>,
-    }
-    let mut heap: Vec<Entry> = Vec::new();
-    let mut cancelled: HashSet<(SiteId, TimerToken)> = HashSet::new();
-    let mut seq = 0u64;
+    let mut queue = RouterQueue::default();
     loop {
-        let timeout = heap
-            .iter()
-            .map(|e| e.at)
-            .min()
+        let timeout = queue
+            .next_due()
             .map(|at| at.saturating_duration_since(Instant::now()))
             .unwrap_or(StdDuration::from_millis(50));
         match rx.recv_timeout(timeout) {
             Ok(RouterJob::Stop) => return,
-            Ok(RouterJob::CancelTimer { site, token }) => {
-                cancelled.insert((site, token));
-            }
-            Ok(RouterJob::Deliver {
-                at,
-                to,
-                input,
-                timer,
-            }) => {
-                seq += 1;
-                heap.push(Entry {
-                    at,
-                    seq,
-                    to,
-                    input,
-                    timer,
-                });
-            }
+            Ok(RouterJob::CancelTimer { site, token }) => queue.cancel(site, token),
+            Ok(RouterJob::Deliver { at, to, input }) => queue.push(at, to, input),
             Err(crossbeam::channel::RecvTimeoutError::Timeout) => {}
             Err(_) => return,
         }
-        // Deliver everything due.
         let now = Instant::now();
-        let mut due: Vec<Entry> = Vec::new();
-        let mut i = 0;
-        while i < heap.len() {
-            if heap[i].at <= now {
-                due.push(heap.swap_remove(i));
-            } else {
-                i += 1;
-            }
-        }
-        due.sort_by_key(|e| (e.at, e.seq));
-        for e in due {
-            if let Some(key) = e.timer {
-                if cancelled.remove(&key) {
-                    continue;
-                }
-            }
-            if let Some(site) = inner.sites.get(&e.to) {
+        while let Some((to, input)) = queue.pop_due(now) {
+            if let Some(site) = inner.sites.get(&to) {
                 if site.alive.load(Ordering::SeqCst) {
-                    let _ = site.tm_tx.send(Some(e.input));
+                    let _ = site.tm_tx.send(Some(input));
                 }
             }
         }
+        inner
+            .router_pending
+            .store(queue.due.len() as u64, Ordering::Relaxed);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    const S1: SiteId = SiteId(1);
+
+    fn timer(token: u64) -> Input {
+        Input::TimerFired {
+            token: TimerToken(token),
+        }
+    }
+
+    /// Everything due by `now`, as timer tokens.
+    fn fire(queue: &mut RouterQueue, now: Instant) -> Vec<u64> {
+        std::iter::from_fn(|| queue.pop_due(now))
+            .map(|(_, input)| match input {
+                Input::TimerFired { token } => token.0,
+                other => panic!("not a timer: {other:?}"),
+            })
+            .collect()
+    }
+
+    #[test]
+    fn cancelling_a_timer_deletes_it() {
+        let t0 = Instant::now();
+        let ms = StdDuration::from_millis;
+        let mut queue = RouterQueue::default();
+        // Set then cancel: it never fires.
+        queue.push(t0 + ms(5), S1, timer(1));
+        queue.cancel(S1, TimerToken(1));
+        assert!(fire(&mut queue, t0 + ms(10)).is_empty());
+        // A cancel that arrives after the firing is forgotten: the
+        // same token, re-armed, fires exactly once.
+        queue.push(t0 + ms(5), S1, timer(2));
+        assert_eq!(fire(&mut queue, t0 + ms(5)), [2]);
+        queue.cancel(S1, TimerToken(2));
+        queue.push(t0 + ms(6), S1, timer(2));
+        assert_eq!(fire(&mut queue, t0 + ms(10)), [2]);
+        assert!(fire(&mut queue, t0 + ms(10)).is_empty());
+        // Re-arming a live timer replaces it, and another site's
+        // timer with the same token is a different timer.
+        queue.push(t0 + ms(20), S1, timer(3));
+        queue.push(t0 + ms(30), S1, timer(3));
+        queue.push(t0 + ms(25), SiteId(2), timer(3));
+        assert_eq!(fire(&mut queue, t0 + ms(29)), [3], "site 2's only");
+        assert_eq!(queue.next_due(), Some(t0 + ms(30)));
+        assert_eq!(fire(&mut queue, t0 + ms(30)), [3]);
+        // Deliveries come out in (due, arrival) order.
+        for token in [7, 8, 9] {
+            queue.push(t0 + ms(40), S1, timer(token));
+        }
+        queue.push(t0 + ms(35), S1, timer(6));
+        assert_eq!(fire(&mut queue, t0 + ms(40)), [6, 7, 8, 9]);
+        assert!(queue.due.is_empty() && queue.timers.is_empty());
+    }
+
+    /// The leak this structure replaced: cancelled timers used to sit
+    /// in the router until their nominal expiry. 10 000 set + cancel
+    /// pairs through the running router leave nothing pending.
+    #[test]
+    fn cancelled_timers_leave_the_router_empty() {
+        let cluster = Cluster::new(1, RtConfig::default());
+        let site = cluster.inner.sites[&S1].clone();
+        let after = camelot_types::Duration::from_millis(10_000);
+        let set = |token| Action::SetTimer { token, after };
+        let cancel = |token| Action::CancelTimer { token };
+        let pairs = (0..10_000u64)
+            .map(|i| TimerToken(1 << 40 | i))
+            .flat_map(|token| [set(token), cancel(token)])
+            .collect();
+        cluster.inner.apply_actions(&site, pairs);
+        // The gauge reads 0 or 1 while the pairs drain, so two live
+        // timers armed behind them (the job channel is FIFO) read 2
+        // only once every pair is processed and left nothing.
+        let live = [TimerToken(1 << 41), TimerToken(1 << 41 | 1)];
+        cluster.inner.apply_actions(&site, live.map(set).to_vec());
+        let settles_at = |want: u64| {
+            let deadline = Instant::now() + StdDuration::from_secs(10);
+            while cluster.stats().router_pending != want {
+                assert!(Instant::now() < deadline, "router_pending != {want}");
+                std::thread::sleep(StdDuration::from_millis(1));
+            }
+        };
+        settles_at(2);
+        cluster
+            .inner
+            .apply_actions(&site, live.map(cancel).to_vec());
+        settles_at(0);
+        cluster.shutdown();
     }
 }

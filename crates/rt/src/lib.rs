@@ -9,7 +9,10 @@
 //! - a **transaction-manager worker pool** per site — "create a pool
 //!   of threads when the process starts […] have every thread wait
 //!   for any type of input, process the input, and resume waiting"
-//!   (§3.4); the engine's family table is partitioned into
+//!   (§3.4). The pool serves what arrives asynchronously (datagrams,
+//!   timer firings, log completions); an application call runs its
+//!   engine step and the local work it produces on the calling
+//!   thread. The engine's family table is partitioned into
 //!   independently locked shards so the pool actually scales
 //!   (conclusion 3 makes the TranMan the bottleneck once group commit
 //!   relieves the disk);
@@ -18,10 +21,13 @@
 //!   only drives the group-commit batcher (§3.5) and performs platter
 //!   writes *without holding the log lock*, double-buffer style;
 //! - a **router thread** — the NetMsgServer stand-in: delivers
-//!   inter-site datagrams after a configurable delay, drops traffic
-//!   to crashed sites;
+//!   inter-site datagrams after a configurable delay and fires
+//!   (cancellable) protocol timers from one ordered set, drops
+//!   traffic to crashed sites;
 //! - **client handles** — synchronous begin / read / write / commit /
-//!   abort calls, like an application making Mach RPCs.
+//!   abort calls. The paper's local IPC between application and
+//!   TranMan is *not* modelled here (the call is a function call on
+//!   the caller's thread); its cost lives in the simulator only.
 //!
 //! Sites can be crashed (volatile state dropped, log truncated to the
 //! durable prefix) and restarted (engine and servers rebuilt by the

@@ -51,14 +51,14 @@
 //! [`Action::AskVote`]: camelot_core::Action::AskVote
 //! [`DataServer`]: camelot_server::DataServer
 
-use std::collections::{HashMap, HashSet};
+use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration as StdDuration, Instant};
 
 use crossbeam::channel::{Receiver, RecvTimeoutError};
 
-use camelot_core::Input;
+use camelot_core::{Action, Input};
 use camelot_net::{Outcome, Vote};
 use camelot_obs::Phase;
 use camelot_server::{OpReply, Request};
@@ -271,9 +271,7 @@ fn handle_job(inner: &Arc<ClusterInner>, site: &Arc<SiteShared>, sh: &mut Shard,
 
 /// Completes a client operation through the shared completion map.
 fn reply_op(inner: &ClusterInner, req: u64, value: Vec<u8>) {
-    if let Some(tx) = inner.pending_ops.remove(req) {
-        let _ = tx.send(OpReply { req, value });
-    }
+    inner.pending_ops.complete(req, OpReply { req, value });
 }
 
 /// Committed value of a key: the shard cache, falling back (once per
@@ -639,7 +637,13 @@ impl ClusterInner {
     /// broadcast prepared markers to every shard and aggregate.
     ///
     /// [`Action::AskVote`]: camelot_core::Action::AskVote
-    pub(crate) fn queued_ask_vote(&self, site: &Arc<SiteShared>, tid: &Tid, servers: &[ServerId]) {
+    pub(crate) fn queued_ask_vote(
+        &self,
+        site: &Arc<SiteShared>,
+        queue: &mut VecDeque<Action>,
+        tid: &Tid,
+        servers: &[ServerId],
+    ) {
         for &server in servers {
             let direct = site.servers.get(&server).map(|s| s.lock().vote(tid.family));
             match direct {
@@ -663,11 +667,11 @@ impl ClusterInner {
                     }
                 }
                 Some(vote) => {
-                    let _ = site.tm_tx.send(Some(Input::ServerVote {
-                        tid: tid.clone(),
-                        server,
-                        vote,
-                    }));
+                    // Decided here and now: a local step, like the
+                    // lock-based vote.
+                    let tid = tid.clone();
+                    let input = Input::ServerVote { tid, server, vote };
+                    queue.extend(self.handle_on_shard(site, input));
                 }
             }
         }

@@ -1,17 +1,17 @@
 //! Sharded completion tables.
 //!
-//! Every application-level call (begin, commit, read, write) parks a
-//! one-shot channel in a completion table keyed by request id and
-//! waits for a worker to complete it. With a single `Mutex<HashMap>`
-//! every call on every site serializes on that one lock twice — it
-//! shows up as the hottest lock in the runtime right after the engine
-//! itself. Request ids are allocated from one atomic counter, so
-//! striping the table by `req % N` spreads those acquisitions evenly
-//! with no cross-shard coordination at all.
+//! An application-level call (begin, commit, read, write) whose reply
+//! comes from another thread parks a one-shot channel in a completion
+//! table keyed by request id and waits for that thread to complete
+//! it; a reply produced on the calling thread never comes here. With
+//! a single `Mutex<HashMap>` every parked call on every site
+//! serializes on that one lock twice. Request ids are allocated from
+//! one atomic counter, so striping the table by `req % N` spreads
+//! those acquisitions evenly with no cross-shard coordination at all.
 
 use std::collections::HashMap;
 
-use crossbeam::channel::Sender;
+use crossbeam::channel::{bounded, Receiver, Sender};
 use parking_lot::Mutex;
 
 /// A completion table striped over `N` independently locked shards.
@@ -32,35 +32,44 @@ impl<V> ShardedMap<V> {
         &self.shards[(key % self.shards.len() as u64) as usize]
     }
 
-    pub fn insert(&self, key: u64, tx: Sender<V>) {
+    /// Parks a one-shot completion under `key`.
+    pub fn park(&self, key: u64) -> Receiver<V> {
+        let (tx, rx) = bounded(1);
         self.shard(key).lock().insert(key, tx);
+        rx
     }
 
-    pub fn remove(&self, key: u64) -> Option<Sender<V>> {
-        self.shard(key).lock().remove(&key)
+    /// Completes `key` with `value` if a caller is (still) parked on
+    /// it; a reply nobody waits for is dropped.
+    pub fn complete(&self, key: u64, value: V) -> bool {
+        let tx = self.shard(key).lock().remove(&key);
+        tx.is_some_and(|tx| tx.send(value).is_ok())
+    }
+
+    /// Withdraws a parked completion (its caller gave up or got its
+    /// reply another way).
+    pub fn cancel(&self, key: u64) {
+        self.shard(key).lock().remove(&key);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crossbeam::channel::bounded;
 
     #[test]
-    fn insert_remove_roundtrip_across_shards() {
+    fn park_complete_roundtrip_across_shards() {
         let m: ShardedMap<u64> = ShardedMap::new(4);
-        let mut rxs = Vec::new();
-        for k in 0..32u64 {
-            let (tx, rx) = bounded(1);
-            m.insert(k, tx);
-            rxs.push((k, rx));
-        }
+        let rxs: Vec<_> = (0..32u64).map(|k| (k, m.park(k))).collect();
         for (k, rx) in rxs {
-            let tx = m.remove(k).expect("present");
-            tx.send(k).unwrap();
+            assert!(m.complete(k, k));
             assert_eq!(rx.recv().unwrap(), k);
-            assert!(m.remove(k).is_none(), "remove is take");
+            assert!(!m.complete(k, k), "complete is take");
         }
+        let rx = m.park(99);
+        m.cancel(99);
+        assert!(!m.complete(99, 0), "cancelled completions are gone");
+        assert!(rx.try_recv().is_err());
     }
 
     #[test]
@@ -72,9 +81,8 @@ mod tests {
             handles.push(std::thread::spawn(move || {
                 for i in 0..256u64 {
                     let k = t * 1000 + i;
-                    let (tx, rx) = bounded(1);
-                    m.insert(k, tx);
-                    m.remove(k).unwrap().send(k).unwrap();
+                    let rx = m.park(k);
+                    assert!(m.complete(k, k));
                     assert_eq!(rx.recv().unwrap(), k);
                 }
             }));

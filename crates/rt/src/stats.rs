@@ -24,8 +24,11 @@ use camelot_wal::WalStats;
 pub(crate) struct SiteCounters {
     /// Nanoseconds workers spent waiting to acquire an engine shard.
     pub lock_wait_ns: AtomicU64,
-    /// Inputs handled by the TranMan workers.
+    /// Inputs the engine shards handled, on whichever thread.
     pub inputs: AtomicU64,
+    /// Inputs that crossed `tm_tx` to the worker pool: one thread
+    /// hand-off each (datagrams, timer firings, log completions).
+    pub worker_inputs: AtomicU64,
     /// Records appended to the WAL (all sources).
     pub appends: AtomicU64,
     /// Platter writes the disk thread performed.
@@ -65,8 +68,13 @@ pub struct SiteStats {
     pub wal: WalStats,
     /// Total time workers spent blocked on engine-shard locks.
     pub lock_wait: StdDuration,
-    /// Inputs handled by the TranMan workers.
+    /// Inputs the engine shards handled, on whichever thread.
     pub inputs: u64,
+    /// Inputs that crossed to the worker pool — the hand-off budget:
+    /// application calls and local server votes run on the thread that
+    /// produced them, so only datagrams, timer firings and log
+    /// completions count here.
+    pub worker_inputs: u64,
     /// Platter writes the disk thread performed.
     pub platter_writes: u64,
     /// Force requests satisfied by the batcher.
@@ -119,6 +127,10 @@ impl SiteStats {
 #[derive(Debug, Clone)]
 pub struct ClusterStats {
     pub sites: Vec<SiteStats>,
+    /// Deliveries the router holds right now: live (uncancelled,
+    /// unfired) timers plus datagrams in flight. A gauge, not a
+    /// counter; it returns to the number of armed timers at rest.
+    pub router_pending: u64,
 }
 
 impl ClusterStats {

@@ -110,6 +110,94 @@ fn crash_matrix_nonblocking() {
     }
 }
 
+/// Application calls run the engine step and its actions on the
+/// calling thread, so for a local update [`CrashPoint::PreForce`] fires
+/// inside `commit` itself: the site dies while its caller is halfway
+/// through applying the commit's actions. The caller must come back
+/// with a typed error (not a panic, and within the call timeout),
+/// leave no site lock held, and the restart must presume abort.
+#[test]
+fn site_killed_under_a_caller_mid_commit() {
+    let fault = Arc::new(FaultPlan::disabled());
+    let cluster = Arc::new(Cluster::new_with_faults(1, quick_cfg(), fault.clone()));
+    let obj = ObjectId(7);
+    let client = cluster.client(S1);
+    let tid = client.begin().unwrap();
+    client.write(&tid, S1, SRV, obj, b"fate".to_vec()).unwrap();
+    fault.arm_crash(S1, CrashPoint::PreForce);
+    let started = std::time::Instant::now();
+    let outcome = client.commit(&tid, CommitMode::TwoPhase);
+    assert!(
+        matches!(
+            outcome,
+            Err(CamelotError::Timeout { tid: Some(_) }) | Err(CamelotError::SiteDown(S1))
+        ),
+        "want a typed unknown-outcome error, got {outcome:?}"
+    );
+    assert!(
+        started.elapsed() < StdDuration::from_secs(4),
+        "call_timeout"
+    );
+    assert!(
+        !cluster.is_alive(S1),
+        "PreForce should have killed the site"
+    );
+    assert_eq!(fault.stats().crashes, 1);
+    // Every site lock (engine shards, WAL, servers) can still be
+    // taken: the dying call left none behind.
+    let (done_tx, done_rx) = std::sync::mpsc::channel();
+    let probe = cluster.clone();
+    let locks = std::thread::spawn(move || {
+        let _ = (probe.stats(), probe.debug_state(S1));
+        let _ = done_tx.send(());
+    });
+    done_rx
+        .recv_timeout(StdDuration::from_secs(5))
+        .expect("a site lock is still held after the kill");
+    locks.join().unwrap();
+    // The commit record never reached the log: recovery presumes
+    // abort, releases the family's lock, and the site serves again.
+    cluster.restart(S1).expect("clean log recovers");
+    assert_eq!(cluster.committed_value(S1, SRV, obj), b"");
+    let next = client.begin().unwrap();
+    client
+        .write(&next, S1, SRV, obj, b"alive".to_vec())
+        .unwrap();
+    client.commit(&next, CommitMode::TwoPhase).unwrap();
+    assert_eq!(cluster.committed_value(S1, SRV, obj), b"alive");
+    Arc::try_unwrap(cluster)
+        .ok()
+        .expect("sole owner")
+        .shutdown();
+}
+
+/// A call on a dead home site provably never started: it reports
+/// [`CamelotError::SiteDown`] without reaching the engine, a worker or
+/// the completion table.
+#[test]
+fn call_on_a_dead_home_site_never_touches_the_engine() {
+    let cluster = Cluster::new(1, quick_cfg());
+    let client = cluster.client(S1);
+    let open = client.begin().unwrap();
+    cluster.crash(S1);
+    let counts = |c: &Cluster| {
+        let s = &c.stats().sites[0];
+        (s.inputs, s.worker_inputs, s.engine.begins, s.engine.aborts)
+    };
+    let before = counts(&cluster);
+    assert!(matches!(client.begin(), Err(CamelotError::SiteDown(S1))));
+    assert!(matches!(
+        client.commit(&open, CommitMode::TwoPhase),
+        Err(CamelotError::SiteDown(S1))
+    ));
+    assert!(matches!(
+        client.abort(&open),
+        Err(CamelotError::SiteDown(S1))
+    ));
+    assert_eq!(counts(&cluster), before);
+    cluster.shutdown();
+}
+
 /// Queued execution, [`CrashPoint::QueueMidBurst`]: a shard-owner
 /// worker dies while draining a burst — the site goes down with ops
 /// and markers still queued. After a restart the cluster must agree

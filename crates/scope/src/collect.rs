@@ -189,7 +189,8 @@ impl ScrapeSnapshot {
 
 /// Derives per-second rates from two counter snapshots. Returns the
 /// rates and whether any counter moved backwards (restart between
-/// scrapes); negative deltas are clamped to zero.
+/// scrapes); negative deltas are clamped to zero. A falling gauge
+/// ([`SiteStatsWire::GAUGES`]) is not a restart.
 pub fn derive_rates(
     prev: &SiteStatsWire,
     cur: &SiteStatsWire,
@@ -204,7 +205,7 @@ pub fn derive_rates(
         let delta = if c >= p {
             c - p
         } else {
-            restarted = true;
+            restarted |= !SiteStatsWire::GAUGES.contains(name);
             0
         };
         rates.push((*name, delta as f64 / dt_secs));
@@ -290,12 +291,7 @@ impl Collector {
         if let Some(addr) = supervisor {
             if let Ok(mut ctrl) = CtrlClient::connect_with(addr, 2) {
                 if let Ok(counts) = ctrl.restart_stats() {
-                    snap.restarts = Some(
-                        counts
-                            .iter()
-                            .map(|e| (e.site.0, e.restarts))
-                            .collect(),
-                    );
+                    snap.restarts = Some(counts.iter().map(|e| (e.site.0, e.restarts)).collect());
                 }
             }
         }
@@ -337,6 +333,11 @@ mod tests {
         assert!(restarted, "backwards counter means the site restarted");
         let commits = rates.iter().find(|(k, _)| *k == "commits").unwrap().1;
         assert_eq!(commits, 0.0, "negative delta clamps to zero");
+        // A gauge falls in normal operation: the router drained.
+        let mut busy = stats_with(100, 1000);
+        busy.router_pending = 40;
+        let (_, restarted) = derive_rates(&busy, &stats_with(150, 1400), 1.0);
+        assert!(!restarted, "a falling gauge is not a restart");
     }
 
     #[test]

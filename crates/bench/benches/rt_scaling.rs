@@ -25,11 +25,10 @@
 use std::sync::Arc;
 use std::time::{Duration as StdDuration, Instant};
 
-use camelot_core::{CommitMode, EngineConfig, TwoPhaseVariant};
+use camelot_bench::driver::protocol_audit;
+use camelot_core::CommitMode;
 use camelot_net::Outcome;
-use camelot_rt::{
-    audit_family, budget_for, AuditProtocol, BatchPolicy, Cluster, PhaseSnapshot, RtConfig,
-};
+use camelot_rt::{BatchPolicy, Cluster, ExecMode, PhaseSnapshot, RtConfig};
 use camelot_types::{Duration, ObjectId, ServerId, SiteId};
 
 const SITES: u32 = 2;
@@ -140,101 +139,13 @@ fn run(policy: &'static str, tm_threads: usize, txns: u64) -> RunResult {
     }
 }
 
-/// JSON object of p50/p95/p99/max/mean (µs) and count for every
-/// non-empty phase in `s`.
+/// JSON object of every non-empty phase's latency summary in `s`.
 fn phases_json(s: &PhaseSnapshot) -> String {
-    let mut parts = Vec::new();
-    for (phase, h) in s.non_empty() {
-        parts.push(format!(
-            "\"{}\": {{\"count\": {}, \"p50_us\": {}, \"p95_us\": {}, \"p99_us\": {}, \
-             \"max_us\": {}, \"mean_us\": {}}}",
-            phase.name(),
-            h.count(),
-            h.percentile(50.0),
-            h.percentile(95.0),
-            h.percentile(99.0),
-            h.max_us(),
-            h.mean_us()
-        ));
-    }
+    let parts: Vec<String> = s
+        .non_empty()
+        .map(|(phase, h)| format!("\"{}\": {}", phase.name(), h.summary_json()))
+        .collect();
     format!("{{{}}}", parts.join(", "))
-}
-
-/// Post-sweep protocol-cost audit: one clean traced 1-subordinate
-/// transaction per protocol configuration, counts checked against the
-/// paper's budget (exact forces/lazy, datagrams in range). Returns
-/// `(name, result)` per configuration.
-fn audit_sweep() -> Vec<(&'static str, Result<String, String>)> {
-    let configs: [(AuditProtocol, EngineConfig, CommitMode, bool); 4] = [
-        (
-            AuditProtocol::TwoPhaseDelayed,
-            EngineConfig::default(),
-            CommitMode::TwoPhase,
-            true,
-        ),
-        (
-            AuditProtocol::TwoPhaseStandard,
-            EngineConfig::for_variant(TwoPhaseVariant::Unoptimized),
-            CommitMode::TwoPhase,
-            true,
-        ),
-        (
-            AuditProtocol::ReadOnly,
-            EngineConfig::default(),
-            CommitMode::TwoPhase,
-            false,
-        ),
-        (
-            AuditProtocol::NonBlocking,
-            EngineConfig::default(),
-            CommitMode::NonBlocking,
-            true,
-        ),
-    ];
-    let mut out = Vec::new();
-    for (protocol, engine, mode, write) in configs {
-        let cfg = RtConfig {
-            datagram_delay: StdDuration::from_millis(1),
-            platter_delay: StdDuration::from_millis(1),
-            engine,
-            trace: true,
-            ..RtConfig::default()
-        };
-        let cluster = Cluster::new(2, cfg);
-        let client = cluster.client(SiteId(1));
-        let tid = client.begin().expect("audit begin");
-        if write {
-            client
-                .write(&tid, SiteId(1), SRV, ObjectId(1), b"a".to_vec())
-                .expect("audit home write");
-            client
-                .write(&tid, SiteId(2), SRV, ObjectId(2), b"b".to_vec())
-                .expect("audit remote write");
-        } else {
-            client
-                .read(&tid, SiteId(1), SRV, ObjectId(1))
-                .expect("audit home read");
-            client
-                .read(&tid, SiteId(2), SRV, ObjectId(2))
-                .expect("audit remote read");
-        }
-        let outcome = client.commit(&tid, mode).expect("audit commit");
-        assert_eq!(outcome, Outcome::Committed);
-        // Let cleanup traffic (ack flush, lazy record flush) land —
-        // it is part of the audited budget.
-        std::thread::sleep(StdDuration::from_millis(400));
-        let events = cluster.drain_trace();
-        cluster.shutdown();
-        let budget = budget_for(protocol);
-        let result = audit_family(tid.family, &events, &budget).map(|c| {
-            format!(
-                "{} force(s) + {} lazy + {} datagram(s)",
-                c.forces, c.lazy_appends, c.datagrams
-            )
-        });
-        out.push((protocol.name(), result));
-    }
-    out
 }
 
 fn main() {
@@ -390,33 +301,15 @@ fn main() {
     // against a clean traced run of each configuration. A violation
     // fails the bench so CI smoke runs catch budget drift.
     println!("\nprotocol-cost audit (paper budgets, Tables 1-2):");
-    let audits = audit_sweep();
-    let mut violated = false;
-    json.push_str("  \"audit\": {");
-    for (i, (name, result)) in audits.iter().enumerate() {
-        match result {
-            Ok(counts) => {
-                println!("  {name}: ok ({counts})");
-                json.push_str(&format!("\"{name}\": \"ok\""));
-            }
-            Err(e) => {
-                println!("  {name}: VIOLATION: {e}");
-                json.push_str(&format!("\"{name}\": \"violation\""));
-                violated = true;
-            }
-        }
-        if i + 1 != audits.len() {
-            json.push_str(", ");
-        }
-    }
-    json.push_str("}\n}\n");
+    let (audit_json, audit_ok) = protocol_audit(ExecMode::LockBased);
+    json.push_str(&format!("  \"audit\": {audit_json}\n}}\n"));
 
     let out = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
         .join("../..")
         .join("BENCH_rt_scaling.json");
     std::fs::write(&out, json).expect("write BENCH_rt_scaling.json");
     println!("wrote {}", out.display());
-    if violated {
+    if !audit_ok {
         eprintln!("protocol-cost audit failed: see violations above");
         std::process::exit(1);
     }

@@ -12,6 +12,7 @@
 //! *skip* — the workload changed, re-record the baseline), `1` a
 //! saturation knee dropped by more than `--threshold-pct` (default
 //! 15) or a baseline curve vanished, `2` usage or unreadable input.
+//! CI greps the output for `PASS:`, so there a skip fails the job.
 
 use std::process::exit;
 

@@ -31,69 +31,59 @@
 //! [--duration-ms 3000] [--read-pct 40] [--dist-pct 20] [--nb-pct 10]
 //! [--seed 7] [--out PATH]`. `QUICK=1` shrinks the ladder for CI.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
-use std::time::{Duration as StdDuration, Instant};
+use std::time::Duration as StdDuration;
 
-use camelot_bench::{
-    hist_json, quick, stamp_json, work_channel, OpenLoop, SplitMix64, WorkReceiver, Zipf,
-};
-use camelot_core::{CommitMode, EngineConfig, TwoPhaseVariant};
-use camelot_net::Outcome;
-use camelot_obs::AtomicHistogram;
-use camelot_rt::{
-    audit_family, budget_for, AuditProtocol, Cluster, ExecMode, Histogram, Phase, RtConfig,
-};
-use camelot_types::{ObjectId, ServerId, SiteId};
+use camelot_bench::driver::{point_json, protocol_audit, run_point, Mix, Point};
+use camelot_bench::{quick, stamp_json};
+use camelot_node::session::InProcSession;
+use camelot_rt::{Cluster, ExecMode, Histogram, Phase, RtConfig};
 
 const SITES: u32 = 2;
-const SRV: ServerId = ServerId(1);
 const TM_THREADS: usize = 4;
 
 #[derive(Debug, Clone)]
 struct Args {
     modes: Vec<ExecMode>,
     rates: Vec<f64>,
-    theta: f64,
-    keys: usize,
-    duration_ms: u64,
-    read_pct: u64,
-    dist_pct: u64,
-    nb_pct: u64,
-    seed: u64,
+    mix: Mix,
     out: Option<String>,
 }
 
 impl Args {
-    fn parse() -> Args {
-        let q = quick();
-        let mut args = Args {
+    fn defaults(q: bool) -> Args {
+        Args {
             modes: vec![ExecMode::LockBased, ExecMode::Queued],
             rates: if q {
                 vec![50.0, 150.0]
             } else {
                 vec![100.0, 200.0, 400.0, 800.0, 1600.0]
             },
-            theta: 0.99,
-            keys: 256,
-            duration_ms: if q { 1000 } else { 4000 },
-            read_pct: 40,
-            dist_pct: 20,
-            nb_pct: 10,
-            seed: 7,
+            mix: Mix {
+                sites: SITES,
+                theta: 0.99,
+                keys: 256,
+                duration_ms: if q { 1000 } else { 4000 },
+                read_pct: 40,
+                dist_pct: 20,
+                nb_pct: 10,
+                seed: 7,
+            },
             out: None,
-        };
+        }
+    }
+
+    fn parse() -> Args {
+        let mut args = Args::defaults(quick());
         let argv: Vec<String> = std::env::args().skip(1).collect();
-        let mut i = 0;
-        while i < argv.len() {
-            let (flag, val) = (argv[i].as_str(), argv.get(i + 1));
-            let val = || {
-                val.unwrap_or_else(|| panic!("{flag} needs a value"))
-                    .as_str()
-            };
+        for pair in argv.chunks(2) {
+            let flag = pair[0].as_str();
+            let val = pair
+                .get(1)
+                .unwrap_or_else(|| panic!("{flag} needs a value"))
+                .as_str();
             match flag {
                 "--mode" => {
-                    args.modes = match val() {
+                    args.modes = match val {
                         "queued" => vec![ExecMode::Queued],
                         "lock" | "lock_based" => vec![ExecMode::LockBased],
                         "both" => vec![ExecMode::LockBased, ExecMode::Queued],
@@ -101,19 +91,11 @@ impl Args {
                     }
                 }
                 "--rates" => {
-                    args.rates = val().split(',').map(|r| r.parse().expect("rate")).collect()
+                    args.rates = val.split(',').map(|r| r.parse().expect("rate")).collect()
                 }
-                "--theta" => args.theta = val().parse().expect("theta"),
-                "--keys" => args.keys = val().parse().expect("keys"),
-                "--duration-ms" => args.duration_ms = val().parse().expect("duration-ms"),
-                "--read-pct" => args.read_pct = val().parse().expect("read-pct"),
-                "--dist-pct" => args.dist_pct = val().parse().expect("dist-pct"),
-                "--nb-pct" => args.nb_pct = val().parse().expect("nb-pct"),
-                "--seed" => args.seed = val().parse().expect("seed"),
-                "--out" => args.out = Some(val().to_string()),
-                other => panic!("unknown flag {other}"),
+                "--out" => args.out = Some(val.to_string()),
+                other => assert!(args.mix.set_flag(other, val), "unknown flag {other}"),
             }
-            i += 2;
         }
         args
     }
@@ -121,69 +103,22 @@ impl Args {
     /// Canonical config rendering, hashed into the stamp.
     fn config_text(&self) -> String {
         format!(
-            "sites={SITES} tm_threads={TM_THREADS} theta={} keys={} duration_ms={} \
-             read_pct={} dist_pct={} nb_pct={} seed={} rates={:?}",
-            self.theta,
-            self.keys,
-            self.duration_ms,
-            self.read_pct,
-            self.dist_pct,
-            self.nb_pct,
-            self.seed,
+            "sites={SITES} tm_threads={TM_THREADS} {} rates={:?}",
+            self.mix.config_text(),
             self.rates
         )
     }
 }
 
-/// One scheduled transaction: everything is decided by the seeded
-/// generator before release, so both modes replay the same workload.
-struct TxnSpec {
-    idx: u64,
-    due: Instant,
-    home: SiteId,
-    key: ObjectId,
-    key2: ObjectId,
-    read_only: bool,
-    distributed: bool,
-    mode: CommitMode,
-}
-
-/// Shared measurement sinks for one (mode, rate) point.
-#[derive(Default)]
-struct PointSink {
-    total: AtomicHistogram,
-    commit: AtomicHistogram,
-    commits: AtomicU64,
-    aborts: AtomicU64,
-    errors: AtomicU64,
-    /// Sums over *committed* transactions only, for the overhead
-    /// ratio (commit time / total time).
-    commit_us_sum: AtomicU64,
-    total_us_sum: AtomicU64,
-}
-
-struct PointResult {
-    offered_per_sec: f64,
-    arrivals: u64,
-    commits: u64,
-    aborts: u64,
-    errors: u64,
-    elapsed_s: f64,
-    achieved_commits_per_sec: f64,
-    total_lat: Histogram,
-    commit_lat: Histogram,
-    commit_overhead_pct: f64,
+/// One point plus the runtime counters only this bench reads.
+struct LoadPoint {
+    point: Point,
     lock_wait_ms: f64,
-    server_lock_waits: u64,
-    deadlocks: u64,
-    queue_ops: u64,
-    queue_vote_timeouts: u64,
-    queue_cascades: u64,
-    queue_wait_p95_us: u64,
     /// Trace-ring drops across all sites: nonzero means the point's
     /// protocol trace is incomplete and any audit over it is unsound.
     trace_dropped: u64,
-    proto_json: String,
+    /// This bench's own report fields, for [`point_json`].
+    extras: String,
 }
 
 fn rt_config(mode: ExecMode) -> RtConfig {
@@ -201,81 +136,6 @@ fn rt_config(mode: ExecMode) -> RtConfig {
     }
 }
 
-/// Executes one transaction spec; records into the sink.
-fn run_txn(clients: &[camelot_rt::Client], spec: &TxnSpec, sink: &PointSink) {
-    let client = &clients[(spec.home.0 - 1) as usize];
-    let remote = SiteId(spec.home.0 % SITES + 1);
-    let tid = match client.begin() {
-        Ok(t) => t,
-        Err(_) => {
-            sink.errors.fetch_add(1, Ordering::Relaxed);
-            return;
-        }
-    };
-    let body = (|| -> Result<(), ()> {
-        if spec.read_only {
-            client
-                .read(&tid, spec.home, SRV, spec.key)
-                .map_err(|_| ())?;
-            client
-                .read(&tid, spec.home, SRV, spec.key2)
-                .map_err(|_| ())?;
-        } else {
-            // Read-modify-write on a Zipfian hot key: the shape that
-            // makes lock-based servers convoy (S→X upgrade under
-            // contention) and queued mode pipeline.
-            let cur = client
-                .read(&tid, spec.home, SRV, spec.key)
-                .map_err(|_| ())?;
-            let mut next = cur;
-            next.extend_from_slice(&spec.idx.to_le_bytes());
-            next.truncate(8);
-            client
-                .write(&tid, spec.home, SRV, spec.key, next)
-                .map_err(|_| ())?;
-            if spec.distributed {
-                client
-                    .write(
-                        &tid,
-                        remote,
-                        SRV,
-                        spec.key2,
-                        spec.idx.to_le_bytes().to_vec(),
-                    )
-                    .map_err(|_| ())?;
-            }
-        }
-        Ok(())
-    })();
-    if body.is_err() {
-        let _ = client.abort(&tid);
-        sink.aborts.fetch_add(1, Ordering::Relaxed);
-        sink.total.record(spec.due.elapsed());
-        return;
-    }
-    let commit_started = Instant::now();
-    match client.commit(&tid, spec.mode) {
-        Ok(Outcome::Committed) => {
-            let commit_us = commit_started.elapsed().as_micros() as u64;
-            let total_us = spec.due.elapsed().as_micros() as u64;
-            sink.commits.fetch_add(1, Ordering::Relaxed);
-            sink.commit.record_us(commit_us);
-            sink.total.record_us(total_us);
-            sink.commit_us_sum.fetch_add(commit_us, Ordering::Relaxed);
-            sink.total_us_sum.fetch_add(total_us, Ordering::Relaxed);
-        }
-        Ok(Outcome::Aborted) => {
-            sink.aborts.fetch_add(1, Ordering::Relaxed);
-            sink.total.record(spec.due.elapsed());
-        }
-        Err(_) => {
-            let _ = client.abort(&tid);
-            sink.errors.fetch_add(1, Ordering::Relaxed);
-            sink.total.record(spec.due.elapsed());
-        }
-    }
-}
-
 /// Per-protocol commit-latency percentiles from the run's protocol-
 /// keyed phase histograms (one mixed workload, broken out by the
 /// Tables 1–3 protocol actually run).
@@ -289,237 +149,50 @@ fn proto_json(cluster: &Cluster) -> String {
         if merged.is_empty() {
             continue;
         }
-        parts.push(format!("\"{}\": {}", proto.name(), hist_json(&merged)));
+        parts.push(format!("\"{}\": {}", proto.name(), merged.summary_json()));
     }
     format!("{{{}}}", parts.join(", "))
 }
 
-/// One (mode, rate) point: build a cluster, pace arrivals open-loop,
-/// execute on a worker pool, snapshot stats.
-fn run_point(args: &Args, mode: ExecMode, rate: f64) -> PointResult {
-    let cluster = Arc::new(Cluster::new(SITES, rt_config(mode)));
-    let zipf = Zipf::new(args.keys, args.theta);
-    let mut rng = SplitMix64::new(args.seed ^ (rate as u64));
-    let total = ((args.duration_ms as f64 / 1e3) * rate).max(1.0) as u64;
+/// One (mode, rate) point: a fresh cluster under the shared driver,
+/// then a snapshot of its counters.
+fn load_point(args: &Args, mode: ExecMode, rate: f64) -> LoadPoint {
+    let cluster = Cluster::new(SITES, rt_config(mode));
     let workers = ((rate / 4.0) as usize).clamp(16, 128);
-    let (tx, rx) = work_channel();
-    let sink = Arc::new(PointSink::default());
-    let mut handles = Vec::new();
-    for _ in 0..workers {
-        let cluster = cluster.clone();
-        let sink = sink.clone();
-        let rx: WorkReceiver<TxnSpec> = rx.clone();
-        handles.push(std::thread::spawn(move || {
-            let clients: Vec<_> = (1..=SITES).map(|s| cluster.client(SiteId(s))).collect();
-            while let Ok(spec) = rx.recv() {
-                run_txn(&clients, &spec, &sink);
-            }
-        }));
-    }
-    drop(rx);
-    // The pacer: this thread. Pre-draw each transaction's shape so
-    // the same (seed, rate) replays identically in both modes.
-    let start = Instant::now();
-    let mut ol = OpenLoop::new(start, rate, total);
-    while !ol.done() {
-        if let Some(due) = ol.next_due() {
-            let now = Instant::now();
-            if due > now {
-                // ≤1 ms granularity keeps release bursts tight.
-                std::thread::sleep(due.duration_since(now).min(StdDuration::from_millis(1)));
-                continue;
-            }
-        }
-        let released = ol.released();
-        let fresh = ol.due_now(Instant::now());
-        for j in 0..fresh {
-            let idx = released + j;
-            let roll = rng.next_below(100);
-            let read_only = roll < args.read_pct;
-            let distributed = !read_only && rng.next_below(100) < args.dist_pct;
-            let mode = if rng.next_below(100) < args.nb_pct {
-                CommitMode::NonBlocking
-            } else {
-                CommitMode::TwoPhase
-            };
-            let spec = TxnSpec {
-                idx,
-                due: ol.due_at(idx),
-                home: SiteId((idx % SITES as u64) as u32 + 1),
-                key: ObjectId(zipf.sample(&mut rng) as u64),
-                key2: ObjectId(zipf.sample(&mut rng) as u64),
-                read_only,
-                distributed,
-                mode,
-            };
-            if tx.send(spec).is_err() {
-                break;
-            }
-        }
-    }
-    drop(tx);
-    for h in handles {
-        let _ = h.join();
-    }
-    let elapsed = start.elapsed().as_secs_f64();
+    let point = run_point(&args.mix, rate, workers, || {
+        InProcSession::new(&cluster, SITES)
+    });
     let stats = cluster.stats();
-    let commits = sink.commits.load(Ordering::Relaxed);
-    let total_sum = sink.total_us_sum.load(Ordering::Relaxed);
-    let commit_sum = sink.commit_us_sum.load(Ordering::Relaxed);
-    let phases = stats.phases();
     let servers = stats.total_server_stats();
-    let result = PointResult {
-        offered_per_sec: rate,
-        arrivals: total,
-        commits,
-        aborts: sink.aborts.load(Ordering::Relaxed),
-        errors: sink.errors.load(Ordering::Relaxed),
-        elapsed_s: elapsed,
-        achieved_commits_per_sec: commits as f64 / elapsed,
-        total_lat: sink.total.snapshot(),
-        commit_lat: sink.commit.snapshot(),
-        commit_overhead_pct: if total_sum == 0 {
-            0.0
-        } else {
-            100.0 * commit_sum as f64 / total_sum as f64
-        },
-        lock_wait_ms: stats.total_lock_wait().as_secs_f64() * 1e3,
-        server_lock_waits: servers.lock_waits,
-        deadlocks: servers.deadlocks,
-        queue_ops: stats.sites.iter().map(|s| s.queue_ops).sum(),
-        queue_vote_timeouts: stats.sites.iter().map(|s| s.queue_vote_timeouts).sum(),
-        queue_cascades: stats.sites.iter().map(|s| s.queue_cascades).sum(),
-        queue_wait_p95_us: phases.get(Phase::QueueWait).percentile(95.0),
-        trace_dropped: stats.total_trace_dropped(),
-        proto_json: proto_json(&cluster),
-    };
-    let cluster = Arc::try_unwrap(cluster).ok().expect("sole owner");
+    let sum = |f: fn(&camelot_rt::SiteStats) -> u64| stats.sites.iter().map(f).sum::<u64>();
+    let lock_wait_ms = stats.total_lock_wait().as_secs_f64() * 1e3;
+    let trace_dropped = stats.total_trace_dropped();
+    let extras = format!(
+        "\"commit_overhead_pct\": {:.1}, \"lock_wait_ms\": {lock_wait_ms:.1}, \
+         \"server_lock_waits\": {}, \"deadlocks\": {}, \"queue_ops\": {}, \
+         \"queue_vote_timeouts\": {}, \"queue_cascades\": {}, \"queue_wait_p95_us\": {}, \
+         \"trace_dropped\": {trace_dropped}, \"protocol_phases\": {}",
+        point.commit_overhead_pct,
+        servers.lock_waits,
+        servers.deadlocks,
+        sum(|s| s.queue_ops),
+        sum(|s| s.queue_vote_timeouts),
+        sum(|s| s.queue_cascades),
+        stats.phases().get(Phase::QueueWait).percentile(95.0),
+        proto_json(&cluster),
+    );
     cluster.shutdown();
-    result
-}
-
-/// Protocol-cost audit in *queued* mode: one clean traced transaction
-/// per protocol configuration, primitive counts checked against the
-/// paper's budgets. Queueing must not change protocol cost.
-fn queued_audit() -> Vec<(&'static str, Result<String, String>)> {
-    let configs: [(AuditProtocol, EngineConfig, CommitMode, bool); 4] = [
-        (
-            AuditProtocol::TwoPhaseDelayed,
-            EngineConfig::default(),
-            CommitMode::TwoPhase,
-            true,
-        ),
-        (
-            AuditProtocol::TwoPhaseStandard,
-            EngineConfig::for_variant(TwoPhaseVariant::Unoptimized),
-            CommitMode::TwoPhase,
-            true,
-        ),
-        (
-            AuditProtocol::ReadOnly,
-            EngineConfig::default(),
-            CommitMode::TwoPhase,
-            false,
-        ),
-        (
-            AuditProtocol::NonBlocking,
-            EngineConfig::default(),
-            CommitMode::NonBlocking,
-            true,
-        ),
-    ];
-    let mut out = Vec::new();
-    for (protocol, engine, mode, write) in configs {
-        let cfg = RtConfig {
-            datagram_delay: StdDuration::from_millis(1),
-            platter_delay: StdDuration::from_millis(1),
-            engine,
-            exec_mode: ExecMode::Queued,
-            data_shards: 4,
-            trace: true,
-            ..RtConfig::default()
-        };
-        let cluster = Cluster::new(2, cfg);
-        let client = cluster.client(SiteId(1));
-        let tid = client.begin().expect("audit begin");
-        if write {
-            client
-                .write(&tid, SiteId(1), SRV, ObjectId(1), b"a".to_vec())
-                .expect("audit home write");
-            client
-                .write(&tid, SiteId(2), SRV, ObjectId(2), b"b".to_vec())
-                .expect("audit remote write");
-        } else {
-            client
-                .read(&tid, SiteId(1), SRV, ObjectId(1))
-                .expect("audit home read");
-            client
-                .read(&tid, SiteId(2), SRV, ObjectId(2))
-                .expect("audit remote read");
-        }
-        let outcome = client.commit(&tid, mode).expect("audit commit");
-        assert_eq!(outcome, Outcome::Committed);
-        std::thread::sleep(StdDuration::from_millis(400));
-        let events = cluster.drain_trace();
-        let dropped = cluster.stats().total_trace_dropped();
-        cluster.shutdown();
-        let budget = budget_for(protocol);
-        let result = if dropped > 0 {
-            // An audit over an incomplete trace proves nothing: the
-            // missing events could be exactly the over-budget ones.
-            Err(format!(
-                "{dropped} trace events dropped from the rings; audit trace incomplete"
-            ))
-        } else {
-            audit_family(tid.family, &events, &budget).map(|c| {
-                format!(
-                    "{} force(s) + {} lazy + {} datagram(s)",
-                    c.forces, c.lazy_appends, c.datagrams
-                )
-            })
-        };
-        out.push((protocol.name(), result));
+    LoadPoint {
+        point,
+        lock_wait_ms,
+        trace_dropped,
+        extras,
     }
-    out
-}
-
-fn point_json(p: &PointResult) -> String {
-    format!(
-        "    {{\"offered_per_sec\": {:.1}, \"arrivals\": {}, \"commits\": {}, \"aborts\": {}, \
-         \"errors\": {}, \"elapsed_s\": {:.3}, \"achieved_commits_per_sec\": {:.1}, \
-         \"commit_overhead_pct\": {:.1}, \"total_latency\": {}, \"commit_latency\": {}, \
-         \"lock_wait_ms\": {:.1}, \"server_lock_waits\": {}, \"deadlocks\": {}, \
-         \"queue_ops\": {}, \"queue_vote_timeouts\": {}, \"queue_cascades\": {}, \
-         \"queue_wait_p95_us\": {}, \"trace_dropped\": {}, \"protocol_phases\": {}}}",
-        p.offered_per_sec,
-        p.arrivals,
-        p.commits,
-        p.aborts,
-        p.errors,
-        p.elapsed_s,
-        p.achieved_commits_per_sec,
-        p.commit_overhead_pct,
-        hist_json(&p.total_lat),
-        hist_json(&p.commit_lat),
-        p.lock_wait_ms,
-        p.server_lock_waits,
-        p.deadlocks,
-        p.queue_ops,
-        p.queue_vote_timeouts,
-        p.queue_cascades,
-        p.queue_wait_p95_us,
-        p.trace_dropped,
-        p.proto_json,
-    )
 }
 
 fn main() {
     let args = Args::parse();
-    println!(
-        "camelot-load: open-loop, zipf theta={} over {} keys, {} ms per point, \
-         mix {}% read-only / {}% distributed updates / {}% non-blocking",
-        args.theta, args.keys, args.duration_ms, args.read_pct, args.dist_pct, args.nb_pct
-    );
+    println!("camelot-load: open-loop, {}", args.mix);
     let mut mode_sections = Vec::new();
     let mut saturation: Vec<(ExecMode, f64)> = Vec::new();
     for &mode in &args.modes {
@@ -537,16 +210,16 @@ fn main() {
         );
         let mut points = Vec::new();
         for &rate in &args.rates {
-            let p = run_point(&args, mode, rate);
+            let p = load_point(&args, mode, rate);
             println!(
                 "{:>9.0} {:>9.1} {:>8} {:>7} {:>8}us {:>8}us {:>9.1}% {:>7.1}ms",
-                p.offered_per_sec,
-                p.achieved_commits_per_sec,
-                p.aborts,
-                p.errors,
-                p.total_lat.percentile(95.0),
-                p.commit_lat.percentile(95.0),
-                p.commit_overhead_pct,
+                p.point.offered_per_sec,
+                p.point.achieved_commits_per_sec,
+                p.point.aborts,
+                p.point.errors,
+                p.point.total_lat.percentile(95.0),
+                p.point.commit_lat.percentile(95.0),
+                p.point.commit_overhead_pct,
                 p.lock_wait_ms
             );
             if p.trace_dropped > 0 {
@@ -559,13 +232,13 @@ fn main() {
         }
         let sat = points
             .iter()
-            .map(|p| p.achieved_commits_per_sec)
+            .map(|p| p.point.achieved_commits_per_sec)
             .fold(0.0f64, f64::max);
         println!("saturation: {sat:.1} commits/s");
         saturation.push((mode, sat));
         let body = points
             .iter()
-            .map(point_json)
+            .map(|p| point_json(&p.point, &p.extras))
             .collect::<Vec<_>>()
             .join(",\n");
         mode_sections.push(format!(
@@ -593,22 +266,7 @@ fn main() {
     };
 
     println!("\nprotocol-cost audit on queued-mode traces:");
-    let audits = queued_audit();
-    let mut violated = false;
-    let mut audit_parts = Vec::new();
-    for (name, result) in &audits {
-        match result {
-            Ok(counts) => {
-                println!("  {name}: ok ({counts})");
-                audit_parts.push(format!("\"{name}\": \"ok\""));
-            }
-            Err(e) => {
-                println!("  {name}: VIOLATION: {e}");
-                audit_parts.push(format!("\"{name}\": \"violation\""));
-                violated = true;
-            }
-        }
-    }
+    let (audit_json, audit_ok) = protocol_audit(ExecMode::Queued);
 
     let mut json = String::new();
     json.push_str("{\n  \"bench\": \"load_curves\",\n");
@@ -617,16 +275,8 @@ fn main() {
         stamp_json(&args.config_text())
     ));
     json.push_str(&format!(
-        "  \"config\": {{\"sites\": {SITES}, \"tm_threads\": {TM_THREADS}, \"theta\": {}, \
-         \"keys\": {}, \"duration_ms\": {}, \"read_pct\": {}, \"dist_pct\": {}, \
-         \"nb_pct\": {}, \"seed\": {}}},\n",
-        args.theta,
-        args.keys,
-        args.duration_ms,
-        args.read_pct,
-        args.dist_pct,
-        args.nb_pct,
-        args.seed
+        "  \"config\": {{\"sites\": {SITES}, \"tm_threads\": {TM_THREADS}, {}}},\n",
+        args.mix.config_json()
     ));
     json.push_str("  \"modes\": [\n");
     json.push_str(&mode_sections.join(",\n"));
@@ -635,10 +285,7 @@ fn main() {
         Some(r) => json.push_str(&format!("  \"queued_over_lock_saturation\": {r:.2},\n")),
         None => json.push_str("  \"queued_over_lock_saturation\": null,\n"),
     }
-    json.push_str(&format!(
-        "  \"queued_audit\": {{{}}}\n}}\n",
-        audit_parts.join(", ")
-    ));
+    json.push_str(&format!("  \"queued_audit\": {audit_json}\n}}\n"));
 
     let out = args.out.clone().unwrap_or_else(|| {
         std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -649,8 +296,23 @@ fn main() {
     });
     std::fs::write(&out, json).expect("write BENCH_load_curves.json");
     println!("wrote {out}");
-    if violated {
+    if !audit_ok {
         eprintln!("protocol-cost audit failed on queued-mode traces");
         std::process::exit(1);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use camelot_bench::config_hash;
+
+    /// The stamp of the committed `BENCH_load_curves.json`: if the
+    /// config text drifts, the nightly knee gate has no comparable
+    /// baseline — re-record it in the same change.
+    #[test]
+    fn full_config_hash_matches_the_committed_baseline() {
+        let text = Args::defaults(false).config_text();
+        assert_eq!(config_hash(&text), "2fafc5e734c3c83c", "{text}");
     }
 }

@@ -29,12 +29,12 @@
 //! and the fault script executed so far to `--trace-dir` and exits 1.
 //! A clean soak exits 0. `QUICK=1` shrinks the duration for CI.
 //!
-//! Workers resolve control connections through the supervisor's
-//! [`AddrBoard`]: ports are OS-assigned and change on every respawn,
-//! so each worker caches its connections against the board's
-//! generation and re-resolves when supervision bumps it.
+//! Each worker runs the shared banking `transfer` over its own
+//! [`CtrlSession`], which resolves control connections through the
+//! supervisor's address board: ports are OS-assigned and change on
+//! every respawn, so the session re-resolves when supervision bumps
+//! the board's generation.
 
-use std::collections::HashMap;
 use std::io::Write as _;
 use std::path::PathBuf;
 use std::process::exit;
@@ -43,12 +43,12 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use camelot_bench::{quick, OpenLoop, SplitMix64};
-use camelot_node::ctrl::CtrlClient;
+use camelot_core::CommitMode;
 use camelot_node::procs::{sibling_site_bin, AddrBoard, Supervisor, SupervisorConfig};
+use camelot_node::session::{balance, transfer, CtrlSession, SRV};
 use camelot_scope::{merge_skew_aware, parse_jsonl, Collector, ScopeEvent, ScrapeTarget};
-use camelot_types::{ObjectId, ServerId, SiteId};
+use camelot_types::{ObjectId, SiteId};
 
-const SRV: ServerId = ServerId(1);
 const INITIAL: i64 = 100;
 
 struct Opts {
@@ -126,14 +126,6 @@ fn parse_opts() -> Opts {
         usage();
     }
     opts
-}
-
-fn balance(raw: &[u8]) -> i64 {
-    if raw.is_empty() {
-        0
-    } else {
-        i64::from_le_bytes(raw.try_into().expect("8-byte balance"))
-    }
 }
 
 // ---------------------------------------------------------------- faults
@@ -231,99 +223,9 @@ struct WorkerShared {
     counters: Counters,
 }
 
-/// Control connections cached against the address board's generation:
-/// any respawn bumps it and invalidates every cached socket (cheap,
-/// and correct — a respawned site has fresh ports anyway).
-struct ConnCache {
-    generation: u64,
-    conns: HashMap<SiteId, CtrlClient>,
-}
-
-impl ConnCache {
-    fn get(&mut self, board: &AddrBoard, site: SiteId) -> Option<&mut CtrlClient> {
-        let generation = board.generation();
-        if generation != self.generation {
-            self.conns.clear();
-            self.generation = generation;
-        }
-        if let std::collections::hash_map::Entry::Vacant(e) = self.conns.entry(site) {
-            let addr = board.ctrl_addr(site)?;
-            let c = CtrlClient::connect(addr).ok()?;
-            e.insert(c);
-        }
-        self.conns.get_mut(&site)
-    }
-
-    /// Drops a connection after an error so the next use redials.
-    fn evict(&mut self, site: SiteId) {
-        self.conns.remove(&site);
-    }
-}
-
-fn transfer(
-    cache: &mut ConnCache,
-    board: &AddrBoard,
-    coord: SiteId,
-    (src, src_acct): (SiteId, ObjectId),
-    (dst, dst_acct): (SiteId, ObjectId),
-    amount: i64,
-) -> Result<bool, String> {
-    let mut call = |site: SiteId,
-                    f: &mut dyn FnMut(&mut CtrlClient) -> camelot_types::Result<()>|
-     -> Result<(), String> {
-        let Some(ctrl) = cache.get(board, site) else {
-            return Err(format!("site {} unreachable", site.0));
-        };
-        f(ctrl).map_err(|e| {
-            cache.evict(site);
-            format!("site {}: {e}", site.0)
-        })
-    };
-    let mut tid = None;
-    call(coord, &mut |c| {
-        tid = Some(c.begin()?);
-        Ok(())
-    })?;
-    let tid = tid.expect("begin set tid");
-    let body = (|| -> Result<(), String> {
-        let mut from = 0;
-        call(src, &mut |c| {
-            from = balance(&c.read(&tid, SRV, src_acct)?);
-            Ok(())
-        })?;
-        call(src, &mut |c| {
-            c.write(&tid, SRV, src_acct, (from - amount).to_le_bytes().to_vec())?;
-            Ok(())
-        })?;
-        let mut to = 0;
-        call(dst, &mut |c| {
-            to = balance(&c.read(&tid, SRV, dst_acct)?);
-            Ok(())
-        })?;
-        call(dst, &mut |c| {
-            c.write(&tid, SRV, dst_acct, (to + amount).to_le_bytes().to_vec())?;
-            Ok(())
-        })
-    })();
-    if let Err(e) = body {
-        // Abort best-effort at the coordinator and surface the cause.
-        let _ = call(coord, &mut |c| c.abort(&tid, vec![src, dst]));
-        return Err(e);
-    }
-    let mut committed = false;
-    call(coord, &mut |c| {
-        committed = c.commit(&tid, false, vec![src, dst])?;
-        Ok(())
-    })?;
-    Ok(committed)
-}
-
 fn worker_loop(shared: Arc<WorkerShared>, sites: u32, accounts: u64, rate: f64, seed: u64) {
     let mut rng = SplitMix64::new(seed);
-    let mut cache = ConnCache {
-        generation: u64::MAX,
-        conns: HashMap::new(),
-    };
+    let mut session = CtrlSession::new(shared.board.clone());
     let mut pacer = OpenLoop::new(Instant::now(), rate, u64::MAX);
     while shared.run.load(Ordering::Acquire) {
         if shared.paused.load(Ordering::Acquire) {
@@ -353,12 +255,12 @@ fn worker_loop(shared: Arc<WorkerShared>, sites: u32, accounts: u64, rate: f64, 
             let amount = rng.next_below(20) as i64 + 1;
             shared.counters.in_flight.fetch_add(1, Ordering::AcqRel);
             let res = transfer(
-                &mut cache,
-                &shared.board,
+                &mut session,
                 coord,
                 (src, src_acct),
                 (dst, dst_acct),
                 amount,
+                CommitMode::TwoPhase,
             );
             shared.counters.in_flight.fetch_sub(1, Ordering::AcqRel);
             match res {

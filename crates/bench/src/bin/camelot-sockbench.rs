@@ -10,8 +10,8 @@
 //! - **tcp** — the same cluster over framed TCP streams.
 //!
 //! Every transport sees the *same* seeded workload from the same
-//! generator (SplitMix64 + Zipf + OpenLoop), paced open-loop so
-//! backlog counts against the system, and reports saturation
+//! driver (`camelot_bench::driver`, shared with `camelot-load`), paced
+//! open-loop so backlog counts against the system, and reports saturation
 //! throughput plus p50/p95/p99 total and commit latency per offered
 //! rate. The gap between inproc and the socket rows is the paper's
 //! conclusion-5 quantity made concrete for this codebase: the
@@ -31,23 +31,21 @@
 //! `camelot-site` binary is found next to this one (override with
 //! `CAMELOT_SITE_BIN`).
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::{Duration as StdDuration, Instant};
+use std::time::Duration as StdDuration;
 
-use camelot_bench::{hist_json, quick, stamp_json, work_channel, OpenLoop, SplitMix64, Zipf};
-use camelot_core::{CommitMode, EngineConfig};
-use camelot_net::{Outcome, TransportStats};
-use camelot_node::ctrl::CtrlClient;
-use camelot_node::procs::{distribute_peers, sibling_site_bin, wait_quiesce, SiteProc, SpawnSpec};
-use camelot_obs::AtomicHistogram;
-use camelot_rt::{Cluster, Histogram, RtConfig};
-use camelot_scope::{
-    attribute, merge_skew_aware, parse_jsonl, Attribution, Collector, ScrapeTarget,
+use camelot_bench::driver::{point_json, run_point, Mix, Point};
+use camelot_bench::{quick, stamp_json};
+use camelot_net::TransportStats;
+use camelot_node::config::fast_engine;
+use camelot_node::procs::{
+    distribute_peers, sibling_site_bin, wait_quiesce, AddrBoard, SiteProc, SpawnSpec,
 };
-use camelot_types::{Duration, ObjectId, ServerId, SiteId};
-
-const SRV: ServerId = ServerId(1);
+use camelot_node::session::{CtrlSession, InProcSession};
+use camelot_rt::{Cluster, RtConfig};
+use camelot_scope::{attribute, merge_skew_aware, parse_jsonl, Collector, ScrapeTarget};
+use camelot_types::SiteId;
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Transport {
@@ -66,165 +64,99 @@ impl Transport {
     }
 
     fn parse(s: &str) -> Option<Transport> {
-        match s {
-            "inproc" => Some(Transport::Inproc),
-            "udp" => Some(Transport::Udp),
-            "tcp" => Some(Transport::Tcp),
-            _ => None,
-        }
+        [Transport::Inproc, Transport::Udp, Transport::Tcp]
+            .into_iter()
+            .find(|t| t.name() == s)
     }
 }
 
 #[derive(Debug, Clone)]
 struct Args {
     transports: Vec<Transport>,
-    sites: u32,
     rates: Vec<f64>,
-    theta: f64,
-    keys: usize,
-    duration_ms: u64,
-    read_pct: u64,
-    dist_pct: u64,
-    nb_pct: u64,
-    seed: u64,
+    mix: Mix,
     out: Option<String>,
 }
 
 impl Args {
-    fn parse() -> Args {
-        let q = quick();
-        let mut args = Args {
+    fn defaults(q: bool) -> Args {
+        Args {
             transports: vec![Transport::Inproc, Transport::Udp, Transport::Tcp],
-            sites: if q { 2 } else { 3 },
             rates: if q {
                 vec![30.0, 60.0]
             } else {
                 vec![100.0, 200.0, 400.0, 600.0, 800.0]
             },
-            theta: 0.99,
-            keys: 64,
-            duration_ms: if q { 800 } else { 3000 },
-            read_pct: 40,
-            dist_pct: 20,
-            nb_pct: 10,
-            seed: 7,
+            mix: Mix {
+                sites: if q { 2 } else { 3 },
+                theta: 0.99,
+                keys: 64,
+                duration_ms: if q { 800 } else { 3000 },
+                read_pct: 40,
+                dist_pct: 20,
+                nb_pct: 10,
+                seed: 7,
+            },
             out: None,
-        };
+        }
+    }
+
+    fn parse() -> Args {
+        let mut args = Args::defaults(quick());
         let argv: Vec<String> = std::env::args().skip(1).collect();
-        let mut i = 0;
-        while i < argv.len() {
-            let (flag, val) = (argv[i].as_str(), argv.get(i + 1));
-            let val = || {
-                val.unwrap_or_else(|| panic!("{flag} needs a value"))
-                    .as_str()
-            };
+        for pair in argv.chunks(2) {
+            let flag = pair[0].as_str();
+            let val = pair
+                .get(1)
+                .unwrap_or_else(|| panic!("{flag} needs a value"))
+                .as_str();
             match flag {
                 "--transports" => {
-                    args.transports = val()
+                    args.transports = val
                         .split(',')
                         .map(|t| Transport::parse(t).unwrap_or_else(|| panic!("transport {t}")))
                         .collect()
                 }
-                "--sites" => args.sites = val().parse().expect("sites"),
+                "--sites" => args.mix.sites = val.parse().expect("sites"),
                 "--rates" => {
-                    args.rates = val().split(',').map(|r| r.parse().expect("rate")).collect()
+                    args.rates = val.split(',').map(|r| r.parse().expect("rate")).collect()
                 }
-                "--theta" => args.theta = val().parse().expect("theta"),
-                "--keys" => args.keys = val().parse().expect("keys"),
-                "--duration-ms" => args.duration_ms = val().parse().expect("duration-ms"),
-                "--read-pct" => args.read_pct = val().parse().expect("read-pct"),
-                "--dist-pct" => args.dist_pct = val().parse().expect("dist-pct"),
-                "--nb-pct" => args.nb_pct = val().parse().expect("nb-pct"),
-                "--seed" => args.seed = val().parse().expect("seed"),
-                "--out" => args.out = Some(val().to_string()),
-                other => panic!("unknown flag {other}"),
+                "--out" => args.out = Some(val.to_string()),
+                other => assert!(args.mix.set_flag(other, val), "unknown flag {other}"),
             }
-            i += 2;
         }
-        assert!(args.sites >= 2, "need at least 2 sites");
+        assert!(args.mix.sites >= 2, "need at least 2 sites");
         args
     }
 
+    /// Canonical config rendering, hashed into the stamp.
     fn config_text(&self) -> String {
         format!(
-            "sites={} theta={} keys={} duration_ms={} read_pct={} dist_pct={} nb_pct={} \
-             seed={} rates={:?} transports={:?}",
-            self.sites,
-            self.theta,
-            self.keys,
-            self.duration_ms,
-            self.read_pct,
-            self.dist_pct,
-            self.nb_pct,
-            self.seed,
+            "sites={} {} rates={:?} transports={:?}",
+            self.mix.sites,
+            self.mix.config_text(),
             self.rates,
             self.transports
         )
     }
 }
 
-/// One scheduled transaction, fully decided by the seeded generator so
-/// every transport replays the identical workload.
-struct TxnSpec {
-    idx: u64,
-    due: Instant,
-    home: SiteId,
-    key: ObjectId,
-    key2: ObjectId,
-    read_only: bool,
-    distributed: bool,
-    nonblocking: bool,
-}
-
-#[derive(Default)]
-struct PointSink {
-    total: AtomicHistogram,
-    commit: AtomicHistogram,
-    commits: AtomicU64,
-    aborts: AtomicU64,
-    errors: AtomicU64,
-}
-
-struct PointResult {
-    offered_per_sec: f64,
-    arrivals: u64,
-    commits: u64,
-    aborts: u64,
-    errors: u64,
-    elapsed_s: f64,
-    achieved_commits_per_sec: f64,
-    total_lat: Histogram,
-    commit_lat: Histogram,
-    /// Summed per-site transport counters (socket transports only).
-    transport: Option<TransportStats>,
-    /// Scrape snapshots taken on a cadence during the point (socket
-    /// transports only) — appended to `BENCH_socket_scrape.jsonl`.
+/// One point plus what only the socket transports can report.
+struct SockPoint {
+    point: Point,
+    /// Scrape snapshots taken on a cadence during the point —
+    /// appended to the `*_scrape.jsonl` next to the report.
     scrape: Option<String>,
-    /// Critical-path decomposition of the point's committed families
-    /// from the merged cluster trace (socket transports only).
-    attribution: Option<Attribution>,
-}
-
-/// The engine timer profile `camelot-site --fast` runs, mirrored here
-/// so the inproc baseline and the site processes execute the same
-/// protocol configuration.
-fn fast_engine() -> EngineConfig {
-    EngineConfig {
-        vote_timeout: Duration::from_millis(800),
-        inquiry_interval: Duration::from_millis(500),
-        notify_resend_interval: Duration::from_millis(400),
-        nb_outcome_timeout: Duration::from_millis(700),
-        takeover_window: Duration::from_millis(300),
-        recruit_window: Duration::from_millis(300),
-        takeover_retry: Duration::from_millis(600),
-        retry_cap: Duration::from_secs(5),
-        orphan_check_interval: Duration::from_secs(1),
-        ..EngineConfig::default()
-    }
+    /// This bench's own report fields, for [`point_json`]: summed
+    /// per-site transport counters, and the critical-path
+    /// decomposition of the point's committed families from the merged
+    /// cluster trace (`"scope"`).
+    extras: String,
 }
 
 /// Inproc runtime config: identical engine/WAL/server shape to the
-/// site processes, but datagrams cost nothing beyond the channel
+/// site processes (`camelot-site --fast` runs the same
+/// [`fast_engine`]), but datagrams cost nothing beyond the channel
 /// handoff — that zero is exactly the baseline the socket rows are
 /// measured against.
 fn inproc_config() -> RtConfig {
@@ -241,233 +173,22 @@ fn worker_count(rate: f64) -> usize {
     ((rate / 4.0) as usize).clamp(8, 64)
 }
 
-/// Draws the generator stream for one point. Identical (seed, rate)
-/// across transports → identical specs.
-struct Gen {
-    rng: SplitMix64,
-    zipf: Zipf,
-    sites: u32,
-    read_pct: u64,
-    dist_pct: u64,
-    nb_pct: u64,
-}
-
-impl Gen {
-    fn new(args: &Args, rate: f64) -> Gen {
-        Gen {
-            rng: SplitMix64::new(args.seed ^ (rate as u64)),
-            zipf: Zipf::new(args.keys, args.theta),
-            sites: args.sites,
-            read_pct: args.read_pct,
-            dist_pct: args.dist_pct,
-            nb_pct: args.nb_pct,
-        }
-    }
-
-    fn spec(&mut self, idx: u64, due: Instant) -> TxnSpec {
-        let roll = self.rng.next_below(100);
-        let read_only = roll < self.read_pct;
-        let distributed = !read_only && self.rng.next_below(100) < self.dist_pct;
-        let nonblocking = self.rng.next_below(100) < self.nb_pct;
-        TxnSpec {
-            idx,
-            due,
-            home: SiteId((idx % self.sites as u64) as u32 + 1),
-            key: ObjectId(self.zipf.sample(&mut self.rng) as u64),
-            key2: ObjectId(self.zipf.sample(&mut self.rng) as u64),
-            read_only,
-            distributed,
-            nonblocking,
-        }
-    }
-}
-
-/// Paces one point's arrivals open-loop into `send`, then returns
-/// (arrivals, elapsed at last release).
-fn pace<F: FnMut(TxnSpec)>(args: &Args, rate: f64, mut send: F) -> u64 {
-    let total = ((args.duration_ms as f64 / 1e3) * rate).max(1.0) as u64;
-    let mut gen = Gen::new(args, rate);
-    let start = Instant::now();
-    let mut ol = OpenLoop::new(start, rate, total);
-    while !ol.done() {
-        if let Some(due) = ol.next_due() {
-            let now = Instant::now();
-            if due > now {
-                std::thread::sleep(due.duration_since(now).min(StdDuration::from_millis(1)));
-                continue;
-            }
-        }
-        let released = ol.released();
-        let fresh = ol.due_now(Instant::now());
-        for j in 0..fresh {
-            let idx = released + j;
-            send(gen.spec(idx, ol.due_at(idx)));
-        }
-    }
-    total
-}
-
-fn record_outcome(
-    sink: &PointSink,
-    due: Instant,
-    commit_started: Instant,
-    outcome: Result<bool, ()>,
-) {
-    match outcome {
-        Ok(true) => {
-            sink.commits.fetch_add(1, Ordering::Relaxed);
-            sink.commit.record(commit_started.elapsed());
-            sink.total.record(due.elapsed());
-        }
-        Ok(false) => {
-            sink.aborts.fetch_add(1, Ordering::Relaxed);
-            sink.total.record(due.elapsed());
-        }
-        Err(()) => {
-            sink.errors.fetch_add(1, Ordering::Relaxed);
-            sink.total.record(due.elapsed());
-        }
-    }
-}
-
 /// One point against the in-process runtime.
-fn run_point_inproc(args: &Args, rate: f64) -> PointResult {
-    let cluster = Arc::new(Cluster::new(args.sites, inproc_config()));
-    let sink = Arc::new(PointSink::default());
-    let (tx, rx) = work_channel::<TxnSpec>();
-    let mut handles = Vec::new();
-    for _ in 0..worker_count(rate) {
-        let cluster = cluster.clone();
-        let sink = sink.clone();
-        let rx = rx.clone();
-        let sites = args.sites;
-        handles.push(std::thread::spawn(move || {
-            let clients: Vec<_> = (1..=sites).map(|s| cluster.client(SiteId(s))).collect();
-            while let Ok(spec) = rx.recv() {
-                let client = &clients[(spec.home.0 - 1) as usize];
-                let remote = SiteId(spec.home.0 % sites + 1);
-                let Ok(tid) = client.begin() else {
-                    sink.errors.fetch_add(1, Ordering::Relaxed);
-                    continue;
-                };
-                let body = (|| -> Result<(), ()> {
-                    if spec.read_only {
-                        client
-                            .read(&tid, spec.home, SRV, spec.key)
-                            .map_err(|_| ())?;
-                        client
-                            .read(&tid, spec.home, SRV, spec.key2)
-                            .map_err(|_| ())?;
-                    } else {
-                        let mut next = client
-                            .read(&tid, spec.home, SRV, spec.key)
-                            .map_err(|_| ())?;
-                        next.extend_from_slice(&spec.idx.to_le_bytes());
-                        next.truncate(8);
-                        client
-                            .write(&tid, spec.home, SRV, spec.key, next)
-                            .map_err(|_| ())?;
-                        if spec.distributed {
-                            client
-                                .write(
-                                    &tid,
-                                    remote,
-                                    SRV,
-                                    spec.key2,
-                                    spec.idx.to_le_bytes().to_vec(),
-                                )
-                                .map_err(|_| ())?;
-                        }
-                    }
-                    Ok(())
-                })();
-                if body.is_err() {
-                    let _ = client.abort(&tid);
-                    record_outcome(&sink, spec.due, Instant::now(), Ok(false));
-                    continue;
-                }
-                let mode = if spec.nonblocking {
-                    CommitMode::NonBlocking
-                } else {
-                    CommitMode::TwoPhase
-                };
-                let commit_started = Instant::now();
-                let outcome = match client.commit(&tid, mode) {
-                    Ok(Outcome::Committed) => Ok(true),
-                    Ok(Outcome::Aborted) => Ok(false),
-                    Err(_) => {
-                        let _ = client.abort(&tid);
-                        Err(())
-                    }
-                };
-                record_outcome(&sink, spec.due, commit_started, outcome);
-            }
-        }));
-    }
-    drop(rx);
-    let start = Instant::now();
-    let arrivals = pace(args, rate, |spec| {
-        let _ = tx.send(spec);
+fn run_point_inproc(args: &Args, rate: f64) -> SockPoint {
+    let cluster = Cluster::new(args.mix.sites, inproc_config());
+    let point = run_point(&args.mix, rate, worker_count(rate), || {
+        InProcSession::new(&cluster, args.mix.sites)
     });
-    drop(tx);
-    for h in handles {
-        let _ = h.join();
-    }
-    let elapsed = start.elapsed().as_secs_f64();
-    let result = point_result(&sink, rate, arrivals, elapsed, None);
-    let cluster = Arc::try_unwrap(cluster).ok().expect("sole owner");
     cluster.shutdown();
-    result
-}
-
-/// Runs one transaction over the control plane of a site cluster.
-fn run_txn_sock(ctrls: &mut [CtrlClient], sites: u32, spec: &TxnSpec, sink: &PointSink) {
-    let home = (spec.home.0 - 1) as usize;
-    let remote_site = SiteId(spec.home.0 % sites + 1);
-    let remote = (remote_site.0 - 1) as usize;
-    let Ok(tid) = ctrls[home].begin() else {
-        sink.errors.fetch_add(1, Ordering::Relaxed);
-        return;
-    };
-    let mut participants: Vec<SiteId> = vec![];
-    let body = (|ctrls: &mut [CtrlClient]| -> Result<(), ()> {
-        if spec.read_only {
-            ctrls[home].read(&tid, SRV, spec.key).map_err(|_| ())?;
-            ctrls[home].read(&tid, SRV, spec.key2).map_err(|_| ())?;
-        } else {
-            let mut next = ctrls[home].read(&tid, SRV, spec.key).map_err(|_| ())?;
-            next.extend_from_slice(&spec.idx.to_le_bytes());
-            next.truncate(8);
-            ctrls[home]
-                .write(&tid, SRV, spec.key, next)
-                .map_err(|_| ())?;
-            if spec.distributed {
-                ctrls[remote]
-                    .write(&tid, SRV, spec.key2, spec.idx.to_le_bytes().to_vec())
-                    .map_err(|_| ())?;
-                participants = vec![spec.home, remote_site];
-            }
-        }
-        Ok(())
-    })(ctrls);
-    if body.is_err() {
-        let _ = ctrls[home].abort(&tid, participants);
-        record_outcome(sink, spec.due, Instant::now(), Ok(false));
-        return;
+    SockPoint {
+        point,
+        scrape: None,
+        extras: "\"transport\": null, \"scope\": null".to_string(),
     }
-    let commit_started = Instant::now();
-    let outcome = match ctrls[home].commit(&tid, spec.nonblocking, participants.clone()) {
-        Ok(committed) => Ok(committed),
-        Err(_) => {
-            let _ = ctrls[home].abort(&tid, participants);
-            Err(())
-        }
-    };
-    record_outcome(sink, spec.due, commit_started, outcome);
 }
 
 /// One point against a freshly spawned cluster of site processes.
-fn run_point_sockets(args: &Args, transport: Transport, rate: f64) -> PointResult {
+fn run_point_sockets(args: &Args, transport: Transport, rate: f64) -> SockPoint {
     let bin = sibling_site_bin().unwrap_or_else(|e| {
         eprintln!("camelot-sockbench: {e}");
         std::process::exit(1);
@@ -480,7 +201,7 @@ fn run_point_sockets(args: &Args, transport: Transport, rate: f64) -> PointResul
         "--trace-capacity".to_string(),
         "262144".to_string(),
     ];
-    let mut sites: Vec<SiteProc> = (1..=args.sites)
+    let mut sites: Vec<SiteProc> = (1..=args.mix.sites)
         .map(|i| {
             SiteProc::spawn(&SpawnSpec {
                 bin: &bin,
@@ -497,7 +218,7 @@ fn run_point_sockets(args: &Args, transport: Transport, rate: f64) -> PointResul
         })
         .collect();
     distribute_peers(&mut sites).expect("distribute peers");
-    let ctrl_addrs: Vec<_> = sites.iter().map(|s| s.handshake.ctrl).collect();
+    let board = AddrBoard::fixed(&sites);
 
     // Scrape the cluster on a cadence for the whole point; the series
     // lands next to BENCH_socket.json so a ladder knee can be read
@@ -509,7 +230,7 @@ fn run_point_sockets(args: &Args, transport: Transport, rate: f64) -> PointResul
             addr: s.handshake.ctrl,
         })
         .collect();
-    let scrape_stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
+    let scrape_stop = Arc::new(AtomicBool::new(false));
     let scrape_handle = {
         let stop = Arc::clone(&scrape_stop);
         std::thread::spawn(move || {
@@ -527,37 +248,11 @@ fn run_point_sockets(args: &Args, transport: Transport, rate: f64) -> PointResul
         })
     };
 
-    let sink = Arc::new(PointSink::default());
-    let (tx, rx) = work_channel::<TxnSpec>();
-    let mut handles = Vec::new();
-    for _ in 0..worker_count(rate) {
-        let sink = sink.clone();
-        let rx = rx.clone();
-        let addrs = ctrl_addrs.clone();
-        let nsites = args.sites;
-        handles.push(std::thread::spawn(move || {
-            // Each worker holds its own control connection to every
-            // site: the control plane itself must not serialize the
-            // ladder.
-            let mut ctrls: Vec<CtrlClient> = addrs
-                .iter()
-                .map(|a| CtrlClient::connect(*a).expect("ctrl connect"))
-                .collect();
-            while let Ok(spec) = rx.recv() {
-                run_txn_sock(&mut ctrls, nsites, &spec, &sink);
-            }
-        }));
-    }
-    drop(rx);
-    let start = Instant::now();
-    let arrivals = pace(args, rate, |spec| {
-        let _ = tx.send(spec);
+    // Each worker holds its own control connection to every site: the
+    // control plane itself must not serialize the ladder.
+    let point = run_point(&args.mix, rate, worker_count(rate), || {
+        CtrlSession::new(board.clone())
     });
-    drop(tx);
-    for h in handles {
-        let _ = h.join();
-    }
-    let elapsed = start.elapsed().as_secs_f64();
 
     // Let in-flight resolutions land, then read the counters.
     wait_quiesce(&mut sites, StdDuration::from_secs(10));
@@ -588,33 +283,14 @@ fn run_point_sockets(args: &Args, transport: Transport, rate: f64) -> PointResul
     for s in sites {
         s.shutdown();
     }
-    let mut result = point_result(&sink, rate, arrivals, elapsed, Some(agg));
-    result.scrape = scrape;
-    result.attribution = Some(attribution);
-    result
-}
-
-fn point_result(
-    sink: &PointSink,
-    rate: f64,
-    arrivals: u64,
-    elapsed: f64,
-    transport: Option<TransportStats>,
-) -> PointResult {
-    let commits = sink.commits.load(Ordering::Relaxed);
-    PointResult {
-        offered_per_sec: rate,
-        arrivals,
-        commits,
-        aborts: sink.aborts.load(Ordering::Relaxed),
-        errors: sink.errors.load(Ordering::Relaxed),
-        elapsed_s: elapsed,
-        achieved_commits_per_sec: commits as f64 / elapsed.max(1e-9),
-        total_lat: sink.total.snapshot(),
-        commit_lat: sink.commit.snapshot(),
-        transport,
-        scrape: None,
-        attribution: None,
+    SockPoint {
+        point,
+        scrape,
+        extras: format!(
+            "\"transport\": {}, \"scope\": {}",
+            transport_json(&agg),
+            attribution.to_json()
+        ),
     }
 }
 
@@ -633,46 +309,9 @@ fn transport_json(t: &TransportStats) -> String {
     )
 }
 
-fn point_json(p: &PointResult) -> String {
-    let transport = match &p.transport {
-        Some(t) => transport_json(t),
-        None => "null".to_string(),
-    };
-    let scope = match &p.attribution {
-        Some(a) => a.to_json(),
-        None => "null".to_string(),
-    };
-    format!(
-        "    {{\"offered_per_sec\": {:.1}, \"arrivals\": {}, \"commits\": {}, \"aborts\": {}, \
-         \"errors\": {}, \"elapsed_s\": {:.3}, \"achieved_commits_per_sec\": {:.1}, \
-         \"total_latency\": {}, \"commit_latency\": {}, \"transport\": {}, \"scope\": {}}}",
-        p.offered_per_sec,
-        p.arrivals,
-        p.commits,
-        p.aborts,
-        p.errors,
-        p.elapsed_s,
-        p.achieved_commits_per_sec,
-        hist_json(&p.total_lat),
-        hist_json(&p.commit_lat),
-        transport,
-        scope,
-    )
-}
-
 fn main() {
     let args = Args::parse();
-    println!(
-        "camelot-sockbench: {} sites, zipf theta={} over {} keys, {} ms per point, \
-         mix {}% read-only / {}% distributed / {}% non-blocking",
-        args.sites,
-        args.theta,
-        args.keys,
-        args.duration_ms,
-        args.read_pct,
-        args.dist_pct,
-        args.nb_pct
-    );
+    println!("camelot-sockbench: {}", args.mix);
 
     let mut sections = Vec::new();
     let mut saturation: Vec<(Transport, f64, u64)> = Vec::new();
@@ -692,13 +331,13 @@ fn main() {
             };
             println!(
                 "{:>9.0} {:>9.1} {:>8} {:>7} {:>8}us {:>8}us {:>8}us",
-                p.offered_per_sec,
-                p.achieved_commits_per_sec,
-                p.aborts,
-                p.errors,
-                p.total_lat.percentile(95.0),
-                p.commit_lat.percentile(50.0),
-                p.commit_lat.percentile(95.0),
+                p.point.offered_per_sec,
+                p.point.achieved_commits_per_sec,
+                p.point.aborts,
+                p.point.errors,
+                p.point.total_lat.percentile(95.0),
+                p.point.commit_lat.percentile(50.0),
+                p.point.commit_lat.percentile(95.0),
             );
             if let Some(series) = &p.scrape {
                 scrape_series.push_str(&format!(
@@ -713,19 +352,19 @@ fn main() {
         }
         let sat = points
             .iter()
-            .map(|p| p.achieved_commits_per_sec)
+            .map(|p| p.point.achieved_commits_per_sec)
             .fold(0.0f64, f64::max);
         // Commit p95 at the lowest offered rate: the uncontended
         // transport cost, before queueing noise.
         let base_p95 = points
             .first()
-            .map(|p| p.commit_lat.percentile(95.0))
+            .map(|p| p.point.commit_lat.percentile(95.0))
             .unwrap_or(0);
         println!("saturation: {sat:.1} commits/s");
         saturation.push((transport, sat, base_p95));
         let body = points
             .iter()
-            .map(point_json)
+            .map(|p| point_json(&p.point, &p.extras))
             .collect::<Vec<_>>()
             .join(",\n");
         sections.push(format!(
@@ -773,16 +412,9 @@ fn main() {
         stamp_json(&args.config_text())
     ));
     json.push_str(&format!(
-        "  \"config\": {{\"sites\": {}, \"theta\": {}, \"keys\": {}, \"duration_ms\": {}, \
-         \"read_pct\": {}, \"dist_pct\": {}, \"nb_pct\": {}, \"seed\": {}}},\n",
-        args.sites,
-        args.theta,
-        args.keys,
-        args.duration_ms,
-        args.read_pct,
-        args.dist_pct,
-        args.nb_pct,
-        args.seed
+        "  \"config\": {{\"sites\": {}, {}}},\n",
+        args.mix.sites,
+        args.mix.config_json()
     ));
     json.push_str("  \"transports\": [\n");
     json.push_str(&sections.join(",\n"));
@@ -809,5 +441,23 @@ fn main() {
         };
         std::fs::write(&scrape_out, scrape_series).expect("write scrape series");
         println!("wrote {scrape_out} ({scraped_points} scraped points)");
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use camelot_bench::config_hash;
+
+    /// The stamps of the committed `BENCH_socket_quick.json` (the CI
+    /// knee gate's baseline) and `BENCH_socket.json`: if a config text
+    /// drifts, the gate has no comparable baseline — re-record it in
+    /// the same change.
+    #[test]
+    fn config_hashes_match_the_committed_baselines() {
+        let quick = Args::defaults(true).config_text();
+        assert_eq!(config_hash(&quick), "17a3889f948ba7ea", "{quick}");
+        let full = Args::defaults(false).config_text();
+        assert_eq!(config_hash(&full), "8e9d2ce99ad7d9fe", "{full}");
     }
 }

@@ -5,12 +5,11 @@
 //! environment shrinks repetition counts (useful in CI).
 
 pub mod diff;
+pub mod driver;
 pub mod openloop;
-pub mod report;
 pub mod zipf;
 
 pub use openloop::OpenLoop;
-pub use report::{hist_json, work_channel, WorkReceiver};
 pub use zipf::{SplitMix64, Zipf};
 
 // Provenance stamping moved to `camelot-scope` (scrape series and

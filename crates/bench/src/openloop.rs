@@ -57,12 +57,22 @@ impl OpenLoop {
         (self.released < self.total).then(|| self.due_at(self.released))
     }
 
-    pub fn released(&self) -> u64 {
-        self.released
-    }
-
-    pub fn done(&self) -> bool {
-        self.released >= self.total
+    /// Paces the whole schedule in real time on the calling thread,
+    /// handing each arrival's `(index, due time)` to `release` once it
+    /// is due. Sleeps at most 1 ms at a stretch, which keeps release
+    /// bursts tight; a stall releases its backlog in one burst.
+    pub fn run(&mut self, mut release: impl FnMut(u64, Instant)) {
+        while let Some(due) = self.next_due() {
+            let now = Instant::now();
+            if due > now {
+                std::thread::sleep(due.duration_since(now).min(Duration::from_millis(1)));
+                continue;
+            }
+            let first = self.released;
+            for idx in first..first + self.due_now(now) {
+                release(idx, self.due_at(idx));
+            }
+        }
     }
 }
 
@@ -80,6 +90,6 @@ mod tests {
         assert_eq!(ol.due_now(start + Duration::from_millis(10)), 0);
         // A stall releases the backlog in one burst, capped at total.
         assert_eq!(ol.due_now(start + Duration::from_secs(5)), 89);
-        assert!(ol.done());
+        assert_eq!(ol.next_due(), None);
     }
 }

@@ -72,18 +72,8 @@ fn open_loop_offered_rate_is_met_with_noop_consumer() {
     let rate = 2000.0;
     let total = 1000u64; // 0.5 s of arrivals
     let start = Instant::now();
-    let mut ol = OpenLoop::new(start, rate, total);
     let mut released = 0u64;
-    while !ol.done() {
-        if let Some(due) = ol.next_due() {
-            let now = Instant::now();
-            if due > now {
-                std::thread::sleep(due.duration_since(now).min(Duration::from_millis(1)));
-                continue;
-            }
-        }
-        released += ol.due_now(Instant::now());
-    }
+    OpenLoop::new(start, rate, total).run(|_, _| released += 1);
     let elapsed = start.elapsed().as_secs_f64();
     assert_eq!(released, total);
     let achieved = total as f64 / elapsed;

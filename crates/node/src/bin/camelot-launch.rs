@@ -21,10 +21,11 @@ use std::path::PathBuf;
 use std::process::exit;
 use std::time::{Duration as StdDuration, Instant};
 
+use camelot_core::CommitMode;
 use camelot_node::procs::{sibling_site_bin, Supervisor, SupervisorConfig};
-use camelot_types::{CamelotError, ObjectId, ServerId, SiteId, Tid};
+use camelot_node::session::{balance, transfer, CtrlSession, SRV};
+use camelot_types::{ObjectId, SiteId};
 
-const SRV: ServerId = ServerId(1);
 const INITIAL: i64 = 100;
 
 struct Opts {
@@ -87,14 +88,6 @@ fn parse_opts() -> Opts {
         usage();
     }
     opts
-}
-
-fn balance(raw: &[u8]) -> i64 {
-    if raw.is_empty() {
-        0
-    } else {
-        i64::from_le_bytes(raw.try_into().expect("8-byte balance"))
-    }
 }
 
 /// SplitMix64: cheap deterministic stream for workload choices.
@@ -166,6 +159,16 @@ fn main() {
         );
     }
 
+    // Transfers dial their own control connections through the address
+    // board, so a transfer that touches a dead site fails with a typed
+    // error (and is aborted best-effort) instead of wedging, and a
+    // respawned site is re-resolved on its new ports.
+    let mut session = CtrlSession::new(sup.board());
+    let mode = if opts.nonblocking {
+        CommitMode::NonBlocking
+    } else {
+        CommitMode::TwoPhase
+    };
     let mut rng = opts.seed;
     let mut committed = 0u32;
     let mut aborted = 0u32;
@@ -189,12 +192,12 @@ fn main() {
         let dst_acct = ObjectId(mix(&mut rng) % opts.accounts);
         let amount = (mix(&mut rng) % 20) as i64 + 1;
         match transfer(
-            &mut sup,
+            &mut session,
             coord,
             (src, src_acct),
             (dst, dst_acct),
             amount,
-            opts.nonblocking,
+            mode,
         ) {
             Ok(true) => committed += 1,
             Ok(false) => aborted += 1,
@@ -278,43 +281,5 @@ fn main() {
     sup.shutdown();
     if !conserved {
         exit(1);
-    }
-}
-
-/// One cross-site transfer; `Ok(true)` committed, `Ok(false)` aborted.
-/// Control clients are fetched one at a time through the supervisor,
-/// so a transfer that touches a dead site fails with a typed error
-/// (and is aborted best-effort) instead of wedging.
-fn transfer(
-    sup: &mut Supervisor,
-    coord: SiteId,
-    (src, src_acct): (SiteId, ObjectId),
-    (dst, dst_acct): (SiteId, ObjectId),
-    amount: i64,
-    nonblocking: bool,
-) -> camelot_types::Result<bool> {
-    let down = |site: SiteId| CamelotError::Log(format!("site {} is down", site.0));
-    let tid: Tid = sup.ctrl(coord).ok_or_else(|| down(coord))?.begin()?;
-    let participants = vec![src, dst];
-    let run = |sup: &mut Supervisor| -> camelot_types::Result<()> {
-        let ctrl = sup.ctrl(src).ok_or_else(|| down(src))?;
-        let from = balance(&ctrl.read(&tid, SRV, src_acct)?);
-        ctrl.write(&tid, SRV, src_acct, (from - amount).to_le_bytes().to_vec())?;
-        let ctrl = sup.ctrl(dst).ok_or_else(|| down(dst))?;
-        let to = balance(&ctrl.read(&tid, SRV, dst_acct)?);
-        ctrl.write(&tid, SRV, dst_acct, (to + amount).to_le_bytes().to_vec())?;
-        Ok(())
-    };
-    if let Err(e) = run(sup) {
-        // Lock conflict, timeout, or dead site: abort and surface the
-        // cause.
-        if let Some(ctrl) = sup.ctrl(coord) {
-            let _ = ctrl.abort(&tid, participants);
-        }
-        return Err(e);
-    }
-    match sup.ctrl(coord) {
-        Some(ctrl) => ctrl.commit(&tid, nonblocking, participants),
-        None => Err(down(coord)),
     }
 }

@@ -40,7 +40,6 @@ use camelot_node::ctrl::{
     read_framed, write_framed, CtrlClient, CtrlReply, CtrlRequest, Handshake, SiteStatsWire,
 };
 use camelot_rt::{Client, Cluster, RemoteNet, RtConfig, SiteStats, TraceEventKind};
-use camelot_types::Duration;
 use camelot_types::{CamelotError, FamilyId, SiteId};
 
 struct Opts {
@@ -131,25 +130,6 @@ fn parse_opts() -> Opts {
     opts
 }
 
-/// Engine timeouts scaled for localhost tests: protocol recovery
-/// (vote timeouts, inquiries, takeovers) in hundreds of milliseconds
-/// instead of the paper-scale seconds, so an end-to-end test that
-/// kills a site converges quickly.
-fn fast_engine() -> camelot_core::EngineConfig {
-    camelot_core::EngineConfig {
-        vote_timeout: Duration::from_millis(800),
-        inquiry_interval: Duration::from_millis(500),
-        notify_resend_interval: Duration::from_millis(400),
-        nb_outcome_timeout: Duration::from_millis(700),
-        takeover_window: Duration::from_millis(300),
-        recruit_window: Duration::from_millis(300),
-        takeover_retry: Duration::from_millis(600),
-        retry_cap: Duration::from_secs(5),
-        orphan_check_interval: Duration::from_secs(1),
-        ..camelot_core::EngineConfig::default()
-    }
-}
-
 /// Bridges the partial cluster's non-local datagrams onto the socket
 /// transport. Installed after the transport exists; the brief window
 /// where sends find no transport is indistinguishable from loss, which
@@ -196,7 +176,7 @@ fn main() {
         log_dir: opts.log_dir.clone(),
         trace: true,
         engine: if opts.fast {
-            fast_engine()
+            camelot_node::config::fast_engine()
         } else {
             camelot_core::EngineConfig::default()
         },

@@ -208,6 +208,27 @@ impl WorldConfig {
     }
 }
 
+/// Engine timeouts scaled for localhost runs: protocol recovery (vote
+/// timeouts, inquiries, takeovers) in hundreds of milliseconds instead
+/// of the paper-scale seconds, so a run that kills a site converges
+/// quickly. `camelot-site --fast` and sockbench's in-process baseline
+/// both call this, so the two sides of the sockets-vs-inproc
+/// comparison cannot run different timer profiles.
+pub fn fast_engine() -> EngineConfig {
+    EngineConfig {
+        vote_timeout: Duration::from_millis(800),
+        inquiry_interval: Duration::from_millis(500),
+        notify_resend_interval: Duration::from_millis(400),
+        nb_outcome_timeout: Duration::from_millis(700),
+        takeover_window: Duration::from_millis(300),
+        recruit_window: Duration::from_millis(300),
+        takeover_retry: Duration::from_millis(600),
+        retry_cap: Duration::from_secs(5),
+        orphan_check_interval: Duration::from_secs(1),
+        ..EngineConfig::default()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

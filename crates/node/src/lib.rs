@@ -35,13 +35,15 @@
 //! `camelot-site` binary (one real site — engine shards, WAL file,
 //! disk manager, socket transport — as a standalone OS process), the
 //! `camelot-launch` binary (an N-site localhost cluster running the
-//! banking workload), and the [`ctrl`] control-plane protocol the two
-//! speak.
+//! banking workload), the [`ctrl`] control-plane protocol the two
+//! speak, and [`session`] — the one begin/read/write/commit surface
+//! every harness drives, in-process or over control connections.
 
 pub mod app;
 pub mod config;
 pub mod ctrl;
 pub mod procs;
+pub mod session;
 pub mod world;
 
 pub use app::{AppSpec, OpSpec, TxnRecord};

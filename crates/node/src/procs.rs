@@ -263,6 +263,16 @@ impl AddrBoard {
         self.addrs.lock().unwrap().get(&site).map(|h| h.ctrl)
     }
 
+    /// The board of a harness that spawned its own fixed set of sites
+    /// and never respawns them: its generation never moves again.
+    pub fn fixed(sites: &[SiteProc]) -> Arc<AddrBoard> {
+        let board = AddrBoard::default();
+        for s in sites {
+            board.publish(&s.handshake);
+        }
+        Arc::new(board)
+    }
+
     fn publish(&self, h: &Handshake) {
         self.addrs.lock().unwrap().insert(h.site, h.clone());
         self.generation

@@ -22,6 +22,7 @@ use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
 use camelot_node::ctrl::{CtrlClient, Handshake, PeerEntry};
+use camelot_node::session::balance;
 use camelot_types::{CrashPoint, ObjectId, ServerId, SiteId, Tid};
 
 const SRV: ServerId = ServerId(1);
@@ -86,14 +87,6 @@ fn distribute_peers(sites: &mut [SiteProc]) {
         .collect();
     for s in sites.iter_mut() {
         s.ctrl.set_peers(peers.clone()).expect("set peers");
-    }
-}
-
-fn balance(raw: &[u8]) -> i64 {
-    if raw.is_empty() {
-        0
-    } else {
-        i64::from_le_bytes(raw.try_into().expect("8-byte balance"))
     }
 }
 

@@ -15,9 +15,9 @@ use std::time::{Duration, Instant};
 
 use camelot_node::ctrl::CtrlClient;
 use camelot_node::procs::{Supervisor, SupervisorConfig};
-use camelot_types::{CamelotError, ObjectId, ServerId, SiteId, Tid};
+use camelot_node::session::{balance, transfer, CommitMode, CtrlSession, SRV};
+use camelot_types::{ObjectId, SiteId};
 
-const SRV: ServerId = ServerId(1);
 const SITES: u32 = 3;
 const ACCOUNTS: u64 = 4;
 const INITIAL: i64 = 100;
@@ -44,14 +44,6 @@ fn supervisor(name: &str, budget: u32) -> Supervisor {
     Supervisor::start(cfg).expect("start supervised cluster")
 }
 
-fn balance(raw: &[u8]) -> i64 {
-    if raw.is_empty() {
-        0
-    } else {
-        i64::from_le_bytes(raw.try_into().expect("8-byte balance"))
-    }
-}
-
 fn fund(sup: &mut Supervisor) {
     for id in 1..=SITES {
         let ctrl = sup.ctrl(SiteId(id)).expect("funding: site up");
@@ -64,41 +56,12 @@ fn fund(sup: &mut Supervisor) {
     }
 }
 
-/// One cross-site transfer through the supervisor's control clients;
-/// errors (dead or partitioned site) abort best-effort and surface.
-fn transfer(
-    sup: &mut Supervisor,
-    coord: SiteId,
-    (src, src_acct): (SiteId, ObjectId),
-    (dst, dst_acct): (SiteId, ObjectId),
-    amount: i64,
-) -> camelot_types::Result<bool> {
-    let down = |site: SiteId| CamelotError::Log(format!("site {} is down", site.0));
-    let tid: Tid = sup.ctrl(coord).ok_or_else(|| down(coord))?.begin()?;
-    let run = |sup: &mut Supervisor| -> camelot_types::Result<()> {
-        let ctrl = sup.ctrl(src).ok_or_else(|| down(src))?;
-        let from = balance(&ctrl.read(&tid, SRV, src_acct)?);
-        ctrl.write(&tid, SRV, src_acct, (from - amount).to_le_bytes().to_vec())?;
-        let ctrl = sup.ctrl(dst).ok_or_else(|| down(dst))?;
-        let to = balance(&ctrl.read(&tid, SRV, dst_acct)?);
-        ctrl.write(&tid, SRV, dst_acct, (to + amount).to_le_bytes().to_vec())?;
-        Ok(())
-    };
-    if let Err(e) = run(sup) {
-        if let Some(ctrl) = sup.ctrl(coord) {
-            let _ = ctrl.abort(&tid, vec![src, dst]);
-        }
-        return Err(e);
-    }
-    match sup.ctrl(coord) {
-        Some(ctrl) => ctrl.commit(&tid, false, vec![src, dst]),
-        None => Err(down(coord)),
-    }
-}
-
 /// A short burst of load: every site coordinates transfers between
 /// rotating account pairs; failures are tolerated (faults are live).
+/// Transfers run over a [`CtrlSession`] on the supervisor's address
+/// board, so a respawned site is re-resolved on its new ports.
 fn burst(sup: &mut Supervisor, rounds: u32, salt: u64) -> u32 {
+    let mut session = CtrlSession::new(sup.board());
     let mut committed = 0;
     for t in 0..rounds {
         sup.poll();
@@ -111,7 +74,8 @@ fn burst(sup: &mut Supervisor, rounds: u32, salt: u64) -> u32 {
         let src_acct = ObjectId((x >> 8) % ACCOUNTS);
         let dst_acct = ObjectId((x >> 16) % ACCOUNTS);
         let amount = ((x >> 24) % 15) as i64 + 1;
-        match transfer(sup, coord, (src, src_acct), (dst, dst_acct), amount) {
+        let (from, to) = ((src, src_acct), (dst, dst_acct));
+        match transfer(&mut session, coord, from, to, amount, CommitMode::TwoPhase) {
             Ok(true) => committed += 1,
             Ok(false) => {}
             Err(_) => std::thread::sleep(Duration::from_millis(25)),

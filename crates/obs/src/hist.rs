@@ -144,12 +144,13 @@ impl Histogram {
         self.max_us
     }
 
-    /// Compact JSON summary (`{"n":..,"p50":..,"p95":..,"p99":..,
-    /// "mean":..,"max":..}`) — the shape bench output and the scope
-    /// collector both emit.
+    /// Compact JSON summary (`{"count":..,"p50_us":..,"p95_us":..,
+    /// "p99_us":..,"mean_us":..,"max_us":..}`) — the one histogram
+    /// shape every bench report and scope scrape emits.
     pub fn summary_json(&self) -> String {
         format!(
-            "{{\"n\":{},\"p50\":{},\"p95\":{},\"p99\":{},\"mean\":{},\"max\":{}}}",
+            "{{\"count\":{},\"p50_us\":{},\"p95_us\":{},\"p99_us\":{},\"mean_us\":{},\
+             \"max_us\":{}}}",
             self.count(),
             self.percentile(50.0),
             self.percentile(95.0),
@@ -547,9 +548,11 @@ mod tests {
         let h = AtomicHistogram::default();
         h.record_us(100);
         let j = h.snapshot().summary_json();
-        assert!(j.starts_with("{\"n\":1,"), "{j}");
-        assert!(j.contains("\"p50\":"), "{j}");
-        assert!(j.contains("\"max\":100"), "{j}");
+        assert_eq!(
+            j,
+            "{\"count\":1,\"p50_us\":100,\"p95_us\":100,\"p99_us\":100,\"mean_us\":100,\
+             \"max_us\":100}"
+        );
     }
 
     #[test]

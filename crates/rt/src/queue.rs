@@ -37,15 +37,25 @@
 //!   versions and doom cascading dependents, whose phase-one vote
 //!   then comes back No.
 //!
-//! Isolation: update transactions are conflict-serializable through
-//! the write-write ordering and dirty-read cascades; reads of
-//! *committed* state take no dependency, so a transaction whose
-//! first touch of a key happens after an overlapping writer committed
-//! may observe that writer (read-committed across keys, repeatable
-//! within a key). The lock-based mode remains the strict-2PL
-//! reference; dependency cycles (possible when transactions touch
-//! keys in opposing orders) are broken by the parked-vote timeout,
-//! the analogue of a lock-wait timeout.
+//! Isolation — what is and is not guaranteed. Guaranteed: atomicity
+//! and durability exactly as in lock-based mode (the commit protocols
+//! are unmodified); per object, committed writes install in queue
+//! order; a transaction that read *uncommitted* data commits only if
+//! its writer did (dirty-read cascades); reads are repeatable within a
+//! key. **Not** guaranteed: serializability — not even for update
+//! transactions on a single key. A read of *committed* state takes no
+//! dependency, so two transactions that both read `v` before either
+//! writes both write `v + 1`, are ordered write-after-write, and both
+//! commit: a read-modify-write on committed reads **loses updates**
+//! (the ladder's `rt.lost_updates`, finding 1 in `ladder/README.md`,
+//! observed under saturation on `hot_queued`). Across keys the level
+//! is read-committed: a transaction whose first touch of a key happens
+//! after an overlapping writer committed may observe that writer. Only
+//! blind writes and reads that happen to hit uncommitted versions are
+//! ordered. The lock-based mode remains the strict-2PL reference;
+//! dependency cycles (possible when transactions touch keys in
+//! opposing orders) are broken by the parked-vote timeout, the
+//! analogue of a lock-wait timeout.
 //!
 //! [`ExecMode::Queued`]: camelot_core::ExecMode::Queued
 //! [`Action::AskVote`]: camelot_core::Action::AskVote

@@ -24,16 +24,16 @@ use std::net::SocketAddr;
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
-use camelot_node::ctrl::CtrlClient;
-use camelot_node::procs::{distribute_peers, sibling_site_bin, wait_quiesce, SiteProc, SpawnSpec};
+use camelot_node::procs::{
+    distribute_peers, sibling_site_bin, wait_quiesce, AddrBoard, SiteProc, SpawnSpec,
+};
+use camelot_node::session::{CommitMode, CtrlSession, Session};
 use camelot_obs::Phase;
 use camelot_scope::{
     attribute, merge_skew_aware, parse_jsonl, Attribution, Collector, MergedTimeline,
     ScrapeSnapshot, ScrapeTarget,
 };
-use camelot_types::{ObjectId, ServerId, SiteId};
-
-const SRV: ServerId = ServerId(1);
+use camelot_types::{ObjectId, SiteId};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -222,50 +222,49 @@ fn cmd_attrib(args: &[String]) -> i32 {
     }
 }
 
-/// One mixed-workload transaction, the same shape the socket bench
-/// drives: read-only every 5th, non-blocking every 3rd, everything
-/// else a distributed two-site write.
-fn run_txn(ctrls: &mut [CtrlClient], sites: u32, i: u64) -> bool {
+/// One smoke transaction over the control plane: read-only every 5th,
+/// non-blocking every 3rd, everything else a distributed two-site
+/// blind write — one of every protocol class the attribution splits
+/// out.
+fn smoke_txn(s: &mut CtrlSession, sites: u32, i: u64) -> bool {
     let home = SiteId(i as u32 % sites + 1);
-    let h = (home.0 - 1) as usize;
-    let remote_site = SiteId(home.0 % sites + 1);
-    let r = (remote_site.0 - 1) as usize;
+    let remote = SiteId(home.0 % sites + 1);
     let read_only = i.is_multiple_of(5);
-    let nonblocking = i % 3 == 1;
-    let key = ObjectId(i % 32);
-    let key2 = ObjectId((i * 7 + 3) % 32);
-    let Ok(tid) = ctrls[h].begin() else {
+    let mode = if i % 3 == 1 {
+        CommitMode::NonBlocking
+    } else {
+        CommitMode::TwoPhase
+    };
+    let (key, key2) = (ObjectId(i % 32), ObjectId((i * 7 + 3) % 32));
+    let spread = [home, remote];
+    let participants: &[SiteId] = if read_only || remote == home {
+        &[]
+    } else {
+        &spread
+    };
+    let Ok(tid) = s.begin(home) else {
         return false;
     };
-    let mut participants: Vec<SiteId> = vec![];
-    let body = (|ctrls: &mut [CtrlClient]| -> Result<(), ()> {
+    let body = (|| {
         if read_only {
-            ctrls[h].read(&tid, SRV, key).map_err(|_| ())?;
-            ctrls[h].read(&tid, SRV, key2).map_err(|_| ())?;
+            s.read(&tid, home, key)?;
+            s.read(&tid, home, key2)?;
         } else {
-            ctrls[h]
-                .write(&tid, SRV, key, i.to_le_bytes().to_vec())
-                .map_err(|_| ())?;
-            if r != h {
-                ctrls[r]
-                    .write(&tid, SRV, key2, i.to_le_bytes().to_vec())
-                    .map_err(|_| ())?;
-                participants = vec![home, remote_site];
+            s.write(&tid, home, key, i.to_le_bytes().to_vec())?;
+            if remote != home {
+                s.write(&tid, remote, key2, i.to_le_bytes().to_vec())?;
             }
         }
-        Ok(())
-    })(ctrls);
+        camelot_types::Result::Ok(())
+    })();
     if body.is_err() {
-        let _ = ctrls[h].abort(&tid, participants);
+        let _ = s.abort(&tid, participants);
         return false;
     }
-    match ctrls[h].commit(&tid, nonblocking, participants.clone()) {
-        Ok(committed) => committed,
-        Err(_) => {
-            let _ = ctrls[h].abort(&tid, participants);
-            false
-        }
-    }
+    s.commit(&tid, mode, participants).unwrap_or_else(|_| {
+        let _ = s.abort(&tid, participants);
+        false
+    })
 }
 
 struct SmokeFailure(String);
@@ -331,13 +330,7 @@ fn run_smoke(args: &[String]) -> Result<String, SmokeFailure> {
             addr: p.handshake.ctrl,
         })
         .collect();
-    let mut ctrls: Vec<CtrlClient> = Vec::new();
-    for p in &procs {
-        ctrls.push(
-            CtrlClient::connect(p.handshake.ctrl)
-                .map_err(|e| SmokeFailure(format!("ctrl connect: {e}")))?,
-        );
-    }
+    let mut session = CtrlSession::new(AddrBoard::fixed(&procs));
 
     // Workload in thirds with a scrape between each, so the series
     // shows rates ramping rather than one final dump.
@@ -351,7 +344,7 @@ fn run_smoke(args: &[String]) -> Result<String, SmokeFailure> {
         let lo = txns * chunk / 3;
         let hi = txns * (chunk + 1) / 3;
         for i in lo..hi {
-            if run_txn(&mut ctrls, sites, i) {
+            if smoke_txn(&mut session, sites, i) {
                 commits += 1;
             }
         }
@@ -397,8 +390,9 @@ fn run_smoke(args: &[String]) -> Result<String, SmokeFailure> {
 
     // Drain every ring (chunked under the hood), merge, attribute.
     let mut events = Vec::new();
-    for c in ctrls.iter_mut() {
-        let jsonl = c
+    for p in procs.iter_mut() {
+        let jsonl = p
+            .ctrl
             .drain_trace()
             .map_err(|e| SmokeFailure(format!("drain trace: {e}")))?;
         events.extend(parse_jsonl(&jsonl));

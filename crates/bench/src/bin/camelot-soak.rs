@@ -22,6 +22,10 @@
 //!   is caught at the next audit, not at the end;
 //! - **no wedged state** — every site's engine drains to idle within
 //!   the quiesce window (leaked families/locks fail the audit);
+//! - **bounded recovery** — no site's live WAL exceeds
+//!   `64 KiB + 4 × snapshot bytes`, and no site's last restart spent
+//!   more than 250 ms scanning its log: the checkpointer keeps
+//!   truncating through kills and partitions;
 //! - **membership** — every site is up (a site that burned its
 //!   restart budget fails the soak with its stderr tail).
 //!
@@ -46,10 +50,19 @@ use camelot_bench::{quick, OpenLoop, SplitMix64};
 use camelot_core::CommitMode;
 use camelot_node::procs::{sibling_site_bin, AddrBoard, Supervisor, SupervisorConfig};
 use camelot_node::session::{balance, transfer, CtrlSession, SRV};
+use camelot_obs::Phase;
 use camelot_scope::{merge_skew_aware, parse_jsonl, Collector, ScopeEvent, ScrapeTarget};
 use camelot_types::{ObjectId, SiteId};
 
 const INITIAL: i64 = 100;
+
+/// Live WAL a quiet site may hold beyond four snapshots' worth.
+const LIVE_WAL_BASE: u64 = 64 * 1024;
+
+/// Longest a restart may spend reading and decoding its log. The
+/// bounded log is a few hundred KiB at most; this leaves two orders
+/// of magnitude for a cold file and a loaded host.
+const RECOVER_SCAN_BOUND: Duration = Duration::from_millis(250);
 
 struct Opts {
     sites: u32,
@@ -373,6 +386,34 @@ fn audit(sup: &mut Supervisor, ctx: &mut AuditCtx<'_>) -> Vec<String> {
         violations.push(format!(
             "trace: {dropped} events dropped from trace rings (capacity too small for the audit cadence)"
         ));
+    }
+    // Bounded recovery: what a restart would have to scan stays
+    // within what the checkpointer's trigger rule allows a quiet site
+    // (a tail of at most max(64 KiB, 2 × snapshot) on top of the last
+    // checkpoint, whose own snapshot the next one rewrites), and the
+    // scan of every site's last restart was short. Both grew with the
+    // site's lifetime before the log had a beginning.
+    for s in &snap.sites {
+        if let Some(st) = &s.stats {
+            let bound = LIVE_WAL_BASE + 4 * st.snapshot_bytes;
+            if st.wal_live_bytes > bound {
+                violations.push(format!(
+                    "recovery: site {} holds {} B of live WAL, bound {bound} B \
+                     (snapshot {} B, {} checkpoints)",
+                    s.site, st.wal_live_bytes, st.snapshot_bytes, st.checkpoints
+                ));
+            }
+        }
+        let scan_us = s
+            .phases
+            .as_ref()
+            .map_or(0, |p| p.get(Phase::RecoverScan).max_us());
+        if scan_us > RECOVER_SCAN_BOUND.as_micros() as u64 {
+            violations.push(format!(
+                "recovery: site {} scanned its log for {scan_us} us at restart, bound {:?}",
+                s.site, RECOVER_SCAN_BOUND
+            ));
+        }
     }
     for id in 1..=opts.sites {
         if let Some(ctrl) = sup.ctrl(SiteId(id)) {

@@ -6,7 +6,8 @@
 //! worker pools — so this module explores a different axis: the
 //! *fault plan*. Every run draws a workload and a fault schedule
 //! (link faults, a crash at a named [`CrashPoint`], optional WAL
-//! corruption between crash and restart) from one [`Chooser`], aims
+//! corruption between crash and restart, a checkpoint — clean or
+//! crashed — and a crash inside a restart) from one [`Chooser`], aims
 //! it at a live [`Cluster`], heals, and checks the same invariant
 //! families as the sim runner:
 //!
@@ -146,6 +147,18 @@ enum CrashMode {
     AfterCommit,
 }
 
+/// The drawn fault on the checkpoint / truncation / restart path.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum RecoveryFault {
+    None,
+    /// Checkpoint the victim's home site after the victim
+    /// transaction, crashing at the given point if any.
+    Checkpoint(Option<CrashPoint>),
+    /// Kill the first site the heal phase restarts between its server
+    /// rebuild and its engine rebuild, then restart it again.
+    MidRecovery,
+}
+
 /// Runs one fault plan drawn from `ch` against a real-thread cluster.
 pub fn rt_run_one(ch: &mut Chooser, canary: bool) -> RtRunResult {
     // ---- Draw the plan ----
@@ -256,6 +269,19 @@ pub fn rt_run_one(ch: &mut Chooser, canary: bool) -> RtRunResult {
         1 => Some((SiteId(1 + ch.choose(sites as usize) as u32), 1500u32)),
         _ => Some((SiteId(1 + ch.choose(sites as usize) as u32), 500u32)),
     };
+    // Bounded-recovery fault: a checkpoint of the victim's home site
+    // right after the victim transaction — clean, crashed between
+    // snapshot and marker, or crashed between marker and truncation —
+    // or a crash half way through the heal phase's first restart. The
+    // clean checkpoint matters as much as the crashed ones: whatever
+    // dies afterwards recovers from a truncated log.
+    let recovery_fault = match ch.choose(5) {
+        0 => RecoveryFault::None,
+        1 => RecoveryFault::Checkpoint(None),
+        2 => RecoveryFault::Checkpoint(Some(CrashPoint::MidCheckpoint)),
+        3 => RecoveryFault::Checkpoint(Some(CrashPoint::MidTruncate)),
+        _ => RecoveryFault::MidRecovery,
+    };
     // A plan with clean links, no crash, no partition/skew and no
     // corruption exercises the protocols' *cost*, not their fault
     // recovery: committed transactions on such runs are audited
@@ -269,10 +295,11 @@ pub fn rt_run_one(ch: &mut Chooser, canary: bool) -> RtRunResult {
         && !corrupt_wal
         && partition.is_none()
         && skew.is_none()
+        && recovery_fault == RecoveryFault::None
         && !queued;
     let mut plan = format!(
         "{sites} sites, {n_txns} txns, {profile}, queued={queued}, crash={} on txn {victim}, \
-         corrupt_wal={corrupt_wal}, partition={}, skew={}",
+         corrupt_wal={corrupt_wal}, partition={}, skew={}, recovery={recovery_fault:?}",
         match crash_mode {
             CrashMode::None => "none".to_string(),
             CrashMode::At(p) => format!("{p:?}"),
@@ -321,6 +348,14 @@ pub fn rt_run_one(ch: &mut Chooser, canary: bool) -> RtRunResult {
         })();
         if i == victim && matches!(crash_mode, CrashMode::AfterCommit) {
             cluster.crash(t.home);
+        }
+        if let (true, RecoveryFault::Checkpoint(crash)) = (i == victim, recovery_fault) {
+            if let Some(point) = crash {
+                fault.arm_crash(t.home, point);
+            }
+            // Returns when the checkpoint is durable and truncated,
+            // or at once if the site is (or goes) down.
+            cluster.checkpoint(t.home);
         }
         tids.push(started);
         outcomes.push(run);
@@ -374,8 +409,18 @@ pub fn rt_run_one(ch: &mut Chooser, canary: bool) -> RtRunResult {
 
     // ---- Heal: stop injecting, restart the dead, let timers run ----
     fault.heal();
+    let mut crash_a_restart = recovery_fault == RecoveryFault::MidRecovery;
     for s in (1..=sites).map(SiteId) {
         if !cluster.is_alive(s) {
+            if std::mem::take(&mut crash_a_restart) {
+                fault.arm_crash(s, CrashPoint::MidRecovery);
+                match cluster.restart(s) {
+                    Err(CamelotError::SiteDown(_)) if !cluster.is_alive(s) => {}
+                    other => violations.push(format!(
+                        "heal: {s} should have died half way through its restart: {other:?}"
+                    )),
+                }
+            }
             if let Err(e) = cluster.restart(s) {
                 violations.push(format!(
                     "heal: {s} failed to restart on a pristine log: {e}"

@@ -18,7 +18,7 @@ use camelot_chaos::{rt_campaign, rt_run_trace};
 /// Decisions, in draw order: sites, n_txns, then per txn
 /// (home, remote, mode), link profile, victim, queued?, crash mode
 /// (4 = kill-after-commit in the lock-based menu), WAL corruption,
-/// partition, skew.
+/// partition, skew, recovery fault.
 const KILL_AFTER_COMMIT: &[u32] = &[0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 4, 0, 0, 0];
 
 /// Under the honest protocol the kill-after-commit schedule is
@@ -37,6 +37,29 @@ fn kill_after_commit_is_harmless_with_forced_commits() {
         result.culprit_trace.is_none(),
         "clean runs must not dump a culprit timeline"
     );
+}
+
+/// The same two transactions with each bounded-recovery fault in
+/// turn: a clean checkpoint after transaction 0 (so the rest of the
+/// run, and the probe, work on a truncated log), a checkpoint that
+/// dies between snapshot and marker, one that dies between marker and
+/// truncation, and — with the coordinator killed after its commit —
+/// a restart that dies half way and is restarted again. Agreement, no
+/// lost update and progress must hold through all four.
+#[test]
+fn checkpoint_truncation_and_restart_crashes_keep_the_invariants() {
+    for (crash, recovery) in [(0, 1), (0, 2), (0, 3), (4, 4)] {
+        let mut trace = KILL_AFTER_COMMIT.to_vec();
+        trace[11] = crash;
+        trace.push(recovery);
+        let result = rt_run_trace(&trace, false);
+        assert!(
+            result.violations.is_empty(),
+            "recovery fault {recovery} violated: {:?} (plan: {})",
+            result.violations,
+            result.plan
+        );
+    }
 }
 
 /// The same schedule against the `unsafe_no_commit_force` canary

@@ -184,6 +184,10 @@ pub struct Engine {
     pub(crate) families: HashMap<FamilyId, Family>,
     pub(crate) forces: HashMap<ForceToken, ForcePurpose>,
     pub(crate) timers: HashMap<TimerToken, TimerPurpose>,
+    /// Timers retired where no action list is at hand
+    /// ([`Engine::forget_family`]); [`Engine::handle`] turns them into
+    /// [`Action::CancelTimer`]s on its way out.
+    retired_timers: Vec<TimerToken>,
     next_token: u64,
     /// Queued piggybackable messages per destination.
     pending_acks: HashMap<SiteId, Vec<TmMessage>>,
@@ -220,6 +224,7 @@ impl Engine {
             families: HashMap::new(),
             forces: HashMap::new(),
             timers: HashMap::new(),
+            retired_timers: Vec::new(),
             next_token: shard as u64 + 1,
             pending_acks: HashMap::new(),
             ack_flush_timer: HashMap::new(),
@@ -266,6 +271,18 @@ impl Engine {
         let mut ids: Vec<FamilyId> = self.families.keys().copied().collect();
         ids.sort();
         ids
+    }
+
+    /// Timers armed and not yet fired or cancelled (leak checks).
+    pub fn armed_timers(&self) -> usize {
+        self.timers.len()
+    }
+
+    /// The sequence number this shard's next family gets. A
+    /// checkpoint records the maximum over the site's shards, so a
+    /// restart from a truncated log never reuses a family id.
+    pub fn next_family_seq(&self) -> u64 {
+        self.next_family_seq
     }
 
     /// The locally known outcome of a family, if it resolved here.
@@ -384,8 +401,23 @@ impl Engine {
         }
     }
 
+    /// Retires a subordinate's orphan watchdog: the family is leaving
+    /// [`Role::Executing`] (commitment carries its own timers) or
+    /// being forgotten, so the watchdog has nothing left to watch.
+    pub(crate) fn retire_orphan_timer(&mut self, id: &FamilyId) {
+        let timer = self
+            .families
+            .get_mut(id)
+            .and_then(|f| f.orphan_timer.take());
+        if let Some(t) = timer {
+            self.timers.remove(&t);
+            self.retired_timers.push(t);
+        }
+    }
+
     /// Drops all per-family bookkeeping.
     pub(crate) fn forget_family(&mut self, id: &FamilyId) {
+        self.retire_orphan_timer(id);
         self.families.remove(id);
         self.forces.retain(|_, p| {
             !matches!(p,
@@ -496,6 +528,11 @@ impl Engine {
             }
             Input::TimerFired { token } => self.on_timer(&mut out, token, now),
         }
+        out.extend(
+            self.retired_timers
+                .drain(..)
+                .map(|token| Action::CancelTimer { token }),
+        );
         out
     }
 

@@ -724,6 +724,7 @@ impl Engine {
         now: Time,
     ) {
         let family = tid.family;
+        self.retire_orphan_timer(&family);
         match self.families.get_mut(&family) {
             None => {
                 // Presumed abort: no information means vote NO (see

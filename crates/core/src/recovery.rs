@@ -56,30 +56,34 @@ impl Engine {
     /// Rebuilds an engine from the durable log. Returns the engine and
     /// the immediate actions (inquiries, takeover status requests,
     /// re-announcements, timers) the runtime must execute.
-    pub fn recover(
+    pub fn recover<'a>(
         site: SiteId,
         config: EngineConfig,
-        records: &[(Lsn, LogRecord)],
+        records: impl IntoIterator<Item = &'a (Lsn, LogRecord)>,
     ) -> (Engine, Vec<Action>) {
         Engine::recover_sharded(site, config, 0, 1, records)
     }
 
     /// Rebuilds one shard of a sharded engine (see [`Engine::sharded`])
-    /// from the durable log. The caller must pass only the records of
-    /// families this shard owns (route with
-    /// [`crate::engine::shard_of_family`]); family-less records
-    /// (checkpoints, server snapshots) are ignored here and may be
-    /// given to any or all shards.
-    pub fn recover_sharded(
+    /// from the durable log. Of the family-bearing records the caller
+    /// must pass only those of families this shard owns (route with
+    /// [`crate::engine::shard_of_family`]). Checkpoint markers go to
+    /// every shard: the log below them may be gone, and they carry
+    /// the family sequence numbers already spent there. Server
+    /// snapshots are ignored here.
+    pub fn recover_sharded<'a>(
         site: SiteId,
         config: EngineConfig,
         shard: u32,
         of: u32,
-        records: &[(Lsn, LogRecord)],
+        records: impl IntoIterator<Item = &'a (Lsn, LogRecord)>,
     ) -> (Engine, Vec<Action>) {
         let mut scans: BTreeMap<FamilyId, FamScan> = BTreeMap::new();
         let mut max_seq = 0u64;
         for (_, rec) in records {
+            if let LogRecord::Checkpoint { next_family_seq } = rec {
+                max_seq = max_seq.max(next_family_seq.saturating_sub(1));
+            }
             let Some(tid) = rec.tid() else { continue };
             let fid = tid.family;
             if fid.origin == site {
@@ -103,7 +107,7 @@ impl Engine {
                 LogRecord::ServerUpdate { server, .. } => {
                     s.servers.insert(*server);
                 }
-                LogRecord::Checkpoint | LogRecord::ServerSnapshot { .. } => {}
+                LogRecord::Checkpoint { .. } | LogRecord::ServerSnapshot { .. } => {}
             }
         }
 

@@ -481,6 +481,11 @@ fn site_stats_wire(s: &SiteStats, router_pending: u64) -> SiteStatsWire {
         forces_satisfied: s.forces_satisfied,
         max_batch: s.max_batch,
         lazy_drained: s.lazy_drained,
+        checkpoints: s.checkpoints,
+        wal_truncated_bytes: s.wal_truncated_bytes,
+        wal_live_bytes: s.wal_live_bytes,
+        snapshot_bytes: s.snapshot_bytes,
+        last_restart_us: s.last_restart.as_micros() as u64,
         queue_ops: s.queue_ops,
         queue_parked: s.queue_parked,
         queue_vote_timeouts: s.queue_vote_timeouts,

@@ -386,6 +386,17 @@ pub struct SiteStatsWire {
     pub forces_satisfied: u64,
     pub max_batch: u64,
     pub lazy_drained: u64,
+    /// Checkpoints completed (durable, log truncated below them).
+    pub checkpoints: u64,
+    /// Log bytes discarded by truncation.
+    pub wal_truncated_bytes: u64,
+    /// Gauge: log bytes a restart would scan right now.
+    pub wal_live_bytes: u64,
+    /// Gauge: snapshot bytes the last completed checkpoint wrote.
+    pub snapshot_bytes: u64,
+    /// Gauge: duration of the site's last restart (its recovery of the
+    /// log it was started on), in microseconds.
+    pub last_restart_us: u64,
     pub queue_ops: u64,
     pub queue_parked: u64,
     pub queue_vote_timeouts: u64,
@@ -404,7 +415,13 @@ pub struct SiteStatsWire {
 impl SiteStatsWire {
     /// The fields that are levels, not cumulative counters: they fall
     /// in normal operation, so a drop says nothing about a restart.
-    pub const GAUGES: [&'static str; 2] = ["live_families", "router_pending"];
+    pub const GAUGES: [&'static str; 5] = [
+        "live_families",
+        "router_pending",
+        "wal_live_bytes",
+        "snapshot_bytes",
+        "last_restart_us",
+    ];
 
     /// All-zero counters for `site`.
     pub fn zeroed(site: SiteId) -> Self {
@@ -433,6 +450,11 @@ impl SiteStatsWire {
             forces_satisfied: 0,
             max_batch: 0,
             lazy_drained: 0,
+            checkpoints: 0,
+            wal_truncated_bytes: 0,
+            wal_live_bytes: 0,
+            snapshot_bytes: 0,
+            last_restart_us: 0,
             queue_ops: 0,
             queue_parked: 0,
             queue_vote_timeouts: 0,
@@ -449,7 +471,7 @@ impl SiteStatsWire {
 
     /// The counters in stable `(name, value)` order — one source for
     /// the wire layout, JSON rendering, and rate derivation.
-    pub fn fields(&self) -> [(&'static str, u64); 34] {
+    pub fn fields(&self) -> [(&'static str, u64); 39] {
         [
             ("begins", self.begins),
             ("nested_begins", self.nested_begins),
@@ -474,6 +496,11 @@ impl SiteStatsWire {
             ("forces_satisfied", self.forces_satisfied),
             ("max_batch", self.max_batch),
             ("lazy_drained", self.lazy_drained),
+            ("checkpoints", self.checkpoints),
+            ("wal_truncated_bytes", self.wal_truncated_bytes),
+            ("wal_live_bytes", self.wal_live_bytes),
+            ("snapshot_bytes", self.snapshot_bytes),
+            ("last_restart_us", self.last_restart_us),
             ("queue_ops", self.queue_ops),
             ("queue_parked", self.queue_parked),
             ("queue_vote_timeouts", self.queue_vote_timeouts),
@@ -488,7 +515,7 @@ impl SiteStatsWire {
         ]
     }
 
-    fn fields_mut(&mut self) -> [&mut u64; 34] {
+    fn fields_mut(&mut self) -> [&mut u64; 39] {
         [
             &mut self.begins,
             &mut self.nested_begins,
@@ -513,6 +540,11 @@ impl SiteStatsWire {
             &mut self.forces_satisfied,
             &mut self.max_batch,
             &mut self.lazy_drained,
+            &mut self.checkpoints,
+            &mut self.wal_truncated_bytes,
+            &mut self.wal_live_bytes,
+            &mut self.snapshot_bytes,
+            &mut self.last_restart_us,
             &mut self.queue_ops,
             &mut self.queue_parked,
             &mut self.queue_vote_timeouts,

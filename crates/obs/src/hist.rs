@@ -233,10 +233,17 @@ pub enum Phase {
     /// not microseconds — percentiles read as "jobs ahead of this
     /// one", reusing the power-of-two bucket layout.
     QueueDepth,
+    /// Restart: reading and decoding the retained durable log.
+    RecoverScan,
+    /// Restart: rebuilding the data servers (snapshot base, redo,
+    /// in-doubt reinstatement).
+    RecoverServers,
+    /// Restart: rebuilding the engine shards.
+    RecoverEngine,
 }
 
 /// Number of [`Phase`] variants (array sizes below).
-const NPHASES: usize = 9;
+const NPHASES: usize = 12;
 
 impl Phase {
     pub const ALL: [Phase; NPHASES] = [
@@ -249,6 +256,9 @@ impl Phase {
         Phase::ShardLockWait,
         Phase::QueueWait,
         Phase::QueueDepth,
+        Phase::RecoverScan,
+        Phase::RecoverServers,
+        Phase::RecoverEngine,
     ];
 
     /// Stable snake_case name (JSON keys, bench output).
@@ -263,6 +273,9 @@ impl Phase {
             Phase::ShardLockWait => "shard_lock_wait",
             Phase::QueueWait => "queue_wait",
             Phase::QueueDepth => "queue_depth",
+            Phase::RecoverScan => "recover_scan",
+            Phase::RecoverServers => "recover_servers",
+            Phase::RecoverEngine => "recover_engine",
         }
     }
 

@@ -14,15 +14,15 @@
 //!   ([`shard_of_family`] / [`shard_of_token`] read the owner straight
 //!   off the id), so unrelated transactions never contend on one
 //!   engine lock.
-//! - **A pipelined disk manager.** Workers encode and append records
-//!   into the WAL's in-memory segment themselves, under a short lock;
-//!   the disk thread only decides *when to write* (driving the
-//!   [`GroupCommitBatcher`]) and performs the platter write **without
-//!   holding the WAL lock**, so the log keeps filling while the
-//!   platter is busy — the classic double-buffered log manager. One
+//! - **A pipelined disk manager** (`crate::disk`). Workers append
+//!   records into the WAL's in-memory segment themselves, under a
+//!   short lock; the disk thread only decides *when to write* and
+//!   performs the platter write **without holding the WAL lock**. One
 //!   write makes durable exactly the prefix it started with
-//!   ([`Wal::force_to`]); everything appended during the write rides
-//!   the next one.
+//!   ([`Wal::force_to`](camelot_wal::Wal::force_to)); everything
+//!   appended during the write rides the next one. The same thread
+//!   checkpoints and truncates the log, so restart replays a bounded
+//!   tail.
 
 use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -44,12 +44,10 @@ use camelot_obs::{
 };
 use camelot_server::{recover as server_recover, DataServer, OpReply};
 use camelot_types::{FamilyId, Lsn, Result, ServerId, SiteId, Time};
-use camelot_wal::{
-    BatchPolicy, BatcherAction, FileStore, GroupCommitBatcher, LogRecord, MemStore, ReqId,
-    StableStore, Wal,
-};
+use camelot_wal::{BatchPolicy, FileStore, LogRecord, MemStore, StableStore};
 
 use crate::client::Client;
+use crate::disk::{disk_main, DiskJob, SiteLog};
 use crate::fault::{FaultPlan, LinkDecision};
 use crate::queue::{queue_worker, QueueJob, VoteAgg};
 use crate::shardmap::ShardedMap;
@@ -173,20 +171,6 @@ pub trait RemoteNet: Send + Sync {
     fn send_remote(&self, from: SiteId, to: SiteId, msg: camelot_net::TmMessage);
 }
 
-pub(crate) enum DiskJob {
-    /// A force request: the record is already appended (by the
-    /// requesting worker); make the log durable through `upto` and
-    /// then feed `token` back as [`Input::LogForced`].
-    Force {
-        token: ForceToken,
-        upto: Lsn,
-        /// When the force entered the pipeline; the disk thread
-        /// records enqueue→durable residence as [`Phase::ForceWait`].
-        at: Instant,
-    },
-    Stop,
-}
-
 pub(crate) enum RouterJob {
     /// Deliver `input` to `to` at `at`: a datagram in flight, or a
     /// timer firing ([`Input::TimerFired`]), which stays cancellable
@@ -213,7 +197,7 @@ pub(crate) struct SiteShared {
     /// Round-robin cursor distributing `Begin` (which has no family
     /// yet) over the shards.
     next_begin: AtomicUsize,
-    pub wal: Mutex<Wal<Box<dyn StableStore + Send>>>,
+    pub wal: Mutex<SiteLog>,
     pub servers: BTreeMap<ServerId, Mutex<DataServer>>,
     pub comman: Mutex<CommMan>,
     pub tm_tx: Sender<Option<Input>>,
@@ -273,13 +257,11 @@ impl SiteShared {
     }
 
     /// Appends a record into the WAL's in-memory segment (a short
-    /// critical section — encoding happens outside) and returns the
-    /// log end past it. Durability comes later, from the disk thread.
+    /// critical section) and returns the log end past it. Durability
+    /// comes later, from the disk thread.
     pub(crate) fn append(&self, rec: &LogRecord) -> Lsn {
         self.counters.appends.fetch_add(1, Ordering::Relaxed);
-        let mut wal = self.wal.lock();
-        let _ = wal.append(rec);
-        wal.end_lsn()
+        self.wal.lock().append(rec)
     }
 
     /// Kills the site in place: volatile state is lost, unforced log
@@ -745,7 +727,7 @@ impl Cluster {
                 alive: AtomicBool::new(true),
                 shards,
                 next_begin: AtomicUsize::new(0),
-                wal: Mutex::new(Wal::new(store)),
+                wal: Mutex::new(SiteLog::new(store)),
                 servers,
                 comman: Mutex::new(comman),
                 tm_tx,
@@ -861,14 +843,17 @@ impl Cluster {
         self.inner.sites.get(&site).expect("unknown site").kill();
     }
 
-    /// A snapshot of a site's durable log bytes, for fault harnesses
-    /// that corrupt and later restore the log across a restart.
+    /// A snapshot of a site's retained durable log bytes (from the
+    /// log's base, wherever checkpoints have moved it), for fault
+    /// harnesses that corrupt and later restore the log across a
+    /// restart.
     pub fn wal_image(&self, site: SiteId) -> Result<Vec<u8>> {
         let s = self.inner.sites.get(&site).expect("unknown site");
         s.wal.lock().store_mut().durable_bytes()
     }
 
-    /// Replaces a site's durable log bytes. The site must be down:
+    /// Replaces a site's retained durable log bytes; the base stays
+    /// where it is. The site must be down:
     /// rewriting the log under a live site would corrupt its in-memory
     /// view of the tail.
     pub fn set_wal_image(&self, site: SiteId, bytes: &[u8]) -> Result<()> {
@@ -881,8 +866,13 @@ impl Cluster {
     }
 
     /// Restarts a crashed site: the transaction manager and servers
-    /// are rebuilt from the durable log. Each engine shard recovers
-    /// from the log records of the families it owns.
+    /// are rebuilt from the retained durable log — one scan, then the
+    /// servers and each engine shard (from the records of the families
+    /// it owns) read the same decoded records in place. The three
+    /// steps are timed as [`Phase::RecoverScan`],
+    /// [`Phase::RecoverServers`] and [`Phase::RecoverEngine`]. The
+    /// restart ends by asking for a checkpoint, so a site that keeps
+    /// crashing does not replay the same tail every time.
     ///
     /// If the recovery scan finds a corrupt record (checksum mismatch
     /// on a complete frame), the typed [`CamelotError::Corruption`]
@@ -892,6 +882,7 @@ impl Cluster {
     /// [`CamelotError::Corruption`]: camelot_types::CamelotError::Corruption
     pub fn restart(&self, site: SiteId) -> Result<()> {
         let s = self.inner.sites.get(&site).expect("unknown site");
+        let started = Instant::now();
         s.tracer().site_event(TraceEventKind::Restart);
         // Queued mode: any speculative shard state predating this
         // restart is stale; recovered in-doubt families live in the
@@ -901,21 +892,45 @@ impl Cluster {
         for tx in &s.queue_txs {
             let _ = tx.send(QueueJob::Reset);
         }
-        let records = s.wal.lock().recover()?;
-        let recs_only: Vec<LogRecord> = records.iter().map(|(_, r)| r.clone()).collect();
+        let records = {
+            let mut log = s.wal.lock();
+            // A worker that was mid-action when the site died may have
+            // appended since; nothing of the dead incarnation's
+            // volatile tail may become durable under the new one.
+            log.store_mut().lose_volatile();
+            let records = log.recover()?;
+            log.rebuild_first_lsns(&records);
+            records
+        };
+        let scanned = Instant::now();
+        s.hist.record(Phase::RecoverScan, scanned - started);
         // Rebuild servers.
         for (sid, server) in &s.servers {
-            let recovered = server_recover(site, *sid, &recs_only);
+            let recovered = server_recover(site, *sid, records.iter().map(|(_, rec)| rec));
             *server.lock() = recovered.server;
         }
+        let servers_done = Instant::now();
+        s.hist.record(Phase::RecoverServers, servers_done - scanned);
+        // Crash point: the site dies again half way through recovery,
+        // servers rebuilt and engines not. Recovery only reads the
+        // log, so the next restart starts from the same place.
+        if self.inner.fault.should_crash(site, CrashPoint::MidRecovery) {
+            s.kill();
+            return Err(camelot_types::CamelotError::SiteDown(site));
+        }
         // Partition the log by owning shard and rebuild each engine.
-        // Family-less records (checkpoints, snapshots) are for the
-        // servers only; engine recovery ignores them.
+        // Checkpoint markers go to every shard (they carry the family
+        // sequence numbers spent below the truncation point);
+        // snapshots are for the servers only.
         let n = s.shards.len();
-        let mut parts: Vec<Vec<(Lsn, LogRecord)>> = (0..n).map(|_| Vec::new()).collect();
-        for (lsn, rec) in records {
-            if let Some(tid) = rec.tid() {
-                parts[shard_of_family(site, &tid.family, n)].push((lsn, rec));
+        let mut parts: Vec<Vec<&(Lsn, LogRecord)>> = (0..n).map(|_| Vec::new()).collect();
+        for entry in &records {
+            match entry.1.tid() {
+                Some(tid) => parts[shard_of_family(site, &tid.family, n)].push(entry),
+                None if matches!(entry.1, LogRecord::Checkpoint { .. }) => {
+                    parts.iter_mut().for_each(|part| part.push(entry));
+                }
+                None => {}
             }
         }
         let mut all_actions = Vec::new();
@@ -926,7 +941,7 @@ impl Cluster {
                 self.inner.cfg.engine.clone(),
                 k as u32,
                 n as u32,
-                &part,
+                part,
             );
             engine.set_tracer(tracer.clone());
             if tracer.is_enabled() {
@@ -937,24 +952,26 @@ impl Cluster {
             *s.shards[k].lock() = engine;
             all_actions.extend(actions);
         }
+        s.hist.record(Phase::RecoverEngine, servers_done.elapsed());
         s.alive.store(true, Ordering::SeqCst);
         self.inner.apply_actions(s, all_actions);
+        let _ = s.disk_tx.send(DiskJob::Checkpoint { done: None });
+        s.counters
+            .last_restart_us
+            .store(started.elapsed().as_micros() as u64, Ordering::Relaxed);
         Ok(())
     }
 
-    /// Writes a checkpoint at `site`: every server's committed-state
-    /// snapshot plus the checkpoint marker, forced to the log. After
-    /// this, records older than the snapshot that belong to resolved
-    /// transactions are truncatable.
+    /// Checkpoints `site` now, whatever the size of its log tail, and
+    /// returns once the checkpoint is durable and the log truncated
+    /// below it (at once if the site is down). The disk manager
+    /// schedules checkpoints by itself; this is the same operation on
+    /// demand, for tests and tools.
     pub fn checkpoint(&self, site: SiteId) {
         let s = self.inner.sites.get(&site).expect("unknown site");
-        let mut wal = s.wal.lock();
-        for server in s.servers.values() {
-            let snap = server.lock().snapshot();
-            let _ = wal.append(&snap);
-        }
-        let _ = wal.append(&LogRecord::Checkpoint);
-        let _ = wal.force();
+        let (done, finished) = unbounded();
+        let _ = s.disk_tx.send(DiskJob::Checkpoint { done: Some(done) });
+        let _ = finished.recv();
     }
 
     /// One-line-per-entity diagnostic dump of a site's protocol
@@ -1093,7 +1110,10 @@ impl Cluster {
                     add_engine_stats(&mut engine, e.stats());
                     live += e.live_families();
                 }
-                let wal = s.wal.lock().stats();
+                let (wal, wal_live_bytes) = {
+                    let log = s.wal.lock();
+                    (log.stats(), log.end_lsn().0 - log.base_lsn().0)
+                };
                 let mut servers = camelot_server::ServerStats::default();
                 for srv in s.servers.values() {
                     add_server_stats(&mut servers, srv.lock().stats());
@@ -1111,6 +1131,13 @@ impl Cluster {
                     forces_satisfied: c.forces_satisfied.load(Ordering::Relaxed),
                     max_batch: c.max_batch.load(Ordering::Relaxed),
                     lazy_drained: c.lazy_drained.load(Ordering::Relaxed),
+                    checkpoints: c.checkpoints.load(Ordering::Relaxed),
+                    wal_truncated_bytes: c.wal_truncated_bytes.load(Ordering::Relaxed),
+                    wal_live_bytes,
+                    snapshot_bytes: c.snapshot_bytes.load(Ordering::Relaxed),
+                    last_restart: StdDuration::from_micros(
+                        c.last_restart_us.load(Ordering::Relaxed),
+                    ),
                     queue_ops: c.queue_ops.load(Ordering::Relaxed),
                     queue_parked: c.queue_parked.load(Ordering::Relaxed),
                     queue_vote_timeouts: c.queue_vote_timeouts.load(Ordering::Relaxed),
@@ -1171,270 +1198,6 @@ fn tm_worker(inner: Arc<ClusterInner>, site: Arc<SiteShared>, rx: Receiver<Optio
             continue;
         }
         inner.apply_actions(&site, actions);
-    }
-}
-
-/// The pipelined disk manager. Records are already in the WAL's
-/// in-memory segment when requests arrive; this thread only drives the
-/// [`GroupCommitBatcher`] and performs the platter writes. The write
-/// itself holds no lock at all — the busy time is a plain sleep, then
-/// a short [`Wal::force_to`] critical section marks the prefix
-/// durable — so workers keep appending (and lazy records keep
-/// accumulating) while the platter turns.
-fn disk_main(inner: Arc<ClusterInner>, site: Arc<SiteShared>, rx: Receiver<DiskJob>) {
-    let mut batcher = GroupCommitBatcher::new(inner.cfg.batch);
-    batcher.set_tracer(site.tracer());
-    // Batcher requests are anonymous; this maps them back to the
-    // engine force tokens awaiting [`Input::LogForced`], along with
-    // each force's pipeline-entry time for the ForceWait histogram.
-    // Background lazy flushes ride as tokenless requests.
-    let mut tokens: HashMap<u64, (ForceToken, Instant)> = HashMap::new();
-    let mut next_req: u64 = 1;
-    // The batcher's accumulation-window timer, as a wall-clock
-    // deadline. Stale epochs are ignored by the batcher, so a newer
-    // timer just overwrites.
-    let mut window: Option<(Instant, u64)> = None;
-    loop {
-        let timeout = match window {
-            Some((at, _)) => at
-                .saturating_duration_since(Instant::now())
-                .min(inner.cfg.lazy_flush),
-            None => inner.cfg.lazy_flush,
-        };
-        match rx.recv_timeout(timeout) {
-            Ok(DiskJob::Stop) => {
-                final_flush(&site, &mut tokens);
-                return;
-            }
-            Ok(DiskJob::Force { token, upto, at }) => {
-                // Drain whatever else queued up while the disk was
-                // busy, so the batcher decides over the whole backlog
-                // rather than learning of it one request at a time.
-                let mut queue = vec![(token, upto, at)];
-                let mut stop = false;
-                while let Ok(job) = rx.try_recv() {
-                    match job {
-                        DiskJob::Force { token, upto, at } => queue.push((token, upto, at)),
-                        DiskJob::Stop => {
-                            stop = true;
-                            break;
-                        }
-                    }
-                }
-                let mut actions = Vec::new();
-                for (token, upto, at) in queue {
-                    let req = ReqId(next_req);
-                    next_req += 1;
-                    tokens.insert(req.0, (token, at));
-                    actions.extend(batcher.request(req, upto, inner.now()));
-                }
-                drive(
-                    &inner,
-                    &site,
-                    &mut batcher,
-                    &mut tokens,
-                    &mut window,
-                    actions,
-                );
-                if stop {
-                    final_flush(&site, &mut tokens);
-                    return;
-                }
-            }
-            Err(crossbeam::channel::RecvTimeoutError::Timeout) => {
-                if let Some((at, epoch)) = window {
-                    if Instant::now() >= at {
-                        window = None;
-                        let actions = batcher.timer_fired(epoch, inner.now());
-                        drive(
-                            &inner,
-                            &site,
-                            &mut batcher,
-                            &mut tokens,
-                            &mut window,
-                            actions,
-                        );
-                        continue;
-                    }
-                }
-                lazy_tick(
-                    &inner,
-                    &site,
-                    &mut batcher,
-                    &mut tokens,
-                    &mut window,
-                    &mut next_req,
-                );
-            }
-            Err(_) => return,
-        }
-    }
-}
-
-/// Shutdown: one last synchronous force so everything appended is
-/// durable, then release every waiter.
-fn final_flush(site: &SiteShared, tokens: &mut HashMap<u64, (ForceToken, Instant)>) {
-    if site.alive.load(Ordering::SeqCst) {
-        let _ = site.wal.lock().force();
-    }
-    let durable = site.wal.lock().durable_lsn();
-    for (_, (token, _)) in tokens.drain() {
-        let _ = site.tm_tx.send(Some(Input::LogForced { token }));
-    }
-    drain_lazy(site, durable);
-}
-
-/// Executes batcher actions, including the platter writes they start,
-/// until the batcher goes quiet. A completed write can immediately
-/// start the next (requests that arrived while the platter was busy),
-/// so this loops.
-fn drive(
-    inner: &ClusterInner,
-    site: &SiteShared,
-    batcher: &mut GroupCommitBatcher,
-    tokens: &mut HashMap<u64, (ForceToken, Instant)>,
-    window: &mut Option<(Instant, u64)>,
-    mut actions: Vec<BatcherAction>,
-) {
-    while !actions.is_empty() {
-        let mut next = Vec::new();
-        for action in actions {
-            match action {
-                BatcherAction::SetTimer { at, epoch } => {
-                    let deadline = inner.epoch + StdDuration::from_micros(at.as_micros());
-                    *window = Some((deadline, epoch));
-                }
-                BatcherAction::Satisfied { reqs, durable } => {
-                    let mut satisfied = 0u64;
-                    for r in reqs {
-                        if let Some((token, at)) = tokens.remove(&r.0) {
-                            satisfied += 1;
-                            site.hist.record(Phase::ForceWait, at.elapsed());
-                            let _ = site.tm_tx.send(Some(Input::LogForced { token }));
-                        }
-                    }
-                    if satisfied > 0 {
-                        site.counters.note_batch(satisfied);
-                    }
-                    drain_lazy(site, durable);
-                }
-                BatcherAction::StartWrite { upto } => {
-                    next.extend(platter_write(inner, site, batcher, tokens, upto));
-                }
-            }
-        }
-        actions = next;
-    }
-}
-
-/// One platter write: busy for `platter_delay` with **no lock held**,
-/// then a short critical section marking the prefix durable. Reports
-/// the actual durable watermark back to the batcher — a concurrent
-/// foreground force (checkpoint) may have pushed it past `upto`, and a
-/// crash during the write leaves it short; either way the batcher only
-/// releases requests at or below it.
-fn platter_write(
-    inner: &ClusterInner,
-    site: &SiteShared,
-    batcher: &mut GroupCommitBatcher,
-    tokens: &mut HashMap<u64, (ForceToken, Instant)>,
-    upto: Lsn,
-) -> Vec<BatcherAction> {
-    let mut died = false;
-    let started = Instant::now();
-    let actual = if site.alive.load(Ordering::SeqCst) {
-        std::thread::sleep(inner.cfg.platter_delay);
-        // Crash point: power fails while the platter write is in
-        // flight — the un-synced tail is torn off, and whatever force
-        // requests were riding this write never complete.
-        if inner
-            .fault
-            .should_crash(site.id, CrashPoint::MidPlatterWrite)
-        {
-            site.kill();
-        }
-        site.counters.platter_writes.fetch_add(1, Ordering::Relaxed);
-        let mut wal = site.wal.lock();
-        if site.alive.load(Ordering::SeqCst) {
-            wal.force_to(upto).unwrap_or_else(|_| wal.durable_lsn())
-        } else {
-            // The site died mid-write: the un-synced tail is gone.
-            died = true;
-            wal.durable_lsn()
-        }
-    } else {
-        died = true;
-        site.wal.lock().durable_lsn()
-    };
-    if !died {
-        site.hist.record(Phase::PlatterWrite, started.elapsed());
-    }
-    let actions = batcher.write_complete_to(actual, inner.now());
-    if died {
-        // Requests left uncovered came from the incarnation that just
-        // died: the truncated log can never reach their watermarks,
-        // and their force tokens belong to torn-down engines. Abandon
-        // them or the batcher would retry the write forever, wedging
-        // this thread and starving post-restart forces.
-        for req in batcher.crash_abandon() {
-            tokens.remove(&req.0);
-        }
-    }
-    actions
-}
-
-/// Periodic background flush: if lazily appended records (or any other
-/// unforced tail) are waiting and nothing else is pushing the disk,
-/// issue a tokenless batch request for them. The write then happens
-/// under the same pipeline as foreground forces.
-fn lazy_tick(
-    inner: &ClusterInner,
-    site: &SiteShared,
-    batcher: &mut GroupCommitBatcher,
-    tokens: &mut HashMap<u64, (ForceToken, Instant)>,
-    window: &mut Option<(Instant, u64)>,
-    next_req: &mut u64,
-) {
-    if !site.alive.load(Ordering::SeqCst) {
-        return;
-    }
-    let (end, durable) = {
-        let wal = site.wal.lock();
-        (wal.end_lsn(), wal.durable_lsn())
-    };
-    if end <= durable {
-        // Everything durable already; release any lazy stragglers.
-        drain_lazy(site, durable);
-        return;
-    }
-    let req = ReqId(*next_req);
-    *next_req += 1;
-    let actions = batcher.request(req, end, inner.now());
-    drive(inner, site, batcher, tokens, window, actions);
-}
-
-/// Delivers [`Input::LogDurable`] for every lazy append at or below
-/// the durable watermark.
-fn drain_lazy(site: &SiteShared, durable: Lsn) {
-    let mut done = Vec::new();
-    {
-        let mut lazy = site.lazy.lock();
-        lazy.retain(|(t, lsn)| {
-            if *lsn <= durable {
-                done.push(*t);
-                false
-            } else {
-                true
-            }
-        });
-    }
-    if !done.is_empty() {
-        site.counters
-            .lazy_drained
-            .fetch_add(done.len() as u64, Ordering::Relaxed);
-    }
-    for t in done {
-        let _ = site.tm_tx.send(Some(Input::LogDurable { token: t }));
     }
 }
 
@@ -1603,6 +1366,62 @@ mod tests {
             .inner
             .apply_actions(&site, live.map(cancel).to_vec());
         settles_at(0);
+        cluster.shutdown();
+    }
+    /// A subordinate's orphan watchdog used to outlive its family by
+    /// `orphan_check_interval`: two timers per three-site commit, in
+    /// the engine's table and the router's set, for ten seconds each.
+    /// It is retired when the family leaves `Executing`, so a quiet
+    /// cluster holds no timer at all.
+    #[test]
+    fn orphan_watchdogs_are_retired_with_their_families() {
+        let cfg = RtConfig {
+            datagram_delay: StdDuration::ZERO,
+            platter_delay: StdDuration::ZERO,
+            ..RtConfig::default()
+        };
+        let cluster = Cluster::new(3, cfg);
+        let sites = [S1, SiteId(2), SiteId(3)];
+        let client = cluster.client(S1);
+        for i in 0..50u64 {
+            let mode = if i % 2 == 0 {
+                camelot_core::CommitMode::TwoPhase
+            } else {
+                camelot_core::CommitMode::NonBlocking
+            };
+            let tid = client.begin().unwrap();
+            for site in sites {
+                let (srv, obj) = (ServerId(1), camelot_types::ObjectId(i));
+                client.write(&tid, site, srv, obj, vec![1]).unwrap();
+            }
+            client.commit(&tid, mode).unwrap();
+        }
+        // A relayed abort takes the other way out of `Executing`.
+        let tid = client.begin().unwrap();
+        for site in sites {
+            let (srv, obj) = (ServerId(1), camelot_types::ObjectId(99));
+            client.write(&tid, site, srv, obj, vec![1]).unwrap();
+        }
+        client.abort(&tid).unwrap();
+        let armed = || -> usize {
+            let shards = cluster.inner.sites.values().flat_map(|s| s.shards.iter());
+            shards.map(|shard| shard.lock().armed_timers()).sum()
+        };
+        let deadline = Instant::now() + StdDuration::from_secs(5);
+        loop {
+            let stats = cluster.stats();
+            let live: usize = stats.sites.iter().map(|s| s.live_families).sum();
+            if live == 0 && armed() == 0 && stats.router_pending == 0 {
+                break;
+            }
+            assert!(
+                Instant::now() < deadline,
+                "{live} families live, {} timers armed, {} deliveries pending",
+                armed(),
+                stats.router_pending
+            );
+            std::thread::sleep(StdDuration::from_millis(2));
+        }
         cluster.shutdown();
     }
 }

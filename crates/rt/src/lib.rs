@@ -19,7 +19,9 @@
 //! - a pipelined **disk-manager thread** per site — workers append
 //!   records into the log's in-memory segment themselves; this thread
 //!   only drives the group-commit batcher (§3.5) and performs platter
-//!   writes *without holding the log lock*, double-buffer style;
+//!   writes *without holding the log lock*, double-buffer style. It
+//!   also checkpoints and truncates the log on a rule of its own, so
+//!   a restart replays a bounded tail;
 //! - a **router thread** — the NetMsgServer stand-in: delivers
 //!   inter-site datagrams after a configurable delay and fires
 //!   (cancellable) protocol timers from one ordered set, drops
@@ -43,6 +45,7 @@
 
 pub mod client;
 pub mod cluster;
+mod disk;
 pub mod fault;
 mod queue;
 mod shardmap;

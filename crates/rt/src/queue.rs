@@ -66,7 +66,7 @@ use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration as StdDuration, Instant};
 
-use crossbeam::channel::{Receiver, RecvTimeoutError};
+use crossbeam::channel::{Receiver, RecvTimeoutError, Sender};
 
 use camelot_core::{Action, Input};
 use camelot_net::{Outcome, Vote};
@@ -113,6 +113,10 @@ pub(crate) enum QueueJob {
         tid: Tid,
         commit: bool,
     },
+    /// Checkpoint barrier: answer with the families this shard still
+    /// holds speculative state for. FIFO order makes the answer cover
+    /// every resolution sent before it.
+    Held(Sender<Vec<FamilyId>>),
     /// Site crash/restart: drop all shard state.
     Reset,
     Stop,
@@ -274,6 +278,9 @@ fn handle_job(inner: &Arc<ClusterInner>, site: &Arc<SiteShared>, sh: &mut Shard,
         }
         QueueJob::Resolve { family, outcome } => resolve(site, sh, family, outcome),
         QueueJob::SubResolve { tid, commit } => sub_resolve(sh, &tid, commit),
+        QueueJob::Held(reply) => {
+            let _ = reply.send(sh.fams.keys().copied().collect());
+        }
         QueueJob::Reset => *sh = Shard::default(),
         QueueJob::Stop => {}
     }

@@ -39,6 +39,14 @@ pub(crate) struct SiteCounters {
     pub max_batch: AtomicU64,
     /// Lazy (no-force) appends whose durability notice was delivered.
     pub lazy_drained: AtomicU64,
+    /// Checkpoints completed (durable, log truncated below them).
+    pub checkpoints: AtomicU64,
+    /// Log bytes discarded by truncation.
+    pub wal_truncated_bytes: AtomicU64,
+    /// Gauge: snapshot bytes the last completed checkpoint wrote.
+    pub snapshot_bytes: AtomicU64,
+    /// Gauge: how long the last restart took, in microseconds.
+    pub last_restart_us: AtomicU64,
     /// Operations executed by queue-shard workers (queued mode).
     pub queue_ops: AtomicU64,
     /// Prepare markers parked waiting on commit-order dependencies.
@@ -83,6 +91,21 @@ pub struct SiteStats {
     pub max_batch: u64,
     /// Lazy appends whose durability notice was delivered.
     pub lazy_drained: u64,
+    /// Checkpoints completed: durable, and the log truncated below
+    /// them.
+    pub checkpoints: u64,
+    /// Log bytes discarded by truncation since startup.
+    pub wal_truncated_bytes: u64,
+    /// Gauge: log bytes a restart would scan right now (base to end).
+    pub wal_live_bytes: u64,
+    /// Gauge: snapshot bytes the last completed checkpoint wrote — the
+    /// other term of the checkpoint trigger, and of the bound on
+    /// `wal_live_bytes`.
+    pub snapshot_bytes: u64,
+    /// Gauge: how long the last [`Cluster::restart`](crate::Cluster::restart)
+    /// took (zero before the first); its phases are the `recover_*`
+    /// histograms in `phases`.
+    pub last_restart: StdDuration,
     /// Operations executed by queue-shard workers (queued mode).
     pub queue_ops: u64,
     /// Prepare markers parked waiting on commit-order dependencies.

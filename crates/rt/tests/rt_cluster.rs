@@ -388,6 +388,116 @@ fn checkpoint_then_crash_recovers_from_snapshot() {
     cluster.shutdown();
 }
 
+/// A checkpoint gives the log a beginning: the records below the
+/// snapshot are discarded, a restart scans only what is left, and the
+/// family ids spent below the truncation point are not handed out
+/// again.
+#[test]
+fn checkpoint_truncates_the_log_and_restart_starts_at_its_base() {
+    let cluster = Cluster::new(1, quick_cfg());
+    let client = cluster.client(S1);
+    let mut last_seq = 0;
+    for i in 0..20u64 {
+        let tid = client.begin().unwrap();
+        last_seq = last_seq.max(tid.family.seq);
+        client
+            .write(&tid, S1, SRV, ObjectId(i % 4), vec![i as u8; 64])
+            .unwrap();
+        client.commit(&tid, CommitMode::TwoPhase).unwrap();
+    }
+    let before = cluster.stats().sites[0].clone();
+    assert_eq!(
+        (before.checkpoints, before.wal_truncated_bytes),
+        (0, 0),
+        "20 small transactions are far below the 64 KiB trigger"
+    );
+    cluster.checkpoint(S1);
+    let after = cluster.stats().sites[0].clone();
+    assert_eq!(after.checkpoints, 1);
+    assert!(after.wal_truncated_bytes >= before.wal_live_bytes);
+    // Four 64-byte objects and a marker are all a restart would read.
+    assert!(after.snapshot_bytes > 4 * 64 && after.snapshot_bytes < 512);
+    assert!(after.wal_live_bytes < after.snapshot_bytes + 64);
+    cluster.crash(S1);
+    cluster.restart(S1).unwrap();
+    for k in 0..4u64 {
+        assert_eq!(
+            cluster.committed_value(S1, SRV, ObjectId(k)),
+            vec![(16 + k) as u8; 64]
+        );
+    }
+    let tid = client.begin().unwrap();
+    assert!(
+        tid.family.seq > last_seq,
+        "family {} reuses a sequence number at or below {last_seq}",
+        tid.family
+    );
+    client.commit(&tid, CommitMode::TwoPhase).unwrap();
+    assert!(cluster.stats().sites[0].last_restart > StdDuration::ZERO);
+    cluster.shutdown();
+}
+
+/// Nobody calls `checkpoint` here: the disk manager schedules its own
+/// once the tail outgrows `max(64 KiB, 2 × snapshot)`, on a site that
+/// is never idle. A transaction left open across those checkpoints
+/// pins the log at its first record (retention is by live family);
+/// once it resolves, the next checkpoint lets go of everything below.
+#[test]
+fn a_busy_site_checkpoints_itself_and_retains_what_live_families_need() {
+    let cluster = Cluster::new(1, quick_cfg());
+    let client = cluster.client(S1);
+    let commit_kib = |n: u64| {
+        for i in 0..n {
+            let tid = client.begin().unwrap();
+            client
+                .write(&tid, S1, SRV, ObjectId(i % 8), vec![i as u8; 1024])
+                .unwrap();
+            client.commit(&tid, CommitMode::TwoPhase).unwrap();
+        }
+    };
+    let stats = || cluster.stats().sites[0].clone();
+    commit_kib(8);
+    let pinned = client.begin().unwrap();
+    client
+        .write(&pinned, S1, SRV, ObjectId(100), b"held".to_vec())
+        .unwrap();
+    let pinned_at = stats().wal_truncated_bytes + stats().wal_live_bytes;
+    // ~2 KiB of log per transaction (old and new value): 400 KiB.
+    commit_kib(200);
+    let held = stats();
+    assert!(held.checkpoints >= 2, "self-scheduled: {held:?}");
+    assert!(
+        held.wal_truncated_bytes <= pinned_at,
+        "truncated past the open transaction's first record"
+    );
+    assert!(
+        held.wal_live_bytes > 300 * 1024,
+        "the open family pins its tail"
+    );
+    // A crash now undoes the open transaction and keeps the rest.
+    cluster.crash(S1);
+    cluster.restart(S1).unwrap();
+    assert_eq!(cluster.committed_value(S1, SRV, ObjectId(100)), b"");
+    assert_eq!(cluster.committed_value(S1, SRV, ObjectId(7))[0], 199);
+    // The restart ended with a checkpoint, and nothing is held any
+    // more: the log is a snapshot and change again.
+    commit_kib(100);
+    let free = stats();
+    assert!(free.wal_truncated_bytes > pinned_at);
+    assert!(
+        free.wal_live_bytes <= 64 * 1024 + 4 * free.snapshot_bytes,
+        "live WAL {} B, snapshot {} B",
+        free.wal_live_bytes,
+        free.snapshot_bytes
+    );
+    for k in 0..8u64 {
+        let last = (0..100u64).rev().find(|i| i % 8 == k).unwrap();
+        let v = cluster.committed_value(S1, SRV, ObjectId(k));
+        assert_eq!((v.len(), v[0]), (1024, last as u8), "object {k}");
+    }
+    cluster.shutdown();
+}
+
 #[test]
 fn deadlock_resolves_via_call_timeout_and_abort() {
     // Two clients acquire X locks in opposite orders: a classic

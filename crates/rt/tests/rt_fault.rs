@@ -1,5 +1,6 @@
 //! Fault injection against the real-thread runtime: the crash-point
-//! matrix, WAL corruption across a restart, and link faults.
+//! matrix, crashes inside checkpoints, truncations and restarts, WAL
+//! corruption across a restart, and link faults.
 //!
 //! The matrix tests assert the *recovery contract*, not a particular
 //! outcome: whatever instant the coordinator dies at, once it restarts
@@ -91,9 +92,10 @@ fn crash_point_round_trip(point: CrashPoint, mode: CommitMode) {
 #[test]
 fn crash_matrix_two_phase() {
     for point in CrashPoint::ALL {
-        // The queued points only fire under ExecMode::Queued; the
-        // queued matrix below covers them.
-        if CrashPoint::QUEUED.contains(&point) {
+        // The queued points only fire under ExecMode::Queued, the
+        // recovery points outside a commit; the tests below cover
+        // them.
+        if CrashPoint::QUEUED.contains(&point) || CrashPoint::RECOVERY.contains(&point) {
             continue;
         }
         crash_point_round_trip(point, CommitMode::TwoPhase);
@@ -103,11 +105,202 @@ fn crash_matrix_two_phase() {
 #[test]
 fn crash_matrix_nonblocking() {
     for point in CrashPoint::ALL {
-        if CrashPoint::QUEUED.contains(&point) {
+        if CrashPoint::QUEUED.contains(&point) || CrashPoint::RECOVERY.contains(&point) {
             continue;
         }
         crash_point_round_trip(point, CommitMode::NonBlocking);
     }
+}
+
+/// Commits `value` into `obj` at both sites.
+fn commit_both(cluster: &Cluster, obj: ObjectId, value: &[u8]) {
+    let client = cluster.client(S1);
+    let tid = client.begin().unwrap();
+    client.write(&tid, S1, SRV, obj, value.to_vec()).unwrap();
+    client.write(&tid, S2, SRV, obj, value.to_vec()).unwrap();
+    client.commit(&tid, CommitMode::TwoPhase).unwrap();
+}
+
+/// The crash points on the bounded-recovery path. A site that dies
+/// inside a checkpoint ([`CrashPoint::MidCheckpoint`]: snapshot in the
+/// log, marker not) or inside a truncation
+/// ([`CrashPoint::MidTruncate`]: checkpoint durable, old prefix still
+/// there) must restart into the same committed state as if the
+/// checkpoint had never begun, with nothing lost and nothing
+/// resurrected; and the next checkpoint must then go through and
+/// truncate.
+#[test]
+fn crash_inside_checkpoint_or_truncation_loses_nothing() {
+    for point in [CrashPoint::MidCheckpoint, CrashPoint::MidTruncate] {
+        let fault = Arc::new(FaultPlan::disabled());
+        let cluster = Cluster::new_with_faults(2, quick_cfg(), fault.clone());
+        for i in 0..10u64 {
+            commit_both(&cluster, ObjectId(i % 3), &[i as u8; 32]);
+        }
+        // An open transaction: its update is in the log the crashed
+        // checkpoint scanned, and must come back undone.
+        let client = cluster.client(S1);
+        let open = client.begin().unwrap();
+        client
+            .write(&open, S1, SRV, ObjectId(50), b"never".to_vec())
+            .unwrap();
+        std::thread::sleep(StdDuration::from_millis(50));
+        fault.arm_crash(S1, point);
+        // Returns once the site is down: a checkpoint that cannot
+        // finish releases its waiter.
+        cluster.checkpoint(S1);
+        assert!(!cluster.is_alive(S1), "{point:?} should have fired");
+        assert_eq!(fault.stats().crashes, 1);
+        assert_eq!(cluster.stats().sites[0].checkpoints, 0, "{point:?}");
+        cluster.restart(S1).expect("clean log recovers");
+        for k in 0..3u64 {
+            let want = (0..10u64).rev().find(|i| i % 3 == k).unwrap();
+            for site in [S1, S2] {
+                assert_eq!(
+                    cluster.committed_value(site, SRV, ObjectId(k)),
+                    [want as u8; 32],
+                    "{point:?}: object {k} at {site}"
+                );
+            }
+        }
+        assert_eq!(cluster.committed_value(S1, SRV, ObjectId(50)), b"");
+        // The restart's own checkpoint, or this one, truncates.
+        cluster.checkpoint(S1);
+        let s = cluster.stats().sites[0].clone();
+        assert!(s.checkpoints >= 1 && s.wal_truncated_bytes > 0, "{s:?}");
+        commit_both(&cluster, ObjectId(99), b"alive");
+        std::thread::sleep(StdDuration::from_millis(100));
+        assert_eq!(cluster.committed_value(S2, SRV, ObjectId(99)), b"alive");
+        cluster.shutdown();
+    }
+}
+
+/// [`CrashPoint::MidRecovery`]: the site dies again half way through
+/// its restart, servers rebuilt and engines not. `restart` reports the
+/// site down; restarting again — recovery only reads the log — ends
+/// where an undisturbed restart would have, in-doubt family included.
+#[test]
+fn crash_during_recovery_then_restart_again() {
+    let fault = Arc::new(FaultPlan::disabled());
+    let cluster = Cluster::new_with_faults(2, quick_cfg(), fault.clone());
+    commit_both(&cluster, ObjectId(1), b"kept");
+    cluster.checkpoint(S1);
+    commit_both(&cluster, ObjectId(2), b"after the checkpoint");
+    std::thread::sleep(StdDuration::from_millis(50));
+    // Leave site 2 prepared and in doubt: its coordinator dies after
+    // the commit record is durable and before anyone is told.
+    let client = cluster.client(S1);
+    let tid = client.begin().unwrap();
+    client
+        .write(&tid, S1, SRV, ObjectId(3), b"decided".to_vec())
+        .unwrap();
+    client
+        .write(&tid, S2, SRV, ObjectId(3), b"decided".to_vec())
+        .unwrap();
+    fault.arm_crash(S1, CrashPoint::PostForcePreSend);
+    let _ = client.commit(&tid, CommitMode::TwoPhase);
+    assert!(!cluster.is_alive(S1));
+    fault.arm_crash(S1, CrashPoint::MidRecovery);
+    assert!(matches!(
+        cluster.restart(S1),
+        Err(CamelotError::SiteDown(S1))
+    ));
+    assert!(
+        !cluster.is_alive(S1),
+        "a restart that crashed leaves the site down"
+    );
+    cluster
+        .restart(S1)
+        .expect("the second restart goes through");
+    std::thread::sleep(StdDuration::from_millis(800));
+    for site in [S1, S2] {
+        assert_eq!(cluster.committed_value(site, SRV, ObjectId(1)), b"kept");
+        assert_eq!(
+            cluster.committed_value(site, SRV, ObjectId(2)),
+            b"after the checkpoint"
+        );
+        assert_eq!(cluster.committed_value(site, SRV, ObjectId(3)), b"decided");
+    }
+    assert_eq!(cluster.debug_state(S1), "");
+    assert_eq!(cluster.debug_state(S2), "");
+    cluster.shutdown();
+}
+
+/// Ladder finding 4 (PR 11): after a crash and restart of one site,
+/// coordinators elsewhere sat in `Resolving` for a whole
+/// `notify_resend_interval` waiting for the restarted site's delayed
+/// commit-acks. The cause was not in recovery at all. A restarted
+/// engine numbers its timer tokens from 1 again, and the router of the
+/// day remembered every cancelled token forever; the restarted
+/// subordinate's ack-flush timer came up under a number its previous
+/// incarnation had once cancelled, the router swallowed it, and the
+/// piggy-backed acks sat unflushed until the coordinator's resend drew
+/// a fresh one. PR 12's router deletes on cancel and forgets, so a
+/// reused token is a new timer; this is the case that shows it, with
+/// the resend interval left at its 5 s default so nothing but the
+/// flush timer can release the coordinators in time.
+#[test]
+fn restarted_subordinate_still_flushes_its_commit_acks() {
+    let cfg = RtConfig {
+        datagram_delay: StdDuration::ZERO,
+        platter_delay: StdDuration::ZERO,
+        call_timeout: StdDuration::from_secs(2),
+        ..RtConfig::default()
+    };
+    let cluster = Arc::new(Cluster::new(3, cfg));
+    let quiet_within = |limit: StdDuration, what: &str| {
+        let start = std::time::Instant::now();
+        loop {
+            let stats = cluster.stats();
+            let busy = stats
+                .sites
+                .iter()
+                .any(|s| s.live_families > 0 || s.lazy_drained < s.engine.lazy_appends);
+            if !busy {
+                return;
+            }
+            assert!(
+                start.elapsed() < limit,
+                "{what}: not quiet after {limit:?}: {} | {}",
+                cluster.debug_state(SiteId(2)),
+                cluster.debug_state(SiteId(3))
+            );
+            std::thread::sleep(StdDuration::from_millis(2));
+        }
+    };
+    // Two drivers, homes round-robin, every site a subordinate of the
+    // other two: enough set-and-cancelled timers to cover the low
+    // token numbers the restarted engine will reuse.
+    let traffic = |n: u64| {
+        let drivers: Vec<_> = (0..2u64)
+            .map(|d| {
+                let cluster = cluster.clone();
+                std::thread::spawn(move || {
+                    for i in (d..n).step_by(2) {
+                        let client = cluster.client(SiteId((i % 3 + 1) as u32));
+                        let tid = client.begin().unwrap();
+                        for site in [S1, S2, SiteId(3)] {
+                            client.write(&tid, site, SRV, ObjectId(i), vec![1]).unwrap();
+                        }
+                        client.commit(&tid, CommitMode::TwoPhase).unwrap();
+                    }
+                })
+            })
+            .collect();
+        for d in drivers {
+            d.join().unwrap();
+        }
+    };
+    traffic(300);
+    quiet_within(StdDuration::from_secs(2), "before the crash");
+    cluster.crash(S1);
+    cluster.restart(S1).unwrap();
+    traffic(300);
+    quiet_within(StdDuration::from_secs(2), "after the restart");
+    Arc::try_unwrap(cluster)
+        .ok()
+        .expect("sole owner")
+        .shutdown();
 }
 
 /// Application calls run the engine step and its actions on the

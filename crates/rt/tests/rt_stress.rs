@@ -118,13 +118,12 @@ fn many_clients_mixed_workload_stays_consistent() {
     cluster.shutdown();
 }
 
-/// The pipelined disk driver under a Window policy, with foreground
-/// checkpoints racing the background platter writes. Checkpoints force
-/// the log synchronously from outside the disk thread, pushing the
-/// durable watermark past what the in-flight write asked for — the
-/// batcher must absorb that (`write_complete_to`) without ever losing
-/// a force completion (a lost completion would park a commit forever
-/// and trip the call timeout).
+/// The pipelined disk driver under a Window policy, with on-demand
+/// checkpoints racing the foreground forces. A checkpoint's snapshot
+/// and marker ride the batcher as one more tokenless request, and the
+/// truncation that follows moves the log's base under live appenders —
+/// the batcher must never lose a force completion over it (a lost
+/// completion would park a commit forever and trip the call timeout).
 #[test]
 fn window_policy_with_concurrent_checkpoints() {
     let cfg = RtConfig {

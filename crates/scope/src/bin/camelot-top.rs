@@ -72,7 +72,7 @@ fn main() {
             snap.sites.len()
         );
         println!(
-            "{:>4} {:>4} {:>9} {:>9} {:>9} {:>9} {:>7} {:>6} {:>8} {:>10} {:>10}",
+            "{:>4} {:>4} {:>9} {:>9} {:>9} {:>9} {:>7} {:>6} {:>8} {:>10} {:>10} {:>9} {:>10}",
             "SITE",
             "UP",
             "COMMIT/s",
@@ -83,7 +83,9 @@ fn main() {
             "DROPS",
             "RESTART",
             "2PC_P50us",
-            "NB_P50us"
+            "NB_P50us",
+            "WAL_KiB",
+            "RESTART_ms"
         );
         for s in &snap.sites {
             let restarts = snap
@@ -102,8 +104,16 @@ fn main() {
                     )
                 })
                 .unwrap_or((0, 0));
+            // Live WAL is what a restart would scan now; the restart
+            // time is the site's last recovery (of the log it was
+            // respawned on).
+            let (wal_kib, restart_ms) = s
+                .stats
+                .as_ref()
+                .map(|st| (st.wal_live_bytes / 1024, st.last_restart_us as f64 / 1e3))
+                .unwrap_or((0, 0.0));
             println!(
-                "{:>4} {:>4} {:>9.1} {:>9.1} {:>9.1} {:>9.1} {:>7} {:>6} {:>8} {:>10} {:>10}",
+                "{:>4} {:>4} {:>9.1} {:>9.1} {:>9.1} {:>9.1} {:>7} {:>6} {:>8} {:>10} {:>10} {:>9} {:>10.2}",
                 s.site,
                 if s.up { "yes" } else { "NO" },
                 s.rate("commits"),
@@ -114,7 +124,9 @@ fn main() {
                 s.stats.as_ref().map(|st| st.trace_dropped).unwrap_or(0),
                 restarts,
                 p2pc,
-                pnb
+                pnb,
+                wal_kib,
+                restart_ms
             );
         }
         tick += 1;

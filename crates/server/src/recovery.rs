@@ -36,7 +36,6 @@ pub struct RecoveredServer {
 
 #[derive(Default)]
 struct FamScan {
-    updates: Vec<(Tid, ObjectId, Vec<u8>, Vec<u8>)>,
     prepared: bool,
     committed: bool,
     aborted: bool,
@@ -45,6 +44,21 @@ struct FamScan {
     /// record per subtree via the abort protocol; here we track
     /// per-tid aborts from `Abort` records of nested tids.)
     aborted_subtrees: Vec<Tid>,
+    /// Updates of this server outside the aborted subtrees, kept only
+    /// while the family may turn out in doubt.
+    live_updates: Vec<(Tid, ObjectId, Vec<u8>, Vec<u8>)>,
+    /// Whether any such update exists (undone families drop theirs).
+    updated: bool,
+}
+
+impl FamScan {
+    fn redo(&self) -> bool {
+        self.committed && !self.aborted
+    }
+
+    fn undo(&self) -> bool {
+        !self.redo() && (self.aborted || !self.prepared)
+    }
 }
 
 /// Rebuilds one data server's state from the durable log records of
@@ -55,35 +69,27 @@ struct FamScan {
 /// (value-carrying, hence idempotent) update records on top of it
 /// then reconstructs the same state whether or not older records
 /// survive — which is what makes pre-checkpoint log truncation safe.
-pub fn recover(site: SiteId, id: ServerId, records: &[LogRecord]) -> RecoveredServer {
+///
+/// Two passes over borrowed records: the first classifies every
+/// family, the second touches each update once — redone in log order,
+/// copied out for an in-doubt family, skipped otherwise.
+pub fn recover<'a, I>(site: SiteId, id: ServerId, records: I) -> RecoveredServer
+where
+    I: IntoIterator<Item = &'a LogRecord> + Clone,
+{
     let mut scans: HashMap<FamilyId, FamScan> = HashMap::new();
-    let mut snapshot: Option<&[(camelot_types::ObjectId, Vec<u8>)]> = None;
-    for rec in records {
+    let mut snapshot: Option<&[(ObjectId, Vec<u8>)]> = None;
+    for rec in records.clone() {
         match rec {
             LogRecord::ServerSnapshot { server, objects } if *server == id => {
                 snapshot = Some(objects);
             }
-            _ => {}
-        }
-        match rec {
-            LogRecord::ServerUpdate {
-                tid,
-                server,
-                object,
-                old,
-                new,
-            } if *server == id => {
-                scans.entry(tid.family).or_default().updates.push((
-                    tid.clone(),
-                    *object,
-                    old.clone(),
-                    new.clone(),
-                ));
+            LogRecord::ServerUpdate { tid, server, .. } if *server == id => {
+                scans.entry(tid.family).or_default();
             }
-            LogRecord::Prepared { tid, .. } | LogRecord::NbPrepared { tid, .. } => {
-                scans.entry(tid.family).or_default().prepared = true;
-            }
-            LogRecord::NbReplicate { tid, .. } => {
+            LogRecord::Prepared { tid, .. }
+            | LogRecord::NbPrepared { tid, .. }
+            | LogRecord::NbReplicate { tid, .. } => {
                 scans.entry(tid.family).or_default().prepared = true;
             }
             LogRecord::Commit { tid, .. } => {
@@ -107,66 +113,59 @@ pub fn recover(site: SiteId, id: ServerId, records: &[LogRecord]) -> RecoveredSe
             server.install_committed(*obj, val.clone());
         }
     }
-    let mut in_doubt = Vec::new();
-    let mut redone = Vec::new();
-    let mut undone = Vec::new();
-    // Classify families first (deterministic order for the report
-    // lists), but defer committed installs: two committed families
-    // touching the same object must redo in *log* order, which
-    // family-id order does not preserve.
-    let mut fams: Vec<FamilyId> = scans.keys().copied().collect();
-    fams.sort();
-    for &f in &fams {
-        let scan = scans.get_mut(&f).expect("key exists");
-        let live_updates: Vec<_> = std::mem::take(&mut scan.updates)
-            .into_iter()
-            .filter(|(tid, ..)| {
-                !scan
-                    .aborted_subtrees
-                    .iter()
-                    .any(|a| a.is_self_or_ancestor_of(tid))
-            })
-            .collect();
-        if scan.committed && !scan.aborted {
-            redone.push(f);
-        } else if scan.aborted || !scan.prepared {
-            // Undo: nothing to install (the store holds pre-images).
-            if !live_updates.is_empty() || scan.aborted {
-                undone.push(f);
-            }
-        } else {
-            // In doubt: reinstate uncommitted state + locks.
-            server.install_in_doubt(f, live_updates);
-            in_doubt.push(f);
-        }
-    }
-    // Redo: one pass over the whole log installs committed new-values
-    // exactly in the order they were originally applied, interleaving
-    // across families.
+    // Redo installs committed new-values exactly in the order they
+    // were originally applied, interleaving across families: two
+    // committed families touching the same object must redo in *log*
+    // order, which family-id order does not preserve.
     for rec in records {
         let LogRecord::ServerUpdate {
             tid,
             server: srv,
             object,
+            old,
             new,
-            ..
         } = rec
         else {
             continue;
         };
-        if *srv != id || !redone.contains(&tid.family) {
+        if *srv != id {
             continue;
         }
-        let aborted_subtree = scans
-            .get(&tid.family)
-            .map(|s| {
-                s.aborted_subtrees
-                    .iter()
-                    .any(|a| a.is_self_or_ancestor_of(tid))
-            })
-            .unwrap_or(false);
-        if !aborted_subtree {
+        let scan = scans.get_mut(&tid.family).expect("classified above");
+        if scan
+            .aborted_subtrees
+            .iter()
+            .any(|a| a.is_self_or_ancestor_of(tid))
+        {
+            continue;
+        }
+        scan.updated = true;
+        if scan.redo() {
             server.install_committed(*object, new.clone());
+        } else if !scan.undo() {
+            scan.live_updates
+                .push((tid.clone(), *object, old.clone(), new.clone()));
+        }
+    }
+    let mut in_doubt = Vec::new();
+    let mut redone = Vec::new();
+    let mut undone = Vec::new();
+    // Deterministic order for the report lists.
+    let mut fams: Vec<FamilyId> = scans.keys().copied().collect();
+    fams.sort();
+    for f in fams {
+        let scan = scans.get_mut(&f).expect("key exists");
+        if scan.redo() {
+            redone.push(f);
+        } else if scan.undo() {
+            // Undo: nothing to install (the store holds pre-images).
+            if scan.updated || scan.aborted {
+                undone.push(f);
+            }
+        } else {
+            // In doubt: reinstate uncommitted state + locks.
+            server.install_in_doubt(f, std::mem::take(&mut scan.live_updates));
+            in_doubt.push(f);
         }
     }
     RecoveredServer {
@@ -394,7 +393,7 @@ mod tests {
                 server: SRV,
                 objects: vec![(ObjectId(1), b"from-snapshot".to_vec())],
             },
-            R::Checkpoint,
+            R::Checkpoint { next_family_seq: 1 },
             // Post-checkpoint transaction overwrites object 2.
             upd(&t, 2, b"", b"after"),
             R::Commit {
@@ -426,7 +425,7 @@ mod tests {
                 server: SRV,
                 objects: vec![(ObjectId(1), b"new".to_vec())],
             },
-            R::Checkpoint,
+            R::Checkpoint { next_family_seq: 1 },
         ];
         let r = recover(SITE, SRV, &log);
         assert_eq!(r.server.committed_value(ObjectId(1)), b"new");
@@ -453,7 +452,7 @@ mod tests {
             value: b"v".to_vec(),
         });
         s.commit_family(fam(7));
-        let snap = s.snapshot();
+        let snap = camelot_types::wire::Wire::from_bytes(&s.snapshot()).unwrap();
         let r = recover(SITE, SRV, &[snap]);
         assert_eq!(r.server.committed_value(ObjectId(3)), b"v");
     }

@@ -458,18 +458,13 @@ impl DataServer {
         self.in_doubt.keys().copied().collect()
     }
 
-    /// Produces this server's checkpoint snapshot record: the
-    /// committed store as of now. Written to the log (followed by a
-    /// `Checkpoint` marker), it becomes recovery's base state and
-    /// makes older records of already-resolved families truncatable.
-    pub fn snapshot(&self) -> LogRecord {
-        let mut objects: Vec<(ObjectId, Vec<u8>)> =
-            self.store.iter().map(|(o, v)| (*o, v.clone())).collect();
-        objects.sort_by_key(|(o, _)| *o);
-        LogRecord::ServerSnapshot {
-            server: self.id,
-            objects,
-        }
+    /// This server's checkpoint snapshot — the committed store as of
+    /// now — as an encoded [`LogRecord::ServerSnapshot`]. Written to
+    /// the log (followed by a `Checkpoint` marker), it becomes
+    /// recovery's base state and makes older records of
+    /// already-resolved families truncatable.
+    pub fn snapshot(&self) -> Vec<u8> {
+        camelot_wal::record::encode_snapshot(self.id, self.store.iter())
     }
 }
 

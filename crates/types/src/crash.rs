@@ -34,20 +34,44 @@ pub enum CrashPoint {
     /// explicit abort) for a purely local family. Unlike the kill
     /// points this corrupts state without taking the site down.
     QueueParkedPrepare,
+    /// Inside a checkpoint: the servers' snapshots are appended, the
+    /// marker that would license truncating below them is not. The
+    /// restart finds a snapshot (if it reached the platter at all) on
+    /// top of an untruncated log.
+    MidCheckpoint,
+    /// Inside a truncation: the checkpoint is durable but the log's
+    /// new base is not, so the old prefix is still there. The restart
+    /// reads records a completed truncation would have discarded.
+    MidTruncate,
+    /// Inside a restart: the data servers are rebuilt from the log,
+    /// the engine shards are not. Recovery only reads, so restarting
+    /// again must end in the same state.
+    MidRecovery,
 }
 
 impl CrashPoint {
     /// All crash points, for parameterized test matrices.
-    pub const ALL: [CrashPoint; 5] = [
+    pub const ALL: [CrashPoint; 8] = [
         CrashPoint::PreForce,
         CrashPoint::PostForcePreSend,
         CrashPoint::MidPlatterWrite,
         CrashPoint::QueueMidBurst,
         CrashPoint::QueueParkedPrepare,
+        CrashPoint::MidCheckpoint,
+        CrashPoint::MidTruncate,
+        CrashPoint::MidRecovery,
     ];
 
     /// The points that only fire under queued execution.
     pub const QUEUED: [CrashPoint; 2] = [CrashPoint::QueueMidBurst, CrashPoint::QueueParkedPrepare];
+
+    /// The points on the bounded-recovery path: they fire inside a
+    /// checkpoint or a restart, never inside a commit.
+    pub const RECOVERY: [CrashPoint; 3] = [
+        CrashPoint::MidCheckpoint,
+        CrashPoint::MidTruncate,
+        CrashPoint::MidRecovery,
+    ];
 
     /// Stable wire tag for the control protocol.
     pub fn to_wire(self) -> u8 {
@@ -57,6 +81,9 @@ impl CrashPoint {
             CrashPoint::MidPlatterWrite => 2,
             CrashPoint::QueueMidBurst => 3,
             CrashPoint::QueueParkedPrepare => 4,
+            CrashPoint::MidCheckpoint => 5,
+            CrashPoint::MidTruncate => 6,
+            CrashPoint::MidRecovery => 7,
         }
     }
 
@@ -68,6 +95,9 @@ impl CrashPoint {
             2 => CrashPoint::MidPlatterWrite,
             3 => CrashPoint::QueueMidBurst,
             4 => CrashPoint::QueueParkedPrepare,
+            5 => CrashPoint::MidCheckpoint,
+            6 => CrashPoint::MidTruncate,
+            7 => CrashPoint::MidRecovery,
             _ => return None,
         })
     }

@@ -11,7 +11,7 @@
 //! a torn tail after a crash must look like "end of log", never like a
 //! decode of garbage.
 
-use bytes::{Buf, BufMut, BytesMut};
+use bytes::Buf;
 
 use camelot_types::{CamelotError, Result};
 
@@ -24,17 +24,19 @@ pub use camelot_types::wire::crc32;
 pub const FRAME_HEADER: usize = 8;
 
 /// Wraps `payload` in a length+CRC frame, appending to `out`.
-pub fn frame_into(out: &mut BytesMut, payload: &[u8]) {
-    out.put_u32_le(u32::try_from(payload.len()).expect("payload too large to frame"));
-    out.put_u32_le(crc32(payload));
-    out.put_slice(payload);
+pub fn frame_onto(out: &mut Vec<u8>, payload: &[u8]) {
+    let len = u32::try_from(payload.len()).expect("payload too large to frame");
+    out.reserve(FRAME_HEADER + payload.len());
+    out.extend_from_slice(&len.to_le_bytes());
+    out.extend_from_slice(&crc32(payload).to_le_bytes());
+    out.extend_from_slice(payload);
 }
 
 /// Wraps `payload` in a fresh framed buffer.
 pub fn frame(payload: &[u8]) -> Vec<u8> {
-    let mut out = BytesMut::with_capacity(FRAME_HEADER + payload.len());
-    frame_into(&mut out, payload);
-    out.to_vec()
+    let mut out = Vec::new();
+    frame_onto(&mut out, payload);
+    out
 }
 
 /// Result of attempting to read one frame.
@@ -49,50 +51,94 @@ pub enum FrameRead {
     Corrupt,
 }
 
-/// Attempts to read one frame from the front of `buf`.
-pub fn read_frame(buf: &[u8]) -> FrameRead {
+/// One parse step over borrowed bytes; [`read_frame`] and [`frames`]
+/// are its two presentations.
+enum Parsed<'a> {
+    Frame(&'a [u8]),
+    Torn,
+    Corrupt,
+}
+
+fn parse(buf: &[u8]) -> Parsed<'_> {
     if buf.len() < FRAME_HEADER {
         // Empty input and a short tail both read as Torn; callers that
         // care distinguish empty via buf.is_empty().
-        return FrameRead::Torn;
+        return Parsed::Torn;
     }
     let mut hdr = &buf[..FRAME_HEADER];
     let len = hdr.get_u32_le() as usize;
     let crc = hdr.get_u32_le();
-    let total = FRAME_HEADER + len;
-    if buf.len() < total {
-        return FrameRead::Torn;
-    }
-    let payload = &buf[FRAME_HEADER..total];
+    let Some(payload) = buf.get(FRAME_HEADER..FRAME_HEADER + len) else {
+        return Parsed::Torn;
+    };
     if crc32(payload) != crc {
-        return FrameRead::Corrupt;
+        return Parsed::Corrupt;
     }
-    FrameRead::Frame {
-        payload: payload.to_vec(),
-        consumed: total,
+    Parsed::Frame(payload)
+}
+
+/// Attempts to read one frame from the front of `buf`.
+pub fn read_frame(buf: &[u8]) -> FrameRead {
+    match parse(buf) {
+        Parsed::Frame(payload) => FrameRead::Frame {
+            payload: payload.to_vec(),
+            consumed: FRAME_HEADER + payload.len(),
+        },
+        Parsed::Torn => FrameRead::Torn,
+        Parsed::Corrupt => FrameRead::Corrupt,
     }
 }
 
-/// Scans a byte region into `(offset, payload)` pairs, stopping at a
-/// torn tail. A checksum-valid prefix followed by corruption mid-log
-/// (not at the tail) is reported as an error, because it means stable
-/// storage lost data the protocol relied on.
-pub fn scan(buf: &[u8]) -> Result<Vec<(u64, Vec<u8>)>> {
-    let mut out = Vec::new();
+/// Walks the frames of a byte region in place: `(offset, payload)`
+/// with the payload borrowed from `buf`, stopping at a torn tail. A
+/// checksum-valid prefix followed by corruption mid-log (not at the
+/// tail) is reported as an error, because it means stable storage lost
+/// data the protocol relied on; iteration ends after it.
+pub fn frames(buf: &[u8]) -> impl Iterator<Item = Result<(u64, &[u8])>> {
     let mut off = 0usize;
-    while off < buf.len() {
-        match read_frame(&buf[off..]) {
-            FrameRead::Frame { payload, consumed } => {
-                out.push((off as u64, payload));
-                off += consumed;
-            }
-            FrameRead::Torn => break,
-            FrameRead::Corrupt => {
-                return Err(CamelotError::Corruption { offset: off as u64 });
-            }
+    std::iter::from_fn(move || match parse(buf.get(off..)?) {
+        Parsed::Frame(payload) => {
+            let at = off as u64;
+            off += FRAME_HEADER + payload.len();
+            Some(Ok((at, payload)))
         }
+        Parsed::Torn => None,
+        Parsed::Corrupt => {
+            let at = off as u64;
+            off = buf.len() + 1;
+            Some(Err(CamelotError::Corruption { offset: at }))
+        }
+    })
+}
+
+/// Re-expresses a [`frames`] error, whose offset counts from the start
+/// of the scanned region, as an LSN in a log whose region starts at
+/// `base`.
+pub fn at_lsn(e: CamelotError, base: u64) -> CamelotError {
+    match e {
+        CamelotError::Corruption { offset } => CamelotError::Corruption {
+            offset: base + offset,
+        },
+        e => e,
     }
-    Ok(out)
+}
+
+/// [`frames`] with owned payloads.
+pub fn scan(buf: &[u8]) -> Result<Vec<(u64, Vec<u8>)>> {
+    frames(buf)
+        .map(|f| f.map(|(off, payload)| (off, payload.to_vec())))
+        .collect()
+}
+
+/// Length of the valid frame prefix of `buf` (everything before a torn
+/// tail); an error on mid-log corruption.
+pub fn valid_len(buf: &[u8]) -> Result<u64> {
+    let mut end = 0;
+    for f in frames(buf) {
+        let (off, payload) = f?;
+        end = off + (FRAME_HEADER + payload.len()) as u64;
+    }
+    Ok(end)
 }
 
 #[cfg(test)]

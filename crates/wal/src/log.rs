@@ -8,6 +8,7 @@
 use camelot_types::wire::Wire;
 use camelot_types::{Lsn, Result};
 
+use crate::codec;
 use crate::record::LogRecord;
 use crate::store::StableStore;
 
@@ -42,6 +43,14 @@ impl<S: StableStore> Wal<S> {
     pub fn append(&mut self, rec: &LogRecord) -> Result<Lsn> {
         self.stats.records += 1;
         self.store.append(&rec.to_bytes())
+    }
+
+    /// Appends a record the caller already encoded (see
+    /// [`record::encode_snapshot`](crate::record::encode_snapshot)).
+    /// Returns its LSN.
+    pub fn append_encoded(&mut self, rec: &[u8]) -> Result<Lsn> {
+        self.stats.records += 1;
+        self.store.append(rec)
     }
 
     /// Appends and immediately forces — the "force a log record"
@@ -103,12 +112,28 @@ impl<S: StableStore> Wal<S> {
         &self.store
     }
 
-    /// Recovery scan: decodes all durable records in order.
+    /// LSN of the first retained record (see
+    /// [`StableStore::base_lsn`]).
+    pub fn base_lsn(&self) -> Lsn {
+        self.store.base_lsn()
+    }
+
+    /// Discards the durable records below `lsn` (see
+    /// [`StableStore::truncate_prefix`]); returns the new base.
+    pub fn truncate_prefix(&mut self, lsn: Lsn) -> Result<Lsn> {
+        self.store.truncate_prefix(lsn)
+    }
+
+    /// Recovery scan: decodes the retained durable records in order,
+    /// each straight out of the one durable image.
     pub fn recover(&mut self) -> Result<Vec<(Lsn, LogRecord)>> {
-        self.store
-            .read_durable()?
-            .into_iter()
-            .map(|(lsn, bytes)| Ok((lsn, LogRecord::from_bytes(&bytes)?)))
+        let base = self.store.base_lsn().0;
+        let image = self.store.durable_bytes()?;
+        codec::frames(&image)
+            .map(|frame| {
+                let (off, payload) = frame.map_err(|e| codec::at_lsn(e, base))?;
+                Ok((Lsn(base + off), LogRecord::from_bytes(payload)?))
+            })
             .collect()
     }
 }
@@ -214,5 +239,23 @@ mod tests {
     fn empty_log_recovers_empty() {
         let mut wal = Wal::new(MemStore::new());
         assert!(wal.recover().unwrap().is_empty());
+    }
+
+    #[test]
+    fn recover_starts_at_the_base_after_truncation() {
+        let mut wal = Wal::new(MemStore::new());
+        let commit = |seq| RecordBody::Commit {
+            tid: tid(seq),
+            subs: vec![],
+        };
+        wal.append(&commit(1)).unwrap();
+        let second = wal.append(&commit(2)).unwrap();
+        let third = wal.append(&commit(3)).unwrap();
+        wal.force().unwrap();
+        assert_eq!(wal.truncate_prefix(second).unwrap(), second);
+        assert_eq!(wal.base_lsn(), second);
+        let back = wal.recover().unwrap();
+        assert_eq!(back, vec![(second, commit(2)), (third, commit(3))]);
+        assert!(wal.is_durable(third));
     }
 }

@@ -107,11 +107,14 @@ pub enum RecordBody {
     },
 
     // ----- Housekeeping -----
-    /// Checkpoint marker (bounds the recovery scan in a full system;
-    /// the marker itself carries no payload — the state travels in
-    /// the [`RecordBody::ServerSnapshot`] records written just before
-    /// it).
-    Checkpoint,
+    /// Checkpoint marker: the [`RecordBody::ServerSnapshot`] records
+    /// written just before it carry the servers' state, and once the
+    /// marker is durable the log owner may truncate below them. The
+    /// marker itself carries the one piece of transaction-manager
+    /// state no retained record can rebuild: the lowest family
+    /// sequence number this site has not handed out, so a restart
+    /// from a truncated log never reuses a family id.
+    Checkpoint { next_family_seq: u64 },
     /// A server's committed state at checkpoint time. Recovery uses
     /// the last snapshot as its base store; records before it that
     /// belong to families resolved by then become dead weight the log
@@ -136,7 +139,7 @@ impl RecordBody {
             | RecordBody::NbQuorum { tid, .. }
             | RecordBody::ServerJoin { tid, .. }
             | RecordBody::ServerUpdate { tid, .. } => Some(tid),
-            RecordBody::Checkpoint | RecordBody::ServerSnapshot { .. } => None,
+            RecordBody::Checkpoint { .. } | RecordBody::ServerSnapshot { .. } => None,
         }
     }
 
@@ -166,6 +169,33 @@ const TAG_SERVER_JOIN: u8 = 9;
 const TAG_SERVER_UPDATE: u8 = 10;
 const TAG_CHECKPOINT: u8 = 11;
 const TAG_SERVER_SNAPSHOT: u8 = 12;
+
+fn put_snapshot<'a>(
+    w: &mut Writer,
+    server: ServerId,
+    objects: impl ExactSizeIterator<Item = (&'a ObjectId, &'a Vec<u8>)>,
+) {
+    w.put_u8(TAG_SERVER_SNAPSHOT);
+    w.put(&server);
+    w.put_u32(u32::try_from(objects.len()).expect("snapshot too large"));
+    for (obj, val) in objects {
+        w.put(obj);
+        w.put_bytes(val);
+    }
+}
+
+/// The bytes of a [`RecordBody::ServerSnapshot`] of `objects`, encoded
+/// straight from the owner's map: a checkpoint would otherwise clone
+/// every value into a record only to encode it once. Append with
+/// [`Wal::append_encoded`](crate::Wal::append_encoded).
+pub fn encode_snapshot<'a>(
+    server: ServerId,
+    objects: impl ExactSizeIterator<Item = (&'a ObjectId, &'a Vec<u8>)>,
+) -> Vec<u8> {
+    let mut w = Writer::new();
+    put_snapshot(&mut w, server, objects);
+    w.into_vec()
+}
 
 impl Wire for RecordBody {
     fn encode(&self, w: &mut Writer) {
@@ -235,15 +265,12 @@ impl Wire for RecordBody {
                 w.put_bytes(old);
                 w.put_bytes(new);
             }
-            RecordBody::Checkpoint => w.put_u8(TAG_CHECKPOINT),
+            RecordBody::Checkpoint { next_family_seq } => {
+                w.put_u8(TAG_CHECKPOINT);
+                w.put_u64(*next_family_seq);
+            }
             RecordBody::ServerSnapshot { server, objects } => {
-                w.put_u8(TAG_SERVER_SNAPSHOT);
-                w.put(server);
-                w.put_u32(u32::try_from(objects.len()).expect("snapshot too large"));
-                for (obj, val) in objects {
-                    w.put(obj);
-                    w.put_bytes(val);
-                }
+                put_snapshot(w, *server, objects.iter().map(|(obj, val)| (obj, val)));
             }
         }
     }
@@ -294,7 +321,9 @@ impl Wire for RecordBody {
                 old: r.get_bytes()?,
                 new: r.get_bytes()?,
             },
-            TAG_CHECKPOINT => RecordBody::Checkpoint,
+            TAG_CHECKPOINT => RecordBody::Checkpoint {
+                next_family_seq: r.get_u64()?,
+            },
             TAG_SERVER_SNAPSHOT => {
                 let server = r.get()?;
                 let n = r.get_u32()? as usize;
@@ -379,7 +408,9 @@ mod tests {
                 old: vec![1, 2],
                 new: vec![3, 4, 5],
             },
-            RecordBody::Checkpoint,
+            RecordBody::Checkpoint {
+                next_family_seq: 77,
+            },
             RecordBody::ServerSnapshot {
                 server: ServerId(7),
                 objects: vec![(ObjectId(1), vec![9, 9]), (ObjectId(2), vec![])],
@@ -400,7 +431,7 @@ mod tests {
     fn tid_accessor() {
         for rec in all_variants() {
             match rec {
-                RecordBody::Checkpoint | RecordBody::ServerSnapshot { .. } => {
+                RecordBody::Checkpoint { .. } | RecordBody::ServerSnapshot { .. } => {
                     assert!(rec.tid().is_none())
                 }
                 _ => assert_eq!(rec.tid(), Some(&tid())),

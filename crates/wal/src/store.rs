@@ -6,6 +6,12 @@
 //! paper's protocols are defined by **which records are forced and
 //! when** (log forces dominate commit latency, Table 2: 15 ms each).
 //!
+//! The log also has a *beginning*: [`StableStore::truncate_prefix`]
+//! discards durable bytes below an LSN once a checkpoint has made them
+//! dead weight. LSNs are positions in the log as it was ever written —
+//! they stay monotonic across truncation and across reopen — and
+//! [`StableStore::base_lsn`] names the first one still retained.
+//!
 //! - [`MemStore`] keeps the log in memory and models a crash with
 //!   [`MemStore::crash`], which discards the un-forced suffix. Every
 //!   failure-injection test uses this to check that a protocol never
@@ -47,9 +53,17 @@ pub trait StableStore {
     /// LSN that the next append will return.
     fn end_lsn(&self) -> Lsn;
 
-    /// Reads back the *durable* frames as `(lsn, payload)` pairs —
-    /// the recovery scan.
-    fn read_durable(&mut self) -> Result<Vec<(Lsn, Vec<u8>)>>;
+    /// LSN of the first retained byte: where the recovery scan starts.
+    /// Zero until the first [`StableStore::truncate_prefix`].
+    fn base_lsn(&self) -> Lsn;
+
+    /// Discards the durable prefix below `lsn` and returns the new
+    /// base. `lsn` must lie on a frame boundary; it is clamped to
+    /// `base_lsn..=durable_lsn`, so truncating at or below the base is
+    /// a no-op and un-forced bytes are never touched. Durable: after a
+    /// crash at any instant of the call the store reopens with either
+    /// the old base or the new one, never a mixture.
+    fn truncate_prefix(&mut self, lsn: Lsn) -> Result<Lsn>;
 
     /// Simulates a crash of the owning process: everything appended
     /// but not yet forced is lost; durable bytes survive. (For a
@@ -57,14 +71,17 @@ pub trait StableStore {
     /// real crash could do no worse.)
     fn lose_volatile(&mut self);
 
-    /// Raw durable byte image, frames and all. Fault-injection hook:
-    /// lets a harness snapshot the log, corrupt it, and restore it.
+    /// Raw image of the retained durable bytes (`base_lsn` to
+    /// `durable_lsn`), frames and all: the recovery scan's input, and
+    /// the fault-injection hook that lets a harness snapshot the log,
+    /// corrupt it, and restore it.
     fn durable_bytes(&mut self) -> Result<Vec<u8>>;
 
-    /// Replaces the durable byte image wholesale and discards any
-    /// buffered suffix. Fault-injection hook — models a medium that
-    /// bit-rotted or tore while the process was down. The bytes are
-    /// *not* validated here; the next recovery scan judges them.
+    /// Replaces the retained durable image wholesale (the base stays
+    /// where it is) and discards any buffered suffix. Fault-injection
+    /// hook — models a medium that bit-rotted or tore while the
+    /// process was down. The bytes are *not* validated here; the next
+    /// recovery scan judges them.
     fn set_durable_bytes(&mut self, bytes: &[u8]) -> Result<()>;
 }
 
@@ -84,8 +101,11 @@ impl<T: StableStore + ?Sized> StableStore for Box<T> {
     fn end_lsn(&self) -> Lsn {
         (**self).end_lsn()
     }
-    fn read_durable(&mut self) -> Result<Vec<(Lsn, Vec<u8>)>> {
-        (**self).read_durable()
+    fn base_lsn(&self) -> Lsn {
+        (**self).base_lsn()
+    }
+    fn truncate_prefix(&mut self, lsn: Lsn) -> Result<Lsn> {
+        (**self).truncate_prefix(lsn)
     }
     fn lose_volatile(&mut self) {
         (**self).lose_volatile()
@@ -101,7 +121,10 @@ impl<T: StableStore + ?Sized> StableStore for Box<T> {
 /// In-memory store with crash modelling.
 #[derive(Debug, Default)]
 pub struct MemStore {
+    /// LSN of `buf[0]`.
+    base: u64,
     buf: Vec<u8>,
+    /// Durable length of `buf`.
     durable: usize,
     forces: u64,
 }
@@ -122,7 +145,7 @@ impl MemStore {
         self.buf.truncate(self.durable);
     }
 
-    /// Total bytes appended (durable or not).
+    /// Retained bytes (durable or not).
     pub fn len(&self) -> usize {
         self.buf.len()
     }
@@ -134,42 +157,42 @@ impl MemStore {
 
 impl StableStore for MemStore {
     fn append(&mut self, payload: &[u8]) -> Result<Lsn> {
-        let lsn = Lsn(self.buf.len() as u64);
-        let framed = codec::frame(payload);
-        self.buf.extend_from_slice(&framed);
+        let lsn = self.end_lsn();
+        codec::frame_onto(&mut self.buf, payload);
         Ok(lsn)
     }
 
     fn force(&mut self) -> Result<Lsn> {
-        if self.durable < self.buf.len() {
-            self.forces += 1;
-            self.durable = self.buf.len();
-        }
-        Ok(Lsn(self.durable as u64))
+        self.force_to(self.end_lsn())
     }
 
     fn force_to(&mut self, upto: Lsn) -> Result<Lsn> {
-        let target = (upto.0 as usize).min(self.buf.len());
+        let target = (upto.0.saturating_sub(self.base) as usize).min(self.buf.len());
         if self.durable < target {
             self.forces += 1;
             self.durable = target;
         }
-        Ok(Lsn(self.durable as u64))
+        Ok(self.durable_lsn())
     }
 
     fn durable_lsn(&self) -> Lsn {
-        Lsn(self.durable as u64)
+        Lsn(self.base + self.durable as u64)
     }
 
     fn end_lsn(&self) -> Lsn {
-        Lsn(self.buf.len() as u64)
+        Lsn(self.base + self.buf.len() as u64)
     }
 
-    fn read_durable(&mut self) -> Result<Vec<(Lsn, Vec<u8>)>> {
-        Ok(codec::scan(&self.buf[..self.durable])?
-            .into_iter()
-            .map(|(off, p)| (Lsn(off), p))
-            .collect())
+    fn base_lsn(&self) -> Lsn {
+        Lsn(self.base)
+    }
+
+    fn truncate_prefix(&mut self, lsn: Lsn) -> Result<Lsn> {
+        let cut = (lsn.0.saturating_sub(self.base) as usize).min(self.durable);
+        self.buf.drain(..cut);
+        self.durable -= cut;
+        self.base += cut as u64;
+        Ok(Lsn(self.base))
     }
 
     fn lose_volatile(&mut self) {
@@ -190,52 +213,96 @@ impl StableStore for MemStore {
 /// File-backed store. Appends are buffered in memory; `force` writes
 /// and syncs. Reopening after a crash recovers the synced prefix and
 /// tolerates a torn tail.
+///
+/// The file is a [`FileStore::HEADER_LEN`]-byte header — magic, the
+/// base LSN, a CRC over both — followed by the retained frames, so
+/// the byte at file offset `HEADER_LEN + k` has LSN `base + k`.
+/// Truncation never edits that header in place: it writes header and
+/// retained suffix to `<path>.trunc`, syncs it, and renames it over
+/// the log, so the base and the bytes it describes change together.
 #[derive(Debug)]
 pub struct FileStore {
     path: PathBuf,
     file: File,
+    /// LSN of the first frame in the file.
+    base: u64,
     /// Bytes appended but not yet written+synced.
     pending: Vec<u8>,
-    /// Durable length on disk.
+    /// LSN just past the last durable byte on disk.
     durable: u64,
     forces: u64,
 }
 
+const MAGIC: [u8; 4] = *b"CWL1";
+
+fn header(base: u64) -> [u8; FileStore::HEADER_LEN] {
+    let mut h = [0u8; FileStore::HEADER_LEN];
+    h[..4].copy_from_slice(&MAGIC);
+    h[4..12].copy_from_slice(&base.to_le_bytes());
+    let crc = codec::crc32(&h[..12]);
+    h[12..].copy_from_slice(&crc.to_le_bytes());
+    h
+}
+
+fn io_err(what: &str, e: std::io::Error) -> CamelotError {
+    CamelotError::Log(format!("{what}: {e}"))
+}
+
 impl FileStore {
+    /// Bytes of file header before the first frame.
+    pub const HEADER_LEN: usize = 16;
+
     /// Opens (creating if absent) the log file at `path`. Scans the
     /// existing content to find the valid durable prefix; a torn tail
-    /// is truncated away.
+    /// is truncated away. A leftover `<path>.trunc` is a truncation
+    /// that crashed before its rename: the log itself is still whole,
+    /// so the leftover is deleted.
     pub fn open(path: impl AsRef<Path>) -> Result<Self> {
         let path = path.as_ref().to_path_buf();
+        let _ = std::fs::remove_file(Self::trunc_path(&path));
         let mut file = OpenOptions::new()
             .read(true)
             .write(true)
             .create(true)
             .truncate(false)
             .open(&path)
-            .map_err(|e| CamelotError::Log(format!("open {}: {e}", path.display())))?;
+            .map_err(|e| io_err(&format!("open {}", path.display()), e))?;
         let mut existing = Vec::new();
         file.read_to_end(&mut existing)
-            .map_err(|e| CamelotError::Log(format!("read {}: {e}", path.display())))?;
-        // Find the length of the valid frame prefix.
-        let frames = codec::scan(&existing)?;
-        let valid_len = frames
-            .last()
-            .map(|(off, p)| off + (codec::FRAME_HEADER + p.len()) as u64)
-            .unwrap_or(0);
-        if valid_len < existing.len() as u64 {
-            file.set_len(valid_len)
-                .map_err(|e| CamelotError::Log(format!("truncate torn tail: {e}")))?;
-            file.sync_data()
-                .map_err(|e| CamelotError::Log(format!("sync: {e}")))?;
+            .map_err(|e| io_err(&format!("read {}", path.display()), e))?;
+        // A header is written whole and synced before anything follows
+        // it, so a short one can only be a log that crashed while
+        // being created: it never held a frame.
+        if existing.len() < Self::HEADER_LEN {
+            existing = header(0).to_vec();
+            file.set_len(0).map_err(|e| io_err("reset header", e))?;
+            file.seek(SeekFrom::Start(0))
+                .map_err(|e| io_err("seek", e))?;
+            file.write_all(&existing)
+                .map_err(|e| io_err("write header", e))?;
+            file.sync_data().map_err(|e| io_err("sync", e))?;
         }
-        file.seek(SeekFrom::Start(valid_len))
-            .map_err(|e| CamelotError::Log(format!("seek: {e}")))?;
+        let (head, frames) = existing.split_at(Self::HEADER_LEN);
+        let base = u64::from_le_bytes(head[4..12].try_into().expect("8 bytes"));
+        if head != header(base) {
+            return Err(CamelotError::Corruption { offset: 0 });
+        }
+        // Find the length of the valid frame prefix.
+        let valid = codec::valid_len(frames).map_err(|e| codec::at_lsn(e, base))?;
+        let file_len = Self::HEADER_LEN as u64 + valid;
+        if valid < frames.len() as u64 {
+            file.set_len(file_len)
+                .map_err(|e| io_err("truncate torn tail", e))?;
+            file.sync_data().map_err(|e| io_err("sync", e))?;
+        }
+        file.seek(SeekFrom::Start(file_len))
+            .map_err(|e| io_err("seek", e))?;
         Ok(FileStore {
             path,
             file,
+            base,
             pending: Vec::new(),
-            durable: valid_len,
+            durable: base + valid,
             forces: 0,
         })
     }
@@ -249,43 +316,90 @@ impl FileStore {
     pub fn forces(&self) -> u64 {
         self.forces
     }
+
+    fn trunc_path(path: &Path) -> PathBuf {
+        let mut name = path.as_os_str().to_owned();
+        name.push(".trunc");
+        PathBuf::from(name)
+    }
+
+    /// Writes and syncs the first `n` pending bytes.
+    fn write_pending(&mut self, n: usize) -> Result<()> {
+        if n > 0 {
+            self.file
+                .write_all(&self.pending[..n])
+                .map_err(|e| io_err("write", e))?;
+            self.file.sync_data().map_err(|e| io_err("sync", e))?;
+            self.durable += n as u64;
+            self.pending.drain(..n);
+            self.forces += 1;
+        }
+        Ok(())
+    }
+
+    /// Reads the durable frames at and above `from`.
+    fn read_from(&mut self, from: u64) -> Result<Vec<u8>> {
+        let mut f = File::open(&self.path).map_err(|e| io_err("reopen for scan", e))?;
+        f.seek(SeekFrom::Start(
+            Self::HEADER_LEN as u64 + (from - self.base),
+        ))
+        .map_err(|e| io_err("seek", e))?;
+        let mut buf = vec![0u8; (self.durable - from) as usize];
+        f.read_exact(&mut buf).map_err(|e| io_err("scan read", e))?;
+        Ok(buf)
+    }
+
+    /// First half of a truncation: the log as it will be — header with
+    /// the new base, then the retained suffix — written to
+    /// `<path>.trunc` and synced. The log itself is untouched.
+    fn write_truncated(&mut self, cut: u64) -> Result<File> {
+        let retained = self.read_from(cut)?;
+        let mut tmp = OpenOptions::new()
+            .read(true)
+            .write(true)
+            .create(true)
+            .truncate(true)
+            .open(Self::trunc_path(&self.path))
+            .map_err(|e| io_err("create truncated log", e))?;
+        tmp.write_all(&header(cut))
+            .and_then(|()| tmp.write_all(&retained))
+            .and_then(|()| tmp.sync_all())
+            .map_err(|e| io_err("write truncated log", e))?;
+        Ok(tmp)
+    }
+
+    /// Second half: the rename that makes the truncated log *the*
+    /// log, and the directory sync that makes the rename durable.
+    fn install_truncated(&mut self, tmp: File, cut: u64) -> Result<()> {
+        std::fs::rename(Self::trunc_path(&self.path), &self.path)
+            .map_err(|e| io_err("install truncated log", e))?;
+        if let Some(dir) = self.path.parent().filter(|d| !d.as_os_str().is_empty()) {
+            File::open(dir)
+                .and_then(|d| d.sync_all())
+                .map_err(|e| io_err("sync log directory", e))?;
+        }
+        // `tmp` is positioned at its end, which is the durable end.
+        self.file = tmp;
+        self.base = cut;
+        Ok(())
+    }
 }
 
 impl StableStore for FileStore {
     fn append(&mut self, payload: &[u8]) -> Result<Lsn> {
-        let lsn = Lsn(self.durable + self.pending.len() as u64);
-        self.pending.extend_from_slice(&codec::frame(payload));
+        let lsn = self.end_lsn();
+        codec::frame_onto(&mut self.pending, payload);
         Ok(lsn)
     }
 
     fn force(&mut self) -> Result<Lsn> {
-        if !self.pending.is_empty() {
-            self.file
-                .write_all(&self.pending)
-                .map_err(|e| CamelotError::Log(format!("write: {e}")))?;
-            self.file
-                .sync_data()
-                .map_err(|e| CamelotError::Log(format!("sync: {e}")))?;
-            self.durable += self.pending.len() as u64;
-            self.pending.clear();
-            self.forces += 1;
-        }
+        self.write_pending(self.pending.len())?;
         Ok(Lsn(self.durable))
     }
 
     fn force_to(&mut self, upto: Lsn) -> Result<Lsn> {
         let n = (upto.0.saturating_sub(self.durable) as usize).min(self.pending.len());
-        if n > 0 {
-            self.file
-                .write_all(&self.pending[..n])
-                .map_err(|e| CamelotError::Log(format!("write: {e}")))?;
-            self.file
-                .sync_data()
-                .map_err(|e| CamelotError::Log(format!("sync: {e}")))?;
-            self.durable += n as u64;
-            self.pending.drain(..n);
-            self.forces += 1;
-        }
+        self.write_pending(n)?;
         Ok(Lsn(self.durable))
     }
 
@@ -297,17 +411,17 @@ impl StableStore for FileStore {
         Lsn(self.durable + self.pending.len() as u64)
     }
 
-    fn read_durable(&mut self) -> Result<Vec<(Lsn, Vec<u8>)>> {
-        let mut f = File::open(&self.path)
-            .map_err(|e| CamelotError::Log(format!("reopen for scan: {e}")))?;
-        let mut buf = Vec::new();
-        f.read_to_end(&mut buf)
-            .map_err(|e| CamelotError::Log(format!("scan read: {e}")))?;
-        buf.truncate(self.durable as usize);
-        Ok(codec::scan(&buf)?
-            .into_iter()
-            .map(|(off, p)| (Lsn(off), p))
-            .collect())
+    fn base_lsn(&self) -> Lsn {
+        Lsn(self.base)
+    }
+
+    fn truncate_prefix(&mut self, lsn: Lsn) -> Result<Lsn> {
+        let cut = lsn.0.clamp(self.base, self.durable);
+        if cut > self.base {
+            let tmp = self.write_truncated(cut)?;
+            self.install_truncated(tmp, cut)?;
+        }
+        Ok(Lsn(self.base))
     }
 
     fn lose_volatile(&mut self) {
@@ -315,30 +429,22 @@ impl StableStore for FileStore {
     }
 
     fn durable_bytes(&mut self) -> Result<Vec<u8>> {
-        let mut f = File::open(&self.path)
-            .map_err(|e| CamelotError::Log(format!("reopen for image: {e}")))?;
-        let mut buf = Vec::new();
-        f.read_to_end(&mut buf)
-            .map_err(|e| CamelotError::Log(format!("image read: {e}")))?;
-        buf.truncate(self.durable as usize);
-        Ok(buf)
+        self.read_from(self.base)
     }
 
     fn set_durable_bytes(&mut self, bytes: &[u8]) -> Result<()> {
         self.pending.clear();
         self.file
-            .set_len(0)
-            .map_err(|e| CamelotError::Log(format!("truncate for image: {e}")))?;
+            .set_len(Self::HEADER_LEN as u64)
+            .map_err(|e| io_err("truncate for image", e))?;
         self.file
-            .seek(SeekFrom::Start(0))
-            .map_err(|e| CamelotError::Log(format!("seek: {e}")))?;
+            .seek(SeekFrom::End(0))
+            .map_err(|e| io_err("seek", e))?;
         self.file
             .write_all(bytes)
-            .map_err(|e| CamelotError::Log(format!("image write: {e}")))?;
-        self.file
-            .sync_data()
-            .map_err(|e| CamelotError::Log(format!("sync: {e}")))?;
-        self.durable = bytes.len() as u64;
+            .map_err(|e| io_err("image write", e))?;
+        self.file.sync_data().map_err(|e| io_err("sync", e))?;
+        self.durable = self.base + bytes.len() as u64;
         Ok(())
     }
 }
@@ -346,6 +452,24 @@ impl StableStore for FileStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The recovery scan: retained durable frames with their LSNs.
+    fn read_durable(store: &mut dyn StableStore) -> Result<Vec<(Lsn, Vec<u8>)>> {
+        let base = store.base_lsn().0;
+        let frames = codec::scan(&store.durable_bytes()?)?;
+        Ok(frames
+            .into_iter()
+            .map(|(o, p)| (Lsn(base + o), p))
+            .collect())
+    }
+
+    fn scratch(name: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("camelot-wal-test-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join(name);
+        let _ = std::fs::remove_file(&path);
+        path
+    }
 
     fn check_basic(store: &mut dyn StableStore) {
         assert_eq!(store.durable_lsn(), Lsn(0));
@@ -355,7 +479,7 @@ mod tests {
         assert_eq!(store.durable_lsn(), Lsn(0), "append must not be durable");
         let d = store.force().unwrap();
         assert_eq!(d, store.end_lsn());
-        let frames = store.read_durable().unwrap();
+        let frames = read_durable(store).unwrap();
         assert_eq!(frames.len(), 2);
         assert_eq!(frames[0], (l1, b"alpha".to_vec()));
         assert_eq!(frames[1], (l2, b"beta".to_vec()));
@@ -375,13 +499,13 @@ mod tests {
         s.force().unwrap();
         s.append(b"lost").unwrap();
         s.crash();
-        let frames = s.read_durable().unwrap();
+        let frames = read_durable(&mut s).unwrap();
         assert_eq!(frames.len(), 1);
         assert_eq!(frames[0].1, b"kept");
         // After the crash the store can keep being used.
         s.append(b"post").unwrap();
         s.force().unwrap();
-        assert_eq!(s.read_durable().unwrap().len(), 2);
+        assert_eq!(read_durable(&mut s).unwrap().len(), 2);
     }
 
     #[test]
@@ -400,7 +524,7 @@ mod tests {
         store.append(b"second").unwrap();
         let d = store.force_to(boundary).unwrap();
         assert_eq!(d, boundary, "exactly the prefix becomes durable");
-        assert_eq!(store.read_durable().unwrap().len(), 1);
+        assert_eq!(read_durable(store).unwrap().len(), 1);
         assert!(
             store.end_lsn() > store.durable_lsn(),
             "suffix still buffered"
@@ -410,7 +534,7 @@ mod tests {
         // The buffered suffix survives for the next write.
         let all = store.force().unwrap();
         assert_eq!(all, store.end_lsn());
-        assert_eq!(store.read_durable().unwrap().len(), 2);
+        assert_eq!(read_durable(store).unwrap().len(), 2);
     }
 
     #[test]
@@ -422,10 +546,7 @@ mod tests {
 
     #[test]
     fn file_store_partial_force() {
-        let dir = std::env::temp_dir().join(format!("camelot-wal-test-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("partial.log");
-        let _ = std::fs::remove_file(&path);
+        let path = scratch("partial.log");
         let mut s = FileStore::open(&path).unwrap();
         check_partial_force(&mut s);
         std::fs::remove_file(&path).unwrap();
@@ -437,16 +558,13 @@ mod tests {
         s.append(b"a").unwrap();
         s.force().unwrap();
         s.append(b"b").unwrap();
-        let frames = s.read_durable().unwrap();
+        let frames = read_durable(&mut s).unwrap();
         assert_eq!(frames.len(), 1);
     }
 
     #[test]
     fn file_store_basics() {
-        let dir = std::env::temp_dir().join(format!("camelot-wal-test-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("basic.log");
-        let _ = std::fs::remove_file(&path);
+        let path = scratch("basic.log");
         let mut s = FileStore::open(&path).unwrap();
         check_basic(&mut s);
         std::fs::remove_file(&path).unwrap();
@@ -454,10 +572,7 @@ mod tests {
 
     #[test]
     fn file_store_reopen_recovers_synced_prefix() {
-        let dir = std::env::temp_dir().join(format!("camelot-wal-test-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("reopen.log");
-        let _ = std::fs::remove_file(&path);
+        let path = scratch("reopen.log");
         {
             let mut s = FileStore::open(&path).unwrap();
             s.append(b"one").unwrap();
@@ -468,23 +583,20 @@ mod tests {
         }
         {
             let mut s = FileStore::open(&path).unwrap();
-            let frames = s.read_durable().unwrap();
+            let frames = read_durable(&mut s).unwrap();
             assert_eq!(frames.len(), 1);
             assert_eq!(frames[0].1, b"one");
             // And the log keeps working.
             s.append(b"two").unwrap();
             s.force().unwrap();
-            assert_eq!(s.read_durable().unwrap().len(), 2);
+            assert_eq!(read_durable(&mut s).unwrap().len(), 2);
         }
         std::fs::remove_file(&path).unwrap();
     }
 
     #[test]
     fn file_store_truncates_torn_tail() {
-        let dir = std::env::temp_dir().join(format!("camelot-wal-test-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("torn.log");
-        let _ = std::fs::remove_file(&path);
+        let path = scratch("torn.log");
         {
             let mut s = FileStore::open(&path).unwrap();
             s.append(b"good").unwrap();
@@ -499,7 +611,7 @@ mod tests {
         }
         {
             let mut s = FileStore::open(&path).unwrap();
-            let frames = s.read_durable().unwrap();
+            let frames = read_durable(&mut s).unwrap();
             assert_eq!(frames.len(), 1);
             assert_eq!(frames[0].1, b"good");
         }
@@ -508,10 +620,7 @@ mod tests {
 
     #[test]
     fn file_store_reopen_rejects_bitflipped_committed_record() {
-        let dir = std::env::temp_dir().join(format!("camelot-wal-test-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("bitflip.log");
-        let _ = std::fs::remove_file(&path);
+        let path = scratch("bitflip.log");
         {
             let mut s = FileStore::open(&path).unwrap();
             s.append(b"committed-one").unwrap();
@@ -523,7 +632,7 @@ mod tests {
         // mid-log corruption rather than a torn tail.
         {
             let mut bytes = std::fs::read(&path).unwrap();
-            bytes[codec::FRAME_HEADER + 2] ^= 0x04;
+            bytes[FileStore::HEADER_LEN + codec::FRAME_HEADER + 2] ^= 0x04;
             std::fs::write(&path, &bytes).unwrap();
         }
         // Reopen must surface a typed recovery error — not panic, and
@@ -551,7 +660,7 @@ mod tests {
         torn.extend_from_slice(&[9, 0, 0, 0]); // Partial header.
         s.set_durable_bytes(&torn).unwrap();
         assert_eq!(
-            s.read_durable().unwrap().len(),
+            read_durable(&mut s).unwrap().len(),
             2,
             "tear hides nothing durable"
         );
@@ -560,22 +669,19 @@ mod tests {
         let mut flipped = image.clone();
         flipped[codec::FRAME_HEADER + 1] ^= 0x10;
         s.set_durable_bytes(&flipped).unwrap();
-        match s.read_durable() {
+        match read_durable(&mut s) {
             Err(CamelotError::Corruption { offset: 0 }) => {}
             other => panic!("expected Corruption at offset 0, got {other:?}"),
         }
 
         // Restoring the pristine image heals the store.
         s.set_durable_bytes(&image).unwrap();
-        assert_eq!(s.read_durable().unwrap().len(), 2);
+        assert_eq!(read_durable(&mut s).unwrap().len(), 2);
     }
 
     #[test]
     fn file_store_image_hooks() {
-        let dir = std::env::temp_dir().join(format!("camelot-wal-test-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("image-hooks.log");
-        let _ = std::fs::remove_file(&path);
+        let path = scratch("image-hooks.log");
         let mut s = FileStore::open(&path).unwrap();
         s.append(b"alpha").unwrap();
         s.force().unwrap();
@@ -586,13 +692,169 @@ mod tests {
         flipped[codec::FRAME_HEADER] ^= 0x01;
         s.set_durable_bytes(&flipped).unwrap();
         assert!(matches!(
-            s.read_durable(),
+            read_durable(&mut s),
             Err(CamelotError::Corruption { offset: 0 })
         ));
         s.set_durable_bytes(&image).unwrap();
-        let frames = s.read_durable().unwrap();
+        let frames = read_durable(&mut s).unwrap();
         assert_eq!(frames.len(), 1);
         assert_eq!(frames[0].1, b"alpha");
+        std::fs::remove_file(&path).unwrap();
+    }
+    /// Truncation discards a durable prefix and nothing else: LSNs
+    /// keep counting from where they were, the un-forced tail is
+    /// untouched, and the image hooks see the retained suffix only.
+    fn check_truncate(store: &mut dyn StableStore) {
+        let a = store.append(b"alpha").unwrap();
+        let b = store.append(b"beta").unwrap();
+        let c = store.append(b"gamma").unwrap();
+        store.force_to(c).unwrap();
+        assert_eq!(store.base_lsn(), a);
+        // Clamped to the durable watermark: `gamma` is not durable.
+        assert_eq!(store.truncate_prefix(store.end_lsn()).unwrap(), c);
+        assert_eq!(read_durable(store).unwrap(), vec![]);
+        assert_eq!(store.durable_lsn(), c);
+        store.force().unwrap();
+        assert_eq!(read_durable(store).unwrap(), vec![(c, b"gamma".to_vec())]);
+        // At or below the base: a no-op.
+        assert_eq!(store.truncate_prefix(b).unwrap(), c);
+        let d = store.append(b"delta").unwrap();
+        assert!(d > c, "LSNs stay monotonic across a truncation");
+        assert_eq!(d, store.durable_lsn());
+        store.force().unwrap();
+        // The image hooks work on the retained suffix and keep the base.
+        let image = store.durable_bytes().unwrap();
+        assert_eq!(codec::scan(&image).unwrap().len(), 2);
+        store.set_durable_bytes(&image[..image.len() - 3]).unwrap();
+        assert_eq!(store.base_lsn(), c);
+        assert_eq!(read_durable(store).unwrap(), vec![(c, b"gamma".to_vec())]);
+        store.set_durable_bytes(&image).unwrap();
+        assert_eq!(store.end_lsn().0, c.0 + image.len() as u64);
+        assert_eq!(read_durable(store).unwrap().len(), 2);
+    }
+
+    #[test]
+    fn mem_store_truncate() {
+        check_truncate(&mut MemStore::new());
+    }
+
+    #[test]
+    fn file_store_truncate() {
+        let path = scratch("truncate.log");
+        check_truncate(&mut FileStore::open(&path).unwrap());
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn file_store_reopen_after_truncation_keeps_lsns() {
+        let path = scratch("truncate-reopen.log");
+        let (kept, end) = {
+            let mut s = FileStore::open(&path).unwrap();
+            s.append(b"dead weight").unwrap();
+            let kept = s.append(b"kept").unwrap();
+            s.force().unwrap();
+            assert_eq!(s.truncate_prefix(kept).unwrap(), kept);
+            s.append(b"never-synced").unwrap();
+            (kept, s.durable_lsn())
+        };
+        let mut s = FileStore::open(&path).unwrap();
+        assert_eq!(
+            (s.base_lsn(), s.durable_lsn(), s.end_lsn()),
+            (kept, end, end)
+        );
+        assert_eq!(
+            read_durable(&mut s).unwrap(),
+            vec![(kept, b"kept".to_vec())]
+        );
+        let next = s.append(b"after").unwrap();
+        assert_eq!(next, end, "the next LSN continues the old numbering");
+        s.force().unwrap();
+        drop(s);
+        // Torn-tail handling on a truncated file: the tear is cut off
+        // and the base survives.
+        {
+            let mut f = OpenOptions::new().append(true).open(&path).unwrap();
+            f.write_all(&[7, 0, 0, 0]).unwrap();
+        }
+        let mut s = FileStore::open(&path).unwrap();
+        assert_eq!(s.base_lsn(), kept);
+        let frames = read_durable(&mut s).unwrap();
+        assert_eq!(
+            frames,
+            vec![(kept, b"kept".to_vec()), (next, b"after".to_vec())]
+        );
+        // Corruption is reported at its LSN, not its file offset.
+        drop(s);
+        let mut bytes = std::fs::read(&path).unwrap();
+        bytes[FileStore::HEADER_LEN + codec::FRAME_HEADER] ^= 0x01;
+        std::fs::write(&path, &bytes).unwrap();
+        match FileStore::open(&path) {
+            Err(CamelotError::Corruption { offset }) => assert_eq!(offset, kept.0),
+            other => panic!("expected Corruption error, got {other:?}"),
+        }
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    /// The two crash windows of a truncation. Before the rename the
+    /// old log is whole and the half-made copy (complete or not) is
+    /// discarded; after it the new log is whole. Either way the same
+    /// records are recovered from `kept` on.
+    #[test]
+    fn file_store_truncation_crash_windows() {
+        let path = scratch("truncate-crash.log");
+        let trunc = FileStore::trunc_path(&path);
+        let mut s = FileStore::open(&path).unwrap();
+        let first = s.append(b"dead weight").unwrap();
+        let kept = s.append(b"kept").unwrap();
+        s.force().unwrap();
+        // Crash with the copy written and synced but not installed.
+        drop(s.write_truncated(kept.0).unwrap());
+        drop(s);
+        assert!(trunc.exists());
+        let mut s = FileStore::open(&path).unwrap();
+        assert!(!trunc.exists(), "a leftover copy is deleted");
+        assert_eq!(s.base_lsn(), first);
+        assert_eq!(read_durable(&mut s).unwrap().len(), 2);
+        // Crash with the copy half written.
+        drop(s);
+        std::fs::write(&trunc, &header(kept.0)[..9]).unwrap();
+        let mut s = FileStore::open(&path).unwrap();
+        assert_eq!(s.base_lsn(), first);
+        assert_eq!(read_durable(&mut s).unwrap().len(), 2);
+        // Crash right after the rename.
+        let tmp = s.write_truncated(kept.0).unwrap();
+        s.install_truncated(tmp, kept.0).unwrap();
+        drop(s);
+        let mut s = FileStore::open(&path).unwrap();
+        assert_eq!(s.base_lsn(), kept);
+        assert_eq!(
+            read_durable(&mut s).unwrap(),
+            vec![(kept, b"kept".to_vec())]
+        );
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn file_store_rejects_a_damaged_header() {
+        let path = scratch("header.log");
+        {
+            let mut s = FileStore::open(&path).unwrap();
+            s.append(b"one").unwrap();
+            s.force().unwrap();
+        }
+        let mut bytes = std::fs::read(&path).unwrap();
+        bytes[5] ^= 0x01; // Inside the base LSN.
+        std::fs::write(&path, &bytes).unwrap();
+        assert!(matches!(
+            FileStore::open(&path),
+            Err(CamelotError::Corruption { offset: 0 })
+        ));
+        // A header cut short is a log that crashed while being
+        // created: it reopens empty.
+        std::fs::write(&path, &bytes[..7]).unwrap();
+        let mut s = FileStore::open(&path).unwrap();
+        assert_eq!((s.base_lsn(), s.end_lsn()), (Lsn(0), Lsn(0)));
+        assert!(read_durable(&mut s).unwrap().is_empty());
         std::fs::remove_file(&path).unwrap();
     }
 }

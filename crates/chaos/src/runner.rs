@@ -20,12 +20,12 @@
 
 use std::collections::BTreeMap;
 
-use camelot_core::testkit::Net;
+use camelot_core::testkit::{self, Net};
 use camelot_core::{Action, EngineConfig};
 use camelot_net::Outcome;
 use camelot_server::{DataServer, Request};
 use camelot_types::{FamilyId, SiteId};
-use camelot_wal::LogRecord;
+use camelot_wal::{LogRecord, StableStore};
 
 use crate::choice::Chooser;
 use crate::scenario::{self, OpKind, Scenario, TxnSpec, SRV};
@@ -50,6 +50,11 @@ pub struct RunResult {
     pub violations: Vec<String>,
     /// Explorer steps taken before healing.
     pub steps: usize,
+    /// [`Net::action_digest`] at the end of the run: every engine
+    /// step of the schedule (input and actions) folded into one word.
+    pub action_digest: u64,
+    /// Each site's final log image, in site order.
+    pub wal_images: Vec<(SiteId, Vec<u8>)>,
 }
 
 /// One legal explorer move.
@@ -74,6 +79,7 @@ pub fn run_one(ch: &mut Chooser, canary: bool) -> RunResult {
     let mut config = EngineConfig::for_variant(sc.variant);
     config.unsafe_no_commit_force = canary;
     let mut net = Net::new(sc.sites, config.clone());
+    net.action_digest = Some(testkit::FNV_OFFSET);
     // Stand in for the communication managers' abort relaying (§3.1):
     // without it a lost abort notice can leave an unprepared
     // subordinate holding locks forever, which is a runtime gap, not
@@ -255,11 +261,21 @@ pub fn run_one(ch: &mut Chooser, canary: bool) -> RunResult {
     violations.sort();
     violations.dedup();
 
+    let wal_images = sites
+        .iter()
+        .map(|s| {
+            let wal = &mut net.sites.get_mut(s).expect("site exists").wal;
+            wal.force().expect("force");
+            (*s, wal.store_mut().durable_bytes().expect("image"))
+        })
+        .collect();
     RunResult {
         scenario: sc,
         trace: ch.trace.clone(),
         violations,
         steps,
+        action_digest: net.action_digest.expect("recording since the start"),
+        wal_images,
     }
 }
 

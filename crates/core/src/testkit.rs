@@ -8,7 +8,7 @@
 //! only when the test asks. The latency-faithful simulation lives in
 //! `camelot-node`.
 
-use std::collections::{BTreeSet, HashMap, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 
 use camelot_net::{Outcome, TmMessage, Vote};
 use camelot_types::{AbortReason, FamilyId, ServerId, SiteId, Tid, Time};
@@ -38,7 +38,9 @@ struct TimerEntry {
 
 /// The harness.
 pub struct Net {
-    pub sites: HashMap<SiteId, SiteBox>,
+    /// Ordered, so that everything that walks the sites (abort relay,
+    /// heal, flush rounds) does so in the same order on every run.
+    pub sites: BTreeMap<SiteId, SiteBox>,
     queue: VecDeque<(SiteId, Input)>,
     timers: Vec<TimerEntry>,
     pub now: Time,
@@ -65,13 +67,32 @@ pub struct Net {
     /// communication managers' abort relaying (the node and rt
     /// runtimes do this along recorded spread). Default `false`.
     pub relay_aborts: bool,
+    /// Running FNV-1a digest of every engine step — the site, the
+    /// input, the step's actions as sorted `Debug` strings (the order
+    /// of actions *within* one step is not part of the contract; log
+    /// and datagram order show up in later steps and in the WAL) and
+    /// the engine's counters after the step. `None` (the default) records nothing; set it to
+    /// `Some(`[`FNV_OFFSET`]`)` to record. The behaviour-equivalence
+    /// oracle (`tests/golden_actions.rs`) pins this value over a
+    /// chaos campaign.
+    pub action_digest: Option<u64>,
     next_req: u64,
+}
+
+/// Initial state of [`Net::action_digest`] (the FNV-1a offset basis).
+pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// Folds `bytes` and a terminator into an FNV-1a state.
+pub fn fnv1a(state: &mut u64, bytes: &[u8]) {
+    for b in bytes.iter().chain(&[0xff]) {
+        *state = (*state ^ u64::from(*b)).wrapping_mul(0x0000_0100_0000_01b3);
+    }
 }
 
 impl Net {
     /// Builds `n` sites with ids 1..=n, all using `config`.
     pub fn new(n: u32, config: EngineConfig) -> Net {
-        let mut sites = HashMap::new();
+        let mut sites = BTreeMap::new();
         for i in 1..=n {
             let id = SiteId(i);
             sites.insert(
@@ -97,6 +118,7 @@ impl Net {
             events: Vec::new(),
             auto_drain: true,
             relay_aborts: false,
+            action_digest: None,
             next_req: 100,
         }
     }
@@ -151,14 +173,33 @@ impl Net {
             return true;
         }
         let now = self.now;
+        let label = self.action_digest.map(|_| format!("{input:?}"));
         let actions = {
             let sb = self.sites.get_mut(&site).expect("site exists");
             sb.engine.handle(input, now)
         };
+        if let Some(label) = label {
+            self.fold_step(site, &label, &actions);
+        }
         for a in actions {
             self.apply(site, a);
         }
         true
+    }
+
+    fn fold_step(&mut self, site: SiteId, input: &str, actions: &[Action]) {
+        let Some(state) = &mut self.action_digest else {
+            return;
+        };
+        let mut lines: Vec<String> = actions.iter().map(|a| format!("{a:?}")).collect();
+        lines.sort();
+        fnv1a(state, &site.0.to_le_bytes());
+        fnv1a(state, input.as_bytes());
+        for line in &lines {
+            fnv1a(state, line.as_bytes());
+        }
+        let stats = self.sites[&site].engine.stats();
+        fnv1a(state, format!("{stats:?}").as_bytes());
     }
 
     /// Discards the `idx`-th queued input (targeted message loss).
@@ -391,6 +432,7 @@ impl Net {
         let (engine, actions) = Engine::recover(site, config, &records);
         let sb = self.sites.get_mut(&site).expect("site exists");
         sb.engine = engine;
+        self.fold_step(site, "restart", &actions);
         for a in actions {
             self.apply(site, a);
         }

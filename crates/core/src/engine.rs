@@ -5,7 +5,7 @@
 //! Protocol-specific handling lives in [`crate::twophase`] and
 //! [`crate::nonblocking`]; restart recovery in [`crate::recovery`].
 
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 
 use camelot_net::{Outcome, TmMessage, Vote};
 use camelot_obs::{TraceEventKind, Tracer};
@@ -13,88 +13,82 @@ use camelot_types::{AbortReason, Duration, FamilyId, ServerId, SiteId, Tid, Time
 use camelot_wal::LogRecord;
 
 use crate::config::{CommitMode, EngineConfig};
-use crate::family::{Family, FamilyView, Role, TxnStatus};
+use crate::family::{Family, FamilyView, Role, SubPhase, TallyStep, TxnStatus};
 use crate::io::{Action, ForceToken, Input, TimerToken};
+
+/// Which protocol step issued a force/append-notify.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum ForceKind {
+    CoordCommit,
+    SubPrepared,
+    SubCommit,
+    SubCommitLazy,
+    NbBegin,
+    NbSubPrepared,
+    NbSubReplicate,
+    NbCoordCommit,
+    NbSubOutcomeLazy,
+    NbSubAbortJoin,
+    TkCommit,
+    TkAbortJoin,
+}
 
 /// Why a force/append-notify was issued; routes the completion input.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum ForcePurpose {
-    CoordCommit(FamilyId),
-    SubPrepared(FamilyId),
-    SubCommit(FamilyId),
-    SubCommitLazy(FamilyId),
-    NbBegin(FamilyId),
-    NbSubPrepared(FamilyId),
-    NbSubReplicate(FamilyId),
-    NbCoordCommit(FamilyId),
-    NbSubOutcomeLazy(FamilyId),
-    NbSubAbortJoin(FamilyId),
-    TkCommit(FamilyId),
-    TkAbortJoin(FamilyId),
+pub(crate) struct ForcePurpose {
+    pub kind: ForceKind,
+    pub family: FamilyId,
 }
 
-impl ForcePurpose {
-    pub(crate) fn family(&self) -> FamilyId {
-        match self {
-            ForcePurpose::CoordCommit(f)
-            | ForcePurpose::SubPrepared(f)
-            | ForcePurpose::SubCommit(f)
-            | ForcePurpose::SubCommitLazy(f)
-            | ForcePurpose::NbBegin(f)
-            | ForcePurpose::NbSubPrepared(f)
-            | ForcePurpose::NbSubReplicate(f)
-            | ForcePurpose::NbCoordCommit(f)
-            | ForcePurpose::NbSubOutcomeLazy(f)
-            | ForcePurpose::NbSubAbortJoin(f)
-            | ForcePurpose::TkCommit(f)
-            | ForcePurpose::TkAbortJoin(f) => *f,
-        }
-    }
-
+impl ForceKind {
     /// True for append-without-force purposes — the delayed-commit
     /// optimization's lazy records.
-    pub(crate) fn is_lazy(&self) -> bool {
-        matches!(
-            self,
-            ForcePurpose::SubCommitLazy(_) | ForcePurpose::NbSubOutcomeLazy(_)
-        )
+    pub(crate) fn is_lazy(self) -> bool {
+        matches!(self, ForceKind::SubCommitLazy | ForceKind::NbSubOutcomeLazy)
     }
 
-    pub(crate) fn name(&self) -> &'static str {
+    /// Stable name for trace events.
+    pub(crate) fn name(self) -> &'static str {
         match self {
-            ForcePurpose::CoordCommit(_) => "CoordCommit",
-            ForcePurpose::SubPrepared(_) => "SubPrepared",
-            ForcePurpose::SubCommit(_) => "SubCommit",
-            ForcePurpose::SubCommitLazy(_) => "SubCommitLazy",
-            ForcePurpose::NbBegin(_) => "NbBegin",
-            ForcePurpose::NbSubPrepared(_) => "NbSubPrepared",
-            ForcePurpose::NbSubReplicate(_) => "NbSubReplicate",
-            ForcePurpose::NbCoordCommit(_) => "NbCoordCommit",
-            ForcePurpose::NbSubOutcomeLazy(_) => "NbSubOutcomeLazy",
-            ForcePurpose::NbSubAbortJoin(_) => "NbSubAbortJoin",
-            ForcePurpose::TkCommit(_) => "TkCommit",
-            ForcePurpose::TkAbortJoin(_) => "TkAbortJoin",
+            ForceKind::CoordCommit => "CoordCommit",
+            ForceKind::SubPrepared => "SubPrepared",
+            ForceKind::SubCommit => "SubCommit",
+            ForceKind::SubCommitLazy => "SubCommitLazy",
+            ForceKind::NbBegin => "NbBegin",
+            ForceKind::NbSubPrepared => "NbSubPrepared",
+            ForceKind::NbSubReplicate => "NbSubReplicate",
+            ForceKind::NbCoordCommit => "NbCoordCommit",
+            ForceKind::NbSubOutcomeLazy => "NbSubOutcomeLazy",
+            ForceKind::NbSubAbortJoin => "NbSubAbortJoin",
+            ForceKind::TkCommit => "TkCommit",
+            ForceKind::TkAbortJoin => "TkAbortJoin",
         }
     }
+}
+
+/// Which watchdog of a family's commitment a timer is.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum TimerKind {
+    VoteTimeout,
+    Inquiry,
+    NotifyResend,
+    /// Watchdog for the non-blocking replication phase: re-send
+    /// `NbReplicate` to targets whose ack is missing.
+    ReplicateResend,
+    NbOutcome,
+    TakeoverWindow,
+    RecruitWindow,
+    TakeoverRetry,
+    /// Watchdog for a remote-origin family still executing: the abort
+    /// relay that should have reached us may have been lost.
+    OrphanCheck,
 }
 
 /// Why a timer was set; routes the firing input.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum TimerPurpose {
-    VoteTimeout(FamilyId),
-    Inquiry(FamilyId),
-    NotifyResend(FamilyId),
-    /// Watchdog for the non-blocking replication phase: re-send
-    /// `NbReplicate` to targets whose ack is missing.
-    ReplicateResend(FamilyId),
-    NbOutcome(FamilyId),
-    TakeoverWindow(FamilyId),
-    RecruitWindow(FamilyId),
-    TakeoverRetry(FamilyId),
+    Family(TimerKind, FamilyId),
     AckFlush(SiteId),
-    /// Watchdog for a remote-origin family still executing: the abort
-    /// relay that should have reached us may have been lost.
-    OrphanCheck(FamilyId),
 }
 
 /// Counters the experiments read off the engine.
@@ -308,14 +302,41 @@ impl Engine {
         let t = ForceToken(self.next_token);
         self.next_token += self.shard_stride;
         self.tracer.family(
-            p.family(),
+            p.family,
             TraceEventKind::LogEnqueue {
-                purpose: p.name(),
-                lazy: p.is_lazy(),
+                purpose: p.kind.name(),
+                lazy: p.kind.is_lazy(),
             },
         );
         self.forces.insert(t, p);
         t
+    }
+
+    /// Forces `rec`; its completion comes back as `kind` for `family`.
+    pub(crate) fn force(
+        &mut self,
+        out: &mut Vec<Action>,
+        kind: ForceKind,
+        family: FamilyId,
+        rec: LogRecord,
+    ) {
+        let token = self.alloc_force(ForcePurpose { kind, family });
+        self.stats.forces += 1;
+        out.push(Action::Force { rec, token });
+    }
+
+    /// Appends `rec` without forcing it — a force the delayed-commit
+    /// optimization avoids; `kind` comes back once it is durable.
+    pub(crate) fn append_lazy(
+        &mut self,
+        out: &mut Vec<Action>,
+        kind: ForceKind,
+        family: FamilyId,
+        rec: LogRecord,
+    ) {
+        let token = self.alloc_force(ForcePurpose { kind, family });
+        self.stats.lazy_appends += 1;
+        out.push(Action::AppendNotify { rec, token });
     }
 
     pub(crate) fn alloc_timer(&mut self, p: TimerPurpose) -> TimerToken {
@@ -325,6 +346,54 @@ impl Engine {
         t
     }
 
+    /// Arms `family`'s timer (`kind` says which slot: the orphan
+    /// watchdog has its own, every commitment role shares the other)
+    /// for the `attempt`-th firing of a schedule based on `base`.
+    pub(crate) fn arm_attempt(
+        &mut self,
+        out: &mut Vec<Action>,
+        kind: TimerKind,
+        family: FamilyId,
+        base: Duration,
+        attempt: u32,
+    ) {
+        let token = self.alloc_timer(TimerPurpose::Family(kind, family));
+        if let Some(fam) = self.families.get_mut(&family) {
+            fam.retry_attempts = attempt;
+            match kind {
+                TimerKind::OrphanCheck => fam.orphan_timer = Some(token),
+                _ => fam.timer = Some(token),
+            }
+        }
+        let after = self.retry_after(&family, base, attempt);
+        out.push(Action::SetTimer { token, after });
+    }
+
+    /// Arms `family`'s timer to fire `after` from now, starting a
+    /// fresh retry schedule.
+    pub(crate) fn arm(
+        &mut self,
+        out: &mut Vec<Action>,
+        kind: TimerKind,
+        family: FamilyId,
+        after: Duration,
+    ) {
+        self.arm_attempt(out, kind, family, after, 0);
+    }
+
+    /// Re-arms a periodic timer that just fired, one step further
+    /// along the backoff schedule over `base`.
+    pub(crate) fn rearm_with_backoff(
+        &mut self,
+        out: &mut Vec<Action>,
+        kind: TimerKind,
+        family: FamilyId,
+        base: Duration,
+    ) {
+        let attempt = self.families.get(&family).map_or(0, |f| f.retry_attempts) + 1;
+        self.arm_attempt(out, kind, family, base, attempt);
+    }
+
     pub(crate) fn cancel_timer(&mut self, out: &mut Vec<Action>, t: Option<TimerToken>) {
         if let Some(t) = t {
             self.timers.remove(&t);
@@ -332,10 +401,26 @@ impl Engine {
         }
     }
 
+    /// Cancels the timer of `family`'s commitment role, if one is set.
+    pub(crate) fn disarm(&mut self, out: &mut Vec<Action>, family: FamilyId) {
+        let timer = self.families.get_mut(&family).and_then(|f| f.timer.take());
+        self.cancel_timer(out, timer);
+    }
+
     /// Emits a datagram, attaching any queued piggybackable messages
     /// for the same destination.
     pub(crate) fn send(&mut self, out: &mut Vec<Action>, to: SiteId, msg: TmMessage) {
         let piggyback = self.pending_acks.remove(&to).unwrap_or_default();
+        self.send_with(out, to, msg, piggyback);
+    }
+
+    fn send_with(
+        &mut self,
+        out: &mut Vec<Action>,
+        to: SiteId,
+        msg: TmMessage,
+        piggyback: Vec<TmMessage>,
+    ) {
         self.stats.datagrams += 1;
         self.stats.piggybacked += piggyback.len() as u64;
         self.tracer.family(
@@ -419,22 +504,7 @@ impl Engine {
     pub(crate) fn forget_family(&mut self, id: &FamilyId) {
         self.retire_orphan_timer(id);
         self.families.remove(id);
-        self.forces.retain(|_, p| {
-            !matches!(p,
-                ForcePurpose::CoordCommit(f)
-                | ForcePurpose::SubPrepared(f)
-                | ForcePurpose::SubCommit(f)
-                | ForcePurpose::SubCommitLazy(f)
-                | ForcePurpose::NbBegin(f)
-                | ForcePurpose::NbSubPrepared(f)
-                | ForcePurpose::NbSubReplicate(f)
-                | ForcePurpose::NbCoordCommit(f)
-                | ForcePurpose::NbSubOutcomeLazy(f)
-                | ForcePurpose::NbSubAbortJoin(f)
-                | ForcePurpose::TkCommit(f)
-                | ForcePurpose::TkAbortJoin(f)
-                if f == id)
-        });
+        self.forces.retain(|_, p| p.family != *id);
     }
 
     /// Backed-off interval for the `attempt`-th firing of a periodic
@@ -473,14 +543,92 @@ impl Engine {
         self.resolutions.insert(id, outcome);
     }
 
+    /// What every resolution does at the site where it happens, short
+    /// of booking it: answer the application's pending call (at its
+    /// home site), write the abort record (aborts only; it is what
+    /// recovery uses to keep the family's updates out of redo), and
+    /// tell the local servers to commit or abort.
+    pub(crate) fn settle_here(
+        &mut self,
+        out: &mut Vec<Action>,
+        family: FamilyId,
+        outcome: Outcome,
+        reason: Option<AbortReason>,
+    ) {
+        let Some(fam) = self.families.get_mut(&family) else {
+            return;
+        };
+        let tid = fam.top_tid();
+        let servers: Vec<ServerId> = fam.servers.iter().copied().collect();
+        if outcome == Outcome::Aborted {
+            fam.mark_subtree(&tid, TxnStatus::Aborted);
+            out.push(Action::Append {
+                rec: LogRecord::Abort { tid: tid.clone() },
+            });
+        }
+        if let Some(req) = fam.commit_req.take() {
+            out.push(Action::Resolved {
+                req,
+                tid: tid.clone(),
+                outcome,
+                reason,
+            });
+        }
+        if !servers.is_empty() {
+            out.push(match outcome {
+                Outcome::Committed => Action::ServerCommit { tid, servers },
+                Outcome::Aborted => Action::ServerAbort { tid, servers },
+            });
+        }
+    }
+
+    /// The epilogue of a resolution at this site: [`Engine::settle_here`]
+    /// plus the booking of the outcome.
+    pub(crate) fn resolve_here(
+        &mut self,
+        out: &mut Vec<Action>,
+        family: FamilyId,
+        outcome: Outcome,
+        reason: Option<AbortReason>,
+    ) {
+        self.settle_here(out, family, outcome, reason);
+        self.record_resolution(family, outcome);
+    }
+
+    /// Enters the notify phase: tells `to` the outcome (a commit
+    /// notice under two-phase commit, an `NbOutcome` otherwise) and
+    /// keeps re-sending until every one of them acknowledges.
+    pub(crate) fn announce(
+        &mut self,
+        out: &mut Vec<Action>,
+        family: FamilyId,
+        to: BTreeSet<SiteId>,
+        outcome: Outcome,
+    ) {
+        let Some(fam) = self.families.get_mut(&family) else {
+            return;
+        };
+        let msg = outcome_msg(fam, outcome);
+        fam.set_notifying(to.clone(), outcome);
+        self.arm(
+            out,
+            TimerKind::NotifyResend,
+            family,
+            self.config.notify_resend_interval,
+        );
+        self.broadcast(out, to.into_iter().collect(), msg);
+    }
+
     // -----------------------------------------------------------------
     // Dispatch
     // -----------------------------------------------------------------
 
     /// Consumes one input, returning the actions the runtime must
     /// perform. The engine never blocks; long-running work is split
-    /// across force/timer completions.
-    pub fn handle(&mut self, input: Input, now: Time) -> Vec<Action> {
+    /// across force/timer completions. It never reads the clock
+    /// either: `_now` is part of the hosts' calling convention and is
+    /// not looked at — every delay the engine needs is a timer.
+    pub fn handle(&mut self, input: Input, _now: Time) -> Vec<Action> {
         let mut out = Vec::new();
         match input {
             Input::Begin { req } => self.on_begin(&mut out, req),
@@ -491,23 +639,7 @@ impl Engine {
                 tid,
                 mode,
                 participants,
-            } => {
-                self.tracer.family(
-                    tid.family,
-                    TraceEventKind::CommitCall {
-                        mode: match mode {
-                            CommitMode::TwoPhase => "2pc",
-                            CommitMode::NonBlocking => "nb",
-                        },
-                    },
-                );
-                match mode {
-                    CommitMode::TwoPhase => self.commit_2pc(&mut out, req, tid, participants, now),
-                    CommitMode::NonBlocking => {
-                        self.commit_nb(&mut out, req, tid, participants, now)
-                    }
-                }
-            }
+            } => self.commit_top(&mut out, req, tid, mode, participants),
             Input::CommitNested {
                 req,
                 tid,
@@ -520,13 +652,13 @@ impl Engine {
                 participants,
             } => self.on_abort(&mut out, req, tid, reason, participants),
             Input::ServerVote { tid, server, vote } => {
-                self.on_server_vote(&mut out, tid, server, vote, now)
+                self.on_server_vote(&mut out, tid, server, vote)
             }
-            Input::Datagram { from, msg } => self.on_datagram(&mut out, from, msg, now),
+            Input::Datagram { from, msg } => self.on_datagram(&mut out, from, msg),
             Input::LogForced { token } | Input::LogDurable { token } => {
-                self.on_log_done(&mut out, token, now)
+                self.on_log_done(&mut out, token)
             }
-            Input::TimerFired { token } => self.on_timer(&mut out, token, now),
+            Input::TimerFired { token } => self.on_timer(&mut out, token),
         }
         out.extend(
             self.retired_timers
@@ -612,12 +744,12 @@ impl Engine {
             && fam.orphan_timer.is_none()
             && matches!(fam.role, Role::Executing)
         {
-            let t = self.alloc_timer(TimerPurpose::OrphanCheck(tid.family));
-            let after = self.config.orphan_check_interval;
-            if let Some(fam) = self.families.get_mut(&tid.family) {
-                fam.orphan_timer = Some(t);
-            }
-            out.push(Action::SetTimer { token: t, after });
+            self.arm(
+                out,
+                TimerKind::OrphanCheck,
+                tid.family,
+                self.config.orphan_check_interval,
+            );
         }
     }
 
@@ -733,22 +865,18 @@ impl Engine {
             return;
         }
         // Top-level abort.
+        let undecided = fam.open_tally().is_some();
         match &fam.role {
             Role::Executing => {
-                let servers: Vec<ServerId> = fam.servers.iter().copied().collect();
-                fam.mark_subtree(&tid, TxnStatus::Aborted);
-                out.push(Action::Append {
-                    rec: LogRecord::Abort { tid: tid.clone() },
-                });
-                if !servers.is_empty() {
-                    out.push(Action::ServerAbort {
-                        tid: tid.clone(),
-                        servers,
-                    });
-                }
-                self.broadcast(out, participants, TmMessage::Abort { tid: tid.clone() });
-                self.record_resolution(tid.family, Outcome::Aborted);
+                fam.commit_req = Some(req);
+                self.resolve_here(out, tid.family, Outcome::Aborted, Some(reason));
                 self.forget_family(&tid.family);
+                self.broadcast(out, participants, TmMessage::Abort { tid });
+            }
+            // Abort during early commitment: fold into the protocol's
+            // abort path if the decision is still open.
+            Role::Coord2pc(_) | Role::CoordNb(_) if undecided => {
+                self.coord_abort(out, tid.family, reason);
                 out.push(Action::Resolved {
                     req,
                     tid,
@@ -756,34 +884,25 @@ impl Engine {
                     reason: Some(reason),
                 });
             }
-            Role::Coord2pc(_) | Role::CoordNb(_) => {
-                // Abort during early commitment: fold into the
-                // protocol's abort path if the decision is still open.
-                self.coordinator_abort_request(out, req, tid, reason);
-            }
-            _ => {
-                out.push(Action::Rejected {
-                    req,
-                    tid,
-                    detail: "not the coordinator",
-                });
-            }
+            Role::Coord2pc(_) | Role::CoordNb(_) => out.push(Action::Rejected {
+                req,
+                tid,
+                detail: "too late to abort",
+            }),
+            _ => out.push(Action::Rejected {
+                req,
+                tid,
+                detail: "not the coordinator",
+            }),
         }
     }
 
     // -----------------------------------------------------------------
-    // Server votes and datagrams route to the protocol modules
+    // Phase-one votes: one tally step, then the role's continuation
     // -----------------------------------------------------------------
 
-    fn on_server_vote(
-        &mut self,
-        out: &mut Vec<Action>,
-        tid: Tid,
-        server: ServerId,
-        vote: Vote,
-        now: Time,
-    ) {
-        let Some(fam) = self.families.get(&tid.family) else {
+    fn on_server_vote(&mut self, out: &mut Vec<Action>, tid: Tid, server: ServerId, vote: Vote) {
+        let Some(fam) = self.families.get_mut(&tid.family) else {
             return;
         };
         self.tracer.family(
@@ -797,16 +916,71 @@ impl Engine {
                 },
             },
         );
-        match &fam.role {
-            Role::Coord2pc(_) => self.coord2pc_server_vote(out, tid, server, vote, now),
-            Role::Sub2pc(_) => self.sub2pc_server_vote(out, tid, server, vote, now),
-            Role::CoordNb(_) => self.coordnb_server_vote(out, tid, server, vote, now),
-            Role::SubNb(_) => self.subnb_server_vote(out, tid, server, vote, now),
-            _ => {}
+        if let Some(tally) = fam.open_tally() {
+            let step = tally.tally_local(server, vote);
+            self.tallied(out, tid.family, step);
         }
     }
 
-    fn on_datagram(&mut self, out: &mut Vec<Action>, from: SiteId, msg: TmMessage, now: Time) {
+    /// A subordinate's phase-one vote arrived (`mode`: in which
+    /// protocol's message).
+    fn on_site_vote(
+        &mut self,
+        out: &mut Vec<Action>,
+        tid: Tid,
+        from: SiteId,
+        vote: Vote,
+        mode: CommitMode,
+    ) {
+        let Some(fam) = self.families.get_mut(&tid.family) else {
+            return;
+        };
+        if fam.mode() != Some(mode) {
+            return;
+        }
+        if let Some(tally) = fam.open_tally() {
+            let step = tally.tally_site(from, vote);
+            self.tallied(out, tid.family, step);
+        }
+    }
+
+    /// Continues after a vote was counted: a veto aborts, the last
+    /// vote moves the role on.
+    fn tallied(&mut self, out: &mut Vec<Action>, family: FamilyId, step: TallyStep) {
+        let Some(fam) = self.families.get(&family) else {
+            return;
+        };
+        match (step, &fam.role) {
+            (TallyStep::Stale | TallyStep::Waiting, _) => {}
+            (TallyStep::Veto, Role::Sub2pc(_) | Role::SubNb(_)) => self.sub_veto(out, family),
+            (TallyStep::Veto, _) => self.coord_abort(out, family, AbortReason::ServerVetoed),
+            (TallyStep::AllIn { update }, Role::Coord2pc(_)) => {
+                self.coord2pc_votes_in(out, family, update)
+            }
+            (TallyStep::AllIn { .. }, Role::CoordNb(_)) => self.coordnb_maybe_proceed(out, family),
+            (TallyStep::AllIn { update }, _) => self.sub_votes_in(out, family, update),
+        }
+    }
+
+    /// Coordinator-side abort while the decision is still open.
+    pub(crate) fn coord_abort(
+        &mut self,
+        out: &mut Vec<Action>,
+        family: FamilyId,
+        reason: AbortReason,
+    ) {
+        match self.families.get(&family).and_then(|f| f.mode()) {
+            Some(CommitMode::TwoPhase) => self.coord2pc_abort(out, family, reason),
+            Some(CommitMode::NonBlocking) => self.coordnb_abort(out, family, reason),
+            None => {}
+        }
+    }
+
+    // -----------------------------------------------------------------
+    // Datagrams route to the protocol modules
+    // -----------------------------------------------------------------
+
+    fn on_datagram(&mut self, out: &mut Vec<Action>, from: SiteId, msg: TmMessage) {
         self.tracer.family(
             msg.tid().family,
             TraceEventKind::DatagramRecv {
@@ -814,53 +988,54 @@ impl Engine {
                 msg: msg.kind_name(),
             },
         );
+        use CommitMode::{NonBlocking, TwoPhase};
         match msg {
-            // Two-phase commit.
+            // Phase one and the notify phase: shared steps, told which
+            // protocol's message arrived.
             TmMessage::Prepare { tid, coordinator } => {
-                self.sub2pc_prepare(out, tid, coordinator, now)
+                self.sub_prepare(out, tid, coordinator, None)
             }
-            TmMessage::VoteMsg { tid, from, vote } => self.coord2pc_vote(out, tid, from, vote, now),
-            TmMessage::Commit { tid } => self.sub2pc_commit(out, tid, now),
-            TmMessage::Abort { tid } => self.participant_abort(out, tid),
-            TmMessage::CommitAck { tid, from } => self.coord2pc_ack(out, tid, from),
-            TmMessage::Inquire { tid, from } => self.answer_inquiry(out, tid, from),
-            TmMessage::InquireResp { tid, outcome } => {
-                self.sub2pc_inquire_resp(out, tid, outcome, now)
-            }
-            // Non-blocking commit.
             TmMessage::NbPrepare {
                 tid,
                 coordinator,
                 info,
-            } => self.subnb_prepare(out, tid, coordinator, info, now),
-            TmMessage::NbVote { tid, from, vote } => self.coordnb_vote(out, tid, from, vote, now),
-            TmMessage::NbReplicate { tid, info } => self.subnb_replicate(out, from, tid, info, now),
+            } => self.sub_prepare(out, tid, coordinator, Some(info)),
+            TmMessage::VoteMsg { tid, from, vote } => {
+                self.on_site_vote(out, tid, from, vote, TwoPhase)
+            }
+            TmMessage::NbVote { tid, from, vote } => {
+                self.on_site_vote(out, tid, from, vote, NonBlocking)
+            }
+            TmMessage::CommitAck { tid, from } => self.on_outcome_ack(out, tid, from, TwoPhase),
+            TmMessage::NbOutcomeAck { tid, from } => {
+                self.on_outcome_ack(out, tid, from, NonBlocking)
+            }
+            // Two-phase commit.
+            TmMessage::Commit { tid } => self.sub2pc_commit(out, tid),
+            TmMessage::Abort { tid } => self.participant_abort(out, tid),
+            TmMessage::Inquire { tid, from } => self.answer_inquiry(out, tid, from),
+            TmMessage::InquireResp { tid, outcome } => match outcome {
+                Outcome::Committed => self.sub2pc_commit(out, tid),
+                Outcome::Aborted => self.participant_abort(out, tid),
+            },
+            // Non-blocking commit.
+            TmMessage::NbReplicate { tid, info } => self.subnb_replicate(out, from, tid, info),
             TmMessage::NbReplicateAck { tid, from, joined } => {
-                self.nb_replicate_ack(out, tid, from, joined, now)
+                self.nb_replicate_ack(out, tid, from, joined)
             }
-            TmMessage::NbOutcome { tid, outcome } => {
-                self.subnb_outcome(out, from, tid, outcome, now)
-            }
-            TmMessage::NbOutcomeAck { tid, from } => self.nb_outcome_ack(out, tid, from),
+            TmMessage::NbOutcome { tid, outcome } => self.subnb_outcome(out, from, tid, outcome),
             TmMessage::NbStatusReq { tid, from } => self.nb_status_req(out, tid, from),
             TmMessage::NbStatus {
-                tid,
-                from,
-                state,
-                info,
-            } => self.takeover_status(out, tid, from, state, info, now),
-            TmMessage::NbAbortJoinReq { tid, from } => self.nb_abort_join_req(out, tid, from, now),
-
+                tid, from, state, ..
+            } => self.takeover_status(out, tid, from, state),
+            TmMessage::NbAbortJoinReq { tid, from } => self.nb_abort_join_req(out, tid, from),
             TmMessage::NbAbortJoinResp { tid, from, joined } => {
-                self.takeover_abort_join_resp(out, tid, from, joined, now)
+                self.takeover_abort_join_resp(out, tid, from, joined)
             }
-            TmMessage::NbForget { tid } => {
-                self.forget_family(&tid.family);
-            }
+            TmMessage::NbForget { tid } => self.forget_family(&tid.family),
             // Nested transactions.
             TmMessage::SubResolved { tid, outcome } => self.on_sub_resolved(out, tid, outcome),
         }
-        let _ = from;
     }
 
     fn on_sub_resolved(&mut self, out: &mut Vec<Action>, tid: Tid, outcome: Outcome) {
@@ -892,34 +1067,22 @@ impl Engine {
     /// Abort notice (or the abort protocol) arriving at a participant.
     pub(crate) fn participant_abort(&mut self, out: &mut Vec<Action>, tid: Tid) {
         let family = tid.family;
-        let Some(fam) = self.families.get_mut(&family) else {
+        let Some(fam) = self.families.get(&family) else {
             return;
         };
-        let top = fam.top_tid();
-        let servers: Vec<ServerId> = fam.servers.iter().copied().collect();
-        let mut timers: Vec<Option<TimerToken>> = match &fam.role {
-            Role::Sub2pc(s) => vec![s.inquiry_timer],
-            Role::SubNb(s) => vec![s.outcome_timer],
-            Role::Takeover(t) => vec![t.timer],
-            _ => vec![None],
-        };
-        timers.push(fam.orphan_timer.take());
-        fam.mark_subtree(&top, TxnStatus::Aborted);
-        out.push(Action::Append {
-            rec: LogRecord::Abort { tid: tid.clone() },
-        });
-        if !servers.is_empty() {
-            out.push(Action::ServerAbort {
-                tid: tid.clone(),
-                servers,
-            });
-        }
-        for t in timers {
-            self.cancel_timer(out, t);
+        // A relayed abort can loop back to the coordinator; its timer
+        // is not cancelled (it fires later and finds no family).
+        let participant = !fam.coordinating();
+        self.settle_here(out, family, Outcome::Aborted, None);
+        if participant {
+            self.disarm(out, family);
         }
         // Ref [7]: forward the abort along this site's own outgoing
         // calls — the initiator may not know the full participant set.
         out.push(Action::RelayAbort { tid });
+        // Booked without counting: `EngineStats::aborts` counts the
+        // aborts this site decided or was told as an outcome, and an
+        // abort notice has always been neither.
         self.tracer
             .family(family, TraceEventKind::Decision { outcome: "Aborted" });
         self.resolutions.insert(family, Outcome::Aborted);
@@ -930,30 +1093,28 @@ impl Engine {
     // Log and timer completions route by purpose
     // -----------------------------------------------------------------
 
-    fn on_log_done(&mut self, out: &mut Vec<Action>, token: ForceToken, now: Time) {
-        let Some(purpose) = self.forces.remove(&token) else {
+    fn on_log_done(&mut self, out: &mut Vec<Action>, token: ForceToken) {
+        let Some(ForcePurpose { kind, family: f }) = self.forces.remove(&token) else {
             return;
         };
         self.tracer.family(
-            purpose.family(),
+            f,
             TraceEventKind::LogDurable {
-                purpose: purpose.name(),
-                lazy: purpose.is_lazy(),
+                purpose: kind.name(),
+                lazy: kind.is_lazy(),
             },
         );
-        match purpose {
-            ForcePurpose::CoordCommit(f) => self.coord2pc_commit_forced(out, f, now),
-            ForcePurpose::SubPrepared(f) => self.sub2pc_prepared_forced(out, f, now),
-            ForcePurpose::SubCommit(f) => self.sub2pc_commit_forced(out, f),
-            ForcePurpose::SubCommitLazy(f) => self.sub2pc_commit_durable(out, f),
-            ForcePurpose::NbBegin(f) => self.coordnb_begin_forced(out, f, now),
-            ForcePurpose::NbSubPrepared(f) => self.subnb_prepared_forced(out, f, now),
-            ForcePurpose::NbSubReplicate(f) => self.subnb_replicate_forced(out, f, now),
-            ForcePurpose::NbCoordCommit(f) => self.coordnb_commit_forced(out, f, now),
-            ForcePurpose::NbSubOutcomeLazy(f) => self.subnb_outcome_durable(out, f),
-            ForcePurpose::NbSubAbortJoin(f) => self.subnb_abort_join_forced(out, f),
-            ForcePurpose::TkCommit(f) => self.takeover_commit_forced(out, f, now),
-            ForcePurpose::TkAbortJoin(f) => self.takeover_abort_join_forced(out, f, now),
+        match kind {
+            ForceKind::CoordCommit | ForceKind::NbCoordCommit => self.coord_commit_forced(out, f),
+            ForceKind::SubPrepared | ForceKind::NbSubPrepared => self.sub_prepared_forced(out, f),
+            ForceKind::SubCommit => self.sub2pc_commit_durable(out, f, SubPhase::ForcingCommit),
+            ForceKind::SubCommitLazy => self.sub2pc_commit_durable(out, f, SubPhase::AwaitDurable),
+            ForceKind::NbBegin => self.coordnb_begin_forced(out, f),
+            ForceKind::NbSubReplicate => self.subnb_replicate_forced(out, f),
+            ForceKind::NbSubOutcomeLazy => self.subnb_outcome_durable(out, f),
+            ForceKind::NbSubAbortJoin => self.subnb_abort_join_forced(out, f),
+            ForceKind::TkCommit => self.takeover_commit_forced(out, f),
+            ForceKind::TkAbortJoin => self.takeover_abort_join_forced(out, f),
         }
     }
 
@@ -965,7 +1126,7 @@ impl Engine {
     /// with backoff; commitment started meanwhile — the role changed
     /// and the watchdog retires (the commit protocols carry their own
     /// inquiry timers).
-    fn orphan_check_fired(&mut self, out: &mut Vec<Action>, family: FamilyId, now: Time) {
+    fn orphan_check_fired(&mut self, out: &mut Vec<Action>, family: FamilyId) {
         let Some(fam) = self.families.get_mut(&family) else {
             return;
         };
@@ -974,66 +1135,54 @@ impl Engine {
             return;
         }
         let tid = fam.top_tid();
-        fam.retry_attempts += 1;
-        let attempt = fam.retry_attempts;
-        let t = self.alloc_timer(TimerPurpose::OrphanCheck(family));
-        if let Some(fam) = self.families.get_mut(&family) {
-            fam.orphan_timer = Some(t);
-        }
+        self.rearm_with_backoff(
+            out,
+            TimerKind::OrphanCheck,
+            family,
+            self.config.orphan_check_interval,
+        );
         let me = self.site;
         self.send(out, family.origin, TmMessage::Inquire { tid, from: me });
-        let after = self.retry_after(&family, self.config.orphan_check_interval, attempt);
-        out.push(Action::SetTimer { token: t, after });
-        let _ = now;
     }
 
-    fn on_timer(&mut self, out: &mut Vec<Action>, token: TimerToken, now: Time) {
+    fn on_timer(&mut self, out: &mut Vec<Action>, token: TimerToken) {
         let Some(purpose) = self.timers.remove(&token) else {
             return;
         };
-        match purpose {
-            TimerPurpose::VoteTimeout(f) => self.vote_timeout(out, f, now),
-            TimerPurpose::Inquiry(f) => self.sub2pc_inquiry_timer(out, f, now),
-            TimerPurpose::NotifyResend(f) => self.notify_resend(out, f, now),
-            TimerPurpose::ReplicateResend(f) => self.coordnb_replicate_resend(out, f, now),
-            TimerPurpose::NbOutcome(f) => self.subnb_outcome_timeout(out, f, now),
-            TimerPurpose::TakeoverWindow(f) => self.takeover_window_fired(out, f, now),
-            TimerPurpose::RecruitWindow(f) => self.takeover_recruit_fired(out, f, now),
-            TimerPurpose::TakeoverRetry(f) => self.takeover_retry_fired(out, f, now),
-            TimerPurpose::OrphanCheck(f) => self.orphan_check_fired(out, f, now),
+        let (kind, f) = match purpose {
+            TimerPurpose::Family(kind, f) => (kind, f),
             TimerPurpose::AckFlush(site) => {
                 self.ack_flush_timer.remove(&site);
-                if let Some(mut msgs) = self.pending_acks.remove(&site) {
-                    if !msgs.is_empty() {
-                        let first = msgs.remove(0);
-                        self.stats.datagrams += 1;
-                        self.stats.piggybacked += msgs.len() as u64;
-                        self.tracer.family(
-                            first.tid().family,
-                            TraceEventKind::DatagramSend {
-                                to: site,
-                                msg: first.kind_name(),
-                                piggyback: msgs.len() as u32,
-                            },
-                        );
-                        for rider in &msgs {
-                            self.tracer.family(
-                                rider.tid().family,
-                                TraceEventKind::Piggybacked {
-                                    to: site,
-                                    msg: rider.kind_name(),
-                                },
-                            );
-                        }
-                        out.push(Action::Send {
-                            to: site,
-                            msg: first,
-                            piggyback: msgs,
-                        });
-                    }
+                let mut riders = self.pending_acks.remove(&site).unwrap_or_default();
+                if !riders.is_empty() {
+                    let first = riders.remove(0);
+                    self.send_with(out, site, first, riders);
                 }
+                return;
             }
+        };
+        match kind {
+            TimerKind::VoteTimeout => self.vote_timeout(out, f),
+            TimerKind::Inquiry => self.sub2pc_inquiry_timer(out, f),
+            TimerKind::NotifyResend => self.notify_resend(out, f),
+            TimerKind::ReplicateResend => self.coordnb_replicate_resend(out, f),
+            TimerKind::NbOutcome => self.subnb_outcome_timeout(out, f),
+            TimerKind::TakeoverWindow => self.takeover_window_fired(out, f),
+            TimerKind::RecruitWindow => self.takeover_recruit_fired(out, f),
+            TimerKind::TakeoverRetry => self.takeover_retry_fired(out, f),
+            TimerKind::OrphanCheck => self.orphan_check_fired(out, f),
         }
+    }
+}
+
+/// The message that tells a participant of `fam` the outcome: the
+/// commit notice under two-phase commit (aborts are presumed, never
+/// announced this way), `NbOutcome` otherwise.
+pub(crate) fn outcome_msg(fam: &Family, outcome: Outcome) -> TmMessage {
+    let tid = fam.top_tid();
+    match fam.mode() {
+        Some(CommitMode::TwoPhase) => TmMessage::Commit { tid },
+        _ => TmMessage::NbOutcome { tid, outcome },
     }
 }
 
@@ -1304,10 +1453,13 @@ mod tests {
         for shard in 0..N {
             let mut e = Engine::sharded(SiteId(1), EngineConfig::default(), shard, N);
             for _ in 0..5 {
-                let t = e.alloc_force(ForcePurpose::CoordCommit(FamilyId {
-                    origin: SiteId(1),
-                    seq: 1,
-                }));
+                let t = e.alloc_force(ForcePurpose {
+                    kind: ForceKind::CoordCommit,
+                    family: FamilyId {
+                        origin: SiteId(1),
+                        seq: 1,
+                    },
+                });
                 assert_eq!(shard_of_token(t.0, N as usize), shard as usize);
             }
         }

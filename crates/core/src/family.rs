@@ -11,10 +11,11 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use camelot_net::msg::NbInfo;
-use camelot_net::{NbSiteState, Outcome};
+use camelot_net::{NbSiteState, Outcome, Vote};
 use camelot_types::{FamilyId, ServerId, SiteId, Tid};
 use camelot_wal::record::QuorumKind;
 
+use crate::config::CommitMode;
 use crate::io::TimerToken;
 
 /// Lifecycle of one (sub)transaction within its family.
@@ -44,87 +45,135 @@ impl TxnDesc {
 }
 
 // ---------------------------------------------------------------------
-// Two-phase commit roles
+// Phase one: the vote tally every commitment role embeds
 // ---------------------------------------------------------------------
 
-/// Coordinator progress through presumed-abort 2PC.
+/// Phase-one vote tally. A coordinator collects its local servers'
+/// votes and its subordinates' votes here; a subordinate collects its
+/// local servers' votes (and never awaits a site). Both commitment
+/// protocols run phase one on this one structure.
+#[derive(Debug, Clone, Default)]
+pub struct Tally {
+    /// Local servers whose vote is outstanding.
+    pub awaiting_local: BTreeSet<ServerId>,
+    /// Some local server voted yes: this site holds updates.
+    pub local_update: bool,
+    /// Subordinate sites whose vote is outstanding (filled when the
+    /// prepare goes out).
+    pub awaiting_sites: BTreeSet<SiteId>,
+    /// Update subordinates (voted yes) — the later phases go to them.
+    pub yes_subs: BTreeSet<SiteId>,
+    /// Read-only subordinates: they dropped their locks when voting
+    /// and take no further part unless a quorum needs them.
+    pub ro_subs: BTreeSet<SiteId>,
+}
+
+/// What one vote did to a [`Tally`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum TallyStep {
+    /// Duplicate, or from a voter nobody asked: ignored.
+    Stale,
+    /// A no vote: the transaction aborts.
+    Veto,
+    /// Counted; other votes are still outstanding.
+    Waiting,
+    /// Every vote asked for so far is in, all yes or read-only;
+    /// `update` says whether anyone holds updates.
+    AllIn { update: bool },
+}
+
+impl Tally {
+    /// A tally awaiting the votes of `servers`.
+    pub fn collecting(servers: BTreeSet<ServerId>) -> Tally {
+        Tally {
+            awaiting_local: servers,
+            ..Tally::default()
+        }
+    }
+
+    /// Counts a local server's vote.
+    pub fn tally_local(&mut self, server: ServerId, vote: Vote) -> TallyStep {
+        if !self.awaiting_local.remove(&server) {
+            return TallyStep::Stale;
+        }
+        match vote {
+            Vote::No => return TallyStep::Veto,
+            Vote::Yes => self.local_update = true,
+            Vote::ReadOnly => {}
+        }
+        self.progress()
+    }
+
+    /// Counts a subordinate site's vote.
+    pub fn tally_site(&mut self, from: SiteId, vote: Vote) -> TallyStep {
+        if !self.awaiting_sites.remove(&from) {
+            return TallyStep::Stale;
+        }
+        match vote {
+            Vote::No => return TallyStep::Veto,
+            Vote::Yes => self.yes_subs.insert(from),
+            Vote::ReadOnly => self.ro_subs.insert(from),
+        };
+        self.progress()
+    }
+
+    /// True when no vote asked for is outstanding.
+    pub fn all_in(&self) -> bool {
+        self.awaiting_local.is_empty() && self.awaiting_sites.is_empty()
+    }
+
+    /// True if any voter, local or remote, holds updates.
+    pub fn any_update(&self) -> bool {
+        self.local_update || !self.yes_subs.is_empty()
+    }
+
+    fn progress(&self) -> TallyStep {
+        if self.all_in() {
+            TallyStep::AllIn {
+                update: self.any_update(),
+            }
+        } else {
+            TallyStep::Waiting
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
+// Coordinator roles
+// ---------------------------------------------------------------------
+
+/// Coordinator progress. Two-phase commit collects its local votes
+/// first and never replicates; non-blocking commit starts in
+/// `CollectVotes` (local and remote votes arrive concurrently).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CoordPhase {
-    /// Waiting for local servers' votes.
+    /// 2PC: waiting for local servers' votes; prepare not yet sent.
     CollectLocal,
-    /// Prepare sent; waiting for subordinate votes.
+    /// Prepare sent; votes (NB: and the begin-record force)
+    /// outstanding.
     CollectVotes,
-    /// All yes; commit record force in flight (the commit point).
+    /// NB replication phase: waiting for enough replicate-acks to form
+    /// a commit quorum together with our own commit record.
+    Replicating,
+    /// Commit record force in flight — the commit point (NB: writing
+    /// it completes the quorum, change 3 of §3.3).
     ForcingCommit,
-    /// Committed; waiting for subordinate commit-acks before the end
-    /// record can be written and the transaction forgotten.
-    Notifying { awaiting_acks: BTreeSet<SiteId> },
+    /// Outcome sent; waiting for acknowledgements before the end
+    /// record can be written and the transaction forgotten (2PC: from
+    /// the update subordinates, always `Committed`; NB change 4: from
+    /// every participant that holds state).
+    Notifying {
+        awaiting_acks: BTreeSet<SiteId>,
+        outcome: Outcome,
+    },
 }
 
 /// State of a 2PC commitment this site coordinates.
 #[derive(Debug, Clone)]
 pub struct Coord2pc {
     pub participants: Vec<SiteId>,
-    pub awaiting_local: BTreeSet<ServerId>,
-    pub local_update: bool,
-    pub awaiting_sites: BTreeSet<SiteId>,
-    /// Update subordinates (voted yes) — phase two goes only to them.
-    pub yes_subs: BTreeSet<SiteId>,
+    pub tally: Tally,
     pub phase: CoordPhase,
-    pub vote_timer: Option<TimerToken>,
-    pub resend_timer: Option<TimerToken>,
-}
-
-/// Subordinate progress through presumed-abort 2PC.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SubPhase {
-    /// Prepare received; collecting local server votes.
-    CollectLocal,
-    /// Prepared-record force in flight.
-    ForcingPrepared,
-    /// Voted yes; in doubt until the outcome arrives (the window of
-    /// vulnerability — a 2PC subordinate here is *blocked* if the
-    /// coordinator dies).
-    Prepared,
-    /// Commit notice received; commit-record force in flight
-    /// (unoptimized / semi-optimized variants).
-    ForcingCommit,
-    /// Commit notice received; locks dropped; lazy commit record
-    /// awaiting durability (the delayed-commit optimization).
-    AwaitDurable,
-}
-
-/// State of a 2PC commitment this site participates in.
-#[derive(Debug, Clone)]
-pub struct Sub2pc {
-    pub coordinator: SiteId,
-    pub awaiting_local: BTreeSet<ServerId>,
-    pub local_update: bool,
-    pub phase: SubPhase,
-    pub inquiry_timer: Option<TimerToken>,
-}
-
-// ---------------------------------------------------------------------
-// Non-blocking commit roles
-// ---------------------------------------------------------------------
-
-/// Coordinator progress through the non-blocking protocol.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum NbCoordPhase {
-    /// Begin record forcing and/or votes outstanding.
-    CollectVotes,
-    /// Replication phase: waiting for enough replicate-acks to form a
-    /// commit quorum together with our own commit record.
-    Replicating,
-    /// Commit record force in flight (writing it forms the quorum —
-    /// the commitment point, change 3 of §3.3).
-    ForcingCommit,
-    /// Outcome sent; waiting for outcome-acks from all participants
-    /// that hold state (change 4: nobody forgets early).
-    Notifying {
-        awaiting_acks: BTreeSet<SiteId>,
-        outcome: Outcome,
-    },
 }
 
 /// State of a non-blocking commitment this site coordinates.
@@ -133,54 +182,88 @@ pub struct CoordNb {
     pub info: NbInfo,
     /// The begin record is durable (gate for the replication phase).
     pub begun: bool,
-    pub awaiting_local: BTreeSet<ServerId>,
-    pub local_update: bool,
-    pub awaiting_sites: BTreeSet<SiteId>,
-    pub yes_subs: BTreeSet<SiteId>,
-    pub ro_subs: BTreeSet<SiteId>,
+    pub tally: Tally,
     /// Sites the replication record was sent to.
     pub replication_targets: BTreeSet<SiteId>,
     pub repl_acks: BTreeSet<SiteId>,
-    pub phase: NbCoordPhase,
-    pub vote_timer: Option<TimerToken>,
-    pub resend_timer: Option<TimerToken>,
+    pub phase: CoordPhase,
 }
 
-/// Subordinate progress through the non-blocking protocol.
+// ---------------------------------------------------------------------
+// Subordinate roles
+// ---------------------------------------------------------------------
+
+/// Subordinate progress. Phase one (`CollectLocal` → `ForcingPrepared`
+/// → `Prepared`) is the same under both protocols.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum NbSubPhase {
+pub enum SubPhase {
+    /// Prepare received; collecting local server votes.
     CollectLocal,
+    /// Prepared-record force in flight.
     ForcingPrepared,
-    /// Voted yes; awaiting the replication phase or outcome.
+    /// Voted yes; in doubt until the outcome arrives (the window of
+    /// vulnerability — a 2PC subordinate here is *blocked* if the
+    /// coordinator dies; an NB subordinate awaits the replication
+    /// phase or times out and takes over).
     Prepared,
-    /// Replication record force in flight.
+    /// 2PC: commit notice received; commit-record force in flight
+    /// (unoptimized / semi-optimized variants).
+    ForcingCommit,
+    /// Commit outcome received; locks dropped; lazy commit record
+    /// awaiting durability before the acknowledgement goes out (2PC:
+    /// the delayed-commit optimization).
+    AwaitDurable,
+    /// NB: replication record force in flight.
     ForcingReplicate,
-    /// Holds the replicated decision information (member of the
+    /// NB: holds the replicated decision information (member of the
     /// commit quorum).
     Replicated,
-    /// Commit outcome received; lazy commit record awaiting
-    /// durability before the outcome-ack goes out.
-    CommitAwaitDurable,
-    /// Resolved; tombstone retained until the coordinator's forget
+    /// NB: resolved; tombstone retained until the coordinator's forget
     /// note (change 4 of §3.3).
     Resolved,
+}
+
+/// State of a 2PC commitment this site participates in.
+#[derive(Debug, Clone)]
+pub struct Sub2pc {
+    pub coordinator: SiteId,
+    pub tally: Tally,
+    pub phase: SubPhase,
 }
 
 /// State of a non-blocking commitment this site participates in.
 #[derive(Debug, Clone)]
 pub struct SubNb {
     pub coordinator: SiteId,
+    pub tally: Tally,
+    pub phase: SubPhase,
     pub info: NbInfo,
-    pub awaiting_local: BTreeSet<ServerId>,
-    pub local_update: bool,
-    pub phase: NbSubPhase,
     pub outcome: Option<Outcome>,
-    pub outcome_timer: Option<TimerToken>,
     /// Which quorum this site irrevocably joined, if any.
     pub joined: Option<QuorumKind>,
     /// Where the acknowledgement of an in-flight force must go (the
     /// original coordinator or a takeover coordinator).
     pub pending_ack_to: Option<SiteId>,
+}
+
+impl SubNb {
+    /// A subordinate entry created past its local vote collection (a
+    /// recruited read-only site, an adopted outcome, a recovered
+    /// in-doubt site): nothing joined, nothing pending.
+    pub fn at(coordinator: SiteId, info: NbInfo, phase: SubPhase, local_update: bool) -> SubNb {
+        SubNb {
+            coordinator,
+            tally: Tally {
+                local_update,
+                ..Tally::default()
+            },
+            phase,
+            info,
+            outcome: None,
+            joined: None,
+            pending_ack_to: None,
+        }
+    }
 }
 
 /// Takeover coordinator progress (non-blocking termination protocol).
@@ -194,8 +277,6 @@ pub enum TakeoverPhase {
     RecruitAbort,
     /// Commit record force in flight.
     ForcingCommit,
-    /// Abort-quorum join record force in flight.
-    ForcingAbortJoin,
     /// Outcome decided and announced; awaiting acks.
     Announcing {
         awaiting_acks: BTreeSet<SiteId>,
@@ -223,7 +304,31 @@ pub struct Takeover {
     /// Sites known to have joined the abort quorum.
     pub abort_joined: BTreeSet<SiteId>,
     pub phase: TakeoverPhase,
-    pub timer: Option<TimerToken>,
+    /// Gathering rounds that ended blocked so far; backs the retry
+    /// off.
+    pub blocked_rounds: u32,
+}
+
+impl Takeover {
+    /// A takeover about to gather status reports.
+    pub fn gathering(
+        info: NbInfo,
+        self_state: NbSiteState,
+        joined: Option<QuorumKind>,
+        local_update: bool,
+    ) -> Takeover {
+        Takeover {
+            info,
+            self_state,
+            joined,
+            local_update,
+            statuses: BTreeMap::new(),
+            replicated: BTreeSet::new(),
+            abort_joined: BTreeSet::new(),
+            phase: TakeoverPhase::Gathering,
+            blocked_rounds: 0,
+        }
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -255,6 +360,11 @@ pub struct Family {
     /// Correlation id of the pending commit/abort call, if this is
     /// the application's home site.
     pub commit_req: Option<u64>,
+    /// The commitment role's timer. Every role has at most one armed
+    /// at a time: the vote timeout, then the replicate/notify resend
+    /// (coordinators); the inquiry or outcome timer (subordinates);
+    /// the window, recruit or retry timer (takeover).
+    pub timer: Option<TimerToken>,
     /// How many times the family's current periodic datagram (inquiry,
     /// notice resend, takeover retry) has already fired; drives the
     /// exponential-backoff schedule.
@@ -275,6 +385,7 @@ impl Family {
             servers: BTreeSet::new(),
             role: Role::Executing,
             commit_req: None,
+            timer: None,
             retry_attempts: 0,
             orphan_timer: None,
         }
@@ -338,6 +449,94 @@ impl Family {
     pub fn committing(&self) -> bool {
         !matches!(self.role, Role::Executing)
     }
+
+    /// The protocol of the commitment under way, if any.
+    pub fn mode(&self) -> Option<CommitMode> {
+        match self.role {
+            Role::Executing => None,
+            Role::Coord2pc(_) | Role::Sub2pc(_) => Some(CommitMode::TwoPhase),
+            Role::CoordNb(_) | Role::SubNb(_) | Role::Takeover(_) => Some(CommitMode::NonBlocking),
+        }
+    }
+
+    /// True while this site coordinates the commitment (takeover
+    /// coordinators are subordinates that stepped up, not this).
+    pub fn coordinating(&self) -> bool {
+        matches!(self.role, Role::Coord2pc(_) | Role::CoordNb(_))
+    }
+
+    /// The phase-one tally, while the role is still collecting votes.
+    pub fn open_tally(&mut self) -> Option<&mut Tally> {
+        match &mut self.role {
+            Role::Coord2pc(Coord2pc { tally, phase, .. })
+            | Role::CoordNb(CoordNb { tally, phase, .. })
+                if matches!(phase, CoordPhase::CollectLocal | CoordPhase::CollectVotes) =>
+            {
+                Some(tally)
+            }
+            Role::Sub2pc(Sub2pc { tally, phase, .. }) | Role::SubNb(SubNb { tally, phase, .. })
+                if *phase == SubPhase::CollectLocal =>
+            {
+                Some(tally)
+            }
+            _ => None,
+        }
+    }
+
+    /// What every subordinate has, whichever protocol it runs: its
+    /// coordinator, that protocol, and its phase.
+    pub fn sub_mut(&mut self) -> Option<(SiteId, CommitMode, &mut SubPhase)> {
+        match &mut self.role {
+            Role::Sub2pc(s) => Some((s.coordinator, CommitMode::TwoPhase, &mut s.phase)),
+            Role::SubNb(s) => Some((s.coordinator, CommitMode::NonBlocking, &mut s.phase)),
+            _ => None,
+        }
+    }
+
+    /// Enters the notify phase of whichever role decides outcomes
+    /// here: `awaiting_acks` must acknowledge `outcome`.
+    pub fn set_notifying(&mut self, awaiting_acks: BTreeSet<SiteId>, outcome: Outcome) {
+        match &mut self.role {
+            Role::Coord2pc(Coord2pc { phase, .. }) | Role::CoordNb(CoordNb { phase, .. }) => {
+                *phase = CoordPhase::Notifying {
+                    awaiting_acks,
+                    outcome,
+                }
+            }
+            Role::Takeover(t) => {
+                t.phase = TakeoverPhase::Announcing {
+                    awaiting_acks,
+                    outcome,
+                }
+            }
+            _ => {}
+        }
+    }
+
+    /// The sites whose acknowledgement is outstanding and the outcome
+    /// they were sent, while in the notify phase.
+    pub fn notifying(&mut self) -> Option<(&mut BTreeSet<SiteId>, Outcome)> {
+        match &mut self.role {
+            Role::Coord2pc(Coord2pc { phase, .. }) | Role::CoordNb(CoordNb { phase, .. }) => {
+                match phase {
+                    CoordPhase::Notifying {
+                        awaiting_acks,
+                        outcome,
+                    } => Some((awaiting_acks, *outcome)),
+                    _ => None,
+                }
+            }
+            Role::Takeover(Takeover {
+                phase:
+                    TakeoverPhase::Announcing {
+                        awaiting_acks,
+                        outcome,
+                    },
+                ..
+            }) => Some((awaiting_acks, *outcome)),
+            _ => None,
+        }
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -373,47 +572,24 @@ pub struct FamilyView {
 impl Family {
     /// Builds the external snapshot.
     pub fn view(&self) -> FamilyView {
+        let coord_phase = |p: &CoordPhase| match p {
+            CoordPhase::CollectLocal | CoordPhase::CollectVotes => FamilyPhase::Preparing,
+            _ => FamilyPhase::Resolving,
+        };
+        let sub_phase = |p: SubPhase| match p {
+            SubPhase::CollectLocal | SubPhase::ForcingPrepared => FamilyPhase::Preparing,
+            SubPhase::Prepared => FamilyPhase::Prepared,
+            SubPhase::ForcingReplicate | SubPhase::Replicated => FamilyPhase::Replicated,
+            SubPhase::ForcingCommit | SubPhase::AwaitDurable | SubPhase::Resolved => {
+                FamilyPhase::Resolving
+            }
+        };
         let (phase, role) = match &self.role {
             Role::Executing => (FamilyPhase::Executing, "executing"),
-            Role::Coord2pc(c) => {
-                let p = match c.phase {
-                    CoordPhase::CollectLocal | CoordPhase::CollectVotes => FamilyPhase::Preparing,
-                    CoordPhase::ForcingCommit => FamilyPhase::Resolving,
-                    CoordPhase::Notifying { .. } => FamilyPhase::Resolving,
-                };
-                (p, "2pc-coordinator")
-            }
-            Role::Sub2pc(s) => {
-                let p = match s.phase {
-                    SubPhase::CollectLocal | SubPhase::ForcingPrepared => FamilyPhase::Preparing,
-                    SubPhase::Prepared => FamilyPhase::Prepared,
-                    SubPhase::ForcingCommit | SubPhase::AwaitDurable => FamilyPhase::Resolving,
-                };
-                (p, "2pc-subordinate")
-            }
-            Role::CoordNb(c) => {
-                let p = match c.phase {
-                    NbCoordPhase::CollectVotes => FamilyPhase::Preparing,
-                    NbCoordPhase::Replicating | NbCoordPhase::ForcingCommit => {
-                        FamilyPhase::Resolving
-                    }
-                    NbCoordPhase::Notifying { .. } => FamilyPhase::Resolving,
-                };
-                (p, "nb-coordinator")
-            }
-            Role::SubNb(s) => {
-                let p = match s.phase {
-                    NbSubPhase::CollectLocal | NbSubPhase::ForcingPrepared => {
-                        FamilyPhase::Preparing
-                    }
-                    NbSubPhase::Prepared => FamilyPhase::Prepared,
-                    NbSubPhase::ForcingReplicate | NbSubPhase::Replicated => {
-                        FamilyPhase::Replicated
-                    }
-                    NbSubPhase::CommitAwaitDurable | NbSubPhase::Resolved => FamilyPhase::Resolving,
-                };
-                (p, "nb-subordinate")
-            }
+            Role::Coord2pc(c) => (coord_phase(&c.phase), "2pc-coordinator"),
+            Role::Sub2pc(s) => (sub_phase(s.phase), "2pc-subordinate"),
+            Role::CoordNb(c) => (coord_phase(&c.phase), "nb-coordinator"),
+            Role::SubNb(s) => (sub_phase(s.phase), "nb-subordinate"),
             Role::Takeover(t) => {
                 let p = match t.phase {
                     TakeoverPhase::Blocked => FamilyPhase::Blocked,
@@ -507,15 +683,110 @@ mod tests {
         );
     }
 
+    /// One table for the phase-one tally: who is asked, the votes in
+    /// arrival order, and what each one does.
+    #[test]
+    fn tally_counts_local_and_site_votes() {
+        use TallyStep::{AllIn, Stale, Veto, Waiting};
+        #[derive(Clone, Copy)]
+        enum Voter {
+            Local(u32),
+            Site(u32),
+        }
+        use Voter::{Local, Site};
+        type Case = (
+            &'static str,
+            &'static [u32],
+            &'static [(Voter, Vote, TallyStep)],
+        );
+        let cases: &[Case] = &[
+            (
+                "local read-only votes: all in, nothing to write",
+                &[],
+                &[
+                    (Local(1), Vote::ReadOnly, Waiting),
+                    (Local(2), Vote::ReadOnly, AllIn { update: false }),
+                ],
+            ),
+            (
+                "one local yes makes it an update; a duplicate is stale",
+                &[],
+                &[
+                    (Local(1), Vote::Yes, Waiting),
+                    (Local(1), Vote::Yes, Stale),
+                    (Local(2), Vote::ReadOnly, AllIn { update: true }),
+                    (Local(2), Vote::No, Stale),
+                ],
+            ),
+            (
+                "a voter nobody asked is stale, local or remote",
+                &[7],
+                &[(Local(3), Vote::No, Stale), (Site(9), Vote::No, Stale)],
+            ),
+            (
+                "a local no is a veto",
+                &[],
+                &[
+                    (Local(1), Vote::ReadOnly, Waiting),
+                    (Local(2), Vote::No, Veto),
+                ],
+            ),
+            (
+                "a site no is a veto",
+                &[7, 8],
+                &[(Site(7), Vote::Yes, Waiting), (Site(8), Vote::No, Veto)],
+            ),
+            (
+                "site read-only votes leave a read-only transaction",
+                &[7, 8],
+                &[
+                    (Local(1), Vote::ReadOnly, Waiting),
+                    (Local(2), Vote::ReadOnly, Waiting),
+                    (Site(7), Vote::ReadOnly, Waiting),
+                    (Site(7), Vote::Yes, Stale),
+                    (Site(8), Vote::ReadOnly, AllIn { update: false }),
+                ],
+            ),
+            (
+                "one site yes makes it an update, whatever came first",
+                &[7, 8],
+                &[
+                    (Site(8), Vote::Yes, Waiting),
+                    (Local(2), Vote::ReadOnly, Waiting),
+                    (Site(7), Vote::ReadOnly, Waiting),
+                    (Local(1), Vote::ReadOnly, AllIn { update: true }),
+                ],
+            ),
+        ];
+        for (name, sites, votes) in cases {
+            let mut tally = Tally::collecting([ServerId(1), ServerId(2)].into_iter().collect());
+            tally.awaiting_sites = sites.iter().map(|s| SiteId(*s)).collect();
+            for (i, (voter, vote, want)) in votes.iter().enumerate() {
+                let got = match voter {
+                    Local(s) => tally.tally_local(ServerId(*s), *vote),
+                    Site(s) => tally.tally_site(SiteId(*s), *vote),
+                };
+                assert_eq!(got, *want, "{name}: vote {i}");
+            }
+        }
+        // Yes and read-only sites are kept apart for the later phases.
+        let mut tally = Tally {
+            awaiting_sites: [SiteId(7), SiteId(8)].into_iter().collect(),
+            ..Tally::default()
+        };
+        tally.tally_site(SiteId(7), Vote::Yes);
+        tally.tally_site(SiteId(8), Vote::ReadOnly);
+        assert_eq!(tally.yes_subs, [SiteId(7)].into_iter().collect());
+        assert_eq!(tally.ro_subs, [SiteId(8)].into_iter().collect());
+    }
+
     #[test]
     fn view_reports_role() {
         let mut f = fam();
         f.role = Role::Sub2pc(Sub2pc {
             coordinator: SiteId(2),
-            awaiting_local: BTreeSet::new(),
-            local_update: true,
+            tally: Tally::default(),
             phase: SubPhase::Prepared,
-            inquiry_timer: None,
         });
         let v = f.view();
         assert_eq!(v.phase, FamilyPhase::Prepared);

@@ -33,6 +33,14 @@
 //!   simultaneous coordinators are tolerated; commit requires a
 //!   durable commit quorum and abort an abort quorum, with
 //!   `Vc + Va > N` guaranteeing the outcomes exclude each other.
+//!   It is written as the paper presents it — two-phase commit plus
+//!   five changes: the steps both protocols take (the phase-one vote
+//!   tally in [`family::Tally`]; the admission of a commit call, the
+//!   subordinate's phase one, the commit point and the collection of
+//!   acknowledgements in [`twophase`]; the resolution epilogue, the
+//!   announcement of an outcome and the timer helpers in [`engine`])
+//!   exist once, and [`nonblocking`] and [`takeover`] hold only the
+//!   changes.
 //! - The **abort protocol** for (nested, distributed) transactions,
 //!   and restart **recovery** of protocol state from the write-ahead
 //!   log, including presumed-abort inquiry resolution.

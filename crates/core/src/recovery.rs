@@ -25,19 +25,17 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use camelot_net::NbSiteState;
+use camelot_net::msg::NbInfo;
+use camelot_net::{NbSiteState, Outcome, TmMessage};
 use camelot_types::{FamilyId, Lsn, ServerId, SiteId};
 use camelot_wal::record::{QuorumKind, ReplicationInfo};
 use camelot_wal::LogRecord;
 
-use crate::config::EngineConfig;
-use crate::engine::{Engine, TimerPurpose};
-use crate::family::{
-    Coord2pc, CoordPhase, Family, NbSubPhase, Role, SubNb, Takeover, TakeoverPhase,
-};
+use crate::config::{CommitMode, EngineConfig};
+use crate::engine::Engine;
+use crate::family::{Coord2pc, CoordPhase, Family, Role, SubNb, SubPhase, Takeover, Tally};
 use crate::io::Action;
 use crate::nonblocking::info_from_record;
-use camelot_net::{Outcome, TmMessage};
 
 #[derive(Default)]
 struct FamScan {
@@ -138,119 +136,74 @@ impl Engine {
                     continue;
                 }
                 // Coordinator mid-notify: re-announce until acked.
-                if let Some(info) = s.nb_begin {
+                let awaiting: BTreeSet<SiteId> = if let Some(info) = s.nb_begin {
                     let info = info_from_record(&info);
-                    let peers: BTreeSet<SiteId> =
-                        info.sites.iter().copied().filter(|p| *p != site).collect();
-                    fam.role = Role::Takeover(Takeover {
+                    let peers = info.sites.iter().copied().filter(|p| *p != site).collect();
+                    fam.role = Role::Takeover(Takeover::gathering(
                         info,
-                        self_state: NbSiteState::Committed,
-                        joined: Some(QuorumKind::Commit),
-                        local_update: true,
-                        statuses: BTreeMap::new(),
-                        replicated: BTreeSet::new(),
-                        abort_joined: BTreeSet::new(),
-                        phase: TakeoverPhase::Announcing {
-                            awaiting_acks: peers.clone(),
-                            outcome: Outcome::Committed,
-                        },
-                        timer: None,
-                    });
-                    engine.families.insert(fid, fam);
-                    engine.arm_notify_resend(&mut out, fid);
-                    engine.broadcast(
-                        &mut out,
-                        peers.into_iter().collect(),
-                        TmMessage::NbOutcome {
-                            tid,
-                            outcome: Outcome::Committed,
-                        },
-                    );
+                        NbSiteState::Committed,
+                        Some(QuorumKind::Commit),
+                        true,
+                    ));
+                    peers
                 } else {
                     let awaiting: BTreeSet<SiteId> = subs.iter().copied().collect();
                     fam.role = Role::Coord2pc(Coord2pc {
-                        participants: subs.clone(),
-                        awaiting_local: BTreeSet::new(),
-                        local_update: true,
-                        awaiting_sites: BTreeSet::new(),
-                        yes_subs: awaiting.clone(),
-                        phase: CoordPhase::Notifying {
-                            awaiting_acks: awaiting,
+                        participants: subs,
+                        tally: Tally {
+                            local_update: true,
+                            yes_subs: awaiting.clone(),
+                            ..Tally::default()
                         },
-                        vote_timer: None,
-                        resend_timer: None,
+                        phase: CoordPhase::ForcingCommit,
                     });
-                    engine.families.insert(fid, fam);
-                    engine.arm_notify_resend(&mut out, fid);
-                    engine.broadcast(&mut out, subs, TmMessage::Commit { tid });
-                }
+                    awaiting
+                };
+                engine.families.insert(fid, fam);
+                engine.announce(&mut out, fid, awaiting, Outcome::Committed);
                 continue;
             }
             if s.aborted {
                 engine.resolutions.insert(fid, Outcome::Aborted);
                 continue;
             }
-            if let Some(info) = s.nb_replicate {
+            let in_doubt = if let Some(info) = s.nb_replicate {
                 // In-doubt, replicated: quorum member. Take over
                 // promptly.
                 let info = info_from_record(&info);
                 let coordinator = s.nb_prepared.map(|(c, _)| c).unwrap_or(info.sites[0]);
-                fam.role = Role::SubNb(SubNb {
-                    coordinator,
-                    info,
-                    awaiting_local: BTreeSet::new(),
-                    local_update: true,
-                    phase: NbSubPhase::Replicated,
-                    outcome: None,
-                    outcome_timer: None,
-                    joined: Some(QuorumKind::Commit),
-                    pending_ack_to: None,
-                });
-                engine.families.insert(fid, fam);
-                engine.arm_outcome_timer(&mut out, fid);
-                continue;
-            }
-            if let Some((coordinator, sites)) = s.nb_prepared {
+                let mut sub = SubNb::at(coordinator, info, SubPhase::Replicated, true);
+                sub.joined = Some(QuorumKind::Commit);
+                Some(Role::SubNb(sub))
+            } else if let Some((coordinator, sites)) = s.nb_prepared {
                 // In-doubt non-blocking subordinate.
-                let n = sites.len();
-                let (vc, va) = crate::nonblocking::quorum_sizes(n);
-                fam.role = Role::SubNb(SubNb {
-                    coordinator,
-                    info: camelot_net::msg::NbInfo {
-                        sites,
-                        yes_votes: vec![],
-                        commit_quorum: vc,
-                        abort_quorum: va,
-                    },
-                    awaiting_local: BTreeSet::new(),
-                    local_update: true,
-                    phase: NbSubPhase::Prepared,
-                    outcome: None,
-                    outcome_timer: None,
-                    joined: s.quorum,
-                    pending_ack_to: None,
-                });
+                let (vc, va) = crate::nonblocking::quorum_sizes(sites.len());
+                let info = NbInfo {
+                    sites,
+                    yes_votes: vec![],
+                    commit_quorum: vc,
+                    abort_quorum: va,
+                };
+                let mut sub = SubNb::at(coordinator, info, SubPhase::Prepared, true);
+                sub.joined = s.quorum;
+                Some(Role::SubNb(sub))
+            } else {
+                None
+            };
+            if let Some(role) = in_doubt {
+                fam.role = role;
                 engine.families.insert(fid, fam);
-                engine.arm_outcome_timer(&mut out, fid);
+                engine.arm_in_doubt_timer(&mut out, fid, CommitMode::NonBlocking);
                 continue;
             }
             if let Some(info) = s.nb_begin {
                 // The original coordinator, crashed before deciding:
                 // it must ask the quorum, not assume.
                 let info = info_from_record(&info);
-                fam.role = Role::Takeover(Takeover {
-                    info,
-                    self_state: NbSiteState::Prepared,
-                    joined: s.quorum,
-                    local_update: true,
-                    statuses: BTreeMap::new(),
-                    replicated: BTreeSet::new(),
-                    abort_joined: BTreeSet::new(),
-                    phase: TakeoverPhase::Gathering,
-                    timer: None,
-                });
+                let takeover = Takeover::gathering(info, NbSiteState::Prepared, s.quorum, true);
+                fam.role = Role::Takeover(takeover);
                 engine.families.insert(fid, fam);
-                engine.begin_gathering(&mut out, fid, camelot_types::Time::ZERO);
+                engine.begin_gathering(&mut out, fid);
                 continue;
             }
             if let Some(coordinator) = s.prepared_2pc {
@@ -258,7 +211,9 @@ impl Engine {
                 // coordinator answers.
                 crate::twophase::prepared_subordinate(&mut fam, coordinator);
                 engine.families.insert(fid, fam);
-                engine.arm_inquiry(&mut out, fid, coordinator);
+                engine.arm_in_doubt_timer(&mut out, fid, CommitMode::TwoPhase);
+                let from = site;
+                engine.send(&mut out, coordinator, TmMessage::Inquire { tid, from });
                 continue;
             }
             // Active but never prepared: presumed abort.
@@ -268,52 +223,5 @@ impl Engine {
             engine.resolutions.insert(fid, Outcome::Aborted);
         }
         (engine, out)
-    }
-
-    fn arm_notify_resend(&mut self, out: &mut Vec<Action>, fid: FamilyId) {
-        let t = self.alloc_timer(TimerPurpose::NotifyResend(fid));
-        let interval = self.config.notify_resend_interval;
-        if let Some(fam) = self.families.get_mut(&fid) {
-            match &mut fam.role {
-                Role::Coord2pc(c) => c.resend_timer = Some(t),
-                Role::Takeover(tk) => tk.timer = Some(t),
-                _ => {}
-            }
-        }
-        out.push(Action::SetTimer {
-            token: t,
-            after: interval,
-        });
-    }
-
-    fn arm_outcome_timer(&mut self, out: &mut Vec<Action>, fid: FamilyId) {
-        let t = self.alloc_timer(TimerPurpose::NbOutcome(fid));
-        let timeout = self.config.nb_outcome_timeout;
-        if let Some(fam) = self.families.get_mut(&fid) {
-            if let Role::SubNb(s) = &mut fam.role {
-                s.outcome_timer = Some(t);
-            }
-        }
-        out.push(Action::SetTimer {
-            token: t,
-            after: timeout,
-        });
-    }
-
-    fn arm_inquiry(&mut self, out: &mut Vec<Action>, fid: FamilyId, coordinator: SiteId) {
-        let tid = camelot_types::Tid::top_level(fid);
-        let t = self.alloc_timer(TimerPurpose::Inquiry(fid));
-        let interval = self.config.inquiry_interval;
-        if let Some(fam) = self.families.get_mut(&fid) {
-            if let Role::Sub2pc(s) = &mut fam.role {
-                s.inquiry_timer = Some(t);
-            }
-        }
-        let me = self.site;
-        self.send(out, coordinator, TmMessage::Inquire { tid, from: me });
-        out.push(Action::SetTimer {
-            token: t,
-            after: interval,
-        });
     }
 }

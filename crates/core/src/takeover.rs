@@ -24,65 +24,52 @@
 
 use std::collections::BTreeSet;
 
+use camelot_net::msg::NbInfo;
 use camelot_net::{NbSiteState, Outcome, TmMessage};
-use camelot_types::{FamilyId, ServerId, SiteId, Time};
+use camelot_obs::TraceEventKind;
+use camelot_types::{FamilyId, ServerId, SiteId, Tid};
 use camelot_wal::record::QuorumKind;
 use camelot_wal::LogRecord;
 
-use crate::engine::{Engine, ForcePurpose, TimerPurpose};
-use crate::family::{
-    Family, NbCoordPhase, NbSubPhase, Role, SubNb, Takeover, TakeoverPhase, TxnStatus,
-};
+use crate::engine::{Engine, ForceKind, TimerKind};
+use crate::family::{Family, Role, SubNb, SubPhase, Takeover, TakeoverPhase};
 use crate::io::Action;
-use crate::nonblocking::info_to_record;
+
+fn state_of(outcome: Outcome) -> NbSiteState {
+    match outcome {
+        Outcome::Committed => NbSiteState::Committed,
+        Outcome::Aborted => NbSiteState::Aborted,
+    }
+}
 
 impl Engine {
     /// The outcome timer of a prepared/replicated subordinate fired:
     /// become a coordinator.
-    pub(crate) fn subnb_outcome_timeout(
-        &mut self,
-        out: &mut Vec<Action>,
-        family: FamilyId,
-        now: Time,
-    ) {
+    pub(crate) fn subnb_outcome_timeout(&mut self, out: &mut Vec<Action>, family: FamilyId) {
         let Some(fam) = self.families.get_mut(&family) else {
             return;
         };
         let Role::SubNb(s) = &mut fam.role else {
             return;
         };
-        if !matches!(s.phase, NbSubPhase::Prepared | NbSubPhase::Replicated) {
-            return;
+        let self_state = match s.phase {
+            SubPhase::Prepared => NbSiteState::Prepared,
+            SubPhase::Replicated => NbSiteState::Replicated,
+            _ => return,
+        };
+        let mut takeover =
+            Takeover::gathering(s.info.clone(), self_state, s.joined, s.tally.local_update);
+        if self_state == NbSiteState::Replicated {
+            takeover.replicated.insert(self.site);
         }
-        let self_state = if s.phase == NbSubPhase::Replicated {
-            NbSiteState::Replicated
-        } else {
-            NbSiteState::Prepared
-        };
-        let takeover = Takeover {
-            info: s.info.clone(),
-            self_state,
-            joined: s.joined,
-            local_update: s.local_update,
-            statuses: Default::default(),
-            replicated: if self_state == NbSiteState::Replicated {
-                [self.site].into_iter().collect()
-            } else {
-                BTreeSet::new()
-            },
-            abort_joined: BTreeSet::new(),
-            phase: TakeoverPhase::Gathering,
-            timer: None,
-        };
         fam.role = Role::Takeover(takeover);
-        self.begin_gathering(out, family, now);
+        self.begin_gathering(out, family);
     }
 
     /// (Re)starts the status-gathering round of a takeover.
-    pub(crate) fn begin_gathering(&mut self, out: &mut Vec<Action>, family: FamilyId, _now: Time) {
+    pub(crate) fn begin_gathering(&mut self, out: &mut Vec<Action>, family: FamilyId) {
         self.stats.takeovers += 1;
-        self.tracer
-            .family(family, camelot_obs::TraceEventKind::TakeoverStart);
+        self.tracer.family(family, TraceEventKind::TakeoverStart);
         let Some(fam) = self.families.get_mut(&family) else {
             return;
         };
@@ -92,87 +79,55 @@ impl Engine {
         };
         t.phase = TakeoverPhase::Gathering;
         t.statuses.clear();
-        let peers: Vec<SiteId> = t
-            .info
-            .sites
-            .iter()
-            .copied()
-            .filter(|s| *s != self.site)
-            .collect();
-        let timer = self.alloc_timer(TimerPurpose::TakeoverWindow(family));
-        let window = self.config.takeover_window;
-        if let Some(fam) = self.families.get_mut(&family) {
-            if let Role::Takeover(t) = &mut fam.role {
-                t.timer = Some(timer);
-            }
-        }
         let me = self.site;
+        let peers: Vec<SiteId> = t.info.sites.iter().copied().filter(|s| *s != me).collect();
+        let window = self.config.takeover_window;
+        self.arm(out, TimerKind::TakeoverWindow, family, window);
         self.broadcast(out, peers, TmMessage::NbStatusReq { tid, from: me });
-        out.push(Action::SetTimer {
-            token: timer,
-            after: window,
-        });
     }
 
     /// Any site answers a status request with its protocol state.
-    pub(crate) fn nb_status_req(
-        &mut self,
-        out: &mut Vec<Action>,
-        tid: camelot_types::Tid,
-        from: SiteId,
-    ) {
+    pub(crate) fn nb_status_req(&mut self, out: &mut Vec<Action>, tid: Tid, from: SiteId) {
         let family = tid.family;
         let me = self.site;
-        let (state, info) = match self.families.get(&family) {
+        let (state, info) = match self.families.get_mut(&family) {
             None => {
-                let state = match self.resolutions.get(&family) {
-                    Some(Outcome::Committed) => NbSiteState::Committed,
-                    Some(Outcome::Aborted) => NbSiteState::Aborted,
-                    None => NbSiteState::Unknown,
-                };
+                let state = self
+                    .resolutions
+                    .get(&family)
+                    .map_or(NbSiteState::Unknown, |o| state_of(*o));
                 (state, None)
             }
-            Some(fam) => match &fam.role {
-                Role::SubNb(s) => {
-                    let state = match s.phase {
-                        NbSubPhase::CollectLocal
-                        | NbSubPhase::ForcingPrepared
-                        | NbSubPhase::Prepared
-                        | NbSubPhase::ForcingReplicate => NbSiteState::Prepared,
-                        NbSubPhase::Replicated => NbSiteState::Replicated,
-                        NbSubPhase::CommitAwaitDurable => NbSiteState::Committed,
-                        NbSubPhase::Resolved => match s.outcome {
-                            Some(Outcome::Committed) => NbSiteState::Committed,
-                            _ => NbSiteState::Aborted,
-                        },
-                    };
-                    (state, Some(s.info.clone()))
+            Some(fam) => {
+                let announced = fam.notifying().map(|(_, outcome)| state_of(outcome));
+                match &fam.role {
+                    Role::SubNb(s) => {
+                        let state = match s.phase {
+                            SubPhase::CollectLocal
+                            | SubPhase::ForcingPrepared
+                            | SubPhase::Prepared
+                            | SubPhase::ForcingCommit
+                            | SubPhase::ForcingReplicate => NbSiteState::Prepared,
+                            SubPhase::Replicated => NbSiteState::Replicated,
+                            SubPhase::AwaitDurable => NbSiteState::Committed,
+                            SubPhase::Resolved => match s.outcome {
+                                Some(Outcome::Committed) => NbSiteState::Committed,
+                                _ => NbSiteState::Aborted,
+                            },
+                        };
+                        (state, Some(s.info.clone()))
+                    }
+                    // Not durably decided: report prepared (our
+                    // commit record, once forced, is what joins
+                    // the quorum).
+                    Role::CoordNb(c) => (
+                        announced.unwrap_or(NbSiteState::Prepared),
+                        Some(c.info.clone()),
+                    ),
+                    Role::Takeover(t) => (announced.unwrap_or(t.self_state), Some(t.info.clone())),
+                    _ => (NbSiteState::Unknown, None),
                 }
-                Role::CoordNb(c) => {
-                    let state = match &c.phase {
-                        NbCoordPhase::Notifying { outcome, .. } => match outcome {
-                            Outcome::Committed => NbSiteState::Committed,
-                            Outcome::Aborted => NbSiteState::Aborted,
-                        },
-                        // Not durably decided: report prepared (our
-                        // commit record, once forced, is what joins
-                        // the quorum).
-                        _ => NbSiteState::Prepared,
-                    };
-                    (state, Some(c.info.clone()))
-                }
-                Role::Takeover(t) => {
-                    let state = match &t.phase {
-                        TakeoverPhase::Announcing { outcome, .. } => match outcome {
-                            Outcome::Committed => NbSiteState::Committed,
-                            Outcome::Aborted => NbSiteState::Aborted,
-                        },
-                        _ => t.self_state,
-                    };
-                    (state, Some(t.info.clone()))
-                }
-                _ => (NbSiteState::Unknown, None),
-            },
+            }
         };
         self.send(
             out,
@@ -190,11 +145,9 @@ impl Engine {
     pub(crate) fn takeover_status(
         &mut self,
         out: &mut Vec<Action>,
-        tid: camelot_types::Tid,
+        tid: Tid,
         from: SiteId,
         state: NbSiteState,
-        _info: Option<camelot_net::msg::NbInfo>,
-        now: Time,
     ) {
         let family = tid.family;
         let Some(fam) = self.families.get_mut(&family) else {
@@ -205,18 +158,14 @@ impl Engine {
         };
         t.statuses.insert(from, state);
         match state {
-            NbSiteState::Committed => {
-                self.takeover_finish(out, family, Outcome::Committed, now);
-            }
-            NbSiteState::Aborted => {
-                self.takeover_finish(out, family, Outcome::Aborted, now);
-            }
+            NbSiteState::Committed => self.takeover_finish(out, family, Outcome::Committed),
+            NbSiteState::Aborted => self.takeover_finish(out, family, Outcome::Aborted),
             NbSiteState::Replicated => {
                 t.replicated.insert(from);
                 if matches!(t.phase, TakeoverPhase::RecruitCommit)
                     && t.replicated.len() >= t.info.commit_quorum as usize
                 {
-                    self.takeover_finish(out, family, Outcome::Committed, now);
+                    self.takeover_finish(out, family, Outcome::Committed);
                 }
             }
             _ => {}
@@ -224,12 +173,7 @@ impl Engine {
     }
 
     /// The status-gathering window closed: decide what can be decided.
-    pub(crate) fn takeover_window_fired(
-        &mut self,
-        out: &mut Vec<Action>,
-        family: FamilyId,
-        now: Time,
-    ) {
+    pub(crate) fn takeover_window_fired(&mut self, out: &mut Vec<Action>, family: FamilyId) {
         let Some(fam) = self.families.get_mut(&family) else {
             return;
         };
@@ -243,7 +187,7 @@ impl Engine {
         let vc = t.info.commit_quorum as usize;
         let va = t.info.abort_quorum as usize;
         if t.replicated.len() >= vc {
-            self.takeover_finish(out, family, Outcome::Committed, now);
+            self.takeover_finish(out, family, Outcome::Committed);
             return;
         }
         // Reachable prepared peers (and whether we ourselves are
@@ -256,47 +200,24 @@ impl Engine {
             .collect();
         let self_prepared =
             t.self_state == NbSiteState::Prepared && t.joined != Some(QuorumKind::Abort);
+        let window = self.config.recruit_window;
         if !t.replicated.is_empty() {
             // Commit is the only possibly-decided outcome; recruit
             // prepared sites into the commit quorum.
             let achievable = t.replicated.len() + prepared_peers.len() + usize::from(self_prepared);
-            if achievable >= vc {
-                t.phase = TakeoverPhase::RecruitCommit;
-                let info = t.info.clone();
-                let timer = self.alloc_timer(TimerPurpose::RecruitWindow(family));
-                let window = self.config.recruit_window;
-                if let Some(fam) = self.families.get_mut(&family) {
-                    if let Role::Takeover(t) = &mut fam.role {
-                        t.timer = Some(timer);
-                    }
-                }
-                out.push(Action::SetTimer {
-                    token: timer,
-                    after: window,
-                });
-                if self_prepared {
-                    // Recruit ourselves: force our own replication
-                    // record.
-                    out.push(Action::Append {
-                        rec: LogRecord::NbQuorum {
-                            tid: tid.clone(),
-                            kind: QuorumKind::Commit,
-                        },
-                    });
-                    let token = self.alloc_force(ForcePurpose::NbSubReplicate(family));
-                    self.stats.forces += 1;
-                    out.push(Action::Force {
-                        rec: LogRecord::NbReplicate {
-                            tid: tid.clone(),
-                            info: info_to_record(&info),
-                        },
-                        token,
-                    });
-                }
-                self.broadcast(out, prepared_peers, TmMessage::NbReplicate { tid, info });
+            if achievable < vc {
+                self.takeover_blocked(out, family);
                 return;
             }
-            self.takeover_blocked(out, family);
+            t.phase = TakeoverPhase::RecruitCommit;
+            let info = t.info.clone();
+            self.arm(out, TimerKind::RecruitWindow, family, window);
+            if self_prepared {
+                // Recruit ourselves: force our own replication
+                // record.
+                self.force_replicate(out, family, tid.clone(), &info);
+            }
+            self.broadcast(out, prepared_peers, TmMessage::NbReplicate { tid, info });
             return;
         }
         // No replicated site reachable: the vote may never have
@@ -304,58 +225,40 @@ impl Engine {
         // abort quorum.
         let self_eligible =
             t.joined != Some(QuorumKind::Commit) && t.self_state != NbSiteState::Replicated;
-        let achievable = prepared_peers.len() + usize::from(self_eligible);
-        if achievable >= va {
-            t.phase = TakeoverPhase::RecruitAbort;
-            let timer = self.alloc_timer(TimerPurpose::RecruitWindow(family));
-            let window = self.config.recruit_window;
-            if let Some(fam) = self.families.get_mut(&family) {
-                if let Role::Takeover(t) = &mut fam.role {
-                    t.timer = Some(timer);
-                }
-            }
-            out.push(Action::SetTimer {
-                token: timer,
-                after: window,
-            });
-            if self_eligible {
-                let token = self.alloc_force(ForcePurpose::TkAbortJoin(family));
-                self.stats.forces += 1;
-                out.push(Action::Force {
-                    rec: LogRecord::NbQuorum {
-                        tid: tid.clone(),
-                        kind: QuorumKind::Abort,
-                    },
-                    token,
-                });
-            }
-            let me = self.site;
-            self.broadcast(
-                out,
-                prepared_peers,
-                TmMessage::NbAbortJoinReq { tid, from: me },
-            );
+        if prepared_peers.len() + usize::from(self_eligible) < va {
+            self.takeover_blocked(out, family);
             return;
         }
-        self.takeover_blocked(out, family);
+        t.phase = TakeoverPhase::RecruitAbort;
+        self.arm(out, TimerKind::RecruitWindow, family, window);
+        if self_eligible {
+            let rec = LogRecord::NbQuorum {
+                tid: tid.clone(),
+                kind: QuorumKind::Abort,
+            };
+            self.force(out, ForceKind::TkAbortJoin, family, rec);
+        }
+        let me = self.site;
+        self.broadcast(
+            out,
+            prepared_peers,
+            TmMessage::NbAbortJoinReq { tid, from: me },
+        );
     }
 
     /// The recruiting window closed without a quorum.
-    pub(crate) fn takeover_recruit_fired(
-        &mut self,
-        out: &mut Vec<Action>,
-        family: FamilyId,
-        _now: Time,
-    ) {
-        let Some(fam) = self.families.get(&family) else {
-            return;
-        };
-        let Role::Takeover(t) = &fam.role else { return };
-        match t.phase {
-            TakeoverPhase::RecruitCommit | TakeoverPhase::RecruitAbort => {
-                self.takeover_blocked(out, family);
-            }
-            _ => {}
+    pub(crate) fn takeover_recruit_fired(&mut self, out: &mut Vec<Action>, family: FamilyId) {
+        if let Some(TakeoverPhase::RecruitCommit | TakeoverPhase::RecruitAbort) =
+            self.takeover_phase(family)
+        {
+            self.takeover_blocked(out, family);
+        }
+    }
+
+    fn takeover_phase(&self, family: FamilyId) -> Option<&TakeoverPhase> {
+        match &self.families.get(&family)?.role {
+            Role::Takeover(t) => Some(&t.phase),
+            _ => None,
         }
     }
 
@@ -364,55 +267,33 @@ impl Engine {
     /// long-dead quorum is probed ever more gently.
     fn takeover_blocked(&mut self, out: &mut Vec<Action>, family: FamilyId) {
         self.stats.blocked += 1;
-        self.tracer
-            .family(family, camelot_obs::TraceEventKind::TakeoverBlocked);
-        let timer = self.alloc_timer(TimerPurpose::TakeoverRetry(family));
-        let Some(fam) = self.families.get_mut(&family) else {
-            return;
-        };
-        let Role::Takeover(t) = &mut fam.role else {
+        self.tracer.family(family, TraceEventKind::TakeoverBlocked);
+        let Some(Role::Takeover(t)) = self.families.get_mut(&family).map(|f| &mut f.role) else {
             return;
         };
         t.phase = TakeoverPhase::Blocked;
-        t.timer = Some(timer);
-        fam.retry_attempts += 1;
-        let attempt = fam.retry_attempts - 1;
-        let retry = self.retry_after(&family, self.config.takeover_retry, attempt);
-        out.push(Action::SetTimer {
-            token: timer,
-            after: retry,
-        });
+        let round = t.blocked_rounds;
+        t.blocked_rounds += 1;
+        self.arm_attempt(
+            out,
+            TimerKind::TakeoverRetry,
+            family,
+            self.config.takeover_retry,
+            round,
+        );
     }
 
     /// Retry a blocked takeover from the top.
-    pub(crate) fn takeover_retry_fired(
-        &mut self,
-        out: &mut Vec<Action>,
-        family: FamilyId,
-        now: Time,
-    ) {
-        let Some(fam) = self.families.get(&family) else {
-            return;
-        };
-        let Role::Takeover(t) = &fam.role else { return };
-        if !matches!(t.phase, TakeoverPhase::Blocked) {
-            return;
+    pub(crate) fn takeover_retry_fired(&mut self, out: &mut Vec<Action>, family: FamilyId) {
+        if let Some(TakeoverPhase::Blocked) = self.takeover_phase(family) {
+            self.begin_gathering(out, family);
         }
-        self.begin_gathering(out, family, now);
     }
 
     /// Our own abort-quorum join record is durable (we recruited
     /// ourselves during takeover).
-    pub(crate) fn takeover_abort_join_forced(
-        &mut self,
-        out: &mut Vec<Action>,
-        family: FamilyId,
-        now: Time,
-    ) {
-        let Some(fam) = self.families.get_mut(&family) else {
-            return;
-        };
-        let Role::Takeover(t) = &mut fam.role else {
+    pub(crate) fn takeover_abort_join_forced(&mut self, out: &mut Vec<Action>, family: FamilyId) {
+        let Some(Role::Takeover(t)) = self.families.get_mut(&family).map(|f| &mut f.role) else {
             return;
         };
         t.joined = Some(QuorumKind::Abort);
@@ -420,222 +301,107 @@ impl Engine {
         if matches!(t.phase, TakeoverPhase::RecruitAbort)
             && t.abort_joined.len() >= t.info.abort_quorum as usize
         {
-            self.takeover_finish(out, family, Outcome::Aborted, now);
+            self.takeover_finish(out, family, Outcome::Aborted);
         }
     }
 
+    /// Replies to an abort-quorum recruitment.
+    fn send_abort_join_resp(&mut self, out: &mut Vec<Action>, to: SiteId, tid: Tid, joined: bool) {
+        let from = self.site;
+        self.send(out, to, TmMessage::NbAbortJoinResp { tid, from, joined });
+    }
+
     /// A participant is asked to join the abort quorum.
-    pub(crate) fn nb_abort_join_req(
-        &mut self,
-        out: &mut Vec<Action>,
-        tid: camelot_types::Tid,
-        from: SiteId,
-        _now: Time,
-    ) {
+    pub(crate) fn nb_abort_join_req(&mut self, out: &mut Vec<Action>, tid: Tid, from: SiteId) {
         let family = tid.family;
         let me = self.site;
         // A site that resolved (or never heard of) the transaction:
         // under change 4 a resolved site still has its tombstone, so
         // "unknown" really means "never prepared" — free to join.
-        if let Some(outcome) = self.resolutions.get(&family).copied() {
-            match outcome {
-                Outcome::Aborted => {
-                    self.send(
-                        out,
-                        from,
-                        TmMessage::NbAbortJoinResp {
-                            tid,
-                            from: me,
-                            joined: true,
-                        },
-                    );
-                }
-                Outcome::Committed => {
-                    self.send(
-                        out,
-                        from,
-                        TmMessage::NbStatus {
-                            tid,
-                            from: me,
-                            state: NbSiteState::Committed,
-                            info: None,
-                        },
-                    );
-                }
+        match self.resolutions.get(&family) {
+            Some(Outcome::Aborted) => return self.send_abort_join_resp(out, from, tid, true),
+            Some(Outcome::Committed) => {
+                let state = NbSiteState::Committed;
+                return self.send(
+                    out,
+                    from,
+                    TmMessage::NbStatus {
+                        tid,
+                        from: me,
+                        state,
+                        info: None,
+                    },
+                );
             }
-            return;
+            None => {}
         }
         let fam = self
             .families
             .entry(family)
             .or_insert_with(|| Family::new(family));
-        match &mut fam.role {
+        let join_rec = LogRecord::NbQuorum {
+            tid: tid.clone(),
+            kind: QuorumKind::Abort,
+        };
+        let joined = match &mut fam.role {
             Role::Executing => {
                 // Never prepared here: join the abort quorum and
                 // resolve locally as aborted.
-                let servers: Vec<ServerId> = fam.servers.iter().copied().collect();
-                fam.mark_subtree(&tid, TxnStatus::Aborted);
                 fam.role = Role::SubNb(SubNb {
-                    coordinator: from,
-                    info: camelot_net::msg::NbInfo {
-                        sites: vec![],
-                        yes_votes: vec![],
-                        commit_quorum: 0,
-                        abort_quorum: 0,
-                    },
-                    awaiting_local: BTreeSet::new(),
-                    local_update: false,
-                    phase: NbSubPhase::Resolved,
                     outcome: Some(Outcome::Aborted),
-                    outcome_timer: None,
                     joined: Some(QuorumKind::Abort),
                     pending_ack_to: Some(from),
+                    ..SubNb::at(from, NbInfo::default(), SubPhase::Resolved, false)
                 });
-                if !servers.is_empty() {
-                    out.push(Action::ServerAbort {
-                        tid: tid.clone(),
-                        servers,
-                    });
-                }
-                out.push(Action::Append {
-                    rec: LogRecord::Abort { tid: tid.clone() },
-                });
-                let token = self.alloc_force(ForcePurpose::NbSubAbortJoin(family));
-                self.stats.forces += 1;
-                self.record_resolution(family, Outcome::Aborted);
-                out.push(Action::Force {
-                    rec: LogRecord::NbQuorum {
-                        tid,
-                        kind: QuorumKind::Abort,
-                    },
-                    token,
-                });
+                self.resolve_here(out, family, Outcome::Aborted, None);
+                return self.force(out, ForceKind::NbSubAbortJoin, family, join_rec);
             }
             Role::SubNb(s) => {
                 if s.joined == Some(QuorumKind::Commit)
-                    || matches!(
-                        s.phase,
-                        NbSubPhase::Replicated | NbSubPhase::CommitAwaitDurable
-                    )
+                    || matches!(s.phase, SubPhase::Replicated | SubPhase::AwaitDurable)
                 {
-                    self.send(
-                        out,
-                        from,
-                        TmMessage::NbAbortJoinResp {
-                            tid,
-                            from: me,
-                            joined: false,
-                        },
-                    );
-                    return;
+                    false
+                } else if s.joined == Some(QuorumKind::Abort) {
+                    true
+                } else if s.phase == SubPhase::Resolved {
+                    s.outcome == Some(Outcome::Aborted)
+                } else {
+                    // Prepared and unjoined: force the join record.
+                    s.pending_ack_to = Some(from);
+                    return self.force(out, ForceKind::NbSubAbortJoin, family, join_rec);
                 }
-                if s.joined == Some(QuorumKind::Abort) {
-                    self.send(
-                        out,
-                        from,
-                        TmMessage::NbAbortJoinResp {
-                            tid,
-                            from: me,
-                            joined: true,
-                        },
-                    );
-                    return;
+            }
+            Role::Takeover(t) => match t.joined {
+                Some(QuorumKind::Commit) => false,
+                Some(QuorumKind::Abort) => true,
+                None if t.self_state == NbSiteState::Replicated => false,
+                None => {
+                    // Join their abort quorum (abandoning our own
+                    // commit ambitions is safe: we had none — we
+                    // are not replicated).
+                    t.joined = Some(QuorumKind::Abort);
+                    t.abort_joined.insert(me);
+                    out.push(Action::Append { rec: join_rec });
+                    true
                 }
-                if matches!(s.phase, NbSubPhase::Resolved) {
-                    let joined = s.outcome == Some(Outcome::Aborted);
-                    self.send(
-                        out,
-                        from,
-                        TmMessage::NbAbortJoinResp {
-                            tid,
-                            from: me,
-                            joined,
-                        },
-                    );
-                    return;
-                }
-                // Prepared and unjoined: force the join record.
-                s.pending_ack_to = Some(from);
-                let token = self.alloc_force(ForcePurpose::NbSubAbortJoin(family));
-                self.stats.forces += 1;
-                out.push(Action::Force {
-                    rec: LogRecord::NbQuorum {
-                        tid,
-                        kind: QuorumKind::Abort,
-                    },
-                    token,
-                });
-            }
-            Role::Takeover(t) => {
-                let joined = match t.joined {
-                    Some(QuorumKind::Commit) => false,
-                    Some(QuorumKind::Abort) => true,
-                    None if t.self_state == NbSiteState::Replicated => false,
-                    None => {
-                        // Join their abort quorum (abandoning our own
-                        // commit ambitions is safe: we had none — we
-                        // are not replicated).
-                        t.joined = Some(QuorumKind::Abort);
-                        t.abort_joined.insert(me);
-                        out.push(Action::Append {
-                            rec: LogRecord::NbQuorum {
-                                tid: tid.clone(),
-                                kind: QuorumKind::Abort,
-                            },
-                        });
-                        true
-                    }
-                };
-                self.send(
-                    out,
-                    from,
-                    TmMessage::NbAbortJoinResp {
-                        tid,
-                        from: me,
-                        joined,
-                    },
-                );
-            }
-            _ => {
-                self.send(
-                    out,
-                    from,
-                    TmMessage::NbAbortJoinResp {
-                        tid,
-                        from: me,
-                        joined: false,
-                    },
-                );
-            }
-        }
+            },
+            _ => false,
+        };
+        self.send_abort_join_resp(out, from, tid, joined);
     }
 
     /// A subordinate's abort-join record became durable: reply.
     pub(crate) fn subnb_abort_join_forced(&mut self, out: &mut Vec<Action>, family: FamilyId) {
-        let Some(fam) = self.families.get_mut(&family) else {
-            return;
-        };
-        let tid = fam.top_tid();
-        let Role::SubNb(s) = &mut fam.role else {
+        let Some(Role::SubNb(s)) = self.families.get_mut(&family).map(|f| &mut f.role) else {
             return;
         };
         s.joined = Some(QuorumKind::Abort);
-        let to = s.pending_ack_to.take();
         // A prepared site that joined the abort quorum resolves as
         // aborted once the takeover coordinator announces; until then
         // it stays prepared (locks held) — joining is a promise not to
         // commit, not an abort.
-        let me = self.site;
-        if let Some(to) = to {
-            self.send(
-                out,
-                to,
-                TmMessage::NbAbortJoinResp {
-                    tid,
-                    from: me,
-                    joined: true,
-                },
-            );
+        if let Some(to) = s.pending_ack_to.take() {
+            self.send_abort_join_resp(out, to, Tid::top_level(family), true);
         }
     }
 
@@ -643,16 +409,12 @@ impl Engine {
     pub(crate) fn takeover_abort_join_resp(
         &mut self,
         out: &mut Vec<Action>,
-        tid: camelot_types::Tid,
+        tid: Tid,
         from: SiteId,
         joined: bool,
-        now: Time,
     ) {
         let family = tid.family;
-        let Some(fam) = self.families.get_mut(&family) else {
-            return;
-        };
-        let Role::Takeover(t) = &mut fam.role else {
+        let Some(Role::Takeover(t)) = self.families.get_mut(&family).map(|f| &mut f.role) else {
             return;
         };
         if !matches!(t.phase, TakeoverPhase::RecruitAbort) {
@@ -661,14 +423,13 @@ impl Engine {
         if joined {
             t.abort_joined.insert(from);
             if t.abort_joined.len() >= t.info.abort_quorum as usize {
-                self.takeover_finish(out, family, Outcome::Aborted, now);
+                self.takeover_finish(out, family, Outcome::Aborted);
             }
         } else {
             // A refusal means a commit-quorum member exists after all;
             // restart gathering to find it.
-            let timer = t.timer.take();
-            self.cancel_timer(out, timer);
-            self.begin_gathering(out, family, now);
+            self.disarm(out, family);
+            self.begin_gathering(out, family);
         }
     }
 
@@ -678,64 +439,34 @@ impl Engine {
         out: &mut Vec<Action>,
         family: FamilyId,
         outcome: Outcome,
-        now: Time,
     ) {
-        let Some(fam) = self.families.get_mut(&family) else {
-            return;
-        };
-        let tid = fam.top_tid();
-        let Role::Takeover(t) = &mut fam.role else {
+        let Some(Role::Takeover(t)) = self.families.get_mut(&family).map(|f| &mut f.role) else {
             return;
         };
         if matches!(
             t.phase,
-            TakeoverPhase::Announcing { .. }
-                | TakeoverPhase::ForcingCommit
-                | TakeoverPhase::ForcingAbortJoin
+            TakeoverPhase::Announcing { .. } | TakeoverPhase::ForcingCommit
         ) {
             return; // Already finishing.
         }
-        let timer = t.timer.take();
         match outcome {
             Outcome::Committed => {
                 t.phase = TakeoverPhase::ForcingCommit;
-                self.cancel_timer(out, timer);
-                let token = self.alloc_force(ForcePurpose::TkCommit(family));
-                self.stats.forces += 1;
-                out.push(Action::Force {
-                    rec: LogRecord::Commit { tid, subs: vec![] },
-                    token,
-                });
+                self.disarm(out, family);
+                let tid = Tid::top_level(family);
+                let rec = LogRecord::Commit { tid, subs: vec![] };
+                self.force(out, ForceKind::TkCommit, family, rec);
             }
             Outcome::Aborted => {
-                self.cancel_timer(out, timer);
-                let servers: Vec<ServerId> = self
-                    .families
-                    .get(&family)
-                    .map(|f| f.servers.iter().copied().collect())
-                    .unwrap_or_default();
-                out.push(Action::Append {
-                    rec: LogRecord::Abort { tid: tid.clone() },
-                });
-                if !servers.is_empty() {
-                    out.push(Action::ServerAbort {
-                        tid: tid.clone(),
-                        servers,
-                    });
-                }
-                self.record_resolution(family, Outcome::Aborted);
-                self.takeover_announce(out, family, Outcome::Aborted, now);
+                self.disarm(out, family);
+                self.resolve_here(out, family, Outcome::Aborted, None);
+                self.takeover_announce(out, family, Outcome::Aborted);
             }
         }
     }
 
     /// The takeover coordinator's commit record is durable.
-    pub(crate) fn takeover_commit_forced(
-        &mut self,
-        out: &mut Vec<Action>,
-        family: FamilyId,
-        now: Time,
-    ) {
+    pub(crate) fn takeover_commit_forced(&mut self, out: &mut Vec<Action>, family: FamilyId) {
         let Some(fam) = self.families.get_mut(&family) else {
             return;
         };
@@ -747,56 +478,21 @@ impl Engine {
         if !matches!(t.phase, TakeoverPhase::ForcingCommit) {
             return;
         }
-        let local_update = t.local_update;
-        if local_update && !servers.is_empty() {
+        if t.local_update && !servers.is_empty() {
             out.push(Action::ServerCommit { tid, servers });
         }
         self.record_resolution(family, Outcome::Committed);
-        self.takeover_announce(out, family, Outcome::Committed, now);
+        self.takeover_announce(out, family, Outcome::Committed);
     }
 
-    /// Broadcast the decided outcome and collect acknowledgements.
-    fn takeover_announce(
-        &mut self,
-        out: &mut Vec<Action>,
-        family: FamilyId,
-        outcome: Outcome,
-        _now: Time,
-    ) {
-        let Some(fam) = self.families.get_mut(&family) else {
+    /// Broadcast the decided outcome to every other site and collect
+    /// acknowledgements.
+    fn takeover_announce(&mut self, out: &mut Vec<Action>, family: FamilyId, outcome: Outcome) {
+        let Some(Role::Takeover(t)) = self.families.get(&family).map(|f| &f.role) else {
             return;
         };
-        let tid = fam.top_tid();
-        let Role::Takeover(t) = &mut fam.role else {
-            return;
-        };
-        let peers: BTreeSet<SiteId> = t
-            .info
-            .sites
-            .iter()
-            .copied()
-            .filter(|s| *s != self.site)
-            .collect();
-        t.phase = TakeoverPhase::Announcing {
-            awaiting_acks: peers.clone(),
-            outcome,
-        };
-        let timer = self.alloc_timer(TimerPurpose::NotifyResend(family));
-        let interval = self.config.notify_resend_interval;
-        if let Some(fam) = self.families.get_mut(&family) {
-            fam.retry_attempts = 0;
-            if let Role::Takeover(t) = &mut fam.role {
-                t.timer = Some(timer);
-            }
-        }
-        self.broadcast(
-            out,
-            peers.into_iter().collect(),
-            TmMessage::NbOutcome { tid, outcome },
-        );
-        out.push(Action::SetTimer {
-            token: timer,
-            after: interval,
-        });
+        let me = self.site;
+        let peers: BTreeSet<SiteId> = t.info.sites.iter().copied().filter(|s| *s != me).collect();
+        self.announce(out, family, peers, outcome);
     }
 }

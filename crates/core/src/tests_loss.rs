@@ -120,13 +120,16 @@ fn lost_commit_notice_resolved_by_inquiry() {
 #[test]
 fn lost_votes_cause_timeout_abort_not_hang() {
     // Drop everything from the start: no votes ever arrive; the
-    // coordinator's vote timeout must abort, and no site may commit.
-    let mut net = Net::new(3, EngineConfig::default());
-    net.drop_every = 1; // Total loss.
-    let tid = net.begin(S1);
-    net.update_op(S1, SRV, &tid);
-    let req = net.commit(S1, &tid, CommitMode::TwoPhase, vec![S2, S3]);
-    net.run_timers(50);
-    assert_eq!(net.outcome_of(S1, req), Some(Outcome::Aborted));
-    net.assert_no_conflict(&tid.family);
+    // coordinator's vote timeout (one timer, one handler for both
+    // protocols) must abort, and no site may commit.
+    for mode in [CommitMode::TwoPhase, CommitMode::NonBlocking] {
+        let mut net = Net::new(3, EngineConfig::default());
+        net.drop_every = 1; // Total loss.
+        let tid = net.begin(S1);
+        net.update_op(S1, SRV, &tid);
+        let req = net.commit(S1, &tid, mode, vec![S2, S3]);
+        net.run_timers(50);
+        assert_eq!(net.outcome_of(S1, req), Some(Outcome::Aborted), "{mode:?}");
+        net.assert_no_conflict(&tid.family);
+    }
 }

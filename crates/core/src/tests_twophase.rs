@@ -1,11 +1,14 @@
 //! Protocol tests: presumed-abort two-phase commit (paper §3.2).
 
-use camelot_net::Outcome;
-use camelot_types::{ServerId, SiteId};
+use camelot_net::msg::NbInfo;
+use camelot_net::{Outcome, TmMessage, Vote};
+use camelot_types::{FamilyId, ServerId, SiteId, Tid, Time};
+use camelot_wal::LogRecord;
 
 use crate::config::{CommitMode, EngineConfig, TwoPhaseVariant};
+use crate::engine::Engine;
 use crate::family::FamilyPhase;
-use crate::io::Input;
+use crate::io::{Action, Input};
 use crate::testkit::Net;
 
 const S1: SiteId = SiteId(1);
@@ -160,30 +163,232 @@ fn local_server_veto_aborts_before_prepare_goes_out() {
     assert_eq!(net.forces(S2), 0);
 }
 
+/// The admission of a commit call is one check for both protocols.
 #[test]
-fn commit_of_unknown_family_rejected() {
-    let mut net = net(1);
-    let tid = net.begin(S1);
-    net.abort(S1, &tid, vec![]);
-    let req = net.commit(S1, &tid, CommitMode::TwoPhase, vec![]);
-    assert!(matches!(
-        net.find_event(S1, req),
-        Some(crate::io::Action::Rejected { .. })
-    ));
+fn commit_admission_rejects_under_both_protocols() {
+    let detail_of = |net: &Net, req: u64| match net.find_event(S1, req) {
+        Some(Action::Rejected { detail, .. }) => *detail,
+        other => panic!("not rejected: {other:?}"),
+    };
+    for mode in [CommitMode::TwoPhase, CommitMode::NonBlocking] {
+        let mut net = net(1);
+        // A family already aborted and forgotten.
+        let gone = net.begin(S1);
+        net.abort(S1, &gone, vec![]);
+        let req = net.commit(S1, &gone, mode, vec![]);
+        assert_eq!(detail_of(&net, req), "unknown family", "{mode:?}");
+        // A nested tid.
+        let tid = net.begin(S1);
+        let req = net.commit(S1, &tid.child(1), mode, vec![]);
+        assert_eq!(detail_of(&net, req), "commit of nested tid", "{mode:?}");
+        // A second commit while the first is in flight (S2 never
+        // answers the prepare), under either protocol.
+        net.update_op(S1, SRV, &tid);
+        net.down.insert(S2);
+        net.commit(S1, &tid, mode, vec![S2]);
+        for again in [CommitMode::TwoPhase, CommitMode::NonBlocking] {
+            let req = net.commit(S1, &tid, again, vec![]);
+            assert!(
+                detail_of(&net, req).ends_with("already in progress"),
+                "{mode:?} then {again:?}"
+            );
+        }
+        // A second commit after the first resolved and was forgotten.
+        let done = net.begin(S1);
+        net.update_op(S1, SRV, &done);
+        let r1 = net.commit(S1, &done, mode, vec![]);
+        assert_eq!(net.outcome_of(S1, r1), Some(Outcome::Committed));
+        let r2 = net.commit(S1, &done, mode, vec![]);
+        assert_eq!(detail_of(&net, r2), "unknown family", "{mode:?}");
+    }
 }
 
+/// Drives one subordinate engine through phase one by hand.
+struct SubUnderTest {
+    eng: Engine,
+    mode: CommitMode,
+}
+
+impl SubUnderTest {
+    fn new(mode: CommitMode) -> Self {
+        SubUnderTest {
+            eng: Engine::new(S2, EngineConfig::default()),
+            mode,
+        }
+    }
+
+    fn feed(&mut self, input: Input) -> Vec<Action> {
+        self.eng.handle(input, Time::ZERO)
+    }
+
+    fn join(&mut self, tid: &Tid) {
+        let tid = tid.clone();
+        self.feed(Input::Join { tid, server: SRV });
+    }
+
+    /// Delivers the protocol's prepare from coordinator S1.
+    fn prepare(&mut self, tid: &Tid) -> Vec<Action> {
+        let tid = tid.clone();
+        let msg = match self.mode {
+            CommitMode::TwoPhase => TmMessage::Prepare {
+                tid,
+                coordinator: S1,
+            },
+            CommitMode::NonBlocking => TmMessage::NbPrepare {
+                tid,
+                coordinator: S1,
+                info: NbInfo {
+                    sites: vec![S1, S2, S3],
+                    yes_votes: vec![],
+                    commit_quorum: 2,
+                    abort_quorum: 2,
+                },
+            },
+        };
+        self.feed(Input::Datagram { from: S1, msg })
+    }
+
+    fn server_votes(&mut self, tid: &Tid, vote: Vote) -> Vec<Action> {
+        let tid = tid.clone();
+        self.feed(Input::ServerVote {
+            tid,
+            server: SRV,
+            vote,
+        })
+    }
+
+    /// The vote this site sent to S1 among `actions`, in its
+    /// protocol's own message.
+    fn vote_sent(&self, actions: &[Action]) -> Option<Vote> {
+        actions.iter().find_map(|a| match (self.mode, a) {
+            (
+                CommitMode::TwoPhase,
+                Action::Send {
+                    to: S1,
+                    msg: TmMessage::VoteMsg { from: S2, vote, .. },
+                    ..
+                },
+            )
+            | (
+                CommitMode::NonBlocking,
+                Action::Send {
+                    to: S1,
+                    msg: TmMessage::NbVote { from: S2, vote, .. },
+                    ..
+                },
+            ) => Some(*vote),
+            _ => None,
+        })
+    }
+}
+
+/// The subordinate's phase one is one algorithm; the protocols differ
+/// in the vote message, the prepared record, the in-doubt timer, and
+/// whether a no-voter keeps a tombstone.
 #[test]
-fn double_commit_rejected() {
-    let mut net = net(1);
-    let tid = net.begin(S1);
-    net.update_op(S1, SRV, &tid);
-    let r1 = net.commit(S1, &tid, CommitMode::TwoPhase, vec![]);
-    assert_eq!(net.outcome_of(S1, r1), Some(Outcome::Committed));
-    let r2 = net.commit(S1, &tid, CommitMode::TwoPhase, vec![]);
-    assert!(matches!(
-        net.find_event(S1, r2),
-        Some(crate::io::Action::Rejected { .. })
-    ));
+fn subordinate_phase_one_under_both_protocols() {
+    let remote = Tid::top_level(FamilyId { origin: S1, seq: 5 });
+    for mode in [CommitMode::TwoPhase, CommitMode::NonBlocking] {
+        // Unknown family: presumed abort votes no.
+        let mut sub = SubUnderTest::new(mode);
+        let a = sub.prepare(&remote);
+        assert_eq!(sub.vote_sent(&a), Some(Vote::No), "{mode:?}");
+        assert_eq!(sub.eng.live_families(), 0);
+
+        // A known family no server joined: read-only, and forgotten.
+        let mut sub = SubUnderTest::new(mode);
+        let own = match &sub.feed(Input::Begin { req: 1 })[0] {
+            Action::Began { tid, .. } => tid.clone(),
+            other => panic!("{other:?}"),
+        };
+        let a = sub.prepare(&own);
+        assert_eq!(sub.vote_sent(&a), Some(Vote::ReadOnly), "{mode:?}");
+        assert_eq!(sub.eng.live_families(), 0, "{mode:?}");
+
+        // An update site: ask the server, force the protocol's own
+        // prepared record, then vote yes and arm the in-doubt timer.
+        let mut sub = SubUnderTest::new(mode);
+        sub.join(&remote);
+        let a = sub.prepare(&remote);
+        assert!(matches!(a[..], [Action::AskVote { .. }, ..]), "{mode:?}");
+        assert_eq!(sub.vote_sent(&a), None, "no vote before the force");
+        let a = sub.server_votes(&remote, Vote::Yes);
+        let (token, rec) = match &a[..] {
+            [Action::Force { token, rec }] => (*token, rec.clone()),
+            other => panic!("{mode:?}: {other:?}"),
+        };
+        match mode {
+            CommitMode::TwoPhase => assert!(matches!(rec, LogRecord::Prepared { .. })),
+            CommitMode::NonBlocking => assert!(matches!(rec, LogRecord::NbPrepared { .. })),
+        }
+        // A prepare retransmitted mid-force is not answered yet.
+        let a = sub.prepare(&remote);
+        assert_eq!(sub.vote_sent(&a), None, "{mode:?}");
+        let a = sub.feed(Input::LogForced { token });
+        assert_eq!(sub.vote_sent(&a), Some(Vote::Yes), "{mode:?}");
+        let in_doubt = match mode {
+            CommitMode::TwoPhase => sub.eng.config().inquiry_interval,
+            CommitMode::NonBlocking => sub.eng.config().nb_outcome_timeout,
+        };
+        assert!(a
+            .iter()
+            .any(|x| matches!(x, Action::SetTimer { after, .. } if *after == in_doubt)));
+        let view = sub.eng.family_view(&remote.family).expect("in doubt");
+        assert_eq!(view.phase, FamilyPhase::Prepared, "{mode:?}");
+        // A retransmitted prepare after the yes repeats the yes; the
+        // other protocol's prepare is not ours to answer.
+        let a = sub.prepare(&remote);
+        assert_eq!(sub.vote_sent(&a), Some(Vote::Yes), "{mode:?}");
+        let mut other = SubUnderTest::new(match mode {
+            CommitMode::TwoPhase => CommitMode::NonBlocking,
+            CommitMode::NonBlocking => CommitMode::TwoPhase,
+        });
+        std::mem::swap(&mut other.eng, &mut sub.eng);
+        assert!(other.prepare(&remote).is_empty(), "{mode:?}");
+
+        // A read-only site: vote, release the servers, forget.
+        let mut sub = SubUnderTest::new(mode);
+        sub.join(&remote);
+        sub.prepare(&remote);
+        let a = sub.server_votes(&remote, Vote::ReadOnly);
+        assert_eq!(sub.vote_sent(&a), Some(Vote::ReadOnly), "{mode:?}");
+        assert!(a.iter().any(|x| matches!(x, Action::ServerCommit { .. })));
+        assert!(!a.iter().any(|x| matches!(x, Action::Force { .. })));
+        assert_eq!(sub.eng.live_families(), 0, "{mode:?}");
+
+        // A vetoing site aborts on its own and votes no. Presumed
+        // abort forgets at once; non-blocking commit keeps a tombstone
+        // until the coordinator's forget note.
+        let mut sub = SubUnderTest::new(mode);
+        sub.join(&remote);
+        sub.prepare(&remote);
+        let a = sub.server_votes(&remote, Vote::No);
+        assert_eq!(sub.vote_sent(&a), Some(Vote::No), "{mode:?}");
+        assert!(a.iter().any(|x| matches!(x, Action::ServerAbort { .. })));
+        assert_eq!(
+            sub.eng.resolution(&remote.family),
+            Some(Outcome::Aborted),
+            "{mode:?}"
+        );
+        match mode {
+            CommitMode::TwoPhase => assert_eq!(sub.eng.family_view(&remote.family), None),
+            CommitMode::NonBlocking => {
+                let view = sub.eng.family_view(&remote.family).expect("tombstone");
+                assert_eq!(
+                    (view.role, view.phase),
+                    ("nb-subordinate", FamilyPhase::Resolving)
+                );
+                let forget = TmMessage::NbForget {
+                    tid: remote.clone(),
+                };
+                sub.feed(Input::Datagram {
+                    from: S1,
+                    msg: forget,
+                });
+                assert_eq!(sub.eng.family_view(&remote.family), None);
+            }
+        }
+    }
 }
 
 #[test]

@@ -1,5 +1,9 @@
 //! Presumed-abort two-phase commitment with the delayed-commit
-//! optimization (paper §3.2).
+//! optimization (paper §3.2) — and, because non-blocking commitment is
+//! this protocol plus five changes (§3.3), the steps both protocols
+//! share: the admission of a commit call, the subordinate's whole
+//! phase one, the coordinator's commit point, and the collection of
+//! acknowledgements. [`crate::nonblocking`] holds only the changes.
 //!
 //! Roles: the transaction's home site coordinates; every other
 //! participant site is a subordinate. Read-only subordinates vote
@@ -17,77 +21,77 @@
 //! force per transaction; locks are held slightly shorter; throughput
 //! improves at no cost to latency.
 
+use camelot_net::msg::NbInfo;
 use camelot_net::{Outcome, TmMessage, Vote};
-use camelot_types::{AbortReason, FamilyId, ServerId, SiteId, Tid, Time};
+use camelot_obs::TraceEventKind;
+use camelot_types::{AbortReason, FamilyId, ServerId, SiteId, Tid};
 use camelot_wal::LogRecord;
 
-use crate::config::TwoPhaseVariant;
-use crate::engine::{Engine, ForcePurpose, TimerPurpose};
-use crate::family::{Coord2pc, CoordPhase, Family, Role, Sub2pc, SubPhase, TxnStatus};
+use crate::config::{CommitMode, TwoPhaseVariant};
+use crate::engine::{outcome_msg, Engine, ForceKind, TimerKind};
+use crate::family::{
+    Coord2pc, CoordPhase, Family, Role, Sub2pc, SubNb, SubPhase, Tally, TxnStatus,
+};
 use crate::io::Action;
-
-use std::collections::BTreeSet;
 
 impl Engine {
     // =================================================================
     // Coordinator
     // =================================================================
 
-    /// `commit-transaction` with the two-phase protocol.
-    pub(crate) fn commit_2pc(
+    /// `commit-transaction`: the admission checks, then the chosen
+    /// protocol's opening.
+    pub(crate) fn commit_top(
         &mut self,
         out: &mut Vec<Action>,
         req: u64,
         tid: Tid,
+        mode: CommitMode,
         participants: Vec<SiteId>,
-        now: Time,
     ) {
-        if !tid.is_top_level() {
-            out.push(Action::Rejected {
-                req,
-                tid,
-                detail: "commit of nested tid",
-            });
-            return;
-        }
-        let Some(fam) = self.families.get_mut(&tid.family) else {
-            out.push(Action::Rejected {
-                req,
-                tid,
-                detail: "unknown family",
-            });
-            return;
+        self.tracer.family(
+            tid.family,
+            TraceEventKind::CommitCall {
+                mode: match mode {
+                    CommitMode::TwoPhase => "2pc",
+                    CommitMode::NonBlocking => "nb",
+                },
+            },
+        );
+        let refusal = match self.families.get_mut(&tid.family) {
+            _ if !tid.is_top_level() => Some("commit of nested tid"),
+            None => Some("unknown family"),
+            Some(fam) if fam.committing() => Some("commitment already in progress"),
+            Some(fam) if fam.effective_status(&tid) != Some(TxnStatus::Active) => {
+                Some("transaction not active")
+            }
+            Some(fam) => {
+                fam.commit_req = Some(req);
+                None
+            }
         };
-        if fam.committing() {
-            out.push(Action::Rejected {
-                req,
-                tid,
-                detail: "commitment already in progress",
-            });
+        if let Some(detail) = refusal {
+            out.push(Action::Rejected { req, tid, detail });
             return;
         }
-        if fam.effective_status(&tid) != Some(TxnStatus::Active) {
-            out.push(Action::Rejected {
-                req,
-                tid,
-                detail: "transaction not active",
-            });
-            return;
+        match mode {
+            CommitMode::TwoPhase => self.open_2pc(out, tid, participants),
+            CommitMode::NonBlocking => self.open_nb(out, tid, participants),
         }
-        fam.commit_req = Some(req);
-        let servers: BTreeSet<ServerId> = fam.servers.clone();
+    }
+
+    /// Two-phase commit opens by collecting the local votes; the
+    /// prepares go out once they are in.
+    fn open_2pc(&mut self, out: &mut Vec<Action>, tid: Tid, participants: Vec<SiteId>) {
+        let fam = self.families.get_mut(&tid.family).expect("admitted");
+        let servers = fam.servers.clone();
         fam.role = Role::Coord2pc(Coord2pc {
             participants,
-            awaiting_local: servers.clone(),
-            local_update: false,
-            awaiting_sites: BTreeSet::new(),
-            yes_subs: BTreeSet::new(),
+            tally: Tally::collecting(servers.clone()),
             phase: CoordPhase::CollectLocal,
-            vote_timer: None,
-            resend_timer: None,
         });
         if servers.is_empty() {
-            self.coord2pc_local_done(out, tid.family, now);
+            self.coord2pc_votes_in(out, tid.family, false);
         } else {
             out.push(Action::AskVote {
                 tid,
@@ -96,201 +100,43 @@ impl Engine {
         }
     }
 
-    /// A local server's vote while this site coordinates.
-    pub(crate) fn coord2pc_server_vote(
-        &mut self,
-        out: &mut Vec<Action>,
-        tid: Tid,
-        server: ServerId,
-        vote: Vote,
-        now: Time,
-    ) {
-        let family = tid.family;
-        let Some(fam) = self.families.get_mut(&family) else {
-            return;
-        };
-        let Role::Coord2pc(c) = &mut fam.role else {
-            return;
-        };
-        if c.phase != CoordPhase::CollectLocal || !c.awaiting_local.remove(&server) {
-            return;
-        }
-        match vote {
-            Vote::No => {
-                self.coord2pc_abort(out, family, AbortReason::ServerVetoed);
-                return;
-            }
-            Vote::Yes => c.local_update = true,
-            Vote::ReadOnly => {}
-        }
-        if c.awaiting_local.is_empty() {
-            self.coord2pc_local_done(out, family, now);
-        }
-    }
-
-    /// All local votes collected: go distributed or decide.
-    fn coord2pc_local_done(&mut self, out: &mut Vec<Action>, family: FamilyId, now: Time) {
-        let fam = self.families.get_mut(&family).expect("family exists");
-        let tid = fam.top_tid();
-        let Role::Coord2pc(c) = &mut fam.role else {
-            unreachable!("role checked by caller")
-        };
-        if c.participants.is_empty() {
-            self.coord2pc_decide(out, family);
-            return;
-        }
-        c.phase = CoordPhase::CollectVotes;
-        c.awaiting_sites = c.participants.iter().copied().collect();
-        let subs = c.participants.clone();
-        let msg = TmMessage::Prepare {
-            tid,
-            coordinator: self.site,
-        };
-        let t = self.alloc_timer(TimerPurpose::VoteTimeout(family));
-        let timeout = self.config.vote_timeout;
-        if let Some(fam) = self.families.get_mut(&family) {
-            if let Role::Coord2pc(c) = &mut fam.role {
-                c.vote_timer = Some(t);
-            }
-        }
-        self.broadcast(out, subs, msg);
-        out.push(Action::SetTimer {
-            token: t,
-            after: timeout,
-        });
-        let _ = now;
-    }
-
-    /// A subordinate's phase-one vote arrived.
-    pub(crate) fn coord2pc_vote(
-        &mut self,
-        out: &mut Vec<Action>,
-        tid: Tid,
-        from: SiteId,
-        vote: Vote,
-        now: Time,
-    ) {
-        let family = tid.family;
-        let Some(fam) = self.families.get_mut(&family) else {
-            return;
-        };
-        let Role::Coord2pc(c) = &mut fam.role else {
-            return;
-        };
-        if c.phase != CoordPhase::CollectVotes || !c.awaiting_sites.remove(&from) {
-            return; // Duplicate or stale vote.
-        }
-        match vote {
-            Vote::No => {
-                self.coord2pc_abort(out, family, AbortReason::ServerVetoed);
-                return;
-            }
-            Vote::Yes => {
-                c.yes_subs.insert(from);
-            }
-            Vote::ReadOnly => {}
-        }
-        if c.awaiting_sites.is_empty() {
-            let timer = c.vote_timer.take();
-            self.cancel_timer(out, timer);
-            self.coord2pc_decide(out, family);
-        }
-        let _ = now;
-    }
-
-    /// All votes are in and all are yes/read-only: commit.
-    fn coord2pc_decide(&mut self, out: &mut Vec<Action>, family: FamilyId) {
-        let fam = self.families.get_mut(&family).expect("family exists");
-        let tid = fam.top_tid();
-        let Role::Coord2pc(c) = &mut fam.role else {
-            unreachable!("role checked by caller")
-        };
-        let any_update = c.local_update || !c.yes_subs.is_empty();
-        if !any_update {
-            // Fully read-only: committed with no log write at all.
-            self.stats.read_only_commits += 1;
-            self.finish_local_commit(out, family, tid);
-            return;
-        }
-        c.phase = CoordPhase::ForcingCommit;
-        let subs: Vec<SiteId> = c.yes_subs.iter().copied().collect();
-        if self.config.unsafe_no_commit_force {
-            // Canary path (see `EngineConfig::unsafe_no_commit_force`):
-            // skip the commit-point force and pretend it completed.
-            out.push(Action::Append {
-                rec: LogRecord::Commit { tid, subs },
-            });
-            self.coord2pc_commit_forced(out, family, Time::ZERO);
-            return;
-        }
-        let token = self.alloc_force(ForcePurpose::CoordCommit(family));
-        self.stats.forces += 1;
-        out.push(Action::Force {
-            rec: LogRecord::Commit { tid, subs },
-            token,
-        });
-    }
-
-    /// Reply to the application, release local locks, bookkeep.
-    fn finish_local_commit(&mut self, out: &mut Vec<Action>, family: FamilyId, tid: Tid) {
-        let fam = self.families.get_mut(&family).expect("family exists");
-        let req = fam.commit_req.take();
-        let servers: Vec<ServerId> = fam.servers.iter().copied().collect();
-        if let Some(req) = req {
-            out.push(Action::Resolved {
-                req,
-                tid: tid.clone(),
-                outcome: Outcome::Committed,
-                reason: None,
-            });
-        }
-        if !servers.is_empty() {
-            out.push(Action::ServerCommit { tid, servers });
-        }
-        self.record_resolution(family, Outcome::Committed);
-        self.forget_family(&family);
-    }
-
-    /// The coordinator's commit record is durable — the commit point.
-    pub(crate) fn coord2pc_commit_forced(
+    /// Every vote asked for so far is in. After the local round the
+    /// prepares go out (if anyone is to be asked); after the
+    /// subordinates' round — or with none — the coordinator decides.
+    pub(crate) fn coord2pc_votes_in(
         &mut self,
         out: &mut Vec<Action>,
         family: FamilyId,
-        now: Time,
+        update: bool,
     ) {
-        let Some(fam) = self.families.get_mut(&family) else {
-            return;
-        };
+        let fam = self.families.get_mut(&family).expect("family exists");
         let tid = fam.top_tid();
-        let req = fam.commit_req.take();
-        let servers: Vec<ServerId> = fam.servers.iter().copied().collect();
         let Role::Coord2pc(c) = &mut fam.role else {
-            return;
+            unreachable!("role checked by caller")
         };
-        if c.phase != CoordPhase::ForcingCommit {
+        if c.phase == CoordPhase::CollectLocal && !c.participants.is_empty() {
+            c.phase = CoordPhase::CollectVotes;
+            c.tally.awaiting_sites = c.participants.iter().copied().collect();
+            let subs = c.participants.clone();
+            let msg = TmMessage::Prepare {
+                tid,
+                coordinator: self.site,
+            };
+            self.arm(
+                out,
+                TimerKind::VoteTimeout,
+                family,
+                self.config.vote_timeout,
+            );
+            self.broadcast(out, subs, msg);
             return;
         }
-        let yes_subs = c.yes_subs.clone();
-        if let Some(req) = req {
-            out.push(Action::Resolved {
-                req,
-                tid: tid.clone(),
-                outcome: Outcome::Committed,
-                reason: None,
-            });
-        }
-        if !servers.is_empty() {
-            out.push(Action::ServerCommit {
-                tid: tid.clone(),
-                servers,
-            });
-        }
-        self.record_resolution(family, Outcome::Committed);
-        if yes_subs.is_empty() {
-            // Local-update transaction: nothing to notify.
-            out.push(Action::Append {
-                rec: LogRecord::End { tid },
-            });
+        // All votes are in and all are yes/read-only: commit.
+        self.disarm(out, family);
+        if !update {
+            // Fully read-only: committed with no log write at all.
+            self.stats.read_only_commits += 1;
+            self.resolve_here(out, family, Outcome::Committed, None);
             self.forget_family(&family);
             return;
         }
@@ -298,50 +144,84 @@ impl Engine {
         let Role::Coord2pc(c) = &mut fam.role else {
             unreachable!("role unchanged")
         };
-        c.phase = CoordPhase::Notifying {
-            awaiting_acks: yes_subs.clone(),
-        };
-        let t = self.alloc_timer(TimerPurpose::NotifyResend(family));
-        let interval = self.config.notify_resend_interval;
-        if let Some(fam) = self.families.get_mut(&family) {
-            fam.retry_attempts = 0;
-            if let Role::Coord2pc(c) = &mut fam.role {
-                c.resend_timer = Some(t);
-            }
+        c.phase = CoordPhase::ForcingCommit;
+        let subs: Vec<SiteId> = c.tally.yes_subs.iter().copied().collect();
+        let rec = LogRecord::Commit { tid, subs };
+        if self.config.unsafe_no_commit_force {
+            // Canary path (see `EngineConfig::unsafe_no_commit_force`):
+            // skip the commit-point force and pretend it completed.
+            out.push(Action::Append { rec });
+            self.coord_commit_forced(out, family);
+            return;
         }
-        self.broadcast(
-            out,
-            yes_subs.into_iter().collect(),
-            TmMessage::Commit { tid },
-        );
-        out.push(Action::SetTimer {
-            token: t,
-            after: interval,
-        });
-        let _ = now;
+        self.force(out, ForceKind::CoordCommit, family, rec);
     }
 
-    /// A subordinate acknowledged that its commit record is durable.
-    pub(crate) fn coord2pc_ack(&mut self, out: &mut Vec<Action>, tid: Tid, from: SiteId) {
+    /// The coordinator's commit record is durable — the commit point
+    /// (under non-blocking commit: the record that completes the
+    /// commit quorum). Answer the application, release the local
+    /// locks, and notify whoever holds state for the family: the
+    /// update subordinates, or the replication targets.
+    pub(crate) fn coord_commit_forced(&mut self, out: &mut Vec<Action>, family: FamilyId) {
+        let notify = match self.families.get(&family).map(|f| &f.role) {
+            Some(Role::Coord2pc(c)) if c.phase == CoordPhase::ForcingCommit => {
+                c.tally.yes_subs.clone()
+            }
+            Some(Role::CoordNb(c)) if c.phase == CoordPhase::ForcingCommit => {
+                c.replication_targets.clone()
+            }
+            _ => return,
+        };
+        self.resolve_here(out, family, Outcome::Committed, None);
+        if notify.is_empty() {
+            // Local-update transaction: nothing to notify.
+            self.end_family(out, family);
+        } else {
+            self.announce(out, family, notify, Outcome::Committed);
+        }
+    }
+
+    /// Writes the end record and forgets the family: nobody is left
+    /// who could ask about it.
+    pub(crate) fn end_family(&mut self, out: &mut Vec<Action>, family: FamilyId) {
+        out.push(Action::Append {
+            rec: LogRecord::End {
+                tid: Tid::top_level(family),
+            },
+        });
+        self.forget_family(&family);
+    }
+
+    /// An acknowledgement of the announced outcome arrived (a
+    /// `CommitAck`: the subordinate's commit record is durable; an
+    /// `NbOutcomeAck`: the participant resolved). After the last one
+    /// the family ends here — and under non-blocking commit everyone
+    /// who kept a tombstone is told to forget (change 4's epilogue).
+    pub(crate) fn on_outcome_ack(
+        &mut self,
+        out: &mut Vec<Action>,
+        tid: Tid,
+        from: SiteId,
+        mode: CommitMode,
+    ) {
         let family = tid.family;
         let Some(fam) = self.families.get_mut(&family) else {
             return;
         };
-        let Role::Coord2pc(c) = &mut fam.role else {
+        if fam.mode() != Some(mode) {
             return;
-        };
-        let CoordPhase::Notifying { awaiting_acks } = &mut c.phase else {
+        }
+        let Some((awaiting_acks, _)) = fam.notifying() else {
             return;
         };
         awaiting_acks.remove(&from);
-        if awaiting_acks.is_empty() {
-            let timer = c.resend_timer.take();
-            self.cancel_timer(out, timer);
-            out.push(Action::Append {
-                rec: LogRecord::End { tid },
-            });
-            self.forget_family(&family);
+        if !awaiting_acks.is_empty() {
+            return;
         }
+        let tombstones = self.tombstone_holders(family);
+        self.disarm(out, family);
+        self.broadcast(out, tombstones, TmMessage::NbForget { tid });
+        self.end_family(out, family);
     }
 
     /// Coordinator-side abort: presumed abort means no force and no
@@ -352,402 +232,248 @@ impl Engine {
         family: FamilyId,
         reason: AbortReason,
     ) {
-        let Some(fam) = self.families.get_mut(&family) else {
-            return;
-        };
-        let tid = fam.top_tid();
-        let req = fam.commit_req.take();
-        let servers: Vec<ServerId> = fam.servers.iter().copied().collect();
-        let Role::Coord2pc(c) = &mut fam.role else {
+        let Some(Role::Coord2pc(c)) = self.families.get(&family).map(|f| &f.role) else {
             return;
         };
         let participants = c.participants.clone();
-        let timers = [c.vote_timer.take(), c.resend_timer.take()];
-        out.push(Action::Append {
-            rec: LogRecord::Abort { tid: tid.clone() },
-        });
-        if let Some(req) = req {
-            out.push(Action::Resolved {
-                req,
-                tid: tid.clone(),
-                outcome: Outcome::Aborted,
-                reason: Some(reason),
-            });
-        }
-        if !servers.is_empty() {
-            out.push(Action::ServerAbort {
-                tid: tid.clone(),
-                servers,
-            });
-        }
-        for t in timers {
-            self.cancel_timer(out, t);
-        }
-        self.broadcast(out, participants, TmMessage::Abort { tid });
-        self.record_resolution(family, Outcome::Aborted);
+        self.resolve_here(out, family, Outcome::Aborted, Some(reason));
+        self.disarm(out, family);
         self.forget_family(&family);
-    }
-
-    /// Application called abort while commitment was in flight.
-    pub(crate) fn coordinator_abort_request(
-        &mut self,
-        out: &mut Vec<Action>,
-        req: u64,
-        tid: Tid,
-        reason: AbortReason,
-    ) {
-        let family = tid.family;
-        let Some(fam) = self.families.get_mut(&family) else {
-            return;
-        };
-        let undecided = match &fam.role {
-            Role::Coord2pc(c) => {
-                matches!(c.phase, CoordPhase::CollectLocal | CoordPhase::CollectVotes)
-            }
-            Role::CoordNb(c) => {
-                matches!(c.phase, crate::family::NbCoordPhase::CollectVotes)
-            }
-            _ => false,
-        };
-        if !undecided {
-            out.push(Action::Rejected {
-                req,
-                tid,
-                detail: "too late to abort",
-            });
-            return;
-        }
-        match &fam.role {
-            Role::Coord2pc(_) => self.coord2pc_abort(out, family, reason),
-            Role::CoordNb(_) => self.coordnb_abort(out, family, reason),
-            _ => unreachable!("undecided implies coordinator role"),
-        }
-        out.push(Action::Resolved {
-            req,
-            tid,
-            outcome: Outcome::Aborted,
-            reason: Some(reason),
-        });
+        let tid = Tid::top_level(family);
+        self.broadcast(out, participants, TmMessage::Abort { tid });
     }
 
     /// Phase-one vote collection timed out.
-    pub(crate) fn vote_timeout(&mut self, out: &mut Vec<Action>, family: FamilyId, now: Time) {
-        let Some(fam) = self.families.get(&family) else {
-            return;
-        };
-        match &fam.role {
-            Role::Coord2pc(c) if c.phase == CoordPhase::CollectVotes => {
-                self.coord2pc_abort(out, family, AbortReason::VoteTimeout);
-            }
-            Role::CoordNb(c) if matches!(c.phase, crate::family::NbCoordPhase::CollectVotes) => {
-                self.coordnb_abort(out, family, AbortReason::VoteTimeout);
-            }
-            _ => {}
-        }
-        let _ = now;
-    }
-
-    /// Re-send unacknowledged notifications (commit notices or
-    /// non-blocking outcomes).
-    pub(crate) fn notify_resend(&mut self, out: &mut Vec<Action>, family: FamilyId, now: Time) {
+    pub(crate) fn vote_timeout(&mut self, out: &mut Vec<Action>, family: FamilyId) {
         let Some(fam) = self.families.get_mut(&family) else {
             return;
         };
-        let tid = fam.top_tid();
-        enum Plan {
-            TwoPhase(Vec<SiteId>),
-            Nb(Vec<SiteId>, Outcome),
-            Takeover(Vec<SiteId>, Outcome),
+        if fam.coordinating() && fam.open_tally().is_some() {
+            self.coord_abort(out, family, AbortReason::VoteTimeout);
         }
-        let plan = match &fam.role {
-            Role::Coord2pc(c) => match &c.phase {
-                CoordPhase::Notifying { awaiting_acks } if !awaiting_acks.is_empty() => {
-                    Plan::TwoPhase(awaiting_acks.iter().copied().collect())
-                }
-                _ => return,
-            },
-            Role::CoordNb(c) => match &c.phase {
-                crate::family::NbCoordPhase::Notifying {
-                    awaiting_acks,
-                    outcome,
-                } if !awaiting_acks.is_empty() => {
-                    Plan::Nb(awaiting_acks.iter().copied().collect(), *outcome)
-                }
-                _ => return,
-            },
-            Role::Takeover(t) => match &t.phase {
-                crate::family::TakeoverPhase::Announcing {
-                    awaiting_acks,
-                    outcome,
-                } if !awaiting_acks.is_empty() => {
-                    Plan::Takeover(awaiting_acks.iter().copied().collect(), *outcome)
-                }
-                _ => return,
-            },
-            _ => return,
+    }
+
+    /// Re-send unacknowledged notifications (commit notices or
+    /// non-blocking outcomes), backing off each successive resend.
+    pub(crate) fn notify_resend(&mut self, out: &mut Vec<Action>, family: FamilyId) {
+        let Some(fam) = self.families.get_mut(&family) else {
+            return;
         };
-        // Re-arm the timer, backing off each successive resend.
-        let t = self.alloc_timer(TimerPurpose::NotifyResend(family));
-        let mut attempt = 0;
-        if let Some(fam) = self.families.get_mut(&family) {
-            fam.retry_attempts += 1;
-            attempt = fam.retry_attempts;
-            match &mut fam.role {
-                Role::Coord2pc(c) => c.resend_timer = Some(t),
-                Role::CoordNb(c) => c.resend_timer = Some(t),
-                Role::Takeover(tk) => tk.timer = Some(t),
-                _ => {}
-            }
+        let Some((awaiting_acks, outcome)) = fam.notifying() else {
+            return;
+        };
+        if awaiting_acks.is_empty() {
+            return;
         }
-        let interval = self.retry_after(&family, self.config.notify_resend_interval, attempt);
-        out.push(Action::SetTimer {
-            token: t,
-            after: interval,
-        });
-        match plan {
-            Plan::TwoPhase(sites) => self.broadcast(out, sites, TmMessage::Commit { tid }),
-            Plan::Nb(sites, outcome) | Plan::Takeover(sites, outcome) => {
-                self.broadcast(out, sites, TmMessage::NbOutcome { tid, outcome })
-            }
-        }
-        let _ = now;
+        let sites: Vec<SiteId> = awaiting_acks.iter().copied().collect();
+        let msg = outcome_msg(fam, outcome);
+        let base = self.config.notify_resend_interval;
+        self.rearm_with_backoff(out, TimerKind::NotifyResend, family, base);
+        self.broadcast(out, sites, msg);
     }
 
     /// A prepared subordinate (or a recovering site) asks about the
     /// outcome. Presumed abort: unknown means aborted.
     pub(crate) fn answer_inquiry(&mut self, out: &mut Vec<Action>, tid: Tid, from: SiteId) {
         let family = tid.family;
-        if let Some(outcome) = self.resolutions.get(&family).copied() {
-            self.send(out, from, TmMessage::InquireResp { tid, outcome });
-            return;
-        }
-        if self.families.contains_key(&family) {
+        let outcome = match self.resolutions.get(&family) {
+            Some(outcome) => *outcome,
             // Still undecided here; the subordinate will ask again.
-            return;
-        }
-        self.send(
-            out,
-            from,
-            TmMessage::InquireResp {
-                tid,
-                outcome: Outcome::Aborted,
-            },
-        );
+            None if self.families.contains_key(&family) => return,
+            None => Outcome::Aborted,
+        };
+        self.send(out, from, TmMessage::InquireResp { tid, outcome });
     }
 
     // =================================================================
-    // Subordinate
+    // Subordinate, phase one (both protocols)
     // =================================================================
 
-    /// Prepare request from the coordinator.
-    pub(crate) fn sub2pc_prepare(
+    /// Casts this site's phase-one vote in `mode`'s message.
+    fn send_vote(
+        &mut self,
+        out: &mut Vec<Action>,
+        mode: CommitMode,
+        coordinator: SiteId,
+        tid: Tid,
+        vote: Vote,
+    ) {
+        let from = self.site;
+        let msg = match mode {
+            CommitMode::TwoPhase => TmMessage::VoteMsg { tid, from, vote },
+            CommitMode::NonBlocking => TmMessage::NbVote { tid, from, vote },
+        };
+        self.send(out, coordinator, msg);
+    }
+
+    /// Prepare request from the coordinator. A non-blocking prepare
+    /// carries the full site list and the quorum sizes (`nb`, change 1
+    /// of §3.3); that is all that tells the two protocols apart here.
+    pub(crate) fn sub_prepare(
         &mut self,
         out: &mut Vec<Action>,
         tid: Tid,
         coordinator: SiteId,
-        now: Time,
+        nb: Option<NbInfo>,
     ) {
         let family = tid.family;
+        let mode = match nb {
+            None => CommitMode::TwoPhase,
+            Some(_) => CommitMode::NonBlocking,
+        };
         self.retire_orphan_timer(&family);
-        match self.families.get_mut(&family) {
-            None => {
-                // Presumed abort: no information means vote NO. This
-                // site cannot tell "no server ever joined here" (or
-                // "read-only participation already resolved and
-                // forgotten") apart from "a server joined with updates
-                // and the site crashed before preparing" — a read-only
-                // vote in that last case would let the coordinator
-                // commit a transaction whose updates were lost.
-                let me = self.site;
-                self.send(
-                    out,
-                    coordinator,
-                    TmMessage::VoteMsg {
-                        tid,
-                        from: me,
-                        vote: Vote::No,
-                    },
-                );
+        let vote = match self.families.get_mut(&family) {
+            // Presumed abort: no information means vote NO. This
+            // site cannot tell "no server ever joined here" (or
+            // "read-only participation already resolved and
+            // forgotten") apart from "a server joined with updates
+            // and the site crashed before preparing" — a read-only
+            // vote in that last case would let the coordinator
+            // commit a transaction whose updates were lost.
+            None => Vote::No,
+            Some(fam) if !fam.committing() && fam.servers.is_empty() => {
+                self.forget_family(&family);
+                Vote::ReadOnly
             }
-            Some(fam) => match &mut fam.role {
-                Role::Executing => {
-                    let servers = fam.servers.clone();
-                    if servers.is_empty() {
-                        let me = self.site;
-                        self.forget_family(&family);
-                        self.send(
-                            out,
-                            coordinator,
-                            TmMessage::VoteMsg {
-                                tid,
-                                from: me,
-                                vote: Vote::ReadOnly,
-                            },
-                        );
-                        return;
-                    }
-                    fam.role = Role::Sub2pc(Sub2pc {
+            Some(fam) if !fam.committing() => {
+                let servers = fam.servers.clone();
+                let tally = Tally::collecting(servers.clone());
+                let phase = SubPhase::CollectLocal;
+                fam.role = match nb {
+                    None => Role::Sub2pc(Sub2pc {
                         coordinator,
-                        awaiting_local: servers.clone(),
-                        local_update: false,
-                        phase: SubPhase::CollectLocal,
-                        inquiry_timer: None,
-                    });
-                    out.push(Action::AskVote {
-                        tid,
-                        servers: servers.into_iter().collect(),
-                    });
-                }
-                // Retransmitted prepare: repeat the vote if we
-                // already cast it.
-                Role::Sub2pc(s) if s.phase == SubPhase::Prepared => {
-                    let me = self.site;
-                    self.send(
-                        out,
-                        coordinator,
-                        TmMessage::VoteMsg {
-                            tid,
-                            from: me,
-                            vote: Vote::Yes,
-                        },
-                    );
-                }
-                _ => {}
+                        tally,
+                        phase,
+                    }),
+                    Some(info) => Role::SubNb(SubNb {
+                        tally,
+                        ..SubNb::at(coordinator, info, phase, false)
+                    }),
+                };
+                out.push(Action::AskVote {
+                    tid,
+                    servers: servers.into_iter().collect(),
+                });
+                return;
+            }
+            // Retransmitted prepare: repeat the vote if we already
+            // cast it.
+            Some(fam) => match fam.sub_mut() {
+                Some((_, m, SubPhase::Prepared | SubPhase::Replicated)) if m == mode => Vote::Yes,
+                _ => return,
             },
-        }
-        let _ = now;
+        };
+        self.send_vote(out, mode, coordinator, tid, vote);
     }
 
-    /// A local server's vote while this site is a subordinate.
-    pub(crate) fn sub2pc_server_vote(
-        &mut self,
-        out: &mut Vec<Action>,
-        tid: Tid,
-        server: ServerId,
-        vote: Vote,
-        now: Time,
-    ) {
-        let family = tid.family;
+    /// A local server vetoed: unilateral abort before voting. Presumed
+    /// abort lets a two-phase subordinate forget immediately after
+    /// telling the coordinator; a non-blocking one keeps a tombstone —
+    /// status requests must see "aborted" until the coordinator's
+    /// forget note (change 4).
+    pub(crate) fn sub_veto(&mut self, out: &mut Vec<Action>, family: FamilyId) {
         let Some(fam) = self.families.get_mut(&family) else {
             return;
         };
-        let Role::Sub2pc(s) = &mut fam.role else {
+        let tid = fam.top_tid();
+        let Some((coordinator, mode, _)) = fam.sub_mut() else {
             return;
         };
-        if s.phase != SubPhase::CollectLocal || !s.awaiting_local.remove(&server) {
+        if let Role::SubNb(s) = &mut fam.role {
+            s.phase = SubPhase::Resolved;
+            s.outcome = Some(Outcome::Aborted);
+        }
+        self.resolve_here(out, family, Outcome::Aborted, None);
+        if mode == CommitMode::TwoPhase {
+            self.forget_family(&family);
+        }
+        self.send_vote(out, mode, coordinator, tid, Vote::No);
+    }
+
+    /// All local votes are in, none of them no.
+    pub(crate) fn sub_votes_in(&mut self, out: &mut Vec<Action>, family: FamilyId, update: bool) {
+        let Some(fam) = self.families.get_mut(&family) else {
             return;
-        }
-        let coordinator = s.coordinator;
-        match vote {
-            Vote::No => {
-                // Unilateral abort before voting: presumed abort lets
-                // us forget immediately after telling the coordinator.
-                let servers: Vec<ServerId> = fam.servers.iter().copied().collect();
-                fam.mark_subtree(&tid, TxnStatus::Aborted);
-                out.push(Action::Append {
-                    rec: LogRecord::Abort { tid: tid.clone() },
-                });
-                out.push(Action::ServerAbort {
-                    tid: tid.clone(),
-                    servers,
-                });
-                let me = self.site;
-                self.record_resolution(family, Outcome::Aborted);
-                self.forget_family(&family);
-                self.send(
-                    out,
-                    coordinator,
-                    TmMessage::VoteMsg {
-                        tid,
-                        from: me,
-                        vote: Vote::No,
-                    },
-                );
-                return;
-            }
-            Vote::Yes => s.local_update = true,
-            Vote::ReadOnly => {}
-        }
-        if !s.awaiting_local.is_empty() {
+        };
+        let tid = fam.top_tid();
+        let Some((coordinator, mode, phase)) = fam.sub_mut() else {
             return;
-        }
-        if !s.local_update {
+        };
+        if !update {
             // Read-only site: vote, drop locks, forget (the read-only
-            // optimization — no log records, no phase two).
+            // optimization — no log records, no phase two). If a
+            // non-blocking quorum later needs us, NbReplicate
+            // recreates the state.
             let servers: Vec<ServerId> = fam.servers.iter().copied().collect();
             out.push(Action::ServerCommit {
                 tid: tid.clone(),
                 servers,
             });
-            let me = self.site;
             self.forget_family(&family);
-            self.send(
-                out,
-                coordinator,
-                TmMessage::VoteMsg {
-                    tid,
-                    from: me,
-                    vote: Vote::ReadOnly,
-                },
-            );
+            self.send_vote(out, mode, coordinator, tid, Vote::ReadOnly);
             return;
         }
-        s.phase = SubPhase::ForcingPrepared;
-        let token = self.alloc_force(ForcePurpose::SubPrepared(family));
-        self.stats.forces += 1;
-        out.push(Action::Force {
-            rec: LogRecord::Prepared { tid, coordinator },
-            token,
-        });
-        let _ = now;
+        *phase = SubPhase::ForcingPrepared;
+        let (kind, rec) = match &fam.role {
+            Role::SubNb(s) => (
+                ForceKind::NbSubPrepared,
+                LogRecord::NbPrepared {
+                    tid,
+                    coordinator,
+                    sites: s.info.sites.clone(),
+                },
+            ),
+            _ => (
+                ForceKind::SubPrepared,
+                LogRecord::Prepared { tid, coordinator },
+            ),
+        };
+        self.force(out, kind, family, rec);
     }
 
-    /// The subordinate's prepared record is durable: vote yes.
-    pub(crate) fn sub2pc_prepared_forced(
-        &mut self,
-        out: &mut Vec<Action>,
-        family: FamilyId,
-        now: Time,
-    ) {
+    /// The subordinate's prepared record is durable: vote yes. From
+    /// here the site is in doubt, and the protocols differ in what it
+    /// may do about a silent coordinator — see
+    /// [`Engine::arm_in_doubt_timer`].
+    pub(crate) fn sub_prepared_forced(&mut self, out: &mut Vec<Action>, family: FamilyId) {
         let Some(fam) = self.families.get_mut(&family) else {
             return;
         };
         let tid = fam.top_tid();
-        let Role::Sub2pc(s) = &mut fam.role else {
+        let Some((coordinator, mode, phase)) = fam.sub_mut() else {
             return;
         };
-        if s.phase != SubPhase::ForcingPrepared {
+        if *phase != SubPhase::ForcingPrepared {
             return;
         }
-        s.phase = SubPhase::Prepared;
-        let coordinator = s.coordinator;
-        let t = self.alloc_timer(TimerPurpose::Inquiry(family));
-        let interval = self.config.inquiry_interval;
-        if let Some(fam) = self.families.get_mut(&family) {
-            fam.retry_attempts = 0;
-            if let Role::Sub2pc(s) = &mut fam.role {
-                s.inquiry_timer = Some(t);
-            }
-        }
-        let me = self.site;
-        self.send(
-            out,
-            coordinator,
-            TmMessage::VoteMsg {
-                tid,
-                from: me,
-                vote: Vote::Yes,
-            },
-        );
-        out.push(Action::SetTimer {
-            token: t,
-            after: interval,
-        });
-        let _ = now;
+        *phase = SubPhase::Prepared;
+        self.arm_in_doubt_timer(out, family, mode);
+        self.send_vote(out, mode, coordinator, tid, Vote::Yes);
     }
 
+    /// Starts the in-doubt subordinate's timer. Two-phase commit can
+    /// only inquire, periodically, and stays blocked while the
+    /// coordinator is silent; a non-blocking subordinate times out
+    /// once and becomes a coordinator itself (change 2).
+    pub(crate) fn arm_in_doubt_timer(
+        &mut self,
+        out: &mut Vec<Action>,
+        family: FamilyId,
+        mode: CommitMode,
+    ) {
+        let (kind, after) = match mode {
+            CommitMode::TwoPhase => (TimerKind::Inquiry, self.config.inquiry_interval),
+            CommitMode::NonBlocking => (TimerKind::NbOutcome, self.config.nb_outcome_timeout),
+        };
+        self.arm(out, kind, family, after);
+    }
+
+    // =================================================================
+    // Subordinate, phase two (two-phase commit)
+    // =================================================================
+
     /// Commit notice from the coordinator.
-    pub(crate) fn sub2pc_commit(&mut self, out: &mut Vec<Action>, tid: Tid, now: Time) {
+    pub(crate) fn sub2pc_commit(&mut self, out: &mut Vec<Action>, tid: Tid) {
         let family = tid.family;
         let Some(fam) = self.families.get_mut(&family) else {
             // Already resolved and forgotten here — our ack was lost.
@@ -757,146 +483,75 @@ impl Engine {
             self.queue_ack(out, coordinator, TmMessage::CommitAck { tid, from: me });
             return;
         };
-        let servers: Vec<ServerId> = fam.servers.iter().copied().collect();
         let Role::Sub2pc(s) = &mut fam.role else {
             return;
         };
         if s.phase != SubPhase::Prepared {
             return; // Duplicate while already committing.
         }
-        let timer = s.inquiry_timer.take();
-        self.cancel_timer(out, timer);
-        self.record_resolution(family, Outcome::Committed);
-        let fam = self.families.get_mut(&family).expect("family exists");
-        let Role::Sub2pc(s) = &mut fam.role else {
-            unreachable!("role unchanged")
-        };
+        let rec = LogRecord::Commit { tid, subs: vec![] };
         match self.config.variant {
             TwoPhaseVariant::Optimized => {
                 // Delayed-commit optimization: locks dropped *now*,
                 // before the commit record is durable; the record is
                 // written lazily and the ack waits for durability.
                 s.phase = SubPhase::AwaitDurable;
-                out.push(Action::ServerCommit {
-                    tid: tid.clone(),
-                    servers,
-                });
-                let token = self.alloc_force(ForcePurpose::SubCommitLazy(family));
-                self.stats.lazy_appends += 1;
-                out.push(Action::AppendNotify {
-                    rec: LogRecord::Commit { tid, subs: vec![] },
-                    token,
-                });
+                self.disarm(out, family);
+                self.resolve_here(out, family, Outcome::Committed, None);
+                self.append_lazy(out, ForceKind::SubCommitLazy, family, rec);
             }
             TwoPhaseVariant::SemiOptimized | TwoPhaseVariant::Unoptimized => {
                 // Unoptimized: the subordinate's own commit record
                 // indicates commitment, so locks drop only after the
                 // force completes.
                 s.phase = SubPhase::ForcingCommit;
-                let token = self.alloc_force(ForcePurpose::SubCommit(family));
-                self.stats.forces += 1;
-                out.push(Action::Force {
-                    rec: LogRecord::Commit { tid, subs: vec![] },
-                    token,
-                });
+                self.disarm(out, family);
+                self.record_resolution(family, Outcome::Committed);
+                self.force(out, ForceKind::SubCommit, family, rec);
             }
         }
-        let _ = now;
     }
 
-    /// Forced subordinate commit record is durable (semi-/unoptimized).
-    pub(crate) fn sub2pc_commit_forced(&mut self, out: &mut Vec<Action>, family: FamilyId) {
-        let Some(fam) = self.families.get_mut(&family) else {
-            return;
-        };
-        let tid = fam.top_tid();
-        let servers: Vec<ServerId> = fam.servers.iter().copied().collect();
-        let Role::Sub2pc(s) = &mut fam.role else {
-            return;
-        };
-        if s.phase != SubPhase::ForcingCommit {
-            return;
-        }
-        let coordinator = s.coordinator;
-        out.push(Action::ServerCommit {
-            tid: tid.clone(),
-            servers,
-        });
-        let me = self.site;
-        self.forget_family(&family);
-        // `queue_ack` sends immediately when piggybacking is off
-        // (unoptimized) and delays otherwise (semi-optimized).
-        self.queue_ack(out, coordinator, TmMessage::CommitAck { tid, from: me });
-    }
-
-    /// Lazily appended subordinate commit record became durable
-    /// (optimized variant): acknowledge now.
-    pub(crate) fn sub2pc_commit_durable(&mut self, out: &mut Vec<Action>, family: FamilyId) {
-        let Some(fam) = self.families.get_mut(&family) else {
-            return;
-        };
-        let tid = fam.top_tid();
-        let Role::Sub2pc(s) = &mut fam.role else {
-            return;
-        };
-        if s.phase != SubPhase::AwaitDurable {
-            return;
-        }
-        let coordinator = s.coordinator;
-        let me = self.site;
-        self.forget_family(&family);
-        self.queue_ack(out, coordinator, TmMessage::CommitAck { tid, from: me });
-    }
-
-    /// Inquiry answer from the coordinator.
-    pub(crate) fn sub2pc_inquire_resp(
-        &mut self,
-        out: &mut Vec<Action>,
-        tid: Tid,
-        outcome: Outcome,
-        now: Time,
-    ) {
-        match outcome {
-            Outcome::Committed => self.sub2pc_commit(out, tid, now),
-            Outcome::Aborted => self.participant_abort(out, tid),
-        }
-    }
-
-    /// Periodic inquiry while prepared and in doubt.
-    pub(crate) fn sub2pc_inquiry_timer(
+    /// The subordinate's commit record is durable, in the phase that
+    /// was `awaiting` it: acknowledge and forget. The forced record
+    /// (semi-/unoptimized) is also what releases the locks; the lazy
+    /// one (optimized) follows their release.
+    pub(crate) fn sub2pc_commit_durable(
         &mut self,
         out: &mut Vec<Action>,
         family: FamilyId,
-        now: Time,
+        awaiting: SubPhase,
     ) {
-        let Some(fam) = self.families.get_mut(&family) else {
+        let Some(Role::Sub2pc(s)) = self.families.get(&family).map(|f| &f.role) else {
             return;
         };
-        let tid = fam.top_tid();
-        let Role::Sub2pc(s) = &mut fam.role else {
+        if s.phase != awaiting {
+            return;
+        }
+        let coordinator = s.coordinator;
+        if awaiting == SubPhase::ForcingCommit {
+            self.settle_here(out, family, Outcome::Committed, None);
+        }
+        let (tid, from) = (Tid::top_level(family), self.site);
+        self.forget_family(&family);
+        // `queue_ack` sends immediately when piggybacking is off
+        // (unoptimized) and delays otherwise.
+        self.queue_ack(out, coordinator, TmMessage::CommitAck { tid, from });
+    }
+
+    /// Periodic inquiry while prepared and in doubt.
+    pub(crate) fn sub2pc_inquiry_timer(&mut self, out: &mut Vec<Action>, family: FamilyId) {
+        let Some(Role::Sub2pc(s)) = self.families.get(&family).map(|f| &f.role) else {
             return;
         };
         if s.phase != SubPhase::Prepared {
             return;
         }
         let coordinator = s.coordinator;
-        let t = self.alloc_timer(TimerPurpose::Inquiry(family));
-        let mut attempt = 0;
-        if let Some(fam) = self.families.get_mut(&family) {
-            fam.retry_attempts += 1;
-            attempt = fam.retry_attempts;
-            if let Role::Sub2pc(s) = &mut fam.role {
-                s.inquiry_timer = Some(t);
-            }
-        }
-        let me = self.site;
-        self.send(out, coordinator, TmMessage::Inquire { tid, from: me });
-        let interval = self.retry_after(&family, self.config.inquiry_interval, attempt);
-        out.push(Action::SetTimer {
-            token: t,
-            after: interval,
-        });
-        let _ = now;
+        let base = self.config.inquiry_interval;
+        self.rearm_with_backoff(out, TimerKind::Inquiry, family, base);
+        let (tid, from) = (Tid::top_level(family), self.site);
+        self.send(out, coordinator, TmMessage::Inquire { tid, from });
     }
 }
 
@@ -905,9 +560,10 @@ impl Engine {
 pub(crate) fn prepared_subordinate(fam: &mut Family, coordinator: SiteId) {
     fam.role = Role::Sub2pc(Sub2pc {
         coordinator,
-        awaiting_local: BTreeSet::new(),
-        local_update: true,
+        tally: Tally {
+            local_update: true,
+            ..Tally::default()
+        },
         phase: SubPhase::Prepared,
-        inquiry_timer: None,
     });
 }

@@ -47,7 +47,7 @@ pub enum NbSiteState {
 /// The replication information of the non-blocking protocol as it
 /// appears on the wire (mirrors `camelot_wal::record::ReplicationInfo`
 /// but lives here so the net crate stays independent of the log).
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct NbInfo {
     pub sites: Vec<SiteId>,
     pub yes_votes: Vec<SiteId>,

@@ -1080,9 +1080,8 @@ impl Engine {
         // Ref [7]: forward the abort along this site's own outgoing
         // calls — the initiator may not know the full participant set.
         out.push(Action::RelayAbort { tid });
-        // Booked without counting: `EngineStats::aborts` counts the
-        // aborts this site decided or was told as an outcome, and an
-        // abort notice has always been neither.
+        // An abort notice is booked without counting it in
+        // `EngineStats::aborts` (decisions and announced outcomes).
         self.tracer
             .family(family, TraceEventKind::Decision { outcome: "Aborted" });
         self.resolutions.insert(family, Outcome::Aborted);

@@ -71,10 +71,10 @@ pub struct Net {
     /// input, the step's actions as sorted `Debug` strings (the order
     /// of actions *within* one step is not part of the contract; log
     /// and datagram order show up in later steps and in the WAL) and
-    /// the engine's counters after the step. `None` (the default) records nothing; set it to
-    /// `Some(`[`FNV_OFFSET`]`)` to record. The behaviour-equivalence
-    /// oracle (`tests/golden_actions.rs`) pins this value over a
-    /// chaos campaign.
+    /// the engine's counters after the step. `None` (the default)
+    /// records nothing; set it to `Some(`[`FNV_OFFSET`]`)` to record.
+    /// The behaviour-equivalence oracle (`tests/golden_actions.rs`)
+    /// pins this value over a chaos campaign.
     pub action_digest: Option<u64>,
     next_req: u64,
 }

@@ -14,8 +14,8 @@
 //! - **Crash points** — [`FaultPlan::arm_crash`] schedules a one-shot
 //!   site kill at a named [`CrashPoint`] in the log pipeline: before
 //!   the commit-record force is appended, after the force completed
-//!   but before the decision datagrams go out, or mid platter write in
-//!   the pipelined disk thread.
+//!   but before the decision datagrams go out, or mid platter write
+//!   (on the leading application thread or the disk thread).
 //! - **Scripted link faults** — [`FaultPlan::script_fault`] targets
 //!   one exact datagram: "the Nth datagram on link A→B suffers this
 //!   fault". Unlike the seeded stream, which is statistically

@@ -221,7 +221,8 @@ pub enum Phase {
     /// Force enqueue → batcher reports it durable (group-commit
     /// residence, paper §3.5).
     ForceWait,
-    /// One platter write in the pipelined disk thread.
+    /// One platter write, by a leading application thread or the disk
+    /// thread.
     PlatterWrite,
     /// Wait to acquire an engine shard's lock in a TranMan worker.
     ShardLockWait,

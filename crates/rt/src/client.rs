@@ -257,8 +257,10 @@ impl Client {
     /// local work they produce. A reply produced along the way is
     /// handed straight back; only a call the engine leaves pending — a
     /// force, remote votes — parks a completion for the thread that
-    /// finishes it. A reply that never arrives within `call_timeout`
-    /// surfaces as the typed [`CamelotError::Timeout`] carrying `tid`:
+    /// finishes it — a worker, or this thread again when it leads its
+    /// own commit force. A reply that never arrives within
+    /// `call_timeout` (or cannot arrive, the site having died under the
+    /// call) surfaces as the typed [`CamelotError::Timeout`] carrying `tid`:
     /// the outcome is *unknown* (the engine may still resolve the
     /// transaction later), which is a different situation from
     /// [`CamelotError::SiteDown`], where the call provably never
@@ -282,10 +284,21 @@ impl Client {
                 }
                 Ok(reply)
             }
-            (None, Some(rx)) => rx.recv_timeout(self.inner.cfg.call_timeout).map_err(|_| {
-                self.inner.pending.cancel(req);
-                CamelotError::Timeout { tid }
-            }),
+            (None, Some(rx)) => {
+                // A site that died under this call — at a crash point
+                // on this very thread, say — took with it whatever
+                // would have answered: the outcome is unknown now, not
+                // after `call_timeout`.
+                let wait = if site.alive.load(Ordering::SeqCst) {
+                    self.inner.cfg.call_timeout
+                } else {
+                    std::time::Duration::ZERO
+                };
+                rx.recv_timeout(wait).map_err(|_| {
+                    self.inner.pending.cancel(req);
+                    CamelotError::Timeout { tid }
+                })
+            }
             // The engine never saw the call: the site was down.
             (None, None) => Err(CamelotError::SiteDown(self.home)),
         }

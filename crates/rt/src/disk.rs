@@ -1,12 +1,30 @@
-//! The disk manager: a site's log, the pipelined platter thread, and
-//! the checkpointer that keeps the log — and so restart — bounded.
+//! The disk manager: a site's log, leader/follower group commit, the
+//! platter thread, and the checkpointer that keeps the log — and so
+//! restart — bounded.
 //!
-//! Workers encode and append records into the log's in-memory segment
-//! themselves ([`SiteLog::append`], the only append path); the disk
-//! thread only decides *when to write* (driving the
-//! [`GroupCommitBatcher`]) and performs the platter write **without
-//! holding the log lock**, so the log keeps filling while the platter
-//! is busy — the classic double-buffered log manager.
+//! Whoever produces a record encodes and appends it into the log's
+//! in-memory segment itself ([`SiteLog::append`], the only append
+//! path) and asks the site's one [`GroupCommitBatcher`] for the force
+//! on its own thread ([`request_force`], the only way a force is
+//! requested). The batcher sits with its token table in [`DiskState`],
+//! behind one short lock, and what it answers decides who writes:
+//!
+//! - **Leader.** An application thread parked in `commit` that is told
+//!   to start a write performs it itself — [`platter_write`], **no lock
+//!   held**, so the log keeps filling while the platter is busy — and
+//!   runs its own `LogForced` step when it returns. It wakes the other
+//!   forces the write covered, and leaves whatever the batcher asks
+//!   for next (the write for those who arrived meanwhile, a checkpoint
+//!   that write made due) to the disk thread: a leader writes once per
+//!   call.
+//! - **Follower.** Anyone told anything else (a write is in flight, a
+//!   window is accumulating) waits as before and is released by
+//!   whichever thread performs the write that covers it. So batches
+//!   form exactly when there is concurrency (paper §3.5).
+//! - **The disk thread** performs every write nobody leads: a pool
+//!   worker's force (a worker asleep in a platter write would stop
+//!   serving datagrams, so workers never lead), the write after a
+//!   leader's, window expiries, lazy flushes, checkpoints.
 //!
 //! # Checkpoint, retention, truncation
 //!
@@ -51,24 +69,21 @@ use std::time::{Duration as StdDuration, Instant};
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 
 use camelot_core::{CrashPoint, ForceToken, Input};
-use camelot_obs::Phase;
-use camelot_types::{FamilyId, Lsn};
-use camelot_wal::{BatcherAction, GroupCommitBatcher, LogRecord, ReqId, StableStore, Wal};
+use camelot_obs::{Phase, Tracer};
+use camelot_types::{FamilyId, Lsn, Time};
+use camelot_wal::{
+    BatchPolicy, BatcherAction, GroupCommitBatcher, LogRecord, ReqId, StableStore, Wal,
+};
 
 use crate::cluster::{ClusterInner, SiteShared};
 use crate::queue::QueueJob;
 
 pub(crate) enum DiskJob {
-    /// A force request: the record is already appended (by the
-    /// requesting worker); make the log durable through `upto` and
-    /// then feed `token` back as [`Input::LogForced`].
-    Force {
-        token: ForceToken,
-        upto: Lsn,
-        /// When the force entered the pipeline; the disk thread
-        /// records enqueue→durable residence as [`Phase::ForceWait`].
-        at: Instant,
-    },
+    /// Batcher actions left to the disk thread: a platter write nobody
+    /// leads, a window timer to arm. Empty when a leader's write only
+    /// covered a checkpoint's marker or made a checkpoint due — the
+    /// disk thread looks at both after every job.
+    Drive(Vec<BatcherAction>),
     /// Checkpoint now, whatever the tail's size. `done` hears once the
     /// checkpoint is durable and the log truncated; it is dropped
     /// unsent if the site is (or goes) down first.
@@ -165,16 +180,11 @@ struct PendingCheckpoint {
 /// The checkpoint trigger never fires on a tail shorter than this.
 const MIN_CHECKPOINT_TAIL: u64 = 64 * 1024;
 
-/// The pipelined disk manager. Records are already in the log's
-/// in-memory segment when requests arrive; this thread only drives the
-/// [`GroupCommitBatcher`] and performs the platter writes. The write
-/// itself holds no lock at all — the busy time is a plain sleep, then
-/// a short [`Wal::force_to`] critical section marks the prefix
-/// durable — so workers keep appending (and lazy records keep
-/// accumulating) while the platter turns.
-struct DiskManager {
-    inner: Arc<ClusterInner>,
-    site: Arc<SiteShared>,
+/// What a site's threads share about its disk: the group-commit
+/// batcher, the force tokens waiting on it, and where the checkpointer
+/// stands. One lock, held for a few map operations — never across a
+/// platter write, an engine step or another lock.
+pub(crate) struct DiskState {
     batcher: GroupCommitBatcher,
     /// Batcher requests are anonymous; this maps them back to the
     /// engine force tokens awaiting [`Input::LogForced`], along with
@@ -182,10 +192,6 @@ struct DiskManager {
     /// Background flushes and checkpoints ride as tokenless requests.
     tokens: HashMap<u64, (ForceToken, Instant)>,
     next_req: u64,
-    /// The batcher's accumulation-window timer, as a wall-clock
-    /// deadline. Stale epochs are ignored by the batcher, so a newer
-    /// timer just overwrites.
-    window: Option<(Instant, u64)>,
     /// Log end as of the last platter write or idle tick.
     log_end: Lsn,
     /// Log end just past the last completed checkpoint's marker.
@@ -193,19 +199,213 @@ struct DiskManager {
     checkpoint: Option<PendingCheckpoint>,
 }
 
+impl DiskState {
+    pub fn new(policy: BatchPolicy, tracer: Tracer) -> Self {
+        let mut batcher = GroupCommitBatcher::new(policy);
+        batcher.set_tracer(tracer);
+        DiskState {
+            batcher,
+            tokens: HashMap::new(),
+            next_req: 1,
+            log_end: Lsn(0),
+            checkpoint_end: Lsn(0),
+            checkpoint: None,
+        }
+    }
+
+    /// Force tokens waiting for a platter write.
+    pub fn waiting(&self) -> usize {
+        self.tokens.len()
+    }
+
+    /// Asks the batcher to make the log durable through `upto`, on
+    /// behalf of `waiter` if the request is somebody's force.
+    fn request(
+        &mut self,
+        waiter: Option<(ForceToken, Instant)>,
+        upto: Lsn,
+        now: Time,
+    ) -> Vec<BatcherAction> {
+        let req = ReqId(self.next_req);
+        self.next_req += 1;
+        if let Some(waiter) = waiter {
+            self.tokens.insert(req.0, waiter);
+        }
+        self.batcher.request(req, upto, now)
+    }
+
+    /// The incarnation that made the waiting requests is gone: the
+    /// truncated log can never reach their watermarks, and their force
+    /// tokens belong to torn-down engines. Drops them — or the batcher
+    /// would retry the write forever, starving post-restart forces —
+    /// and the pending checkpoint, whose floor died with the state it
+    /// was computed from.
+    pub fn abandon(&mut self) {
+        for req in self.batcher.crash_abandon() {
+            self.tokens.remove(&req.0);
+        }
+        self.checkpoint = None;
+    }
+
+    /// True once the log is durable past a pending checkpoint's marker:
+    /// the disk thread can truncate.
+    fn checkpoint_covered(&self) -> bool {
+        let durable = self.batcher.durable();
+        self.checkpoint
+            .as_ref()
+            .is_some_and(|pending| pending.marker_end <= durable)
+    }
+
+    /// The trigger rule: checkpoint once the log written since the
+    /// last checkpoint outweighs twice the snapshot it would rewrite
+    /// (and 64 KiB, so a small store does not checkpoint on every
+    /// write).
+    fn checkpoint_due(&self, snapshot_bytes: u64) -> bool {
+        let tail = self.log_end.0.saturating_sub(self.checkpoint_end.0);
+        self.checkpoint.is_none() && tail > MIN_CHECKPOINT_TAIL.max(2 * snapshot_bytes)
+    }
+}
+
+/// The one way a force is requested, whoever asks: `upto` is the log
+/// end past the record the requester has just appended, and the
+/// batcher is asked on the requesting thread.
+///
+/// With `lead` — an application call is parked on this very thread —
+/// an answer of "start a write" makes the thread the **leader**: it
+/// performs that one platter write itself and releases everyone it
+/// covered. Any other answer, and any requester that cannot lead,
+/// leaves a **follower**, released by whichever thread performs the
+/// covering write. What the batcher asks for beyond the leader's one
+/// write goes to the disk thread.
+///
+/// Returns true if `token`'s own force completed on this thread: the
+/// caller then runs its `LogForced` step here
+/// ([`ClusterInner::log_forced`]). Otherwise that step reaches a worker
+/// through `tm_tx`.
+pub(crate) fn request_force(
+    inner: &ClusterInner,
+    site: &SiteShared,
+    token: ForceToken,
+    upto: Lsn,
+    lead: bool,
+) -> bool {
+    let waiter = Some((token, Instant::now()));
+    let mut actions = site.disk.lock().request(waiter, upto, inner.now());
+    // The disk thread truncates below a checkpoint and starts the next:
+    // it has to hear of a leader's write that calls for either.
+    let mut checkpoint = false;
+    if let (true, [BatcherAction::StartWrite { upto }]) = (lead, &actions[..]) {
+        actions = platter_write(inner, site, *upto);
+        let snapshot_bytes = site.counters.snapshot_bytes.load(Ordering::Relaxed);
+        let disk = site.disk.lock();
+        checkpoint = disk.checkpoint_covered() || disk.checkpoint_due(snapshot_bytes);
+    }
+    let mut mine = false;
+    let mut left = Vec::new();
+    for action in actions {
+        match action {
+            BatcherAction::Satisfied { reqs, durable } => {
+                mine |= release(site, &reqs, durable, lead.then_some(token));
+            }
+            other => left.push(other),
+        }
+    }
+    if checkpoint || !left.is_empty() {
+        let _ = site.disk_tx.send(DiskJob::Drive(left));
+    }
+    mine
+}
+
+/// One platter write, on whichever thread leads it: busy for
+/// `platter_delay` with **no lock held**, then a short critical section
+/// marking the prefix durable. Reports the actual durable watermark
+/// back to the batcher — a crash during the write leaves it short of
+/// `upto`, and the batcher only releases requests at or below it — and
+/// returns what the batcher answers.
+fn platter_write(inner: &ClusterInner, site: &SiteShared, upto: Lsn) -> Vec<BatcherAction> {
+    let alive = || site.alive.load(Ordering::SeqCst);
+    let started = Instant::now();
+    if alive() {
+        std::thread::sleep(inner.cfg.platter_delay);
+        // Crash point: power fails while the platter write is in
+        // flight — the un-synced tail is torn off, and whatever
+        // force requests were riding this write never complete.
+        if inner
+            .fault
+            .should_crash(site.id, CrashPoint::MidPlatterWrite)
+        {
+            site.kill();
+        }
+        site.counters.platter_writes.fetch_add(1, Ordering::Relaxed);
+    }
+    // A site that is down (before the write, or killed during it) has
+    // lost its un-synced tail: the watermark stays where it was.
+    let (actual, log_end, died) = {
+        let mut wal = site.wal.lock();
+        let (durable, end) = (wal.durable_lsn(), wal.end_lsn());
+        if alive() {
+            (wal.force_to(upto).unwrap_or(durable), end, false)
+        } else {
+            (durable, end, true)
+        }
+    };
+    if !died {
+        site.hist.record(Phase::PlatterWrite, started.elapsed());
+    }
+    let mut disk = site.disk.lock();
+    disk.log_end = log_end;
+    let actions = disk.batcher.write_complete_to(actual, inner.now());
+    if died {
+        disk.abandon();
+    }
+    actions
+}
+
+/// Releases the forces a platter write satisfied: records each one's
+/// enqueue→durable residence as [`Phase::ForceWait`] and feeds its
+/// token back as [`Input::LogForced`] through `tm_tx` — except `own`,
+/// the releasing thread's own force, which it reports by returning
+/// true and runs itself.
+fn release(site: &SiteShared, reqs: &[ReqId], durable: Lsn, own: Option<ForceToken>) -> bool {
+    let released: Vec<(ForceToken, Instant)> = {
+        let mut disk = site.disk.lock();
+        reqs.iter()
+            .filter_map(|req| disk.tokens.remove(&req.0))
+            .collect()
+    };
+    let mut mine = false;
+    for (token, entered) in &released {
+        site.hist.record(Phase::ForceWait, entered.elapsed());
+        if own == Some(*token) {
+            mine = true;
+        } else {
+            let _ = site.tm_tx.send(Some(Input::LogForced { token: *token }));
+        }
+    }
+    if !released.is_empty() {
+        site.counters.note_batch(released.len() as u64);
+    }
+    drain_lazy(site, durable);
+    mine
+}
+
+/// The disk thread: performs the platter writes no calling thread
+/// leads, keeps the batcher's accumulation window, flushes lazily
+/// appended records, and checkpoints.
+struct DiskManager {
+    inner: Arc<ClusterInner>,
+    site: Arc<SiteShared>,
+    /// The batcher's accumulation-window timer, as a wall-clock
+    /// deadline. Stale epochs are ignored by the batcher, so a newer
+    /// timer just overwrites.
+    window: Option<(Instant, u64)>,
+}
+
 pub(crate) fn disk_main(inner: Arc<ClusterInner>, site: Arc<SiteShared>, rx: Receiver<DiskJob>) {
-    let mut batcher = GroupCommitBatcher::new(inner.cfg.batch);
-    batcher.set_tracer(site.tracer());
     let mut disk = DiskManager {
         inner,
         site,
-        batcher,
-        tokens: HashMap::new(),
-        next_req: 1,
         window: None,
-        log_end: Lsn(0),
-        checkpoint_end: Lsn(0),
-        checkpoint: None,
     };
     loop {
         let lazy_flush = disk.inner.cfg.lazy_flush;
@@ -214,43 +414,17 @@ pub(crate) fn disk_main(inner: Arc<ClusterInner>, site: Arc<SiteShared>, rx: Rec
             None => lazy_flush,
         };
         match rx.recv_timeout(timeout) {
-            Ok(first) => {
-                // Drain whatever else queued up while the disk was
-                // busy, so the batcher decides over the whole backlog
-                // rather than learning of it one request at a time.
-                let mut next = Some(first);
-                let mut actions = Vec::new();
-                let mut checkpoints = Vec::new();
-                let mut stop = false;
-                while let Some(job) = next {
-                    match job {
-                        DiskJob::Force { token, upto, at } => {
-                            let req = disk.alloc_req();
-                            disk.tokens.insert(req.0, (token, at));
-                            let now = disk.inner.now();
-                            actions.extend(disk.batcher.request(req, upto, now));
-                        }
-                        DiskJob::Checkpoint { done } => checkpoints.push(done),
-                        DiskJob::Stop => {
-                            stop = true;
-                            break;
-                        }
-                    }
-                    next = rx.try_recv().ok();
-                }
-                disk.drive(actions);
-                for done in checkpoints {
-                    disk.start_checkpoint(done);
-                }
-                if stop {
-                    disk.final_flush();
-                    return;
-                }
+            Ok(DiskJob::Drive(actions)) => disk.drive(actions),
+            Ok(DiskJob::Checkpoint { done }) => disk.start_checkpoint(done),
+            Ok(DiskJob::Stop) => {
+                disk.final_flush();
+                return;
             }
             Err(RecvTimeoutError::Timeout) => match disk.window {
                 Some((at, epoch)) if Instant::now() >= at => {
                     disk.window = None;
-                    let actions = disk.batcher.timer_fired(epoch, disk.inner.now());
+                    let now = disk.inner.now();
+                    let actions = disk.site.disk.lock().batcher.timer_fired(epoch, now);
                     disk.drive(actions);
                 }
                 _ => disk.lazy_tick(),
@@ -262,11 +436,6 @@ pub(crate) fn disk_main(inner: Arc<ClusterInner>, site: Arc<SiteShared>, rx: Rec
 }
 
 impl DiskManager {
-    fn alloc_req(&mut self) -> ReqId {
-        self.next_req += 1;
-        ReqId(self.next_req - 1)
-    }
-
     /// Shutdown: one last synchronous force so everything appended is
     /// durable, then release every waiter.
     fn final_flush(&mut self) {
@@ -274,7 +443,8 @@ impl DiskManager {
             let _ = self.site.wal.lock().force();
         }
         let durable = self.site.wal.lock().durable_lsn();
-        for (_, (token, _)) in self.tokens.drain() {
+        let waiting = std::mem::take(&mut self.site.disk.lock().tokens);
+        for (token, _) in waiting.into_values() {
             let _ = self.site.tm_tx.send(Some(Input::LogForced { token }));
         }
         drain_lazy(&self.site, durable);
@@ -283,9 +453,10 @@ impl DiskManager {
     /// Executes batcher actions, including the platter writes they
     /// start, until the batcher goes quiet. A completed write can
     /// immediately start the next (requests that arrived while the
-    /// platter was busy), so this loops.
+    /// platter was busy), so this loops; after every round it truncates
+    /// below a checkpoint the round (or a leader's write) made durable.
     fn drive(&mut self, mut actions: Vec<BatcherAction>) {
-        while !actions.is_empty() {
+        loop {
             let mut next = Vec::new();
             for action in actions {
                 match action {
@@ -294,80 +465,19 @@ impl DiskManager {
                         self.window = Some((deadline, epoch));
                     }
                     BatcherAction::Satisfied { reqs, durable } => {
-                        let mut satisfied = 0u64;
-                        for r in reqs {
-                            if let Some((token, at)) = self.tokens.remove(&r.0) {
-                                satisfied += 1;
-                                self.site.hist.record(Phase::ForceWait, at.elapsed());
-                                let _ = self.site.tm_tx.send(Some(Input::LogForced { token }));
-                            }
-                        }
-                        if satisfied > 0 {
-                            self.site.counters.note_batch(satisfied);
-                        }
-                        drain_lazy(&self.site, durable);
-                        self.finish_checkpoint(durable);
+                        release(&self.site, &reqs, durable, None);
                     }
                     BatcherAction::StartWrite { upto } => {
-                        next.extend(self.platter_write(upto));
+                        next.extend(platter_write(&self.inner, &self.site, upto));
                     }
                 }
             }
+            self.finish_checkpoint();
+            if next.is_empty() {
+                return;
+            }
             actions = next;
         }
-    }
-
-    /// One platter write: busy for `platter_delay` with **no lock
-    /// held**, then a short critical section marking the prefix
-    /// durable. Reports the actual durable watermark back to the
-    /// batcher — a crash during the write leaves it short of `upto`,
-    /// and the batcher only releases requests at or below it.
-    fn platter_write(&mut self, upto: Lsn) -> Vec<BatcherAction> {
-        let (inner, site) = (&self.inner, &self.site);
-        let mut died = false;
-        let started = Instant::now();
-        let actual = if site.alive.load(Ordering::SeqCst) {
-            std::thread::sleep(inner.cfg.platter_delay);
-            // Crash point: power fails while the platter write is in
-            // flight — the un-synced tail is torn off, and whatever
-            // force requests were riding this write never complete.
-            if inner
-                .fault
-                .should_crash(site.id, CrashPoint::MidPlatterWrite)
-            {
-                site.kill();
-            }
-            site.counters.platter_writes.fetch_add(1, Ordering::Relaxed);
-            let mut wal = site.wal.lock();
-            self.log_end = wal.end_lsn();
-            if site.alive.load(Ordering::SeqCst) {
-                wal.force_to(upto).unwrap_or_else(|_| wal.durable_lsn())
-            } else {
-                // The site died mid-write: the un-synced tail is gone.
-                died = true;
-                wal.durable_lsn()
-            }
-        } else {
-            died = true;
-            site.wal.lock().durable_lsn()
-        };
-        if !died {
-            site.hist.record(Phase::PlatterWrite, started.elapsed());
-        }
-        let actions = self.batcher.write_complete_to(actual, inner.now());
-        if died {
-            // Requests left uncovered came from the incarnation that
-            // just died: the truncated log can never reach their
-            // watermarks, and their force tokens belong to torn-down
-            // engines. Abandon them or the batcher would retry the
-            // write forever, wedging this thread and starving
-            // post-restart forces.
-            for req in self.batcher.crash_abandon() {
-                self.tokens.remove(&req.0);
-            }
-            self.checkpoint = None;
-        }
-        actions
     }
 
     /// Periodic background flush: if lazily appended records (or any
@@ -382,25 +492,20 @@ impl DiskManager {
             let wal = self.site.wal.lock();
             (wal.end_lsn(), wal.durable_lsn())
         };
-        self.log_end = end;
+        self.site.disk.lock().log_end = end;
         if end <= durable {
             // Everything durable already; release any lazy stragglers.
             drain_lazy(&self.site, durable);
             return;
         }
-        let req = self.alloc_req();
-        let actions = self.batcher.request(req, end, self.inner.now());
+        let now = self.inner.now();
+        let actions = self.site.disk.lock().request(None, end, now);
         self.drive(actions);
     }
 
-    /// The trigger rule: checkpoint once the log written since the
-    /// last checkpoint outweighs twice the snapshot it would rewrite
-    /// (and 64 KiB, so a small store does not checkpoint on every
-    /// write).
     fn checkpoint_if_due(&mut self) {
-        let tail = self.log_end.0.saturating_sub(self.checkpoint_end.0);
-        let snapshot = self.site.counters.snapshot_bytes.load(Ordering::Relaxed);
-        if self.checkpoint.is_none() && tail > MIN_CHECKPOINT_TAIL.max(2 * snapshot) {
+        let snapshot_bytes = self.site.counters.snapshot_bytes.load(Ordering::Relaxed);
+        if self.site.disk.lock().checkpoint_due(snapshot_bytes) {
             self.start_checkpoint(None);
         }
     }
@@ -414,14 +519,17 @@ impl DiskManager {
     fn start_checkpoint(&mut self, done: Option<Sender<()>>) {
         let site = self.site.clone();
         let incarnation = site.incarnation.load(Ordering::SeqCst);
-        if let Some(pending) = &mut self.checkpoint {
-            if pending.incarnation == incarnation {
-                // One at a time; the one under way is recent enough.
-                pending.done.extend(done);
-                return;
+        {
+            let mut disk = site.disk.lock();
+            if let Some(pending) = &mut disk.checkpoint {
+                if pending.incarnation == incarnation {
+                    // One at a time; the one under way is recent enough.
+                    pending.done.extend(done);
+                    return;
+                }
             }
+            disk.checkpoint = None;
         }
-        self.checkpoint = None;
         if !site.alive.load(Ordering::SeqCst) {
             return;
         }
@@ -481,29 +589,31 @@ impl DiskManager {
             let end = log.append(&LogRecord::Checkpoint { next_family_seq });
             (end, log.retention_floor(began_at, &held))
         };
-        self.checkpoint = Some(PendingCheckpoint {
-            marker_end,
-            floor,
-            snapshot_bytes,
-            incarnation,
-            done: done.into_iter().collect(),
-        });
-        let req = self.alloc_req();
-        let actions = self.batcher.request(req, marker_end, self.inner.now());
+        let actions = {
+            let mut disk = site.disk.lock();
+            disk.checkpoint = Some(PendingCheckpoint {
+                marker_end,
+                floor,
+                snapshot_bytes,
+                incarnation,
+                done: done.into_iter().collect(),
+            });
+            disk.request(None, marker_end, self.inner.now())
+        };
         self.drive(actions);
     }
 
-    /// The log is durable through `durable`: if that covers a pending
-    /// checkpoint's marker, the records below its floor are dead
-    /// weight — truncate them.
-    fn finish_checkpoint(&mut self, durable: Lsn) {
+    /// If the log is durable past a pending checkpoint's marker —
+    /// through this thread's write or a leader's — the records below
+    /// its floor are dead weight: truncate them.
+    fn finish_checkpoint(&mut self) {
         let site = &self.site;
-        let Some(pending) = self
-            .checkpoint
-            .take_if(|pending| pending.marker_end <= durable)
-        else {
+        let mut disk = site.disk.lock();
+        if !disk.checkpoint_covered() {
             return;
-        };
+        }
+        let pending = disk.checkpoint.take().expect("covered, so pending");
+        drop(disk);
         // Crash point: the checkpoint is durable and the old prefix
         // still there — the log a restart finds when power fails
         // before a truncation's new base is durable.
@@ -527,7 +637,7 @@ impl DiskManager {
         // checkpoint tries again.
         let new_base = log.truncate_prefix(pending.floor).unwrap_or(base);
         drop(log);
-        self.checkpoint_end = pending.marker_end;
+        site.disk.lock().checkpoint_end = pending.marker_end;
         let c = &site.counters;
         c.checkpoints.fetch_add(1, Ordering::Relaxed);
         c.wal_truncated_bytes

@@ -16,16 +16,20 @@
 //!   independently locked shards so the pool actually scales
 //!   (conclusion 3 makes the TranMan the bottleneck once group commit
 //!   relieves the disk);
-//! - a pipelined **disk-manager thread** per site — workers append
-//!   records into the log's in-memory segment themselves; this thread
-//!   only drives the group-commit batcher (§3.5) and performs platter
-//!   writes *without holding the log lock*, double-buffer style. It
-//!   also checkpoints and truncates the log on a rule of its own, so
-//!   a restart replays a bounded tail;
-//! - a **router thread** — the NetMsgServer stand-in: delivers
-//!   inter-site datagrams after a configurable delay and fires
-//!   (cancellable) protocol timers from one ordered set, drops
-//!   traffic to crashed sites;
+//! - a pipelined **disk manager** per site — whoever produces a record
+//!   appends it into the log's in-memory segment itself and asks the
+//!   group-commit batcher (§3.5) for the force. Platter writes happen
+//!   *without holding the log lock*, double-buffer style: a committing
+//!   application thread that finds the disk idle leads the write and
+//!   finishes its own commit; everyone else follows, and the disk
+//!   thread performs the writes nobody leads. That thread also
+//!   checkpoints and truncates the log on a rule of its own, so a
+//!   restart replays a bounded tail;
+//! - a **router** — the NetMsgServer stand-in: one ordered set of
+//!   delayed datagrams and (cancellable) protocol timers, edited in
+//!   place by whoever sends or arms, and a thread that delivers what
+//!   falls due. What is due when it is posted (a datagram with no
+//!   delay) skips it; traffic to crashed sites is dropped;
 //! - **client handles** — synchronous begin / read / write / commit /
 //!   abort calls. The paper's local IPC between application and
 //!   TranMan is *not* modelled here (the call is a function call on

@@ -31,7 +31,8 @@ pub(crate) struct SiteCounters {
     pub worker_inputs: AtomicU64,
     /// Records appended to the WAL (all sources).
     pub appends: AtomicU64,
-    /// Platter writes the disk thread performed.
+    /// Platter writes performed, by a leading application thread or
+    /// the disk thread.
     pub platter_writes: AtomicU64,
     /// Force requests satisfied by the batcher.
     pub forces_satisfied: AtomicU64,
@@ -79,14 +80,20 @@ pub struct SiteStats {
     /// Inputs the engine shards handled, on whichever thread.
     pub inputs: u64,
     /// Inputs that crossed to the worker pool — the hand-off budget:
-    /// application calls and local server votes run on the thread that
-    /// produced them, so only datagrams, timer firings and log
-    /// completions count here.
+    /// application calls, local server votes and the `LogForced` of a
+    /// force its caller led run on the thread that produced them, so
+    /// only datagrams, timer firings and other log completions count
+    /// here.
     pub worker_inputs: u64,
-    /// Platter writes the disk thread performed.
+    /// Platter writes performed, by a leading application thread or
+    /// the disk thread.
     pub platter_writes: u64,
     /// Force requests satisfied by the batcher.
     pub forces_satisfied: u64,
+    /// Gauge: forces waiting for a platter write right now. Zero at
+    /// rest, and after a restart: a dead incarnation's forces are
+    /// abandoned, never answered.
+    pub forces_waiting: u64,
     /// Largest number of force requests one platter write satisfied.
     pub max_batch: u64,
     /// Lazy appends whose durability notice was delivered.
@@ -154,6 +161,12 @@ pub struct ClusterStats {
     /// unfired) timers plus datagrams in flight. A gauge, not a
     /// counter; it returns to the number of armed timers at rest.
     pub router_pending: u64,
+    /// Entries the router *thread* handed to a site since startup:
+    /// timers that fired, datagrams that had to wait out a delay. What
+    /// is due when it is posted never passes through that thread, so
+    /// each of these is one more thread hand-off than `worker_inputs`
+    /// counts.
+    pub router_delivered: u64,
 }
 
 impl ClusterStats {

@@ -405,6 +405,16 @@ fn checkpoint_truncates_the_log_and_restart_starts_at_its_base() {
             .unwrap();
         client.commit(&tid, CommitMode::TwoPhase).unwrap();
     }
+    // A commit that led its own force has told the server by the time
+    // it returns. One that followed (a background flush had the disk)
+    // is answered by a worker that tells the server *afterwards*, and
+    // a checkpoint taken in between finds the family still held and
+    // keeps its records: wait for the server to let go.
+    let deadline = std::time::Instant::now() + StdDuration::from_secs(5);
+    while !cluster.debug_state(S1).is_empty() {
+        assert!(std::time::Instant::now() < deadline, "never went quiet");
+        std::thread::yield_now();
+    }
     let before = cluster.stats().sites[0].clone();
     assert_eq!(
         (before.checkpoints, before.wal_truncated_bytes),

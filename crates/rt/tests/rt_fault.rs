@@ -1,6 +1,7 @@
 //! Fault injection against the real-thread runtime: the crash-point
-//! matrix, crashes inside checkpoints, truncations and restarts, WAL
-//! corruption across a restart, and link faults.
+//! matrix, crashes under a committing caller and under the leader of a
+//! group commit, crashes inside checkpoints, truncations and restarts,
+//! WAL corruption across a restart, and link faults.
 //!
 //! The matrix tests assert the *recovery contract*, not a particular
 //! outcome: whatever instant the coordinator dies at, once it restarts
@@ -304,64 +305,193 @@ fn restarted_subordinate_still_flushes_its_commit_acks() {
 }
 
 /// Application calls run the engine step and its actions on the
-/// calling thread, so for a local update [`CrashPoint::PreForce`] fires
-/// inside `commit` itself: the site dies while its caller is halfway
-/// through applying the commit's actions. The caller must come back
-/// with a typed error (not a panic, and within the call timeout),
-/// leave no site lock held, and the restart must presume abort.
+/// calling thread, and a local update's committing thread leads its own
+/// platter write and runs its own `LogForced`. So all three log-path
+/// crash points fire inside `commit` itself, on the application's
+/// thread: [`CrashPoint::PreForce`] half way through applying the
+/// commit's actions, [`CrashPoint::MidPlatterWrite`] in the write it
+/// leads, [`CrashPoint::PostForcePreSend`] after its `LogForced` step.
+/// The caller must come back with a typed error (not a panic) and at
+/// once — it saw the site die, it does not park to wait for a reply —
+/// without a worker ever having been involved, leaving no site lock
+/// held; and the restart must land on the right side of the force.
 #[test]
 fn site_killed_under_a_caller_mid_commit() {
+    for (point, survives) in [
+        (CrashPoint::PreForce, false),
+        (CrashPoint::MidPlatterWrite, false),
+        (CrashPoint::PostForcePreSend, true),
+    ] {
+        let fault = Arc::new(FaultPlan::disabled());
+        let cluster = Arc::new(Cluster::new_with_faults(1, quick_cfg(), fault.clone()));
+        let obj = ObjectId(7);
+        let client = cluster.client(S1);
+        let tid = client.begin().unwrap();
+        client.write(&tid, S1, SRV, obj, b"fate".to_vec()).unwrap();
+        let worker_inputs = cluster.stats().sites[0].worker_inputs;
+        fault.arm_crash(S1, point);
+        let started = std::time::Instant::now();
+        let outcome = client.commit(&tid, CommitMode::TwoPhase);
+        assert!(
+            matches!(outcome, Err(CamelotError::Timeout { tid: Some(_) })),
+            "{point:?}: want a typed unknown-outcome error, got {outcome:?}"
+        );
+        assert!(
+            started.elapsed() < quick_cfg().call_timeout / 2,
+            "{point:?}: the caller waited out its call timeout, so the site \
+             did not die on its thread"
+        );
+        assert!(
+            !cluster.is_alive(S1),
+            "{point:?} should have killed the site"
+        );
+        assert_eq!(fault.stats().crashes, 1);
+        let s = cluster.stats().sites[0].clone();
+        assert_eq!(
+            (s.worker_inputs, s.forces_waiting),
+            (worker_inputs, 0),
+            "{point:?}: no worker took part, no force is left waiting"
+        );
+        // Every site lock (engine shards, WAL, batcher, servers) can
+        // still be taken: the dying call left none behind.
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        let probe = cluster.clone();
+        let locks = std::thread::spawn(move || {
+            let _ = (probe.stats(), probe.debug_state(S1));
+            let _ = done_tx.send(());
+        });
+        done_rx
+            .recv_timeout(StdDuration::from_secs(5))
+            .expect("a site lock is still held after the kill");
+        locks.join().unwrap();
+        // Before the commit record is durable recovery presumes abort
+        // and releases the family's lock; after, it redoes the commit.
+        // Either way the site serves again.
+        cluster.restart(S1).expect("clean log recovers");
+        let want: &[u8] = if survives { b"fate" } else { b"" };
+        assert_eq!(cluster.committed_value(S1, SRV, obj), want, "{point:?}");
+        let next = client.begin().unwrap();
+        client
+            .write(&next, S1, SRV, obj, b"alive".to_vec())
+            .unwrap();
+        client.commit(&next, CommitMode::TwoPhase).unwrap();
+        assert_eq!(cluster.committed_value(S1, SRV, obj), b"alive");
+        Arc::try_unwrap(cluster)
+            .ok()
+            .expect("sole owner")
+            .shutdown();
+    }
+}
+
+/// Three followers ride behind a leader whose site dies at
+/// [`CrashPoint::MidPlatterWrite`]: the write they were all waiting
+/// for tears, and none of the four commit records is durable. Every
+/// caller gets the typed unknown-outcome error — the followers when
+/// their call timeout runs out, nothing hangs — the batcher keeps no
+/// force of the dead incarnation (a token left behind would be answered
+/// to an engine that never asked), and the restart presumes abort for
+/// all four.
+#[test]
+fn followers_of_a_leader_whose_site_dies_mid_write_get_typed_errors() {
     let fault = Arc::new(FaultPlan::disabled());
-    let cluster = Arc::new(Cluster::new_with_faults(1, quick_cfg(), fault.clone()));
-    let obj = ObjectId(7);
-    let client = cluster.client(S1);
-    let tid = client.begin().unwrap();
-    client.write(&tid, S1, SRV, obj, b"fate".to_vec()).unwrap();
-    fault.arm_crash(S1, CrashPoint::PreForce);
-    let started = std::time::Instant::now();
-    let outcome = client.commit(&tid, CommitMode::TwoPhase);
-    assert!(
-        matches!(
-            outcome,
-            Err(CamelotError::Timeout { tid: Some(_) }) | Err(CamelotError::SiteDown(S1))
-        ),
-        "want a typed unknown-outcome error, got {outcome:?}"
-    );
-    assert!(
-        started.elapsed() < StdDuration::from_secs(4),
-        "call_timeout"
-    );
-    assert!(
-        !cluster.is_alive(S1),
-        "PreForce should have killed the site"
-    );
+    let cfg = RtConfig {
+        platter_delay: StdDuration::from_millis(100),
+        // No background flush: the only platter write is the leader's.
+        lazy_flush: StdDuration::from_secs(60),
+        call_timeout: StdDuration::from_millis(500),
+        ..quick_cfg()
+    };
+    let cluster = Arc::new(Cluster::new_with_faults(1, cfg, fault.clone()));
+    fault.arm_crash(S1, CrashPoint::MidPlatterWrite);
+    let committers: Vec<_> = (0..4u64)
+        .map(|i| {
+            let cluster = cluster.clone();
+            std::thread::spawn(move || {
+                let client = cluster.client(S1);
+                let tid = client.begin().unwrap();
+                client
+                    .write(&tid, S1, SRV, ObjectId(i), b"torn".to_vec())
+                    .unwrap();
+                // Thread 0 finds the disk idle and leads; the others
+                // commit once its force is waiting on the write, so
+                // theirs queue up behind it.
+                while i > 0 && cluster.stats().sites[0].forces_waiting == 0 {
+                    std::thread::yield_now();
+                }
+                client.commit(&tid, CommitMode::TwoPhase)
+            })
+        })
+        .collect();
+    for (i, committer) in committers.into_iter().enumerate() {
+        let outcome = committer.join().expect("no committer panics");
+        assert!(
+            matches!(outcome, Err(CamelotError::Timeout { tid: Some(_) })),
+            "committer {i}: want a typed unknown-outcome error, got {outcome:?}"
+        );
+    }
+    assert!(!cluster.is_alive(S1));
     assert_eq!(fault.stats().crashes, 1);
-    // Every site lock (engine shards, WAL, servers) can still be
-    // taken: the dying call left none behind.
-    let (done_tx, done_rx) = std::sync::mpsc::channel();
-    let probe = cluster.clone();
-    let locks = std::thread::spawn(move || {
-        let _ = (probe.stats(), probe.debug_state(S1));
-        let _ = done_tx.send(());
-    });
-    done_rx
-        .recv_timeout(StdDuration::from_secs(5))
-        .expect("a site lock is still held after the kill");
-    locks.join().unwrap();
-    // The commit record never reached the log: recovery presumes
-    // abort, releases the family's lock, and the site serves again.
+    assert_eq!(cluster.stats().sites[0].forces_waiting, 0);
     cluster.restart(S1).expect("clean log recovers");
-    assert_eq!(cluster.committed_value(S1, SRV, obj), b"");
-    let next = client.begin().unwrap();
-    client
-        .write(&next, S1, SRV, obj, b"alive".to_vec())
-        .unwrap();
-    client.commit(&next, CommitMode::TwoPhase).unwrap();
-    assert_eq!(cluster.committed_value(S1, SRV, obj), b"alive");
+    let s = cluster.stats().sites[0].clone();
+    assert_eq!((s.forces_waiting, s.live_families), (0, 0));
+    let client = cluster.client(S1);
+    for i in 0..4u64 {
+        assert_eq!(cluster.committed_value(S1, SRV, ObjectId(i)), b"");
+        let tid = client.begin().unwrap();
+        client
+            .write(&tid, S1, SRV, ObjectId(i), b"alive".to_vec())
+            .unwrap();
+        client.commit(&tid, CommitMode::TwoPhase).unwrap();
+    }
     Arc::try_unwrap(cluster)
         .ok()
         .expect("sole owner")
         .shutdown();
+}
+
+/// A restart *takes* its closing checkpoint: when it returns the
+/// checkpoint is durable and the log truncated below it. It used to
+/// only ask for one, which came first purely because the next commit's
+/// force queued behind it on the disk thread; a commit that no longer
+/// visits that thread, or a second crash, could land before it, and the
+/// second restart would replay the same tail. Crash, restart, crash at
+/// once, restart: the second scan reads the snapshot, the marker and
+/// nothing else.
+#[test]
+fn restart_returns_with_its_checkpoint_durable_and_the_log_truncated() {
+    let cluster = Cluster::new(1, quick_cfg());
+    let client = cluster.client(S1);
+    for i in 0..40u64 {
+        let tid = client.begin().unwrap();
+        client
+            .write(&tid, S1, SRV, ObjectId(i % 4), vec![i as u8; 256])
+            .unwrap();
+        client.commit(&tid, CommitMode::TwoPhase).unwrap();
+    }
+    cluster.crash(S1);
+    let first_scan = cluster.wal_image(S1).unwrap().len() as u64;
+    cluster.restart(S1).unwrap();
+    let s = cluster.stats().sites[0].clone();
+    cluster.crash(S1);
+    let second_scan = cluster.wal_image(S1).unwrap().len() as u64;
+    assert_eq!(s.checkpoints, 1, "the restart's own");
+    // Four 256-byte objects; the old and new value of 40 updates.
+    assert!(s.snapshot_bytes > 4 * 256 && first_scan > 40 * 512);
+    assert!(
+        second_scan < s.snapshot_bytes + 64,
+        "the second restart would scan {second_scan} B: more than a \
+         {} B snapshot and its marker (the first scanned {first_scan} B)",
+        s.snapshot_bytes
+    );
+    cluster.restart(S1).unwrap();
+    for k in 0..4u64 {
+        assert_eq!(
+            cluster.committed_value(S1, SRV, ObjectId(k)),
+            vec![(36 + k) as u8; 256]
+        );
+    }
+    cluster.shutdown();
 }
 
 /// A call on a dead home site provably never started: it reports

@@ -1,13 +1,17 @@
 //! The hand-off budget: how many inputs one transaction sends across
-//! `tm_tx` to the worker pool, pinned per transaction shape.
+//! `tm_tx` to the worker pool, and how many of those the router thread
+//! had to carry there, pinned per transaction shape.
 //!
-//! Application calls and local server votes run on the thread that
-//! produced them; only what is genuinely asynchronous — a datagram, a
-//! timer firing, a log completion — crosses to a worker, and each
-//! crossing is one thread hand-off. Like the paper's force and
-//! datagram budgets these are exact counts, so a change that puts a
-//! hand-off back on the path fails here as a number, not as noise in a
-//! latency figure.
+//! Application calls, local server votes and the `LogForced` of a
+//! force its caller led run on the thread that produced them; only
+//! what is genuinely asynchronous — a datagram, a timer firing, a log
+//! completion somebody else produced — crosses to a worker, and each
+//! crossing is one thread hand-off. The router thread is a second
+//! hand-off in front of that one, paid only by what has to wait: a
+//! timer that fires, a datagram with a delay. Like the paper's force
+//! and datagram budgets these are exact counts, so a change that puts
+//! a hand-off back on the path fails here as a number, not as noise in
+//! a latency figure.
 
 use std::time::{Duration as StdDuration, Instant};
 
@@ -38,20 +42,22 @@ fn cfg() -> RtConfig {
 /// ten seconds out and a no-op by then; it is not part of the budget.
 const SETTLE: StdDuration = StdDuration::from_millis(300);
 
-fn worker_inputs(cluster: &Cluster) -> Vec<u64> {
+/// Worker inputs per site, then the router thread's deliveries.
+fn hand_offs(cluster: &Cluster) -> (Vec<u64>, u64) {
     let stats = cluster.stats();
-    stats.sites.iter().map(|s| s.worker_inputs).collect()
+    let workers = stats.sites.iter().map(|s| s.worker_inputs).collect();
+    (workers, stats.router_delivered)
 }
 
-/// Waits until every family is forgotten and the worker-input counts
-/// have not moved for [`SETTLE`]; returns them.
-fn settled(cluster: &Cluster) -> Vec<u64> {
+/// Waits until every family is forgotten and the hand-off counts have
+/// not moved for [`SETTLE`]; returns them.
+fn settled(cluster: &Cluster) -> (Vec<u64>, u64) {
     let deadline = Instant::now() + StdDuration::from_secs(10);
-    let mut last = (worker_inputs(cluster), Instant::now());
+    let mut last = (hand_offs(cluster), Instant::now());
     loop {
         std::thread::sleep(StdDuration::from_millis(5));
         let live: usize = cluster.stats().sites.iter().map(|s| s.live_families).sum();
-        let now = worker_inputs(cluster);
+        let now = hand_offs(cluster);
         if live != 0 || now != last.0 {
             last = (now, Instant::now());
         } else if last.1.elapsed() >= SETTLE {
@@ -66,8 +72,9 @@ fn settled(cluster: &Cluster) -> Vec<u64> {
 
 /// Runs one transaction writing (or, with `write` false, reading) one
 /// object at each of `spread` sites from a client at site 1, and
-/// returns the worker inputs it cost at each site.
-fn budget_of(sites: u32, spread: u32, write: bool) -> Vec<u64> {
+/// returns the worker inputs it cost at each site and the deliveries
+/// it cost the router thread.
+fn budget_of(sites: u32, spread: u32, write: bool) -> (Vec<u64>, u64) {
     let cluster = Cluster::new(sites, cfg());
     let client = cluster.client(SiteId(1));
     let run = || {
@@ -87,20 +94,24 @@ fn budget_of(sites: u32, spread: u32, write: bool) -> Vec<u64> {
     // A first transaction of the same shape, so that nothing lazy
     // (thread start-up, first-touch allocation) sits in the measured
     // one; counts are per transaction either way.
-    let before = run();
-    let after = run();
+    let (workers_before, router_before) = run();
+    let (workers, router) = run();
     cluster.shutdown();
-    after.iter().zip(&before).map(|(a, b)| a - b).collect()
+    let workers = workers.iter().zip(&workers_before).map(|(a, b)| a - b);
+    (workers.collect(), router - router_before)
 }
 
 #[test]
 fn read_only_local_transaction_never_leaves_the_calling_thread() {
-    assert_eq!(budget_of(1, 1, false), [0]);
+    assert_eq!(budget_of(1, 1, false), (vec![0], 0));
 }
 
+/// The committing thread finds the disk idle, so it leads: it performs
+/// the platter write and runs its own `LogForced`. No worker, no disk
+/// thread, no router.
 #[test]
-fn local_update_hands_off_once_for_its_commit_force() {
-    assert_eq!(budget_of(1, 1, true), [1], "the LogForced, nothing else");
+fn local_update_never_leaves_the_calling_thread_either() {
+    assert_eq!(budget_of(1, 1, true), (vec![0], 0));
 }
 
 /// Three-site delayed-commit 2PC (the default variant). Coordinator:
@@ -108,8 +119,16 @@ fn local_update_hands_off_once_for_its_commit_force() {
 /// subordinate: the prepare, its prepare record's LogForced, the
 /// commit, the lazy commit record's LogDurable and the ack-flush timer
 /// (an isolated transaction has no later datagram to piggyback its ack
-/// on) = 5.
+/// on) = 5. Every one of these forces is requested by a worker, and
+/// workers do not lead, so each LogForced still crosses.
+///
+/// The router thread carries exactly the timers that fire — the two
+/// subordinates' ack-flush timers — and no datagram: with no delay all
+/// eight are due when posted and go straight to the destination's
+/// workers. (The coordinator's vote timeout and notify-resend timer and
+/// the subordinates' orphan and inquiry watchdogs are armed and
+/// cancelled in place, without the router thread hearing of them.)
 #[test]
 fn three_site_delayed_commit_costs_fifteen_worker_inputs() {
-    assert_eq!(budget_of(3, 3, true), [5, 5, 5]);
+    assert_eq!(budget_of(3, 3, true), (vec![5, 5, 5], 2));
 }

@@ -1,7 +1,7 @@
 //! Multi-client stress tests: many real application threads driving
 //! mixed local/distributed transactions through the sharded engine and
-//! the pipelined disk manager at once. These are the tests that catch
-//! routing mistakes (an input handled by the wrong engine shard),
+//! the leader/follower disk manager at once. These are the tests that
+//! catch routing mistakes (an input handled by the wrong engine shard),
 //! lost completions (a force token dropped by the disk pipeline — the
 //! client would then hit its call timeout), and cross-site
 //! inconsistency (a subordinate applying a different value than its
@@ -177,6 +177,143 @@ fn window_policy_with_concurrent_checkpoints() {
             [9]
         );
     }
+    let cluster = Arc::try_unwrap(cluster).ok().expect("sole owner");
+    cluster.shutdown();
+}
+
+/// Leader/follower group commit under real concurrency: 8 application
+/// threads committing local updates against a 5 ms platter. Whoever
+/// finds the disk idle leads a write; the rest queue behind it. With
+/// `Coalesce` those who queued share the next write, so there are fewer
+/// writes than forces; with `Immediate` every force still gets a write
+/// of its own (an occasional pair whose appends and requests crossed is
+/// all that may share one). Either way every commit is acknowledged,
+/// and every force released, exactly once.
+#[test]
+fn eight_committers_batch_under_coalesce_and_not_under_immediate() {
+    const THREADS: u64 = 8;
+    const TXNS: u64 = 12;
+    for batch in [BatchPolicy::Coalesce, BatchPolicy::Immediate] {
+        let cfg = RtConfig {
+            batch,
+            platter_delay: StdDuration::from_millis(5),
+            ..quick_cfg()
+        };
+        let cluster = Arc::new(Cluster::new(1, cfg));
+        let committers: Vec<_> = (0..THREADS)
+            .map(|c| {
+                let cluster = cluster.clone();
+                std::thread::spawn(move || {
+                    let client = cluster.client(SiteId(1));
+                    for i in 0..TXNS {
+                        let tid = client.begin().expect("begin");
+                        client
+                            .write(&tid, SiteId(1), SRV, ObjectId(c), vec![i as u8])
+                            .expect("write");
+                        let out = client.commit(&tid, CommitMode::TwoPhase).expect("commit");
+                        assert_eq!(out, Outcome::Committed, "client {c} txn {i}");
+                    }
+                })
+            })
+            .collect();
+        for committer in committers {
+            committer.join().expect("no committer panics");
+        }
+        // A follower's reply comes from the worker that then tells the
+        // server; wait for the last of them to let go.
+        let deadline = std::time::Instant::now() + StdDuration::from_secs(5);
+        while !cluster.debug_state(SiteId(1)).is_empty() {
+            assert!(std::time::Instant::now() < deadline, "never went quiet");
+            std::thread::yield_now();
+        }
+        for c in 0..THREADS {
+            let value = cluster.committed_value(SiteId(1), SRV, ObjectId(c));
+            assert_eq!(value, [TXNS as u8 - 1], "{batch:?}: client {c}");
+        }
+        let s = cluster.stats().sites[0].clone();
+        assert_eq!(
+            (s.engine.commits, s.forces_satisfied, s.forces_waiting),
+            (THREADS * TXNS, THREADS * TXNS, 0),
+            "{batch:?}: one commit, one force, one release each"
+        );
+        match batch {
+            BatchPolicy::Coalesce => assert!(
+                s.platter_writes < s.forces_satisfied && s.max_batch > 1,
+                "{batch:?}: {} writes for {} forces, largest batch {}",
+                s.platter_writes,
+                s.forces_satisfied,
+                s.max_batch
+            ),
+            _ => assert!(
+                s.mean_batch() < 1.25,
+                "{batch:?}: {} writes for {} forces",
+                s.platter_writes,
+                s.forces_satisfied
+            ),
+        }
+        let cluster = Arc::try_unwrap(cluster).ok().expect("sole owner");
+        cluster.shutdown();
+    }
+}
+
+/// A leader performs one platter write and returns. Three followers
+/// commit while the leader's write is in flight; when it completes the
+/// batcher asks for their write at once, and that one belongs to the
+/// disk thread — a leader that took it would hold its own caller for a
+/// second platter delay, and the next leader's for a third.
+#[test]
+fn a_leader_writes_once_and_leaves_the_next_write_to_the_disk_thread() {
+    let platter = StdDuration::from_millis(150);
+    let cfg = RtConfig {
+        platter_delay: platter,
+        // No background flush: every platter write here is a commit's.
+        lazy_flush: StdDuration::from_secs(60),
+        ..quick_cfg()
+    };
+    let cluster = Arc::new(Cluster::new(1, cfg));
+    let committers: Vec<_> = (0..4u64)
+        .map(|i| {
+            let cluster = cluster.clone();
+            std::thread::spawn(move || {
+                let client = cluster.client(SiteId(1));
+                let tid = client.begin().expect("begin");
+                client
+                    .write(&tid, SiteId(1), SRV, ObjectId(i), b"v".to_vec())
+                    .expect("write");
+                // Thread 0 finds the disk idle and leads; the others
+                // commit once its force is waiting on the write.
+                while i > 0 && cluster.stats().sites[0].forces_waiting == 0 {
+                    std::thread::yield_now();
+                }
+                let started = std::time::Instant::now();
+                let out = client.commit(&tid, CommitMode::TwoPhase).expect("commit");
+                assert_eq!(out, Outcome::Committed);
+                started.elapsed()
+            })
+        })
+        .collect();
+    let took: Vec<_> = committers
+        .into_iter()
+        .map(|committer| committer.join().expect("no committer panics"))
+        .collect();
+    assert!(
+        took[0] >= platter && took[0] < 2 * platter,
+        "the leader's commit took {:?}: not one {platter:?} write",
+        took[0]
+    );
+    for follower in &took[1..] {
+        assert!(
+            *follower > platter && *follower < 3 * platter,
+            "a follower's commit took {follower:?}: the rest of the \
+             leader's {platter:?} write and then its own"
+        );
+    }
+    let s = cluster.stats().sites[0].clone();
+    assert_eq!(
+        (s.platter_writes, s.forces_satisfied, s.max_batch),
+        (2, 4, 3),
+        "the leader's write, then one for the three followers"
+    );
     let cluster = Arc::try_unwrap(cluster).ok().expect("sole owner");
     cluster.shutdown();
 }

@@ -18,8 +18,10 @@ pub enum CrashPoint {
     /// resulting `LogForced` (so before any decision datagrams go
     /// out): the record is durable but nobody was told.
     PostForcePreSend,
-    /// Inside the pipelined disk thread's platter write: the write is
-    /// abandoned and the batch never reports durable.
+    /// Inside a platter write, on whichever thread performs it (the
+    /// committing application thread that leads it, or the disk
+    /// thread): the write is abandoned and the batch never reports
+    /// durable.
     MidPlatterWrite,
     /// Queued execution: a shard-owner worker dies in the middle of
     /// draining a burst of queued jobs — the site is killed with ops

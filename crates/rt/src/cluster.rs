@@ -470,7 +470,9 @@ impl ClusterInner {
     ) -> Option<Action> {
         let mut reply = None;
         let mut queue = VecDeque::from(actions);
-        while let Some(action) = queue.pop_front() {
+        // Queued mode's `AskVote`s, held back until the rest is applied.
+        let mut asks = Vec::new();
+        while let Some(action) = queue.pop_front().or_else(|| asks.pop()) {
             match action {
                 a @ (Action::Began { .. } | Action::Resolved { .. } | Action::Rejected { .. }) => {
                     let req = reply_req(&a).expect("matched a reply");
@@ -493,6 +495,18 @@ impl ClusterInner {
                 }
                 Action::AskVote { tid, servers } => {
                     if self.cfg.exec_mode == ExecMode::Queued {
+                        // The shards answer at once, on their own
+                        // threads, and a veto's abort notice must not
+                        // leave before the prepares this batch has yet
+                        // to send: a subordinate drops an outcome for a
+                        // family it has not been asked to prepare, then
+                        // prepares and waits for the resend. Ask last —
+                        // the order lock-based mode gets from running
+                        // the vote inline, behind the batch.
+                        if !queue.is_empty() {
+                            asks.push(Action::AskVote { tid, servers });
+                            continue;
+                        }
                         self.queued_ask_vote(site, &mut queue, &tid, &servers);
                     } else {
                         for server in servers {
@@ -609,11 +623,16 @@ impl ClusterInner {
                         continue;
                     }
                     // This thread appends, and asks for the force. With
-                    // an application call parked on it, it may be told
-                    // to lead the platter write; its own `LogForced`
-                    // step then runs here too, behind this batch.
+                    // an application call parked on it and nothing left
+                    // to apply, all it could do is wait: it may be told
+                    // to lead the platter write, and its own `LogForced`
+                    // step then runs here too. A force with work queued
+                    // behind it (non-blocking commit's begin record,
+                    // ahead of phase one) must not hold that work up for
+                    // a platter write, so it never leads.
                     let upto = site.append(&rec);
-                    if request_force(self, site, token, upto, caller.is_some()) {
+                    let lead = caller.is_some() && queue.is_empty();
+                    if request_force(self, site, token, upto, lead) {
                         queue.extend(self.log_forced(site, token));
                     }
                 }
@@ -1007,10 +1026,11 @@ impl Cluster {
 
     /// One-line-per-entity diagnostic dump of a site's protocol
     /// state: every live family descriptor in every engine shard
-    /// (with phase and role) and every server family still tracked
-    /// (with its lock count). Chaos campaigns attach this to
-    /// progress-violation reports so a wedged schedule explains
-    /// itself. The output is deterministic — engine lines are sorted
+    /// (with phase and role), every server family still tracked
+    /// (with its lock count), and the forces waiting for a platter
+    /// write. Chaos campaigns attach this to progress-violation
+    /// reports so a wedged schedule explains itself. The output is
+    /// deterministic — engine lines are sorted
     /// by family id regardless of which shard owns them, and server
     /// lines by (server, family) — so two dumps of the same state
     /// compare equal.
@@ -1044,6 +1064,12 @@ impl Cluster {
                 if locked != 0 {
                     out.push(format!("{site} server{srv}: {locked} locked object(s)"));
                 }
+            }
+            // None at rest, and none after a restart: a dead
+            // incarnation's forces are abandoned, never answered.
+            let waiting = s.disk.lock().waiting();
+            if waiting != 0 {
+                out.push(format!("{site} disk: {waiting} force(s) waiting"));
             }
         }
         out.join("; ")
@@ -1160,7 +1186,6 @@ impl Cluster {
                     worker_inputs: c.worker_inputs.load(Ordering::Relaxed),
                     platter_writes: c.platter_writes.load(Ordering::Relaxed),
                     forces_satisfied: c.forces_satisfied.load(Ordering::Relaxed),
-                    forces_waiting: s.disk.lock().waiting() as u64,
                     max_batch: c.max_batch.load(Ordering::Relaxed),
                     lazy_drained: c.lazy_drained.load(Ordering::Relaxed),
                     checkpoints: c.checkpoints.load(Ordering::Relaxed),

@@ -9,7 +9,8 @@
 //! requested). The batcher sits with its token table in [`DiskState`],
 //! behind one short lock, and what it answers decides who writes:
 //!
-//! - **Leader.** An application thread parked in `commit` that is told
+//! - **Leader.** An application thread parked in `commit`, with
+//!   nothing left to do there but wait for this force, that is told
 //!   to start a write performs it itself — [`platter_write`], **no lock
 //!   held**, so the log keeps filling while the platter is busy — and
 //!   runs its own `LogForced` step when it returns. It wakes the other
@@ -23,8 +24,10 @@
 //!   form exactly when there is concurrency (paper §3.5).
 //! - **The disk thread** performs every write nobody leads: a pool
 //!   worker's force (a worker asleep in a platter write would stop
-//!   serving datagrams, so workers never lead), the write after a
-//!   leader's, window expiries, lazy flushes, checkpoints.
+//!   serving datagrams, so workers never lead), a caller's force that
+//!   has work queued behind it (non-blocking commit's begin record
+//!   overlaps phase one), the write after a leader's, window expiries,
+//!   lazy flushes, checkpoints.
 //!
 //! # Checkpoint, retention, truncation
 //!
@@ -270,10 +273,11 @@ impl DiskState {
 /// end past the record the requester has just appended, and the
 /// batcher is asked on the requesting thread.
 ///
-/// With `lead` — an application call is parked on this very thread —
-/// an answer of "start a write" makes the thread the **leader**: it
-/// performs that one platter write itself and releases everyone it
-/// covered. Any other answer, and any requester that cannot lead,
+/// With `lead` — an application call is parked on this very thread and
+/// has nothing left to apply but this force — an answer of "start a
+/// write" makes the thread the **leader**: it performs that one platter
+/// write itself and releases everyone it covered. Any other answer, and
+/// any requester that cannot lead,
 /// leaves a **follower**, released by whichever thread performs the
 /// covering write. What the batcher asks for beyond the leader's one
 /// write goes to the disk thread.
@@ -295,10 +299,7 @@ pub(crate) fn request_force(
     // it has to hear of a leader's write that calls for either.
     let mut checkpoint = false;
     if let (true, [BatcherAction::StartWrite { upto }]) = (lead, &actions[..]) {
-        actions = platter_write(inner, site, *upto);
-        let snapshot_bytes = site.counters.snapshot_bytes.load(Ordering::Relaxed);
-        let disk = site.disk.lock();
-        checkpoint = disk.checkpoint_covered() || disk.checkpoint_due(snapshot_bytes);
+        (actions, checkpoint) = platter_write(inner, site, *upto);
     }
     let mut mine = false;
     let mut left = Vec::new();
@@ -321,8 +322,9 @@ pub(crate) fn request_force(
 /// marking the prefix durable. Reports the actual durable watermark
 /// back to the batcher — a crash during the write leaves it short of
 /// `upto`, and the batcher only releases requests at or below it — and
-/// returns what the batcher answers.
-fn platter_write(inner: &ClusterInner, site: &SiteShared, upto: Lsn) -> Vec<BatcherAction> {
+/// returns what the batcher answers, and whether the write left the
+/// checkpointer something to do (a marker covered, a checkpoint due).
+fn platter_write(inner: &ClusterInner, site: &SiteShared, upto: Lsn) -> (Vec<BatcherAction>, bool) {
     let alive = || site.alive.load(Ordering::SeqCst);
     let started = Instant::now();
     if alive() {
@@ -352,13 +354,15 @@ fn platter_write(inner: &ClusterInner, site: &SiteShared, upto: Lsn) -> Vec<Batc
     if !died {
         site.hist.record(Phase::PlatterWrite, started.elapsed());
     }
+    let snapshot_bytes = site.counters.snapshot_bytes.load(Ordering::Relaxed);
     let mut disk = site.disk.lock();
     disk.log_end = log_end;
     let actions = disk.batcher.write_complete_to(actual, inner.now());
     if died {
         disk.abandon();
     }
-    actions
+    let checkpoint = disk.checkpoint_covered() || disk.checkpoint_due(snapshot_bytes);
+    (actions, checkpoint)
 }
 
 /// Releases the forces a platter write satisfied: records each one's
@@ -468,7 +472,9 @@ impl DiskManager {
                         release(&self.site, &reqs, durable, None);
                     }
                     BatcherAction::StartWrite { upto } => {
-                        next.extend(platter_write(&self.inner, &self.site, upto));
+                        // This thread is the checkpointer: it looks
+                        // for itself after every round.
+                        next.extend(platter_write(&self.inner, &self.site, upto).0);
                     }
                 }
             }

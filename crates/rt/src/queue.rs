@@ -42,20 +42,20 @@
 //! are unmodified); per object, committed writes install in queue
 //! order; a transaction that read *uncommitted* data commits only if
 //! its writer did (dirty-read cascades); reads are repeatable within a
-//! key. **Not** guaranteed: serializability — not even for update
-//! transactions on a single key. A read of *committed* state takes no
-//! dependency, so two transactions that both read `v` before either
-//! writes both write `v + 1`, are ordered write-after-write, and both
-//! commit: a read-modify-write on committed reads **loses updates**
-//! (the ladder's `rt.lost_updates`, finding 1 in `ladder/README.md`,
-//! observed under saturation on `hot_queued`). Across keys the level
-//! is read-committed: a transaction whose first touch of a key happens
-//! after an overlapping writer committed may observe that writer. Only
-//! blind writes and reads that happen to hit uncommitted versions are
-//! ordered. The lock-based mode remains the strict-2PL reference;
-//! dependency cycles (possible when transactions touch keys in
-//! opposing orders) are broken by the parked-vote timeout, the
-//! analogue of a lock-wait timeout.
+//! key; and **no lost update**: a read of *committed* state takes no
+//! dependency, so two transactions may both read `v` before either
+//! writes `v + 1` — but a shard votes No for a family that wrote a key
+//! whose committed value is no longer the one the family read
+//! (read validation at vote time, first committer wins; the ladder's
+//! `rt.lost_updates`, finding 1 in `ladder/README.md`, was this check
+//! missing). **Not** guaranteed: serializability. Only keys a family
+//! both read and wrote are validated, so write skew is possible, and
+//! across keys the level is read-committed: a transaction whose first
+//! touch of a key happens after an overlapping writer committed may
+//! observe that writer. The lock-based mode remains the strict-2PL
+//! reference; dependency cycles (possible when transactions touch
+//! keys in opposing orders) are broken by the parked-vote timeout,
+//! the analogue of a lock-wait timeout.
 //!
 //! [`ExecMode::Queued`]: camelot_core::ExecMode::Queued
 //! [`Action::AskVote`]: camelot_core::Action::AskVote
@@ -154,8 +154,31 @@ struct FamState {
     deps: HashMap<FamilyId, bool>,
     /// First-observed value per key: repeatable reads within a key.
     seen: HashMap<(ServerId, ObjectId), Vec<u8>>,
+    /// What the family first *read* of a key from outside itself — the
+    /// value a read-modify-write computed its write from. Validated
+    /// against the committed value at vote time ([`FamState::stale`]).
+    reads: HashMap<(ServerId, ObjectId), Vec<u8>>,
     /// A cascading dependency aborted: vote No at phase one.
     doomed: bool,
+}
+
+impl FamState {
+    /// Read validation, asked once every dependency has resolved: a
+    /// key this family read and then wrote must still hold, as its
+    /// committed value, what the family read. Every writer ordered
+    /// ahead of the family's write has resolved by now and every later
+    /// one waits for this family, so a difference means somebody
+    /// committed a write in between (or the uncommitted version read
+    /// was overwritten before it committed) and installing this
+    /// family's write would lose that update. First committer wins.
+    fn stale(&self, committed: &HashMap<(ServerId, ObjectId), Vec<u8>>) -> bool {
+        self.updates.iter().any(|u| {
+            let key = (u.server, u.object);
+            self.reads
+                .get(&key)
+                .is_some_and(|read| committed.get(&key) != Some(read))
+        })
+    }
 }
 
 struct QUpdate {
@@ -352,6 +375,7 @@ fn exec_op(
                 return;
             }
             let top = sh.objs.get(&key).and_then(|o| o.versions.last().cloned());
+            let own = matches!(&top, Some((owner, _)) if *owner == fam);
             let value = match top {
                 Some((owner, v)) if owner != fam => {
                     // Dirty read: serialize after the writer, abort
@@ -362,11 +386,11 @@ fn exec_op(
                 Some((_, v)) => v,
                 None => committed_of(site, sh, server, object),
             };
-            sh.fams
-                .entry(fam)
-                .or_default()
-                .seen
-                .insert(key, value.clone());
+            let fs = sh.fams.entry(fam).or_default();
+            fs.seen.insert(key, value.clone());
+            if !own {
+                fs.reads.entry(key).or_insert_with(|| value.clone());
+            }
             reply_op(inner, req, value);
         }
         Request::Write {
@@ -439,6 +463,7 @@ fn subvote(sh: &Shard, family: FamilyId, server: ServerId) -> Option<Vote> {
         None => Some(Vote::ReadOnly),
         Some(fs) if fs.doomed => Some(Vote::No),
         Some(fs) if !fs.deps.is_empty() => None,
+        Some(fs) if fs.stale(&sh.committed) => Some(Vote::No),
         Some(fs) => Some(if fs.updates.iter().any(|u| u.server == server) {
             Vote::Yes
         } else {

@@ -90,10 +90,6 @@ pub struct SiteStats {
     pub platter_writes: u64,
     /// Force requests satisfied by the batcher.
     pub forces_satisfied: u64,
-    /// Gauge: forces waiting for a platter write right now. Zero at
-    /// rest, and after a restart: a dead incarnation's forces are
-    /// abandoned, never answered.
-    pub forces_waiting: u64,
     /// Largest number of force requests one platter write satisfied.
     pub max_batch: u64,
     /// Lazy appends whose durability notice was delivered.

@@ -346,11 +346,14 @@ fn site_killed_under_a_caller_mid_commit() {
             "{point:?} should have killed the site"
         );
         assert_eq!(fault.stats().crashes, 1);
-        let s = cluster.stats().sites[0].clone();
         assert_eq!(
-            (s.worker_inputs, s.forces_waiting),
-            (worker_inputs, 0),
-            "{point:?}: no worker took part, no force is left waiting"
+            cluster.stats().sites[0].worker_inputs,
+            worker_inputs,
+            "{point:?}: no worker took part"
+        );
+        assert!(
+            !cluster.debug_state(S1).contains("waiting"),
+            "{point:?}: a force is left waiting"
         );
         // Every site lock (engine shards, WAL, batcher, servers) can
         // still be taken: the dying call left none behind.
@@ -415,7 +418,7 @@ fn followers_of_a_leader_whose_site_dies_mid_write_get_typed_errors() {
                 // Thread 0 finds the disk idle and leads; the others
                 // commit once its force is waiting on the write, so
                 // theirs queue up behind it.
-                while i > 0 && cluster.stats().sites[0].forces_waiting == 0 {
+                while i > 0 && !cluster.debug_state(S1).contains("waiting") {
                     std::thread::yield_now();
                 }
                 client.commit(&tid, CommitMode::TwoPhase)
@@ -431,10 +434,10 @@ fn followers_of_a_leader_whose_site_dies_mid_write_get_typed_errors() {
     }
     assert!(!cluster.is_alive(S1));
     assert_eq!(fault.stats().crashes, 1);
-    assert_eq!(cluster.stats().sites[0].forces_waiting, 0);
+    assert!(!cluster.debug_state(S1).contains("waiting"));
     cluster.restart(S1).expect("clean log recovers");
-    let s = cluster.stats().sites[0].clone();
-    assert_eq!((s.forces_waiting, s.live_families), (0, 0));
+    // No family, no lock, no force: nothing of the dead incarnation.
+    assert_eq!(cluster.debug_state(S1), "");
     let client = cluster.client(S1);
     for i in 0..4u64 {
         assert_eq!(cluster.committed_value(S1, SRV, ObjectId(i)), b"");

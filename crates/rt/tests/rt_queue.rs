@@ -221,6 +221,172 @@ fn queued_write_write_order_installs_last_committer() {
 }
 
 #[test]
+fn queued_read_modify_write_first_committer_wins() {
+    // Reads of committed state take no dependency, so two families can
+    // both read `v` and both write `v + 1`. The shard validates at vote
+    // time: whoever commits second wrote from a value that is no longer
+    // the committed one, and is refused.
+    let cluster = Cluster::new(1, queued_cfg());
+    let (c1, c2) = (cluster.client(S1), cluster.client(S1));
+    let bump = |v: Vec<u8>| vec![v.first().copied().unwrap_or(0) + 1];
+
+    // The first commits before the second writes: no version chain is
+    // left to order against, only validation can tell.
+    let obj = ObjectId(35);
+    let (t1, t2) = (c1.begin().unwrap(), c2.begin().unwrap());
+    let seen1 = c1.read(&t1, S1, SRV, obj).unwrap();
+    let seen2 = c2.read(&t2, S1, SRV, obj).unwrap();
+    c1.write(&t1, S1, SRV, obj, bump(seen1)).unwrap();
+    assert_eq!(
+        c1.commit(&t1, CommitMode::TwoPhase).unwrap(),
+        Outcome::Committed
+    );
+    quiesce();
+    c2.write(&t2, S1, SRV, obj, bump(seen2)).unwrap();
+    assert_eq!(
+        c2.commit(&t2, CommitMode::TwoPhase).unwrap(),
+        Outcome::Aborted,
+        "a write computed from a stale read must not commit"
+    );
+    // The retry reads the winner's value and goes through (once the
+    // shard has heard of the abort: until then the newest version is
+    // still the loser's, and reading it would cascade).
+    quiesce();
+    let t3 = c2.begin().unwrap();
+    let seen3 = c2.read(&t3, S1, SRV, obj).unwrap();
+    c2.write(&t3, S1, SRV, obj, bump(seen3)).unwrap();
+    assert_eq!(
+        c2.commit(&t3, CommitMode::TwoPhase).unwrap(),
+        Outcome::Committed
+    );
+    quiesce();
+    assert_eq!(cluster.committed_value(S1, SRV, obj), [2]);
+
+    // Both write before either commits: write-write order parks the
+    // second's vote behind the first, and would then install a value
+    // computed without the first's update.
+    let obj = ObjectId(36);
+    let (t1, t2) = (c1.begin().unwrap(), c2.begin().unwrap());
+    let seen1 = c1.read(&t1, S1, SRV, obj).unwrap();
+    let seen2 = c2.read(&t2, S1, SRV, obj).unwrap();
+    c1.write(&t1, S1, SRV, obj, bump(seen1)).unwrap();
+    c2.write(&t2, S1, SRV, obj, bump(seen2)).unwrap();
+    let second = std::thread::spawn(move || c2.commit(&t2, CommitMode::TwoPhase).unwrap());
+    std::thread::sleep(StdDuration::from_millis(50));
+    assert_eq!(
+        c1.commit(&t1, CommitMode::TwoPhase).unwrap(),
+        Outcome::Committed
+    );
+    assert_eq!(second.join().unwrap(), Outcome::Aborted);
+    quiesce();
+    assert_eq!(cluster.committed_value(S1, SRV, obj), [1]);
+    cluster.shutdown();
+}
+
+#[test]
+fn queued_concurrent_increments_lose_no_update() {
+    // The ladder's `hot_queued` shape: threads increment one counter
+    // with read-modify-write, re-running a transaction that aborts.
+    // Every acknowledged commit must be in the final value.
+    const THREADS: u64 = 4;
+    const INCREMENTS: u64 = 50;
+    let cfg = RtConfig {
+        datagram_delay: StdDuration::ZERO,
+        platter_delay: StdDuration::ZERO,
+        ..queued_cfg()
+    };
+    let cluster = std::sync::Arc::new(Cluster::new(1, cfg));
+    let obj = ObjectId(80);
+    let counters: Vec<_> = (0..THREADS)
+        .map(|_| {
+            let cluster = cluster.clone();
+            std::thread::spawn(move || {
+                let client = cluster.client(S1);
+                let mut commits = 0u64;
+                while commits < INCREMENTS {
+                    let tid = client.begin().unwrap();
+                    let seen = client.read(&tid, S1, SRV, obj).unwrap();
+                    // Speculative values run ahead of the committed
+                    // count (retries stack on versions whose abort the
+                    // shard has yet to hear of): not a byte.
+                    let n = seen.try_into().map_or(0, u64::from_le_bytes);
+                    let next = (n + 1).to_le_bytes().to_vec();
+                    client.write(&tid, S1, SRV, obj, next).unwrap();
+                    if client.commit(&tid, CommitMode::TwoPhase).unwrap() == Outcome::Committed {
+                        commits += 1;
+                    }
+                }
+            })
+        })
+        .collect();
+    for counter in counters {
+        counter.join().expect("no counter panics");
+    }
+    quiesce();
+    assert_eq!(
+        cluster.committed_value(S1, SRV, obj),
+        (THREADS * INCREMENTS).to_le_bytes(),
+        "an acknowledged increment is missing from the counter"
+    );
+    match std::sync::Arc::try_unwrap(cluster) {
+        Ok(c) => c.shutdown(),
+        Err(_) => panic!("cluster still referenced"),
+    }
+}
+
+#[test]
+fn queued_veto_does_not_overtake_its_own_prepare() {
+    // A coordinator whose own shards refuse the family (a stale
+    // read-modify-write) aborts while its commit batch is still being
+    // applied — the shards answer on their own threads. The abort
+    // notice must still leave after that batch's prepares: a
+    // non-blocking subordinate drops an outcome for a family it has not
+    // been asked to prepare, then prepares, and sits on its speculative
+    // writes until the coordinator resends (5 s with these timers),
+    // timing out everybody queued behind them. (One worker per site:
+    // with more, two workers can still take the two datagrams in
+    // either order at the subordinate — the engine's gap, ROADMAP.)
+    let cfg = RtConfig {
+        datagram_delay: StdDuration::ZERO,
+        platter_delay: StdDuration::ZERO,
+        tm_threads: 1,
+        exec_mode: ExecMode::Queued,
+        ..RtConfig::default()
+    };
+    let cluster = Cluster::new(2, cfg);
+    let (c1, c2) = (cluster.client(S1), cluster.client(S1));
+    let hot = ObjectId(90);
+    for round in 0..40u8 {
+        let t = c1.begin().unwrap();
+        let seen = c1.read(&t, S1, SRV, hot).unwrap();
+        let w = c2.begin().unwrap();
+        c2.write(&w, S1, SRV, hot, vec![round, 1]).unwrap();
+        assert_eq!(
+            c2.commit(&w, CommitMode::TwoPhase).unwrap(),
+            Outcome::Committed
+        );
+        c1.write(&t, S1, SRV, hot, [seen, vec![2]].concat())
+            .unwrap();
+        c1.write(&t, S2, SRV, ObjectId(91), vec![round]).unwrap();
+        assert_eq!(
+            c1.commit(&t, CommitMode::NonBlocking).unwrap(),
+            Outcome::Aborted,
+            "round {round}: the read of {hot:?} was stale"
+        );
+        let deadline = std::time::Instant::now() + StdDuration::from_millis(500);
+        while !cluster.debug_state(S2).is_empty() {
+            assert!(
+                std::time::Instant::now() < deadline,
+                "round {round}: the subordinate still holds the aborted family: {}",
+                cluster.debug_state(S2)
+            );
+            std::thread::yield_now();
+        }
+    }
+    cluster.shutdown();
+}
+
+#[test]
 fn queued_vote_timeout_breaks_dependency_cycles() {
     // Opposing write orders build a dependency cycle (the queued
     // analogue of a deadlock); the parked-vote timeout must break it

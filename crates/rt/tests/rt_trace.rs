@@ -152,6 +152,67 @@ fn timeline_orders_commit_force_before_resolution() {
     assert!(mine.iter().any(|e| e.site == S1) && mine.iter().any(|e| e.site == S2));
 }
 
+/// Non-blocking commit's begin record is forced *concurrently* with
+/// phase one (paper §3.3 change 5: it gates only the replication
+/// phase). The engine emits the force ahead of `AskVote` and the
+/// `NbPrepare` broadcast in one batch, on the committing thread — which
+/// therefore must not lead that platter write: under a slow disk the
+/// prepare reaches the subordinate long before the coordinator's write
+/// completes, and a read-only commit (which never needs the begin
+/// record) returns without waiting for a platter at all.
+#[test]
+fn nb_begin_force_overlaps_phase_one() {
+    let platter = StdDuration::from_millis(80);
+    let cfg = RtConfig {
+        datagram_delay: StdDuration::from_millis(5),
+        platter_delay: platter,
+        // No background flush: the coordinator's first write is the
+        // begin record's.
+        lazy_flush: StdDuration::from_secs(60),
+        ..traced_cfg()
+    };
+    let (_, events) = run_traced(cfg.clone(), CommitMode::NonBlocking, true);
+    let at = |site: SiteId, pred: &dyn Fn(&TraceEventKind) -> bool| {
+        events
+            .iter()
+            .find(|e| e.site == site && pred(&e.kind))
+            .map(|e| e.at_us)
+    };
+    let begin_durable = at(S1, &|k| matches!(k, TraceEventKind::BatchDurable { .. }))
+        .expect("the coordinator wrote nothing");
+    let prepared = at(
+        S2,
+        &|k| matches!(k, TraceEventKind::DatagramRecv { msg, .. } if *msg == "NbPrepare"),
+    )
+    .expect("the subordinate never heard NbPrepare");
+    assert!(
+        prepared < begin_durable,
+        "NbPrepare arrived at {prepared} µs, after the begin record's platter \
+         write completed at {begin_durable} µs: phase one waited for the force"
+    );
+
+    // Read-only, one site and two: the outcome never waits for the
+    // begin record, so the call is shorter than one platter write.
+    for sites in [1, 2] {
+        let cluster = Cluster::new(sites, cfg.clone());
+        let client = cluster.client(S1);
+        let tid = client.begin().unwrap();
+        for site in (1..=sites).map(SiteId) {
+            client.read(&tid, site, SRV, ObjectId(1)).unwrap();
+        }
+        let started = std::time::Instant::now();
+        let out = client.commit(&tid, CommitMode::NonBlocking).unwrap();
+        let took = started.elapsed();
+        assert_eq!(out, Outcome::Committed);
+        assert!(
+            took < platter,
+            "{sites}-site read-only commit took {took:?}: it sat through a \
+             {platter:?} platter write"
+        );
+        cluster.shutdown();
+    }
+}
+
 /// Draining consumes: a second drain on a quiesced cluster is empty.
 #[test]
 fn drain_consumes_the_rings() {

@@ -84,20 +84,6 @@ pub fn twophase_update(c: &CostModel, n: u32) -> StaticPath {
     StaticPath { items }
 }
 
-/// Two-phase commit, read-only: no forces, subordinates excluded from
-/// phase two.
-pub fn twophase_read(c: &CostModel, n: u32) -> StaticPath {
-    assert!(n >= 1);
-    let mut items = local_read(c).items;
-    items.push(item(
-        "remote operations (serial)",
-        c.remote_operation() * n as u64,
-    ));
-    items.push(item("prepare datagram", c.datagram));
-    items.push(item("vote datagram", c.datagram));
-    StaticPath { items }
-}
-
 /// Non-blocking commit, update, completion path: 4 log forces,
 /// 4 datagrams, the remote operations, and ~20 ms of local
 /// transaction-management messages (the paper's §4.3 accounting,

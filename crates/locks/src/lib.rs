@@ -142,7 +142,6 @@ pub struct LockManager {
     /// paper's §4.2 analyses exactly this effect between back-to-back
     /// transactions).
     waits: u64,
-    grants: u64,
 }
 
 impl LockManager {
@@ -162,7 +161,6 @@ impl LockManager {
         // Already held strongly enough?
         if let Some(held) = entry.holder_mode(tid) {
             if held == Mode::Exclusive || mode == Mode::Shared {
-                self.grants += 1;
                 return Acquire::Granted;
             }
         }
@@ -174,7 +172,6 @@ impl LockManager {
         let must_queue = !entry.waiters.is_empty() && !is_holder;
         if !must_queue && entry.compatible(tid, mode) {
             entry.grant(tid, mode);
-            self.grants += 1;
             Acquire::Granted
         } else {
             entry.waiters.push((tid.clone(), mode));
@@ -219,7 +216,6 @@ impl LockManager {
                 self.table.remove(&object);
             }
         }
-        self.grants += granted.len() as u64;
         (removed, granted)
     }
 
@@ -258,7 +254,6 @@ impl LockManager {
                 entry.pump(*object, &mut granted);
             }
         }
-        self.grants += granted.len() as u64;
         granted
     }
 
@@ -280,7 +275,6 @@ impl LockManager {
             }
             !entry.is_free()
         });
-        self.grants += granted.len() as u64;
         granted
     }
 
@@ -300,18 +294,12 @@ impl LockManager {
             }
             !entry.is_free()
         });
-        self.grants += granted.len() as u64;
         granted
     }
 
     /// Acquisitions that had to wait.
     pub fn wait_count(&self) -> u64 {
         self.waits
-    }
-
-    /// Total grants (immediate + after waiting).
-    pub fn grant_count(&self) -> u64 {
-        self.grants
     }
 
     /// Number of objects with lock state.

@@ -38,8 +38,6 @@ pub struct CommMan {
     /// Sites each local transaction family has spread to (excluding
     /// this site). Ordered for deterministic iteration.
     spread: HashMap<FamilyId, BTreeSet<SiteId>>,
-    /// RPCs forwarded (for the §4.1 accounting experiments).
-    rpcs_forwarded: u64,
 }
 
 impl CommMan {
@@ -48,7 +46,6 @@ impl CommMan {
             site,
             names: HashMap::new(),
             spread: HashMap::new(),
-            rpcs_forwarded: 0,
         }
     }
 
@@ -81,7 +78,6 @@ impl CommMan {
         if target != self.site {
             self.spread.entry(family).or_default().insert(target);
         }
-        self.rpcs_forwarded += 1;
     }
 
     /// Builds the site-list stamp for a reply leaving this site: this
@@ -123,11 +119,6 @@ impl CommMan {
     /// Number of transaction families currently tracked.
     pub fn tracked_families(&self) -> usize {
         self.spread.len()
-    }
-
-    /// RPCs this CornMan has forwarded.
-    pub fn rpcs_forwarded(&self) -> u64 {
-        self.rpcs_forwarded
     }
 }
 
@@ -173,7 +164,6 @@ mod tests {
         cm.note_outgoing(fam(2), SiteId(4)); // Other family.
         assert_eq!(cm.participants(&fam(1)), vec![SiteId(2), SiteId(3)]);
         assert_eq!(cm.participants(&fam(2)), vec![SiteId(4)]);
-        assert_eq!(cm.rpcs_forwarded(), 4);
     }
 
     #[test]

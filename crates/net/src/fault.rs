@@ -206,11 +206,6 @@ impl FaultPlan {
         self.crash_points.lock().unwrap().insert(site, point);
     }
 
-    /// Disarms any pending crash for `site`.
-    pub fn disarm_crash(&self, site: SiteId) {
-        self.crash_points.lock().unwrap().remove(&site);
-    }
-
     /// Scripts `fault` for the `nth` datagram (0-based) ever sent on
     /// the link `from -> to`. Scripts fire exactly once, are consulted
     /// before the random stream, ignore the fault budget (the caller
@@ -298,11 +293,6 @@ impl FaultPlan {
         self.partitioned.store(false, Ordering::SeqCst);
         self.skews.lock().unwrap().clear();
         self.skewed.store(false, Ordering::SeqCst);
-    }
-
-    /// True until [`FaultPlan::heal`].
-    pub fn is_active(&self) -> bool {
-        self.enabled.load(Ordering::SeqCst)
     }
 
     /// Injection counts so far.

@@ -11,10 +11,10 @@
 //!
 //! - **UDP** — one datagram per frame over one bound `UdpSocket`.
 //!   Datagrams really get lost and reordered, so the transport runs
-//!   the same [`ReliableChannel`] (sequence numbers, acknowledgements,
-//!   retransmission with backoff, duplicate suppression) the
-//!   in-process runtime offers. Outgoing sequence numbers start at an
-//!   incarnation-derived base (see [`SeqAlloc::starting_at`]) so a
+//!   a [`ReliableChannel`] (sequence numbers, acknowledgements,
+//!   retransmission with backoff, duplicate suppression). Outgoing
+//!   sequence numbers start at an incarnation-derived base, sampled
+//!   from the clock at bind (see [`SeqAlloc::starting_at`]), so a
 //!   restarted site is not mistaken for its past self.
 //! - **TCP** — one framed stream per peer; the kernel provides
 //!   ordering and retransmission, so only duplicate suppression (for
@@ -72,6 +72,16 @@ use crate::FrameDecoder;
 /// shutdown.
 const POP_WAIT: StdDuration = StdDuration::from_millis(50);
 
+/// UDP mode: first retransmission interval.
+const RETRY: Duration = Duration::from_millis(40);
+/// UDP mode: retransmission backoff cap.
+const MAX_RETRY: Duration = Duration::from_millis(320);
+/// UDP mode: attempts before a peer is reported unreachable.
+const ATTEMPTS: u32 = 8;
+
+/// Upper bound on one TCP connect attempt.
+const CONNECT_TIMEOUT: StdDuration = StdDuration::from_millis(250);
+
 /// Which kernel transport carries the frames.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SocketMode {
@@ -98,26 +108,12 @@ impl SocketMode {
 pub struct SocketConfig {
     pub site: SiteId,
     pub mode: SocketMode,
-    /// Initial retransmission interval (UDP mode).
-    pub retry: Duration,
-    /// Backoff cap (UDP mode).
-    pub max_retry: Duration,
-    /// Attempts before a peer is reported unreachable (UDP mode).
-    pub attempts: u32,
-    /// Base for outgoing sequence numbers. Defaults to microseconds
-    /// since the Unix epoch at construction, which is strictly above
-    /// anything a previous incarnation can have allocated (bases are
-    /// sampled at boot and each incarnation adds far fewer than one
-    /// sequence number per elapsed microsecond).
-    pub seq_base: u64,
     /// How long one [`SocketTransport::recv`] call waits for traffic
     /// before returning `None` (and, in UDP mode, running the
     /// retransmission clock).
     pub recv_timeout: StdDuration,
     /// Per-peer send-queue bound; a full queue evicts its oldest frame.
     pub send_queue: usize,
-    /// Upper bound on one TCP connect attempt.
-    pub connect_timeout: StdDuration,
     /// Upper bound on one TCP write (a peer that accepts but stops
     /// reading fails the write instead of wedging its sender thread
     /// forever).
@@ -133,16 +129,8 @@ impl SocketConfig {
         SocketConfig {
             site,
             mode,
-            retry: Duration::from_millis(40),
-            max_retry: Duration::from_millis(320),
-            attempts: 8,
-            seq_base: SystemTime::now()
-                .duration_since(UNIX_EPOCH)
-                .map(|d| d.as_micros() as u64)
-                .unwrap_or(1),
             recv_timeout: StdDuration::from_millis(20),
             send_queue: 256,
-            connect_timeout: StdDuration::from_millis(250),
             write_timeout: StdDuration::from_secs(1),
             reconnect_base: StdDuration::from_millis(25),
             reconnect_cap: StdDuration::from_secs(2),
@@ -187,7 +175,6 @@ struct Inner {
     queues: Mutex<HashMap<SiteId, Arc<SendQueue>>>,
     counters: TransportCounters,
     send_queue: usize,
-    connect_timeout: StdDuration,
     write_timeout: StdDuration,
     reconnect_base: StdDuration,
     reconnect_cap: StdDuration,
@@ -215,13 +202,18 @@ impl SocketTransport {
         fault: Arc<FaultPlan>,
         tracer: Tracer,
     ) -> std::io::Result<SocketTransport> {
-        let channel = ReliableChannel::with_seq_base(
-            cfg.site,
-            cfg.retry,
-            cfg.max_retry,
-            cfg.attempts,
-            cfg.seq_base,
-        );
+        // Outgoing sequence numbers start at microseconds since the
+        // Unix epoch: strictly above anything a previous incarnation
+        // can have allocated (bases are sampled at boot and each
+        // incarnation adds far fewer than one sequence number per
+        // elapsed microsecond), so a restarted site is not filtered as
+        // a replay of its past self.
+        let seq_base = SystemTime::now()
+            .duration_since(UNIX_EPOCH)
+            .map(|d| d.as_micros() as u64)
+            .unwrap_or(1);
+        let channel =
+            ReliableChannel::with_seq_base(cfg.site, RETRY, MAX_RETRY, ATTEMPTS, seq_base);
         let (udp, local, tcp_rx) = match cfg.mode {
             SocketMode::Udp => {
                 let sock = UdpSocket::bind("127.0.0.1:0")?;
@@ -244,13 +236,12 @@ impl SocketTransport {
             udp,
             local,
             channel: Mutex::new(channel),
-            seqs: Mutex::new(SeqAlloc::starting_at(cfg.seq_base)),
+            seqs: Mutex::new(SeqAlloc::starting_at(seq_base)),
             dups: Mutex::new(DupFilter::new(64)),
             peers: Mutex::new(HashMap::new()),
             queues: Mutex::new(HashMap::new()),
             counters: TransportCounters::default(),
             send_queue: cfg.send_queue,
-            connect_timeout: cfg.connect_timeout,
             write_timeout: cfg.write_timeout,
             reconnect_base: cfg.reconnect_base,
             reconnect_cap: cfg.reconnect_cap,
@@ -652,7 +643,7 @@ fn tcp_connect(inner: &Inner, to: SiteId, link: &mut PeerLink) -> bool {
         link.retry_at = Some(Instant::now() + link.backoff.failure());
         return false;
     };
-    match TcpStream::connect_timeout(&addr, inner.connect_timeout) {
+    match TcpStream::connect_timeout(&addr, CONNECT_TIMEOUT) {
         Ok(stream) => {
             let _ = stream.set_nodelay(true);
             let _ = stream.set_write_timeout(Some(inner.write_timeout));
@@ -860,6 +851,54 @@ mod tests {
         let d = recv_until(&a, StdDuration::from_secs(2)).expect("reply");
         assert_eq!(d.from, SiteId(2));
         assert_eq!(d.messages, vec![msg(3)]);
+    }
+
+    /// A restarted site must number its first envelope above anything
+    /// its previous incarnation sent, or peers filter it as a replay.
+    /// The base is the wall clock in microseconds, taken inside `bind`.
+    #[test]
+    fn first_sequence_number_is_the_wall_clock_at_bind() {
+        fn micros_now() -> u64 {
+            SystemTime::now()
+                .duration_since(UNIX_EPOCH)
+                .unwrap()
+                .as_micros() as u64
+        }
+        // UDP: the reliable channel allocates.
+        let before = micros_now();
+        let a = clean(1, SocketMode::Udp);
+        let peer = UdpSocket::bind("127.0.0.1:0").unwrap();
+        peer.set_read_timeout(Some(StdDuration::from_secs(2)))
+            .unwrap();
+        a.set_peer(SiteId(2), peer.local_addr().unwrap());
+        a.send(SiteId(2), msg(1), vec![]).unwrap();
+        let mut buf = vec![0u8; 64 * 1024];
+        let (n, _) = peer.recv_from(&mut buf).expect("first datagram");
+        let (payload, _) = decode_frame(&buf[..n]).unwrap();
+        let seq = Envelope::from_bytes(&payload).unwrap().seq;
+        assert!((before..=micros_now()).contains(&seq), "udp seq {seq}");
+
+        // TCP: the transport's own allocator does.
+        let before = micros_now();
+        let a = clean(1, SocketMode::Tcp);
+        let peer = TcpListener::bind("127.0.0.1:0").unwrap();
+        a.set_peer(SiteId(2), peer.local_addr().unwrap());
+        a.send(SiteId(2), msg(1), vec![]).unwrap();
+        let (mut stream, _) = peer.accept().expect("first connection");
+        stream
+            .set_read_timeout(Some(StdDuration::from_secs(2)))
+            .unwrap();
+        let mut dec = FrameDecoder::new();
+        let payload = loop {
+            if let Some(p) = dec.next_frame().unwrap() {
+                break p;
+            }
+            let n = stream.read(&mut buf).expect("first frame");
+            assert!(n > 0, "stream closed before one frame");
+            dec.extend(&buf[..n]);
+        };
+        let seq = Envelope::from_bytes(&payload).unwrap().seq;
+        assert!((before..=micros_now()).contains(&seq), "tcp seq {seq}");
     }
 
     #[test]

@@ -37,16 +37,15 @@ use std::time::Duration as StdDuration;
 use camelot_core::CommitMode;
 use camelot_net::{FaultPlan, FrameDecoder, SocketConfig, SocketMode, SocketTransport};
 use camelot_node::ctrl::{
-    read_framed, write_framed, CtrlClient, CtrlReply, CtrlRequest, Handshake, SiteStatsWire,
+    read_framed, write_framed, CtrlReply, CtrlRequest, Handshake, SiteStatsWire,
 };
-use camelot_rt::{Client, Cluster, RemoteNet, RtConfig, SiteStats, TraceEventKind};
+use camelot_rt::{Client, Cluster, RemoteNet, RtConfig, TraceEventKind};
 use camelot_types::{CamelotError, FamilyId, SiteId};
 
 struct Opts {
     site: SiteId,
     mode: SocketMode,
     log_dir: Option<PathBuf>,
-    servers: u32,
     fast: bool,
     call_timeout: StdDuration,
     trace_capacity: Option<usize>,
@@ -62,8 +61,8 @@ struct Opts {
 fn usage() -> ! {
     eprintln!(
         "usage: camelot-site --site N [--transport udp|tcp] [--log-dir DIR] \
-         [--servers N] [--fast] [--call-timeout-ms MS] [--trace-capacity N] \
-         [--trace-out FILE] [--fault-seed S] [--drop PM] [--delay PM] [--dup PM] \
+         [--fast] [--call-timeout-ms MS] [--trace-capacity N] [--trace-out FILE] \
+         [--fault-seed S] [--drop PM] [--delay PM] [--dup PM] \
          [--fault-delay-ms MS] [--fault-budget N]"
     );
     exit(2);
@@ -74,7 +73,6 @@ fn parse_opts() -> Opts {
         site: SiteId(0),
         mode: SocketMode::Udp,
         log_dir: None,
-        servers: 1,
         fast: false,
         call_timeout: StdDuration::from_secs(30),
         trace_capacity: None,
@@ -99,7 +97,6 @@ fn parse_opts() -> Opts {
                 opts.mode = SocketMode::parse(&value(&mut i)).unwrap_or_else(|| usage())
             }
             "--log-dir" => opts.log_dir = Some(PathBuf::from(value(&mut i))),
-            "--servers" => opts.servers = value(&mut i).parse().unwrap_or_else(|_| usage()),
             "--fast" => opts.fast = true,
             "--call-timeout-ms" => {
                 opts.call_timeout =
@@ -171,7 +168,6 @@ fn main() {
         FaultPlan::disabled()
     });
     let mut cfg = RtConfig {
-        servers_per_site: opts.servers,
         call_timeout: opts.call_timeout,
         log_dir: opts.log_dir.clone(),
         trace: true,
@@ -374,16 +370,6 @@ fn handle(
             fault.heal();
             CtrlReply::Ok
         }
-        // Legacy whole-ring drain, now bounded: serving one default-
-        // size chunk keeps any caller inside the 1 MiB frame cap (a
-        // full ring rendered into one frame used to panic the ctrl
-        // thread). Callers loop until empty, exactly like
-        // `DrainTraceChunk`.
-        CtrlRequest::DrainTrace => CtrlReply::Trace {
-            jsonl: camelot_rt::to_jsonl(
-                &cluster.drain_trace_chunk(CtrlClient::DRAIN_CHUNK as usize),
-            ),
-        },
         CtrlRequest::DrainTraceChunk { max_events } => CtrlReply::Trace {
             jsonl: camelot_rt::to_jsonl(&cluster.drain_trace_chunk(max_events as usize)),
         },
@@ -402,7 +388,7 @@ fn handle(
             let stats = cluster.stats();
             match stats.sites.iter().find(|s| s.site == site) {
                 Some(s) => CtrlReply::Engine {
-                    stats: Box::new(site_stats_wire(s, stats.router_pending)),
+                    stats: Box::new(SiteStatsWire::from_stats(s, stats.router_pending)),
                 },
                 None => CtrlReply::Err {
                     detail: format!("no stats for site {}", site.0),
@@ -450,52 +436,5 @@ fn handle(
 fn err(e: CamelotError) -> CtrlReply {
     CtrlReply::Err {
         detail: format!("{e}"),
-    }
-}
-
-/// Flattens a runtime stats snapshot into the ctrl wire form. A site
-/// process hosts one site, so the cluster's router is this site's.
-fn site_stats_wire(s: &SiteStats, router_pending: u64) -> SiteStatsWire {
-    SiteStatsWire {
-        site: s.site,
-        begins: s.engine.begins,
-        nested_begins: s.engine.nested_begins,
-        commits: s.engine.commits,
-        read_only_commits: s.engine.read_only_commits,
-        aborts: s.engine.aborts,
-        forces: s.engine.forces,
-        lazy_appends: s.engine.lazy_appends,
-        datagrams: s.engine.datagrams,
-        piggybacked: s.engine.piggybacked,
-        takeovers: s.engine.takeovers,
-        blocked: s.engine.blocked,
-        live_families: s.live_families as u64,
-        wal_records: s.wal.records,
-        wal_forces_requested: s.wal.forces_requested,
-        wal_forces_effective: s.wal.forces_effective,
-        lock_wait_us: s.lock_wait.as_micros() as u64,
-        inputs: s.inputs,
-        worker_inputs: s.worker_inputs,
-        router_pending,
-        platter_writes: s.platter_writes,
-        forces_satisfied: s.forces_satisfied,
-        max_batch: s.max_batch,
-        lazy_drained: s.lazy_drained,
-        checkpoints: s.checkpoints,
-        wal_truncated_bytes: s.wal_truncated_bytes,
-        wal_live_bytes: s.wal_live_bytes,
-        snapshot_bytes: s.snapshot_bytes,
-        last_restart_us: s.last_restart.as_micros() as u64,
-        queue_ops: s.queue_ops,
-        queue_parked: s.queue_parked,
-        queue_vote_timeouts: s.queue_vote_timeouts,
-        queue_cascades: s.queue_cascades,
-        reads: s.servers.reads,
-        writes: s.servers.writes,
-        lock_waits: s.servers.lock_waits,
-        joins: s.servers.joins,
-        deadlocks: s.servers.deadlocks,
-        trace_emitted: s.trace_emitted,
-        trace_dropped: s.trace_dropped,
     }
 }

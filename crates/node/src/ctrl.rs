@@ -20,6 +20,7 @@ use std::time::Duration as StdDuration;
 
 use camelot_net::{encode_frame, FaultStats, FrameDecoder, TransportStats};
 use camelot_obs::{PhaseSnapshot, ProtocolPhaseSnapshot};
+use camelot_rt::SiteStats;
 use camelot_types::wire::{Reader, Wire, Writer};
 use camelot_types::{CamelotError, CrashPoint, ObjectId, Result, ServerId, SiteId, Tid};
 
@@ -86,8 +87,6 @@ pub enum CtrlRequest {
     ArmCrash { point: CrashPoint },
     /// Stop all fault injection on this site's plan.
     Heal,
-    /// Drain the site's trace ring as JSON Lines.
-    DrainTrace,
     /// Clean process exit.
     Shutdown,
     /// Snapshot the data-plane transport's outbound counters.
@@ -112,9 +111,8 @@ pub enum CtrlRequest {
     /// scrape endpoint the `camelot-scope` collector polls.
     EngineStats,
     /// Drain at most `max_events` trace events as JSON Lines. Repeat
-    /// until an empty reply: unlike [`CtrlRequest::DrainTrace`], a
-    /// chunked drain can never exceed the frame cap however large the
-    /// ring has grown.
+    /// until an empty reply: a chunked drain can never exceed the
+    /// frame cap however large the ring has grown.
     DrainTraceChunk { max_events: u32 },
     /// Test hook: emit `events` synthetic trace events into the
     /// site's ring, so harnesses can provoke oversized rings without
@@ -133,7 +131,7 @@ const Q_COMMITTED_VALUE: u8 = 8;
 const Q_DEBUG_STATE: u8 = 9;
 const Q_ARM_CRASH: u8 = 10;
 const Q_HEAL: u8 = 11;
-const Q_DRAIN_TRACE: u8 = 12;
+// 12 was `DrainTrace` (the whole ring in one frame); retired, not reused.
 const Q_SHUTDOWN: u8 = 13;
 const Q_TRANSPORT_STATS: u8 = 14;
 const Q_FAULT_STATS: u8 = 15;
@@ -202,7 +200,6 @@ impl Wire for CtrlRequest {
                 w.put_u8(point.to_wire());
             }
             CtrlRequest::Heal => w.put_u8(Q_HEAL),
-            CtrlRequest::DrainTrace => w.put_u8(Q_DRAIN_TRACE),
             CtrlRequest::Shutdown => w.put_u8(Q_SHUTDOWN),
             CtrlRequest::TransportStats => w.put_u8(Q_TRANSPORT_STATS),
             CtrlRequest::FaultStats => w.put_u8(Q_FAULT_STATS),
@@ -269,7 +266,6 @@ impl Wire for CtrlRequest {
                 CtrlRequest::ArmCrash { point }
             }
             Q_HEAL => CtrlRequest::Heal,
-            Q_DRAIN_TRACE => CtrlRequest::DrainTrace,
             Q_SHUTDOWN => CtrlRequest::Shutdown,
             Q_TRANSPORT_STATS => CtrlRequest::TransportStats,
             Q_FAULT_STATS => CtrlRequest::FaultStats,
@@ -349,67 +345,113 @@ pub enum CtrlReply {
     },
 }
 
-/// A site's counter snapshot on the wire — the flat-u64 rendering of
-/// `camelot_rt::SiteStats` (histograms travel separately via
-/// [`CtrlReply::Phases`]). All counters are cumulative since process
-/// start; the collector derives rates by differencing scrapes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SiteStatsWire {
-    pub site: SiteId,
+/// States the counters of [`SiteStatsWire`] once — name, and where
+/// the value comes from in a `camelot_rt::SiteStats` — and derives the
+/// struct, `zeroed`, `from_stats`, `fields` and the wire codec from
+/// that one list, so no two of them can disagree about the order.
+macro_rules! site_stats_wire {
+    (|$s:ident, $router_pending:ident| $($(#[$doc:meta])* $name:ident = $from:expr,)*) => {
+        /// A site's counter snapshot on the wire — the flat-u64 rendering of
+        /// `camelot_rt::SiteStats` (histograms travel separately via
+        /// [`CtrlReply::Phases`]). All counters are cumulative since process
+        /// start; the collector derives rates by differencing scrapes.
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        pub struct SiteStatsWire {
+            pub site: SiteId,
+            $($(#[$doc])* pub $name: u64,)*
+        }
+
+        impl SiteStatsWire {
+            const COUNT: usize = [$(stringify!($name)),*].len();
+
+            /// All-zero counters for `site`.
+            pub fn zeroed(site: SiteId) -> Self {
+                SiteStatsWire { site, $($name: 0,)* }
+            }
+
+            /// Flattens a runtime stats snapshot. A site process hosts
+            /// one site, so the cluster's router is this site's.
+            pub fn from_stats($s: &SiteStats, $router_pending: u64) -> Self {
+                SiteStatsWire { site: $s.site, $($name: $from,)* }
+            }
+
+            /// The counters in stable `(name, value)` order — one source for
+            /// the wire layout, JSON rendering, and rate derivation.
+            pub fn fields(&self) -> [(&'static str, u64); Self::COUNT] {
+                [$((stringify!($name), self.$name),)*]
+            }
+        }
+
+        impl Wire for SiteStatsWire {
+            fn encode(&self, w: &mut Writer) {
+                w.put(&self.site);
+                for (_, v) in self.fields() {
+                    w.put_u64(v);
+                }
+            }
+
+            fn decode(r: &mut Reader<'_>) -> Result<Self> {
+                Ok(SiteStatsWire { site: r.get()?, $($name: r.get_u64()?,)* })
+            }
+        }
+    };
+}
+
+site_stats_wire! { |s, router_pending|
     // Engine protocol counters.
-    pub begins: u64,
-    pub nested_begins: u64,
-    pub commits: u64,
-    pub read_only_commits: u64,
-    pub aborts: u64,
-    pub forces: u64,
-    pub lazy_appends: u64,
-    pub datagrams: u64,
-    pub piggybacked: u64,
-    pub takeovers: u64,
-    pub blocked: u64,
-    pub live_families: u64,
+    begins = s.engine.begins,
+    nested_begins = s.engine.nested_begins,
+    commits = s.engine.commits,
+    read_only_commits = s.engine.read_only_commits,
+    aborts = s.engine.aborts,
+    forces = s.engine.forces,
+    lazy_appends = s.engine.lazy_appends,
+    datagrams = s.engine.datagrams,
+    piggybacked = s.engine.piggybacked,
+    takeovers = s.engine.takeovers,
+    blocked = s.engine.blocked,
+    live_families = s.live_families as u64,
     // WAL counters.
-    pub wal_records: u64,
-    pub wal_forces_requested: u64,
-    pub wal_forces_effective: u64,
+    wal_records = s.wal.records,
+    wal_forces_requested = s.wal.forces_requested,
+    wal_forces_effective = s.wal.forces_effective,
     // Runtime counters.
-    pub lock_wait_us: u64,
-    pub inputs: u64,
+    lock_wait_us = s.lock_wait.as_micros() as u64,
+    inputs = s.inputs,
     /// Inputs that crossed to the TranMan worker pool (thread
     /// hand-offs); `inputs` counts every engine step on any thread.
-    pub worker_inputs: u64,
+    worker_inputs = s.worker_inputs,
     /// Gauge: deliveries the site's router holds (live timers plus
     /// datagrams in flight).
-    pub router_pending: u64,
-    pub platter_writes: u64,
-    pub forces_satisfied: u64,
-    pub max_batch: u64,
-    pub lazy_drained: u64,
+    router_pending = router_pending,
+    platter_writes = s.platter_writes,
+    forces_satisfied = s.forces_satisfied,
+    max_batch = s.max_batch,
+    lazy_drained = s.lazy_drained,
     /// Checkpoints completed (durable, log truncated below them).
-    pub checkpoints: u64,
+    checkpoints = s.checkpoints,
     /// Log bytes discarded by truncation.
-    pub wal_truncated_bytes: u64,
+    wal_truncated_bytes = s.wal_truncated_bytes,
     /// Gauge: log bytes a restart would scan right now.
-    pub wal_live_bytes: u64,
+    wal_live_bytes = s.wal_live_bytes,
     /// Gauge: snapshot bytes the last completed checkpoint wrote.
-    pub snapshot_bytes: u64,
+    snapshot_bytes = s.snapshot_bytes,
     /// Gauge: duration of the site's last restart (its recovery of the
     /// log it was started on), in microseconds.
-    pub last_restart_us: u64,
-    pub queue_ops: u64,
-    pub queue_parked: u64,
-    pub queue_vote_timeouts: u64,
-    pub queue_cascades: u64,
+    last_restart_us = s.last_restart.as_micros() as u64,
+    queue_ops = s.queue_ops,
+    queue_parked = s.queue_parked,
+    queue_vote_timeouts = s.queue_vote_timeouts,
+    queue_cascades = s.queue_cascades,
     // Data-server counters (summed over the site's servers).
-    pub reads: u64,
-    pub writes: u64,
-    pub lock_waits: u64,
-    pub joins: u64,
-    pub deadlocks: u64,
+    reads = s.servers.reads,
+    writes = s.servers.writes,
+    lock_waits = s.servers.lock_waits,
+    joins = s.servers.joins,
+    deadlocks = s.servers.deadlocks,
     // Trace-ring health: nonzero drops mean truncated timelines.
-    pub trace_emitted: u64,
-    pub trace_dropped: u64,
+    trace_emitted = s.trace_emitted,
+    trace_dropped = s.trace_dropped,
 }
 
 impl SiteStatsWire {
@@ -422,159 +464,6 @@ impl SiteStatsWire {
         "snapshot_bytes",
         "last_restart_us",
     ];
-
-    /// All-zero counters for `site`.
-    pub fn zeroed(site: SiteId) -> Self {
-        SiteStatsWire {
-            site,
-            begins: 0,
-            nested_begins: 0,
-            commits: 0,
-            read_only_commits: 0,
-            aborts: 0,
-            forces: 0,
-            lazy_appends: 0,
-            datagrams: 0,
-            piggybacked: 0,
-            takeovers: 0,
-            blocked: 0,
-            live_families: 0,
-            wal_records: 0,
-            wal_forces_requested: 0,
-            wal_forces_effective: 0,
-            lock_wait_us: 0,
-            inputs: 0,
-            worker_inputs: 0,
-            router_pending: 0,
-            platter_writes: 0,
-            forces_satisfied: 0,
-            max_batch: 0,
-            lazy_drained: 0,
-            checkpoints: 0,
-            wal_truncated_bytes: 0,
-            wal_live_bytes: 0,
-            snapshot_bytes: 0,
-            last_restart_us: 0,
-            queue_ops: 0,
-            queue_parked: 0,
-            queue_vote_timeouts: 0,
-            queue_cascades: 0,
-            reads: 0,
-            writes: 0,
-            lock_waits: 0,
-            joins: 0,
-            deadlocks: 0,
-            trace_emitted: 0,
-            trace_dropped: 0,
-        }
-    }
-
-    /// The counters in stable `(name, value)` order — one source for
-    /// the wire layout, JSON rendering, and rate derivation.
-    pub fn fields(&self) -> [(&'static str, u64); 39] {
-        [
-            ("begins", self.begins),
-            ("nested_begins", self.nested_begins),
-            ("commits", self.commits),
-            ("read_only_commits", self.read_only_commits),
-            ("aborts", self.aborts),
-            ("forces", self.forces),
-            ("lazy_appends", self.lazy_appends),
-            ("datagrams", self.datagrams),
-            ("piggybacked", self.piggybacked),
-            ("takeovers", self.takeovers),
-            ("blocked", self.blocked),
-            ("live_families", self.live_families),
-            ("wal_records", self.wal_records),
-            ("wal_forces_requested", self.wal_forces_requested),
-            ("wal_forces_effective", self.wal_forces_effective),
-            ("lock_wait_us", self.lock_wait_us),
-            ("inputs", self.inputs),
-            ("worker_inputs", self.worker_inputs),
-            ("router_pending", self.router_pending),
-            ("platter_writes", self.platter_writes),
-            ("forces_satisfied", self.forces_satisfied),
-            ("max_batch", self.max_batch),
-            ("lazy_drained", self.lazy_drained),
-            ("checkpoints", self.checkpoints),
-            ("wal_truncated_bytes", self.wal_truncated_bytes),
-            ("wal_live_bytes", self.wal_live_bytes),
-            ("snapshot_bytes", self.snapshot_bytes),
-            ("last_restart_us", self.last_restart_us),
-            ("queue_ops", self.queue_ops),
-            ("queue_parked", self.queue_parked),
-            ("queue_vote_timeouts", self.queue_vote_timeouts),
-            ("queue_cascades", self.queue_cascades),
-            ("reads", self.reads),
-            ("writes", self.writes),
-            ("lock_waits", self.lock_waits),
-            ("joins", self.joins),
-            ("deadlocks", self.deadlocks),
-            ("trace_emitted", self.trace_emitted),
-            ("trace_dropped", self.trace_dropped),
-        ]
-    }
-
-    fn fields_mut(&mut self) -> [&mut u64; 39] {
-        [
-            &mut self.begins,
-            &mut self.nested_begins,
-            &mut self.commits,
-            &mut self.read_only_commits,
-            &mut self.aborts,
-            &mut self.forces,
-            &mut self.lazy_appends,
-            &mut self.datagrams,
-            &mut self.piggybacked,
-            &mut self.takeovers,
-            &mut self.blocked,
-            &mut self.live_families,
-            &mut self.wal_records,
-            &mut self.wal_forces_requested,
-            &mut self.wal_forces_effective,
-            &mut self.lock_wait_us,
-            &mut self.inputs,
-            &mut self.worker_inputs,
-            &mut self.router_pending,
-            &mut self.platter_writes,
-            &mut self.forces_satisfied,
-            &mut self.max_batch,
-            &mut self.lazy_drained,
-            &mut self.checkpoints,
-            &mut self.wal_truncated_bytes,
-            &mut self.wal_live_bytes,
-            &mut self.snapshot_bytes,
-            &mut self.last_restart_us,
-            &mut self.queue_ops,
-            &mut self.queue_parked,
-            &mut self.queue_vote_timeouts,
-            &mut self.queue_cascades,
-            &mut self.reads,
-            &mut self.writes,
-            &mut self.lock_waits,
-            &mut self.joins,
-            &mut self.deadlocks,
-            &mut self.trace_emitted,
-            &mut self.trace_dropped,
-        ]
-    }
-}
-
-impl Wire for SiteStatsWire {
-    fn encode(&self, w: &mut Writer) {
-        w.put(&self.site);
-        for (_, v) in self.fields() {
-            w.put_u64(v);
-        }
-    }
-
-    fn decode(r: &mut Reader<'_>) -> Result<Self> {
-        let mut s = SiteStatsWire::zeroed(r.get()?);
-        for f in s.fields_mut() {
-            *f = r.get_u64()?;
-        }
-        Ok(s)
-    }
 }
 
 /// One site's restart count, as reported by the supervisor.
@@ -1084,7 +973,6 @@ mod tests {
                 point: CrashPoint::PostForcePreSend,
             },
             CtrlRequest::Heal,
-            CtrlRequest::DrainTrace,
             CtrlRequest::Shutdown,
             CtrlRequest::TransportStats,
             CtrlRequest::FaultStats,
@@ -1182,14 +1070,87 @@ mod tests {
         h.snapshot()
     }
 
+    /// Site 2 with counter `i` (in wire order) holding `1000 + i`:
+    /// distinct values, so a transposed pair cannot round-trip.
     fn sample_engine_stats() -> SiteStatsWire {
-        let mut s = SiteStatsWire::zeroed(SiteId(2));
-        // Distinct values per field so a transposed decode cannot
-        // pass the roundtrip test.
-        for (i, f) in s.fields_mut().into_iter().enumerate() {
-            *f = 1000 + i as u64;
+        let mut w = Writer::new();
+        w.put(&SiteId(2));
+        for i in 0..SiteStatsWire::COUNT as u64 {
+            w.put_u64(1000 + i);
         }
-        s
+        SiteStatsWire::from_bytes(w.as_slice()).expect("a site and COUNT counters")
+    }
+
+    /// The wire layout: counter `i` of an `EngineStats` reply is this
+    /// name. Every listing in the program is derived from the macro's
+    /// one list, so reordering that list compiles and round-trips; this
+    /// copy is what says the order is part of the format.
+    const WIRE_ORDER: [&str; 39] = [
+        "begins",
+        "nested_begins",
+        "commits",
+        "read_only_commits",
+        "aborts",
+        "forces",
+        "lazy_appends",
+        "datagrams",
+        "piggybacked",
+        "takeovers",
+        "blocked",
+        "live_families",
+        "wal_records",
+        "wal_forces_requested",
+        "wal_forces_effective",
+        "lock_wait_us",
+        "inputs",
+        "worker_inputs",
+        "router_pending",
+        "platter_writes",
+        "forces_satisfied",
+        "max_batch",
+        "lazy_drained",
+        "checkpoints",
+        "wal_truncated_bytes",
+        "wal_live_bytes",
+        "snapshot_bytes",
+        "last_restart_us",
+        "queue_ops",
+        "queue_parked",
+        "queue_vote_timeouts",
+        "queue_cascades",
+        "reads",
+        "writes",
+        "lock_waits",
+        "joins",
+        "deadlocks",
+        "trace_emitted",
+        "trace_dropped",
+    ];
+
+    #[test]
+    fn site_stats_wire_names_each_counter_once_and_in_wire_order() {
+        let x = sample_engine_stats();
+        assert_eq!(x.site, SiteId(2));
+        let fields = x.fields();
+        // Decoding filled the fields in the order `fields` lists them…
+        for (i, (name, v)) in fields.iter().enumerate() {
+            assert_eq!(*v, 1000 + i as u64, "{name} is not counter {i} on the wire");
+        }
+        // …which is the recorded layout…
+        let names: Vec<&str> = fields.iter().map(|(n, _)| *n).collect();
+        assert_eq!(names, WIRE_ORDER);
+        // …and encoding writes them back the same way.
+        let back = SiteStatsWire::from_bytes(&x.to_bytes()).unwrap();
+        assert_eq!(back.fields(), fields);
+        let unique: std::collections::HashSet<&str> = names.iter().copied().collect();
+        assert_eq!(unique.len(), names.len(), "a counter is named twice");
+        for g in SiteStatsWire::GAUGES {
+            assert!(names.contains(&g), "gauge {g} is not a counter");
+        }
+        assert_eq!(
+            SiteStatsWire::zeroed(SiteId(2)).fields().map(|(_, v)| v),
+            [0; 39]
+        );
     }
 
     #[test]
@@ -1197,6 +1158,22 @@ mod tests {
         for q in all_requests() {
             let b = q.to_bytes();
             assert_eq!(CtrlRequest::from_bytes(&b).unwrap(), q, "{q:?}");
+        }
+    }
+
+    #[test]
+    fn request_tags_are_one_to_twenty_two_without_the_retired_twelve() {
+        let tags: Vec<u8> = all_requests().iter().map(|q| q.to_bytes()[0]).collect();
+        let expected: Vec<u8> = (1..=22).filter(|t| *t != 12).collect();
+        assert_eq!(
+            tags, expected,
+            "all_requests() lists every kind, in tag order"
+        );
+        // `DrainTrace`'s tag stays unassigned: an old client's request
+        // is refused by name rather than read as something else.
+        match CtrlRequest::from_bytes(&[12]) {
+            Err(CamelotError::Codec(detail)) => assert_eq!(detail, "unknown ctrl request 12"),
+            other => panic!("tag 12 decoded to {other:?}"),
         }
     }
 

@@ -23,6 +23,11 @@ use crate::ctrl::{CtrlClient, Handshake, PeerEntry};
 /// How many stderr lines a [`StderrTail`] retains per site.
 const STDERR_TAIL_LINES: usize = 40;
 
+/// A dead site's first restart delay.
+const RESTART_BACKOFF_BASE: Duration = Duration::from_millis(100);
+/// Ceiling the delay doubles up to while respawns keep failing.
+const RESTART_BACKOFF_CAP: Duration = Duration::from_secs(2);
+
 /// Bounded ring of a child's most recent stderr lines. A reader
 /// thread echoes every line through to our own stderr (so nothing is
 /// hidden) while keeping the tail for post-mortem reporting — when a
@@ -211,14 +216,8 @@ pub struct SupervisorConfig {
     /// WAL root; each site gets `site-N` under it. Required: a
     /// respawned site must recover from the incarnation it lost.
     pub log_dir: PathBuf,
-    /// Use the fast engine timer profile.
-    pub fast: bool,
     /// Extra raw `camelot-site` arguments.
     pub extra: Vec<String>,
-    /// First restart delay after a site death.
-    pub backoff_base: Duration,
-    /// Ceiling for the doubled restart delay.
-    pub backoff_cap: Duration,
     /// How many times one site may be restarted before the supervisor
     /// gives up on it (marks it failed and stops respawning).
     pub restart_budget: u32,
@@ -231,10 +230,7 @@ impl SupervisorConfig {
             sites,
             transport: transport.to_string(),
             log_dir,
-            fast: true,
             extra: Vec::new(),
-            backoff_base: Duration::from_millis(100),
-            backoff_cap: Duration::from_secs(2),
             restart_budget: 5,
         }
     }
@@ -358,7 +354,10 @@ impl Supervisor {
             board.publish(&proc.handshake);
             tails.push(proc.stderr_tail.clone());
             slots.push(Slot::Up(proc));
-            backoffs.push(camelot_net::Backoff::new(cfg.backoff_base, cfg.backoff_cap));
+            backoffs.push(camelot_net::Backoff::new(
+                RESTART_BACKOFF_BASE,
+                RESTART_BACKOFF_CAP,
+            ));
         }
         let ctrl_addr = serve_supervisor_ctrl(Arc::clone(&restarts))?;
         let mut sup = Supervisor {
@@ -546,7 +545,8 @@ fn spawn_spec<'a>(cfg: &'a SupervisorConfig, site: SiteId) -> SpawnSpec<'a> {
         site,
         transport: &cfg.transport,
         log_dir: Some(&cfg.log_dir),
-        fast: cfg.fast,
+        // No supervised cluster has asked for the slow timer profile.
+        fast: true,
         extra: &cfg.extra,
     }
 }

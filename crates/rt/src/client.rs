@@ -17,6 +17,14 @@ use camelot_types::{AbortReason, CamelotError, FamilyId, ObjectId, Result, Serve
 use crate::cluster::{reply_req, ClusterInner};
 use crate::queue::{queue_shard_of, QueueJob};
 
+/// How many times an operation that found its target site down is
+/// tried again before [`CamelotError::SiteDown`] surfaces: a briefly
+/// crashed site gets time to restart instead of failing the
+/// transaction outright.
+const OP_RETRIES: u32 = 2;
+/// Pause before the first retry; doubles each attempt, plus jitter.
+const OP_RETRY_BASE: std::time::Duration = std::time::Duration::from_millis(10);
+
 /// A client application homed at one site.
 pub struct Client {
     inner: Arc<ClusterInner>,
@@ -306,7 +314,7 @@ impl Client {
 
     /// A data-server operation, with bounded retry: if the target site
     /// is down the call backs off (exponentially, with deterministic
-    /// jitter) and tries again up to `op_retries` times — a briefly
+    /// jitter) and tries again up to `OP_RETRIES` times — a briefly
     /// crashed site may come back — before surfacing
     /// [`CamelotError::SiteDown`]. Lock-wait and reply timeouts are
     /// never retried: the operation may have taken effect.
@@ -324,7 +332,7 @@ impl Client {
         let mut attempt = 0u32;
         loop {
             match self.operation_once(tid, site_id, server, &make) {
-                Err(CamelotError::SiteDown(s)) if attempt < self.inner.cfg.op_retries => {
+                Err(CamelotError::SiteDown(s)) if attempt < OP_RETRIES => {
                     attempt += 1;
                     std::thread::sleep(self.retry_pause(s, attempt));
                 }
@@ -342,8 +350,7 @@ impl Client {
     /// plus up to +25% jitter, deterministic in (home, target, attempt)
     /// so colliding clients desynchronise without nondeterminism.
     fn retry_pause(&self, target: SiteId, attempt: u32) -> std::time::Duration {
-        let base = self.inner.cfg.op_retry_base;
-        let backed = base * (1u32 << (attempt - 1).min(10));
+        let backed = OP_RETRY_BASE * (1u32 << (attempt - 1).min(10));
         let mut h = ((self.home.0 as u64) << 32 | target.0 as u64)
             .wrapping_mul(0x9E37_79B9_7F4A_7C15)
             .wrapping_add(attempt as u64);

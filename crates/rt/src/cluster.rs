@@ -7,7 +7,7 @@
 //! bottleneck — which only helps if the TranMan can actually use more
 //! than one processor. Two structural choices make that true here:
 //!
-//! - **Sharded engine state.** Each site runs `engine_shards`
+//! - **Sharded engine state.** Each site runs `ENGINE_SHARDS`
 //!   independent [`Engine`] shards (see [`Engine::sharded`]), each
 //!   behind its own lock and owning a disjoint set of transaction
 //!   families. Workers route every input to its family's shard
@@ -55,7 +55,20 @@ use crate::queue::{queue_worker, QueueJob, VoteAgg};
 use crate::shardmap::ShardedMap;
 use crate::stats::{add_engine_stats, add_server_stats, ClusterStats, SiteCounters, SiteStats};
 
+/// Engine shards per site. Families are partitioned over the shards,
+/// each behind its own lock, so TranMan work on unrelated transactions
+/// proceeds in parallel.
+const ENGINE_SHARDS: u32 = 8;
+
+/// Data servers per site (`ServerId(1)..=ServerId(SERVERS_PER_SITE)`).
+const SERVERS_PER_SITE: u32 = 1;
+
 /// Runtime configuration.
+///
+/// What every deployment runs with the same value is a constant next
+/// to its reader, not a field: `ENGINE_SHARDS` and `SERVERS_PER_SITE`
+/// in this module, and the client's retry of an operation that found
+/// its site down (`OP_RETRIES`, `OP_RETRY_BASE` in `crate::client`).
 #[derive(Debug, Clone)]
 pub struct RtConfig {
     /// One-way inter-site datagram delay.
@@ -74,30 +87,15 @@ pub struct RtConfig {
     /// asynchronously (datagrams, timer firings, log completions).
     /// Application calls run on the calling thread.
     pub tm_threads: usize,
-    /// Engine shards per site. Families are partitioned over the
-    /// shards, each behind its own lock, so TranMan work on unrelated
-    /// transactions proceeds in parallel. `1` reproduces the
-    /// single-lock engine.
-    pub engine_shards: usize,
     /// Simulated TranMan CPU cost per input, charged while the engine
     /// shard lock is held. Zero (the default) for correctness tests;
     /// the scaling benchmark sets it to paper-scale values so the
     /// transaction manager — not the scheduler — is what saturates.
     pub tm_service_time: StdDuration,
-    /// Data servers per site.
-    pub servers_per_site: u32,
     /// Client call timeout: a blocked operation (e.g. a lock wait
     /// behind a deadlock) errors out after this long, letting the
     /// application abort — Camelot's answer to data-level deadlock.
     pub call_timeout: StdDuration,
-    /// How many times a client operation retries after finding its
-    /// target site down, before surfacing [`CamelotError::SiteDown`].
-    /// Retries wait `op_retry_base`, doubling each attempt (plus a
-    /// deterministic jitter), giving a briefly crashed site time to
-    /// restart instead of failing the transaction outright.
-    pub op_retries: u32,
-    /// Base backoff between client operation retries.
-    pub op_retry_base: StdDuration,
     /// How data operations execute: the paper's lock-based servers
     /// ([`ExecMode::LockBased`]) or per-shard FIFO operation queues
     /// with single-owner workers ([`ExecMode::Queued`], see
@@ -138,12 +136,8 @@ impl Default for RtConfig {
             batch: BatchPolicy::Coalesce,
             lazy_flush: StdDuration::from_millis(25),
             tm_threads: 4,
-            engine_shards: 8,
             tm_service_time: StdDuration::ZERO,
-            servers_per_site: 1,
             call_timeout: StdDuration::from_secs(30),
-            op_retries: 2,
-            op_retry_base: StdDuration::from_millis(10),
             exec_mode: ExecMode::LockBased,
             data_shards: 4,
             queued_vote_timeout: StdDuration::from_secs(1),
@@ -709,7 +703,6 @@ impl Cluster {
         fault: Arc<FaultPlan>,
         remote: Option<Arc<dyn RemoteNet>>,
     ) -> Cluster {
-        let shards_per_site = cfg.engine_shards.max(1);
         // One epoch for the whole cluster, taken before any site state
         // exists: every ring stamps against it, so per-site timelines
         // interleave on the timestamp alone.
@@ -728,7 +721,7 @@ impl Cluster {
             };
             let mut servers = BTreeMap::new();
             let mut comman = CommMan::new(id);
-            for k in 1..=cfg.servers_per_site {
+            for k in 1..=SERVERS_PER_SITE {
                 let sid = ServerId(k);
                 servers.insert(sid, Mutex::new(DataServer::new(id, sid)));
                 comman.register(
@@ -755,10 +748,9 @@ impl Cluster {
                 Some(r) => Tracer::attached(r.clone()),
                 None => Tracer::disabled(),
             };
-            let shards = (0..shards_per_site)
+            let shards = (0..ENGINE_SHARDS)
                 .map(|k| {
-                    let mut engine =
-                        Engine::sharded(id, cfg.engine.clone(), k as u32, shards_per_site as u32);
+                    let mut engine = Engine::sharded(id, cfg.engine.clone(), k, ENGINE_SHARDS);
                     engine.set_tracer(tracer.clone());
                     Mutex::new(engine)
                 })
@@ -840,12 +832,6 @@ impl Cluster {
     /// The installed fault plan.
     pub fn faults(&self) -> &FaultPlan {
         &self.inner.fault
-    }
-
-    /// The sites hosted by this cluster (all of them for an ordinary
-    /// cluster, one for a [`Cluster::new_site`] process).
-    pub fn local_sites(&self) -> Vec<SiteId> {
-        self.inner.sites.keys().copied().collect()
     }
 
     /// Feeds one datagram from a remote peer into a local site's

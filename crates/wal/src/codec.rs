@@ -11,8 +11,6 @@
 //! a torn tail after a crash must look like "end of log", never like a
 //! decode of garbage.
 
-use bytes::Buf;
-
 use camelot_types::{CamelotError, Result};
 
 // The checksum itself lives in camelot-types (shared with the socket
@@ -65,9 +63,9 @@ fn parse(buf: &[u8]) -> Parsed<'_> {
         // care distinguish empty via buf.is_empty().
         return Parsed::Torn;
     }
-    let mut hdr = &buf[..FRAME_HEADER];
-    let len = hdr.get_u32_le() as usize;
-    let crc = hdr.get_u32_le();
+    let word = |at: usize| u32::from_le_bytes(buf[at..at + 4].try_into().expect("four bytes"));
+    let len = word(0) as usize;
+    let crc = word(4);
     let Some(payload) = buf.get(FRAME_HEADER..FRAME_HEADER + len) else {
         return Parsed::Torn;
     };
@@ -181,6 +179,50 @@ mod tests {
         let f = frame(b"abcdef");
         for cut in 0..f.len() {
             assert_eq!(read_frame(&f[..cut]), FrameRead::Torn, "cut at {cut}");
+        }
+    }
+
+    /// The three verdicts at the header boundary, on hand-built bytes:
+    /// the header is read only once all eight bytes are there.
+    #[test]
+    fn header_boundary_cases() {
+        let header = |len: u32, crc: u32| [len.to_le_bytes(), crc.to_le_bytes()].concat();
+        let empty_ok = header(0, crc32(b""));
+        let cases: [(&str, Vec<u8>, FrameRead); 5] = [
+            (
+                "seven bytes of a valid header",
+                empty_ok[..7].to_vec(),
+                FrameRead::Torn,
+            ),
+            (
+                "exactly a header, empty payload",
+                empty_ok.clone(),
+                FrameRead::Frame {
+                    payload: vec![],
+                    consumed: FRAME_HEADER,
+                },
+            ),
+            (
+                "exactly a header, payload missing",
+                header(1, 0),
+                FrameRead::Torn,
+            ),
+            (
+                "exactly a header, wrong checksum",
+                header(0, 1),
+                FrameRead::Corrupt,
+            ),
+            (
+                "length field is little-endian",
+                [header(1, crc32(b"x")), b"x".to_vec()].concat(),
+                FrameRead::Frame {
+                    payload: b"x".to_vec(),
+                    consumed: FRAME_HEADER + 1,
+                },
+            ),
+        ];
+        for (what, bytes, expected) in cases {
+            assert_eq!(read_frame(&bytes), expected, "{what}");
         }
     }
 

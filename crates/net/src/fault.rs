@@ -53,8 +53,7 @@ use std::time::Duration as StdDuration;
 
 use std::sync::Mutex;
 
-use camelot_types::wire::{Reader, Wire, Writer};
-use camelot_types::{CrashPoint, Result, SiteId};
+use camelot_types::{wire_struct, CrashPoint, SiteId};
 
 /// What to do with one outgoing datagram.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -70,39 +69,20 @@ pub enum LinkDecision {
     Duplicate(StdDuration),
 }
 
-/// Counts of injected faults, for reporting. Carried over the control
-/// protocol so harnesses assert injected-fault counts per site instead
-/// of inferring them from protocol behavior.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct FaultStats {
-    pub drops: u64,
-    pub delays: u64,
-    pub duplicates: u64,
-    pub crashes: u64,
-    /// Datagrams dropped because they crossed an installed partition.
-    pub partition_drops: u64,
-    /// Timer deliveries rescheduled by a clock-skew factor.
-    pub skewed_timers: u64,
-}
-
-impl Wire for FaultStats {
-    fn encode(&self, w: &mut Writer) {
-        w.put_u64(self.drops);
-        w.put_u64(self.delays);
-        w.put_u64(self.duplicates);
-        w.put_u64(self.crashes);
-        w.put_u64(self.partition_drops);
-        w.put_u64(self.skewed_timers);
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self> {
-        Ok(FaultStats {
-            drops: r.get_u64()?,
-            delays: r.get_u64()?,
-            duplicates: r.get_u64()?,
-            crashes: r.get_u64()?,
-            partition_drops: r.get_u64()?,
-            skewed_timers: r.get_u64()?,
-        })
+wire_struct! {
+    /// Counts of injected faults, for reporting. Carried over the control
+    /// protocol so harnesses assert injected-fault counts per site instead
+    /// of inferring them from protocol behavior.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct FaultStats {
+        pub drops: u64,
+        pub delays: u64,
+        pub duplicates: u64,
+        pub crashes: u64,
+        /// Datagrams dropped because they crossed an installed partition.
+        pub partition_drops: u64,
+        /// Timer deliveries rescheduled by a clock-skew factor.
+        pub skewed_timers: u64,
     }
 }
 
@@ -404,6 +384,7 @@ impl FaultPlan {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use camelot_types::wire::Wire;
 
     #[test]
     fn disabled_plan_never_injects() {

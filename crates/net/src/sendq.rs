@@ -29,7 +29,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Condvar, Mutex};
 use std::time::Duration as StdDuration;
 
-use camelot_types::{Reader, Result, Wire, Writer};
+use camelot_types::wire_struct;
 
 /// Outcome of a [`SendQueue::push`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -235,59 +235,36 @@ impl TransportCounters {
     }
 }
 
-/// Point-in-time view of the outbound path, distinguishing frames the
-/// kernel took from frames the transport had to give up on.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct TransportStats {
-    /// Frames successfully handed to a kernel socket.
-    pub sends: u64,
-    /// Syscall-level failures: a UDP `send_to` error, a TCP write
-    /// error or timeout, or a connect failure that cost a frame. Each
-    /// counted failure is one frame the protocol must treat as lost.
-    pub send_failures: u64,
-    /// Successful TCP connects (first connections and reconnects).
-    pub connects: u64,
-    /// TCP connect attempts that failed or timed out.
-    pub connect_failures: u64,
-    /// Frames accepted into a per-peer queue.
-    pub enqueued: u64,
-    /// Frames evicted from a full queue (drop-oldest overflow policy).
-    pub queue_drops: u64,
-    /// Frames queued across all peers at snapshot time.
-    pub queue_depth: u64,
-    /// Highest single-peer queue depth observed since creation.
-    pub max_queue_depth: u64,
-}
-
-impl Wire for TransportStats {
-    fn encode(&self, w: &mut Writer) {
-        w.put_u64(self.sends);
-        w.put_u64(self.send_failures);
-        w.put_u64(self.connects);
-        w.put_u64(self.connect_failures);
-        w.put_u64(self.enqueued);
-        w.put_u64(self.queue_drops);
-        w.put_u64(self.queue_depth);
-        w.put_u64(self.max_queue_depth);
-    }
-
-    fn decode(r: &mut Reader<'_>) -> Result<Self> {
-        Ok(TransportStats {
-            sends: r.get_u64()?,
-            send_failures: r.get_u64()?,
-            connects: r.get_u64()?,
-            connect_failures: r.get_u64()?,
-            enqueued: r.get_u64()?,
-            queue_drops: r.get_u64()?,
-            queue_depth: r.get_u64()?,
-            max_queue_depth: r.get_u64()?,
-        })
+wire_struct! {
+    /// Point-in-time view of the outbound path, distinguishing frames the
+    /// kernel took from frames the transport had to give up on.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct TransportStats {
+        /// Frames successfully handed to a kernel socket.
+        pub sends: u64,
+        /// Syscall-level failures: a UDP `send_to` error, a TCP write
+        /// error or timeout, or a connect failure that cost a frame. Each
+        /// counted failure is one frame the protocol must treat as lost.
+        pub send_failures: u64,
+        /// Successful TCP connects (first connections and reconnects).
+        pub connects: u64,
+        /// TCP connect attempts that failed or timed out.
+        pub connect_failures: u64,
+        /// Frames accepted into a per-peer queue.
+        pub enqueued: u64,
+        /// Frames evicted from a full queue (drop-oldest overflow policy).
+        pub queue_drops: u64,
+        /// Frames queued across all peers at snapshot time.
+        pub queue_depth: u64,
+        /// Highest single-peer queue depth observed since creation.
+        pub max_queue_depth: u64,
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use camelot_types::wire::Wire;
     use std::sync::Arc;
     use std::thread;
 

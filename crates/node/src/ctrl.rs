@@ -22,327 +22,116 @@ use camelot_net::{encode_frame, FaultStats, FrameDecoder, TransportStats};
 use camelot_obs::{PhaseSnapshot, ProtocolPhaseSnapshot};
 use camelot_rt::SiteStats;
 use camelot_types::wire::{Reader, Wire, Writer};
-use camelot_types::{CamelotError, CrashPoint, ObjectId, Result, ServerId, SiteId, Tid};
+use camelot_types::{
+    wire_enum, wire_struct, CamelotError, CrashPoint, ObjectId, Result, ServerId, SiteId, Tid,
+};
 
-/// One site's data-plane address, as distributed by the launcher.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PeerEntry {
-    pub site: SiteId,
-    /// Socket address in its canonical textual form.
-    pub addr: String,
-}
-
-impl Wire for PeerEntry {
-    fn encode(&self, w: &mut Writer) {
-        w.put(&self.site);
-        w.put_str(&self.addr);
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self> {
-        Ok(PeerEntry {
-            site: r.get()?,
-            addr: r.get_str()?,
-        })
+wire_struct! {
+    /// One site's data-plane address, as distributed by the launcher.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct PeerEntry {
+        pub site: SiteId,
+        /// Socket address in its canonical textual form.
+        pub addr: String,
     }
 }
 
-/// A request to a site process.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum CtrlRequest {
-    /// Liveness probe; answered with [`CtrlReply::Pong`].
-    Ping,
-    /// Install the data-plane address of every peer site.
-    Peers { peers: Vec<PeerEntry> },
-    /// `begin-transaction` homed at this site.
-    Begin,
-    /// Read an object at a local server under `tid`.
-    Read {
-        tid: Tid,
-        server: ServerId,
-        object: ObjectId,
-    },
-    /// Write an object at a local server under `tid`.
-    Write {
-        tid: Tid,
-        server: ServerId,
-        object: ObjectId,
-        value: Vec<u8>,
-    },
-    /// Commit `tid` with this site as coordinator. `participants`
-    /// declares the remote spread — in a multi-process deployment the
-    /// driving application talks to each site directly, so the home
-    /// communication manager never spies the remote operations.
-    Commit {
-        tid: Tid,
-        nonblocking: bool,
-        participants: Vec<SiteId>,
-    },
-    /// Abort `tid`, with the same explicit participant list.
-    Abort { tid: Tid, participants: Vec<SiteId> },
-    /// The committed (post-recovery-visible) value of an object.
-    CommittedValue { server: ServerId, object: ObjectId },
-    /// One-line-per-entity dump of live protocol state.
-    DebugState,
-    /// Arm a one-shot crash of this site at the named point. When the
-    /// crash fires, the watchdog turns it into a real process exit.
-    ArmCrash { point: CrashPoint },
-    /// Stop all fault injection on this site's plan.
-    Heal,
-    /// Clean process exit.
-    Shutdown,
-    /// Snapshot the data-plane transport's outbound counters.
-    TransportStats,
-    /// Snapshot the site's fault-injection counters.
-    FaultStats,
-    /// Install a symmetric partition between two site groups on this
-    /// site's fault plan. Each site only rolls faults for its own
-    /// outbound traffic, so the launcher installs the same partition
-    /// on every site to make both directions go dark.
-    Partition { a: Vec<SiteId>, b: Vec<SiteId> },
-    /// Scale a site's protocol-timer durations by `per_mille`/1000
-    /// (1500 = timers fire 50% late; 1000 clears the skew).
-    SetSkew { site: SiteId, per_mille: u32 },
-    /// Per-site restart counts. Only the supervisor's own control
-    /// listener answers this; a plain site replies with an error.
-    RestartStats,
-    /// Snapshot the site's per-phase latency histograms (plain and
-    /// protocol-keyed). Read-only: histograms keep accumulating.
-    PhaseStats,
-    /// Snapshot the site's engine/WAL/server/queue counters — the
-    /// scrape endpoint the `camelot-scope` collector polls.
-    EngineStats,
-    /// Drain at most `max_events` trace events as JSON Lines. Repeat
-    /// until an empty reply: a chunked drain can never exceed the
-    /// frame cap however large the ring has grown.
-    DrainTraceChunk { max_events: u32 },
-    /// Test hook: emit `events` synthetic trace events into the
-    /// site's ring, so harnesses can provoke oversized rings without
-    /// running a workload.
-    FillTrace { events: u32 },
-}
-
-const Q_PING: u8 = 1;
-const Q_PEERS: u8 = 2;
-const Q_BEGIN: u8 = 3;
-const Q_READ: u8 = 4;
-const Q_WRITE: u8 = 5;
-const Q_COMMIT: u8 = 6;
-const Q_ABORT: u8 = 7;
-const Q_COMMITTED_VALUE: u8 = 8;
-const Q_DEBUG_STATE: u8 = 9;
-const Q_ARM_CRASH: u8 = 10;
-const Q_HEAL: u8 = 11;
-// 12 was `DrainTrace` (the whole ring in one frame); retired, not reused.
-const Q_SHUTDOWN: u8 = 13;
-const Q_TRANSPORT_STATS: u8 = 14;
-const Q_FAULT_STATS: u8 = 15;
-const Q_PARTITION: u8 = 16;
-const Q_SET_SKEW: u8 = 17;
-const Q_RESTART_STATS: u8 = 18;
-const Q_PHASE_STATS: u8 = 19;
-const Q_ENGINE_STATS: u8 = 20;
-const Q_DRAIN_TRACE_CHUNK: u8 = 21;
-const Q_FILL_TRACE: u8 = 22;
-
-impl Wire for CtrlRequest {
-    fn encode(&self, w: &mut Writer) {
-        match self {
-            CtrlRequest::Ping => w.put_u8(Q_PING),
-            CtrlRequest::Peers { peers } => {
-                w.put_u8(Q_PEERS);
-                w.put_seq(peers);
-            }
-            CtrlRequest::Begin => w.put_u8(Q_BEGIN),
-            CtrlRequest::Read {
-                tid,
-                server,
-                object,
-            } => {
-                w.put_u8(Q_READ);
-                w.put(tid);
-                w.put(server);
-                w.put(object);
-            }
-            CtrlRequest::Write {
-                tid,
-                server,
-                object,
-                value,
-            } => {
-                w.put_u8(Q_WRITE);
-                w.put(tid);
-                w.put(server);
-                w.put(object);
-                w.put_bytes(value);
-            }
-            CtrlRequest::Commit {
-                tid,
-                nonblocking,
-                participants,
-            } => {
-                w.put_u8(Q_COMMIT);
-                w.put(tid);
-                w.put_bool(*nonblocking);
-                w.put_seq(participants);
-            }
-            CtrlRequest::Abort { tid, participants } => {
-                w.put_u8(Q_ABORT);
-                w.put(tid);
-                w.put_seq(participants);
-            }
-            CtrlRequest::CommittedValue { server, object } => {
-                w.put_u8(Q_COMMITTED_VALUE);
-                w.put(server);
-                w.put(object);
-            }
-            CtrlRequest::DebugState => w.put_u8(Q_DEBUG_STATE),
-            CtrlRequest::ArmCrash { point } => {
-                w.put_u8(Q_ARM_CRASH);
-                w.put_u8(point.to_wire());
-            }
-            CtrlRequest::Heal => w.put_u8(Q_HEAL),
-            CtrlRequest::Shutdown => w.put_u8(Q_SHUTDOWN),
-            CtrlRequest::TransportStats => w.put_u8(Q_TRANSPORT_STATS),
-            CtrlRequest::FaultStats => w.put_u8(Q_FAULT_STATS),
-            CtrlRequest::Partition { a, b } => {
-                w.put_u8(Q_PARTITION);
-                w.put_seq(a);
-                w.put_seq(b);
-            }
-            CtrlRequest::SetSkew { site, per_mille } => {
-                w.put_u8(Q_SET_SKEW);
-                w.put(site);
-                w.put_u32(*per_mille);
-            }
-            CtrlRequest::RestartStats => w.put_u8(Q_RESTART_STATS),
-            CtrlRequest::PhaseStats => w.put_u8(Q_PHASE_STATS),
-            CtrlRequest::EngineStats => w.put_u8(Q_ENGINE_STATS),
-            CtrlRequest::DrainTraceChunk { max_events } => {
-                w.put_u8(Q_DRAIN_TRACE_CHUNK);
-                w.put_u32(*max_events);
-            }
-            CtrlRequest::FillTrace { events } => {
-                w.put_u8(Q_FILL_TRACE);
-                w.put_u32(*events);
-            }
-        }
-    }
-
-    fn decode(r: &mut Reader<'_>) -> Result<Self> {
-        Ok(match r.get_u8()? {
-            Q_PING => CtrlRequest::Ping,
-            Q_PEERS => CtrlRequest::Peers {
-                peers: r.get_seq()?,
-            },
-            Q_BEGIN => CtrlRequest::Begin,
-            Q_READ => CtrlRequest::Read {
-                tid: r.get()?,
-                server: r.get()?,
-                object: r.get()?,
-            },
-            Q_WRITE => CtrlRequest::Write {
-                tid: r.get()?,
-                server: r.get()?,
-                object: r.get()?,
-                value: r.get_bytes()?,
-            },
-            Q_COMMIT => CtrlRequest::Commit {
-                tid: r.get()?,
-                nonblocking: r.get_bool()?,
-                participants: r.get_seq()?,
-            },
-            Q_ABORT => CtrlRequest::Abort {
-                tid: r.get()?,
-                participants: r.get_seq()?,
-            },
-            Q_COMMITTED_VALUE => CtrlRequest::CommittedValue {
-                server: r.get()?,
-                object: r.get()?,
-            },
-            Q_DEBUG_STATE => CtrlRequest::DebugState,
-            Q_ARM_CRASH => {
-                let raw = r.get_u8()?;
-                let point = CrashPoint::from_wire(raw)
-                    .ok_or_else(|| CamelotError::Codec(format!("bad crash point {raw}")))?;
-                CtrlRequest::ArmCrash { point }
-            }
-            Q_HEAL => CtrlRequest::Heal,
-            Q_SHUTDOWN => CtrlRequest::Shutdown,
-            Q_TRANSPORT_STATS => CtrlRequest::TransportStats,
-            Q_FAULT_STATS => CtrlRequest::FaultStats,
-            Q_PARTITION => CtrlRequest::Partition {
-                a: r.get_seq()?,
-                b: r.get_seq()?,
-            },
-            Q_SET_SKEW => CtrlRequest::SetSkew {
-                site: r.get()?,
-                per_mille: r.get_u32()?,
-            },
-            Q_RESTART_STATS => CtrlRequest::RestartStats,
-            Q_PHASE_STATS => CtrlRequest::PhaseStats,
-            Q_ENGINE_STATS => CtrlRequest::EngineStats,
-            Q_DRAIN_TRACE_CHUNK => CtrlRequest::DrainTraceChunk {
-                max_events: r.get_u32()?,
-            },
-            Q_FILL_TRACE => CtrlRequest::FillTrace {
-                events: r.get_u32()?,
-            },
-            v => return Err(CamelotError::Codec(format!("unknown ctrl request {v}"))),
-        })
+wire_enum! {
+    /// A request to a site process.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub enum CtrlRequest {
+        /// Liveness probe; answered with [`CtrlReply::Pong`].
+        1 => Ping,
+        /// Install the data-plane address of every peer site.
+        2 => Peers { peers: Vec<PeerEntry> },
+        /// `begin-transaction` homed at this site.
+        3 => Begin,
+        /// Read an object at a local server under `tid`.
+        4 => Read { tid: Tid, server: ServerId, object: ObjectId },
+        /// Write an object at a local server under `tid`.
+        5 => Write { tid: Tid, server: ServerId, object: ObjectId, value: Vec<u8> },
+        /// Commit `tid` with this site as coordinator. `participants`
+        /// declares the remote spread — in a multi-process deployment the
+        /// driving application talks to each site directly, so the home
+        /// communication manager never spies the remote operations.
+        6 => Commit { tid: Tid, nonblocking: bool, participants: Vec<SiteId> },
+        /// Abort `tid`, with the same explicit participant list.
+        7 => Abort { tid: Tid, participants: Vec<SiteId> },
+        /// The committed (post-recovery-visible) value of an object.
+        8 => CommittedValue { server: ServerId, object: ObjectId },
+        /// One-line-per-entity dump of live protocol state.
+        9 => DebugState,
+        /// Arm a one-shot crash of this site at the named point. When the
+        /// crash fires, the watchdog turns it into a real process exit.
+        10 => ArmCrash { point: CrashPoint },
+        /// Stop all fault injection on this site's plan.
+        11 => Heal,
+        // 12 was `DrainTrace` (the whole ring in one frame); retired, not reused.
+        /// Clean process exit.
+        13 => Shutdown,
+        /// Snapshot the data-plane transport's outbound counters.
+        14 => TransportStats,
+        /// Snapshot the site's fault-injection counters.
+        15 => FaultStats,
+        /// Install a symmetric partition between two site groups on this
+        /// site's fault plan. Each site only rolls faults for its own
+        /// outbound traffic, so the launcher installs the same partition
+        /// on every site to make both directions go dark.
+        16 => Partition { a: Vec<SiteId>, b: Vec<SiteId> },
+        /// Scale a site's protocol-timer durations by `per_mille`/1000
+        /// (1500 = timers fire 50% late; 1000 clears the skew).
+        17 => SetSkew { site: SiteId, per_mille: u32 },
+        /// Per-site restart counts. Only the supervisor's own control
+        /// listener answers this; a plain site replies with an error.
+        18 => RestartStats,
+        /// Snapshot the site's per-phase latency histograms (plain and
+        /// protocol-keyed). Read-only: histograms keep accumulating.
+        19 => PhaseStats,
+        /// Snapshot the site's engine/WAL/server/queue counters — the
+        /// scrape endpoint the `camelot-scope` collector polls.
+        20 => EngineStats,
+        /// Drain at most `max_events` trace events as JSON Lines. Repeat
+        /// until an empty reply: a chunked drain can never exceed the
+        /// frame cap however large the ring has grown.
+        21 => DrainTraceChunk { max_events: u32 },
+        /// Test hook: emit `events` synthetic trace events into the
+        /// site's ring, so harnesses can provoke oversized rings without
+        /// running a workload.
+        22 => FillTrace { events: u32 },
+        _ => "unknown ctrl request",
     }
 }
 
-/// A site process's reply.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum CtrlReply {
-    Ok,
-    Pong {
-        site: SiteId,
-    },
-    Began {
-        tid: Tid,
-    },
-    Value {
-        value: Vec<u8>,
-    },
-    /// Commit outcome: `true` is committed, `false` aborted.
-    Outcome {
-        committed: bool,
-    },
-    State {
-        dump: String,
-    },
-    Trace {
-        jsonl: String,
-    },
-    /// A typed error rendered for transport; the call provably or
-    /// possibly did not take effect (the detail says which).
-    Err {
-        detail: String,
-    },
-    /// Snapshot of the data-plane transport's outbound counters.
-    Transport {
-        stats: TransportStats,
-    },
-    /// Snapshot of the site's fault-injection counters.
-    Fault {
-        stats: FaultStats,
-    },
-    /// Per-site restart counts from the supervisor.
-    Restarts {
-        counts: Vec<RestartEntry>,
-    },
-    /// Per-phase latency histograms: plain and protocol-keyed.
-    /// Boxed: the snapshots are multi-KiB fixed-bucket arrays and
-    /// would otherwise balloon every reply on the stack.
-    Phases {
-        phases: Box<PhaseSnapshot>,
-        proto: Box<ProtocolPhaseSnapshot>,
-    },
-    /// Engine/WAL/server/queue counter snapshot (boxed for the same
-    /// reason as the histograms).
-    Engine {
-        stats: Box<SiteStatsWire>,
-    },
+wire_enum! {
+    /// A site process's reply.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub enum CtrlReply {
+        1 => Ok,
+        2 => Pong { site: SiteId },
+        3 => Began { tid: Tid },
+        4 => Value { value: Vec<u8> },
+        /// Commit outcome: `true` is committed, `false` aborted.
+        5 => Outcome { committed: bool },
+        6 => State { dump: String },
+        7 => Trace { jsonl: String },
+        /// A typed error rendered for transport; the call provably or
+        /// possibly did not take effect (the detail says which).
+        8 => Err { detail: String },
+        /// Snapshot of the data-plane transport's outbound counters.
+        9 => Transport { stats: TransportStats },
+        /// Snapshot of the site's fault-injection counters.
+        10 => Fault { stats: FaultStats },
+        /// Per-site restart counts from the supervisor.
+        11 => Restarts { counts: Vec<RestartEntry> },
+        /// Per-phase latency histograms: plain and protocol-keyed.
+        /// Boxed: the snapshots are multi-KiB fixed-bucket arrays and
+        /// would otherwise balloon every reply on the stack.
+        12 => Phases { phases: Box<PhaseSnapshot>, proto: Box<ProtocolPhaseSnapshot> },
+        /// Engine/WAL/server/queue counter snapshot (boxed for the same
+        /// reason as the histograms).
+        13 => Engine { stats: Box<SiteStatsWire> },
+        _ => "unknown ctrl reply",
+    }
 }
 
 /// States the counters of [`SiteStatsWire`] once — name, and where
@@ -466,128 +255,12 @@ impl SiteStatsWire {
     ];
 }
 
-/// One site's restart count, as reported by the supervisor.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RestartEntry {
-    pub site: SiteId,
-    pub restarts: u32,
-}
-
-impl Wire for RestartEntry {
-    fn encode(&self, w: &mut Writer) {
-        w.put(&self.site);
-        w.put_u32(self.restarts);
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self> {
-        Ok(RestartEntry {
-            site: r.get()?,
-            restarts: r.get_u32()?,
-        })
-    }
-}
-
-const R_OK: u8 = 1;
-const R_PONG: u8 = 2;
-const R_BEGAN: u8 = 3;
-const R_VALUE: u8 = 4;
-const R_OUTCOME: u8 = 5;
-const R_STATE: u8 = 6;
-const R_TRACE: u8 = 7;
-const R_ERR: u8 = 8;
-const R_TRANSPORT: u8 = 9;
-const R_FAULT: u8 = 10;
-const R_RESTARTS: u8 = 11;
-const R_PHASES: u8 = 12;
-const R_ENGINE: u8 = 13;
-
-impl Wire for CtrlReply {
-    fn encode(&self, w: &mut Writer) {
-        match self {
-            CtrlReply::Ok => w.put_u8(R_OK),
-            CtrlReply::Pong { site } => {
-                w.put_u8(R_PONG);
-                w.put(site);
-            }
-            CtrlReply::Began { tid } => {
-                w.put_u8(R_BEGAN);
-                w.put(tid);
-            }
-            CtrlReply::Value { value } => {
-                w.put_u8(R_VALUE);
-                w.put_bytes(value);
-            }
-            CtrlReply::Outcome { committed } => {
-                w.put_u8(R_OUTCOME);
-                w.put_bool(*committed);
-            }
-            CtrlReply::State { dump } => {
-                w.put_u8(R_STATE);
-                w.put_str(dump);
-            }
-            CtrlReply::Trace { jsonl } => {
-                w.put_u8(R_TRACE);
-                w.put_str(jsonl);
-            }
-            CtrlReply::Err { detail } => {
-                w.put_u8(R_ERR);
-                w.put_str(detail);
-            }
-            CtrlReply::Transport { stats } => {
-                w.put_u8(R_TRANSPORT);
-                w.put(stats);
-            }
-            CtrlReply::Fault { stats } => {
-                w.put_u8(R_FAULT);
-                w.put(stats);
-            }
-            CtrlReply::Restarts { counts } => {
-                w.put_u8(R_RESTARTS);
-                w.put_seq(counts);
-            }
-            CtrlReply::Phases { phases, proto } => {
-                w.put_u8(R_PHASES);
-                w.put(phases.as_ref());
-                w.put(proto.as_ref());
-            }
-            CtrlReply::Engine { stats } => {
-                w.put_u8(R_ENGINE);
-                w.put(stats.as_ref());
-            }
-        }
-    }
-
-    fn decode(r: &mut Reader<'_>) -> Result<Self> {
-        Ok(match r.get_u8()? {
-            R_OK => CtrlReply::Ok,
-            R_PONG => CtrlReply::Pong { site: r.get()? },
-            R_BEGAN => CtrlReply::Began { tid: r.get()? },
-            R_VALUE => CtrlReply::Value {
-                value: r.get_bytes()?,
-            },
-            R_OUTCOME => CtrlReply::Outcome {
-                committed: r.get_bool()?,
-            },
-            R_STATE => CtrlReply::State { dump: r.get_str()? },
-            R_TRACE => CtrlReply::Trace {
-                jsonl: r.get_str()?,
-            },
-            R_ERR => CtrlReply::Err {
-                detail: r.get_str()?,
-            },
-            R_TRANSPORT => CtrlReply::Transport { stats: r.get()? },
-            R_FAULT => CtrlReply::Fault { stats: r.get()? },
-            R_RESTARTS => CtrlReply::Restarts {
-                counts: r.get_seq()?,
-            },
-            R_PHASES => CtrlReply::Phases {
-                phases: Box::new(r.get()?),
-                proto: Box::new(r.get()?),
-            },
-            R_ENGINE => CtrlReply::Engine {
-                stats: Box::new(r.get()?),
-            },
-            v => return Err(CamelotError::Codec(format!("unknown ctrl reply {v}"))),
-        })
+wire_struct! {
+    /// One site's restart count, as reported by the supervisor.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub struct RestartEntry {
+        pub site: SiteId,
+        pub restarts: u32,
     }
 }
 
@@ -1201,7 +874,7 @@ mod tests {
         assert!(CtrlRequest::from_bytes(&[99]).is_err());
         assert!(CtrlReply::from_bytes(&[99]).is_err());
         // Bad crash-point byte inside an otherwise valid ArmCrash.
-        assert!(CtrlRequest::from_bytes(&[super::Q_ARM_CRASH, 77]).is_err());
+        assert!(CtrlRequest::from_bytes(&[10, 77]).is_err());
     }
 
     #[test]

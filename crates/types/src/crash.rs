@@ -1,5 +1,6 @@
 //! Named crash instants shared by fault injectors and runtimes.
 
+crate::wire_enum! {
 /// Named instants in the runtime's execution of log actions where a
 /// fault injector may kill a site. Each sits on a different side of a
 /// durability edge, so a crash there exercises a distinct recovery
@@ -13,21 +14,21 @@
 pub enum CrashPoint {
     /// After the engine requested a force but before any bytes reach
     /// the platter: the record is lost entirely.
-    PreForce,
+    0 => PreForce,
     /// After the force completed but before the engine processes the
     /// resulting `LogForced` (so before any decision datagrams go
     /// out): the record is durable but nobody was told.
-    PostForcePreSend,
+    1 => PostForcePreSend,
     /// Inside a platter write, on whichever thread performs it (the
     /// committing application thread that leads it, or the disk
     /// thread): the write is abandoned and the batch never reports
     /// durable.
-    MidPlatterWrite,
+    2 => MidPlatterWrite,
     /// Queued execution: a shard-owner worker dies in the middle of
     /// draining a burst of queued jobs — the site is killed with ops
     /// and prepares still parked in its FIFO, so recovery must rebuild
     /// the speculative state it lost.
-    QueueMidBurst,
+    3 => QueueMidBurst,
     /// Queued execution: a prepared marker that just parked (waiting
     /// on unresolved dependencies) is lost instead of parked. The
     /// shard never answers its local sub-vote, so the family resolves
@@ -35,20 +36,22 @@ pub enum CrashPoint {
     /// subordinates are involved, the client's call timeout (plus an
     /// explicit abort) for a purely local family. Unlike the kill
     /// points this corrupts state without taking the site down.
-    QueueParkedPrepare,
+    4 => QueueParkedPrepare,
     /// Inside a checkpoint: the servers' snapshots are appended, the
     /// marker that would license truncating below them is not. The
     /// restart finds a snapshot (if it reached the platter at all) on
     /// top of an untruncated log.
-    MidCheckpoint,
+    5 => MidCheckpoint,
     /// Inside a truncation: the checkpoint is durable but the log's
     /// new base is not, so the old prefix is still there. The restart
     /// reads records a completed truncation would have discarded.
-    MidTruncate,
+    6 => MidTruncate,
     /// Inside a restart: the data servers are rebuilt from the log,
     /// the engine shards are not. Recovery only reads, so restarting
     /// again must end in the same state.
-    MidRecovery,
+    7 => MidRecovery,
+    _ => "bad crash point",
+}
 }
 
 impl CrashPoint {
@@ -74,46 +77,19 @@ impl CrashPoint {
         CrashPoint::MidTruncate,
         CrashPoint::MidRecovery,
     ];
-
-    /// Stable wire tag for the control protocol.
-    pub fn to_wire(self) -> u8 {
-        match self {
-            CrashPoint::PreForce => 0,
-            CrashPoint::PostForcePreSend => 1,
-            CrashPoint::MidPlatterWrite => 2,
-            CrashPoint::QueueMidBurst => 3,
-            CrashPoint::QueueParkedPrepare => 4,
-            CrashPoint::MidCheckpoint => 5,
-            CrashPoint::MidTruncate => 6,
-            CrashPoint::MidRecovery => 7,
-        }
-    }
-
-    /// Inverse of [`CrashPoint::to_wire`].
-    pub fn from_wire(v: u8) -> Option<CrashPoint> {
-        Some(match v {
-            0 => CrashPoint::PreForce,
-            1 => CrashPoint::PostForcePreSend,
-            2 => CrashPoint::MidPlatterWrite,
-            3 => CrashPoint::QueueMidBurst,
-            4 => CrashPoint::QueueParkedPrepare,
-            5 => CrashPoint::MidCheckpoint,
-            6 => CrashPoint::MidTruncate,
-            7 => CrashPoint::MidRecovery,
-            _ => return None,
-        })
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::wire::Wire;
 
     #[test]
     fn wire_tags_roundtrip() {
-        for p in CrashPoint::ALL {
-            assert_eq!(CrashPoint::from_wire(p.to_wire()), Some(p));
+        for (tag, p) in CrashPoint::ALL.into_iter().enumerate() {
+            assert_eq!(p.to_bytes(), [tag as u8], "ALL is in tag order");
+            assert_eq!(CrashPoint::from_bytes(&[tag as u8]).unwrap(), p);
         }
-        assert_eq!(CrashPoint::from_wire(9), None);
+        assert!(CrashPoint::from_bytes(&[9]).is_err());
     }
 }

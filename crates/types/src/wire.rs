@@ -9,6 +9,14 @@
 //! [`Writer`] appends to a growable buffer; [`Reader`] consumes a byte
 //! slice and fails with [`CamelotError::Codec`] on truncation, so a
 //! torn log tail is detected rather than misparsed.
+//!
+//! Every field of every message, record and control call is a [`Wire`]
+//! type, so a codec is the list of its fields in wire order:
+//! [`wire_struct!`](crate::wire_struct) and
+//! [`wire_enum!`](crate::wire_enum) take that list once and emit the
+//! type together with its `encode` and `decode`. Written by hand here
+//! are only the layouts that are not a field list: the primitives, the
+//! containers and [`Tid`] (whose path has a bound of its own).
 
 use crate::error::{CamelotError, Result};
 use crate::ids::{FamilyId, Lsn, ObjectId, ServerId, SiteId, Tid};
@@ -105,31 +113,14 @@ impl Writer {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
-    pub fn put_bool(&mut self, v: bool) {
-        self.put_u8(v as u8);
-    }
-
     /// Length-prefixed (u32) byte string.
     pub fn put_bytes(&mut self, v: &[u8]) {
         self.put_u32(u32::try_from(v.len()).expect("byte string too long"));
         self.buf.extend_from_slice(v);
     }
 
-    /// Length-prefixed UTF-8 string.
-    pub fn put_str(&mut self, v: &str) {
-        self.put_bytes(v.as_bytes());
-    }
-
     pub fn put<T: Wire>(&mut self, v: &T) {
         v.encode(self);
-    }
-
-    /// Length-prefixed sequence.
-    pub fn put_seq<T: Wire>(&mut self, items: &[T]) {
-        self.put_u32(u32::try_from(items.len()).expect("sequence too long"));
-        for it in items {
-            it.encode(self);
-        }
     }
 
     pub fn len(&self) -> usize {
@@ -204,36 +195,13 @@ impl<'a> Reader<'a> {
         ]))
     }
 
-    pub fn get_bool(&mut self) -> Result<bool> {
-        match self.get_u8()? {
-            0 => Ok(false),
-            1 => Ok(true),
-            v => Err(CamelotError::Codec(format!("invalid bool byte {v}"))),
-        }
-    }
-
     pub fn get_bytes(&mut self) -> Result<Vec<u8>> {
         let n = self.get_u32()? as usize;
         Ok(self.take(n)?.to_vec())
     }
 
-    pub fn get_str(&mut self) -> Result<String> {
-        let b = self.get_bytes()?;
-        String::from_utf8(b).map_err(|e| CamelotError::Codec(format!("invalid utf8: {e}")))
-    }
-
     pub fn get<T: Wire>(&mut self) -> Result<T> {
         T::decode(self)
-    }
-
-    pub fn get_seq<T: Wire>(&mut self) -> Result<Vec<T>> {
-        let n = self.get_u32()? as usize;
-        // Cap pre-allocation: a corrupted length must not OOM us.
-        let mut v = Vec::with_capacity(n.min(1024));
-        for _ in 0..n {
-            v.push(T::decode(self)?);
-        }
-        Ok(v)
     }
 }
 
@@ -283,19 +251,25 @@ impl Wire for u64 {
 
 impl Wire for bool {
     fn encode(&self, w: &mut Writer) {
-        w.put_bool(*self);
+        w.put_u8(*self as u8);
     }
     fn decode(r: &mut Reader<'_>) -> Result<Self> {
-        r.get_bool()
+        match r.get_u8()? {
+            0 => Ok(false),
+            1 => Ok(true),
+            v => Err(CamelotError::Codec(format!("invalid bool byte {v}"))),
+        }
     }
 }
 
+/// Length-prefixed UTF-8.
 impl Wire for String {
     fn encode(&self, w: &mut Writer) {
-        w.put_str(self);
+        w.put_bytes(self.as_bytes());
     }
     fn decode(r: &mut Reader<'_>) -> Result<Self> {
-        r.get_str()
+        String::from_utf8(r.get_bytes()?)
+            .map_err(|e| CamelotError::Codec(format!("invalid utf8: {e}")))
     }
 }
 
@@ -305,6 +279,47 @@ impl Wire for Vec<u8> {
     }
     fn decode(r: &mut Reader<'_>) -> Result<Self> {
         r.get_bytes()
+    }
+}
+
+/// Length-prefixed sequence. Sits beside `Vec<u8>` because `u8` is
+/// not `Wire`: a byte string is copied whole, not item by item.
+impl<T: Wire> Wire for Vec<T> {
+    fn encode(&self, w: &mut Writer) {
+        w.put_u32(u32::try_from(self.len()).expect("sequence too long"));
+        for it in self {
+            it.encode(w);
+        }
+    }
+    fn decode(r: &mut Reader<'_>) -> Result<Self> {
+        let n = r.get_u32()? as usize;
+        // Cap pre-allocation: a corrupted length must not OOM us.
+        let mut v = Vec::with_capacity(n.min(1024));
+        for _ in 0..n {
+            v.push(T::decode(r)?);
+        }
+        Ok(v)
+    }
+}
+
+impl<A: Wire, B: Wire> Wire for (A, B) {
+    fn encode(&self, w: &mut Writer) {
+        self.0.encode(w);
+        self.1.encode(w);
+    }
+    fn decode(r: &mut Reader<'_>) -> Result<Self> {
+        Ok((A::decode(r)?, B::decode(r)?))
+    }
+}
+
+/// A box is its content: boxing a large field changes nothing on the
+/// wire.
+impl<T: Wire> Wire for Box<T> {
+    fn encode(&self, w: &mut Writer) {
+        (**self).encode(w);
+    }
+    fn decode(r: &mut Reader<'_>) -> Result<Self> {
+        T::decode(r).map(Box::new)
     }
 }
 
@@ -395,6 +410,79 @@ impl<T: Wire> Wire for Option<T> {
     }
 }
 
+/// A struct whose wire layout is its fields in declaration order.
+/// The one table — written as the struct itself — becomes the type and
+/// its codec, so the two cannot disagree.
+#[macro_export]
+macro_rules! wire_struct {
+    ($(#[$meta:meta])* $vis:vis struct $name:ident {
+        $($(#[$fmeta:meta])* $fvis:vis $field:ident: $ty:ty,)*
+    }) => {
+        $(#[$meta])*
+        $vis struct $name { $($(#[$fmeta])* $fvis $field: $ty,)* }
+
+        impl $crate::wire::Wire for $name {
+            fn encode(&self, w: &mut $crate::wire::Writer) {
+                $(w.put(&self.$field);)*
+            }
+            fn decode(r: &mut $crate::wire::Reader<'_>) -> $crate::Result<Self> {
+                Ok($name { $($field: r.get()?,)* })
+            }
+        }
+    };
+}
+
+/// A sum type on the wire: one tag byte, then the variant's fields in
+/// declaration order. Each row of the one table reads
+/// `tag => Variant { field: Type, … },` and the last row,
+/// `_ => "label",` names the error an unassigned tag decodes to
+/// (`"label {tag}"`). The table becomes the enum, its codec and
+/// `kind_name`; a tag is written nowhere else.
+#[macro_export]
+macro_rules! wire_enum {
+    ($(#[$meta:meta])* $vis:vis enum $name:ident {
+        $($(#[$vmeta:meta])* $tag:literal => $variant:ident
+            $({ $($(#[$fmeta:meta])* $field:ident: $ty:ty),* $(,)? })?,)*
+        _ => $unknown:literal $(,)?
+    }) => {
+        $(#[$meta])*
+        $vis enum $name {
+            $($(#[$vmeta])* $variant $({ $($(#[$fmeta])* $field: $ty),* })?,)*
+        }
+
+        impl $name {
+            /// The variant's name (trace events, diagnostics).
+            pub fn kind_name(&self) -> &'static str {
+                match self {
+                    $(Self::$variant { .. } => stringify!($variant),)*
+                }
+            }
+        }
+
+        impl $crate::wire::Wire for $name {
+            fn encode(&self, w: &mut $crate::wire::Writer) {
+                match self {
+                    $(Self::$variant $({ $($field),* })? => {
+                        w.put_u8($tag);
+                        $($(w.put($field);)*)?
+                    })*
+                }
+            }
+            fn decode(r: &mut $crate::wire::Reader<'_>) -> $crate::Result<Self> {
+                Ok(match r.get_u8()? {
+                    $($tag => Self::$variant $({ $($field: r.get()?),* })?,)*
+                    v => {
+                        return Err($crate::CamelotError::Codec(format!(
+                            concat!($unknown, " {}"),
+                            v
+                        )))
+                    }
+                })
+            }
+        }
+    };
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -478,10 +566,56 @@ mod tests {
     fn sequences() {
         let sites = vec![SiteId(1), SiteId(2), SiteId(3)];
         let mut w = Writer::new();
-        w.put_seq(&sites);
+        w.put(&sites);
         let mut r = Reader::new(w.as_slice());
-        assert_eq!(r.get_seq::<SiteId>().unwrap(), sites);
+        assert_eq!(r.get::<Vec<SiteId>>().unwrap(), sites);
         assert!(r.is_done());
+        roundtrip(vec![(ObjectId(1), vec![9u8, 9]), (ObjectId(2), vec![])]);
+        roundtrip(Box::new(Lsn(7)));
+        // A box, a pair and a byte string add nothing of their own.
+        assert_eq!(Box::new(Lsn(7)).to_bytes(), Lsn(7).to_bytes());
+        assert_eq!((SiteId(1), SiteId(2)).to_bytes(), [1, 0, 0, 0, 2, 0, 0, 0]);
+        assert_eq!(vec![5u8, 6].to_bytes(), [2, 0, 0, 0, 5, 6]);
+    }
+
+    crate::wire_struct! {
+        #[derive(Debug, PartialEq)]
+        struct Leg {
+            to: SiteId,
+            hops: Vec<u32>,
+        }
+    }
+
+    crate::wire_enum! {
+        #[derive(Debug, PartialEq)]
+        enum Trip {
+            3 => Stay,
+            /// Tags need not be dense or start at zero.
+            7 => Go { leg: Leg, back: bool },
+            _ => "no such trip",
+        }
+    }
+
+    #[test]
+    fn a_table_is_its_type_its_codec_and_its_names() {
+        let go = Trip::Go {
+            leg: Leg {
+                to: SiteId(2),
+                hops: vec![9],
+            },
+            back: true,
+        };
+        // Tag, then the fields in the order the table lists them.
+        assert_eq!(go.to_bytes(), [7, 2, 0, 0, 0, 1, 0, 0, 0, 9, 0, 0, 0, 1]);
+        roundtrip(go);
+        assert_eq!(Trip::Stay.to_bytes(), [3]);
+        roundtrip(Trip::Stay);
+        assert_eq!(Trip::Stay.kind_name(), "Stay");
+        match Trip::from_bytes(&[4]) {
+            Err(CamelotError::Codec(detail)) => assert_eq!(detail, "no such trip 4"),
+            other => panic!("tag 4 decoded to {other:?}"),
+        }
+        assert!(Trip::from_bytes(&[7, 2, 0, 0, 0]).is_err());
     }
 
     #[test]
@@ -517,7 +651,7 @@ mod tests {
         let mut w = Writer::new();
         w.put_u32(u32::MAX);
         let mut r = Reader::new(w.as_slice());
-        assert!(r.get_seq::<u64>().is_err());
+        assert!(r.get::<Vec<u64>>().is_err());
     }
 
     #[test]

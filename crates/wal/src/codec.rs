@@ -11,12 +11,8 @@
 //! a torn tail after a crash must look like "end of log", never like a
 //! decode of garbage.
 
+use camelot_types::wire::crc32;
 use camelot_types::{CamelotError, Result};
-
-// The checksum itself lives in camelot-types (shared with the socket
-// frame codec); re-exported so `camelot_wal::codec::crc32` keeps
-// working.
-pub use camelot_types::wire::crc32;
 
 /// Size of the frame header in bytes.
 pub const FRAME_HEADER: usize = 8;

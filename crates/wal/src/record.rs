@@ -6,123 +6,110 @@
 //! disk manager "as late as possible" so that in the typical case a
 //! transaction needs only one log write to commit — paper Figure 1,
 //! step 5).
+//!
+//! [`RecordBody`] is one `wire_enum!` table: a record kind is its row
+//! — tag, then fields in log order — and the codec is derived from it.
 
-use camelot_types::wire::{Reader, Wire, Writer};
-use camelot_types::{CamelotError, ObjectId, Result, ServerId, SiteId, Tid};
+use camelot_types::wire::Writer;
+use camelot_types::{wire_enum, wire_struct, ObjectId, ServerId, SiteId, Tid};
 
-/// Which quorum a site joined during non-blocking termination
-/// (change 4 of §3.3: a site never joins both).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum QuorumKind {
-    Commit,
-    Abort,
-}
-
-/// The information replicated during the non-blocking protocol's
-/// replication phase: everything a takeover coordinator needs to
-/// finish the transaction.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ReplicationInfo {
-    /// All participant sites (the coordinator first).
-    pub sites: Vec<SiteId>,
-    /// Sites that voted to commit (update sites; read-only sites are
-    /// excluded from the replication phase).
-    pub yes_votes: Vec<SiteId>,
-    /// Number of replication records (including the coordinator's own
-    /// commit record) required before commit may be decided.
-    pub commit_quorum: u32,
-    /// Number of sites that must renounce commit before abort may be
-    /// decided by a takeover coordinator.
-    pub abort_quorum: u32,
-}
-
-impl Wire for ReplicationInfo {
-    fn encode(&self, w: &mut Writer) {
-        w.put_seq(&self.sites);
-        w.put_seq(&self.yes_votes);
-        w.put_u32(self.commit_quorum);
-        w.put_u32(self.abort_quorum);
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self> {
-        Ok(ReplicationInfo {
-            sites: r.get_seq()?,
-            yes_votes: r.get_seq()?,
-            commit_quorum: r.get_u32()?,
-            abort_quorum: r.get_u32()?,
-        })
+wire_enum! {
+    /// Which quorum a site joined during non-blocking termination
+    /// (change 4 of §3.3: a site never joins both).
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+    pub enum QuorumKind {
+        0 => Commit,
+        1 => Abort,
+        _ => "bad quorum kind",
     }
 }
 
-/// The body of a log record.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum RecordBody {
-    // ----- Transaction manager: two-phase commit (presumed abort) -----
-    /// Subordinate prepared record, forced before voting yes. Carries
-    /// the coordinator so recovery knows whom to ask about the
-    /// outcome.
-    Prepared { tid: Tid, coordinator: SiteId },
-    /// Commit record. At the coordinator this is the commit point
-    /// (forced) and `subs` carries the update subordinates that still
-    /// owe commit acknowledgements (presumed abort requires the
-    /// coordinator to remember the transaction until they all ack, so
-    /// recovery must be able to rebuild the list). At a subordinate
-    /// under the delayed-commit optimization the record is written
-    /// lazily, after locks are dropped, with an empty `subs`.
-    Commit { tid: Tid, subs: Vec<SiteId> },
-    /// Abort record; never forced (presumed abort).
-    Abort { tid: Tid },
-    /// Coordinator's end record: all subordinates have acknowledged,
-    /// the transaction may be forgotten. Not forced.
-    End { tid: Tid },
+wire_struct! {
+    /// The information replicated during the non-blocking protocol's
+    /// replication phase: everything a takeover coordinator needs to
+    /// finish the transaction.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct ReplicationInfo {
+        /// All participant sites (the coordinator first).
+        pub sites: Vec<SiteId>,
+        /// Sites that voted to commit (update sites; read-only sites are
+        /// excluded from the replication phase).
+        pub yes_votes: Vec<SiteId>,
+        /// Number of replication records (including the coordinator's own
+        /// commit record) required before commit may be decided.
+        pub commit_quorum: u32,
+        /// Number of sites that must renounce commit before abort may be
+        /// decided by a takeover coordinator.
+        pub abort_quorum: u32,
+    }
+}
 
-    // ----- Transaction manager: non-blocking commitment -----
-    /// Coordinator's begin-commit record, forced before sending the
-    /// prepare message (change 5 of §3.3). Carries the site list and
-    /// quorum sizes so a takeover coordinator can reconstruct them.
-    NbBegin { tid: Tid, info: ReplicationInfo },
-    /// Subordinate prepared record for the non-blocking protocol.
-    NbPrepared {
-        tid: Tid,
-        coordinator: SiteId,
-        sites: Vec<SiteId>,
-    },
-    /// Replication-phase record, forced at a subordinate: the decision
-    /// information is now stable here and counts toward the commit
-    /// quorum.
-    NbReplicate { tid: Tid, info: ReplicationInfo },
-    /// A site's quorum-join record (it may join only one kind).
-    NbQuorum { tid: Tid, kind: QuorumKind },
+wire_enum! {
+    /// The body of a log record.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub enum RecordBody {
+        // ----- Transaction manager: two-phase commit (presumed abort) -----
+        /// Subordinate prepared record, forced before voting yes. Carries
+        /// the coordinator so recovery knows whom to ask about the
+        /// outcome.
+        1 => Prepared { tid: Tid, coordinator: SiteId },
+        /// Commit record. At the coordinator this is the commit point
+        /// (forced) and `subs` carries the update subordinates that still
+        /// owe commit acknowledgements (presumed abort requires the
+        /// coordinator to remember the transaction until they all ack, so
+        /// recovery must be able to rebuild the list). At a subordinate
+        /// under the delayed-commit optimization the record is written
+        /// lazily, after locks are dropped, with an empty `subs`.
+        2 => Commit { tid: Tid, subs: Vec<SiteId> },
+        /// Abort record; never forced (presumed abort).
+        3 => Abort { tid: Tid },
+        /// Coordinator's end record: all subordinates have acknowledged,
+        /// the transaction may be forgotten. Not forced.
+        4 => End { tid: Tid },
 
-    // ----- Data servers -----
-    /// A server joined a transaction at this site.
-    ServerJoin { tid: Tid, server: ServerId },
-    /// Old/new value pair for one object update: enough to undo (old)
-    /// or redo (new) the update during recovery.
-    ServerUpdate {
-        tid: Tid,
-        server: ServerId,
-        object: ObjectId,
-        old: Vec<u8>,
-        new: Vec<u8>,
-    },
+        // ----- Transaction manager: non-blocking commitment -----
+        /// Coordinator's begin-commit record, forced before sending the
+        /// prepare message (change 5 of §3.3). Carries the site list and
+        /// quorum sizes so a takeover coordinator can reconstruct them.
+        5 => NbBegin { tid: Tid, info: ReplicationInfo },
+        /// Subordinate prepared record for the non-blocking protocol.
+        6 => NbPrepared { tid: Tid, coordinator: SiteId, sites: Vec<SiteId> },
+        /// Replication-phase record, forced at a subordinate: the decision
+        /// information is now stable here and counts toward the commit
+        /// quorum.
+        7 => NbReplicate { tid: Tid, info: ReplicationInfo },
+        /// A site's quorum-join record (it may join only one kind).
+        8 => NbQuorum { tid: Tid, kind: QuorumKind },
 
-    // ----- Housekeeping -----
-    /// Checkpoint marker: the [`RecordBody::ServerSnapshot`] records
-    /// written just before it carry the servers' state, and once the
-    /// marker is durable the log owner may truncate below them. The
-    /// marker itself carries the one piece of transaction-manager
-    /// state no retained record can rebuild: the lowest family
-    /// sequence number this site has not handed out, so a restart
-    /// from a truncated log never reuses a family id.
-    Checkpoint { next_family_seq: u64 },
-    /// A server's committed state at checkpoint time. Recovery uses
-    /// the last snapshot as its base store; records before it that
-    /// belong to families resolved by then become dead weight the log
-    /// owner may truncate.
-    ServerSnapshot {
-        server: ServerId,
-        objects: Vec<(ObjectId, Vec<u8>)>,
-    },
+        // ----- Data servers -----
+        /// A server joined a transaction at this site.
+        9 => ServerJoin { tid: Tid, server: ServerId },
+        /// Old/new value pair for one object update: enough to undo (old)
+        /// or redo (new) the update during recovery.
+        10 => ServerUpdate {
+            tid: Tid,
+            server: ServerId,
+            object: ObjectId,
+            old: Vec<u8>,
+            new: Vec<u8>,
+        },
+
+        // ----- Housekeeping -----
+        /// Checkpoint marker: the [`RecordBody::ServerSnapshot`] records
+        /// written just before it carry the servers' state, and once the
+        /// marker is durable the log owner may truncate below them. The
+        /// marker itself carries the one piece of transaction-manager
+        /// state no retained record can rebuild: the lowest family
+        /// sequence number this site has not handed out, so a restart
+        /// from a truncated log never reuses a family id.
+        11 => Checkpoint { next_family_seq: u64 },
+        /// A server's committed state at checkpoint time. Recovery uses
+        /// the last snapshot as its base store; records before it that
+        /// belong to families resolved by then become dead weight the log
+        /// owner may truncate.
+        12 => ServerSnapshot { server: ServerId, objects: Vec<(ObjectId, Vec<u8>)> },
+        _ => "unknown record tag",
+    }
 }
 
 impl RecordBody {
@@ -157,185 +144,27 @@ impl RecordBody {
     }
 }
 
-const TAG_PREPARED: u8 = 1;
-const TAG_COMMIT: u8 = 2;
-const TAG_ABORT: u8 = 3;
-const TAG_END: u8 = 4;
-const TAG_NB_BEGIN: u8 = 5;
-const TAG_NB_PREPARED: u8 = 6;
-const TAG_NB_REPLICATE: u8 = 7;
-const TAG_NB_QUORUM: u8 = 8;
-const TAG_SERVER_JOIN: u8 = 9;
-const TAG_SERVER_UPDATE: u8 = 10;
-const TAG_CHECKPOINT: u8 = 11;
-const TAG_SERVER_SNAPSHOT: u8 = 12;
-
-fn put_snapshot<'a>(
-    w: &mut Writer,
-    server: ServerId,
-    objects: impl ExactSizeIterator<Item = (&'a ObjectId, &'a Vec<u8>)>,
-) {
-    w.put_u8(TAG_SERVER_SNAPSHOT);
-    w.put(&server);
-    w.put_u32(u32::try_from(objects.len()).expect("snapshot too large"));
-    for (obj, val) in objects {
-        w.put(obj);
-        w.put_bytes(val);
-    }
-}
-
 /// The bytes of a [`RecordBody::ServerSnapshot`] of `objects`, encoded
 /// straight from the owner's map: a checkpoint would otherwise clone
 /// every value into a record only to encode it once. Append with
 /// [`Wal::append_encoded`](crate::Wal::append_encoded).
+///
+/// Written by hand because it streams from an iterator, not from the
+/// record's `Vec`; `tests/golden_wire.rs` holds it to the bytes of the
+/// table's row 12.
 pub fn encode_snapshot<'a>(
     server: ServerId,
     objects: impl ExactSizeIterator<Item = (&'a ObjectId, &'a Vec<u8>)>,
 ) -> Vec<u8> {
     let mut w = Writer::new();
-    put_snapshot(&mut w, server, objects);
+    w.put_u8(12);
+    w.put(&server);
+    w.put_u32(u32::try_from(objects.len()).expect("snapshot too large"));
+    for (obj, val) in objects {
+        w.put(obj);
+        w.put(val);
+    }
     w.into_vec()
-}
-
-impl Wire for RecordBody {
-    fn encode(&self, w: &mut Writer) {
-        match self {
-            RecordBody::Prepared { tid, coordinator } => {
-                w.put_u8(TAG_PREPARED);
-                w.put(tid);
-                w.put(coordinator);
-            }
-            RecordBody::Commit { tid, subs } => {
-                w.put_u8(TAG_COMMIT);
-                w.put(tid);
-                w.put_seq(subs);
-            }
-            RecordBody::Abort { tid } => {
-                w.put_u8(TAG_ABORT);
-                w.put(tid);
-            }
-            RecordBody::End { tid } => {
-                w.put_u8(TAG_END);
-                w.put(tid);
-            }
-            RecordBody::NbBegin { tid, info } => {
-                w.put_u8(TAG_NB_BEGIN);
-                w.put(tid);
-                w.put(info);
-            }
-            RecordBody::NbPrepared {
-                tid,
-                coordinator,
-                sites,
-            } => {
-                w.put_u8(TAG_NB_PREPARED);
-                w.put(tid);
-                w.put(coordinator);
-                w.put_seq(sites);
-            }
-            RecordBody::NbReplicate { tid, info } => {
-                w.put_u8(TAG_NB_REPLICATE);
-                w.put(tid);
-                w.put(info);
-            }
-            RecordBody::NbQuorum { tid, kind } => {
-                w.put_u8(TAG_NB_QUORUM);
-                w.put(tid);
-                w.put_u8(match kind {
-                    QuorumKind::Commit => 0,
-                    QuorumKind::Abort => 1,
-                });
-            }
-            RecordBody::ServerJoin { tid, server } => {
-                w.put_u8(TAG_SERVER_JOIN);
-                w.put(tid);
-                w.put(server);
-            }
-            RecordBody::ServerUpdate {
-                tid,
-                server,
-                object,
-                old,
-                new,
-            } => {
-                w.put_u8(TAG_SERVER_UPDATE);
-                w.put(tid);
-                w.put(server);
-                w.put(object);
-                w.put_bytes(old);
-                w.put_bytes(new);
-            }
-            RecordBody::Checkpoint { next_family_seq } => {
-                w.put_u8(TAG_CHECKPOINT);
-                w.put_u64(*next_family_seq);
-            }
-            RecordBody::ServerSnapshot { server, objects } => {
-                put_snapshot(w, *server, objects.iter().map(|(obj, val)| (obj, val)));
-            }
-        }
-    }
-
-    fn decode(r: &mut Reader<'_>) -> Result<Self> {
-        let tag = r.get_u8()?;
-        Ok(match tag {
-            TAG_PREPARED => RecordBody::Prepared {
-                tid: r.get()?,
-                coordinator: r.get()?,
-            },
-            TAG_COMMIT => RecordBody::Commit {
-                tid: r.get()?,
-                subs: r.get_seq()?,
-            },
-            TAG_ABORT => RecordBody::Abort { tid: r.get()? },
-            TAG_END => RecordBody::End { tid: r.get()? },
-            TAG_NB_BEGIN => RecordBody::NbBegin {
-                tid: r.get()?,
-                info: r.get()?,
-            },
-            TAG_NB_PREPARED => RecordBody::NbPrepared {
-                tid: r.get()?,
-                coordinator: r.get()?,
-                sites: r.get_seq()?,
-            },
-            TAG_NB_REPLICATE => RecordBody::NbReplicate {
-                tid: r.get()?,
-                info: r.get()?,
-            },
-            TAG_NB_QUORUM => {
-                let tid = r.get()?;
-                let kind = match r.get_u8()? {
-                    0 => QuorumKind::Commit,
-                    1 => QuorumKind::Abort,
-                    v => return Err(CamelotError::Codec(format!("bad quorum kind {v}"))),
-                };
-                RecordBody::NbQuorum { tid, kind }
-            }
-            TAG_SERVER_JOIN => RecordBody::ServerJoin {
-                tid: r.get()?,
-                server: r.get()?,
-            },
-            TAG_SERVER_UPDATE => RecordBody::ServerUpdate {
-                tid: r.get()?,
-                server: r.get()?,
-                object: r.get()?,
-                old: r.get_bytes()?,
-                new: r.get_bytes()?,
-            },
-            TAG_CHECKPOINT => RecordBody::Checkpoint {
-                next_family_seq: r.get_u64()?,
-            },
-            TAG_SERVER_SNAPSHOT => {
-                let server = r.get()?;
-                let n = r.get_u32()? as usize;
-                let mut objects = Vec::with_capacity(n.min(1024));
-                for _ in 0..n {
-                    objects.push((r.get()?, r.get_bytes()?));
-                }
-                RecordBody::ServerSnapshot { server, objects }
-            }
-            v => return Err(CamelotError::Codec(format!("unknown record tag {v}"))),
-        })
-    }
 }
 
 /// Alias kept for readability at call sites: a log record *is* its
@@ -345,6 +174,7 @@ pub type LogRecord = RecordBody;
 #[cfg(test)]
 mod tests {
     use super::*;
+    use camelot_types::wire::Wire;
     use camelot_types::FamilyId;
 
     fn tid() -> Tid {
@@ -470,7 +300,7 @@ mod tests {
     #[test]
     fn bad_quorum_kind_rejected() {
         let mut w = Writer::new();
-        w.put_u8(TAG_NB_QUORUM);
+        w.put_u8(8);
         w.put(&tid());
         w.put_u8(9);
         assert!(RecordBody::from_bytes(w.as_slice()).is_err());

@@ -23,6 +23,7 @@ use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
+use camelot_types::wire::crc32;
 use camelot_types::{CamelotError, Lsn, Result};
 
 use crate::codec;
@@ -239,7 +240,7 @@ fn header(base: u64) -> [u8; FileStore::HEADER_LEN] {
     let mut h = [0u8; FileStore::HEADER_LEN];
     h[..4].copy_from_slice(&MAGIC);
     h[4..12].copy_from_slice(&base.to_le_bytes());
-    let crc = codec::crc32(&h[..12]);
+    let crc = crc32(&h[..12]);
     h[12..].copy_from_slice(&crc.to_le_bytes());
     h
 }

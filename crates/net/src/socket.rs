@@ -158,8 +158,10 @@ struct Inner {
     mode: SocketMode,
     epoch: Instant,
     recv_timeout: StdDuration,
-    /// UDP mode: the one socket used for both directions.
-    udp: Option<UdpSocket>,
+    /// UDP mode: the one socket used for both directions, and the
+    /// buffer `recv` reads each datagram into (one receive loop calls
+    /// `recv`, so its lock is free).
+    udp: Option<(UdpSocket, Mutex<Box<[u8]>>)>,
     local: SocketAddr,
     /// UDP mode: seq/ack/retransmit/dedup machinery.
     channel: Mutex<ReliableChannel>,
@@ -219,7 +221,8 @@ impl SocketTransport {
                 let sock = UdpSocket::bind("127.0.0.1:0")?;
                 sock.set_read_timeout(Some(cfg.recv_timeout))?;
                 let local = sock.local_addr()?;
-                (Some(sock), local, None)
+                let buf = Mutex::new(vec![0u8; 64 * 1024].into_boxed_slice());
+                (Some((sock, buf)), local, None)
             }
             SocketMode::Tcp => {
                 let listener = TcpListener::bind("127.0.0.1:0")?;
@@ -351,16 +354,19 @@ impl SocketTransport {
 
     fn recv_udp(&self) -> Result<Option<Delivery>> {
         let inner = &self.inner;
-        let sock = inner.udp.as_ref().expect("udp mode");
-        let mut buf = vec![0u8; 64 * 1024];
-        let got = match sock.recv_from(&mut buf) {
-            Ok((n, from_addr)) => Some((n, from_addr)),
-            Err(e) if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut => None,
-            Err(e) => return Err(CamelotError::Log(format!("udp recv: {e}"))),
+        let (sock, buf) = inner.udp.as_ref().expect("udp mode");
+        let got = {
+            let mut buf = buf.lock().unwrap();
+            match sock.recv_from(&mut buf) {
+                Ok((n, from_addr)) => Some((decode_frame(&buf[..n])?.0, n, from_addr)),
+                Err(e) if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut => {
+                    None
+                }
+                Err(e) => return Err(CamelotError::Log(format!("udp recv: {e}"))),
+            }
         };
         let mut delivery = None;
-        if let Some((n, from_addr)) = got {
-            let (payload, _) = decode_frame(&buf[..n])?;
+        if let Some((payload, n, from_addr)) = got {
             inner.tracer.site_event(TraceEventKind::WireDecode {
                 bytes: payload.len() as u32,
             });
@@ -593,7 +599,7 @@ fn transmit_udp(inner: &Inner, to: SiteId, frame: &[u8]) {
         inner.note_failed(to);
         return;
     };
-    let sock = inner.udp.as_ref().expect("udp mode");
+    let (sock, _) = inner.udp.as_ref().expect("udp mode");
     if sock.send_to(frame, addr).is_ok() {
         inner.note_sent(to, frame.len());
     } else {

@@ -43,21 +43,23 @@ impl fmt::Display for ObjectId {
     }
 }
 
-/// Identifies a transaction *family*: a top-level transaction together
-/// with all of its nested descendants.
-///
-/// The family identifier embeds the site at which the top-level
-/// transaction began (the site whose transaction manager will act as
-/// commitment coordinator) and a locally unique sequence number, so
-/// identifiers are globally unique without coordination.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct FamilyId {
-    /// Site at which `begin_transaction` was executed; the default
-    /// commitment coordinator.
-    pub origin: SiteId,
-    /// Sequence number unique at the origin site (monotone across
-    /// restarts: the high bits carry an incarnation number).
-    pub seq: u64,
+crate::wire_struct! {
+    /// Identifies a transaction *family*: a top-level transaction together
+    /// with all of its nested descendants.
+    ///
+    /// The family identifier embeds the site at which the top-level
+    /// transaction began (the site whose transaction manager will act as
+    /// commitment coordinator) and a locally unique sequence number, so
+    /// identifiers are globally unique without coordination.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+    pub struct FamilyId {
+        /// Site at which `begin_transaction` was executed; the default
+        /// commitment coordinator.
+        pub origin: SiteId,
+        /// Sequence number unique at the origin site (monotone across
+        /// restarts: the high bits carry an incarnation number).
+        pub seq: u64,
+    }
 }
 
 impl fmt::Display for FamilyId {

@@ -15,11 +15,12 @@
 //! [`wire_struct!`](crate::wire_struct) and
 //! [`wire_enum!`](crate::wire_enum) take that list once and emit the
 //! type together with its `encode` and `decode`. Written by hand here
-//! are only the layouts that are not a field list: the primitives, the
-//! containers and [`Tid`] (whose path has a bound of its own).
+//! are only the layouts that are not a field list: the integers and
+//! the ids that wrap one, the containers and [`Tid`] (whose path has a
+//! bound of its own).
 
 use crate::error::{CamelotError, Result};
-use crate::ids::{FamilyId, Lsn, ObjectId, ServerId, SiteId, Tid};
+use crate::ids::{Lsn, ObjectId, ServerId, SiteId, Tid};
 
 /// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320), table-driven.
 ///
@@ -359,19 +360,6 @@ impl Wire for Lsn {
     }
 }
 
-impl Wire for FamilyId {
-    fn encode(&self, w: &mut Writer) {
-        w.put(&self.origin);
-        w.put_u64(self.seq);
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self> {
-        Ok(FamilyId {
-            origin: r.get()?,
-            seq: r.get_u64()?,
-        })
-    }
-}
-
 impl Wire for Tid {
     fn encode(&self, w: &mut Writer) {
         w.put(&self.family);
@@ -486,6 +474,7 @@ macro_rules! wire_enum {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ids::FamilyId;
 
     fn roundtrip<T: Wire + PartialEq + std::fmt::Debug>(v: T) {
         let b = v.to_bytes();

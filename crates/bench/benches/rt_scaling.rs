@@ -205,7 +205,7 @@ fn main() {
     );
     json.push_str(&format!(
         "  \"stamp\": {},\n",
-        camelot_bench::stamp_json(&config_text)
+        camelot_scope::stamp_json(&config_text)
     ));
     json.push_str(&format!(
         "  \"sites\": {SITES},\n  \"clients\": {CLIENTS},\n  \"txns_per_client\": {txns},\n"

@@ -10,23 +10,22 @@
 //!
 //! Exit codes: `0` pass (including a config-hash mismatch, which is a
 //! *skip* — the workload changed, re-record the baseline), `1` a
-//! saturation knee dropped by more than `--threshold-pct` (default
-//! 15) or a baseline curve vanished, `2` usage or unreadable input.
+//! saturation knee dropped by more than 15 % (`diff::THRESHOLD_PCT`)
+//! or a baseline curve vanished, `2` usage or unreadable input.
 //! CI greps the output for `PASS:`, so there a skip fails the job.
 
 use std::process::exit;
 
-use camelot_bench::diff::{diff, parse_summary, DiffVerdict};
+use camelot_bench::diff::{diff, parse_summary, DiffVerdict, THRESHOLD_PCT};
 
 fn usage() -> ! {
-    eprintln!("usage: camelot-bench-diff --baseline FILE --current FILE [--threshold-pct P]");
+    eprintln!("usage: camelot-bench-diff --baseline FILE --current FILE");
     exit(2);
 }
 
 fn main() {
     let mut baseline = None;
     let mut current = None;
-    let mut threshold_pct = 15.0f64;
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut i = 0;
     let value = |i: &mut usize| -> String {
@@ -37,7 +36,6 @@ fn main() {
         match args[i].as_str() {
             "--baseline" => baseline = Some(value(&mut i)),
             "--current" => current = Some(value(&mut i)),
-            "--threshold-pct" => threshold_pct = value(&mut i).parse().unwrap_or_else(|_| usage()),
             _ => usage(),
         }
         i += 1;
@@ -71,7 +69,7 @@ fn main() {
         exit(2);
     }
 
-    match diff(&base, &cur, threshold_pct) {
+    match diff(&base, &cur) {
         DiffVerdict::SkippedConfigMismatch {
             baseline: b,
             current: c,
@@ -86,7 +84,7 @@ fn main() {
                 println!("camelot-bench-diff: {label}: {b:.1} -> {c:.1} commits/s ({d:+.1}%)");
             }
             println!(
-                "camelot-bench-diff: PASS: {} curve(s) within {threshold_pct}% of baseline",
+                "camelot-bench-diff: PASS: {} curve(s) within {THRESHOLD_PCT}% of baseline",
                 rows.len()
             );
         }

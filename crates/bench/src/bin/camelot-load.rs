@@ -34,9 +34,10 @@
 use std::time::Duration as StdDuration;
 
 use camelot_bench::driver::{point_json, protocol_audit, run_point, Mix, Point};
-use camelot_bench::{quick, stamp_json};
+use camelot_bench::quick;
 use camelot_node::session::InProcSession;
 use camelot_rt::{Cluster, ExecMode, Histogram, Phase, RtConfig};
+use camelot_scope::stamp_json;
 
 const SITES: u32 = 2;
 const TM_THREADS: usize = 4;
@@ -305,7 +306,7 @@ fn main() {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use camelot_bench::config_hash;
+    use camelot_scope::config_hash;
 
     /// The stamp of the committed `BENCH_load_curves.json`: if the
     /// config text drifts, the nightly knee gate has no comparable

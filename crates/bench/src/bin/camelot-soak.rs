@@ -64,11 +64,14 @@ const LIVE_WAL_BASE: u64 = 64 * 1024;
 /// of magnitude for a cold file and a loaded host.
 const RECOVER_SCAN_BOUND: Duration = Duration::from_millis(250);
 
+/// Offered load in transactions per second, split evenly over
+/// [`WORKERS`] open-loop threads.
+const RATE: f64 = 25.0;
+const WORKERS: usize = 2;
+
 struct Opts {
     sites: u32,
     duration: Duration,
-    rate: f64,
-    workers: usize,
     accounts: u64,
     transport: String,
     seed: u64,
@@ -81,8 +84,8 @@ struct Opts {
 
 fn usage() -> ! {
     eprintln!(
-        "usage: camelot-soak [--sites N] [--duration-secs S] [--rate TPS] \
-         [--workers W] [--accounts K] [--transport udp|tcp] [--seed S] \
+        "usage: camelot-soak [--sites N] [--duration-secs S] [--accounts K] \
+         [--transport udp|tcp] [--seed S] \
          [--restart-budget N] [--fault-every-ms MS] [--audit-every-secs S] \
          [--log-dir DIR] [--trace-dir DIR]"
     );
@@ -94,8 +97,6 @@ fn parse_opts() -> Opts {
     let mut opts = Opts {
         sites: 3,
         duration: Duration::from_secs(if q { 10 } else { 60 }),
-        rate: 25.0,
-        workers: 2,
         accounts: 4,
         transport: "tcp".into(),
         seed: 1,
@@ -119,8 +120,6 @@ fn parse_opts() -> Opts {
         match args[i].as_str() {
             "--sites" => opts.sites = value(&mut i).parse().unwrap_or_else(|_| usage()),
             "--duration-secs" => opts.duration = secs(value(&mut i)),
-            "--rate" => opts.rate = value(&mut i).parse().unwrap_or_else(|_| usage()),
-            "--workers" => opts.workers = value(&mut i).parse().unwrap_or_else(|_| usage()),
             "--accounts" => opts.accounts = value(&mut i).parse().unwrap_or_else(|_| usage()),
             "--transport" => opts.transport = value(&mut i),
             "--seed" => opts.seed = value(&mut i).parse().unwrap_or_else(|_| usage()),
@@ -135,7 +134,7 @@ fn parse_opts() -> Opts {
         }
         i += 1;
     }
-    if opts.sites < 2 || opts.accounts == 0 || opts.workers == 0 {
+    if opts.sites < 2 || opts.accounts == 0 {
         usage();
     }
     opts
@@ -575,7 +574,7 @@ fn main() {
     });
     println!(
         "camelot-soak: {} sites ({}), {:.0} tps across {} workers, {:?} soak, seed {}",
-        opts.sites, opts.transport, opts.rate, opts.workers, opts.duration, opts.seed
+        opts.sites, opts.transport, RATE, WORKERS, opts.duration, opts.seed
     );
 
     // Fund the transfer accounts and seed the ratchet counters.
@@ -605,11 +604,11 @@ fn main() {
         paused: AtomicBool::new(false),
         counters: Counters::default(),
     });
-    let handles: Vec<_> = (0..opts.workers)
+    let handles: Vec<_> = (0..WORKERS)
         .map(|w| {
             let shared = Arc::clone(&shared);
             let (sites, accounts) = (opts.sites, opts.accounts);
-            let rate = opts.rate / opts.workers as f64;
+            let rate = RATE / WORKERS as f64;
             let seed = opts.seed.wrapping_add(w as u64).wrapping_mul(0x9E37_79B9);
             std::thread::spawn(move || worker_loop(shared, sites, accounts, rate, seed))
         })
@@ -618,7 +617,7 @@ fn main() {
     let script = draw_script(&opts);
     let scrape_config = format!(
         "soak sites={} transport={} rate={} seed={}",
-        opts.sites, opts.transport, opts.rate, opts.seed
+        opts.sites, opts.transport, RATE, opts.seed
     );
     let mut ctx = AuditCtx {
         opts: &opts,

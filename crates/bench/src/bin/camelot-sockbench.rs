@@ -36,7 +36,7 @@ use std::sync::Arc;
 use std::time::Duration as StdDuration;
 
 use camelot_bench::driver::{point_json, run_point, Mix, Point};
-use camelot_bench::{quick, stamp_json};
+use camelot_bench::quick;
 use camelot_net::TransportStats;
 use camelot_node::config::fast_engine;
 use camelot_node::procs::{
@@ -44,7 +44,9 @@ use camelot_node::procs::{
 };
 use camelot_node::session::{CtrlSession, InProcSession};
 use camelot_rt::{Cluster, RtConfig};
-use camelot_scope::{attribute, merge_skew_aware, parse_jsonl, Collector, ScrapeTarget};
+use camelot_scope::{
+    attribute, merge_skew_aware, parse_jsonl, stamp_json, Collector, ScrapeTarget,
+};
 use camelot_types::SiteId;
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -62,17 +64,13 @@ impl Transport {
             Transport::Tcp => "tcp",
         }
     }
-
-    fn parse(s: &str) -> Option<Transport> {
-        [Transport::Inproc, Transport::Udp, Transport::Tcp]
-            .into_iter()
-            .find(|t| t.name() == s)
-    }
 }
+
+/// The sweep: the in-process baseline, then each socket transport.
+const TRANSPORTS: [Transport; 3] = [Transport::Inproc, Transport::Udp, Transport::Tcp];
 
 #[derive(Debug, Clone)]
 struct Args {
-    transports: Vec<Transport>,
     rates: Vec<f64>,
     mix: Mix,
     out: Option<String>,
@@ -81,7 +79,6 @@ struct Args {
 impl Args {
     fn defaults(q: bool) -> Args {
         Args {
-            transports: vec![Transport::Inproc, Transport::Udp, Transport::Tcp],
             rates: if q {
                 vec![30.0, 60.0]
             } else {
@@ -111,12 +108,6 @@ impl Args {
                 .unwrap_or_else(|| panic!("{flag} needs a value"))
                 .as_str();
             match flag {
-                "--transports" => {
-                    args.transports = val
-                        .split(',')
-                        .map(|t| Transport::parse(t).unwrap_or_else(|| panic!("transport {t}")))
-                        .collect()
-                }
                 "--sites" => args.mix.sites = val.parse().expect("sites"),
                 "--rates" => {
                     args.rates = val.split(',').map(|r| r.parse().expect("rate")).collect()
@@ -136,7 +127,7 @@ impl Args {
             self.mix.sites,
             self.mix.config_text(),
             self.rates,
-            self.transports
+            TRANSPORTS
         )
     }
 }
@@ -317,7 +308,7 @@ fn main() {
     let mut saturation: Vec<(Transport, f64, u64)> = Vec::new();
     let mut scrape_series = format!("{}\n", Collector::header_json(&args.config_text()));
     let mut scraped_points = 0usize;
-    for &transport in &args.transports {
+    for transport in TRANSPORTS {
         println!("\n== transport: {} ==", transport.name());
         println!(
             "{:>9} {:>9} {:>8} {:>7} {:>10} {:>10} {:>10}",
@@ -447,7 +438,7 @@ fn main() {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use camelot_bench::config_hash;
+    use camelot_scope::config_hash;
 
     /// The stamps of the committed `BENCH_socket_quick.json` (the CI
     /// knee gate's baseline) and `BENCH_socket.json`: if a config text

@@ -95,11 +95,15 @@ pub enum DiffVerdict {
     },
 }
 
+/// How far, in percent, a saturation knee may fall below its baseline
+/// before [`diff`] fails it.
+pub const THRESHOLD_PCT: f64 = 15.0;
+
 /// Compares `current` against `baseline`: a knee more than
-/// `threshold_pct` below its baseline — or a baseline curve missing
+/// [`THRESHOLD_PCT`] below its baseline — or a baseline curve missing
 /// from the current report — fails. New curves in `current` are
 /// ignored (they have no baseline yet); improvements always pass.
-pub fn diff(baseline: &BenchSummary, current: &BenchSummary, threshold_pct: f64) -> DiffVerdict {
+pub fn diff(baseline: &BenchSummary, current: &BenchSummary) -> DiffVerdict {
     if baseline.config_hash != current.config_hash {
         return DiffVerdict::SkippedConfigMismatch {
             baseline: baseline.config_hash.clone(),
@@ -122,10 +126,10 @@ pub fn diff(baseline: &BenchSummary, current: &BenchSummary, threshold_pct: f64)
             0.0
         };
         rows.push((label.clone(), *base, *cur, delta_pct));
-        if delta_pct < -threshold_pct {
+        if delta_pct < -THRESHOLD_PCT {
             failures.push(format!(
                 "curve \"{label}\" knee regressed {:.1}% ({base:.1} -> {cur:.1} \
-                 commits/s, threshold {threshold_pct}%)",
+                 commits/s, threshold {THRESHOLD_PCT}%)",
                 -delta_pct
             ));
         }
@@ -197,7 +201,7 @@ mod tests {
         let b = summary("aa", &[("tcp", 400.0)]);
         let c = summary("bb", &[("tcp", 100.0)]);
         assert!(matches!(
-            diff(&b, &c, 15.0),
+            diff(&b, &c),
             DiffVerdict::SkippedConfigMismatch { .. }
         ));
     }
@@ -206,14 +210,14 @@ mod tests {
     fn within_threshold_passes_and_improvement_passes() {
         let b = summary("aa", &[("tcp", 400.0), ("udp", 400.0)]);
         let c = summary("aa", &[("tcp", 360.0), ("udp", 500.0)]);
-        assert!(matches!(diff(&b, &c, 15.0), DiffVerdict::Pass(_)));
+        assert!(matches!(diff(&b, &c), DiffVerdict::Pass(_)));
     }
 
     #[test]
     fn regression_past_threshold_fails() {
         let b = summary("aa", &[("tcp", 400.0)]);
         let c = summary("aa", &[("tcp", 300.0)]);
-        let DiffVerdict::Fail { failures, .. } = diff(&b, &c, 15.0) else {
+        let DiffVerdict::Fail { failures, .. } = diff(&b, &c) else {
             panic!("expected failure");
         };
         assert_eq!(failures.len(), 1);
@@ -224,13 +228,13 @@ mod tests {
     fn vanished_curve_fails() {
         let b = summary("aa", &[("tcp", 400.0)]);
         let c = summary("aa", &[("udp", 400.0)]);
-        assert!(matches!(diff(&b, &c, 15.0), DiffVerdict::Fail { .. }));
+        assert!(matches!(diff(&b, &c), DiffVerdict::Fail { .. }));
     }
 
     #[test]
     fn new_curve_in_current_is_ignored() {
         let b = summary("aa", &[("tcp", 400.0)]);
         let c = summary("aa", &[("tcp", 400.0), ("udp", 100.0)]);
-        assert!(matches!(diff(&b, &c, 15.0), DiffVerdict::Pass(_)));
+        assert!(matches!(diff(&b, &c), DiffVerdict::Pass(_)));
     }
 }

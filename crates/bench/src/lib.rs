@@ -12,11 +12,6 @@ pub mod zipf;
 pub use openloop::OpenLoop;
 pub use zipf::{SplitMix64, Zipf};
 
-// Provenance stamping moved to `camelot-scope` (scrape series and
-// merged timelines carry the same stamp as bench JSON); re-exported
-// here so bench targets keep their import paths.
-pub use camelot_scope::{config_hash, git_sha, stamp_json};
-
 /// True when the `QUICK` environment variable asks for short runs.
 pub fn quick() -> bool {
     std::env::var("QUICK").map(|v| v == "1").unwrap_or(false)

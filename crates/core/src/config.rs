@@ -71,10 +71,6 @@ pub enum TwoPhaseVariant {
 pub struct EngineConfig {
     /// Two-phase-commit subordinate variant.
     pub variant: TwoPhaseVariant,
-    /// Whether commit-acks (and other off-critical-path messages) are
-    /// piggybacked at all; `false` forces immediate dedicated
-    /// datagrams regardless of `variant` (used to dissect variants).
-    pub piggyback_acks: bool,
     /// Upper bound on how long a queued piggybackable message waits
     /// for a carrier before being flushed in its own datagram.
     pub ack_flush_interval: Duration,
@@ -99,10 +95,6 @@ pub struct EngineConfig {
     pub recruit_window: Duration,
     /// Pause before a blocked takeover retries from the top.
     pub takeover_retry: Duration,
-    /// Multiplier applied to a retry interval on each successive
-    /// re-send of the same protocol datagram (inquiries, commit-notice
-    /// resends, takeover retries). `1` keeps the fixed intervals.
-    pub retry_backoff: u32,
     /// Ceiling on any backed-off retry interval.
     pub retry_cap: Duration,
     /// Watchdog interval for *orphaned* subordinate families: joined
@@ -126,7 +118,6 @@ impl Default for EngineConfig {
     fn default() -> Self {
         EngineConfig {
             variant: TwoPhaseVariant::Optimized,
-            piggyback_acks: true,
             ack_flush_interval: Duration::from_millis(50),
             vote_timeout: Duration::from_secs(5),
             inquiry_interval: Duration::from_secs(10),
@@ -135,7 +126,6 @@ impl Default for EngineConfig {
             takeover_window: Duration::from_millis(500),
             recruit_window: Duration::from_millis(500),
             takeover_retry: Duration::from_secs(2),
-            retry_backoff: 2,
             retry_cap: Duration::from_secs(60),
             orphan_check_interval: Duration::from_secs(10),
             unsafe_no_commit_force: false,
@@ -146,10 +136,8 @@ impl Default for EngineConfig {
 impl EngineConfig {
     /// Configuration matching one Figure-2 protocol variation.
     pub fn for_variant(variant: TwoPhaseVariant) -> Self {
-        let piggyback = !matches!(variant, TwoPhaseVariant::Unoptimized);
         EngineConfig {
             variant,
-            piggyback_acks: piggyback,
             ..Self::default()
         }
     }
@@ -163,14 +151,18 @@ mod tests {
     fn default_is_fully_optimized() {
         let c = EngineConfig::default();
         assert_eq!(c.variant, TwoPhaseVariant::Optimized);
-        assert!(c.piggyback_acks);
     }
 
     #[test]
     fn unoptimized_variant_disables_piggyback() {
+        // The variant is the whole difference: whether acks piggyback
+        // follows from it (`Engine::queue_ack`), the timers stay put.
         let c = EngineConfig::for_variant(TwoPhaseVariant::Unoptimized);
-        assert!(!c.piggyback_acks);
-        let c = EngineConfig::for_variant(TwoPhaseVariant::SemiOptimized);
-        assert!(c.piggyback_acks);
+        assert_eq!(c.variant, TwoPhaseVariant::Unoptimized);
+        let rest = EngineConfig {
+            variant: TwoPhaseVariant::Optimized,
+            ..c
+        };
+        assert_eq!(rest, EngineConfig::default());
     }
 }

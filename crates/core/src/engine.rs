@@ -12,9 +12,14 @@ use camelot_obs::{TraceEventKind, Tracer};
 use camelot_types::{AbortReason, Duration, FamilyId, ServerId, SiteId, Tid, Time};
 use camelot_wal::LogRecord;
 
-use crate::config::{CommitMode, EngineConfig};
+use crate::config::{CommitMode, EngineConfig, TwoPhaseVariant};
 use crate::family::{Family, FamilyView, Role, SubPhase, TallyStep, TxnStatus};
 use crate::io::{Action, ForceToken, Input, TimerToken};
+
+/// Multiplier applied to a retry interval on each successive re-send
+/// of the same protocol datagram (inquiries, commit-notice resends,
+/// takeover retries); see [`Engine::retry_after`].
+const RETRY_BACKOFF: u32 = 2;
 
 /// Which protocol step issued a force/append-notify.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -468,10 +473,11 @@ impl Engine {
     }
 
     /// Queues an off-critical-path message for piggybacking, or sends
-    /// it immediately when piggybacking is off.
+    /// it immediately under the unoptimized variant, which pays a
+    /// datagram for every ack.
     pub(crate) fn queue_ack(&mut self, out: &mut Vec<Action>, to: SiteId, msg: TmMessage) {
         debug_assert!(msg.piggybackable());
-        if !self.config.piggyback_acks {
+        if self.config.variant == TwoPhaseVariant::Unoptimized {
             self.send(out, to, msg);
             return;
         }
@@ -511,14 +517,14 @@ impl Engine {
     /// protocol datagram. Attempt 0 (the initial arm) always uses
     /// `base` unchanged, so fixed-interval expectations in tests and
     /// traces hold until a retry actually happens. Later attempts grow
-    /// exponentially by `retry_backoff`, capped at `retry_cap`, plus
+    /// exponentially by [`RETRY_BACKOFF`], capped at `retry_cap`, plus
     /// deterministic jitter (up to +25%) derived from the family id so
     /// retries started together de-synchronize without an RNG.
     pub(crate) fn retry_after(&self, family: &FamilyId, base: Duration, attempt: u32) -> Duration {
-        if attempt == 0 || self.config.retry_backoff <= 1 {
+        if attempt == 0 {
             return base;
         }
-        let factor = u64::from(self.config.retry_backoff).saturating_pow(attempt.min(20));
+        let factor = u64::from(RETRY_BACKOFF).saturating_pow(attempt.min(20));
         let backed = Duration(base.0.saturating_mul(factor)).min(self.config.retry_cap);
         let mut h = (family.origin.0 as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
         h ^= family.seq.wrapping_mul(0xC2B2_AE3D_27D4_EB4F);

@@ -13,7 +13,9 @@
 //!    sites; these participants will be the subordinates during
 //!    commitment."
 //! 2. It is a name service: clients present a string naming a service
-//!    and get an address back.
+//!    and get an address back. **Not modelled**: every host here
+//!    addresses a server by `(SiteId, ServerId)` directly, and name
+//!    resolution is on no path the paper measures.
 //!
 //! This module is the bookkeeping; the runtimes charge the latency
 //! costs (2 × 1.5 ms IPC hops plus 3.2 ms CPU per site per RPC — the
@@ -21,20 +23,12 @@
 
 use std::collections::{BTreeSet, HashMap};
 
-use camelot_types::{CamelotError, FamilyId, Result, ServerId, SiteId};
-
-/// Address of a registered service.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ServiceAddr {
-    pub site: SiteId,
-    pub server: ServerId,
-}
+use camelot_types::{FamilyId, SiteId};
 
 /// Per-site communication manager state.
 #[derive(Debug)]
 pub struct CommMan {
     site: SiteId,
-    names: HashMap<String, ServiceAddr>,
     /// Sites each local transaction family has spread to (excluding
     /// this site). Ordered for deterministic iteration.
     spread: HashMap<FamilyId, BTreeSet<SiteId>>,
@@ -44,7 +38,6 @@ impl CommMan {
     pub fn new(site: SiteId) -> Self {
         CommMan {
             site,
-            names: HashMap::new(),
             spread: HashMap::new(),
         }
     }
@@ -52,24 +45,6 @@ impl CommMan {
     pub fn site(&self) -> SiteId {
         self.site
     }
-
-    // ----- Name service -----
-
-    /// Registers a service name. Re-registration overwrites (a
-    /// restarted server re-advertises itself).
-    pub fn register(&mut self, name: impl Into<String>, addr: ServiceAddr) {
-        self.names.insert(name.into(), addr);
-    }
-
-    /// Looks a service up by name.
-    pub fn lookup(&self, name: &str) -> Result<ServiceAddr> {
-        self.names
-            .get(name)
-            .copied()
-            .ok_or_else(|| CamelotError::UnknownService(name.to_string()))
-    }
-
-    // ----- Transaction spread tracking -----
 
     /// Called when this site forwards an operation RPC of `family` to
     /// a remote `target` site. The home CornMan learns spread both
@@ -131,28 +106,6 @@ mod tests {
             origin: SiteId(1),
             seq: n,
         }
-    }
-
-    #[test]
-    fn name_service_register_lookup() {
-        let mut cm = CommMan::new(SiteId(1));
-        let addr = ServiceAddr {
-            site: SiteId(2),
-            server: ServerId(5),
-        };
-        cm.register("bank", addr);
-        assert_eq!(cm.lookup("bank").unwrap(), addr);
-        assert!(matches!(
-            cm.lookup("nope"),
-            Err(CamelotError::UnknownService(_))
-        ));
-        // Re-registration overwrites.
-        let addr2 = ServiceAddr {
-            site: SiteId(3),
-            server: ServerId(1),
-        };
-        cm.register("bank", addr2);
-        assert_eq!(cm.lookup("bank").unwrap(), addr2);
     }
 
     #[test]

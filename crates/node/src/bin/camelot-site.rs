@@ -49,7 +49,6 @@ struct Opts {
     fast: bool,
     call_timeout: StdDuration,
     trace_capacity: Option<usize>,
-    trace_out: Option<PathBuf>,
     fault_seed: u64,
     drop_pm: u32,
     delay_pm: u32,
@@ -61,7 +60,7 @@ struct Opts {
 fn usage() -> ! {
     eprintln!(
         "usage: camelot-site --site N [--transport udp|tcp] [--log-dir DIR] \
-         [--fast] [--call-timeout-ms MS] [--trace-capacity N] [--trace-out FILE] \
+         [--fast] [--call-timeout-ms MS] [--trace-capacity N] \
          [--fault-seed S] [--drop PM] [--delay PM] [--dup PM] \
          [--fault-delay-ms MS] [--fault-budget N]"
     );
@@ -76,7 +75,6 @@ fn parse_opts() -> Opts {
         fast: false,
         call_timeout: StdDuration::from_secs(30),
         trace_capacity: None,
-        trace_out: None,
         fault_seed: 1,
         drop_pm: 0,
         delay_pm: 0,
@@ -105,7 +103,6 @@ fn parse_opts() -> Opts {
             "--trace-capacity" => {
                 opts.trace_capacity = Some(value(&mut i).parse().unwrap_or_else(|_| usage()))
             }
-            "--trace-out" => opts.trace_out = Some(PathBuf::from(value(&mut i))),
             "--fault-seed" => opts.fault_seed = value(&mut i).parse().unwrap_or_else(|_| usage()),
             "--drop" => opts.drop_pm = value(&mut i).parse().unwrap_or_else(|_| usage()),
             "--delay" => opts.delay_pm = value(&mut i).parse().unwrap_or_else(|_| usage()),
@@ -221,13 +218,9 @@ fn main() {
     // observe an actual exit.
     {
         let cluster = Arc::clone(&cluster);
-        let trace_out = opts.trace_out.clone();
         thread::spawn(move || loop {
             thread::sleep(StdDuration::from_millis(20));
             if !cluster.is_alive(site) {
-                if let Some(path) = &trace_out {
-                    let _ = std::fs::write(path, cluster.drain_trace_jsonl());
-                }
                 eprintln!("site {}: crashed at armed crash point; exiting", site.0);
                 exit(3);
             }
@@ -248,8 +241,7 @@ fn main() {
         let cluster = Arc::clone(&cluster);
         let transport = Arc::clone(&transport);
         let fault = Arc::clone(&fault);
-        let trace_out = opts.trace_out.clone();
-        thread::spawn(move || serve_ctrl(stream, site, cluster, transport, fault, trace_out));
+        thread::spawn(move || serve_ctrl(stream, site, cluster, transport, fault));
     }
 }
 
@@ -259,7 +251,6 @@ fn serve_ctrl(
     cluster: Arc<Cluster>,
     transport: Arc<SocketTransport>,
     fault: Arc<FaultPlan>,
-    trace_out: Option<PathBuf>,
 ) {
     let _ = stream.set_nodelay(true);
     let client = cluster.client(site);
@@ -280,9 +271,6 @@ fn serve_ctrl(
         }
         if shutdown {
             let _ = stream.flush();
-            if let Some(path) = &trace_out {
-                let _ = std::fs::write(path, cluster.drain_trace_jsonl());
-            }
             exit(0);
         }
     }

@@ -14,7 +14,7 @@
 use std::collections::{BTreeMap, HashMap};
 
 use camelot_core::{Action, Engine, ForceToken, Input, TimerToken};
-use camelot_net::comman::{CommMan, ServiceAddr};
+use camelot_net::comman::CommMan;
 use camelot_net::{Outcome, TmMessage};
 use camelot_server::{DataServer, Request};
 use camelot_sim::{EventId, Resource, Scheduler};
@@ -84,24 +84,16 @@ pub struct World {
 type S = Scheduler<World>;
 
 impl World {
-    /// Builds the world: `cfg.sites` sites, each with one data server
-    /// (`ServerId(1)`) registered with its communication manager.
+    /// Builds the world: `cfg.sites` sites, each with
+    /// `cfg.servers_per_site` data servers (`ServerId(1)`, …).
     pub fn new(cfg: WorldConfig) -> World {
         let mut sites = BTreeMap::new();
         for i in 1..=cfg.sites {
             let id = SiteId(i);
-            let mut comman = CommMan::new(id);
             let mut servers = BTreeMap::new();
             for k in 1..=cfg.servers_per_site.max(1) {
                 let sid = ServerId(k);
                 servers.insert(sid, DataServer::new(id, sid));
-                comman.register(
-                    format!("server{k}@{id}"),
-                    ServiceAddr {
-                        site: id,
-                        server: sid,
-                    },
-                );
             }
             sites.insert(
                 id,
@@ -114,7 +106,7 @@ impl World {
                     lazy: Vec::new(),
                     lazy_flush_scheduled: false,
                     servers,
-                    comman,
+                    comman: CommMan::new(id),
                     timers: HashMap::new(),
                     next_send_free: Time::ZERO,
                     threads: cfg.tm.threads.map(|t| Resource::new("tm-threads", t)),

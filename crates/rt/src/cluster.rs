@@ -39,7 +39,7 @@ use camelot_core::{
     shard_of_family, shard_of_token, Action, CrashPoint, Engine, EngineConfig, ExecMode,
     ForceToken, Input, TimerToken,
 };
-use camelot_net::comman::{CommMan, ServiceAddr};
+use camelot_net::comman::CommMan;
 use camelot_obs::trace::merge_timelines;
 use camelot_obs::{
     Phase, PhaseHistograms, ProtocolPhaseHistograms, TraceEvent, TraceEventKind, TraceRing, Tracer,
@@ -50,10 +50,10 @@ use camelot_wal::{BatchPolicy, FileStore, LogRecord, MemStore, StableStore};
 
 use crate::client::Client;
 use crate::disk::{disk_main, request_force, DiskJob, DiskState, SiteLog};
-use crate::fault::{FaultPlan, LinkDecision};
 use crate::queue::{queue_worker, QueueJob, VoteAgg};
 use crate::shardmap::ShardedMap;
 use crate::stats::{add_engine_stats, add_server_stats, ClusterStats, SiteCounters, SiteStats};
+use camelot_net::fault::{FaultPlan, LinkDecision};
 
 /// Engine shards per site. Families are partitioned over the shards,
 /// each behind its own lock, so TranMan work on unrelated transactions
@@ -720,17 +720,9 @@ impl Cluster {
                 (Vec::new(), Vec::new())
             };
             let mut servers = BTreeMap::new();
-            let mut comman = CommMan::new(id);
             for k in 1..=SERVERS_PER_SITE {
                 let sid = ServerId(k);
                 servers.insert(sid, Mutex::new(DataServer::new(id, sid)));
-                comman.register(
-                    format!("server{k}@{id}"),
-                    ServiceAddr {
-                        site: id,
-                        server: sid,
-                    },
-                );
             }
             let store: Box<dyn StableStore + Send> = match &cfg.log_dir {
                 Some(dir) => {
@@ -763,7 +755,7 @@ impl Cluster {
                 wal: Mutex::new(SiteLog::new(store)),
                 disk: Mutex::new(DiskState::new(cfg.batch, tracer.clone())),
                 servers,
-                comman: Mutex::new(comman),
+                comman: Mutex::new(CommMan::new(id)),
                 tm_tx,
                 disk_tx,
                 lazy: Mutex::new(Vec::new()),
@@ -1093,11 +1085,6 @@ impl Cluster {
         }
         let take = max.min(pending.len());
         pending.drain(..take).collect()
-    }
-
-    /// [`Cluster::drain_trace`] rendered as JSON Lines.
-    pub fn drain_trace_jsonl(&self) -> String {
-        camelot_obs::to_jsonl(&self.drain_trace())
     }
 
     /// Total trace events overwritten before being drained, across

@@ -50,12 +50,12 @@
 pub mod client;
 pub mod cluster;
 mod disk;
-pub mod fault;
 mod queue;
 mod shardmap;
 pub mod stats;
 
 pub use camelot_core::{CrashPoint, ExecMode};
+pub use camelot_net::fault::{FaultPlan, FaultStats, LinkDecision};
 pub use camelot_obs::{
     audit_family, budget_for, count_family, to_jsonl, AuditCounts, AuditProtocol, Budget,
     Histogram, Phase, PhaseSnapshot, ProtocolPhaseSnapshot, TraceEvent, TraceEventKind,
@@ -63,5 +63,4 @@ pub use camelot_obs::{
 pub use camelot_wal::BatchPolicy;
 pub use client::Client;
 pub use cluster::{Cluster, RemoteNet, RtConfig};
-pub use fault::{FaultPlan, FaultStats, LinkDecision};
 pub use stats::{ClusterStats, SiteStats};

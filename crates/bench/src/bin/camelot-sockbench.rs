@@ -120,7 +120,9 @@ impl Args {
         args
     }
 
-    /// Canonical config rendering, hashed into the stamp.
+    /// Canonical config rendering, hashed into the stamp. The sweep is
+    /// fixed but stays in the text: the committed baselines' hashes
+    /// cover it.
     fn config_text(&self) -> String {
         format!(
             "sites={} {} rates={:?} transports={:?}",

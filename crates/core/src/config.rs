@@ -154,9 +154,9 @@ mod tests {
     }
 
     #[test]
-    fn unoptimized_variant_disables_piggyback() {
-        // The variant is the whole difference: whether acks piggyback
-        // follows from it (`Engine::queue_ack`), the timers stay put.
+    fn for_variant_changes_the_variant_only() {
+        // Whether acks piggyback follows from the variant
+        // (`Engine::queue_ack`); the timers stay put.
         let c = EngineConfig::for_variant(TwoPhaseVariant::Unoptimized);
         assert_eq!(c.variant, TwoPhaseVariant::Unoptimized);
         let rest = EngineConfig {

@@ -17,9 +17,13 @@
 //! - **A pipelined disk manager** (`crate::disk`). Whoever produces a
 //!   record appends it into the WAL's in-memory segment itself, under
 //!   a short lock, and asks the site's group-commit batcher for the
-//!   force; the platter write is performed **without holding the WAL
-//!   lock**, by the committing application thread if the disk is idle
-//!   (leader) and by the disk thread otherwise. One write makes
+//!   force; the platter write is performed by the committing
+//!   application thread if the disk is idle (leader) and by the disk
+//!   thread otherwise. Its *simulated* latency (`platter_delay`) is
+//!   slept **without holding the WAL lock**; the store's own
+//!   `force_to` runs under it, so a file-backed site's `write` and
+//!   `sync_data` still block appenders (see `crate::disk`). One write
+//!   makes
 //!   durable exactly the prefix it started with
 //!   ([`Wal::force_to`](camelot_wal::Wal::force_to)); everything
 //!   appended during the write rides the next one. The disk thread

@@ -11,9 +11,15 @@
 //!
 //! - **Leader.** An application thread parked in `commit`, with
 //!   nothing left to do there but wait for this force, that is told
-//!   to start a write performs it itself — [`platter_write`], **no lock
-//!   held**, so the log keeps filling while the platter is busy — and
-//!   runs its own `LogForced` step when it returns. It wakes the other
+//!   to start a write performs it itself — [`platter_write`] sleeps
+//!   the simulated platter delay with **no lock held**, so the log
+//!   keeps filling while that platter is busy — and runs its own
+//!   `LogForced` step when it returns. (True of the simulated sleep
+//!   only: the store's `force_to` then runs inside `site.wal.lock()`,
+//!   and a `FileStore`'s is the real `write` and `sync_data`, so with
+//!   a real disk nothing can be appended while the platter is busy.
+//!   Moving it out from under the lock is owed, as a measured change
+//!   of its own; see ROADMAP.) It wakes the other
 //!   forces the write covered, and leaves whatever the batcher asks
 //!   for next (the write for those who arrived meanwhile, a checkpoint
 //!   that write made due) to the disk thread: a leader writes once per

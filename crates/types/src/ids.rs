@@ -21,9 +21,9 @@ impl fmt::Display for SiteId {
     }
 }
 
-/// Identifies a data server process. Servers are registered with the
-/// communication manager's name service under a string name and are
-/// addressed by `(SiteId, ServerId)` on the wire.
+/// Identifies a data server process, addressed by
+/// `(SiteId, ServerId)` everywhere (the paper's string-name service is
+/// not modelled).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ServerId(pub u32);
 

@@ -457,15 +457,10 @@ macro_rules! wire_enum {
                 }
             }
             fn decode(r: &mut $crate::wire::Reader<'_>) -> $crate::Result<Self> {
-                Ok(match r.get_u8()? {
-                    $($tag => Self::$variant $({ $($field: r.get()?),* })?,)*
-                    v => {
-                        return Err($crate::CamelotError::Codec(format!(
-                            concat!($unknown, " {}"),
-                            v
-                        )))
-                    }
-                })
+                match r.get_u8()? {
+                    $($tag => Ok(Self::$variant $({ $($field: r.get()?),* })?),)*
+                    v => Err($crate::CamelotError::Codec(format!(concat!($unknown, " {}"), v))),
+                }
             }
         }
     };

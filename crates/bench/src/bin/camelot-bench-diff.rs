@@ -17,32 +17,18 @@
 use std::process::exit;
 
 use camelot_bench::diff::{diff, parse_summary, DiffVerdict, THRESHOLD_PCT};
+use camelot_types::flags::{Row, Tool, REQUIRED};
 
-fn usage() -> ! {
-    eprintln!("usage: camelot-bench-diff --baseline FILE --current FILE");
-    exit(2);
-}
+#[rustfmt::skip]
+const FLAGS: &[Row] = &[
+    ("--baseline", "FILE", REQUIRED, "the committed report to compare against"),
+    ("--current", "FILE", REQUIRED, "the report of the run under test"),
+];
+const TOOL: Tool = Tool::new("camelot-bench-diff", FLAGS);
 
 fn main() {
-    let mut baseline = None;
-    let mut current = None;
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    let value = |i: &mut usize| -> String {
-        *i += 1;
-        args.get(*i).cloned().unwrap_or_else(|| usage())
-    };
-    while i < args.len() {
-        match args[i].as_str() {
-            "--baseline" => baseline = Some(value(&mut i)),
-            "--current" => current = Some(value(&mut i)),
-            _ => usage(),
-        }
-        i += 1;
-    }
-    let (Some(baseline), Some(current)) = (baseline, current) else {
-        usage()
-    };
+    let (baseline, current): (String, String) =
+        TOOL.from_env(|p| Ok((p.val("--baseline")?, p.val("--current")?)));
 
     let read = |path: &str| -> String {
         std::fs::read_to_string(path).unwrap_or_else(|e| {

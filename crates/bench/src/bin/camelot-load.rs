@@ -26,18 +26,17 @@
 //! goes, never how many forces and datagrams the protocol costs. A
 //! violation exits 1.
 //!
-//! Usage: `cargo run --release --bin camelot-load -- [--mode
-//! queued|lock|both] [--rates 100,200,400] [--theta 0.99] [--keys 256]
-//! [--duration-ms 3000] [--read-pct 40] [--dist-pct 20] [--nb-pct 10]
-//! [--seed 7] [--out PATH]`. `QUICK=1` shrinks the ladder for CI.
+//! `camelot-load --help` lists the flags. `QUICK=1` shrinks the ladder
+//! for CI.
 
 use std::time::Duration as StdDuration;
 
-use camelot_bench::driver::{point_json, protocol_audit, run_point, Mix, Point};
+use camelot_bench::driver::{point_json, protocol_audit, rates_from_flags, run_point, Mix, Point};
 use camelot_bench::quick;
 use camelot_node::session::InProcSession;
 use camelot_rt::{Cluster, ExecMode, Histogram, Phase, RtConfig};
 use camelot_scope::stamp_json;
+use camelot_types::flags::{Tool, Usage};
 
 const SITES: u32 = 2;
 const TM_THREADS: usize = 4;
@@ -51,54 +50,39 @@ struct Args {
 }
 
 impl Args {
-    fn defaults(q: bool) -> Args {
-        Args {
-            modes: vec![ExecMode::LockBased, ExecMode::Queued],
-            rates: if q {
-                vec![50.0, 150.0]
-            } else {
-                vec![100.0, 200.0, 400.0, 800.0, 1600.0]
-            },
-            mix: Mix {
-                sites: SITES,
-                theta: 0.99,
-                keys: 256,
-                duration_ms: if q { 1000 } else { 4000 },
-                read_pct: 40,
-                dist_pct: 20,
-                nb_pct: 10,
-                seed: 7,
-            },
-            out: None,
-        }
-    }
-
-    fn parse() -> Args {
-        let mut args = Args::defaults(quick());
-        let argv: Vec<String> = std::env::args().skip(1).collect();
-        for pair in argv.chunks(2) {
-            let flag = pair[0].as_str();
-            let val = pair
-                .get(1)
-                .unwrap_or_else(|| panic!("{flag} needs a value"))
-                .as_str();
-            match flag {
-                "--mode" => {
-                    args.modes = match val {
-                        "queued" => vec![ExecMode::Queued],
-                        "lock" | "lock_based" => vec![ExecMode::LockBased],
-                        "both" => vec![ExecMode::LockBased, ExecMode::Queued],
-                        other => panic!("unknown --mode {other}"),
-                    }
-                }
-                "--rates" => {
-                    args.rates = val.split(',').map(|r| r.parse().expect("rate")).collect()
-                }
-                "--out" => args.out = Some(val.to_string()),
-                other => assert!(args.mix.set_flag(other, val), "unknown flag {other}"),
-            }
-        }
-        args
+    /// Parses `argv` against the flag table; `q` picks the QUICK
+    /// sweep's defaults over the full one's.
+    fn parse(q: bool, argv: impl IntoIterator<Item = String>) -> Result<Args, Usage> {
+        let (rates, duration) = match q {
+            true => ("50,150", "1000"),
+            false => ("100,200,400,800,1600", "4000"),
+        };
+        #[rustfmt::skip]
+        let flags = [
+            ("--mode", "queued|lock|both", "both", "execution modes to sweep"),
+            ("--rates", "RATES", rates, "offered txn/s, comma-separated, one point each"),
+            ("--theta", "THETA", "0.99", "Zipf skew of the key choice"),
+            ("--keys", "N", "256", "keys per site"),
+            ("--duration-ms", "MS", duration, "length of one point"),
+            ("--read-pct", "N", "40", "share of read-only transactions"),
+            ("--dist-pct", "N", "20", "share of distributed updates"),
+            ("--nb-pct", "N", "10", "share of those committed non-blocking"),
+            ("--seed", "N", "7", "seed of the generated workload"),
+            ("--out", "PATH", "", "report file (else BENCH_load_curves.json at the root)"),
+        ];
+        Tool::new("camelot-load", &flags).parse(argv, |p| {
+            Ok(Args {
+                modes: match p.get("--mode") {
+                    Some("queued") => vec![ExecMode::Queued],
+                    Some("lock" | "lock_based") => vec![ExecMode::LockBased],
+                    Some("both") => vec![ExecMode::LockBased, ExecMode::Queued],
+                    other => return Err(format!("unknown --mode {other:?}")),
+                },
+                rates: rates_from_flags(p)?,
+                mix: Mix::from_flags(p, SITES)?,
+                out: p.get("--out").map(String::from),
+            })
+        })
     }
 
     /// Canonical config rendering, hashed into the stamp.
@@ -192,7 +176,7 @@ fn load_point(args: &Args, mode: ExecMode, rate: f64) -> LoadPoint {
 }
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse(quick(), std::env::args().skip(1)).unwrap_or_else(|u| u.exit());
     println!("camelot-load: open-loop, {}", args.mix);
     let mut mode_sections = Vec::new();
     let mut saturation: Vec<(ExecMode, f64)> = Vec::new();
@@ -313,7 +297,7 @@ mod tests {
     /// baseline — re-record it in the same change.
     #[test]
     fn full_config_hash_matches_the_committed_baseline() {
-        let text = Args::defaults(false).config_text();
+        let text = Args::parse(false, []).unwrap().config_text();
         assert_eq!(config_hash(&text), "2fafc5e734c3c83c", "{text}");
     }
 }

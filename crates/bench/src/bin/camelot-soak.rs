@@ -52,6 +52,7 @@ use camelot_node::procs::{sibling_site_bin, AddrBoard, Supervisor, SupervisorCon
 use camelot_node::session::{balance, transfer, CtrlSession, SRV};
 use camelot_obs::Phase;
 use camelot_scope::{merge_skew_aware, parse_jsonl, Collector, ScopeEvent, ScrapeTarget};
+use camelot_types::flags::Tool;
 use camelot_types::{ObjectId, SiteId};
 
 const INITIAL: i64 = 100;
@@ -82,62 +83,39 @@ struct Opts {
     trace_dir: PathBuf,
 }
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: camelot-soak [--sites N] [--duration-secs S] [--accounts K] \
-         [--transport udp|tcp] [--seed S] \
-         [--restart-budget N] [--fault-every-ms MS] [--audit-every-secs S] \
-         [--log-dir DIR] [--trace-dir DIR]"
-    );
-    exit(2);
-}
-
 fn parse_opts() -> Opts {
-    let q = quick();
-    let mut opts = Opts {
-        sites: 3,
-        duration: Duration::from_secs(if q { 10 } else { 60 }),
-        accounts: 4,
-        transport: "tcp".into(),
-        seed: 1,
-        restart_budget: 25,
-        fault_every: Duration::from_millis(1500),
-        audit_every: Duration::from_secs(if q { 5 } else { 12 }),
-        log_dir: None,
-        trace_dir: PathBuf::from("target/tmp/soak"),
-    };
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    let value = |i: &mut usize| -> String {
-        *i += 1;
-        args.get(*i).cloned().unwrap_or_else(|| usage())
-    };
-    let secs =
-        |s: String| -> Duration { Duration::from_secs(s.parse().unwrap_or_else(|_| usage())) };
-    let millis =
-        |s: String| -> Duration { Duration::from_millis(s.parse().unwrap_or_else(|_| usage())) };
-    while i < args.len() {
-        match args[i].as_str() {
-            "--sites" => opts.sites = value(&mut i).parse().unwrap_or_else(|_| usage()),
-            "--duration-secs" => opts.duration = secs(value(&mut i)),
-            "--accounts" => opts.accounts = value(&mut i).parse().unwrap_or_else(|_| usage()),
-            "--transport" => opts.transport = value(&mut i),
-            "--seed" => opts.seed = value(&mut i).parse().unwrap_or_else(|_| usage()),
-            "--restart-budget" => {
-                opts.restart_budget = value(&mut i).parse().unwrap_or_else(|_| usage())
-            }
-            "--fault-every-ms" => opts.fault_every = millis(value(&mut i)),
-            "--audit-every-secs" => opts.audit_every = secs(value(&mut i)),
-            "--log-dir" => opts.log_dir = Some(PathBuf::from(value(&mut i))),
-            "--trace-dir" => opts.trace_dir = PathBuf::from(value(&mut i)),
-            _ => usage(),
+    let (duration, audit) = if quick() { ("10", "5") } else { ("60", "12") };
+    #[rustfmt::skip]
+    let flags = [
+        ("--sites", "N", "3", "sites in the cluster, at least 2"),
+        ("--duration-secs", "SECS", duration, "length of the soak; 10 under QUICK=1"),
+        ("--accounts", "N", "4", "transfer accounts per site"),
+        ("--transport", "udp|tcp", "tcp", "data-plane socket kind"),
+        ("--seed", "N", "1", "seed of the fault script and the workload"),
+        ("--restart-budget", "N", "25", "respawns before a site is given up on"),
+        ("--fault-every-ms", "MS", "1500", "time between scripted fault events"),
+        ("--audit-every-secs", "SECS", audit, "time between audits; 5 under QUICK=1"),
+        ("--log-dir", "DIR", "", "WAL root (else a fresh temp directory)"),
+        ("--trace-dir", "DIR", "target/tmp/soak", "scrape series and violation dumps"),
+    ];
+    Tool::new("camelot-soak", &flags).from_env(|p| {
+        let opts = Opts {
+            sites: p.int("--sites")?,
+            duration: Duration::from_secs(p.int("--duration-secs")?),
+            accounts: p.int("--accounts")?,
+            transport: p.val("--transport")?,
+            seed: p.int("--seed")?,
+            restart_budget: p.int("--restart-budget")?,
+            fault_every: Duration::from_millis(p.int("--fault-every-ms")?),
+            audit_every: Duration::from_secs(p.int("--audit-every-secs")?),
+            log_dir: p.get("--log-dir").map(PathBuf::from),
+            trace_dir: p.val("--trace-dir")?,
+        };
+        if opts.sites < 2 || opts.accounts == 0 {
+            return Err("--sites must be at least 2 and --accounts at least 1".into());
         }
-        i += 1;
-    }
-    if opts.sites < 2 || opts.accounts == 0 {
-        usage();
-    }
-    opts
+        Ok(opts)
+    })
 }
 
 // ---------------------------------------------------------------- faults
@@ -528,23 +506,6 @@ fn dump_traces(sup: &mut Supervisor, ctx: &mut AuditCtx<'_>, violations: &[Strin
     );
 }
 
-fn bail_on_budget_exhaustion(sup: &Supervisor) {
-    let failed = sup.failed_sites();
-    if failed.is_empty() {
-        return;
-    }
-    for f in &failed {
-        eprintln!(
-            "camelot-soak: site {} exhausted its restart budget (last exit: {})",
-            f.site.0, f.status
-        );
-        for line in &f.stderr_tail {
-            eprintln!("  | {line}");
-        }
-    }
-    exit(1);
-}
-
 // ---------------------------------------------------------------- main
 
 fn main() {
@@ -661,7 +622,7 @@ fn main() {
 
     while start.elapsed() < opts.duration {
         sup.poll();
-        bail_on_budget_exhaustion(&sup);
+        sup.bail_on_budget_exhaustion("camelot-soak");
         while next_event < script.len() && start.elapsed() >= script[next_event].0 {
             let (_, ev) = &script[next_event];
             apply_event(&mut sup, opts.sites, ev, &mut ctx.fault_log);

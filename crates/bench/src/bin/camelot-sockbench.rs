@@ -35,7 +35,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration as StdDuration;
 
-use camelot_bench::driver::{point_json, run_point, Mix, Point};
+use camelot_bench::driver::{point_json, rates_from_flags, run_point, Mix, Point};
 use camelot_bench::quick;
 use camelot_net::TransportStats;
 use camelot_node::config::fast_engine;
@@ -47,6 +47,7 @@ use camelot_rt::{Cluster, RtConfig};
 use camelot_scope::{
     attribute, merge_skew_aware, parse_jsonl, stamp_json, Collector, ScrapeTarget,
 };
+use camelot_types::flags::{Tool, Usage};
 use camelot_types::SiteId;
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -77,47 +78,37 @@ struct Args {
 }
 
 impl Args {
-    fn defaults(q: bool) -> Args {
-        Args {
-            rates: if q {
-                vec![30.0, 60.0]
-            } else {
-                vec![100.0, 200.0, 400.0, 600.0, 800.0]
-            },
-            mix: Mix {
-                sites: if q { 2 } else { 3 },
-                theta: 0.99,
-                keys: 64,
-                duration_ms: if q { 800 } else { 3000 },
-                read_pct: 40,
-                dist_pct: 20,
-                nb_pct: 10,
-                seed: 7,
-            },
-            out: None,
-        }
-    }
-
-    fn parse() -> Args {
-        let mut args = Args::defaults(quick());
-        let argv: Vec<String> = std::env::args().skip(1).collect();
-        for pair in argv.chunks(2) {
-            let flag = pair[0].as_str();
-            let val = pair
-                .get(1)
-                .unwrap_or_else(|| panic!("{flag} needs a value"))
-                .as_str();
-            match flag {
-                "--sites" => args.mix.sites = val.parse().expect("sites"),
-                "--rates" => {
-                    args.rates = val.split(',').map(|r| r.parse().expect("rate")).collect()
-                }
-                "--out" => args.out = Some(val.to_string()),
-                other => assert!(args.mix.set_flag(other, val), "unknown flag {other}"),
+    /// Parses `argv` against the flag table; `q` picks the QUICK
+    /// sweep's defaults over the full one's.
+    fn parse(q: bool, argv: impl IntoIterator<Item = String>) -> Result<Args, Usage> {
+        let (sites, rates, duration) = match q {
+            true => ("2", "30,60", "800"),
+            false => ("3", "100,200,400,600,800", "3000"),
+        };
+        #[rustfmt::skip]
+        let flags = [
+            ("--sites", "N", sites, "sites per deployment, at least 2"),
+            ("--rates", "RATES", rates, "offered txn/s, comma-separated, one point each"),
+            ("--theta", "THETA", "0.99", "Zipf skew of the key choice"),
+            ("--keys", "N", "64", "keys per site"),
+            ("--duration-ms", "MS", duration, "length of one point"),
+            ("--read-pct", "N", "40", "share of read-only transactions"),
+            ("--dist-pct", "N", "20", "share of distributed updates"),
+            ("--nb-pct", "N", "10", "share of those committed non-blocking"),
+            ("--seed", "N", "7", "seed of the generated workload"),
+            ("--out", "PATH", "", "report file (else BENCH_socket.json at the root)"),
+        ];
+        Tool::new("camelot-sockbench", &flags).parse(argv, |p| {
+            let args = Args {
+                rates: rates_from_flags(p)?,
+                mix: Mix::from_flags(p, p.int("--sites")?)?,
+                out: p.get("--out").map(String::from),
+            };
+            if args.mix.sites < 2 {
+                return Err("need at least 2 sites".into());
             }
-        }
-        assert!(args.mix.sites >= 2, "need at least 2 sites");
-        args
+            Ok(args)
+        })
     }
 
     /// Canonical config rendering, hashed into the stamp. The sweep is
@@ -303,7 +294,7 @@ fn transport_json(t: &TransportStats) -> String {
 }
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse(quick(), std::env::args().skip(1)).unwrap_or_else(|u| u.exit());
     println!("camelot-sockbench: {}", args.mix);
 
     let mut sections = Vec::new();
@@ -448,9 +439,9 @@ mod tests {
     /// the same change.
     #[test]
     fn config_hashes_match_the_committed_baselines() {
-        let quick = Args::defaults(true).config_text();
+        let quick = Args::parse(true, []).unwrap().config_text();
         assert_eq!(config_hash(&quick), "17a3889f948ba7ea", "{quick}");
-        let full = Args::defaults(false).config_text();
+        let full = Args::parse(false, []).unwrap().config_text();
         assert_eq!(config_hash(&full), "8e9d2ce99ad7d9fe", "{full}");
     }
 }

@@ -20,6 +20,7 @@ use camelot_core::{CommitMode, EngineConfig, TwoPhaseVariant};
 use camelot_node::session::{InProcSession, Session};
 use camelot_obs::AtomicHistogram;
 use camelot_rt::{audit_family, budget_for, AuditProtocol, Cluster, ExecMode, Histogram, RtConfig};
+use camelot_types::flags::Parsed;
 use camelot_types::{ObjectId, SiteId};
 
 use crate::{OpenLoop, SplitMix64, Zipf};
@@ -39,20 +40,18 @@ pub struct Mix {
 }
 
 impl Mix {
-    /// Applies one of the workload flags the ladder binaries share;
-    /// `false` when `flag` is not one of them.
-    pub fn set_flag(&mut self, flag: &str, val: &str) -> bool {
-        match flag {
-            "--theta" => self.theta = val.parse().expect("theta"),
-            "--keys" => self.keys = val.parse().expect("keys"),
-            "--duration-ms" => self.duration_ms = val.parse().expect("duration-ms"),
-            "--read-pct" => self.read_pct = val.parse().expect("read-pct"),
-            "--dist-pct" => self.dist_pct = val.parse().expect("dist-pct"),
-            "--nb-pct" => self.nb_pct = val.parse().expect("nb-pct"),
-            "--seed" => self.seed = val.parse().expect("seed"),
-            _ => return false,
-        }
-        true
+    /// Reads the workload flags every ladder binary's table carries.
+    pub fn from_flags(p: &Parsed, sites: u32) -> Result<Mix, String> {
+        Ok(Mix {
+            sites,
+            theta: p.val("--theta")?,
+            keys: p.int("--keys")?,
+            duration_ms: p.int("--duration-ms")?,
+            read_pct: p.int("--read-pct")?,
+            dist_pct: p.int("--dist-pct")?,
+            nb_pct: p.int("--nb-pct")?,
+            seed: p.int("--seed")?,
+        })
     }
 
     /// The knobs above (sites excepted: each binary reports its own)
@@ -98,6 +97,14 @@ impl std::fmt::Display for Mix {
             self.nb_pct
         )
     }
+}
+
+/// The `--rates` ladder: offered transactions per second, comma-separated.
+pub fn rates_from_flags(p: &Parsed) -> Result<Vec<f64>, String> {
+    let list: String = p.val("--rates")?;
+    list.split(',')
+        .map(|r| r.parse().map_err(|_| format!("bad rate {r} in --rates")))
+        .collect()
 }
 
 /// One scheduled transaction: everything is decided by the seeded

@@ -1,8 +1,9 @@
-//! Shared plumbing for the benchmark targets.
+//! Shared plumbing for the benchmark binaries.
 //!
-//! Each `benches/*.rs` target reproduces one table or figure from the
-//! paper via `camelot-harness` and prints the report. `QUICK=1` in the
-//! environment shrinks repetition counts (useful in CI).
+//! `camelot-repro` prints the paper's tables and figures from
+//! `camelot_harness::INDEX`; the open-loop harness binaries share
+//! [`driver`]. `QUICK=1` in the environment shrinks repetition counts
+//! (useful in CI).
 
 pub mod diff;
 pub mod driver;

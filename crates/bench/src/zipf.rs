@@ -7,6 +7,8 @@
 //! and answers each sample with a binary search — deterministic for a
 //! given `(seed, keys, θ)`, with no external crates.
 
+use camelot_types::splitmix64;
+
 /// SplitMix64: tiny, seedable, statistically fine for workload
 /// generation (not cryptography).
 #[derive(Debug, Clone)]
@@ -21,10 +23,7 @@ impl SplitMix64 {
 
     pub fn next_u64(&mut self) -> u64 {
         self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
+        splitmix64(self.state)
     }
 
     /// Uniform in `[0, 1)`.
@@ -78,12 +77,6 @@ impl Zipf {
             Ok(i) => (i + 1).min(self.cdf.len() - 1),
             Err(i) => i.min(self.cdf.len() - 1),
         }
-    }
-
-    /// Probability mass of the hottest key — handy for sanity checks
-    /// and for reporting the theoretical hot-spot rate.
-    pub fn hottest_mass(&self) -> f64 {
-        self.cdf[0]
     }
 }
 

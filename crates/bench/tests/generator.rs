@@ -30,7 +30,7 @@ fn zipf_hot_key_frequency_matches_theory() {
     // The hottest key's empirical frequency should sit within 5%
     // (relative) of its theoretical mass at this sample size.
     let empirical = counts[0] as f64 / n as f64;
-    let theory = z.hottest_mass();
+    let theory = 1.0 / (1..=256).map(|r| (r as f64).powf(-0.99)).sum::<f64>();
     assert!(
         (empirical - theory).abs() / theory < 0.05,
         "hot key frequency {empirical:.4} vs theoretical {theory:.4}"

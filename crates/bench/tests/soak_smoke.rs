@@ -19,7 +19,9 @@ fn quick_soak_exits_clean() {
         .args(["--duration-secs", "8"])
         .args(["--audit-every-secs", "4"])
         .args(["--fault-every-ms", "1200"])
-        .args(["--seed", "1"])
+        // Hex, as the nightly job writes its seed: a tool that takes
+        // integers in one spelling only prints its usage here.
+        .args(["--seed", "0x50AC"])
         .arg("--log-dir")
         .arg(tmp.join("wal"))
         .arg("--trace-dir")

@@ -33,6 +33,8 @@
 //! so a failure prints a seed and a (shrunk) trace that replays the
 //! exact schedule: `cargo run -p camelot-chaos -- --replay <trace>`.
 
+use camelot_types::splitmix64;
+
 pub mod choice;
 pub mod rt;
 pub mod runner;
@@ -40,32 +42,51 @@ pub mod scenario;
 pub mod shrink;
 
 pub use choice::Chooser;
-pub use rt::{
-    rt_campaign, rt_run_one, rt_run_seed, rt_run_trace, RtCampaignReport, RtFailure, RtRunResult,
-};
-pub use runner::{run_one, RunResult};
+pub use rt::RtRunResult;
+pub use runner::RunResult;
+
+/// What a campaign needs of one schedule's result; the campaign loop,
+/// the shrinker and the CLI are written once over it. [`RunResult`]
+/// (the deterministic sim) and [`RtRunResult`] (real threads) are the
+/// two runners.
+pub trait Schedule: Sized {
+    /// Runs one schedule, every decision drawn from `ch`. With `canary`
+    /// the engines run the deliberately broken
+    /// `unsafe_no_commit_force` config.
+    fn run_one(ch: &mut Chooser, canary: bool) -> Self;
+    /// The complete decision trace.
+    fn trace(&self) -> &[u32];
+    /// Invariant violations, empty on a clean run.
+    fn violations(&self) -> &[String];
+    /// One line saying what the decisions decoded to.
+    fn describe(&self) -> String;
+    /// The culprit families' timeline (JSONL), if the runner keeps one.
+    fn culprit_trace(&self) -> Option<&str> {
+        None
+    }
+}
 
 /// One failing schedule, minimized.
 #[derive(Debug)]
-pub struct Failure {
+pub struct Failure<R> {
     /// Index of the schedule within the campaign.
     pub index: u64,
     /// Per-schedule seed (for `--seed <s> --schedules 1` replay).
     pub seed: u64,
     /// The full run result of the original failure.
-    pub result: RunResult,
+    pub result: R,
     /// Greedily shrunk trace that still reproduces a violation.
     pub shrunk: Vec<u32>,
 }
 
 /// Summary of a campaign.
 #[derive(Debug)]
-pub struct CampaignReport {
+pub struct CampaignReport<R> {
     pub schedules: u64,
-    pub failures: Vec<Failure>,
+    pub failures: Vec<Failure<R>>,
 }
 
-impl CampaignReport {
+impl<R> CampaignReport<R> {
     pub fn clean(&self) -> bool {
         self.failures.is_empty()
     }
@@ -74,82 +95,73 @@ impl CampaignReport {
 /// SplitMix64 — derives independent per-schedule seeds from the
 /// campaign seed.
 pub fn schedule_seed(base: u64, index: u64) -> u64 {
-    let mut z = base.wrapping_add(0x9E3779B97F4A7C15u64.wrapping_mul(index.wrapping_add(1)));
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
-    z ^ (z >> 31)
+    splitmix64(base.wrapping_add(0x9E3779B97F4A7C15u64.wrapping_mul(index.wrapping_add(1))))
 }
 
 /// Runs the trace-replay of one schedule.
-pub fn run_trace(trace: &[u32], canary: bool) -> RunResult {
-    let mut ch = Chooser::replay(trace);
-    run_one(&mut ch, canary)
+pub fn run_trace<R: Schedule>(trace: &[u32], canary: bool) -> R {
+    R::run_one(&mut Chooser::replay(trace), canary)
 }
 
 /// Runs one randomized schedule from a seed.
-pub fn run_seed(seed: u64, canary: bool) -> RunResult {
-    let mut ch = Chooser::random(seed);
-    run_one(&mut ch, canary)
+pub fn run_seed<R: Schedule>(seed: u64, canary: bool) -> R {
+    R::run_one(&mut Chooser::random(seed), canary)
 }
 
-/// Runs `schedules` randomized schedules derived from `base_seed`;
-/// failures are shrunk before being reported.
-pub fn campaign(base_seed: u64, schedules: u64, canary: bool) -> CampaignReport {
+/// Runs schedules `0..schedules`; `run` gives each index its seed, its
+/// result and whether an enumerated index overflowed the decision
+/// space (such a schedule repeats a smaller index and is only
+/// counted). Failures are shrunk — greedily, re-running each candidate
+/// trace — before being reported.
+fn explore<R: Schedule>(
+    schedules: u64,
+    canary: bool,
+    run: impl Fn(u64) -> (u64, R, bool),
+) -> (CampaignReport<R>, u64) {
     let mut failures = Vec::new();
-    for i in 0..schedules {
-        let seed = schedule_seed(base_seed, i);
-        let result = run_seed(seed, canary);
-        if !result.violations.is_empty() {
-            let shrunk = shrink::shrink(&result.trace, |t| {
-                !run_trace(t, canary).violations.is_empty()
+    let mut overflowed = 0;
+    for index in 0..schedules {
+        let (seed, result, overflow) = run(index);
+        if overflow {
+            overflowed += 1;
+        } else if !result.violations().is_empty() {
+            let shrunk = shrink::shrink(result.trace(), |t| {
+                !run_trace::<R>(t, canary).violations().is_empty()
             });
             failures.push(Failure {
-                index: i,
+                index,
                 seed,
                 result,
                 shrunk,
             });
         }
     }
-    CampaignReport {
+    let report = CampaignReport {
         schedules,
         failures,
-    }
+    };
+    (report, overflowed)
+}
+
+/// Runs `schedules` randomized schedules derived from `base_seed`.
+pub fn campaign<R: Schedule>(base_seed: u64, schedules: u64, canary: bool) -> CampaignReport<R> {
+    let run = |i| {
+        let seed = schedule_seed(base_seed, i);
+        (seed, run_seed(seed, canary), false)
+    };
+    explore(schedules, canary, run).0
 }
 
 /// Runs schedules `0..limit` of the bounded-exhaustive enumeration
 /// (mixed-radix indices). Returns the report plus the number of
 /// indices that overflowed the decision space (an all-overflow tail
 /// means the space below `limit` is exhausted).
-pub fn exhaustive(limit: u64, canary: bool) -> (CampaignReport, u64) {
-    let mut failures = Vec::new();
-    let mut overflowed = 0;
-    for i in 0..limit {
+pub fn exhaustive<R: Schedule>(limit: u64, canary: bool) -> (CampaignReport<R>, u64) {
+    explore(limit, canary, |i| {
         let mut ch = Chooser::enumerated(i);
-        let result = run_one(&mut ch, canary);
-        if ch.enumeration_overflowed() {
-            overflowed += 1;
-            continue;
-        }
-        if !result.violations.is_empty() {
-            let shrunk = shrink::shrink(&result.trace, |t| {
-                !run_trace(t, canary).violations.is_empty()
-            });
-            failures.push(Failure {
-                index: i,
-                seed: i,
-                result,
-                shrunk,
-            });
-        }
-    }
-    (
-        CampaignReport {
-            schedules: limit,
-            failures,
-        },
-        overflowed,
-    )
+        let result = R::run_one(&mut ch, canary);
+        (i, result, ch.enumeration_overflowed())
+    })
 }
 
 /// Formats a trace the way the CLI prints and parses it.

@@ -26,206 +26,98 @@
 use std::process::ExitCode;
 
 use camelot_chaos::{
-    campaign, exhaustive, format_trace, parse_trace, rt_campaign, rt_run_trace, run_trace, Failure,
-    RtFailure,
+    campaign, exhaustive, format_trace, parse_trace, run_trace, Failure, RtRunResult, RunResult,
+    Schedule,
 };
+use camelot_types::flags::{Parsed, Row, Tool, SWITCH};
 
-struct Opts {
-    seed: u64,
-    schedules: u64,
-    canary: bool,
-    rt: bool,
-    trace: bool,
-    exhaustive: Option<u64>,
-    replay: Option<Vec<u32>>,
-}
-
-fn usage() -> ! {
-    eprintln!(
-        "usage: camelot-chaos [--seed N] [--schedules K] [--canary] [--rt] [--trace] \
-         [--exhaustive LIMIT] [--replay T0,T1,...]"
-    );
-    std::process::exit(2);
-}
-
-fn parse_args() -> Opts {
-    let mut opts = Opts {
-        seed: 0xCA3E107,
-        schedules: 1000,
-        canary: false,
-        rt: false,
-        trace: false,
-        exhaustive: None,
-        replay: None,
-    };
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        let num = |args: &mut dyn Iterator<Item = String>| -> u64 {
-            args.next()
-                .and_then(|v| {
-                    v.strip_prefix("0x")
-                        .map(|h| u64::from_str_radix(h, 16).ok())
-                        .unwrap_or_else(|| v.parse().ok())
-                })
-                .unwrap_or_else(|| usage())
-        };
-        match a.as_str() {
-            "--seed" => opts.seed = num(&mut args),
-            "--schedules" => opts.schedules = num(&mut args),
-            "--canary" => opts.canary = true,
-            "--rt" => opts.rt = true,
-            "--trace" => opts.trace = true,
-            "--exhaustive" => opts.exhaustive = Some(num(&mut args)),
-            "--replay" => {
-                let t = args.next().unwrap_or_else(|| usage());
-                opts.replay = Some(parse_trace(&t).unwrap_or_else(|e| {
-                    eprintln!("{e}");
-                    usage()
-                }));
-            }
-            "--help" | "-h" => usage(),
-            other => {
-                eprintln!("unknown argument {other:?}");
-                usage();
-            }
-        }
-    }
-    opts
-}
-
-fn report_failure(f: &Failure) {
-    println!(
-        "schedule {} (seed {:#x}): {} violation(s)",
-        f.index,
-        f.seed,
-        f.result.violations.len()
-    );
-    println!("  scenario: {:?}", f.result.scenario);
-    for v in &f.result.violations {
-        println!("  violation: {v}");
-    }
-    println!(
-        "  shrunk trace ({} of {} decisions): {}",
-        f.shrunk.len(),
-        f.result.trace.len(),
-        format_trace(&f.shrunk)
-    );
-    println!(
-        "  replay: cargo run -p camelot-chaos -- --replay {}",
-        format_trace(&f.shrunk)
-    );
-}
-
-fn report_rt_failure(f: &RtFailure, trace: bool) {
-    println!(
-        "rt schedule {} (seed {:#x}): {} violation(s)",
-        f.index,
-        f.seed,
-        f.result.violations.len()
-    );
-    println!("  plan: {}", f.result.plan);
-    for v in &f.result.violations {
-        println!("  violation: {v}");
-    }
-    println!(
-        "  shrunk trace ({} of {} decisions): {}",
-        f.shrunk.len(),
-        f.result.trace.len(),
-        format_trace(&f.shrunk)
-    );
-    println!(
-        "  replay: cargo run -p camelot-chaos -- --rt --replay {}",
-        format_trace(&f.shrunk)
-    );
-    if trace {
-        write_culprit_trace(&format!("rt_trace_{}.jsonl", f.index), &f.result);
-    }
-}
+#[rustfmt::skip]
+const FLAGS: &[Row] = &[
+    ("--seed", "N", "0xCA3E107", "campaign seed; each schedule's seed derives from it"),
+    ("--schedules", "N", "1000", "randomized schedules to run"),
+    ("--canary", SWITCH, "", "run the engine that does not force its commit record"),
+    ("--rt", SWITCH, "", "aim the fault plans at the real-thread runtime"),
+    ("--trace", SWITCH, "", "write each failure's culprit timeline to rt_trace_<index>.jsonl"),
+    ("--exhaustive", "N", "", "enumerate schedules 0..N instead of drawing them (sim only)"),
+    ("--replay", "TRACE", "", "replay one printed decision trace, e.g. 0,3,1,7,2"),
+];
+const TOOL: Tool = Tool::new("camelot-chaos", FLAGS);
 
 /// Writes a failing schedule's culprit timeline to `path` (JSONL, one
-/// event per line).
-fn write_culprit_trace(path: &str, result: &camelot_chaos::RtRunResult) {
-    match &result.culprit_trace {
-        Some(jsonl) => match std::fs::write(path, jsonl) {
-            Ok(()) => println!(
-                "  culprit timeline: {path} ({} event(s))",
-                jsonl.lines().count()
-            ),
-            Err(e) => eprintln!("  culprit timeline: failed to write {path}: {e}"),
-        },
-        None => println!("  culprit timeline: none captured"),
+/// event per line), if the runner kept one.
+fn write_culprit_trace(path: &str, result: &impl Schedule) {
+    let Some(jsonl) = result.culprit_trace() else {
+        return;
+    };
+    match std::fs::write(path, jsonl) {
+        Ok(()) => println!(
+            "  culprit timeline: {path} ({} event(s))",
+            jsonl.lines().count()
+        ),
+        Err(e) => eprintln!("  culprit timeline: failed to write {path}: {e}"),
     }
 }
 
-fn rt_main(opts: &Opts) -> ExitCode {
-    if let Some(trace) = &opts.replay {
-        let result = rt_run_trace(trace, opts.canary);
-        println!("plan: {}", result.plan);
-        if result.violations.is_empty() {
+/// What a campaign prints for one failure: `kind` is `"rt "` for the
+/// real-thread runner and empty for the sim, `rt_flag` likewise the
+/// flag its replay needs.
+fn failure_report<R: Schedule>(kind: &str, rt_flag: &str, f: &Failure<R>) -> String {
+    let mut lines = vec![format!(
+        "{kind}schedule {} (seed {:#x}): {} violation(s)",
+        f.index,
+        f.seed,
+        f.result.violations().len()
+    )];
+    lines.push(format!("  {}", f.result.describe()));
+    for v in f.result.violations() {
+        lines.push(format!("  violation: {v}"));
+    }
+    lines.push(format!(
+        "  shrunk trace ({} of {} decisions): {}",
+        f.shrunk.len(),
+        f.result.trace().len(),
+        format_trace(&f.shrunk)
+    ));
+    lines.push(format!(
+        "  replay: cargo run -p camelot-chaos -- {rt_flag}--replay {}",
+        format_trace(&f.shrunk)
+    ));
+    lines.join("\n")
+}
+
+/// The whole CLI over one runner: a replay, or a campaign (drawn or
+/// enumerated) with its failure reports and summary. The only `Err` is
+/// a bad flag value, before any schedule runs.
+fn drive<R: Schedule>(p: &Parsed) -> Result<ExitCode, String> {
+    let (seed, schedules): (u64, u64) = (p.int("--seed")?, p.int("--schedules")?);
+    let (canary, trace) = (p.on("--canary"), p.on("--trace"));
+    let (kind, rt_flag) = if p.on("--rt") {
+        ("rt ", "--rt ")
+    } else {
+        ("", "")
+    };
+    let limit: Option<u64> = p.int_opt("--exhaustive")?;
+    if limit.is_some() && p.on("--rt") {
+        return Err("--exhaustive is sim-only (real threads are not enumerable)".into());
+    }
+    if let Some(replay) = p.get("--replay").map(parse_trace).transpose()? {
+        let result: R = run_trace(&replay, canary);
+        println!("{}", result.describe());
+        if result.violations().is_empty() {
             println!("clean: no invariant violations");
-            return ExitCode::SUCCESS;
+            return Ok(ExitCode::SUCCESS);
         }
-        for v in &result.violations {
+        for v in result.violations() {
             println!("violation: {v}");
         }
-        if opts.trace {
+        if trace {
             write_culprit_trace("rt_trace_replay.jsonl", &result);
         }
-        return ExitCode::FAILURE;
-    }
-    if opts.exhaustive.is_some() {
-        eprintln!("--exhaustive is sim-only (real threads are not enumerable)");
-        return ExitCode::from(2);
-    }
-    println!(
-        "rt campaign: {} schedules from seed {:#x}{}",
-        opts.schedules,
-        opts.seed,
-        if opts.canary { " (CANARY config)" } else { "" }
-    );
-    let report = rt_campaign(opts.seed, opts.schedules, opts.canary);
-    for f in &report.failures {
-        report_rt_failure(f, opts.trace);
-    }
-    if report.clean() {
-        println!(
-            "clean: {} rt schedules, zero invariant violations",
-            report.schedules
-        );
-        ExitCode::SUCCESS
-    } else {
-        println!(
-            "{} of {} rt schedules violated invariants",
-            report.failures.len(),
-            report.schedules
-        );
-        ExitCode::FAILURE
-    }
-}
-
-fn main() -> ExitCode {
-    let opts = parse_args();
-
-    if opts.rt {
-        return rt_main(&opts);
+        return Ok(ExitCode::FAILURE);
     }
 
-    if let Some(trace) = &opts.replay {
-        let result = run_trace(trace, opts.canary);
-        println!("scenario: {:?}", result.scenario);
-        println!("steps: {}", result.steps);
-        if result.violations.is_empty() {
-            println!("clean: no invariant violations");
-            return ExitCode::SUCCESS;
-        }
-        for v in &result.violations {
-            println!("violation: {v}");
-        }
-        return ExitCode::FAILURE;
-    }
-
-    let report = if let Some(limit) = opts.exhaustive {
-        let (report, overflowed) = exhaustive(limit, opts.canary);
+    let report = if let Some(limit) = limit {
+        let (report, overflowed) = exhaustive::<R>(limit, canary);
         println!(
             "exhaustive: {} indices, {} beyond the decision space",
             limit, overflowed
@@ -233,29 +125,101 @@ fn main() -> ExitCode {
         report
     } else {
         println!(
-            "campaign: {} schedules from seed {:#x}{}",
-            opts.schedules,
-            opts.seed,
-            if opts.canary { " (CANARY config)" } else { "" }
+            "{kind}campaign: {schedules} schedules from seed {seed:#x}{}",
+            if canary { " (CANARY config)" } else { "" }
         );
-        campaign(opts.seed, opts.schedules, opts.canary)
+        campaign(seed, schedules, canary)
     };
 
     for f in &report.failures {
-        report_failure(f);
+        println!("{}", failure_report(kind, rt_flag, f));
+        if trace {
+            write_culprit_trace(&format!("rt_trace_{}.jsonl", f.index), &f.result);
+        }
     }
-    if report.clean() {
+    Ok(if report.clean() {
         println!(
-            "clean: {} schedules, zero invariant violations",
+            "clean: {} {kind}schedules, zero invariant violations",
             report.schedules
         );
         ExitCode::SUCCESS
     } else {
         println!(
-            "{} of {} schedules violated invariants",
+            "{} of {} {kind}schedules violated invariants",
             report.failures.len(),
             report.schedules
         );
         ExitCode::FAILURE
+    })
+}
+
+fn main() -> ExitCode {
+    TOOL.from_env(|p| match p.on("--rt") {
+        true => drive::<RtRunResult>(p),
+        false => drive::<RunResult>(p),
+    })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use camelot_chaos::{schedule_seed, Chooser};
+
+    /// A runner that draws six decisions and fails iff the third is 5.
+    struct Stub(Vec<u32>, Vec<String>);
+
+    impl Schedule for Stub {
+        fn run_one(ch: &mut Chooser, _canary: bool) -> Stub {
+            let drawn: Vec<usize> = (0..6).map(|_| ch.choose(8)).collect();
+            let bad = (drawn[2] == 5).then(|| "third decision is 5".to_string());
+            Stub(ch.trace.clone(), bad.into_iter().collect())
+        }
+        fn trace(&self) -> &[u32] {
+            &self.0
+        }
+        fn violations(&self) -> &[String] {
+            &self.1
+        }
+        fn describe(&self) -> String {
+            "stub: six draws".to_string()
+        }
+    }
+
+    #[test]
+    fn the_one_campaign_finds_shrinks_and_reports_a_stub_failure() {
+        const BASE: u64 = 77;
+        let fails = |i: u64| {
+            let mut ch = Chooser::random(schedule_seed(BASE, i));
+            !Stub::run_one(&mut ch, false).1.is_empty()
+        };
+        let want: Vec<u64> = (0..64).filter(|&i| fails(i)).collect();
+        assert!(!want.is_empty() && want.len() < 64, "{want:?}");
+
+        let report = campaign::<Stub>(BASE, 64, false);
+        assert_eq!(report.schedules, 64);
+        let found: Vec<u64> = report.failures.iter().map(|f| f.index).collect();
+        assert_eq!(found, want);
+        let f = &report.failures[0];
+        assert_eq!(f.seed, schedule_seed(BASE, f.index));
+        assert_eq!(f.result.trace().len(), 6);
+        assert_eq!(f.shrunk, [0, 0, 5]);
+        assert_eq!(
+            failure_report("rt ", "--rt ", f),
+            format!(
+                "rt schedule {} (seed {:#x}): 1 violation(s)\n  stub: six draws\n  \
+                 violation: third decision is 5\n  shrunk trace (3 of 6 decisions): 0,0,5\n  \
+                 replay: cargo run -p camelot-chaos -- --rt --replay 0,0,5",
+                f.index, f.seed
+            )
+        );
+        let replayed: Stub = run_trace(&f.shrunk, false);
+        assert_eq!(replayed.violations(), f.result.violations());
+
+        // Enumerated: index = d0 + 8·d1 + 64·d2 + …, so 320..384 are the
+        // 64 schedules whose third digit is 5.
+        let (report, overflowed) = exhaustive::<Stub>(400, false);
+        let found: Vec<u64> = report.failures.iter().map(|f| f.index).collect();
+        assert_eq!(found, (320..384).collect::<Vec<_>>());
+        assert_eq!(overflowed, 0);
     }
 }

@@ -42,7 +42,7 @@ use camelot_scope::{merge_skew_aware, ScopeEvent};
 use camelot_types::{CamelotError, FamilyId, ObjectId, ServerId, SiteId, Tid};
 
 use crate::choice::Chooser;
-use crate::shrink;
+use crate::Schedule;
 
 const SRV: ServerId = ServerId(1);
 
@@ -63,25 +63,21 @@ pub struct RtRunResult {
     pub culprit_trace: Option<String>,
 }
 
-/// One failing real-thread schedule, minimized.
-#[derive(Debug)]
-pub struct RtFailure {
-    pub index: u64,
-    pub seed: u64,
-    pub result: RtRunResult,
-    pub shrunk: Vec<u32>,
-}
-
-/// Summary of a real-thread campaign.
-#[derive(Debug)]
-pub struct RtCampaignReport {
-    pub schedules: u64,
-    pub failures: Vec<RtFailure>,
-}
-
-impl RtCampaignReport {
-    pub fn clean(&self) -> bool {
-        self.failures.is_empty()
+impl Schedule for RtRunResult {
+    fn run_one(ch: &mut Chooser, canary: bool) -> RtRunResult {
+        rt_run_one(ch, canary)
+    }
+    fn trace(&self) -> &[u32] {
+        &self.trace
+    }
+    fn violations(&self) -> &[String] {
+        &self.violations
+    }
+    fn describe(&self) -> String {
+        format!("plan: {}", self.plan)
+    }
+    fn culprit_trace(&self) -> Option<&str> {
+        self.culprit_trace.as_deref()
     }
 }
 
@@ -160,7 +156,7 @@ enum RecoveryFault {
 }
 
 /// Runs one fault plan drawn from `ch` against a real-thread cluster.
-pub fn rt_run_one(ch: &mut Chooser, canary: bool) -> RtRunResult {
+fn rt_run_one(ch: &mut Chooser, canary: bool) -> RtRunResult {
     // ---- Draw the plan ----
     let sites = 2 + ch.choose(2) as u32; // 2..=3
     let n_txns = 2 + ch.choose(3); // 2..=4
@@ -573,43 +569,5 @@ pub fn rt_run_one(ch: &mut Chooser, canary: bool) -> RtRunResult {
         violations,
         plan,
         culprit_trace,
-    }
-}
-
-/// Runs one randomized real-thread schedule from a seed.
-pub fn rt_run_seed(seed: u64, canary: bool) -> RtRunResult {
-    let mut ch = Chooser::random(seed);
-    rt_run_one(&mut ch, canary)
-}
-
-/// Replays a recorded (possibly shrunk) real-thread fault plan.
-pub fn rt_run_trace(trace: &[u32], canary: bool) -> RtRunResult {
-    let mut ch = Chooser::replay(trace);
-    rt_run_one(&mut ch, canary)
-}
-
-/// Runs `schedules` real-thread schedules derived from `base_seed`;
-/// failures are shrunk (greedy, re-running the plan per candidate)
-/// before being reported.
-pub fn rt_campaign(base_seed: u64, schedules: u64, canary: bool) -> RtCampaignReport {
-    let mut failures = Vec::new();
-    for i in 0..schedules {
-        let seed = crate::schedule_seed(base_seed, i);
-        let result = rt_run_seed(seed, canary);
-        if !result.violations.is_empty() {
-            let shrunk = shrink::shrink(&result.trace, |t| {
-                !rt_run_trace(t, canary).violations.is_empty()
-            });
-            failures.push(RtFailure {
-                index: i,
-                seed,
-                result,
-                shrunk,
-            });
-        }
-    }
-    RtCampaignReport {
-        schedules,
-        failures,
     }
 }

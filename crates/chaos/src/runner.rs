@@ -29,6 +29,7 @@ use camelot_wal::{LogRecord, StableStore};
 
 use crate::choice::Chooser;
 use crate::scenario::{self, OpKind, Scenario, TxnSpec, SRV};
+use crate::Schedule;
 
 /// Upper bound on explorer steps before the run is force-healed.
 const STEP_BUDGET: usize = 300;
@@ -71,10 +72,22 @@ enum Mv {
     Isolate(SiteId),
 }
 
-/// Runs one schedule drawn from `ch`. With `canary` the engines run
-/// with the deliberately broken `unsafe_no_commit_force` config — the
-/// checker is expected to report violations for some schedules.
-pub fn run_one(ch: &mut Chooser, canary: bool) -> RunResult {
+impl Schedule for RunResult {
+    fn run_one(ch: &mut Chooser, canary: bool) -> RunResult {
+        run_one(ch, canary)
+    }
+    fn trace(&self) -> &[u32] {
+        &self.trace
+    }
+    fn violations(&self) -> &[String] {
+        &self.violations
+    }
+    fn describe(&self) -> String {
+        format!("scenario: {:?}; {} steps", self.scenario, self.steps)
+    }
+}
+
+fn run_one(ch: &mut Chooser, canary: bool) -> RunResult {
     let sc = scenario::generate(ch);
     let mut config = EngineConfig::for_variant(sc.variant);
     config.unsafe_no_commit_force = canary;

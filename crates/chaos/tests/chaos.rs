@@ -8,7 +8,7 @@
 //! shrinking, and the canary proving the checker actually fires when
 //! atomicity is broken.
 
-use camelot_chaos::{campaign, exhaustive, run_seed, run_trace, schedule_seed, shrink};
+use camelot_chaos::{campaign, exhaustive, run_seed, run_trace, schedule_seed, shrink, RunResult};
 
 /// A schedule seed (found by `--canary --schedules 5000`) whose
 /// schedule crashes a two-phase coordinator inside the canary's
@@ -19,7 +19,7 @@ const CANARY_SEED: u64 = 0xc6fcbeac7f94222;
 
 #[test]
 fn ci_campaign_is_clean() {
-    let report = campaign(0xCA3E107, 500, false);
+    let report = campaign::<RunResult>(0xCA3E107, 500, false);
     for f in &report.failures {
         eprintln!("failure: {:?}", f.result.violations);
     }
@@ -28,7 +28,7 @@ fn ci_campaign_is_clean() {
 
 #[test]
 fn ci_exhaustive_slice_is_clean() {
-    let (report, _overflowed) = exhaustive(1500, false);
+    let (report, _overflowed) = exhaustive::<RunResult>(1500, false);
     for f in &report.failures {
         eprintln!("failure: {:?}", f.result.violations);
     }
@@ -39,13 +39,13 @@ fn ci_exhaustive_slice_is_clean() {
 fn seed_replay_is_byte_identical() {
     for i in 0..50 {
         let seed = schedule_seed(0xD0_0D, i);
-        let a = run_seed(seed, false);
-        let b = run_seed(seed, false);
+        let a = run_seed::<RunResult>(seed, false);
+        let b = run_seed::<RunResult>(seed, false);
         assert_eq!(a.trace, b.trace, "seed {seed:#x} diverged between runs");
         assert_eq!(a.violations, b.violations);
         // A recorded trace replays to itself: the printed trace IS
         // the schedule.
-        let c = run_trace(&a.trace, false);
+        let c = run_trace::<RunResult>(&a.trace, false);
         assert_eq!(c.trace, a.trace, "trace replay diverged for {seed:#x}");
         assert_eq!(c.violations, a.violations);
     }
@@ -56,13 +56,13 @@ fn canary_trips_the_atomicity_checker() {
     // The same schedule must be clean with the real protocol and
     // broken with the forceless-commit canary — i.e. the checker
     // keys on the injected bug, not on the schedule.
-    let honest = run_seed(CANARY_SEED, false);
+    let honest = run_seed::<RunResult>(CANARY_SEED, false);
     assert!(
         honest.violations.is_empty(),
         "schedule is supposed to be clean without the canary: {:?}",
         honest.violations
     );
-    let broken = run_seed(CANARY_SEED, true);
+    let broken = run_seed::<RunResult>(CANARY_SEED, true);
     assert!(
         !broken.violations.is_empty(),
         "canary schedule no longer trips the checker; regenerate CANARY_SEED"
@@ -80,7 +80,7 @@ fn canary_trips_the_atomicity_checker() {
 fn canary_campaign_finds_the_bug() {
     // Campaign-level: the stock seed finds the canary within the
     // first 600 schedules (first hit is index 582).
-    let report = campaign(0xCA3E107, 600, true);
+    let report = campaign::<RunResult>(0xCA3E107, 600, true);
     assert!(
         !report.clean(),
         "canary campaign of 600 schedules found nothing"
@@ -89,13 +89,13 @@ fn canary_campaign_finds_the_bug() {
 
 #[test]
 fn shrunk_canary_trace_still_fails() {
-    let original = run_seed(CANARY_SEED, true);
+    let original = run_seed::<RunResult>(CANARY_SEED, true);
     assert!(!original.violations.is_empty());
     let shrunk = shrink::shrink(&original.trace, |t| {
-        !run_trace(t, true).violations.is_empty()
+        !run_trace::<RunResult>(t, true).violations.is_empty()
     });
     assert!(shrunk.len() <= original.trace.len());
-    let replayed = run_trace(&shrunk, true);
+    let replayed = run_trace::<RunResult>(&shrunk, true);
     assert!(
         !replayed.violations.is_empty(),
         "shrinking lost the failure"

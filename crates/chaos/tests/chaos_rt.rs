@@ -8,7 +8,7 @@
 //! minutes-long canary-shrink exercise nightly runs with
 //! `cargo test -- --ignored`.
 
-use camelot_chaos::{rt_campaign, rt_run_trace};
+use camelot_chaos::{campaign, run_trace, RtRunResult};
 
 /// Hand-written decision trace: 2 sites, 2 transactions (both
 /// S1-coordinated, S2 subordinate, two-phase), clean links, and the
@@ -26,7 +26,7 @@ const KILL_AFTER_COMMIT: &[u32] = &[0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 4, 0, 0, 0]
 /// "Committed", so recovery replays it and every invariant holds.
 #[test]
 fn kill_after_commit_is_harmless_with_forced_commits() {
-    let result = rt_run_trace(KILL_AFTER_COMMIT, false);
+    let result = run_trace::<RtRunResult>(KILL_AFTER_COMMIT, false);
     assert!(
         result.violations.is_empty(),
         "honest run violated: {:?} (plan: {})",
@@ -52,7 +52,7 @@ fn checkpoint_truncation_and_restart_crashes_keep_the_invariants() {
         let mut trace = KILL_AFTER_COMMIT.to_vec();
         trace[11] = crash;
         trace.push(recovery);
-        let result = rt_run_trace(&trace, false);
+        let result = run_trace::<RtRunResult>(&trace, false);
         assert!(
             result.violations.is_empty(),
             "recovery fault {recovery} violated: {:?} (plan: {})",
@@ -69,7 +69,7 @@ fn checkpoint_truncation_and_restart_crashes_keep_the_invariants() {
 /// disagrees with both the replica and the application.
 #[test]
 fn kill_after_commit_catches_the_forceless_canary() {
-    let result = rt_run_trace(KILL_AFTER_COMMIT, true);
+    let result = run_trace::<RtRunResult>(KILL_AFTER_COMMIT, true);
     assert!(
         !result.violations.is_empty(),
         "canary survived the kill-after-commit schedule (plan: {})",
@@ -113,7 +113,7 @@ const SCRIPTED_DROP: &[u32] = &[0, 0, 0, 0, 0, 0, 0, 0, 3, 1, 0, 0, 0, 0, 0];
 
 #[test]
 fn scripted_single_drop_is_absorbed_by_the_honest_protocol() {
-    let result = rt_run_trace(SCRIPTED_DROP, false);
+    let result = run_trace::<RtRunResult>(SCRIPTED_DROP, false);
     assert!(
         result.plan.contains("scripted drop of datagram #1"),
         "trace decoded to the wrong plan: {}",
@@ -130,7 +130,7 @@ fn scripted_single_drop_is_absorbed_by_the_honest_protocol() {
 /// A small randomized campaign over the honest protocol is clean.
 #[test]
 fn small_rt_campaign_is_clean() {
-    let report = rt_campaign(0xF1E1D, 2, false);
+    let report = campaign::<RtRunResult>(0xF1E1D, 2, false);
     assert!(
         report.clean(),
         "violations: {:?}",
@@ -149,7 +149,7 @@ fn small_rt_campaign_is_clean() {
 #[test]
 #[ignore = "minutes of real-thread schedules; nightly CI runs with --ignored"]
 fn rt_canary_campaign_catches_and_shrinks() {
-    let report = rt_campaign(11, 12, true);
+    let report = campaign::<RtRunResult>(11, 12, true);
     assert!(
         !report.clean(),
         "12 canary schedules found nothing — the checker is blind"
@@ -159,7 +159,7 @@ fn rt_canary_campaign_catches_and_shrinks() {
         f.shrunk.len() <= f.result.trace.len(),
         "shrinking grew the trace"
     );
-    let replay = rt_run_trace(&f.shrunk, true);
+    let replay = run_trace::<RtRunResult>(&f.shrunk, true);
     assert!(
         !replay.violations.is_empty(),
         "shrunk trace {:?} no longer reproduces (original seed {:#x})",

@@ -161,40 +161,40 @@ pub fn run_group_commit(quick: bool) -> Report {
     Report::new("Ablation A2: group-commit window sweep", text)
 }
 
-/// Extra sanity experiment for A1 used by tests: the optimized
-/// variant's end-to-end latency does not exceed the unoptimized one
-/// ("throughput is improved at no cost to latency"). Measured on a
-/// deterministic (jitter-free) network so the comparison is exact.
-pub fn latency_cost_of_optimization(quick: bool) -> (f64, f64) {
-    let reps = if quick { 10 } else { 60 };
-    let mut out = [0.0f64; 2];
-    for (i, variant) in [TwoPhaseVariant::Optimized, TwoPhaseVariant::Unoptimized]
-        .iter()
-        .enumerate()
-    {
-        let engine = EngineConfig::for_variant(*variant);
-        let mut cfg = WorldConfig::latency(2, engine, 5);
-        cfg.net = camelot_node::NetConfig::deterministic();
-        let spec = AppSpec::minimal(SiteId(1), &[SiteId(2)], true, CommitMode::TwoPhase, reps);
-        let mut world = World::new(cfg);
-        let app = world.add_app(spec);
-        let mut sched = Scheduler::new(5);
-        world.start(&mut sched);
-        assert!(world.run(&mut sched, Time(3_600_000_000)));
-        let mean: f64 = world
-            .records(app)
-            .iter()
-            .map(|r| r.latency().as_millis_f64())
-            .sum::<f64>()
-            / reps as f64;
-        out[i] = mean;
-    }
-    (out[0], out[1])
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Extra sanity experiment for A1: the optimized
+    /// variant's end-to-end latency does not exceed the unoptimized one
+    /// ("throughput is improved at no cost to latency"). Measured on a
+    /// deterministic (jitter-free) network so the comparison is exact.
+    fn latency_cost_of_optimization(quick: bool) -> (f64, f64) {
+        let reps = if quick { 10 } else { 60 };
+        let mut out = [0.0f64; 2];
+        for (i, variant) in [TwoPhaseVariant::Optimized, TwoPhaseVariant::Unoptimized]
+            .iter()
+            .enumerate()
+        {
+            let engine = EngineConfig::for_variant(*variant);
+            let mut cfg = WorldConfig::latency(2, engine, 5);
+            cfg.net = camelot_node::NetConfig::deterministic();
+            let spec = AppSpec::minimal(SiteId(1), &[SiteId(2)], true, CommitMode::TwoPhase, reps);
+            let mut world = World::new(cfg);
+            let app = world.add_app(spec);
+            let mut sched = Scheduler::new(5);
+            world.start(&mut sched);
+            assert!(world.run(&mut sched, Time(3_600_000_000)));
+            let mean: f64 = world
+                .records(app)
+                .iter()
+                .map(|r| r.latency().as_millis_f64())
+                .sum::<f64>()
+                / reps as f64;
+            out[i] = mean;
+        }
+        (out[0], out[1])
+    }
 
     #[test]
     fn delayed_commit_saves_about_one_force_per_distributed_txn() {

@@ -138,10 +138,6 @@ impl Entry {
 #[derive(Debug, Default)]
 pub struct LockManager {
     table: HashMap<ObjectId, Entry>,
-    /// Total acquisitions that had to wait (contention statistic; the
-    /// paper's §4.2 analyses exactly this effect between back-to-back
-    /// transactions).
-    waits: u64,
 }
 
 impl LockManager {
@@ -175,7 +171,6 @@ impl LockManager {
             Acquire::Granted
         } else {
             entry.waiters.push((tid.clone(), mode));
-            self.waits += 1;
             Acquire::Queued
         }
     }
@@ -297,11 +292,6 @@ impl LockManager {
         granted
     }
 
-    /// Acquisitions that had to wait.
-    pub fn wait_count(&self) -> u64 {
-        self.waits
-    }
-
     /// Number of objects with lock state.
     pub fn locked_objects(&self) -> usize {
         self.table.len()
@@ -343,7 +333,6 @@ mod tests {
         assert_eq!(lm.acquire(obj(1), &b, Mode::Shared), Acquire::Queued);
         assert_eq!(lm.acquire(obj(1), &b, Mode::Exclusive), Acquire::Queued);
         assert_eq!(lm.waiters(obj(1)), 2);
-        assert_eq!(lm.wait_count(), 2);
     }
 
     #[test]

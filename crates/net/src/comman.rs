@@ -90,11 +90,6 @@ impl CommMan {
     pub fn forget(&mut self, family: &FamilyId) {
         self.spread.remove(family);
     }
-
-    /// Number of transaction families currently tracked.
-    pub fn tracked_families(&self) -> usize {
-        self.spread.len()
-    }
 }
 
 #[cfg(test)]
@@ -150,9 +145,7 @@ mod tests {
     fn forget_clears_family() {
         let mut cm = CommMan::new(SiteId(1));
         cm.note_outgoing(fam(1), SiteId(2));
-        assert_eq!(cm.tracked_families(), 1);
         cm.forget(&fam(1));
-        assert_eq!(cm.tracked_families(), 0);
         assert!(cm.participants(&fam(1)).is_empty());
     }
 

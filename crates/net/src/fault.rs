@@ -53,7 +53,7 @@ use std::time::Duration as StdDuration;
 
 use std::sync::Mutex;
 
-use camelot_types::{wire_struct, CrashPoint, SiteId};
+use camelot_types::{splitmix64, wire_struct, CrashPoint, SiteId};
 
 /// What to do with one outgoing datagram.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -349,14 +349,11 @@ impl FaultPlan {
             return LinkDecision::Deliver;
         }
         let n = self.counter.fetch_add(1, Ordering::Relaxed);
-        let mut x = self
-            .seed
-            .wrapping_add(n.wrapping_mul(0x9E37_79B9_7F4A_7C15))
-            .wrapping_add((from.0 as u64) << 32 | to.0 as u64);
-        // SplitMix64 finalizer.
-        x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        x ^= x >> 31;
+        let x = splitmix64(
+            self.seed
+                .wrapping_add(n.wrapping_mul(0x9E37_79B9_7F4A_7C15))
+                .wrapping_add((from.0 as u64) << 32 | to.0 as u64),
+        );
         let roll = (x % 1000) as u32;
         let decision = if roll < self.drop_per_mille {
             LinkDecision::Drop

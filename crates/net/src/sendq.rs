@@ -190,12 +190,6 @@ impl Backoff {
     pub fn reset(&mut self) {
         self.next = None;
     }
-
-    /// True when at least one failure has been recorded since the
-    /// last reset.
-    pub fn is_backing_off(&self) -> bool {
-        self.next.is_some()
-    }
 }
 
 /// Shared atomic counters for the transport's outbound path.
@@ -325,12 +319,10 @@ mod tests {
     #[test]
     fn backoff_doubles_to_cap_and_resets() {
         let mut b = Backoff::new(ms(25), ms(100));
-        assert!(!b.is_backing_off());
         assert_eq!(b.failure(), ms(25));
         assert_eq!(b.failure(), ms(50));
         assert_eq!(b.failure(), ms(100));
         assert_eq!(b.failure(), ms(100), "capped");
-        assert!(b.is_backing_off());
         b.reset();
         assert_eq!(b.failure(), ms(25), "reset starts over");
     }

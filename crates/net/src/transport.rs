@@ -82,12 +82,6 @@ impl<P: Clone> Retransmitter<P> {
         self.outstanding.remove(key).is_some()
     }
 
-    /// Drops every entry for the given predicate (e.g. all keys of a
-    /// finished transaction).
-    pub fn cancel_where(&mut self, mut pred: impl FnMut(&AwaitKey) -> bool) {
-        self.outstanding.retain(|k, _| !pred(k));
-    }
-
     /// Time of the earliest pending retransmission, if any — the
     /// runtime's next timer.
     pub fn next_deadline(&self) -> Option<Time> {
@@ -187,12 +181,6 @@ impl DupFilter {
                 }
             }
         }
-    }
-
-    /// Forgets a sender's history (e.g. after it provably restarted
-    /// with a new incarnation).
-    pub fn reset_peer(&mut self, from: SiteId) {
-        self.state.remove(&from);
     }
 }
 
@@ -304,15 +292,6 @@ mod tests {
     }
 
     #[test]
-    fn cancel_where_drops_matching() {
-        let mut r: Retransmitter<u8> = Retransmitter::new(d(10), d(10), 3);
-        r.track((1, SiteId(2)), 0, t(0));
-        r.track((2, SiteId(2)), 0, t(0));
-        r.cancel_where(|k| k.0 == 1);
-        assert_eq!(r.pending(), 1);
-    }
-
-    #[test]
     fn poll_is_deterministic_over_many_keys() {
         let mut r: Retransmitter<u8> = Retransmitter::new(d(10), d(10), 5);
         for i in (0..20).rev() {
@@ -373,8 +352,7 @@ mod tests {
         let mut f = DupFilter::new(64);
         assert!(f.accept(SiteId(1), 5));
         assert!(f.accept(SiteId(2), 5));
-        f.reset_peer(SiteId(1));
-        assert!(f.accept(SiteId(1), 5), "reset forgets history");
+        assert!(!f.accept(SiteId(1), 5));
         assert!(!f.accept(SiteId(2), 5));
     }
 

@@ -115,12 +115,6 @@ impl TxnRecord {
         self.end.since(self.start)
     }
 
-    /// Latency attributable to transaction management: everything but
-    /// the operation calls (the paper subtracts 3.5 + 29.5·N ms).
-    pub fn tm_latency(&self) -> Duration {
-        self.latency().saturating_sub(self.op_time)
-    }
-
     /// Latency of the commit call alone.
     pub fn commit_latency(&self) -> Duration {
         self.end.since(self.commit_at)
@@ -194,7 +188,6 @@ mod tests {
             commit_at: Time(40_000),
         };
         assert_eq!(r.latency(), Duration::from_millis(110));
-        assert_eq!(r.tm_latency(), Duration::from_micros(77_500));
         assert_eq!(r.commit_latency(), Duration::from_millis(70));
     }
 

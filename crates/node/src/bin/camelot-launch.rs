@@ -24,103 +24,47 @@ use std::time::{Duration as StdDuration, Instant};
 use camelot_core::CommitMode;
 use camelot_node::procs::{sibling_site_bin, Supervisor, SupervisorConfig};
 use camelot_node::session::{balance, transfer, CtrlSession, SRV};
-use camelot_types::{ObjectId, SiteId};
+use camelot_types::flags::{Parsed, Row, Tool, SWITCH};
+use camelot_types::{splitmix64, ObjectId, SiteId};
 
 const INITIAL: i64 = 100;
 
-struct Opts {
-    sites: u32,
-    txns: u32,
-    accounts: u64,
-    transport: String,
-    nonblocking: bool,
-    log_dir: Option<PathBuf>,
-    seed: u64,
-    kill_every: u32,
-    restart_budget: u32,
-}
-
-fn usage() -> ! {
-    eprintln!(
-        "usage: camelot-launch [--sites N] [--txns M] [--accounts K] \
-         [--transport udp|tcp] [--nonblocking] [--log-dir DIR] [--seed S] \
-         [--kill-every K] [--restart-budget N]"
-    );
-    exit(2);
-}
-
-fn parse_opts() -> Opts {
-    let mut opts = Opts {
-        sites: 3,
-        txns: 20,
-        accounts: 4,
-        transport: "udp".into(),
-        nonblocking: false,
-        log_dir: None,
-        seed: 1,
-        kill_every: 0,
-        restart_budget: 5,
-    };
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    let value = |i: &mut usize| -> String {
-        *i += 1;
-        args.get(*i).cloned().unwrap_or_else(|| usage())
-    };
-    while i < args.len() {
-        match args[i].as_str() {
-            "--sites" => opts.sites = value(&mut i).parse().unwrap_or_else(|_| usage()),
-            "--txns" => opts.txns = value(&mut i).parse().unwrap_or_else(|_| usage()),
-            "--accounts" => opts.accounts = value(&mut i).parse().unwrap_or_else(|_| usage()),
-            "--transport" => opts.transport = value(&mut i),
-            "--nonblocking" => opts.nonblocking = true,
-            "--log-dir" => opts.log_dir = Some(PathBuf::from(value(&mut i))),
-            "--seed" => opts.seed = value(&mut i).parse().unwrap_or_else(|_| usage()),
-            "--kill-every" => opts.kill_every = value(&mut i).parse().unwrap_or_else(|_| usage()),
-            "--restart-budget" => {
-                opts.restart_budget = value(&mut i).parse().unwrap_or_else(|_| usage())
-            }
-            _ => usage(),
-        }
-        i += 1;
-    }
-    if opts.sites == 0 || opts.accounts == 0 {
-        usage();
-    }
-    opts
-}
+#[rustfmt::skip]
+const FLAGS: &[Row] = &[
+    ("--sites", "N", "3", "sites in the cluster"),
+    ("--txns", "N", "20", "transfers to run"),
+    ("--accounts", "N", "4", "accounts per site"),
+    ("--transport", "udp|tcp", "udp", "data-plane socket kind"),
+    ("--nonblocking", SWITCH, "", "commit with the non-blocking protocol"),
+    ("--log-dir", "DIR", "", "WAL root (else a fresh temp directory)"),
+    ("--seed", "N", "1", "seed of the transfer and kill choices"),
+    ("--kill-every", "N", "0", "kill a random site every N transfers; 0 never does"),
+    ("--restart-budget", "N", "5", "respawns before a site is given up on"),
+];
+const TOOL: Tool = Tool::new("camelot-launch", FLAGS);
 
 /// SplitMix64: cheap deterministic stream for workload choices.
 fn mix(x: &mut u64) -> u64 {
     *x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *x;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-/// Prints failed-site post-mortems and exits nonzero if any site has
-/// burned its restart budget.
-fn bail_on_budget_exhaustion(sup: &Supervisor) {
-    let failed = sup.failed_sites();
-    if failed.is_empty() {
-        return;
-    }
-    for f in &failed {
-        eprintln!(
-            "camelot-launch: site {} exhausted its restart budget (last exit: {})",
-            f.site.0, f.status
-        );
-        eprintln!("camelot-launch: site {} last stderr lines:", f.site.0);
-        for line in &f.stderr_tail {
-            eprintln!("  | {line}");
-        }
-    }
-    exit(1);
+    splitmix64(*x)
 }
 
 fn main() {
-    let opts = parse_opts();
+    TOOL.from_env(run)
+}
+
+/// The whole run; the only `Err` is a bad flag value, before anything starts.
+fn run(p: &Parsed) -> Result<(), String> {
+    let (sites, txns): (u32, u32) = (p.int("--sites")?, p.int("--txns")?);
+    let accounts: u64 = p.int("--accounts")?;
+    let transport: String = p.val("--transport")?;
+    let nonblocking = p.on("--nonblocking");
+    let seed: u64 = p.int("--seed")?;
+    let kill_every: u32 = p.int("--kill-every")?;
+    let restart_budget: u32 = p.int("--restart-budget")?;
+    if sites == 0 || accounts == 0 {
+        return Err("--sites and --accounts must be at least 1".into());
+    }
     let bin = sibling_site_bin().unwrap_or_else(|e| {
         eprintln!("camelot-launch: {e}");
         exit(1);
@@ -128,32 +72,33 @@ fn main() {
 
     // Supervision needs a stable WAL root so respawned sites recover
     // the incarnation they lost.
-    let log_dir = opts.log_dir.clone().unwrap_or_else(|| {
-        std::env::temp_dir().join(format!("camelot-launch-{}", std::process::id()))
-    });
+    let log_dir = p.get("--log-dir").map_or_else(
+        || std::env::temp_dir().join(format!("camelot-launch-{}", std::process::id())),
+        PathBuf::from,
+    );
     std::fs::create_dir_all(&log_dir).expect("create log dir");
 
-    let mut cfg = SupervisorConfig::new(bin, opts.sites, &opts.transport, log_dir);
-    cfg.restart_budget = opts.restart_budget;
+    let mut cfg = SupervisorConfig::new(bin, sites, &transport, log_dir);
+    cfg.restart_budget = restart_budget;
     let mut sup = Supervisor::start(cfg).unwrap_or_else(|e| {
         eprintln!("camelot-launch: start cluster: {e}");
         exit(1);
     });
     println!(
         "camelot-launch: {} sites up ({}), {} accounts each, supervised",
-        opts.sites, opts.transport, opts.accounts
+        sites, transport, accounts
     );
 
     // Fund every site's ledger with one local transaction.
-    for id in 1..=opts.sites {
+    for id in 1..=sites {
         let ctrl = sup.ctrl(SiteId(id)).expect("funding: site up");
         let tid = ctrl.begin().expect("begin funding txn");
-        for a in 0..opts.accounts {
+        for a in 0..accounts {
             ctrl.write(&tid, SRV, ObjectId(a), INITIAL.to_le_bytes().to_vec())
                 .expect("fund account");
         }
         assert!(
-            ctrl.commit(&tid, opts.nonblocking, vec![])
+            ctrl.commit(&tid, nonblocking, vec![])
                 .expect("funding commit"),
             "funding at site {id} must commit",
         );
@@ -164,32 +109,32 @@ fn main() {
     // error (and is aborted best-effort) instead of wedging, and a
     // respawned site is re-resolved on its new ports.
     let mut session = CtrlSession::new(sup.board());
-    let mode = if opts.nonblocking {
+    let mode = if nonblocking {
         CommitMode::NonBlocking
     } else {
         CommitMode::TwoPhase
     };
-    let mut rng = opts.seed;
+    let mut rng = seed;
     let mut committed = 0u32;
     let mut aborted = 0u32;
     let mut failed = 0u32;
-    for t in 0..opts.txns {
+    for t in 0..txns {
         sup.poll();
-        bail_on_budget_exhaustion(&sup);
-        if opts.kill_every > 0 && t > 0 && t % opts.kill_every == 0 {
-            let victim = SiteId((mix(&mut rng) % opts.sites as u64) as u32 + 1);
+        sup.bail_on_budget_exhaustion("camelot-launch");
+        if kill_every > 0 && t > 0 && t % kill_every == 0 {
+            let victim = SiteId((mix(&mut rng) % sites as u64) as u32 + 1);
             if sup.kill_site(victim) {
                 println!("camelot-launch: killed site {} at txn {t}", victim.0);
             }
         }
-        let coord = SiteId((t % opts.sites) + 1);
-        let src = SiteId((mix(&mut rng) % opts.sites as u64) as u32 + 1);
-        let mut dst = SiteId((mix(&mut rng) % opts.sites as u64) as u32 + 1);
+        let coord = SiteId((t % sites) + 1);
+        let src = SiteId((mix(&mut rng) % sites as u64) as u32 + 1);
+        let mut dst = SiteId((mix(&mut rng) % sites as u64) as u32 + 1);
         if dst == src {
-            dst = SiteId(dst.0 % opts.sites + 1);
+            dst = SiteId(dst.0 % sites + 1);
         }
-        let src_acct = ObjectId(mix(&mut rng) % opts.accounts);
-        let dst_acct = ObjectId(mix(&mut rng) % opts.accounts);
+        let src_acct = ObjectId(mix(&mut rng) % accounts);
+        let dst_acct = ObjectId(mix(&mut rng) % accounts);
         let amount = (mix(&mut rng) % 20) as i64 + 1;
         match transfer(
             &mut session,
@@ -217,7 +162,7 @@ fn main() {
     if !sup.wait_all_up(StdDuration::from_secs(20)) {
         eprintln!("camelot-launch: not all sites came back up");
     }
-    bail_on_budget_exhaustion(&sup);
+    sup.bail_on_budget_exhaustion("camelot-launch");
 
     // A non-blocking commit returns at quorum; subordinates apply the
     // outcome in phase three. Audit only after the protocol quiesces.
@@ -225,7 +170,7 @@ fn main() {
     loop {
         sup.poll();
         let mut busy = false;
-        for id in 1..=opts.sites {
+        for id in 1..=sites {
             let Some(ctrl) = sup.ctrl(SiteId(id)) else {
                 busy = true;
                 continue;
@@ -248,10 +193,10 @@ fn main() {
     // regardless of which transfers committed, aborted, or were cut
     // short by a kill (atomicity makes every subset conserve).
     let mut total = 0i64;
-    for id in 1..=opts.sites {
+    for id in 1..=sites {
         let ctrl = sup.ctrl(SiteId(id)).expect("audit: site up");
         let mut site_total = 0i64;
-        for a in 0..opts.accounts {
+        for a in 0..accounts {
             let v = balance(
                 &ctrl
                     .committed_value(SRV, ObjectId(a))
@@ -262,7 +207,7 @@ fn main() {
         println!("camelot-launch: site {id} holds {site_total}");
         total += site_total;
     }
-    let expected = opts.sites as i64 * opts.accounts as i64 * INITIAL;
+    let expected = sites as i64 * accounts as i64 * INITIAL;
     let conserved = total == expected;
     println!(
         "camelot-launch: ledger total {total} (expected {expected}) — {}",
@@ -282,4 +227,5 @@ fn main() {
     if !conserved {
         exit(1);
     }
+    Ok(())
 }

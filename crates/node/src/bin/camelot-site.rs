@@ -40,88 +40,60 @@ use camelot_node::ctrl::{
     read_framed, write_framed, CtrlReply, CtrlRequest, Handshake, SiteStatsWire,
 };
 use camelot_rt::{Client, Cluster, RemoteNet, RtConfig, TraceEventKind};
+use camelot_types::flags::{Row, Tool, REQUIRED, SWITCH};
 use camelot_types::{CamelotError, FamilyId, SiteId};
 
-struct Opts {
-    site: SiteId,
-    mode: SocketMode,
-    log_dir: Option<PathBuf>,
-    fast: bool,
-    call_timeout: StdDuration,
-    trace_capacity: Option<usize>,
-    fault_seed: u64,
-    drop_pm: u32,
-    delay_pm: u32,
-    dup_pm: u32,
-    fault_delay: StdDuration,
-    fault_budget: u64,
-}
+#[rustfmt::skip]
+const FLAGS: &[Row] = &[
+    ("--site", "N", REQUIRED, "this site's id, counted from 1"),
+    ("--transport", "udp|tcp", "udp", "data-plane socket kind"),
+    ("--log-dir", "DIR", "", "keep the WAL in DIR (else in memory)"),
+    ("--fast", SWITCH, "", "the short engine timeouts of tests and benches"),
+    ("--call-timeout-ms", "MS", "30000", "longest an application call blocks"),
+    ("--trace-capacity", "N", "", "trace ring events (else the runtime's default)"),
+    ("--fault-seed", "N", "1", "seed of the link-fault dice"),
+    ("--drop", "PM", "0", "outbound datagrams dropped, per mille"),
+    ("--delay", "PM", "0", "outbound datagrams delayed, per mille"),
+    ("--dup", "PM", "0", "outbound datagrams duplicated, per mille"),
+    ("--fault-delay-ms", "MS", "30", "how long a delayed datagram is held"),
+    ("--fault-budget", "N", "64", "link faults before the plan goes quiet"),
+];
+const TOOL: Tool = Tool::new("camelot-site", FLAGS);
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: camelot-site --site N [--transport udp|tcp] [--log-dir DIR] \
-         [--fast] [--call-timeout-ms MS] [--trace-capacity N] \
-         [--fault-seed S] [--drop PM] [--delay PM] [--dup PM] \
-         [--fault-delay-ms MS] [--fault-budget N]"
-    );
-    exit(2);
-}
-
-fn parse_opts() -> Opts {
-    let mut opts = Opts {
-        site: SiteId(0),
-        mode: SocketMode::Udp,
-        log_dir: None,
-        fast: false,
-        call_timeout: StdDuration::from_secs(30),
-        trace_capacity: None,
-        fault_seed: 1,
-        drop_pm: 0,
-        delay_pm: 0,
-        dup_pm: 0,
-        fault_delay: StdDuration::from_millis(30),
-        fault_budget: 64,
-    };
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    let value = |i: &mut usize| -> String {
-        *i += 1;
-        args.get(*i).cloned().unwrap_or_else(|| usage())
-    };
-    while i < args.len() {
-        match args[i].as_str() {
-            "--site" => opts.site = SiteId(value(&mut i).parse().unwrap_or_else(|_| usage())),
-            "--transport" => {
-                opts.mode = SocketMode::parse(&value(&mut i)).unwrap_or_else(|| usage())
-            }
-            "--log-dir" => opts.log_dir = Some(PathBuf::from(value(&mut i))),
-            "--fast" => opts.fast = true,
-            "--call-timeout-ms" => {
-                opts.call_timeout =
-                    StdDuration::from_millis(value(&mut i).parse().unwrap_or_else(|_| usage()))
-            }
-            "--trace-capacity" => {
-                opts.trace_capacity = Some(value(&mut i).parse().unwrap_or_else(|_| usage()))
-            }
-            "--fault-seed" => opts.fault_seed = value(&mut i).parse().unwrap_or_else(|_| usage()),
-            "--drop" => opts.drop_pm = value(&mut i).parse().unwrap_or_else(|_| usage()),
-            "--delay" => opts.delay_pm = value(&mut i).parse().unwrap_or_else(|_| usage()),
-            "--dup" => opts.dup_pm = value(&mut i).parse().unwrap_or_else(|_| usage()),
-            "--fault-delay-ms" => {
-                opts.fault_delay =
-                    StdDuration::from_millis(value(&mut i).parse().unwrap_or_else(|_| usage()))
-            }
-            "--fault-budget" => {
-                opts.fault_budget = value(&mut i).parse().unwrap_or_else(|_| usage())
-            }
-            _ => usage(),
+/// What the command line asks for: the site, its socket kind, its
+/// link-fault plan and its runtime configuration.
+fn parse_opts() -> (SiteId, SocketMode, FaultPlan, RtConfig) {
+    TOOL.from_env(|p| {
+        let site = SiteId(p.int("--site")?);
+        if site.0 == 0 {
+            return Err("--site counts from 1".into());
         }
-        i += 1;
-    }
-    if opts.site.0 == 0 {
-        usage();
-    }
-    opts
+        let mode = SocketMode::parse(&p.val::<String>("--transport")?)
+            .ok_or("--transport is udp or tcp")?;
+        let (drop, delay, dup): (u32, u32, u32) =
+            (p.int("--drop")?, p.int("--delay")?, p.int("--dup")?);
+        let (seed, budget): (u64, u64) = (p.int("--fault-seed")?, p.int("--fault-budget")?);
+        let held = StdDuration::from_millis(p.int("--fault-delay-ms")?);
+        let fault = match (drop, delay, dup) {
+            (0, 0, 0) => FaultPlan::disabled(),
+            _ => FaultPlan::new(seed, drop, delay, dup, held, budget),
+        };
+        let mut cfg = RtConfig {
+            call_timeout: StdDuration::from_millis(p.int("--call-timeout-ms")?),
+            log_dir: p.get("--log-dir").map(PathBuf::from),
+            trace: true,
+            engine: if p.on("--fast") {
+                camelot_node::config::fast_engine()
+            } else {
+                camelot_core::EngineConfig::default()
+            },
+            ..RtConfig::default()
+        };
+        if let Some(cap) = p.int_opt("--trace-capacity")? {
+            cfg.trace_capacity = cap;
+        }
+        Ok((site, mode, fault, cfg))
+    })
 }
 
 /// Bridges the partial cluster's non-local datagrams onto the socket
@@ -150,34 +122,8 @@ impl RemoteNet for RemoteBridge {
 }
 
 fn main() {
-    let opts = parse_opts();
-    let site = opts.site;
-    let fault = Arc::new(if opts.drop_pm + opts.delay_pm + opts.dup_pm > 0 {
-        FaultPlan::new(
-            opts.fault_seed,
-            opts.drop_pm,
-            opts.delay_pm,
-            opts.dup_pm,
-            opts.fault_delay,
-            opts.fault_budget,
-        )
-    } else {
-        FaultPlan::disabled()
-    });
-    let mut cfg = RtConfig {
-        call_timeout: opts.call_timeout,
-        log_dir: opts.log_dir.clone(),
-        trace: true,
-        engine: if opts.fast {
-            camelot_node::config::fast_engine()
-        } else {
-            camelot_core::EngineConfig::default()
-        },
-        ..RtConfig::default()
-    };
-    if let Some(cap) = opts.trace_capacity {
-        cfg.trace_capacity = cap;
-    }
+    let (site, mode, fault, cfg) = parse_opts();
+    let fault = Arc::new(fault);
     let bridge = Arc::new(RemoteBridge::default());
     let cluster = Arc::new(Cluster::new_site(
         site,
@@ -187,7 +133,7 @@ fn main() {
     ));
     let transport = Arc::new(
         SocketTransport::bind(
-            SocketConfig::new(site, opts.mode),
+            SocketConfig::new(site, mode),
             Arc::clone(&fault),
             cluster.site_tracer(site),
         )

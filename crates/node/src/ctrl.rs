@@ -136,7 +136,7 @@ wire_enum! {
 
 /// States the counters of [`SiteStatsWire`] once — name, and where
 /// the value comes from in a `camelot_rt::SiteStats` — and derives the
-/// struct, `zeroed`, `from_stats`, `fields` and the wire codec from
+/// struct, `from_stats`, `fields` and the wire codec from
 /// that one list, so no two of them can disagree about the order.
 macro_rules! site_stats_wire {
     (|$s:ident, $router_pending:ident| $($(#[$doc:meta])* $name:ident = $from:expr,)*) => {
@@ -152,11 +152,6 @@ macro_rules! site_stats_wire {
 
         impl SiteStatsWire {
             const COUNT: usize = [$(stringify!($name)),*].len();
-
-            /// All-zero counters for `site`.
-            pub fn zeroed(site: SiteId) -> Self {
-                SiteStatsWire { site, $($name: 0,)* }
-            }
 
             /// Flattens a runtime stats snapshot. A site process hosts
             /// one site, so the cluster's router is this site's.
@@ -820,10 +815,6 @@ mod tests {
         for g in SiteStatsWire::GAUGES {
             assert!(names.contains(&g), "gauge {g} is not a counter");
         }
-        assert_eq!(
-            SiteStatsWire::zeroed(SiteId(2)).fields().map(|(_, v)| v),
-            [0; 39]
-        );
     }
 
     #[test]

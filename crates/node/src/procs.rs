@@ -529,6 +529,26 @@ impl Supervisor {
             .collect()
     }
 
+    /// Ends the process (status 1) with each failed site's post-mortem,
+    /// printed under `tool`'s name; returns when no site has failed.
+    pub fn bail_on_budget_exhaustion(&self, tool: &str) {
+        let failed = self.failed_sites();
+        if failed.is_empty() {
+            return;
+        }
+        for f in &failed {
+            eprintln!(
+                "{tool}: site {} exhausted its restart budget (last exit: {})",
+                f.site.0, f.status
+            );
+            eprintln!("{tool}: site {} last stderr lines:", f.site.0);
+            for line in &f.stderr_tail {
+                eprintln!("  | {line}");
+            }
+        }
+        std::process::exit(1);
+    }
+
     /// Cleanly shuts down every up site and reaps the rest.
     pub fn shutdown(self) {
         for slot in self.slots {

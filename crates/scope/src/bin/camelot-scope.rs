@@ -1,13 +1,7 @@
 //! Cluster observability driver.
 //!
-//! ```text
-//! camelot-scope scrape --ctrl 1=ADDR [--ctrl 2=ADDR ...] [--supervisor ADDR]
-//!                      [--every-ms 250] [--for-ms 5000] [--out FILE]
-//! camelot-scope merge  [--out FILE] TRACE.jsonl...
-//! camelot-scope attrib [--out FILE] TRACE.jsonl...
-//! camelot-scope smoke  [--sites 3] [--transport udp] [--txns 240]
-//!                      [--out-dir DIR]
-//! ```
+//! Four subcommands, `scrape`, `merge`, `attrib` and `smoke`;
+//! `camelot-scope <subcommand> --help` lists each one's flags.
 //!
 //! `scrape` polls the given sites on a cadence and appends one JSON
 //! snapshot per tick (header line first). `merge` rebases per-site
@@ -33,101 +27,50 @@ use camelot_scope::{
     attribute, merge_skew_aware, parse_jsonl, Attribution, Collector, MergedTimeline,
     ScrapeSnapshot, ScrapeTarget,
 };
+use camelot_types::flags::{subcommand, Parsed, Tool, REQUIRED};
 use camelot_types::{ObjectId, SiteId};
 
+type Cmd = fn(&Parsed) -> Result<i32, String>;
+
+#[rustfmt::skip]
+const SUBCOMMANDS: [(Tool, Cmd); 4] = [
+    (Tool::new("camelot-scope scrape", &[
+        ("--ctrl", "SITE=ADDR...", REQUIRED, "a site's control address; once per site"),
+        ("--supervisor", "ADDR", "", "the supervisor's control address (restart counts)"),
+        ("--every-ms", "MS", "250", "time between scrapes"),
+        ("--for-ms", "MS", "5000", "how long to keep scraping"),
+        ("--out", "FILE", "", "where the series goes (else stdout)"),
+    ]), cmd_scrape),
+    (Tool { name: "camelot-scope merge", positional: "TRACE.jsonl...", flags: &[
+        ("--out", "FILE", "", "where the merged timeline goes (else stdout)"),
+    ]}, cmd_merge),
+    (Tool { name: "camelot-scope attrib", positional: "TRACE.jsonl...", flags: &[
+        ("--out", "FILE", "", "where the attribution goes (else stdout)"),
+    ]}, cmd_attrib),
+    (Tool::new("camelot-scope smoke", &[
+        ("--sites", "N", "3", "sites to spawn"),
+        ("--transport", "udp|tcp", "udp", "data-plane socket kind"),
+        ("--txns", "N", "240", "transactions to drive"),
+        ("--out-dir", "DIR", "target/tmp/scope-smoke", "where the artifacts go"),
+    ]), cmd_smoke),
+];
+
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let code = match args.first().map(String::as_str) {
-        Some("scrape") => cmd_scrape(&args[1..]),
-        Some("merge") => cmd_merge(&args[1..]),
-        Some("attrib") => cmd_attrib(&args[1..]),
-        Some("smoke") => cmd_smoke(&args[1..]),
-        _ => {
-            eprintln!(
-                "usage: camelot-scope scrape --ctrl SITE=ADDR... [--supervisor ADDR] \
-                 [--every-ms N] [--for-ms N] [--out FILE]\n\
-                 \x20      camelot-scope merge  [--out FILE] TRACE.jsonl...\n\
-                 \x20      camelot-scope attrib [--out FILE] TRACE.jsonl...\n\
-                 \x20      camelot-scope smoke  [--sites N] [--transport udp|tcp] \
-                 [--txns N] [--out-dir DIR]"
-            );
-            2
-        }
-    };
+    let mut args = std::env::args().skip(1);
+    let tools: Vec<&Tool> = SUBCOMMANDS.iter().map(|(tool, _)| tool).collect();
+    let code = subcommand(&tools, args.next().as_deref())
+        .and_then(|i| SUBCOMMANDS[i].0.parse(args, SUBCOMMANDS[i].1))
+        .unwrap_or_else(|u| u.exit());
     std::process::exit(code);
 }
 
-/// `--flag value` lookup over a raw arg slice.
-fn opt(args: &[String], flag: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-}
-
-/// All values of a repeatable `--flag value`.
-fn opts(args: &[String], flag: &str) -> Vec<String> {
-    args.windows(2)
-        .filter(|w| w[0] == flag)
-        .map(|w| w[1].clone())
-        .collect()
-}
-
-/// Positional (non-flag) arguments.
-fn positionals(args: &[String]) -> Vec<String> {
-    let flags_with_value = [
-        "--ctrl",
-        "--supervisor",
-        "--every-ms",
-        "--for-ms",
-        "--out",
-        "--out-dir",
-        "--sites",
-        "--transport",
-        "--txns",
-    ];
-    let mut out = Vec::new();
-    let mut skip = false;
-    for a in args {
-        if skip {
-            skip = false;
-            continue;
-        }
-        if flags_with_value.contains(&a.as_str()) {
-            skip = true;
-            continue;
-        }
-        if !a.starts_with("--") {
-            out.push(a.clone());
-        }
-    }
-    out
-}
-
-fn parse_targets(args: &[String]) -> Result<Vec<ScrapeTarget>, String> {
-    let mut targets = Vec::new();
-    for spec in opts(args, "--ctrl") {
-        let (site, addr) = spec
-            .split_once('=')
-            .ok_or_else(|| format!("--ctrl wants SITE=ADDR, got {spec}"))?;
-        targets.push(ScrapeTarget {
-            site: site.parse().map_err(|_| format!("bad site id {site}"))?,
-            addr: addr.parse().map_err(|_| format!("bad address {addr}"))?,
-        });
-    }
-    if targets.is_empty() {
-        return Err("at least one --ctrl SITE=ADDR is required".into());
-    }
-    Ok(targets)
-}
-
-fn write_out(out: Option<String>, content: &str) -> i32 {
+fn write_out(out: Option<&str>, content: &str) -> i32 {
     match out {
         Some(path) => {
-            if let Some(dir) = Path::new(&path).parent() {
+            if let Some(dir) = Path::new(path).parent() {
                 let _ = std::fs::create_dir_all(dir);
             }
-            if let Err(e) = std::fs::write(&path, content) {
+            if let Err(e) = std::fs::write(path, content) {
                 eprintln!("camelot-scope: write {path}: {e}");
                 return 1;
             }
@@ -140,21 +83,11 @@ fn write_out(out: Option<String>, content: &str) -> i32 {
     }
 }
 
-fn cmd_scrape(args: &[String]) -> i32 {
-    let targets = match parse_targets(args) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("camelot-scope: {e}");
-            return 2;
-        }
-    };
-    let supervisor: Option<SocketAddr> = opt(args, "--supervisor").and_then(|s| s.parse().ok());
-    let every_ms: u64 = opt(args, "--every-ms")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(250);
-    let for_ms: u64 = opt(args, "--for-ms")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(5_000);
+fn cmd_scrape(p: &Parsed) -> Result<i32, String> {
+    let targets = ScrapeTarget::from_flags(p)?;
+    let supervisor: Option<SocketAddr> = p.val_opt("--supervisor")?;
+    let every_ms: u64 = p.int("--every-ms")?;
+    let for_ms: u64 = p.int("--for-ms")?;
     let config = format!("scrape targets={} every_ms={every_ms}", targets.len());
     let mut series = Collector::header_json(&config);
     series.push('\n');
@@ -169,7 +102,7 @@ fn cmd_scrape(args: &[String]) -> i32 {
         }
         std::thread::sleep(Duration::from_millis(every_ms));
     }
-    write_out(opt(args, "--out"), &series)
+    Ok(write_out(p.get("--out"), &series))
 }
 
 fn read_traces(files: &[String]) -> Result<Vec<camelot_scope::ScopeEvent>, String> {
@@ -184,42 +117,26 @@ fn read_traces(files: &[String]) -> Result<Vec<camelot_scope::ScopeEvent>, Strin
     Ok(events)
 }
 
-fn cmd_merge(args: &[String]) -> i32 {
-    match read_traces(&positionals(args)) {
-        Ok(events) => {
-            let merged = merge_skew_aware(events);
-            eprintln!(
-                "camelot-scope: merged {} events from {} sites into frame of site {}",
-                merged.events.len(),
-                merged.maps.len(),
-                merged.reference
-            );
-            write_out(opt(args, "--out"), &merged.to_jsonl())
-        }
-        Err(e) => {
-            eprintln!("camelot-scope: {e}");
-            2
-        }
-    }
+fn cmd_merge(p: &Parsed) -> Result<i32, String> {
+    let merged = merge_skew_aware(read_traces(&p.positionals)?);
+    eprintln!(
+        "camelot-scope: merged {} events from {} sites into frame of site {}",
+        merged.events.len(),
+        merged.maps.len(),
+        merged.reference
+    );
+    Ok(write_out(p.get("--out"), &merged.to_jsonl()))
 }
 
-fn cmd_attrib(args: &[String]) -> i32 {
-    match read_traces(&positionals(args)) {
-        Ok(events) => {
-            let merged = merge_skew_aware(events);
-            let attr = attribute(&merged.events);
-            if attr.protocols.is_empty() {
-                eprintln!("camelot-scope: no committed families in the trace");
-            }
-            let mut out = attr.to_json();
-            out.push('\n');
-            write_out(opt(args, "--out"), &out)
-        }
-        Err(e) => {
-            eprintln!("camelot-scope: {e}");
-            2
-        }
+fn cmd_attrib(p: &Parsed) -> Result<i32, String> {
+    let merged = merge_skew_aware(read_traces(&p.positionals)?);
+    let attr = attribute(&merged.events);
+    if attr.protocols.is_empty() {
+        eprintln!("camelot-scope: no committed families in the trace");
     }
+    let mut out = attr.to_json();
+    out.push('\n');
+    Ok(write_out(p.get("--out"), &out))
 }
 
 /// One smoke transaction over the control plane: read-only every 5th,
@@ -287,18 +204,13 @@ fn check_snapshot(snap: &ScrapeSnapshot, want_sites: usize) -> Result<(), SmokeF
     Ok(())
 }
 
-fn run_smoke(args: &[String]) -> Result<String, SmokeFailure> {
-    let sites: u32 = opt(args, "--sites")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(3);
-    let transport = opt(args, "--transport").unwrap_or_else(|| "udp".to_string());
-    let txns: u64 = opt(args, "--txns")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(240);
-    let out_dir = PathBuf::from(
-        opt(args, "--out-dir").unwrap_or_else(|| "target/tmp/scope-smoke".to_string()),
-    );
-    std::fs::create_dir_all(&out_dir)
+fn run_smoke(
+    sites: u32,
+    transport: &str,
+    txns: u64,
+    out_dir: &Path,
+) -> Result<String, SmokeFailure> {
+    std::fs::create_dir_all(out_dir)
         .map_err(|e| SmokeFailure(format!("create {}: {e}", out_dir.display())))?;
 
     let bin = sibling_site_bin().map_err(|e| SmokeFailure(e.to_string()))?;
@@ -314,7 +226,7 @@ fn run_smoke(args: &[String]) -> Result<String, SmokeFailure> {
             SiteProc::spawn(&SpawnSpec {
                 bin: &bin,
                 site: SiteId(i),
-                transport: &transport,
+                transport,
                 log_dir: None,
                 fast: true,
                 extra: &extra,
@@ -466,8 +378,11 @@ fn summarize(
     Ok(lines.join("\n"))
 }
 
-fn cmd_smoke(args: &[String]) -> i32 {
-    match run_smoke(args) {
+fn cmd_smoke(p: &Parsed) -> Result<i32, String> {
+    let out_dir: PathBuf = p.val("--out-dir")?;
+    let transport: String = p.val("--transport")?;
+    let (sites, txns) = (p.int("--sites")?, p.int("--txns")?);
+    Ok(match run_smoke(sites, &transport, txns, &out_dir) {
         Ok(summary) => {
             println!("{summary}");
             0
@@ -476,5 +391,5 @@ fn cmd_smoke(args: &[String]) -> i32 {
             eprintln!("camelot-scope smoke: FAIL: {msg}");
             1
         }
-    }
+    })
 }

@@ -1,10 +1,5 @@
 //! `camelot-top` — a one-screen live view of a running cluster.
 //!
-//! ```text
-//! camelot-top --ctrl 1=ADDR [--ctrl 2=ADDR ...] [--supervisor ADDR]
-//!             [--every-ms 1000] [--iters 0]
-//! ```
-//!
 //! Redraws a per-site table every tick: liveness, commit/abort/force/
 //! datagram rates (derived by the collector from counter deltas),
 //! send-queue depth, trace-ring drops, supervisor restart counts, and
@@ -17,48 +12,27 @@ use std::time::Duration;
 
 use camelot_obs::Phase;
 use camelot_scope::{Collector, ScrapeTarget};
+use camelot_types::flags::{Row, Tool, REQUIRED};
 
-fn opt(args: &[String], flag: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-}
+#[rustfmt::skip]
+const FLAGS: &[Row] = &[
+    ("--ctrl", "SITE=ADDR...", REQUIRED, "a site's control address; once per site"),
+    ("--supervisor", "ADDR", "", "the supervisor's control address (restart counts)"),
+    ("--every-ms", "MS", "1000", "time between refreshes"),
+    ("--iters", "N", "0", "stop after N refreshes; 0 runs until interrupted"),
+];
+const TOOL: Tool = Tool::new("camelot-top", FLAGS);
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut targets = Vec::new();
-    for w in args.windows(2) {
-        if w[0] == "--ctrl" {
-            match w[1].split_once('=') {
-                Some((site, addr)) => match (site.parse(), addr.parse()) {
-                    (Ok(site), Ok(addr)) => targets.push(ScrapeTarget { site, addr }),
-                    _ => {
-                        eprintln!("camelot-top: bad --ctrl {}", w[1]);
-                        std::process::exit(2);
-                    }
-                },
-                None => {
-                    eprintln!("camelot-top: --ctrl wants SITE=ADDR");
-                    std::process::exit(2);
-                }
-            }
-        }
-    }
-    if targets.is_empty() {
-        eprintln!(
-            "usage: camelot-top --ctrl SITE=ADDR... [--supervisor ADDR] \
-             [--every-ms 1000] [--iters 0]"
-        );
-        std::process::exit(2);
-    }
-    let supervisor: Option<SocketAddr> = opt(&args, "--supervisor").and_then(|s| s.parse().ok());
-    let every_ms: u64 = opt(&args, "--every-ms")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(1000);
-    let iters: u64 = opt(&args, "--iters")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0);
+    let (targets, supervisor, every_ms, iters): (_, Option<SocketAddr>, u64, u64) =
+        TOOL.from_env(|p| {
+            Ok((
+                ScrapeTarget::from_flags(p)?,
+                p.val_opt("--supervisor")?,
+                p.int("--every-ms")?,
+                p.int("--iters")?,
+            ))
+        });
 
     let mut collector = Collector::new();
     let mut tick = 0u64;

@@ -23,6 +23,8 @@ use camelot_net::{FaultStats, TransportStats};
 use camelot_node::ctrl::{CtrlClient, SiteStatsWire};
 use camelot_obs::{PhaseSnapshot, ProtocolPhaseSnapshot};
 
+use camelot_types::flags::{parse_int, Parsed};
+
 use crate::stamp::stamp_json;
 
 /// One site to scrape.
@@ -30,6 +32,26 @@ use crate::stamp::stamp_json;
 pub struct ScrapeTarget {
     pub site: u32,
     pub addr: SocketAddr,
+}
+
+impl ScrapeTarget {
+    /// Every `--ctrl SITE=ADDR` of a command line.
+    pub fn from_flags(p: &Parsed) -> Result<Vec<ScrapeTarget>, String> {
+        p.all("--ctrl")
+            .into_iter()
+            .map(|spec| {
+                let (site, addr) = spec
+                    .split_once('=')
+                    .ok_or_else(|| format!("--ctrl wants SITE=ADDR, got {spec}"))?;
+                Ok(ScrapeTarget {
+                    site: parse_int(site)
+                        .and_then(|n| n.try_into().ok())
+                        .ok_or_else(|| format!("bad site id {site}"))?,
+                    addr: addr.parse().map_err(|_| format!("bad address {addr}"))?,
+                })
+            })
+            .collect()
+    }
 }
 
 /// One site's sample within a scrape. `up == false` means the ctrl
@@ -302,10 +324,12 @@ impl Collector {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use camelot_types::SiteId;
+    use camelot_types::{Reader, SiteId, Wire};
 
     fn stats_with(commits: u64, datagrams: u64) -> SiteStatsWire {
-        let mut s = SiteStatsWire::zeroed(SiteId(1));
+        // All-zero counters: decode as many zero bytes as the layout takes.
+        let mut s = SiteStatsWire::decode(&mut Reader::new(&[0; 1024])).unwrap();
+        s.site = SiteId(1);
         s.commits = commits;
         s.datagrams = datagrams;
         s

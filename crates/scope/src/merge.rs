@@ -119,11 +119,6 @@ impl MergedTimeline {
         s
     }
 
-    /// The clock map for one site, if it was present in the trace.
-    pub fn map_for(&self, site: u32) -> Option<&ClockMap> {
-        self.maps.iter().find(|m| m.site == site)
-    }
-
     /// Matched message edges whose corrected receive is not strictly
     /// after its send. The merge repairs these to a fixpoint, so
     /// nonzero here means the trace itself is inconsistent (e.g. two
@@ -406,6 +401,10 @@ mod tests {
     use super::*;
     use crate::event::parse_jsonl;
 
+    fn map_for(merged: &MergedTimeline, site: u32) -> Option<&ClockMap> {
+        merged.maps.iter().find(|m| m.site == site)
+    }
+
     /// Deterministic pseudo-random transit in [lo, hi) µs.
     struct Lcg(u64);
     impl Lcg {
@@ -507,8 +506,8 @@ mod tests {
     fn recovers_injected_offsets_and_rate() {
         let merged = merge_skew_aware(synthetic_traces());
         assert_eq!(merged.reference, 1);
-        let m2 = merged.map_for(2).expect("site 2 mapped");
-        let m3 = merged.map_for(3).expect("site 3 mapped");
+        let m2 = map_for(&merged, 2).expect("site 2 mapped");
+        let m3 = map_for(&merged, 3).expect("site 3 mapped");
         assert!(m2.pairs > 0 && m3.pairs > 0);
         // Site 2: local = t + 2e6 → corrected = local − 2e6.
         assert!(
@@ -579,7 +578,7 @@ mod tests {
         );
         let merged = merge_skew_aware(events);
         assert_eq!(merged.reference, 5);
-        assert_eq!(merged.map_for(9).unwrap().pairs, 0);
+        assert_eq!(map_for(&merged, 9).unwrap().pairs, 0);
         assert_eq!(merged.events.len(), 2);
     }
 }

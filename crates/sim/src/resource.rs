@@ -8,13 +8,8 @@
 //! virtual time it needs — including synchronous waits such as a log
 //! force, which is exactly how a thread-starved transaction manager
 //! stalls — and then *releases* it.
-//!
-//! Utilization statistics are accumulated so experiments can report
-//! which component saturates (the paper's question 3 of §4.4).
 
 use std::collections::VecDeque;
-
-use camelot_types::{Duration, Time};
 
 use crate::sched::{Event, Scheduler};
 
@@ -23,12 +18,9 @@ pub struct Resource<M> {
     name: &'static str,
     capacity: usize,
     in_use: usize,
-    queue: VecDeque<(Time, Event<M>)>,
+    queue: VecDeque<Event<M>>,
     // Statistics.
-    total_wait: Duration,
     grants: u64,
-    busy_time: Duration,
-    last_change: Time,
     peak_queue: usize,
 }
 
@@ -45,10 +37,7 @@ impl<M> Resource<M> {
             capacity,
             in_use: 0,
             queue: VecDeque::new(),
-            total_wait: Duration::ZERO,
             grants: 0,
-            busy_time: Duration::ZERO,
-            last_change: Time::ZERO,
             peak_queue: 0,
         }
     }
@@ -78,24 +67,16 @@ impl<M> Resource<M> {
         self.peak_queue
     }
 
-    fn account(&mut self, now: Time) {
-        let dt = now.since(self.last_change);
-        self.busy_time += Duration::from_micros(dt.as_micros() * self.in_use as u64);
-        self.last_change = now;
-    }
-
     /// Requests one unit. If a server is free the continuation is
     /// scheduled immediately (at the current time, after events already
     /// queued for now); otherwise it waits in FIFO order.
     pub fn acquire(&mut self, sched: &mut Scheduler<M>, cont: Event<M>) {
-        let now = sched.now();
-        self.account(now);
         if self.in_use < self.capacity {
             self.in_use += 1;
             self.grants += 1;
             sched.immediately(cont);
         } else {
-            self.queue.push_back((now, cont));
+            self.queue.push_back(cont);
             self.peak_queue = self.peak_queue.max(self.queue.len());
         }
     }
@@ -108,36 +89,14 @@ impl<M> Resource<M> {
     /// is always a model bug.
     pub fn release(&mut self, sched: &mut Scheduler<M>) {
         assert!(self.in_use > 0, "release of idle resource {}", self.name);
-        let now = sched.now();
-        self.account(now);
-        if let Some((enqueued, cont)) = self.queue.pop_front() {
+        if let Some(cont) = self.queue.pop_front() {
             // Hand the unit directly to the waiter: in_use stays the
             // same.
-            self.total_wait += now.since(enqueued);
             self.grants += 1;
             sched.immediately(cont);
         } else {
             self.in_use -= 1;
         }
-    }
-
-    /// Mean queueing delay over all grants so far.
-    pub fn mean_wait(&self) -> Duration {
-        self.total_wait
-            .as_micros()
-            .checked_div(self.grants)
-            .map_or(Duration::ZERO, Duration::from_micros)
-    }
-
-    /// Utilization in `[0, 1]` up to `now`: busy server-time divided by
-    /// `capacity * elapsed`.
-    pub fn utilization(&mut self, now: Time) -> f64 {
-        self.account(now);
-        let elapsed = now.as_micros();
-        if elapsed == 0 {
-            return 0.0;
-        }
-        self.busy_time.as_micros() as f64 / (elapsed as f64 * self.capacity as f64)
     }
 
     /// Total grants so far.
@@ -146,34 +105,35 @@ impl<M> Resource<M> {
     }
 }
 
-/// Convenience: acquire `get(model)`, hold it for `service`, release,
-/// then run `then`. This is the common "use a server for a fixed
-/// service time" pattern (CPU bursts, disk writes).
-pub fn use_resource<M: 'static>(
-    get: fn(&mut M) -> &mut Resource<M>,
-    sched: &mut Scheduler<M>,
-    model: &mut M,
-    service: Duration,
-    then: Event<M>,
-) {
-    get(model).acquire(
-        sched,
-        Box::new(move |m: &mut M, s: &mut Scheduler<M>| {
-            s.after(
-                service,
-                Box::new(move |m: &mut M, s: &mut Scheduler<M>| {
-                    get(m).release(s);
-                    then(m, s);
-                }),
-            );
-            let _ = m;
-        }),
-    );
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use camelot_types::{Duration, Time};
+
+    /// Acquire `get(model)`, hold it for `service`, release,
+    /// then run `then`. This is the common "use a server for a fixed
+    /// service time" pattern (CPU bursts, disk writes).
+    fn use_resource<M: 'static>(
+        get: fn(&mut M) -> &mut Resource<M>,
+        sched: &mut Scheduler<M>,
+        model: &mut M,
+        service: Duration,
+        then: Event<M>,
+    ) {
+        get(model).acquire(
+            sched,
+            Box::new(move |m: &mut M, s: &mut Scheduler<M>| {
+                s.after(
+                    service,
+                    Box::new(move |m: &mut M, s: &mut Scheduler<M>| {
+                        get(m).release(s);
+                        then(m, s);
+                    }),
+                );
+                let _ = m;
+            }),
+        );
+    }
 
     struct W {
         cpu: Resource<W>,
@@ -240,27 +200,14 @@ mod tests {
     }
 
     #[test]
-    fn utilization_and_wait_statistics() {
+    fn grant_and_queue_statistics() {
         let (mut s, mut w) = world(1);
         s.at(Time(0), job(1, 10));
         s.at(Time(0), job(2, 10));
         s.run(&mut w);
         assert_eq!(s.now(), Time(20_000));
-        let u = w.cpu.utilization(s.now());
-        assert!((u - 1.0).abs() < 1e-9, "fully busy, got {u}");
-        // Job 2 waited 10 ms; mean over 2 grants = 5 ms.
-        assert_eq!(w.cpu.mean_wait(), Duration::from_millis(5));
         assert_eq!(w.cpu.grants(), 2);
         assert_eq!(w.cpu.peak_queue(), 1);
-    }
-
-    #[test]
-    fn idle_resource_has_zero_utilization() {
-        let (mut s, mut w) = world(2);
-        s.at(Time(0), job(1, 10));
-        s.run(&mut w);
-        let u = w.cpu.utilization(s.now());
-        assert!((u - 0.5).abs() < 1e-9, "one of two servers busy, got {u}");
     }
 
     #[test]

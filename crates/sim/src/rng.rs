@@ -24,12 +24,6 @@ impl SimRng {
         }
     }
 
-    /// Derives an independent child generator; used to give each site
-    /// or client its own stream without correlation.
-    pub fn fork(&mut self) -> SimRng {
-        SimRng::new(self.inner.gen())
-    }
-
     /// Uniform integer in `[lo, hi)`.
     ///
     /// # Panics
@@ -65,13 +59,6 @@ impl SimRng {
         Duration::from_micros(x.round() as u64)
     }
 
-    /// Uniformly jittered duration: `base * [1-spread, 1+spread]`.
-    pub fn jittered(&mut self, base: Duration, spread: f64) -> Duration {
-        debug_assert!((0.0..=1.0).contains(&spread));
-        let f = 1.0 + spread * (self.unit() * 2.0 - 1.0);
-        Duration::from_micros((base.as_micros() as f64 * f).round() as u64)
-    }
-
     /// Picks a uniformly random element index for a slice of length
     /// `len`.
     pub fn index(&mut self, len: usize) -> usize {
@@ -103,15 +90,6 @@ mod tests {
     }
 
     #[test]
-    fn fork_produces_independent_deterministic_children() {
-        let mut a = SimRng::new(9);
-        let mut b = SimRng::new(9);
-        let mut ca = a.fork();
-        let mut cb = b.fork();
-        assert_eq!(ca.uniform_u64(0, 100), cb.uniform_u64(0, 100));
-    }
-
-    #[test]
     fn exp_mean_is_roughly_right() {
         let mut r = SimRng::new(42);
         let mean = Duration::from_millis(10);
@@ -125,16 +103,6 @@ mod tests {
     fn exp_of_zero_mean_is_zero() {
         let mut r = SimRng::new(1);
         assert_eq!(r.exp(Duration::ZERO), Duration::ZERO);
-    }
-
-    #[test]
-    fn jittered_stays_in_band() {
-        let mut r = SimRng::new(5);
-        let base = Duration::from_millis(10);
-        for _ in 0..1000 {
-            let d = r.jittered(base, 0.2).as_micros();
-            assert!((8_000..=12_000).contains(&d), "{d}");
-        }
     }
 
     #[test]

@@ -176,22 +176,6 @@ impl<M> Scheduler<M> {
             }
         }
     }
-
-    /// Runs until `pred(model)` holds (checked after every event) or
-    /// events run out. Returns `true` if the predicate held.
-    pub fn run_while(&mut self, model: &mut M, mut pred: impl FnMut(&M) -> bool) -> bool {
-        while pred(model) {
-            if !self.step(model) {
-                return !pred(model);
-            }
-        }
-        true
-    }
-
-    /// True if no (non-cancelled) events remain.
-    pub fn is_idle(&self) -> bool {
-        self.heap.iter().all(|e| self.cancelled.contains(&e.seq))
-    }
 }
 
 #[cfg(test)]
@@ -310,19 +294,6 @@ mod tests {
         s.cancel(id);
         s.run_until(&mut m, Time(50_000));
         assert!(m.is_empty());
-        assert!(s.is_idle());
-    }
-
-    #[test]
-    fn run_while_predicate() {
-        let mut s = S::new(0);
-        let mut m = Vec::new();
-        for v in 0..100 {
-            s.after(Duration::from_millis(v as u64 + 1), push(v));
-        }
-        let done = s.run_while(&mut m, |m| m.len() < 5);
-        assert!(done);
-        assert_eq!(m.len(), 5);
     }
 
     #[test]

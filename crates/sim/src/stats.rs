@@ -8,8 +8,6 @@
 
 use std::fmt;
 
-use camelot_types::Duration;
-
 /// Streaming mean/variance/min/max accumulator (Welford's algorithm).
 #[derive(Debug, Clone, Default)]
 pub struct Summary {
@@ -39,11 +37,6 @@ impl Summary {
         self.m2 += delta * (x - self.mean);
         self.min = self.min.min(x);
         self.max = self.max.max(x);
-    }
-
-    /// Adds a duration observation in milliseconds.
-    pub fn add_duration(&mut self, d: Duration) {
-        self.add(d.as_millis_f64());
     }
 
     pub fn count(&self) -> u64 {
@@ -138,10 +131,6 @@ impl Series {
     pub fn add(&mut self, x: f64) {
         self.samples.push(x);
         self.summary.add(x);
-    }
-
-    pub fn add_duration(&mut self, d: Duration) {
-        self.add(d.as_millis_f64());
     }
 
     pub fn count(&self) -> u64 {
@@ -260,14 +249,6 @@ mod tests {
         assert_eq!(s.percentile(0.0), 1.0);
         assert_eq!(s.percentile(100.0), 100.0);
         assert_eq!(s.percentile(90.0), 90.0);
-    }
-
-    #[test]
-    fn series_duration_units_are_millis() {
-        let mut s = Series::new();
-        s.add_duration(Duration::from_millis(110));
-        s.add_duration(Duration::from_millis(90));
-        assert!((s.mean() - 100.0).abs() < 1e-12);
     }
 
     #[test]

@@ -129,23 +129,9 @@ impl CostModel {
         self.remote_rpc + self.get_lock + self.data_access
     }
 
-    /// The §4.1 reconstruction of remote RPC latency:
-    /// NetMsg-to-NetMsg + 2 local IPC hops CornMan<->NetMsgServer +
-    /// CornMan CPU at each site. The paper observes
-    /// 19.1 + 3 + 3.2 + 3.2 = 28.5 ms against a measured 28.5 ms.
-    pub fn rpc_breakdown_sum(&self) -> Duration {
-        self.netmsg_rpc + self.local_ipc * 2 + self.comman_cpu * 2
-    }
-
     /// `bcopy()` cost for `kb` kilobytes (Table 1 row "Data copy").
     pub fn bcopy(&self, kb: u64) -> Duration {
         self.bcopy_base + self.bcopy_per_kb * kb
-    }
-
-    /// Maximum log forces per second implied by the platter write time
-    /// (the "about 30 log writes per second" ceiling of §3.5).
-    pub fn max_forces_per_sec(&self) -> f64 {
-        1.0 / self.log_platter_write.as_secs_f64()
     }
 }
 
@@ -192,23 +178,9 @@ mod tests {
     }
 
     #[test]
-    fn rpc_breakdown_matches_section_4_1() {
-        let c = CostModel::rt_pc_mach();
-        // 19.1 + 3 + 3.2 + 3.2 = 28.5
-        assert_eq!(c.rpc_breakdown_sum().as_millis_f64(), 28.5);
-    }
-
-    #[test]
     fn bcopy_slope() {
         let c = CostModel::rt_pc_mach();
         assert_eq!(c.bcopy(0).as_micros(), 8);
         assert_eq!(c.bcopy(10).as_micros(), 8 + 1_800);
-    }
-
-    #[test]
-    fn log_write_ceiling_is_about_30_per_sec() {
-        let c = CostModel::rt_pc_mach();
-        let f = c.max_forces_per_sec();
-        assert!((29.0..31.0).contains(&f), "got {f}");
     }
 }

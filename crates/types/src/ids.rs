@@ -147,42 +147,6 @@ impl Tid {
     pub fn is_self_or_ancestor_of(&self, other: &Tid) -> bool {
         self == other || self.is_ancestor_of(other)
     }
-
-    /// Returns the closest common ancestor of two transactions of the
-    /// same family, or `None` if they belong to different families.
-    ///
-    /// The top-level transaction is a common ancestor of every pair in
-    /// a family, so within one family this always returns `Some`.
-    pub fn common_ancestor(&self, other: &Tid) -> Option<Tid> {
-        if self.family != other.family {
-            return None;
-        }
-        let mut path = Vec::new();
-        for (a, b) in self.path.iter().zip(other.path.iter()) {
-            if a == b {
-                path.push(*a);
-            } else {
-                break;
-            }
-        }
-        // The common ancestor must be a proper ancestor-or-self of both;
-        // if one tid is a prefix of the other, the prefix itself is the
-        // closest common ancestor only when it is not equal to the
-        // longer one — but equal-or-prefix is fine to return as-is.
-        if path.len() == self.path.len() && path.len() == other.path.len() {
-            return Some(self.clone());
-        }
-        if path.len() == self.path.len() {
-            return Some(self.clone());
-        }
-        if path.len() == other.path.len() {
-            return Some(other.clone());
-        }
-        Some(Tid {
-            family: self.family,
-            path,
-        })
-    }
 }
 
 impl fmt::Display for Tid {
@@ -258,27 +222,6 @@ mod tests {
         let a = Tid::top_level(fam(1));
         let b = Tid::top_level(fam(2)).child(1);
         assert!(!a.is_ancestor_of(&b));
-        assert_eq!(a.common_ancestor(&b), None);
-    }
-
-    #[test]
-    fn common_ancestor_siblings() {
-        let t = Tid::top_level(fam(3));
-        let a = t.child(1).child(1);
-        let b = t.child(1).child(2);
-        assert_eq!(a.common_ancestor(&b), Some(t.child(1)));
-        let c = t.child(2);
-        assert_eq!(a.common_ancestor(&c), Some(t.clone()));
-    }
-
-    #[test]
-    fn common_ancestor_of_ancestor_pair_is_the_ancestor() {
-        let t = Tid::top_level(fam(3));
-        let c = t.child(1);
-        let gc = c.child(4);
-        assert_eq!(c.common_ancestor(&gc), Some(c.clone()));
-        assert_eq!(gc.common_ancestor(&c), Some(c.clone()));
-        assert_eq!(c.common_ancestor(&c), Some(c.clone()));
     }
 
     #[test]

@@ -14,6 +14,7 @@
 pub mod cost;
 pub mod crash;
 pub mod error;
+pub mod flags;
 pub mod ids;
 pub mod time;
 pub mod wire;
@@ -24,3 +25,12 @@ pub use error::{AbortReason, CamelotError, Result};
 pub use ids::{FamilyId, Lsn, ObjectId, ServerId, SiteId, Tid};
 pub use time::{Duration, Time};
 pub use wire::{Reader, Wire, Writer};
+
+/// SplitMix64's finaliser: a bijective scramble of `z`. A generator
+/// feeds it a state stepped by `0x9E37_79B9_7F4A_7C15` per draw.
+#[inline]
+pub fn splitmix64(mut z: u64) -> u64 {
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}

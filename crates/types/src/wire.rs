@@ -102,10 +102,6 @@ impl Writer {
         self.buf.push(v);
     }
 
-    pub fn put_u16(&mut self, v: u16) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
     pub fn put_u32(&mut self, v: u32) {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
@@ -177,11 +173,6 @@ impl<'a> Reader<'a> {
 
     pub fn get_u8(&mut self) -> Result<u8> {
         Ok(self.take(1)?[0])
-    }
-
-    pub fn get_u16(&mut self) -> Result<u16> {
-        let b = self.take(2)?;
-        Ok(u16::from_le_bytes([b[0], b[1]]))
     }
 
     pub fn get_u32(&mut self) -> Result<u32> {
@@ -642,9 +633,9 @@ mod tests {
     fn writer_utilities() {
         let mut w = Writer::with_capacity(16);
         assert!(w.is_empty());
-        w.put_u16(0xBEEF);
-        assert_eq!(w.len(), 2);
+        w.put_u32(0xBEEF);
+        assert_eq!(w.len(), 4);
         let mut r = Reader::new(w.as_slice());
-        assert_eq!(r.get_u16().unwrap(), 0xBEEF);
+        assert_eq!(r.get_u32().unwrap(), 0xBEEF);
     }
 }

@@ -51,29 +51,11 @@ proptest! {
         prop_assert!(top.is_self_or_ancestor_of(&child));
     }
 
-    /// The common ancestor is an ancestor-or-self of both sides, and
-    /// is the *deepest* such tid.
-    #[test]
-    fn common_ancestor_is_deepest(a in any_tid(), n in 1u32..5, m in 1u32..5) {
-        // Construct two relatives of `a` so a common ancestor exists.
-        let x = a.child(n);
-        let y = a.child(m);
-        let ca = x.common_ancestor(&y).expect("same family");
-        prop_assert!(ca.is_self_or_ancestor_of(&x));
-        prop_assert!(ca.is_self_or_ancestor_of(&y));
-        if n == m {
-            prop_assert_eq!(ca, x);
-        } else {
-            prop_assert_eq!(ca, a);
-        }
-    }
-
     /// Different families never relate.
     #[test]
     fn families_are_disjoint(a in any_tid(), b in any_tid()) {
         if a.family != b.family {
             prop_assert!(!a.is_ancestor_of(&b));
-            prop_assert!(a.common_ancestor(&b).is_none());
         }
     }
 

@@ -71,8 +71,6 @@ pub struct GroupCommitBatcher {
     timer_armed: bool,
     /// Platter writes started (the figure-4 "log writes" count).
     writes: u64,
-    /// Requests satisfied in total.
-    satisfied: u64,
     /// Largest number of requests one write satisfied.
     max_batch: u64,
     /// Site-level trace emission (batch start/durable); no-op unless
@@ -90,7 +88,6 @@ impl GroupCommitBatcher {
             timer_epoch: 0,
             timer_armed: false,
             writes: 0,
-            satisfied: 0,
             max_batch: 0,
             tracer: Tracer::disabled(),
         }
@@ -109,11 +106,6 @@ impl GroupCommitBatcher {
     /// Platter writes started so far.
     pub fn writes(&self) -> u64 {
         self.writes
-    }
-
-    /// Requests satisfied so far.
-    pub fn satisfied_count(&self) -> u64 {
-        self.satisfied
     }
 
     /// Largest batch (requests per write) seen.
@@ -142,7 +134,6 @@ impl GroupCommitBatcher {
     /// `lsn_end` (use the store's `end_lsn` after appending) durable.
     pub fn request(&mut self, req: ReqId, lsn_end: Lsn, now: Time) -> Vec<BatcherAction> {
         if lsn_end <= self.durable {
-            self.satisfied += 1;
             return vec![BatcherAction::Satisfied {
                 reqs: vec![req],
                 durable: self.durable,
@@ -186,7 +177,6 @@ impl GroupCommitBatcher {
         });
         let mut actions = Vec::new();
         if !done.is_empty() {
-            self.satisfied += done.len() as u64;
             self.max_batch = self.max_batch.max(done.len() as u64);
             actions.push(BatcherAction::Satisfied {
                 reqs: done,
@@ -426,7 +416,6 @@ mod tests {
         b.request(ReqId(2), Lsn(20), t(0));
         b.write_complete(t(33)); // Satisfies 1, starts write for 2.
         b.write_complete(t(66));
-        assert_eq!(b.satisfied_count(), 2);
         assert_eq!(b.pending_len(), 0);
         assert_eq!(b.durable(), Lsn(20));
     }

@@ -86,11 +86,6 @@ impl<S: StableStore> Wal<S> {
         Ok(after)
     }
 
-    /// True if `lsn`'s record is durable.
-    pub fn is_durable(&self, lsn: Lsn) -> bool {
-        lsn < self.store.durable_lsn()
-    }
-
     pub fn durable_lsn(&self) -> Lsn {
         self.store.durable_lsn()
     }
@@ -189,10 +184,10 @@ mod tests {
             })
             .unwrap();
         let l2 = wal.append(&RecordBody::Abort { tid: tid(2) }).unwrap();
-        assert!(wal.is_durable(l1));
-        assert!(!wal.is_durable(l2));
+        assert!(l1 < wal.durable_lsn());
+        assert!(l2 >= wal.durable_lsn());
         wal.force().unwrap();
-        assert!(wal.is_durable(l2));
+        assert!(l2 < wal.durable_lsn());
     }
 
     #[test]
@@ -256,6 +251,6 @@ mod tests {
         assert_eq!(wal.base_lsn(), second);
         let back = wal.recover().unwrap();
         assert_eq!(back, vec![(second, commit(2)), (third, commit(3))]);
-        assert!(wal.is_durable(third));
+        assert!(third < wal.durable_lsn());
     }
 }

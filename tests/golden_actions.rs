@@ -9,7 +9,7 @@
 //! change, never a reason to re-pin in the same commit.
 
 use camelot::core::testkit::{fnv1a, FNV_OFFSET};
-use camelot_chaos::{run_seed, schedule_seed};
+use camelot_chaos::{run_seed, schedule_seed, RunResult};
 
 const SCHEDULES: u64 = 512;
 const BASE_SEED: u64 = 16;
@@ -18,7 +18,7 @@ const PINNED: u64 = 0x3435_9bf7_e282_de2d;
 fn campaign_digest() -> u64 {
     let mut state = FNV_OFFSET;
     for i in 0..SCHEDULES {
-        let r = run_seed(schedule_seed(BASE_SEED, i), false);
+        let r: RunResult = run_seed(schedule_seed(BASE_SEED, i), false);
         assert!(r.violations.is_empty(), "schedule {i}: {:?}", r.violations);
         fnv1a(&mut state, &r.action_digest.to_le_bytes());
         for (site, image) in &r.wal_images {

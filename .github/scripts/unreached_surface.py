@@ -11,14 +11,23 @@
      constant, not an option.
 (ii) Every `[dependencies]` / `[dev-dependencies]` entry of a workspace
      member must be named in at least one of that member's sources.
-(iii) Every `"--flag"` a `src/bin/*.rs` parses must be named somewhere
-     else in the repository — a test, a script, CI, the ladder or the
-     documentation (ISSUE, CHANGES and ROADMAP record history and do not
-     count). A flag nobody passes and nobody is told about is a constant.
+(iii) Every flag in a tool's flag table (`camelot_types::flags` rows in
+     `src/bin/*.rs` and `crates/chaos/src/main.rs`) must be named
+     somewhere else in the repository — a test, a script, CI, the ladder
+     or the documentation (ISSUE, CHANGES and ROADMAP record history and
+     do not count). A flag nobody passes and nobody is told about is a
+     constant. And every `camelot-*` command line in `ci.yml`, a fenced
+     block of README.md or the verify skill passes only flags the
+     tool's table has, and integers written in decimal or `0x…`.
 (iv) A message, record or ctrl kind is one row of its type's
      `wire_struct!` / `wire_enum!` table: no `impl Wire for` in
      `crates/{net,wal,node}` outside a `macro_rules!` definition, and no
      `const (T|Q|R|TAG)_*: u8` tag constant anywhere.
+(v)  A `pub fn` in `crates/*/src` (before the file's `#[cfg(test)]`)
+     whose name no product code, binary, bench, example or ladder
+     source mentions is called by tests only: delete it with the test
+     that exists to call it, unless it is in `ONLY_TESTS_CALL` — the
+     hooks a test needs to observe behaviour nothing else observes.
 
 Run from the repository root: `python3 .github/scripts/unreached_surface.py`.
 """
@@ -113,17 +122,133 @@ def tracked_text_files():
     return out
 
 
-def unnamed_flags():
+TOOL_SOURCES = ["crates/*/src/bin/*.rs", "crates/chaos/src/main.rs"]
+ROW = re.compile(r'\(\s*"(--[a-z][a-z0-9-]*)"\s*,\s*("[^"]*"|SWITCH)\s*,')
+INT_VALUES = {"N", "MS", "SECS", "PM"}
+COMMAND_DOCS = [".github/workflows/ci.yml", "README.md", ".claude/skills/verify/SKILL.md"]
+COMMAND = re.compile(r"(?<![\w-])(camelot-[a-z-]+)\b(.*)")
+
+
+def flag_tables():
+    """{tool name as typed: {flag: value name, "" for a switch}} and
+    {source file: its flags}, read from the `Tool` literals and the rows
+    next to them. A file with several tools (subcommands) names each
+    before its rows."""
+    tools, by_file = {}, {}
+    for pattern in TOOL_SOURCES:
+        for p in sorted(ROOT.glob(pattern)):
+            text = p.read_text()
+            names = [(m.start(), m.group(1)) for m in re.finditer(r'(?:name: |Tool::new\()"(camelot-[a-z -]+)"', text)]
+            for _, name in names:
+                tools.setdefault(name, {})
+            for m in ROW.finditer(text):
+                before = [n for at, n in names if at < m.start()]
+                owner = names[0][1] if len(names) == 1 else before[-1]
+                tools[owner][m.group(1)] = m.group(2).strip('"').replace("SWITCH", "")
+                by_file.setdefault(p, set()).add(m.group(1))
+    return tools, by_file
+
+
+def unnamed_flags(by_file):
     files = {p: p.read_text() for p in tracked_text_files()}
     out = []
-    for p, text in files.items():
-        if p.suffix != ".rs" or p.parent.name != "bin" or p.parent.parent.name != "src":
-            continue
-        for flag in sorted(set(re.findall(r'"(--[a-z][a-z0-9-]*)"', text))):
+    for p, flags in by_file.items():
+        for flag in sorted(flags):
             named = re.compile(r"(?<![\w-])%s(?![\w-])" % re.escape(flag))
             if not any(named.search(t) for q, t in files.items() if q != p):
                 out.append("%s %s" % (p.relative_to(ROOT), flag))
     return out
+
+
+def command_lines(path):
+    """The shell lines of a document: all of a workflow, the fenced
+    blocks of a markdown file; continuation lines joined."""
+    text = (ROOT / path).read_text().replace("\\\n", " ")
+    if path.endswith(".md"):
+        text = "\n".join(re.findall(r"^```[a-z]*\n(.*?)^```", text, re.M | re.S))
+    return text.splitlines()
+
+
+def bad_command_lines(tools):
+    out = []
+    for path in COMMAND_DOCS:
+        for line in command_lines(path):
+            m = COMMAND.search(line.split("#")[0])
+            if not m or "cargo build" in line or "cargo test" in line:
+                continue
+            tool, rest = m.group(1), m.group(2)
+            if "cargo " in line:
+                rest = rest.split(" -- ", 1)[1] if " -- " in rest else ""
+            words = re.split(r"\s+", rest.strip())
+            if tool == "camelot-scope" and words[0]:
+                tool += " " + words.pop(0)
+            if tool not in tools:
+                continue
+            table, i = tools[tool], 0
+            while i < len(words) and words[i] not in ("|", ">", "&&", ";", "2>&1"):
+                word, i = words[i].strip("`"), i + 1
+                if not word.startswith("--") or word == "--help":
+                    continue
+                if word not in table:
+                    out.append("%s: %s has no flag %s" % (path, tool, word))
+                elif table[word]:
+                    value, i = (words[i].strip("`") if i < len(words) else ""), i + 1
+                    if (
+                        table[word] in INT_VALUES
+                        and value != table[word]
+                        and not re.fullmatch(r"\d+|0x[0-9a-fA-F]+", value)
+                    ):
+                        out.append("%s: %s %s %s is not an integer" % (path, tool, word, value))
+    return out
+
+
+# Public functions only tests call, and why each stays.
+ONLY_TESTS_CALL = {
+    # core::testkit's assertion helpers are the tests' reference.
+    "crates/core/src/testkit.rs": {
+        "outcome_of", "server_committed", "server_aborted", "assert_agreement",
+        "assert_no_conflict", "abort_rec",
+    },
+    # How a test observes behaviour nothing else observes.
+    "crates/wal/src/codec.rs": {"read_frame"},
+    "crates/core/src/engine.rs": {"armed_timers"},
+    "crates/rt/src/stats.rs": {"total_commits"},
+    # What ROADMAP item 3 builds on.
+    "crates/harness/src/staticpath.rs": {"critical_path_counts", "nonblocking_read", "nonblocking_update"},
+    # Test hooks a campaign or a golden vector names.
+    "crates/server/src/server.rs": {"poison"},
+    "crates/wal/src/record.rs": {"normally_forced"},
+    "crates/node/src/ctrl.rs": {"fill_trace"},
+}
+
+
+def functions_only_tests_call():
+    def product(p):
+        """`p` without its `#[cfg(test)]` tail and its comments."""
+        return re.sub(r"//[^\n]*", "", p.read_text().split("#[cfg(test)]")[0])
+
+    callers, crate_src = [], {}
+    for crate in sorted((ROOT / "crates").iterdir()):
+        for p in rust_sources(crate, ["src"]):
+            if not p.name.startswith("tests_"):
+                crate_src[p] = product(p)
+        callers += [p.read_text() for p in rust_sources(crate, ["benches", "examples"])]
+    callers += [product(p) for p in rust_sources(ROOT, ["src", "examples"])]
+    callers += [product(p) for p in rust_sources(ROOT / "ladder", ["src"])]
+    everything = "\n".join(list(crate_src.values()) + callers)
+    found, unlisted = 0, []
+    for p, text in crate_src.items():
+        if p.parent.name == "bin":
+            continue
+        rel = str(p.relative_to(ROOT))
+        for name in re.findall(r"^\s*pub fn (\w+)", text, re.M):
+            mentions = len(re.findall(r"(?<!\w)%s\b(?!\s*:)" % name, everything))
+            if mentions > len(re.findall(r"\bfn %s\b" % name, everything)):
+                continue
+            found += 1
+            if name not in ONLY_TESTS_CALL.get(rel, ()):
+                unlisted.append("%s::%s" % (rel, name))
+    return found, unlisted
 
 
 def strip_macro_definitions(text):
@@ -163,11 +288,23 @@ def main():
         failed = True
         print("dependency no source names: " + line)
     print("unnamed dependencies: %d" % len(unnamed))
-    flags = unnamed_flags()
+    tools, by_file = flag_tables()
+    flags = unnamed_flags(by_file)
     for line in flags:
         failed = True
-        print("flag named nowhere but its parser: " + line)
+        print("flag named nowhere but its table: " + line)
+    print("flag tables: %d tools, %d flags" % (len(tools), sum(map(len, tools.values()))))
     print("unnamed flags: %d" % len(flags))
+    commands = bad_command_lines(tools)
+    for line in commands:
+        failed = True
+        print("command line its tool would refuse: " + line)
+    print("refused command lines: %d" % len(commands))
+    found, unlisted = functions_only_tests_call()
+    for line in unlisted:
+        failed = True
+        print("public function only tests call (delete it with its test): " + line)
+    print("functions only tests call: %d" % found)
     impls, tags = hand_written_codecs()
     for line in impls:
         failed = True

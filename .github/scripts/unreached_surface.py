@@ -28,6 +28,11 @@
      source mentions is called by tests only: delete it with the test
      that exists to call it, unless it is in `ONLY_TESTS_CALL` — the
      hooks a test needs to observe behaviour nothing else observes.
+(vi) `camelot_node::procs::Supervisor` is the one owner of a cluster of
+     site processes: no source outside `crates/node/src/procs.rs` calls
+     `set_peers(` or polls `debug_state()` in a `loop` / `while` — the
+     two calls only a cluster owner makes. `ladder/` is the instrument's
+     own code and is not scanned.
 
 Run from the repository root: `python3 .github/scripts/unreached_surface.py`.
 """
@@ -273,6 +278,34 @@ def hand_written_codecs():
     return impls, tags
 
 
+CLUSTER_OWNER = "crates/node/src/procs.rs"
+
+
+def cluster_owners():
+    """Where a source other than the cluster owner distributes peers or
+    waits for the cluster to go quiet."""
+    sources = rust_sources(ROOT) + [
+        p for crate in sorted((ROOT / "crates").iterdir()) for p in rust_sources(crate)
+    ]
+    out = []
+    for p in sources:
+        rel = str(p.relative_to(ROOT))
+        if rel == CLUSTER_OWNER:
+            continue
+        text = re.sub(r"//[^\n]*", "", p.read_text())
+        loops = [
+            (m.end(), m.end() + len(block(text, m.end() - 1)))
+            for m in re.finditer(r"\bloop\s*\{|^\s*while\b[^{;]*\{", text, re.M)
+        ]
+        line = lambda at: text.count("\n", 0, at) + 1
+        for m in re.finditer(r"(?<!fn )\bset_peers\(", text):
+            out.append("%s:%d: set_peers(" % (rel, line(m.start())))
+        for m in re.finditer(r"\bdebug_state\(\)", text):
+            if any(a <= m.start() < b for a, b in loops):
+                out.append("%s:%d: debug_state() polled in a loop" % (rel, line(m.start())))
+    return out
+
+
 def main():
     failed = False
     counts = []
@@ -313,6 +346,11 @@ def main():
         failed = True
         print("tag constant (a tag is written in its table row only): " + line)
     print("hand-written codecs / tag constants: %d / %d" % (len(impls), len(tags)))
+    owners = cluster_owners()
+    for line in owners:
+        failed = True
+        print("cluster owned outside %s: %s" % (CLUSTER_OWNER, line))
+    print("cluster owners outside procs.rs: %d" % len(owners))
     sys.exit(1 if failed else 0)
 
 

@@ -49,7 +49,7 @@ use std::time::{Duration, Instant};
 use camelot_bench::{quick, OpenLoop, SplitMix64};
 use camelot_core::CommitMode;
 use camelot_node::procs::{sibling_site_bin, AddrBoard, Supervisor, SupervisorConfig};
-use camelot_node::session::{balance, transfer, CtrlSession, SRV};
+use camelot_node::session::{balance, fund, transfer, CtrlSession, SRV};
 use camelot_obs::Phase;
 use camelot_scope::{merge_skew_aware, parse_jsonl, Collector, ScopeEvent, ScrapeTarget};
 use camelot_types::flags::Tool;
@@ -184,11 +184,7 @@ fn apply_event(sup: &mut Supervisor, sites: u32, ev: &FaultEvent, log: &mut Vec<
             format!("skew site {} to {pm}\u{2030}", site.0)
         }
         FaultEvent::Heal => {
-            for id in 1..=sites {
-                if let Some(ctrl) = sup.ctrl(SiteId(id)) {
-                    let _ = ctrl.heal();
-                }
-            }
+            sup.heal_all();
             "heal".to_string()
         }
     };
@@ -296,11 +292,7 @@ fn audit(sup: &mut Supervisor, ctx: &mut AuditCtx<'_>) -> Vec<String> {
 
     // Heal every fault so recovery machinery can actually run, then
     // give supervision a window to restore membership.
-    for id in 1..=opts.sites {
-        if let Some(ctrl) = sup.ctrl(SiteId(id)) {
-            let _ = ctrl.heal();
-        }
-    }
+    sup.heal_all();
     if !sup.wait_all_up(Duration::from_secs(30)) {
         violations.push("membership: not every site came back up within 30s".into());
         return violations;
@@ -308,38 +300,13 @@ fn audit(sup: &mut Supervisor, ctx: &mut AuditCtx<'_>) -> Vec<String> {
     // Heal again now that every site is up: a site that respawned
     // mid-heal may have missed a partition lift (it boots clean, but
     // its peers' installs may target it again later in the script).
-    for id in 1..=opts.sites {
-        if let Some(ctrl) = sup.ctrl(SiteId(id)) {
-            let _ = ctrl.heal();
-        }
-    }
+    sup.heal_all();
 
     // Quiesce: every engine drains to idle.
-    let deadline = Instant::now() + Duration::from_secs(20);
-    loop {
-        sup.poll();
-        let mut busy = Vec::new();
-        for id in 1..=opts.sites {
-            match sup.ctrl(SiteId(id)) {
-                None => busy.push(format!("site {id} down")),
-                Some(ctrl) => match ctrl.debug_state() {
-                    Ok(d) if d.is_empty() => {}
-                    Ok(d) => busy.push(format!("site {id}: {d}")),
-                    Err(e) => busy.push(format!("site {id}: debug_state: {e}")),
-                },
-            }
-        }
-        if busy.is_empty() {
-            break;
-        }
-        if Instant::now() >= deadline {
-            violations.push(format!(
-                "wedged: cluster did not quiesce within 20s [{}]",
-                busy.join(" | ")
-            ));
-            break;
-        }
-        std::thread::sleep(Duration::from_millis(50));
+    if let Err(busy) = sup.quiesce(Duration::from_secs(20)) {
+        violations.push(format!(
+            "wedged: cluster did not quiesce within 20s [{busy}]"
+        ));
     }
 
     // Observability sweep: scrape every site (trace-ring drops are a
@@ -347,15 +314,10 @@ fn audit(sup: &mut Supervisor, ctx: &mut AuditCtx<'_>) -> Vec<String> {
     // transactions), then drain the rings in bounded chunks so they
     // never fill between audits and a later violation can dump one
     // merged cluster timeline.
-    let board = sup.board();
-    let targets: Vec<ScrapeTarget> = (1..=opts.sites)
-        .filter_map(|id| {
-            board
-                .ctrl_addr(SiteId(id))
-                .map(|addr| ScrapeTarget { site: id, addr })
-        })
-        .collect();
-    let snap = ctx.collector.scrape(&targets, Some(sup.ctrl_addr()));
+    let targets = ScrapeTarget::from_board(&sup.board(), opts.sites);
+    let mut snap = ctx.collector.scrape(&targets);
+    let restarts = sup.restart_counts().into_iter();
+    snap.restarts = Some(restarts.map(|(site, n)| (site.0, n)).collect());
     let dropped = snap.total_trace_dropped();
     ctx.scrape_series.push_str(&snap.to_json());
     ctx.scrape_series.push('\n');
@@ -392,39 +354,17 @@ fn audit(sup: &mut Supervisor, ctx: &mut AuditCtx<'_>) -> Vec<String> {
             ));
         }
     }
-    for id in 1..=opts.sites {
-        if let Some(ctrl) = sup.ctrl(SiteId(id)) {
-            if let Ok(trace) = ctrl.drain_trace() {
-                ctx.drained.extend(parse_jsonl(&trace));
-            }
-        }
-    }
+    ctx.drained.extend(parse_jsonl(&sup.drain_traces()));
 
     // Conservation over the transfer accounts.
-    let mut total = 0i64;
-    let mut readable = true;
-    for id in 1..=opts.sites {
-        for a in 0..opts.accounts {
-            match sup
-                .ctrl(SiteId(id))
-                .ok_or_else(|| "down".to_string())
-                .and_then(|c| {
-                    c.committed_value(SRV, ObjectId(a))
-                        .map_err(|e| e.to_string())
-                }) {
-                Ok(v) => total += balance(&v),
-                Err(e) => {
-                    violations.push(format!("audit read: site {id} obj{a}: {e}"));
-                    readable = false;
-                }
-            }
-        }
-    }
     let expected = opts.sites as i64 * opts.accounts as i64 * INITIAL;
-    if readable && total != expected {
-        violations.push(format!(
+    let ledger = CtrlSession::new(sup.board()).ledger(opts.sites, opts.accounts);
+    match ledger.map(|l| l.iter().sum::<i64>()) {
+        Ok(total) if total != expected => violations.push(format!(
             "conservation: committed balances sum to {total}, funded {expected}"
-        ));
+        )),
+        Ok(_) => {}
+        Err(e) => violations.push(format!("audit read: {e}")),
     }
 
     // Durability ratchet: the previous audit's committed counter must
@@ -486,13 +426,7 @@ fn dump_traces(sup: &mut Supervisor, ctx: &mut AuditCtx<'_>, violations: &[Strin
     let _ = std::fs::write(dir.join("soak-report.txt"), &report);
     // Pick up whatever the rings hold beyond the last audit's drain,
     // then merge everything into one corrected timeline.
-    for id in 1..=ctx.opts.sites {
-        if let Some(ctrl) = sup.ctrl(SiteId(id)) {
-            if let Ok(trace) = ctrl.drain_trace() {
-                ctx.drained.extend(parse_jsonl(&trace));
-            }
-        }
-    }
+    ctx.drained.extend(parse_jsonl(&sup.drain_traces()));
     let merged = merge_skew_aware(std::mem::take(&mut ctx.drained));
     if let Ok(mut f) = std::fs::File::create(dir.join("cluster-timeline.jsonl")) {
         let _ = f.write_all(merged.to_jsonl().as_bytes());
@@ -538,25 +472,11 @@ fn main() {
         opts.sites, opts.transport, RATE, WORKERS, opts.duration, opts.seed
     );
 
-    // Fund the transfer accounts and seed the ratchet counters.
+    // Fund the transfer accounts. The ratchet counters start at 0,
+    // which is what an object no transaction has written reads as.
+    let mut session = CtrlSession::new(sup.board());
     for id in 1..=opts.sites {
-        let ctrl = sup.ctrl(SiteId(id)).expect("funding: site up");
-        let tid = ctrl.begin().expect("begin funding txn");
-        for a in 0..opts.accounts {
-            ctrl.write(&tid, SRV, ObjectId(a), INITIAL.to_le_bytes().to_vec())
-                .expect("fund account");
-        }
-        ctrl.write(
-            &tid,
-            SRV,
-            ratchet_obj(opts.accounts),
-            0i64.to_le_bytes().to_vec(),
-        )
-        .expect("seed ratchet");
-        assert!(
-            ctrl.commit(&tid, false, vec![]).expect("funding commit"),
-            "funding at site {id} must commit",
-        );
+        fund(&mut session, SiteId(id), opts.accounts, INITIAL).expect("fund every site");
     }
 
     let shared = Arc::new(WorkerShared {
@@ -663,7 +583,7 @@ fn main() {
         "camelot-soak: restarts {}",
         counts
             .iter()
-            .map(|e| format!("site {}: {}", e.site.0, e.restarts))
+            .map(|(site, n)| format!("site {}: {n}", site.0))
             .collect::<Vec<_>>()
             .join(", ")
     );

@@ -39,9 +39,7 @@ use camelot_bench::driver::{point_json, rates_from_flags, run_point, Mix, Point}
 use camelot_bench::quick;
 use camelot_net::TransportStats;
 use camelot_node::config::fast_engine;
-use camelot_node::procs::{
-    distribute_peers, sibling_site_bin, wait_quiesce, AddrBoard, SiteProc, SpawnSpec,
-};
+use camelot_node::procs::{sibling_site_bin, Supervisor, SupervisorConfig};
 use camelot_node::session::{CtrlSession, InProcSession};
 use camelot_rt::{Cluster, RtConfig};
 use camelot_scope::{
@@ -177,7 +175,10 @@ fn run_point_sockets(args: &Args, transport: Transport, rate: f64) -> SockPoint 
         eprintln!("camelot-sockbench: {e}");
         std::process::exit(1);
     });
-    let extra = vec![
+    // No log directory: every site keeps its WAL in memory, as the
+    // committed baselines were measured.
+    let mut cfg = SupervisorConfig::new(bin, args.mix.sites, transport.name(), None);
+    cfg.extra = vec![
         "--call-timeout-ms".to_string(),
         "2000".to_string(),
         // Big enough that a whole point's trace survives un-drained;
@@ -185,35 +186,16 @@ fn run_point_sockets(args: &Args, transport: Transport, rate: f64) -> SockPoint 
         "--trace-capacity".to_string(),
         "262144".to_string(),
     ];
-    let mut sites: Vec<SiteProc> = (1..=args.mix.sites)
-        .map(|i| {
-            SiteProc::spawn(&SpawnSpec {
-                bin: &bin,
-                site: SiteId(i),
-                transport: transport.name(),
-                log_dir: None,
-                fast: true,
-                extra: &extra,
-            })
-            .unwrap_or_else(|e| {
-                eprintln!("camelot-sockbench: spawn site {i}: {e}");
-                std::process::exit(1);
-            })
-        })
-        .collect();
-    distribute_peers(&mut sites).expect("distribute peers");
-    let board = AddrBoard::fixed(&sites);
+    let mut sup = Supervisor::start(cfg).unwrap_or_else(|e| {
+        eprintln!("camelot-sockbench: start cluster: {e}");
+        std::process::exit(1);
+    });
+    let board = sup.board();
 
     // Scrape the cluster on a cadence for the whole point; the series
     // lands next to BENCH_socket.json so a ladder knee can be read
     // against queue depths and phase histograms, not just end counts.
-    let targets: Vec<ScrapeTarget> = sites
-        .iter()
-        .map(|s| ScrapeTarget {
-            site: s.id.0,
-            addr: s.handshake.ctrl,
-        })
-        .collect();
+    let targets = ScrapeTarget::from_board(&board, args.mix.sites);
     let scrape_stop = Arc::new(AtomicBool::new(false));
     let scrape_handle = {
         let stop = Arc::clone(&scrape_stop);
@@ -221,7 +203,7 @@ fn run_point_sockets(args: &Args, transport: Transport, rate: f64) -> SockPoint 
             let mut collector = Collector::new();
             let mut series = String::new();
             loop {
-                let snap = collector.scrape(&targets, None);
+                let snap = collector.scrape(&targets);
                 series.push_str(&snap.to_json());
                 series.push('\n');
                 if stop.load(Ordering::Acquire) {
@@ -239,10 +221,12 @@ fn run_point_sockets(args: &Args, transport: Transport, rate: f64) -> SockPoint 
     });
 
     // Let in-flight resolutions land, then read the counters.
-    wait_quiesce(&mut sites, StdDuration::from_secs(10));
+    if let Err(busy) = sup.quiesce(StdDuration::from_secs(10)) {
+        eprintln!("camelot-sockbench: cluster did not quiesce [{busy}]");
+    }
     let mut agg = TransportStats::default();
-    for s in sites.iter_mut() {
-        if let Ok(st) = s.ctrl.transport_stats() {
+    for site in (1..=args.mix.sites).map(SiteId) {
+        if let Some(Ok(st)) = sup.ctrl(site).map(|c| c.transport_stats()) {
             agg.sends += st.sends;
             agg.send_failures += st.send_failures;
             agg.connects += st.connects;
@@ -257,16 +241,9 @@ fn run_point_sockets(args: &Args, transport: Transport, rate: f64) -> SockPoint 
     // every ring and attribute the point's commit latency.
     scrape_stop.store(true, Ordering::Release);
     let scrape = scrape_handle.join().ok();
-    let mut events = Vec::new();
-    for s in sites.iter_mut() {
-        if let Ok(trace) = s.ctrl.drain_trace() {
-            events.extend(parse_jsonl(&trace));
-        }
-    }
+    let events = parse_jsonl(&sup.drain_traces());
     let attribution = attribute(&merge_skew_aware(events).events);
-    for s in sites {
-        s.shutdown();
-    }
+    sup.shutdown();
     SockPoint {
         point,
         scrape,

@@ -13,7 +13,7 @@
 //!
 //! The §3.2 optimization: "The subordinate drops its locks before
 //! writing a commit record. [...] The optimized protocol uses the
-//! commit record at the coordinator to indicate [commitment]. So the
+//! commit record at the coordinator to indicate \[commitment\]. So the
 //! coordinator must not forget about the transaction before the
 //! subordinate writes its own commit record; hence, the commit
 //! acknowledgement cannot be sent until the subordinate's commit

@@ -1,6 +1,6 @@
 //! Moss-model lock manager for nested transactions.
 //!
-//! Camelot data servers "must serialize access to [their] data by
+//! Camelot data servers "must serialize access to \[their\] data by
 //! locking" (paper §2); the runtime library provides shared/exclusive
 //! mode locking. Transactions are nested in the Moss model, which
 //! refines two-phase locking with an *ancestor rule*:

@@ -19,11 +19,11 @@
 
 use std::path::PathBuf;
 use std::process::exit;
-use std::time::{Duration as StdDuration, Instant};
+use std::time::Duration as StdDuration;
 
 use camelot_core::CommitMode;
 use camelot_node::procs::{sibling_site_bin, Supervisor, SupervisorConfig};
-use camelot_node::session::{balance, transfer, CtrlSession, SRV};
+use camelot_node::session::{fund, transfer, CtrlSession};
 use camelot_types::flags::{Parsed, Row, Tool, SWITCH};
 use camelot_types::{splitmix64, ObjectId, SiteId};
 
@@ -89,26 +89,14 @@ fn run(p: &Parsed) -> Result<(), String> {
         sites, transport, accounts
     );
 
-    // Fund every site's ledger with one local transaction.
-    for id in 1..=sites {
-        let ctrl = sup.ctrl(SiteId(id)).expect("funding: site up");
-        let tid = ctrl.begin().expect("begin funding txn");
-        for a in 0..accounts {
-            ctrl.write(&tid, SRV, ObjectId(a), INITIAL.to_le_bytes().to_vec())
-                .expect("fund account");
-        }
-        assert!(
-            ctrl.commit(&tid, nonblocking, vec![])
-                .expect("funding commit"),
-            "funding at site {id} must commit",
-        );
-    }
-
     // Transfers dial their own control connections through the address
     // board, so a transfer that touches a dead site fails with a typed
     // error (and is aborted best-effort) instead of wedging, and a
     // respawned site is re-resolved on its new ports.
     let mut session = CtrlSession::new(sup.board());
+    for id in 1..=sites {
+        fund(&mut session, SiteId(id), accounts, INITIAL).expect("fund every site");
+    }
     let mode = if nonblocking {
         CommitMode::NonBlocking
     } else {
@@ -166,47 +154,20 @@ fn run(p: &Parsed) -> Result<(), String> {
 
     // A non-blocking commit returns at quorum; subordinates apply the
     // outcome in phase three. Audit only after the protocol quiesces.
-    let quiesce_deadline = Instant::now() + StdDuration::from_secs(20);
-    loop {
-        sup.poll();
-        let mut busy = false;
-        for id in 1..=sites {
-            let Some(ctrl) = sup.ctrl(SiteId(id)) else {
-                busy = true;
-                continue;
-            };
-            if ctrl.debug_state().map(|d| !d.is_empty()).unwrap_or(true) {
-                busy = true;
-            }
-        }
-        if !busy {
-            break;
-        }
-        if Instant::now() >= quiesce_deadline {
-            eprintln!("camelot-launch: cluster did not quiesce");
-            break;
-        }
-        std::thread::sleep(StdDuration::from_millis(50));
+    if let Err(busy) = sup.quiesce(StdDuration::from_secs(20)) {
+        eprintln!("camelot-launch: cluster did not quiesce [{busy}]");
     }
 
     // Conservation: committed balances must sum to the funded total —
     // regardless of which transfers committed, aborted, or were cut
     // short by a kill (atomicity makes every subset conserve).
-    let mut total = 0i64;
-    for id in 1..=sites {
-        let ctrl = sup.ctrl(SiteId(id)).expect("audit: site up");
-        let mut site_total = 0i64;
-        for a in 0..accounts {
-            let v = balance(
-                &ctrl
-                    .committed_value(SRV, ObjectId(a))
-                    .expect("committed value"),
-            );
-            site_total += v;
-        }
-        println!("camelot-launch: site {id} holds {site_total}");
-        total += site_total;
+    let ledger = session
+        .ledger(sites, accounts)
+        .expect("audit: every site up");
+    for (id, held) in (1..).zip(&ledger) {
+        println!("camelot-launch: site {id} holds {held}");
     }
+    let total: i64 = ledger.iter().sum();
     let expected = sites as i64 * accounts as i64 * INITIAL;
     let conserved = total == expected;
     println!(
@@ -218,7 +179,7 @@ fn run(p: &Parsed) -> Result<(), String> {
         "camelot-launch: restarts {}",
         counts
             .iter()
-            .map(|e| format!("site {}: {}", e.site.0, e.restarts))
+            .map(|(site, n)| format!("site {}: {n}", site.0))
             .collect::<Vec<_>>()
             .join(", ")
     );

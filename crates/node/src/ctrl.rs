@@ -81,9 +81,7 @@ wire_enum! {
         /// Scale a site's protocol-timer durations by `per_mille`/1000
         /// (1500 = timers fire 50% late; 1000 clears the skew).
         17 => SetSkew { site: SiteId, per_mille: u32 },
-        /// Per-site restart counts. Only the supervisor's own control
-        /// listener answers this; a plain site replies with an error.
-        18 => RestartStats,
+        // 18 was `RestartStats` (the supervisor's own listener); retired, not reused.
         /// Snapshot the site's per-phase latency histograms (plain and
         /// protocol-keyed). Read-only: histograms keep accumulating.
         19 => PhaseStats,
@@ -121,8 +119,7 @@ wire_enum! {
         9 => Transport { stats: TransportStats },
         /// Snapshot of the site's fault-injection counters.
         10 => Fault { stats: FaultStats },
-        /// Per-site restart counts from the supervisor.
-        11 => Restarts { counts: Vec<RestartEntry> },
+        // 11 was `Restarts` (the supervisor's counts); retired, not reused.
         /// Per-phase latency histograms: plain and protocol-keyed.
         /// Boxed: the snapshots are multi-KiB fixed-bucket arrays and
         /// would otherwise balloon every reply on the stack.
@@ -248,15 +245,6 @@ impl SiteStatsWire {
         "snapshot_bytes",
         "last_restart_us",
     ];
-}
-
-wire_struct! {
-    /// One site's restart count, as reported by the supervisor.
-    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-    pub struct RestartEntry {
-        pub site: SiteId,
-        pub restarts: u32,
-    }
 }
 
 /// Writes one wire value as a frame on a stream.
@@ -523,13 +511,6 @@ impl CtrlClient {
         }
     }
 
-    pub fn restart_stats(&mut self) -> Result<Vec<RestartEntry>> {
-        match self.call_ok(&CtrlRequest::RestartStats)? {
-            CtrlReply::Restarts { counts } => Ok(counts),
-            other => Err(unexpected(other)),
-        }
-    }
-
     /// Asks the process to exit; the closed stream is the expected
     /// outcome, so transport errors after the request are swallowed.
     pub fn shutdown(&mut self) {
@@ -652,7 +633,6 @@ mod tests {
                 site: SiteId(2),
                 per_mille: 1500,
             },
-            CtrlRequest::RestartStats,
             CtrlRequest::PhaseStats,
             CtrlRequest::EngineStats,
             CtrlRequest::DrainTraceChunk { max_events: 2048 },
@@ -698,18 +678,6 @@ mod tests {
                     partition_drops: 5,
                     skewed_timers: 6,
                 },
-            },
-            CtrlReply::Restarts {
-                counts: vec![
-                    RestartEntry {
-                        site: SiteId(1),
-                        restarts: 0,
-                    },
-                    RestartEntry {
-                        site: SiteId(2),
-                        restarts: 3,
-                    },
-                ],
             },
             CtrlReply::Phases {
                 phases: Box::new(sample_phases()),
@@ -826,18 +794,23 @@ mod tests {
     }
 
     #[test]
-    fn request_tags_are_one_to_twenty_two_without_the_retired_twelve() {
+    fn request_tags_are_one_to_twenty_two_without_the_retired_ones() {
         let tags: Vec<u8> = all_requests().iter().map(|q| q.to_bytes()[0]).collect();
-        let expected: Vec<u8> = (1..=22).filter(|t| *t != 12).collect();
+        let expected: Vec<u8> = (1..=22).filter(|t| ![12, 18].contains(t)).collect();
         assert_eq!(
             tags, expected,
             "all_requests() lists every kind, in tag order"
         );
-        // `DrainTrace`'s tag stays unassigned: an old client's request
-        // is refused by name rather than read as something else.
-        match CtrlRequest::from_bytes(&[12]) {
-            Err(CamelotError::Codec(detail)) => assert_eq!(detail, "unknown ctrl request 12"),
-            other => panic!("tag 12 decoded to {other:?}"),
+        // `DrainTrace`'s and `RestartStats`' tags stay unassigned: an
+        // old client's request is refused by name rather than read as
+        // something else.
+        for tag in [12, 18] {
+            match CtrlRequest::from_bytes(&[tag]) {
+                Err(CamelotError::Codec(detail)) => {
+                    assert_eq!(detail, format!("unknown ctrl request {tag}"))
+                }
+                other => panic!("tag {tag} decoded to {other:?}"),
+            }
         }
     }
 

@@ -36,8 +36,9 @@
 //! disk manager, socket transport — as a standalone OS process), the
 //! `camelot-launch` binary (an N-site localhost cluster running the
 //! banking workload), the [`ctrl`] control-plane protocol the two
-//! speak, and [`session`] — the one begin/read/write/commit surface
-//! every harness drives, in-process or over control connections.
+//! speak, [`procs`] — the one owner of a cluster of site processes —
+//! and [`session`] — the one begin/read/write/commit surface every
+//! harness drives, in-process or over control connections.
 
 pub mod app;
 pub mod config;
@@ -49,5 +50,4 @@ pub mod world;
 pub use app::{AppSpec, OpSpec, TxnRecord};
 pub use config::{DiskConfig, NetConfig, TmConfig, WorldConfig};
 pub use ctrl::{CtrlClient, CtrlReply, CtrlRequest, Handshake, PeerEntry};
-pub use procs::{distribute_peers, sibling_site_bin, wait_quiesce, SiteProc, SpawnSpec};
 pub use world::World;

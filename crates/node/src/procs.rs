@@ -1,18 +1,19 @@
-//! Spawning and wiring `camelot-site` processes from sibling binaries.
+//! Spawning, wiring and supervising `camelot-site` processes.
 //!
-//! `camelot-launch` and `camelot-sockbench` both need the same
-//! choreography: find the `camelot-site` binary next to the running
-//! executable, spawn one process per site, read each child's `ready`
-//! handshake off stdout, connect a control client, and distribute the
-//! data-plane port map. This module is that choreography as a
-//! library. (The `socket_e2e` integration tests keep their own copy
-//! built on `CARGO_BIN_EXE_camelot-site`, which only exists for
-//! tests.)
+//! [`Supervisor`] is the one owner of a cluster of site processes:
+//! every tool and test that runs one (`camelot-launch`, `-soak`,
+//! `-sockbench`, `camelot-scope smoke`, the `socket_e2e` and
+//! `supervisor_e2e` tests) starts it here. It spawns one process per
+//! site, reads each child's `ready` handshake off stdout, connects a
+//! control client, distributes the data-plane port map, and owns the
+//! steps every harness takes around a run: waiting until the cluster
+//! is quiet, healing every site's faults, and draining every trace
+//! ring. [`SiteProc`] alone is one process with no peers.
 
 use std::collections::VecDeque;
 use std::io::{BufRead, BufReader};
 use std::path::{Path, PathBuf};
-use std::process::{Child, Command, Stdio};
+use std::process::{Child, Command, ExitStatus, Stdio};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -68,7 +69,8 @@ pub struct SpawnSpec<'a> {
     pub site: SiteId,
     /// `udp` or `tcp`.
     pub transport: &'a str,
-    /// WAL directory for this site; `None` uses a fresh temp dir.
+    /// WAL root; the site keeps its log in `site-N` under it. `None`
+    /// keeps the log in memory.
     pub log_dir: Option<&'a Path>,
     /// Use the fast engine timer profile (`--fast`); benchmarks and
     /// tests want this, long-lived clusters may not.
@@ -164,45 +166,6 @@ impl SiteProc {
         self.ctrl.shutdown();
         let _ = self.child.wait();
     }
-
-    /// Kills the process without ceremony (bench teardown between
-    /// measurement points).
-    pub fn kill(mut self) {
-        let _ = self.child.kill();
-        let _ = self.child.wait();
-    }
-}
-
-/// Sends the full data-plane address map to every site.
-pub fn distribute_peers(sites: &mut [SiteProc]) -> camelot_types::Result<()> {
-    let peers: Vec<PeerEntry> = sites
-        .iter()
-        .map(|s| PeerEntry {
-            site: s.id,
-            addr: s.handshake.data.to_string(),
-        })
-        .collect();
-    for s in sites.iter_mut() {
-        s.ctrl.set_peers(peers.clone())?;
-    }
-    Ok(())
-}
-
-/// Polls every site's protocol state until all report empty (every
-/// transaction resolved, applied, and forgotten everywhere) or the
-/// deadline passes.
-pub fn wait_quiesce(sites: &mut [SiteProc], deadline: Duration) -> bool {
-    let start = Instant::now();
-    while start.elapsed() < deadline {
-        let busy = sites
-            .iter_mut()
-            .any(|s| s.ctrl.debug_state().map(|d| !d.is_empty()).unwrap_or(false));
-        if !busy {
-            return true;
-        }
-        std::thread::sleep(Duration::from_millis(50));
-    }
-    false
 }
 
 /// How a [`Supervisor`] keeps a cluster of site processes alive.
@@ -213,9 +176,11 @@ pub struct SupervisorConfig {
     pub sites: u32,
     /// `udp` or `tcp`.
     pub transport: String,
-    /// WAL root; each site gets `site-N` under it. Required: a
-    /// respawned site must recover from the incarnation it lost.
-    pub log_dir: PathBuf,
+    /// WAL root; each site gets `site-N` under it, and a respawned site
+    /// recovers from the incarnation it lost. `None` keeps every log in
+    /// memory: a site that dies is then never respawned (it would come
+    /// back with an empty log) but marked failed.
+    pub log_dir: Option<PathBuf>,
     /// Extra raw `camelot-site` arguments.
     pub extra: Vec<String>,
     /// How many times one site may be restarted before the supervisor
@@ -224,12 +189,17 @@ pub struct SupervisorConfig {
 }
 
 impl SupervisorConfig {
-    pub fn new(bin: PathBuf, sites: u32, transport: &str, log_dir: PathBuf) -> SupervisorConfig {
+    pub fn new(
+        bin: PathBuf,
+        sites: u32,
+        transport: &str,
+        log_dir: impl Into<Option<PathBuf>>,
+    ) -> SupervisorConfig {
         SupervisorConfig {
             bin,
             sites,
             transport: transport.to_string(),
-            log_dir,
+            log_dir: log_dir.into(),
             extra: Vec::new(),
             restart_budget: 5,
         }
@@ -257,16 +227,6 @@ impl AddrBoard {
     /// The site's last-known control address.
     pub fn ctrl_addr(&self, site: SiteId) -> Option<std::net::SocketAddr> {
         self.addrs.lock().unwrap().get(&site).map(|h| h.ctrl)
-    }
-
-    /// The board of a harness that spawned its own fixed set of sites
-    /// and never respawns them: its generation never moves again.
-    pub fn fixed(sites: &[SiteProc]) -> Arc<AddrBoard> {
-        let board = AddrBoard::default();
-        for s in sites {
-            board.publish(&s.handshake);
-        }
-        Arc::new(board)
     }
 
     fn publish(&self, h: &Handshake) {
@@ -297,15 +257,16 @@ enum Slot {
     Up(SiteProc),
     /// Died; a respawn is scheduled.
     Waiting { at: Instant },
-    /// Burned its restart budget; the supervisor gave up on it.
-    Failed { status: String },
+    /// The supervisor gave up on it: its budget is spent, or it has no
+    /// log to recover from.
+    Failed,
 }
 
 /// A failed site's post-mortem, for the launcher's exit report.
 #[derive(Debug)]
 pub struct FailedSite {
     pub site: SiteId,
-    /// The exit status of the death that burned the budget.
+    /// The exit status of the death it was not respawned after.
     pub status: String,
     /// Its last captured stderr lines, oldest first.
     pub stderr_tail: Vec<String>,
@@ -319,63 +280,52 @@ pub struct FailedSite {
 ///
 /// The supervisor is poll-driven: callers interleave [`poll`] with
 /// their own work (the launch and soak drivers do this between
-/// transaction batches). It also runs a small control listener of its
-/// own answering [`CtrlRequest::RestartStats`], so external harnesses
-/// can read per-site restart counts over the same wire protocol the
-/// sites speak.
+/// transaction batches); [`quiesce`] and [`wait_all_up`] poll while
+/// they wait.
 ///
 /// [`poll`]: Supervisor::poll
-/// [`CtrlRequest::RestartStats`]: crate::ctrl::CtrlRequest::RestartStats
+/// [`quiesce`]: Supervisor::quiesce
+/// [`wait_all_up`]: Supervisor::wait_all_up
 pub struct Supervisor {
     cfg: SupervisorConfig,
-    /// Index `i` holds site `i + 1`.
+    /// Index `i` holds site `i + 1`, as do the vectors below.
     slots: Vec<Slot>,
     backoffs: Vec<camelot_net::Backoff>,
     /// Last-known stderr tail per site; survives the death of the
     /// `SiteProc` that produced it.
     tails: Vec<StderrTail>,
     /// Respawns performed (or attempted) per site.
-    restarts: Arc<Mutex<Vec<u32>>>,
+    restarts: Vec<u32>,
+    /// How each site's last incarnation ended, once one has.
+    last_exit: Vec<Option<ExitStatus>>,
     board: Arc<AddrBoard>,
-    ctrl_addr: std::net::SocketAddr,
 }
 
 impl Supervisor {
-    /// Spawns all sites, distributes the initial peer map, and starts
-    /// the supervisor's own control listener.
+    /// Spawns all sites and distributes the initial peer map.
     pub fn start(cfg: SupervisorConfig) -> std::io::Result<Supervisor> {
+        let n = cfg.sites as usize;
         let board = Arc::new(AddrBoard::default());
-        let restarts = Arc::new(Mutex::new(vec![0u32; cfg.sites as usize]));
-        let mut slots = Vec::with_capacity(cfg.sites as usize);
-        let mut backoffs = Vec::with_capacity(cfg.sites as usize);
-        let mut tails = Vec::with_capacity(cfg.sites as usize);
+        let mut slots = Vec::with_capacity(n);
+        let mut tails = Vec::with_capacity(n);
         for id in 1..=cfg.sites {
             let proc = SiteProc::spawn(&spawn_spec(&cfg, SiteId(id)))?;
             board.publish(&proc.handshake);
             tails.push(proc.stderr_tail.clone());
             slots.push(Slot::Up(proc));
-            backoffs.push(camelot_net::Backoff::new(
-                RESTART_BACKOFF_BASE,
-                RESTART_BACKOFF_CAP,
-            ));
         }
-        let ctrl_addr = serve_supervisor_ctrl(Arc::clone(&restarts))?;
+        let backoff = || camelot_net::Backoff::new(RESTART_BACKOFF_BASE, RESTART_BACKOFF_CAP);
         let mut sup = Supervisor {
             cfg,
             slots,
-            backoffs,
+            backoffs: (0..n).map(|_| backoff()).collect(),
             tails,
-            restarts,
+            restarts: vec![0; n],
+            last_exit: vec![None; n],
             board,
-            ctrl_addr,
         };
         sup.redistribute_peers();
         Ok(sup)
-    }
-
-    /// The supervisor's own control address (answers `RestartStats`).
-    pub fn ctrl_addr(&self) -> std::net::SocketAddr {
-        self.ctrl_addr
     }
 
     /// The shared address board for workers that hold their own
@@ -403,17 +353,21 @@ impl Supervisor {
                         }
                     };
                     changed = true;
-                    self.tails[i] = proc.stderr_tail.clone();
-                    let spent = self.restarts.lock().unwrap()[i];
-                    if spent >= self.cfg.restart_budget {
+                    self.last_exit[i] = Some(status);
+                    let spent = self.restarts[i];
+                    let no_log = self.cfg.log_dir.is_none();
+                    if no_log || spent >= self.cfg.restart_budget {
                         eprintln!(
-                            "supervisor: site {} died ({status}) after {spent} restarts; \
-                             budget exhausted, giving up",
-                            site.0
+                            "supervisor: site {} died ({status}) after {spent} restarts; {}, \
+                             giving up",
+                            site.0,
+                            if no_log {
+                                "no log to recover"
+                            } else {
+                                "budget exhausted"
+                            }
                         );
-                        self.slots[i] = Slot::Failed {
-                            status: status.to_string(),
-                        };
+                        self.slots[i] = Slot::Failed;
                         continue;
                     }
                     let delay = self.backoffs[i].failure();
@@ -433,7 +387,7 @@ impl Supervisor {
                     if Instant::now() < *at {
                         continue;
                     }
-                    self.restarts.lock().unwrap()[i] += 1;
+                    self.restarts[i] += 1;
                     match SiteProc::spawn(&spawn_spec(&self.cfg, site)) {
                         Ok(proc) => {
                             changed = true;
@@ -453,7 +407,7 @@ impl Supervisor {
                         }
                     }
                 }
-                Slot::Failed { .. } => {}
+                Slot::Failed => {}
             }
         }
         changed
@@ -499,32 +453,83 @@ impl Supervisor {
         }
     }
 
-    /// Respawns performed per site, in site order.
-    pub fn restart_counts(&self) -> Vec<crate::ctrl::RestartEntry> {
-        self.restarts
-            .lock()
-            .unwrap()
-            .iter()
-            .enumerate()
-            .map(|(i, &restarts)| crate::ctrl::RestartEntry {
-                site: SiteId(i as u32 + 1),
-                restarts,
-            })
+    /// Polls until every site is up and reports no live protocol state
+    /// (every transaction resolved, applied and forgotten everywhere),
+    /// or `within` passes. A site that is down, or whose `debug_state`
+    /// call fails, is busy: a cluster with a dead site is not settled.
+    /// On timeout the error lists the busy sites with their dumps.
+    pub fn quiesce(&mut self, within: Duration) -> Result<(), String> {
+        let deadline = Instant::now() + within;
+        loop {
+            self.poll();
+            let busy: Vec<String> = self
+                .slots
+                .iter_mut()
+                .enumerate()
+                .filter_map(|(i, slot)| {
+                    let Slot::Up(proc) = slot else {
+                        return Some(format!("site {} down", i + 1));
+                    };
+                    match proc.ctrl.debug_state() {
+                        Ok(dump) if dump.is_empty() => None,
+                        Ok(dump) => Some(format!("site {}: {dump}", i + 1)),
+                        Err(e) => Some(format!("site {}: debug_state: {e}", i + 1)),
+                    }
+                })
+                .collect();
+            if busy.is_empty() {
+                return Ok(());
+            }
+            if Instant::now() >= deadline {
+                return Err(busy.join(" | "));
+            }
+            std::thread::sleep(Duration::from_millis(50));
+        }
+    }
+
+    /// Lifts every up site's injected faults (link faults, partitions,
+    /// skew); a site that is down comes back without any.
+    pub fn heal_all(&mut self) {
+        for proc in self.up() {
+            let _ = proc.ctrl.heal();
+        }
+    }
+
+    /// Drains every up site's trace ring: one JSON Lines text, each
+    /// event naming its site. A site whose drain fails adds nothing.
+    pub fn drain_traces(&mut self) -> String {
+        self.up()
+            .filter_map(|p| p.ctrl.drain_trace().ok())
             .collect()
+    }
+
+    /// Respawns performed per site, in site order.
+    pub fn restart_counts(&self) -> Vec<(SiteId, u32)> {
+        (1..)
+            .map(SiteId)
+            .zip(self.restarts.iter().copied())
+            .collect()
+    }
+
+    /// How the site's last incarnation ended; `None` while it never
+    /// died.
+    pub fn last_exit(&self, site: SiteId) -> Option<ExitStatus> {
+        self.last_exit[site.0 as usize - 1]
     }
 
     /// Post-mortems of sites the supervisor has given up on.
     pub fn failed_sites(&self) -> Vec<FailedSite> {
-        self.slots
-            .iter()
-            .enumerate()
-            .filter_map(|(i, s)| match s {
-                Slot::Failed { status } => Some(FailedSite {
-                    site: SiteId(i as u32 + 1),
-                    status: status.clone(),
-                    stderr_tail: self.tails[i].lines(),
-                }),
-                _ => None,
+        (1..)
+            .map(SiteId)
+            .zip(&self.slots)
+            .filter(|(_, s)| matches!(s, Slot::Failed))
+            .map(|(site, _)| FailedSite {
+                site,
+                status: self
+                    .last_exit(site)
+                    .expect("a failed site has exited")
+                    .to_string(),
+                stderr_tail: self.tails[site.0 as usize - 1].lines(),
             })
             .collect()
     }
@@ -557,6 +562,28 @@ impl Supervisor {
             }
         }
     }
+
+    /// The sites that are up, in site order.
+    fn up(&mut self) -> impl Iterator<Item = &mut SiteProc> {
+        self.slots.iter_mut().filter_map(|slot| match slot {
+            Slot::Up(proc) => Some(proc),
+            _ => None,
+        })
+    }
+
+    /// Pushes the current full address map to every up site. Down
+    /// sites get the map when they come back (their respawn triggers
+    /// another full redistribution).
+    fn redistribute_peers(&mut self) {
+        let peers = self.board.peer_entries();
+        for proc in self.up() {
+            if let Err(e) = proc.ctrl.set_peers(peers.clone()) {
+                // A site that died since the last poll; the next
+                // poll reaps it.
+                eprintln!("supervisor: set_peers site {}: {e}", proc.id.0);
+            }
+        }
+    }
 }
 
 fn spawn_spec<'a>(cfg: &'a SupervisorConfig, site: SiteId) -> SpawnSpec<'a> {
@@ -564,74 +591,9 @@ fn spawn_spec<'a>(cfg: &'a SupervisorConfig, site: SiteId) -> SpawnSpec<'a> {
         bin: &cfg.bin,
         site,
         transport: &cfg.transport,
-        log_dir: Some(&cfg.log_dir),
+        log_dir: cfg.log_dir.as_deref(),
         // No supervised cluster has asked for the slow timer profile.
         fast: true,
         extra: &cfg.extra,
     }
-}
-
-impl Supervisor {
-    /// Pushes the current full address map to every up site. Down
-    /// sites get the map when they come back (their respawn triggers
-    /// another full redistribution).
-    fn redistribute_peers(&mut self) {
-        let peers = self.board.peer_entries();
-        for slot in &mut self.slots {
-            if let Slot::Up(proc) = slot {
-                if let Err(e) = proc.ctrl.set_peers(peers.clone()) {
-                    // A site that died since the last poll; the next
-                    // poll reaps it.
-                    eprintln!("supervisor: set_peers site {}: {e}", proc.id.0);
-                }
-            }
-        }
-    }
-}
-
-/// Binds the supervisor's own control listener and serves
-/// `RestartStats`/`Ping` on it from a background thread. The site id
-/// in the pong is 0: the supervisor is not a site.
-fn serve_supervisor_ctrl(restarts: Arc<Mutex<Vec<u32>>>) -> std::io::Result<std::net::SocketAddr> {
-    use crate::ctrl::{read_framed, write_framed, CtrlReply, CtrlRequest, RestartEntry};
-    let listener = std::net::TcpListener::bind("127.0.0.1:0")?;
-    let addr = listener.local_addr()?;
-    std::thread::spawn(move || {
-        for conn in listener.incoming() {
-            let Ok(mut stream) = conn else { continue };
-            let restarts = Arc::clone(&restarts);
-            std::thread::spawn(move || {
-                let _ = stream.set_nodelay(true);
-                let mut dec = camelot_net::FrameDecoder::new();
-                loop {
-                    let req = match read_framed::<CtrlRequest>(&mut stream, &mut dec) {
-                        Ok(Some(req)) => req,
-                        _ => return,
-                    };
-                    let reply = match req {
-                        CtrlRequest::Ping => CtrlReply::Pong { site: SiteId(0) },
-                        CtrlRequest::RestartStats => CtrlReply::Restarts {
-                            counts: restarts
-                                .lock()
-                                .unwrap()
-                                .iter()
-                                .enumerate()
-                                .map(|(i, &restarts)| RestartEntry {
-                                    site: SiteId(i as u32 + 1),
-                                    restarts,
-                                })
-                                .collect(),
-                        },
-                        other => CtrlReply::Err {
-                            detail: format!("supervisor does not serve {other:?}"),
-                        },
-                    };
-                    if write_framed(&mut stream, &reply).is_err() {
-                        return;
-                    }
-                }
-            });
-        }
-    });
-    Ok(addr)
 }

@@ -12,8 +12,9 @@
 //!   resolved through an [`AddrBoard`] and cached against its
 //!   generation.
 //!
-//! The banking [`transfer`] lives here (not in `camelot-bench`) because
-//! `camelot-launch` is a binary of this crate.
+//! The banking workload — [`fund`], [`transfer`] and the conservation
+//! audit's [`CtrlSession::ledger`] — lives here (not in
+//! `camelot-bench`) because `camelot-launch` is a binary of this crate.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -110,6 +111,22 @@ impl CtrlSession {
         }
     }
 
+    /// The conservation audit's reading: for each of sites `1..=sites`,
+    /// the sum of its accounts' committed balances (`0..accounts`).
+    pub fn ledger(&mut self, sites: u32, accounts: u64) -> Result<Vec<i64>> {
+        (1..=sites)
+            .map(|site| {
+                (0..accounts)
+                    .map(|a| {
+                        let raw =
+                            self.call(SiteId(site), |c| c.committed_value(SRV, ObjectId(a)))?;
+                        Ok(balance(&raw))
+                    })
+                    .sum()
+            })
+            .collect()
+    }
+
     fn call<T>(&mut self, site: SiteId, f: impl FnOnce(&mut CtrlClient) -> Result<T>) -> Result<T> {
         let generation = self.board.generation();
         if generation != self.generation {
@@ -164,6 +181,22 @@ pub fn balance(raw: &[u8]) -> i64 {
     }
 }
 
+/// Funds accounts `0..accounts` at `site` with `amount` each, in one
+/// local transaction.
+pub fn fund(s: &mut impl Session, site: SiteId, accounts: u64, amount: i64) -> Result<()> {
+    let tid = s.begin(site)?;
+    for a in 0..accounts {
+        s.write(&tid, site, ObjectId(a), amount.to_le_bytes().to_vec())?;
+    }
+    match s.commit(&tid, CommitMode::TwoPhase, &[])? {
+        true => Ok(()),
+        false => Err(CamelotError::Internal(format!(
+            "funding at site {} aborted",
+            site.0
+        ))),
+    }
+}
+
 /// One banking transfer coordinated at `coord`: `Ok(true)` committed,
 /// `Ok(false)` aborted. A failed operation (lock conflict, timeout,
 /// dead site) aborts best-effort and surfaces the cause.
@@ -208,11 +241,12 @@ mod tests {
         );
         let mut s = InProcSession::new(&cluster, 2);
         let (a, b) = ((SiteId(1), ObjectId(0)), (SiteId(2), ObjectId(3)));
+        fund(&mut s, SiteId(1), 1, 100).expect("fund");
         for mode in [CommitMode::TwoPhase, CommitMode::NonBlocking] {
             assert!(transfer(&mut s, SiteId(2), a, b, 7, mode).expect("transfer"));
         }
         let tid = s.begin(SiteId(1)).expect("begin");
-        assert_eq!(balance(&s.read(&tid, a.0, a.1).expect("read a")), -14);
+        assert_eq!(balance(&s.read(&tid, a.0, a.1).expect("read a")), 86);
         assert_eq!(balance(&s.read(&tid, b.0, b.1).expect("read b")), 14);
         assert!(s.commit(&tid, CommitMode::TwoPhase, &[]).expect("commit"));
         drop(s);

@@ -4,18 +4,17 @@
 //! supervised TCP cluster survives a scripted campaign of {kill,
 //! partition {1,2}|{3}, clock-skew site 2, heal} *under load*, the
 //! killed site recovers its WAL and rejoins, the conservation
-//! invariant holds over the committed balances, and the supervisor's
-//! own control endpoint reports the restart counts. A second test
-//! pins the budget-exhaustion path: with a zero restart budget the
-//! supervisor gives up and surfaces the site's post-mortem instead of
-//! respawning forever.
+//! invariant holds over the committed balances, and the supervisor
+//! reports the restart counts. Two more tests pin when the supervisor
+//! gives up on a site — its restart budget is spent, or it has no log
+//! to recover from — and that a cluster with a dead site never counts
+//! as quiet.
 
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
-use camelot_node::ctrl::CtrlClient;
 use camelot_node::procs::{Supervisor, SupervisorConfig};
-use camelot_node::session::{balance, transfer, CommitMode, CtrlSession, SRV};
+use camelot_node::session::{fund, transfer, CommitMode, CtrlSession};
 use camelot_types::{ObjectId, SiteId};
 
 const SITES: u32 = 3;
@@ -29,31 +28,18 @@ fn test_log_dir(name: &str) -> PathBuf {
     dir
 }
 
+fn site_bin() -> PathBuf {
+    PathBuf::from(env!("CARGO_BIN_EXE_camelot-site"))
+}
+
 fn supervisor(name: &str, budget: u32) -> Supervisor {
-    let mut cfg = SupervisorConfig::new(
-        PathBuf::from(env!("CARGO_BIN_EXE_camelot-site")),
-        SITES,
-        "tcp",
-        test_log_dir(name),
-    );
+    let mut cfg = SupervisorConfig::new(site_bin(), SITES, "tcp", test_log_dir(name));
     cfg.restart_budget = budget;
     // A blocking commit racing a partition install can stall for the
     // site's full call timeout; keep that bounded at test scale.
     cfg.extra.push("--call-timeout-ms".into());
     cfg.extra.push("4000".into());
     Supervisor::start(cfg).expect("start supervised cluster")
-}
-
-fn fund(sup: &mut Supervisor) {
-    for id in 1..=SITES {
-        let ctrl = sup.ctrl(SiteId(id)).expect("funding: site up");
-        let tid = ctrl.begin().expect("begin");
-        for a in 0..ACCOUNTS {
-            ctrl.write(&tid, SRV, ObjectId(a), INITIAL.to_le_bytes().to_vec())
-                .expect("fund");
-        }
-        assert!(ctrl.commit(&tid, false, vec![]).expect("funding commit"));
-    }
 }
 
 /// A short burst of load: every site coordinates transfers between
@@ -84,39 +70,15 @@ fn burst(sup: &mut Supervisor, rounds: u32, salt: u64) -> u32 {
     committed
 }
 
-fn heal_all(sup: &mut Supervisor) {
-    for id in 1..=SITES {
-        if let Some(ctrl) = sup.ctrl(SiteId(id)) {
-            let _ = ctrl.heal();
-        }
-    }
-}
-
-fn quiesce(sup: &mut Supervisor) {
-    let deadline = Instant::now() + Duration::from_secs(20);
-    loop {
-        sup.poll();
-        let busy = (1..=SITES).any(|id| match sup.ctrl(SiteId(id)) {
-            Some(ctrl) => ctrl.debug_state().map(|d| !d.is_empty()).unwrap_or(true),
-            None => true,
-        });
-        if !busy {
-            return;
-        }
-        assert!(
-            Instant::now() < deadline,
-            "cluster did not quiesce within 20s"
-        );
-        std::thread::sleep(Duration::from_millis(50));
-    }
-}
-
 /// Kill, partition, skew, heal — under load, with a conservation
 /// audit and supervisor-reported restart counts at the end.
 #[test]
 fn supervised_cluster_survives_kill_partition_skew_heal_under_load() {
     let mut sup = supervisor("campaign", 5);
-    fund(&mut sup);
+    let mut session = CtrlSession::new(sup.board());
+    for id in 1..=SITES {
+        fund(&mut session, SiteId(id), ACCOUNTS, INITIAL).expect("fund");
+    }
     let mut committed = burst(&mut sup, 6, 1);
 
     // Kill a site mid-load; the supervisor respawns it on its WAL.
@@ -147,38 +109,35 @@ fn supervised_cluster_survives_kill_partition_skew_heal_under_load() {
     committed += burst(&mut sup, 6, 4);
 
     // Heal everything and let the protocols settle.
-    heal_all(&mut sup);
+    sup.heal_all();
     assert!(sup.wait_all_up(Duration::from_secs(20)));
     committed += burst(&mut sup, 6, 5);
     assert!(committed > 0, "no transfer committed across the campaign");
-    quiesce(&mut sup);
+    sup.quiesce(Duration::from_secs(20))
+        .expect("cluster quiesces within 20s");
 
     // Conservation: atomicity makes every commit/abort subset
     // conserve the funded total, kills and cuts included.
-    let mut total = 0i64;
-    for id in 1..=SITES {
-        let ctrl = sup.ctrl(SiteId(id)).expect("audit: site up");
-        for a in 0..ACCOUNTS {
-            total += balance(&ctrl.committed_value(SRV, ObjectId(a)).expect("read"));
-        }
-    }
-    assert_eq!(total, SITES as i64 * ACCOUNTS as i64 * INITIAL);
+    let ledger = session.ledger(SITES, ACCOUNTS).expect("audit read");
+    assert_eq!(
+        ledger.iter().sum::<i64>(),
+        SITES as i64 * ACCOUNTS as i64 * INITIAL
+    );
 
-    // The supervisor's own control endpoint reports the campaign.
-    let mut sup_ctrl = CtrlClient::connect(sup.ctrl_addr()).expect("supervisor ctrl");
-    assert_eq!(sup_ctrl.ping().expect("ping"), SiteId(0));
-    let counts = sup_ctrl.restart_stats().expect("restart stats");
+    // The supervisor reports the campaign.
+    let counts = sup.restart_counts();
     assert_eq!(counts.len(), SITES as usize);
-    let site2 = counts.iter().find(|e| e.site == SiteId(2)).unwrap();
+    assert_eq!(counts[1].0, SiteId(2));
     assert!(
-        site2.restarts >= 1,
+        counts[1].1 >= 1,
         "killed site must have been restarted: {counts:?}"
     );
     sup.shutdown();
 }
 
 /// With a zero restart budget, a killed site is not respawned: the
-/// supervisor marks it failed and serves the post-mortem.
+/// supervisor marks it failed and serves the post-mortem, and the
+/// cluster is not quiet while it is down.
 #[test]
 fn restart_budget_exhaustion_gives_up_with_post_mortem() {
     let mut sup = supervisor("budget", 0);
@@ -202,14 +161,29 @@ fn restart_budget_exhaustion_gives_up_with_post_mortem() {
     // The other sites are untouched and the budget site stays down.
     assert!(sup.ctrl(SiteId(1)).is_none());
     assert!(sup.ctrl(SiteId(2)).is_some());
-    let counts = sup.restart_counts();
-    assert_eq!(
-        counts
-            .iter()
-            .find(|e| e.site == SiteId(1))
-            .unwrap()
-            .restarts,
-        0
-    );
+    assert_eq!(sup.restart_counts()[0], (SiteId(1), 0));
+    let busy = sup.quiesce(Duration::from_millis(200)).unwrap_err();
+    assert_eq!(busy, "site 1 down");
+    sup.shutdown();
+}
+
+/// A site with no WAL directory is never respawned, whatever its
+/// budget: it would come back with an empty log. Its death marks it
+/// failed, and `quiesce` names it instead of calling the cluster
+/// settled.
+#[test]
+fn log_less_site_is_not_respawned_and_keeps_the_cluster_busy() {
+    let cfg = SupervisorConfig::new(site_bin(), 2, "udp", None);
+    assert_eq!(cfg.restart_budget, 5);
+    let mut sup = Supervisor::start(cfg).expect("start log-less cluster");
+    sup.quiesce(Duration::from_secs(10))
+        .expect("an idle cluster is quiet");
+    assert!(sup.kill_site(SiteId(2)));
+    let busy = sup.quiesce(Duration::from_secs(2)).unwrap_err();
+    assert_eq!(busy, "site 2 down");
+    let failed = sup.failed_sites();
+    assert_eq!(failed.len(), 1);
+    assert_eq!(failed[0].site, SiteId(2));
+    assert_eq!(sup.restart_counts(), [(SiteId(1), 0), (SiteId(2), 0)]);
     sup.shutdown();
 }

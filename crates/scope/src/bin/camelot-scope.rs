@@ -14,13 +14,10 @@
 //! segment medians that sum to within tolerance of the measured
 //! end-to-end commit p50.
 
-use std::net::SocketAddr;
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
-use camelot_node::procs::{
-    distribute_peers, sibling_site_bin, wait_quiesce, AddrBoard, SiteProc, SpawnSpec,
-};
+use camelot_node::procs::{sibling_site_bin, Supervisor, SupervisorConfig};
 use camelot_node::session::{CommitMode, CtrlSession, Session};
 use camelot_obs::Phase;
 use camelot_scope::{
@@ -36,7 +33,6 @@ type Cmd = fn(&Parsed) -> Result<i32, String>;
 const SUBCOMMANDS: [(Tool, Cmd); 4] = [
     (Tool::new("camelot-scope scrape", &[
         ("--ctrl", "SITE=ADDR...", REQUIRED, "a site's control address; once per site"),
-        ("--supervisor", "ADDR", "", "the supervisor's control address (restart counts)"),
         ("--every-ms", "MS", "250", "time between scrapes"),
         ("--for-ms", "MS", "5000", "how long to keep scraping"),
         ("--out", "FILE", "", "where the series goes (else stdout)"),
@@ -85,7 +81,6 @@ fn write_out(out: Option<&str>, content: &str) -> i32 {
 
 fn cmd_scrape(p: &Parsed) -> Result<i32, String> {
     let targets = ScrapeTarget::from_flags(p)?;
-    let supervisor: Option<SocketAddr> = p.val_opt("--supervisor")?;
     let every_ms: u64 = p.int("--every-ms")?;
     let for_ms: u64 = p.int("--for-ms")?;
     let config = format!("scrape targets={} every_ms={every_ms}", targets.len());
@@ -94,7 +89,7 @@ fn cmd_scrape(p: &Parsed) -> Result<i32, String> {
     let mut collector = Collector::new();
     let deadline = Instant::now() + Duration::from_millis(for_ms);
     loop {
-        let snap = collector.scrape(&targets, supervisor);
+        let snap = collector.scrape(&targets);
         series.push_str(&snap.to_json());
         series.push('\n');
         if Instant::now() + Duration::from_millis(every_ms) > deadline {
@@ -214,35 +209,15 @@ fn run_smoke(
         .map_err(|e| SmokeFailure(format!("create {}: {e}", out_dir.display())))?;
 
     let bin = sibling_site_bin().map_err(|e| SmokeFailure(e.to_string()))?;
-    let extra = vec![
-        "--call-timeout-ms".to_string(),
-        "2000".to_string(),
-        "--trace-capacity".to_string(),
-        "65536".to_string(),
-    ];
-    let mut procs: Vec<SiteProc> = Vec::new();
-    for i in 1..=sites {
-        procs.push(
-            SiteProc::spawn(&SpawnSpec {
-                bin: &bin,
-                site: SiteId(i),
-                transport,
-                log_dir: None,
-                fast: true,
-                extra: &extra,
-            })
-            .map_err(|e| SmokeFailure(format!("spawn site {i}: {e}")))?,
-        );
-    }
-    distribute_peers(&mut procs).map_err(|e| SmokeFailure(format!("distribute peers: {e}")))?;
-    let targets: Vec<ScrapeTarget> = procs
-        .iter()
-        .map(|p| ScrapeTarget {
-            site: p.id.0,
-            addr: p.handshake.ctrl,
-        })
-        .collect();
-    let mut session = CtrlSession::new(AddrBoard::fixed(&procs));
+    // No log directory: the in-memory WAL the socket baselines use.
+    let mut cfg = SupervisorConfig::new(bin, sites, transport, None);
+    cfg.extra = ["--call-timeout-ms", "2000", "--trace-capacity", "65536"]
+        .map(String::from)
+        .into();
+    let mut sup =
+        Supervisor::start(cfg).map_err(|e| SmokeFailure(format!("start cluster: {e}")))?;
+    let targets = ScrapeTarget::from_board(&sup.board(), sites);
+    let mut session = CtrlSession::new(sup.board());
 
     // Workload in thirds with a scrape between each, so the series
     // shows rates ramping rather than one final dump.
@@ -260,13 +235,14 @@ fn run_smoke(
                 commits += 1;
             }
         }
-        let snap = collector.scrape(&targets, None);
+        let snap = collector.scrape(&targets);
         series.push_str(&snap.to_json());
         series.push('\n');
         snapshots.push(snap);
     }
-    wait_quiesce(&mut procs, Duration::from_secs(10));
-    let final_snap = collector.scrape(&targets, None);
+    sup.quiesce(Duration::from_secs(10))
+        .map_err(|busy| SmokeFailure(format!("cluster did not quiesce [{busy}]")))?;
+    let final_snap = collector.scrape(&targets);
     series.push_str(&final_snap.to_json());
     series.push('\n');
     std::fs::write(out_dir.join("scrape.jsonl"), &series)
@@ -275,7 +251,7 @@ fn run_smoke(
     // Scrape assertions: every snapshot well-formed, final one shows
     // the workload in the phase histograms and no trace drops.
     for snap in snapshots.iter().chain(std::iter::once(&final_snap)) {
-        check_snapshot(snap, procs.len())?;
+        check_snapshot(snap, sites as usize)?;
     }
     if commits < txns / 2 {
         return Err(SmokeFailure(format!(
@@ -301,15 +277,7 @@ fn run_smoke(
     }
 
     // Drain every ring (chunked under the hood), merge, attribute.
-    let mut events = Vec::new();
-    for p in procs.iter_mut() {
-        let jsonl = p
-            .ctrl
-            .drain_trace()
-            .map_err(|e| SmokeFailure(format!("drain trace: {e}")))?;
-        events.extend(parse_jsonl(&jsonl));
-    }
-    let merged = merge_skew_aware(events);
+    let merged = merge_skew_aware(parse_jsonl(&sup.drain_traces()));
     std::fs::write(out_dir.join("cluster-timeline.jsonl"), merged.to_jsonl())
         .map_err(|e| SmokeFailure(format!("write timeline: {e}")))?;
     if merged.happens_before_violations() > 0 {
@@ -322,9 +290,7 @@ fn run_smoke(
     std::fs::write(out_dir.join("attribution.json"), attr.to_json())
         .map_err(|e| SmokeFailure(format!("write attribution: {e}")))?;
 
-    for p in procs {
-        p.shutdown();
-    }
+    sup.shutdown();
     summarize(&merged, &attr, commits, txns)
 }
 

@@ -1,6 +1,6 @@
-//! The metrics scraper: polls every site (and optionally the
-//! supervisor) over the ctrl protocol on a fixed cadence and renders
-//! git-SHA-stamped time-series JSONL snapshots.
+//! The metrics scraper: polls every site over the ctrl protocol on a
+//! fixed cadence and renders git-SHA-stamped time-series JSONL
+//! snapshots.
 //!
 //! Sites export cheap monotonic counters and histograms; *rates* are
 //! derived here by differencing consecutive scrapes, so the data
@@ -21,9 +21,11 @@ use std::time::Instant;
 
 use camelot_net::{FaultStats, TransportStats};
 use camelot_node::ctrl::{CtrlClient, SiteStatsWire};
+use camelot_node::procs::AddrBoard;
 use camelot_obs::{PhaseSnapshot, ProtocolPhaseSnapshot};
 
 use camelot_types::flags::{parse_int, Parsed};
+use camelot_types::SiteId;
 
 use crate::stamp::stamp_json;
 
@@ -49,6 +51,17 @@ impl ScrapeTarget {
                         .ok_or_else(|| format!("bad site id {site}"))?,
                     addr: addr.parse().map_err(|_| format!("bad address {addr}"))?,
                 })
+            })
+            .collect()
+    }
+
+    /// Sites `1..=sites` at their last-known control addresses on a
+    /// supervisor's board.
+    pub fn from_board(board: &AddrBoard, sites: u32) -> Vec<ScrapeTarget> {
+        (1..=sites)
+            .filter_map(|site| {
+                let addr = board.ctrl_addr(SiteId(site))?;
+                Some(ScrapeTarget { site, addr })
             })
             .collect()
     }
@@ -91,8 +104,8 @@ pub struct ScrapeSnapshot {
     /// Milliseconds since the collector started.
     pub at_ms: u64,
     pub sites: Vec<SiteScrape>,
-    /// Supervisor restart counts `(site, restarts)`, when a
-    /// supervisor address was given and reachable.
+    /// Supervisor restart counts `(site, restarts)`, filled in by a
+    /// harness that owns the supervisor.
     pub restarts: Option<Vec<(u32, u32)>>,
 }
 
@@ -267,14 +280,10 @@ impl Collector {
         )
     }
 
-    /// Polls every target once (fresh connections, short retry) and
-    /// the supervisor if given. Unreachable sites appear with
-    /// `up: false` rather than vanishing from the series.
-    pub fn scrape(
-        &mut self,
-        targets: &[ScrapeTarget],
-        supervisor: Option<SocketAddr>,
-    ) -> ScrapeSnapshot {
+    /// Polls every target once (fresh connections, short retry).
+    /// Unreachable sites appear with `up: false` rather than vanishing
+    /// from the series.
+    pub fn scrape(&mut self, targets: &[ScrapeTarget]) -> ScrapeSnapshot {
         let now = Instant::now();
         let dt = self
             .last_scrape
@@ -309,13 +318,6 @@ impl Collector {
                 }
             }
             snap.sites.push(site);
-        }
-        if let Some(addr) = supervisor {
-            if let Ok(mut ctrl) = CtrlClient::connect_with(addr, 2) {
-                if let Ok(counts) = ctrl.restart_stats() {
-                    snap.restarts = Some(counts.iter().map(|e| (e.site.0, e.restarts)).collect());
-                }
-            }
         }
         snap
     }

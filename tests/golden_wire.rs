@@ -22,7 +22,6 @@ use camelot::net::msg::NbInfo;
 use camelot::net::{
     encode_frame, Envelope, FaultStats, NbSiteState, Outcome, TmMessage, TransportStats, Vote,
 };
-use camelot::node::ctrl::RestartEntry;
 use camelot::node::{CtrlReply, CtrlRequest, PeerEntry};
 use camelot::types::wire::Wire;
 use camelot::types::{CamelotError, CrashPoint, FamilyId, ObjectId, ServerId, SiteId, Tid};
@@ -586,7 +585,6 @@ fn every_ctrl_request_kind_bytes() {
         },
         &["11", "02000000", "dc050000"],
     );
-    pin(CtrlRequest::RestartStats, &["12"]);
     pin(CtrlRequest::PhaseStats, &["13"]);
     pin(CtrlRequest::EngineStats, &["14"]);
     pin(
@@ -598,10 +596,12 @@ fn every_ctrl_request_kind_bytes() {
         &["16", "204e0000"],
     );
 
-    // 12 was `DrainTrace`; retired, never reused.
+    // 12 was `DrainTrace` and 18 `RestartStats`; retired, never reused.
     assert_eq!(
         tags::<CtrlRequest>("unknown ctrl request"),
-        (1..=22).filter(|t| *t != 12).collect::<Vec<u8>>()
+        (1..=22)
+            .filter(|t| *t != 12 && *t != 18)
+            .collect::<Vec<u8>>()
     );
     refused::<CtrlRequest>(&["0c"], "unknown ctrl request 12");
     refused::<CtrlRequest>(&["00"], "unknown ctrl request 0");
@@ -613,15 +613,6 @@ const EMPTY_HIST: &str = "00 0000000000000000 0000000000000000 ";
 
 #[test]
 fn every_ctrl_reply_kind_bytes() {
-    // site, restarts.
-    pin(
-        RestartEntry {
-            site: SiteId(2),
-            restarts: 3,
-        },
-        &["02000000 03000000"],
-    );
-
     pin(CtrlReply::Ok, &["01"]);
     pin(CtrlReply::Pong { site: SiteId(3) }, &["02", "03000000"]);
     pin(CtrlReply::Began { tid: tid() }, &["03", TID]);
@@ -677,21 +668,6 @@ fn every_ctrl_reply_kind_bytes() {
         },
         &["0a", FAULT_STATS],
     );
-    pin(
-        CtrlReply::Restarts {
-            counts: vec![
-                RestartEntry {
-                    site: SiteId(1),
-                    restarts: 0,
-                },
-                RestartEntry {
-                    site: SiteId(2),
-                    restarts: 3,
-                },
-            ],
-        },
-        &["0b", "02000000", "01000000 00000000", "02000000 03000000"],
-    );
 
     // Twelve phase histograms, then five protocols of twelve. One
     // 5 µs `begin_call` sample (bucket 3) in the plain set and one
@@ -731,9 +707,10 @@ fn every_ctrl_reply_kind_bytes() {
         &["0d", stats[0], stats[1]],
     );
 
+    // 11 was `Restarts`; retired, never reused.
     assert_eq!(
         tags::<CtrlReply>("unknown ctrl reply"),
-        (1..=13).collect::<Vec<u8>>()
+        (1..=13).filter(|t| *t != 11).collect::<Vec<u8>>()
     );
     refused::<CtrlReply>(&["63"], "unknown ctrl reply 99");
 }

@@ -184,7 +184,8 @@ fn apply_event(sup: &mut Supervisor, sites: u32, ev: &FaultEvent, log: &mut Vec<
             format!("skew site {} to {pm}\u{2030}", site.0)
         }
         FaultEvent::Heal => {
-            sup.heal_all();
+            // A site that died since the last poll respawns healed.
+            let _ = sup.heal_all();
             "heal".to_string()
         }
     };
@@ -292,7 +293,7 @@ fn audit(sup: &mut Supervisor, ctx: &mut AuditCtx<'_>) -> Vec<String> {
 
     // Heal every fault so recovery machinery can actually run, then
     // give supervision a window to restore membership.
-    sup.heal_all();
+    let _ = sup.heal_all();
     if !sup.wait_all_up(Duration::from_secs(30)) {
         violations.push("membership: not every site came back up within 30s".into());
         return violations;
@@ -300,7 +301,7 @@ fn audit(sup: &mut Supervisor, ctx: &mut AuditCtx<'_>) -> Vec<String> {
     // Heal again now that every site is up: a site that respawned
     // mid-heal may have missed a partition lift (it boots clean, but
     // its peers' installs may target it again later in the script).
-    sup.heal_all();
+    let _ = sup.heal_all();
 
     // Quiesce: every engine drains to idle.
     if let Err(busy) = sup.quiesce(Duration::from_secs(20)) {
@@ -354,7 +355,7 @@ fn audit(sup: &mut Supervisor, ctx: &mut AuditCtx<'_>) -> Vec<String> {
             ));
         }
     }
-    ctx.drained.extend(parse_jsonl(&sup.drain_traces()));
+    ctx.drained.extend(drained_events(sup));
 
     // Conservation over the transfer accounts.
     let expected = opts.sites as i64 * opts.accounts as i64 * INITIAL;
@@ -405,6 +406,16 @@ fn audit(sup: &mut Supervisor, ctx: &mut AuditCtx<'_>) -> Vec<String> {
     violations
 }
 
+/// Every up site's drained trace events; a site whose drain fails adds
+/// none.
+fn drained_events(sup: &mut Supervisor) -> Vec<ScopeEvent> {
+    let traces = sup.drain_traces().into_iter();
+    traces
+        .filter_map(|(_, t)| t.ok())
+        .flat_map(|t| parse_jsonl(&t))
+        .collect()
+}
+
 /// Dumps the merged cluster timeline (every site's drained trace,
 /// skew-rebased into one frame), the scrape series, and the fault
 /// script to the trace directory.
@@ -426,7 +437,7 @@ fn dump_traces(sup: &mut Supervisor, ctx: &mut AuditCtx<'_>, violations: &[Strin
     let _ = std::fs::write(dir.join("soak-report.txt"), &report);
     // Pick up whatever the rings hold beyond the last audit's drain,
     // then merge everything into one corrected timeline.
-    ctx.drained.extend(parse_jsonl(&sup.drain_traces()));
+    ctx.drained.extend(drained_events(sup));
     let merged = merge_skew_aware(std::mem::take(&mut ctx.drained));
     if let Ok(mut f) = std::fs::File::create(dir.join("cluster-timeline.jsonl")) {
         let _ = f.write_all(merged.to_jsonl().as_bytes());

@@ -220,9 +220,13 @@ fn run_point_sockets(args: &Args, transport: Transport, rate: f64) -> SockPoint 
         CtrlSession::new(board.clone())
     });
 
-    // Let in-flight resolutions land, then read the counters.
+    // Let in-flight resolutions land, then read the counters. A
+    // cluster that does not settle (a site died, or work is stuck)
+    // would give a point covering only part of it: none is recorded.
     if let Err(busy) = sup.quiesce(StdDuration::from_secs(10)) {
         eprintln!("camelot-sockbench: cluster did not quiesce [{busy}]");
+        sup.shutdown();
+        std::process::exit(1);
     }
     let mut agg = TransportStats::default();
     for site in (1..=args.mix.sites).map(SiteId) {
@@ -241,7 +245,11 @@ fn run_point_sockets(args: &Args, transport: Transport, rate: f64) -> SockPoint 
     // every ring and attribute the point's commit latency.
     scrape_stop.store(true, Ordering::Release);
     let scrape = scrape_handle.join().ok();
-    let events = parse_jsonl(&sup.drain_traces());
+    let traces = sup.drain_traces().into_iter();
+    let events = traces
+        .filter_map(|(_, t)| t.ok())
+        .flat_map(|t| parse_jsonl(&t))
+        .collect();
     let attribution = attribute(&merge_skew_aware(events).events);
     sup.shutdown();
     SockPoint {

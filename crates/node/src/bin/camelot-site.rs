@@ -41,7 +41,7 @@ use camelot_node::ctrl::{
 };
 use camelot_rt::{Client, Cluster, RemoteNet, RtConfig, TraceEventKind};
 use camelot_types::flags::{Row, Tool, REQUIRED, SWITCH};
-use camelot_types::{splitmix64, CamelotError, FamilyId, SiteId};
+use camelot_types::{CamelotError, FamilyId, SiteId};
 
 #[rustfmt::skip]
 const FLAGS: &[Row] = &[
@@ -51,7 +51,7 @@ const FLAGS: &[Row] = &[
     ("--fast", SWITCH, "", "the short engine timeouts of tests and benches"),
     ("--call-timeout-ms", "MS", "30000", "longest an application call blocks"),
     ("--trace-capacity", "N", "", "trace ring events (else the runtime's default)"),
-    ("--fault-seed", "N", "1", "seed of the link-fault dice, mixed with --site"),
+    ("--fault-seed", "N", "1", "seed of the link-fault dice"),
     ("--drop", "PM", "0", "outbound datagrams dropped, per mille"),
     ("--delay", "PM", "0", "outbound datagrams delayed, per mille"),
     ("--dup", "PM", "0", "outbound datagrams duplicated, per mille"),
@@ -74,9 +74,6 @@ fn parse_opts() -> (SiteId, SocketMode, FaultPlan, RtConfig) {
             (p.int("--drop")?, p.int("--delay")?, p.int("--dup")?);
         let (seed, budget): (u64, u64) = (p.int("--fault-seed")?, p.int("--fault-budget")?);
         let held = StdDuration::from_millis(p.int("--fault-delay-ms")?);
-        // One seed for a whole cluster still gives each site its own
-        // fault stream.
-        let seed = splitmix64(seed ^ site.0 as u64);
         let fault = match (drop, delay, dup) {
             (0, 0, 0) => FaultPlan::disabled(),
             _ => FaultPlan::new(seed, drop, delay, dup, held, budget),

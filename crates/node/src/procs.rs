@@ -488,19 +488,28 @@ impl Supervisor {
     }
 
     /// Lifts every up site's injected faults (link faults, partitions,
-    /// skew); a site that is down comes back without any.
-    pub fn heal_all(&mut self) {
-        for proc in self.up() {
-            let _ = proc.ctrl.heal();
+    /// skew); a site that is down comes back without any. Every up site
+    /// is asked; the error lists the sites whose heal failed.
+    pub fn heal_all(&mut self) -> Result<(), String> {
+        let failed: Vec<String> = self
+            .up()
+            .filter_map(|p| {
+                let e = p.ctrl.heal().err()?;
+                Some(format!("site {}: heal: {e}", p.id.0))
+            })
+            .collect();
+        if failed.is_empty() {
+            Ok(())
+        } else {
+            Err(failed.join(" | "))
         }
     }
 
-    /// Drains every up site's trace ring: one JSON Lines text, each
-    /// event naming its site. A site whose drain fails adds nothing.
-    pub fn drain_traces(&mut self) -> String {
-        self.up()
-            .filter_map(|p| p.ctrl.drain_trace().ok())
-            .collect()
+    /// Drains every up site's trace ring, in site order: each site's
+    /// JSON Lines text (every event names its site) or why its drain
+    /// failed.
+    pub fn drain_traces(&mut self) -> Vec<(SiteId, camelot_types::Result<String>)> {
+        self.up().map(|p| (p.id, p.ctrl.drain_trace())).collect()
     }
 
     /// Respawns performed per site, in site order.
@@ -543,7 +552,7 @@ impl Supervisor {
         }
         for f in &failed {
             eprintln!(
-                "{tool}: site {} exhausted its restart budget (last exit: {})",
+                "{tool}: site {} was not restarted (last exit: {})",
                 f.site.0, f.status
             );
             eprintln!("{tool}: site {} last stderr lines:", f.site.0);

@@ -109,7 +109,7 @@ fn supervised_cluster_survives_kill_partition_skew_heal_under_load() {
     committed += burst(&mut sup, 6, 4);
 
     // Heal everything and let the protocols settle.
-    sup.heal_all();
+    sup.heal_all().expect("heal every site");
     assert!(sup.wait_all_up(Duration::from_secs(20)));
     committed += burst(&mut sup, 6, 5);
     assert!(committed > 0, "no transfer committed across the campaign");

@@ -277,7 +277,12 @@ fn run_smoke(
     }
 
     // Drain every ring (chunked under the hood), merge, attribute.
-    let merged = merge_skew_aware(parse_jsonl(&sup.drain_traces()));
+    let mut events = Vec::new();
+    for (site, trace) in sup.drain_traces() {
+        let jsonl = trace.map_err(|e| SmokeFailure(format!("drain trace site {}: {e}", site.0)))?;
+        events.extend(parse_jsonl(&jsonl));
+    }
+    let merged = merge_skew_aware(events);
     std::fs::write(out_dir.join("cluster-timeline.jsonl"), merged.to_jsonl())
         .map_err(|e| SmokeFailure(format!("write timeline: {e}")))?;
     if merged.happens_before_violations() > 0 {

@@ -476,11 +476,14 @@ impl Engine {
     pub(crate) fn sub2pc_commit(&mut self, out: &mut Vec<Action>, tid: Tid) {
         let family = tid.family;
         let Some(fam) = self.families.get_mut(&family) else {
-            // Already resolved and forgotten here — our ack was lost.
-            // Re-acknowledge so the coordinator can forget too.
+            // Already resolved and forgotten here — our ack was lost, or
+            // the coordinator lost its end record and is re-announcing.
+            // Re-acknowledge at once rather than behind the ack-flush
+            // timer: until the ack arrives, the coordinator holds the
+            // family, and with it its site's log truncation floor.
             let me = self.site;
             let coordinator = family.origin;
-            self.queue_ack(out, coordinator, TmMessage::CommitAck { tid, from: me });
+            self.send(out, coordinator, TmMessage::CommitAck { tid, from: me });
             return;
         };
         let Role::Sub2pc(s) = &mut fam.role else {

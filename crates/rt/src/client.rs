@@ -265,8 +265,9 @@ impl Client {
     /// local work they produce. A reply produced along the way is
     /// handed straight back; only a call the engine leaves pending — a
     /// force, remote votes — parks a completion for the thread that
-    /// finishes it — a worker, or this thread again when it leads its
-    /// own commit force. A reply that never arrives within
+    /// finishes it — a worker (which may have led the force itself), or
+    /// this thread again when it leads its own commit force. A reply
+    /// that never arrives within
     /// `call_timeout` (or cannot arrive, the site having died under the
     /// call) surfaces as the typed [`CamelotError::Timeout`] carrying `tid`:
     /// the outcome is *unknown* (the engine may still resolve the

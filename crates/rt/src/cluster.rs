@@ -17,9 +17,12 @@
 //! - **A pipelined disk manager** (`crate::disk`). Whoever produces a
 //!   record appends it into the WAL's in-memory segment itself, under
 //!   a short lock, and asks the site's group-commit batcher for the
-//!   force; the platter write is performed by the committing
-//!   application thread if the disk is idle (leader) and by the disk
-//!   thread otherwise. Its *simulated* latency (`platter_delay`) is
+//!   force; if the disk is idle the requesting thread performs the
+//!   platter write itself (leader) when nothing is queued behind its
+//!   force and it could only wait (a committing application thread) or
+//!   another TranMan worker of the site is idle to serve traffic
+//!   meanwhile; the disk thread performs every other write. Its
+//!   *simulated* latency (`platter_delay`) is
 //!   slept **without holding the WAL lock**; the store's own
 //!   `force_to` runs under it, so a file-backed site's `write` and
 //!   `sync_data` still block appenders (see `crate::disk`). One write
@@ -187,6 +190,10 @@ pub(crate) struct SiteShared {
     pub servers: BTreeMap<ServerId, Mutex<DataServer>>,
     pub comman: Mutex<CommMan>,
     pub tm_tx: Sender<Option<Input>>,
+    /// TranMan workers parked in `recv`, waiting for an input: while one
+    /// is, another worker may sleep through a platter write it leads.
+    /// Relaxed: it only chooses who writes, and publishes no data.
+    idle_workers: AtomicUsize,
     pub disk_tx: Sender<DiskJob>,
     pub lazy: Mutex<Vec<(ForceToken, Lsn)>>,
     pub counters: SiteCounters,
@@ -407,9 +414,9 @@ impl ClusterInner {
         }
     }
 
-    /// Runs a completed force's `LogForced` step — on the committing
-    /// application thread for the force it led itself, on a worker for
-    /// every other — and returns the actions to apply.
+    /// Runs a completed force's `LogForced` step — on the thread that
+    /// led the force's platter write, on a worker for every other — and
+    /// returns the actions to apply.
     pub fn log_forced(&self, site: &SiteShared, token: ForceToken) -> Vec<Action> {
         let actions = self.handle_on_shard(site, Input::LogForced { token });
         // Crash point: the force hit the platter (the decision is
@@ -621,15 +628,19 @@ impl ClusterInner {
                         continue;
                     }
                     // This thread appends, and asks for the force. With
-                    // an application call parked on it and nothing left
-                    // to apply, all it could do is wait: it may be told
-                    // to lead the platter write, and its own `LogForced`
-                    // step then runs here too. A force with work queued
-                    // behind it (non-blocking commit's begin record,
-                    // ahead of phase one) must not hold that work up for
-                    // a platter write, so it never leads.
+                    // nothing left to apply it may be told to lead the
+                    // platter write, and its own `LogForced` step then
+                    // runs here too — if an application call is parked
+                    // on it (all it could do is wait), or another
+                    // TranMan worker is idle to serve the site's traffic
+                    // while this thread sleeps through the write. A
+                    // force with work queued behind it (non-blocking
+                    // commit's begin record, ahead of phase one) must not
+                    // hold that work up for a platter write, so it never
+                    // leads.
                     let upto = site.append(&rec);
-                    let lead = caller.is_some() && queue.is_empty();
+                    let lead = queue.is_empty()
+                        && (caller.is_some() || site.idle_workers.load(Ordering::Relaxed) > 0);
                     if request_force(self, site, token, upto, lead) {
                         queue.extend(self.log_forced(site, token));
                     }
@@ -761,6 +772,7 @@ impl Cluster {
                 servers,
                 comman: Mutex::new(CommMan::new(id)),
                 tm_tx,
+                idle_workers: AtomicUsize::new(0),
                 disk_tx,
                 lazy: Mutex::new(Vec::new()),
                 counters: SiteCounters::default(),
@@ -1215,9 +1227,17 @@ impl Cluster {
 /// queued-mode vote aggregate; application calls and the local work
 /// they produce run on the calling thread and never come here. The
 /// input's transaction family picks the engine shard, so threads
-/// working on different families hold different locks.
+/// working on different families hold different locks. While parked in
+/// `recv` a worker counts as idle, which lets the others lead their
+/// own platter writes (see the `Action::Force` arm of `apply_for`).
 fn tm_worker(inner: Arc<ClusterInner>, site: Arc<SiteShared>, rx: Receiver<Option<Input>>) {
-    while let Ok(Some(input)) = rx.recv() {
+    loop {
+        site.idle_workers.fetch_add(1, Ordering::Relaxed);
+        let received = rx.recv();
+        site.idle_workers.fetch_sub(1, Ordering::Relaxed);
+        let Ok(Some(input)) = received else {
+            return;
+        };
         site.counters.worker_inputs.fetch_add(1, Ordering::Relaxed);
         let actions = match input {
             Input::LogForced { token } => inner.log_forced(&site, token),

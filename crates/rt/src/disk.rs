@@ -9,31 +9,35 @@
 //! requested). The batcher sits with its token table in [`DiskState`],
 //! behind one short lock, and what it answers decides who writes:
 //!
-//! - **Leader.** An application thread parked in `commit`, with
-//!   nothing left to do there but wait for this force, that is told
-//!   to start a write performs it itself — [`platter_write`] sleeps
-//!   the simulated platter delay with **no lock held**, so the log
-//!   keeps filling while that platter is busy — and runs its own
-//!   `LogForced` step when it returns. (True of the simulated sleep
-//!   only: the store's `force_to` then runs inside `site.wal.lock()`,
-//!   and a `FileStore`'s is the real `write` and `sync_data`, so with
-//!   a real disk nothing can be appended while the platter is busy.
-//!   Moving it out from under the lock is owed, as a measured change
-//!   of its own; see ROADMAP.) It wakes the other
-//!   forces the write covered, and leaves whatever the batcher asks
-//!   for next (the write for those who arrived meanwhile, a checkpoint
-//!   that write made due) to the disk thread: a leader writes once per
-//!   call.
+//! - **Leader.** A thread with nothing left to apply but this force,
+//!   that is told to start a write, performs it itself — if it could
+//!   only wait anyway (an application call is parked on it, in
+//!   `commit`), or if it is a TranMan worker and another of the site's
+//!   workers is idle to serve datagrams while it writes (a subordinate's
+//!   prepare record, a coordinator's commit record after the last
+//!   vote). [`platter_write`] sleeps the simulated platter delay with
+//!   **no lock held**, so the log keeps filling while that platter is
+//!   busy, and the leader runs its own `LogForced` step when it
+//!   returns. (True of the simulated sleep only: the store's
+//!   `force_to` then runs inside `site.wal.lock()`, and a
+//!   `FileStore`'s is the real `write` and `sync_data`, so with a real
+//!   disk nothing can be appended while the platter is busy. Moving it
+//!   out from under the lock is owed, as a measured change of its own;
+//!   see ROADMAP.) It wakes the other forces the write covered, and
+//!   leaves whatever the batcher asks for next (the write for those who
+//!   arrived meanwhile, a checkpoint that write made due) to the disk
+//!   thread: a leader writes once per call.
 //! - **Follower.** Anyone told anything else (a write is in flight, a
 //!   window is accumulating) waits as before and is released by
 //!   whichever thread performs the write that covers it. So batches
 //!   form exactly when there is concurrency (paper §3.5).
-//! - **The disk thread** performs every write nobody leads: a pool
-//!   worker's force (a worker asleep in a platter write would stop
-//!   serving datagrams, so workers never lead), a caller's force that
-//!   has work queued behind it (non-blocking commit's begin record
-//!   overlaps phase one), the write after a leader's, window expiries,
-//!   lazy flushes, checkpoints.
+//! - **The disk thread** performs every write nobody leads: a force
+//!   that has work queued behind it (non-blocking commit's begin record
+//!   overlaps phase one), a worker's force while no other worker of the
+//!   site is idle (with `tm_threads = 1`, always: the one worker asleep
+//!   in a platter write would stop the site's protocol traffic), the
+//!   write after a leader's, window expiries, lazy flushes (after
+//!   `lazy_flush` with no job), checkpoints.
 //!
 //! # Checkpoint, retention, truncation
 //!
@@ -279,8 +283,9 @@ impl DiskState {
 /// end past the record the requester has just appended, and the
 /// batcher is asked on the requesting thread.
 ///
-/// With `lead` — an application call is parked on this very thread and
-/// has nothing left to apply but this force — an answer of "start a
+/// With `lead` — the thread has nothing left to apply but this force,
+/// and either an application call is parked on it or another TranMan
+/// worker of the site is idle — an answer of "start a
 /// write" makes the thread the **leader**: it performs that one platter
 /// write itself and releases everyone it covered. Any other answer, and
 /// any requester that cannot lead,
@@ -399,7 +404,7 @@ fn release(site: &SiteShared, reqs: &[ReqId], durable: Lsn, own: Option<ForceTok
     mine
 }
 
-/// The disk thread: performs the platter writes no calling thread
+/// The disk thread: performs the platter writes no requesting thread
 /// leads, keeps the batcher's accumulation window, flushes lazily
 /// appended records, and checkpoints.
 struct DiskManager {

@@ -21,8 +21,9 @@
 //!   group-commit batcher (§3.5) for the force. Platter writes happen
 //!   *without holding the log lock*, double-buffer style: a committing
 //!   application thread that finds the disk idle leads the write and
-//!   finishes its own commit; everyone else follows, and the disk
-//!   thread performs the writes nobody leads. That thread also
+//!   finishes its own commit, and so does a TranMan worker while
+//!   another worker of its site is idle; everyone else follows, and
+//!   the disk thread performs the writes nobody leads. That thread also
 //!   checkpoints and truncates the log on a rule of its own, so a
 //!   restart replays a bounded tail;
 //! - a **router** — the NetMsgServer stand-in: one ordered set of

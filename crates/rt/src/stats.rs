@@ -32,7 +32,7 @@ pub(crate) struct SiteCounters {
     /// Records appended to the WAL (all sources).
     pub appends: AtomicU64,
     /// Platter writes performed, by a leading application thread or
-    /// the disk thread.
+    /// worker, or the disk thread.
     pub platter_writes: AtomicU64,
     /// Force requests satisfied by the batcher.
     pub forces_satisfied: AtomicU64,
@@ -81,12 +81,12 @@ pub struct SiteStats {
     pub inputs: u64,
     /// Inputs that crossed to the worker pool — the hand-off budget:
     /// application calls, local server votes and the `LogForced` of a
-    /// force its caller led run on the thread that produced them, so
-    /// only datagrams, timer firings and other log completions count
+    /// force its requester led run on the thread that produced them,
+    /// so only datagrams, timer firings and other log completions count
     /// here.
     pub worker_inputs: u64,
     /// Platter writes performed, by a leading application thread or
-    /// the disk thread.
+    /// worker, or the disk thread.
     pub platter_writes: u64,
     /// Force requests satisfied by the batcher.
     pub forces_satisfied: u64,

@@ -12,14 +12,17 @@
 //! the named crash points pin down.
 
 use std::sync::Arc;
-use std::time::Duration as StdDuration;
+use std::time::{Duration as StdDuration, Instant};
 
 use camelot_core::CommitMode;
 use camelot_rt::{Cluster, CrashPoint, FaultPlan, RtConfig};
+use camelot_types::wire::Wire;
 use camelot_types::{CamelotError, ObjectId, ServerId, SiteId};
+use camelot_wal::LogRecord;
 
 const S1: SiteId = SiteId(1);
 const S2: SiteId = SiteId(2);
+const S3: SiteId = SiteId(3);
 const SRV: ServerId = ServerId(1);
 
 fn quick_cfg() -> RtConfig {
@@ -298,6 +301,191 @@ fn restarted_subordinate_still_flushes_its_commit_acks() {
     cluster.restart(S1).unwrap();
     traffic(300);
     quiet_within(StdDuration::from_secs(2), "after the restart");
+    Arc::try_unwrap(cluster)
+        .ok()
+        .expect("sole owner")
+        .shutdown();
+}
+
+/// The log records in a durable image, each with its offset into it.
+fn records_of(image: &[u8]) -> Vec<(usize, LogRecord)> {
+    camelot_wal::codec::frames(image)
+        .map(|frame| {
+            let (offset, payload) = frame.unwrap();
+            (offset as usize, LogRecord::from_bytes(payload).unwrap())
+        })
+        .collect()
+}
+
+/// A coordinator's end record is a plain append, so a crash right
+/// after a commit settles can lose it. The family then restarts as a
+/// resolving 2PC coordinator and re-announces its outcome to
+/// subordinates that have long forgotten it. They used to queue the
+/// re-ack behind the ack-flush timer, and until it arrived the
+/// coordinator held the family — and every checkpoint it took kept the
+/// log from the family's first record on, so a site crashed again
+/// within that interval retained more log at every restart. A
+/// forgotten family is re-acknowledged at once: the family is gone well
+/// inside the (here long) ack-flush interval, and the next restart
+/// truncates to its own checkpoint, one snapshot and its marker.
+#[test]
+fn a_coordinator_that_lost_its_end_record_forgets_the_family_at_once() {
+    let ack_flush = StdDuration::from_secs(1);
+    let mut cfg = RtConfig {
+        datagram_delay: StdDuration::ZERO,
+        platter_delay: StdDuration::ZERO,
+        lazy_flush: StdDuration::from_millis(5),
+        ..RtConfig::default()
+    };
+    cfg.engine.ack_flush_interval = camelot_types::Duration::from_secs(ack_flush.as_secs());
+    let cluster = Cluster::new(3, cfg);
+    let durable_records = |site| records_of(&cluster.wal_image(site).unwrap());
+    let client = cluster.client(S1);
+    let tid = client.begin().unwrap();
+    for site in [S1, S2, S3] {
+        client
+            .write(&tid, site, SRV, ObjectId(1), b"once".to_vec())
+            .unwrap();
+    }
+    client.commit(&tid, CommitMode::TwoPhase).unwrap();
+    // Settled: the subordinates' acks arrived and the coordinator's end
+    // record reached the platter.
+    let is_end = |rec: &LogRecord| matches!(rec, LogRecord::End { tid: t } if *t == tid);
+    let deadline = Instant::now() + StdDuration::from_secs(5);
+    while !durable_records(S1).iter().any(|(_, r)| is_end(r)) {
+        assert!(
+            Instant::now() < deadline,
+            "the end record never became durable"
+        );
+        std::thread::sleep(StdDuration::from_millis(5));
+    }
+    // Lose it, and the tail after it, as a crash before the write that
+    // would have carried it does.
+    cluster.crash(S1);
+    let image = cluster.wal_image(S1).unwrap();
+    let (end_at, _) = records_of(&image)
+        .into_iter()
+        .find(|(_, r)| is_end(r))
+        .unwrap();
+    cluster.set_wal_image(S1, &image[..end_at]).unwrap();
+    let sub_inputs =
+        |c: &Cluster| -> u64 { c.stats().sites[1..].iter().map(|s| s.worker_inputs).sum() };
+    let before = sub_inputs(&cluster);
+    let restarted = Instant::now();
+    cluster.restart(S1).unwrap();
+    let live = |c: &Cluster| c.stats().sites[0].live_families;
+    while live(&cluster) != 0 {
+        assert!(
+            restarted.elapsed() < ack_flush / 4,
+            "the recovered coordinator still holds the family: {}",
+            cluster.debug_state(S1)
+        );
+        std::thread::sleep(StdDuration::from_millis(1));
+    }
+    assert_eq!(
+        sub_inputs(&cluster) - before,
+        2,
+        "each subordinate hears the re-announced commit once"
+    );
+    // A local commit's force carries the new end record to the platter;
+    // then the next restart's checkpoint has no family to keep.
+    let next = client.begin().unwrap();
+    client
+        .write(&next, S1, SRV, ObjectId(2), b"later".to_vec())
+        .unwrap();
+    client.commit(&next, CommitMode::TwoPhase).unwrap();
+    cluster.crash(S1);
+    cluster.restart(S1).unwrap();
+    let records = durable_records(S1);
+    let snapshots = records
+        .iter()
+        .filter(|(_, r)| matches!(r, LogRecord::ServerSnapshot { .. }))
+        .count();
+    assert_eq!(snapshots, 1, "retained log: {records:?}");
+    for site in [S1, S2, S3] {
+        assert_eq!(cluster.committed_value(site, SRV, ObjectId(1)), b"once");
+    }
+    assert_eq!(cluster.committed_value(S1, SRV, ObjectId(2)), b"later");
+    cluster.shutdown();
+}
+
+/// A subordinate's prepare record is forced by the TranMan worker that
+/// received the prepare, and with the site's other workers idle that
+/// worker leads the platter write itself. Here the site dies inside
+/// that write ([`CrashPoint::MidPlatterWrite`]). While the leader
+/// sleeps through the write, the site's other workers keep serving: a
+/// read-only transaction that needs a worker there commits before the
+/// write ends. The torn prepare record never counts as a vote, so every
+/// site agrees the family aborted, and after a restart the cluster
+/// takes new work.
+#[test]
+fn a_worker_leading_a_prepare_write_dies_mid_write() {
+    let fault = Arc::new(FaultPlan::disabled());
+    let mut cfg = RtConfig {
+        platter_delay: StdDuration::from_millis(300),
+        // No background flush: the prepare record's is the site's only
+        // platter write.
+        lazy_flush: StdDuration::from_secs(60),
+        ..quick_cfg()
+    };
+    cfg.engine.vote_timeout = camelot_types::Duration::from_millis(400);
+    let cluster = Arc::new(Cluster::new_with_faults(3, cfg, fault.clone()));
+    let obj = ObjectId(7);
+    let client = cluster.client(S1);
+    let tid = client.begin().unwrap();
+    for site in [S1, S2] {
+        client
+            .write(&tid, site, SRV, obj, b"fate".to_vec())
+            .unwrap();
+    }
+    fault.arm_crash(S2, CrashPoint::MidPlatterWrite);
+    let committer = {
+        let cluster = cluster.clone();
+        std::thread::spawn(move || cluster.client(S1).commit(&tid, CommitMode::TwoPhase))
+    };
+    while !cluster.debug_state(S2).contains("waiting") {
+        std::thread::yield_now();
+    }
+    // The prepare write is under way at site 2. A read-only transaction
+    // homed at site 3 needs a site-2 worker to take its prepare and
+    // vote.
+    let reader = cluster.client(S3);
+    let other = reader.begin().unwrap();
+    for site in [S2, S3] {
+        reader.read(&other, site, SRV, ObjectId(8)).unwrap();
+    }
+    let out = reader.commit(&other, CommitMode::TwoPhase).unwrap();
+    assert_eq!(out, camelot_net::Outcome::Committed);
+    assert!(
+        cluster.is_alive(S2) && fault.stats().crashes == 0,
+        "the read-only commit should have finished inside the prepare write"
+    );
+    let outcome = committer.join().expect("no committer panics");
+    assert!(
+        !cluster.is_alive(S2),
+        "the prepare write should have killed site 2"
+    );
+    assert_eq!(fault.stats().crashes, 1);
+    assert!(
+        !matches!(outcome, Ok(camelot_net::Outcome::Committed)),
+        "site 2 never voted, yet the commit returned {outcome:?}"
+    );
+    cluster.restart(S2).expect("clean log recovers");
+    std::thread::sleep(StdDuration::from_millis(300));
+    for site in [S1, S2] {
+        assert_eq!(cluster.committed_value(site, SRV, obj), b"", "{site}");
+    }
+    let probe = client.begin().unwrap();
+    for site in [S1, S2] {
+        client
+            .write(&probe, site, SRV, obj, b"alive".to_vec())
+            .unwrap();
+    }
+    client.commit(&probe, CommitMode::TwoPhase).unwrap();
+    std::thread::sleep(StdDuration::from_millis(100));
+    for site in [S1, S2] {
+        assert_eq!(cluster.committed_value(site, SRV, obj), b"alive", "{site}");
+    }
     Arc::try_unwrap(cluster)
         .ok()
         .expect("sole owner")

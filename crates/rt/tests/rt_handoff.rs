@@ -3,7 +3,7 @@
 //! had to carry there, pinned per transaction shape.
 //!
 //! Application calls, local server votes and the `LogForced` of a
-//! force its caller led run on the thread that produced them; only
+//! force its requester led run on the thread that produced them; only
 //! what is genuinely asynchronous — a datagram, a timer firing, a log
 //! completion somebody else produced — crosses to a worker, and each
 //! crossing is one thread hand-off. The router thread is a second
@@ -71,11 +71,17 @@ fn settled(cluster: &Cluster) -> (Vec<u64>, u64) {
 }
 
 /// Runs one transaction writing (or, with `write` false, reading) one
-/// object at each of `spread` sites from a client at site 1, and
-/// returns the worker inputs it cost at each site and the deliveries
-/// it cost the router thread.
-fn budget_of(sites: u32, spread: u32, write: bool) -> (Vec<u64>, u64) {
-    let cluster = Cluster::new(sites, cfg());
+/// object at each of `spread` sites from a client at site 1 and
+/// committing it under `mode`, and returns the worker inputs it cost at
+/// each site and the deliveries it cost the router thread.
+fn budget_of(
+    cfg: RtConfig,
+    sites: u32,
+    spread: u32,
+    write: bool,
+    mode: CommitMode,
+) -> (Vec<u64>, u64) {
+    let cluster = Cluster::new(sites, cfg);
     let client = cluster.client(SiteId(1));
     let run = || {
         let tid = client.begin().unwrap();
@@ -87,7 +93,7 @@ fn budget_of(sites: u32, spread: u32, write: bool) -> (Vec<u64>, u64) {
                 client.read(&tid, site, SRV, obj).unwrap();
             }
         }
-        let out = client.commit(&tid, CommitMode::TwoPhase).unwrap();
+        let out = client.commit(&tid, mode).unwrap();
         assert_eq!(out, Outcome::Committed);
         settled(&cluster)
     };
@@ -103,7 +109,8 @@ fn budget_of(sites: u32, spread: u32, write: bool) -> (Vec<u64>, u64) {
 
 #[test]
 fn read_only_local_transaction_never_leaves_the_calling_thread() {
-    assert_eq!(budget_of(1, 1, false), (vec![0], 0));
+    let budget = budget_of(cfg(), 1, 1, false, CommitMode::TwoPhase);
+    assert_eq!(budget, (vec![0], 0));
 }
 
 /// The committing thread finds the disk idle, so it leads: it performs
@@ -111,16 +118,19 @@ fn read_only_local_transaction_never_leaves_the_calling_thread() {
 /// thread, no router.
 #[test]
 fn local_update_never_leaves_the_calling_thread_either() {
-    assert_eq!(budget_of(1, 1, true), (vec![0], 0));
+    let budget = budget_of(cfg(), 1, 1, true, CommitMode::TwoPhase);
+    assert_eq!(budget, (vec![0], 0));
 }
 
 /// Three-site delayed-commit 2PC (the default variant). Coordinator:
-/// two votes, its commit record's LogForced and two acks = 5. Each
-/// subordinate: the prepare, its prepare record's LogForced, the
+/// two votes and two acks = 4. Each subordinate: the prepare, the
 /// commit, the lazy commit record's LogDurable and the ack-flush timer
 /// (an isolated transaction has no later datagram to piggyback its ack
-/// on) = 5. Every one of these forces is requested by a worker, and
-/// workers do not lead, so each LogForced still crosses.
+/// on) = 4. All three forces — each subordinate's prepare record, the
+/// coordinator's commit record after the last vote — are requested by a
+/// worker while the site's other workers sit idle, so that worker leads
+/// the platter write and runs the force's `LogForced` itself: none of
+/// them crosses.
 ///
 /// The router thread carries exactly the timers that fire — the two
 /// subordinates' ack-flush timers — and no datagram: with no delay all
@@ -129,6 +139,40 @@ fn local_update_never_leaves_the_calling_thread_either() {
 /// the subordinates' orphan and inquiry watchdogs are armed and
 /// cancelled in place, without the router thread hearing of them.)
 #[test]
-fn three_site_delayed_commit_costs_fifteen_worker_inputs() {
-    assert_eq!(budget_of(3, 3, true), (vec![5, 5, 5], 2));
+fn three_site_delayed_commit_costs_twelve_worker_inputs() {
+    let budget = budget_of(cfg(), 3, 3, true, CommitMode::TwoPhase);
+    assert_eq!(budget, (vec![4, 4, 4], 2));
+}
+
+/// The other side of the rule: with one TranMan worker per site there
+/// is never a second, idle worker to serve the site's traffic, so the
+/// one worker does not sleep through a platter write. Each of the
+/// three forces is written by the disk thread and its `LogForced`
+/// crosses back to the worker: one more input at every site.
+#[test]
+fn one_worker_per_site_never_leads_its_forces() {
+    let cfg = RtConfig {
+        tm_threads: 1,
+        ..cfg()
+    };
+    let budget = budget_of(cfg, 3, 3, true, CommitMode::TwoPhase);
+    assert_eq!(budget, (vec![5, 5, 5], 2));
+}
+
+/// Three-site non-blocking commit. Coordinator: its begin record's
+/// LogForced (that force has phase one queued behind it, so it never
+/// leads), two votes, two replication acks and two outcome acks = 7;
+/// its commit record, forced after the last replication ack, is led.
+/// Each subordinate: the prepare, the replication, the outcome, the
+/// lazy outcome record's LogDurable and the forget note = 5; its
+/// prepare and replication records are led. Five of the protocol's six
+/// forces are led.
+///
+/// No timer fires, so the router thread carries nothing: a
+/// subordinate acknowledges the outcome as soon as its record is
+/// durable, with no ack-flush timer.
+#[test]
+fn three_site_nonblocking_commit_costs_seventeen_worker_inputs() {
+    let budget = budget_of(cfg(), 3, 3, true, CommitMode::NonBlocking);
+    assert_eq!(budget, (vec![7, 5, 5], 0));
 }

@@ -416,9 +416,9 @@ fn drained_events(sup: &mut Supervisor) -> Vec<ScopeEvent> {
         .collect()
 }
 
-/// Dumps the merged cluster timeline (every site's drained trace,
-/// skew-rebased into one frame), the scrape series, and the fault
-/// script to the trace directory.
+/// Dumps the merged cluster timeline (every site incarnation's drained
+/// trace, sorted on the shared host clock), the scrape series, and the
+/// fault script to the trace directory.
 fn dump_traces(sup: &mut Supervisor, ctx: &mut AuditCtx<'_>, violations: &[String]) {
     let dir = &ctx.opts.trace_dir;
     if let Err(e) = std::fs::create_dir_all(dir) {
@@ -436,7 +436,7 @@ fn dump_traces(sup: &mut Supervisor, ctx: &mut AuditCtx<'_>, violations: &[Strin
     }
     let _ = std::fs::write(dir.join("soak-report.txt"), &report);
     // Pick up whatever the rings hold beyond the last audit's drain,
-    // then merge everything into one corrected timeline.
+    // then merge everything into one timeline.
     ctx.drained.extend(drained_events(sup));
     let merged = merge_skew_aware(std::mem::take(&mut ctx.drained));
     if let Ok(mut f) = std::fs::File::create(dir.join("cluster-timeline.jsonl")) {
@@ -444,9 +444,9 @@ fn dump_traces(sup: &mut Supervisor, ctx: &mut AuditCtx<'_>, violations: &[Strin
     }
     let _ = std::fs::write(dir.join("scrape.jsonl"), &ctx.scrape_series);
     eprintln!(
-        "camelot-soak: merged cluster timeline ({} events, {} sites) dumped to {}",
+        "camelot-soak: merged cluster timeline ({} events, {} happens-before violations) dumped to {}",
         merged.events.len(),
-        merged.maps.len(),
+        merged.happens_before_violations(),
         dir.display()
     );
 }

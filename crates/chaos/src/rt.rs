@@ -36,9 +36,9 @@ use std::time::Duration as StdDuration;
 use camelot_core::{CommitMode, CrashPoint, EngineConfig, ExecMode};
 use camelot_net::Outcome;
 use camelot_rt::{
-    budget_for, count_family, AuditProtocol, Cluster, FaultPlan, LinkDecision, RtConfig, TraceEvent,
+    budget_for, count_family, to_jsonl, AuditProtocol, Cluster, FaultPlan, LinkDecision, RtConfig,
+    TraceEvent,
 };
-use camelot_scope::{merge_skew_aware, ScopeEvent};
 use camelot_types::{CamelotError, FamilyId, ObjectId, ServerId, SiteId, Tid};
 
 use crate::choice::Chooser;
@@ -555,12 +555,10 @@ fn rt_run_one(ch: &mut Chooser, canary: bool) -> RtRunResult {
                 .filter(|e| e.family.is_none_or(|f| culprits.contains(&f)))
                 .collect()
         };
-        // One merged cluster timeline, not per-site fragments: the
-        // skew-aware merge is an identity rebase in-process (shared
-        // clock) but still orders events, repairs happens-before, and
-        // stamps the clock-map header the tooling expects.
-        let scoped: Vec<_> = filtered.iter().map(ScopeEvent::from_trace).collect();
-        Some(merge_skew_aware(scoped).to_jsonl())
+        // One merged cluster timeline, not per-site fragments:
+        // `drain_trace` already ordered it the way the scope merge
+        // would, so it is rendered as it is.
+        Some(to_jsonl(&filtered))
     };
     cluster.shutdown();
 

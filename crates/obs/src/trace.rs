@@ -2,12 +2,13 @@
 //!
 //! A [`TraceRing`] holds the last `capacity` [`TraceEvent`]s emitted
 //! at one site. Emission claims a sequence number with one relaxed
-//! atomic increment, stamps the event with microseconds since the
-//! ring's epoch, and writes it into slot `seq % capacity` under that
-//! slot's mutex — so concurrent writers never tear an event, and when
-//! the ring wraps the oldest undrained event is overwritten and the
-//! drop counter incremented. Slot locks are uncontended except when
-//! two writers land exactly `capacity` events apart.
+//! atomic increment, stamps the event on the host clock (see
+//! [`TraceEvent::at_us`]), and writes it into slot `seq % capacity`
+//! under that slot's mutex — so concurrent writers never tear an
+//! event, and when the ring wraps the oldest undrained event is
+//! overwritten and the drop counter incremented. Slot locks are
+//! uncontended except when two writers land exactly `capacity` events
+//! apart.
 //!
 //! Engines and batchers hold a [`Tracer`] — a cheap cloneable handle
 //! that is a no-op when tracing is off, so the sans-io state machines
@@ -15,8 +16,8 @@
 
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
-use std::time::Instant;
+use std::sync::{Arc, OnceLock};
+use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
 use parking_lot::Mutex;
 
@@ -145,9 +146,11 @@ pub struct TraceEvent {
     pub seq: u64,
     /// Site that emitted the event.
     pub site: SiteId,
-    /// Microseconds since the ring's epoch. Rings created by one
-    /// cluster share an epoch, so timelines from different sites
-    /// interleave on this field.
+    /// Unix microseconds on the host clock: the process's wall-clock
+    /// anchor plus monotonic time since it. Every ring of a process
+    /// shares the anchor, and processes on one host agree to within
+    /// its read jitter, so timelines from different sites and site
+    /// processes interleave on this field with no correction.
     pub at_us: u64,
     /// Family the event belongs to; `None` for site-level events
     /// (batch starts, crashes, restarts).
@@ -239,25 +242,52 @@ pub fn to_jsonl(events: &[TraceEvent]) -> String {
     s
 }
 
+/// The process's host-clock anchor: one `Instant` paired with the
+/// Unix µs read at that instant. The wall clock is read between two
+/// monotonic reads and the tightest of a few brackets is kept, so a
+/// preemption at start-up cannot shift the process's frame. Linux
+/// slews the wall and monotonic clocks together; only a wall-clock
+/// step between two process starts offsets their frames.
+fn host_anchor() -> (Instant, u64) {
+    static ANCHOR: OnceLock<(Instant, u64)> = OnceLock::new();
+    *ANCHOR.get_or_init(|| {
+        let mut best = (Duration::MAX, Instant::now(), 0);
+        for _ in 0..5 {
+            let before = Instant::now();
+            let wall = SystemTime::now()
+                .duration_since(UNIX_EPOCH)
+                .unwrap_or_default();
+            let width = before.elapsed();
+            if width < best.0 {
+                best = (width, before + width / 2, wall.as_micros() as u64);
+            }
+        }
+        (best.1, best.2)
+    })
+}
+
 /// Bounded per-site trace buffer. See the module docs for the
 /// concurrency story.
 pub struct TraceRing {
     site: SiteId,
-    epoch: Instant,
+    anchor: Instant,
+    anchor_us: u64,
     head: AtomicU64,
     dropped: AtomicU64,
     slots: Box<[Mutex<Option<TraceEvent>>]>,
 }
 
 impl TraceRing {
-    /// A ring for `site` holding the newest `capacity` events.
-    /// `epoch` is the zero point for timestamps; rings of one cluster
-    /// share it so cross-site timelines interleave.
-    pub fn new(site: SiteId, capacity: usize, epoch: Instant) -> Arc<TraceRing> {
+    /// A ring for `site` holding the newest `capacity` events, stamped
+    /// on the host clock. `_epoch` is unused; it is kept only for the
+    /// `ladder/` benchmark's call site, until that benchmark is rebuilt.
+    pub fn new(site: SiteId, capacity: usize, _epoch: Instant) -> Arc<TraceRing> {
         assert!(capacity > 0, "trace ring needs at least one slot");
+        let (anchor, anchor_us) = host_anchor();
         Arc::new(TraceRing {
             site,
-            epoch,
+            anchor,
+            anchor_us,
             head: AtomicU64::new(0),
             dropped: AtomicU64::new(0),
             slots: (0..capacity).map(|_| Mutex::new(None)).collect(),
@@ -276,7 +306,7 @@ impl TraceRing {
         let ev = TraceEvent {
             seq,
             site: self.site,
-            at_us: self.epoch.elapsed().as_micros() as u64,
+            at_us: self.anchor_us + self.anchor.elapsed().as_micros() as u64,
             family,
             kind,
         };

@@ -718,9 +718,10 @@ impl Cluster {
         fault: Arc<FaultPlan>,
         remote: Option<Arc<dyn RemoteNet>>,
     ) -> Cluster {
-        // One epoch for the whole cluster, taken before any site state
-        // exists: every ring stamps against it, so per-site timelines
-        // interleave on the timestamp alone.
+        // One epoch for the whole cluster's engine clock, taken before
+        // any site state exists. Trace rings stamp the host clock
+        // instead, so timelines interleave across clusters and
+        // processes too.
         let epoch = Instant::now();
         let mut sites = BTreeMap::new();
         let mut site_channels = Vec::new();

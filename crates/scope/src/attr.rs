@@ -146,7 +146,7 @@ impl Attribution {
     }
 }
 
-/// A candidate interval on the corrected time axis with its sweep
+/// A candidate interval on the host time axis with its sweep
 /// priority (lower wins).
 struct Iv {
     start: u64,
@@ -167,13 +167,13 @@ fn classify(mode: &str, forces: usize, lazies: usize) -> &'static str {
 }
 
 /// Decomposes every committed family in a merged timeline. Expects
-/// *corrected* events (site-level batch events included — they carry
+/// host-time events (site-level batch events included — they carry
 /// the platter windows); families without a `commit_call`/`resolved`
 /// pair at one site are skipped (aborted, in flight, or truncated by
 /// the ring).
 pub fn attribute(events: &[ScopeEvent]) -> Attribution {
     // Site-level platter windows: batch_start paired with the next
-    // batch_durable at the same site, in corrected time order.
+    // batch_durable at the same site, in host time order.
     let mut batch_windows: BTreeMap<u32, Vec<(u64, u64)>> = BTreeMap::new();
     {
         let mut open: BTreeMap<u32, u64> = BTreeMap::new();

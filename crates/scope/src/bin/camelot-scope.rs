@@ -4,15 +4,16 @@
 //! `camelot-scope <subcommand> --help` lists each one's flags.
 //!
 //! `scrape` polls the given sites on a cadence and appends one JSON
-//! snapshot per tick (header line first). `merge` rebases per-site
-//! trace files into one skew-corrected cluster timeline. `attrib`
-//! merges and then decomposes commit latency into critical-path
-//! segments. `smoke` is the self-contained CI check: it spawns a real
-//! socket cluster, drives a mixed workload, and asserts the whole
-//! plane end to end — well-formed scrapes with nonzero phase counts,
-//! zero trace drops, a clean happens-before merge, and per-protocol
-//! segment medians that sum to within tolerance of the measured
-//! end-to-end commit p50.
+//! snapshot per tick (header line first). `merge` sorts per-site
+//! trace files, all stamped on the host clock, into one cluster
+//! timeline and reports how many message receives precede their send.
+//! `attrib` merges and then decomposes commit latency into
+//! critical-path segments. `smoke` is the self-contained CI check: it
+//! spawns a real socket cluster, drives a mixed workload, and asserts
+//! the whole plane end to end — well-formed scrapes with nonzero phase
+//! counts, zero trace drops, zero happens-before violations with no
+//! repair, and per-protocol segment medians that sum to within
+//! tolerance of the measured end-to-end commit p50.
 
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
@@ -115,10 +116,9 @@ fn read_traces(files: &[String]) -> Result<Vec<camelot_scope::ScopeEvent>, Strin
 fn cmd_merge(p: &Parsed) -> Result<i32, String> {
     let merged = merge_skew_aware(read_traces(&p.positionals)?);
     eprintln!(
-        "camelot-scope: merged {} events from {} sites into frame of site {}",
+        "camelot-scope: merged {} events, {} happens-before violations",
         merged.events.len(),
-        merged.maps.len(),
-        merged.reference
+        merged.happens_before_violations()
     );
     Ok(write_out(p.get("--out"), &merged.to_jsonl()))
 }
@@ -285,10 +285,10 @@ fn run_smoke(
     let merged = merge_skew_aware(events);
     std::fs::write(out_dir.join("cluster-timeline.jsonl"), merged.to_jsonl())
         .map_err(|e| SmokeFailure(format!("write timeline: {e}")))?;
-    if merged.happens_before_violations() > 0 {
+    let violations = merged.happens_before_violations();
+    if violations > 0 {
         return Err(SmokeFailure(format!(
-            "{} happens-before violations after merge",
-            merged.happens_before_violations()
+            "{violations} happens-before violations: a receive stamped at or before its send"
         )));
     }
     let attr = attribute(&merged.events);

@@ -4,8 +4,7 @@
 //! string values are static identifiers — no escapes, no nesting, no
 //! floats. [`ScopeEvent`] is the parsed form of one such line, kept
 //! *lossless*: every field is retained in order, so a merged timeline
-//! re-renders byte-compatibly with the original except for the
-//! corrected `us` value (the original is preserved as `raw_us`).
+//! re-renders byte for byte as the tracer wrote it.
 //!
 //! The parser is hand-rolled because the workspace deliberately
 //! carries no serde; it accepts exactly the flat shape the tracer
@@ -48,13 +47,9 @@ pub struct ScopeEvent {
     pub seq: u64,
     /// Site that emitted the event.
     pub site: u32,
-    /// Timestamp in µs. After a skew-aware merge this is in the
-    /// reference site's clock frame; before, it is the site-local
-    /// value.
+    /// Unix µs on the host clock, as the tracer stamped it; events
+    /// from every site process on one host compare directly.
     pub us: u64,
-    /// The original site-local timestamp (equals `us` until a merge
-    /// rebases the event).
-    pub raw_us: u64,
     /// Family label (e.g. `"F1.3"`); `None` for site-level events.
     pub family: Option<String>,
     /// Event name (`"datagram_send"`, `"log_durable"`, ...).
@@ -72,7 +67,6 @@ impl ScopeEvent {
         let mut seq = None;
         let mut site = None;
         let mut us = None;
-        let mut raw_us = None;
         let mut family = None;
         let mut ev = None;
         let mut fields = Vec::new();
@@ -105,18 +99,15 @@ impl ScopeEvent {
                 "seq" => seq = value.as_u64(),
                 "site" => site = value.as_u64(),
                 "us" => us = value.as_u64(),
-                "raw_us" => raw_us = value.as_u64(),
                 "family" => family = value.as_str().map(str::to_string),
                 "ev" => ev = value.as_str().map(str::to_string),
                 _ => fields.push((key.to_string(), value)),
             }
         }
-        let us = us?;
         Some(ScopeEvent {
             seq: seq?,
             site: site? as u32,
-            us,
-            raw_us: raw_us.unwrap_or(us),
+            us: us?,
             family,
             ev: ev?,
             fields,
@@ -144,8 +135,8 @@ impl ScopeEvent {
         self.field(name).and_then(Value::as_str)
     }
 
-    /// Re-renders the event as one JSON object. Field order matches
-    /// the tracer's; a rebased event additionally carries `raw_us`.
+    /// Re-renders the event as one JSON object, in the tracer's field
+    /// order.
     pub fn to_json(&self) -> String {
         let mut s = String::with_capacity(96);
         let _ = write!(
@@ -153,9 +144,6 @@ impl ScopeEvent {
             "{{\"seq\":{},\"site\":{},\"us\":{}",
             self.seq, self.site, self.us
         );
-        if self.raw_us != self.us {
-            let _ = write!(s, ",\"raw_us\":{}", self.raw_us);
-        }
         if let Some(f) = &self.family {
             let _ = write!(s, ",\"family\":\"{f}\"");
         }
@@ -231,20 +219,6 @@ mod tests {
             let parsed = ScopeEvent::parse(&json).expect("parseable");
             assert_eq!(parsed.to_json(), json, "lossless roundtrip");
         }
-    }
-
-    #[test]
-    fn rebased_events_keep_the_raw_timestamp() {
-        let mut e =
-            ScopeEvent::parse("{\"seq\":1,\"site\":2,\"us\":500,\"ev\":\"begin\"}").unwrap();
-        assert_eq!(e.raw_us, 500);
-        e.us = 1700;
-        let json = e.to_json();
-        assert!(json.contains("\"us\":1700"), "{json}");
-        assert!(json.contains("\"raw_us\":500"), "{json}");
-        let back = ScopeEvent::parse(&json).unwrap();
-        assert_eq!(back.us, 1700);
-        assert_eq!(back.raw_us, 500);
     }
 
     #[test]

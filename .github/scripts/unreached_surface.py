@@ -33,6 +33,10 @@
      `set_peers(` or polls `debug_state()` in a `loop` / `while` — the
      two calls only a cluster owner makes. `ladder/` is the instrument's
      own code and is not scanned.
+(vii) A scripted fault is installed in one place, `Supervisor::inject`:
+     no source that names `camelot_node` calls `.partition(` or
+     `.set_skew(` — the control client's fault installs — outside
+     `procs.rs` and `camelot-site`'s request handler.
 
 Run from the repository root: `python3 .github/scripts/unreached_surface.py`.
 """
@@ -306,6 +310,28 @@ def cluster_owners():
     return out
 
 
+FAULT_HANDLER = "crates/node/src/bin/camelot-site.rs"
+
+
+def fault_installs():
+    """Where a control-client user installs a partition or skew itself
+    instead of through the supervisor."""
+    sources = rust_sources(ROOT) + [
+        p for crate in sorted((ROOT / "crates").iterdir()) for p in rust_sources(crate)
+    ]
+    out = []
+    for p in sources:
+        rel = str(p.relative_to(ROOT))
+        text = re.sub(r"//[^\n]*", "", p.read_text())
+        if rel in (CLUSTER_OWNER, FAULT_HANDLER) or not (
+            rel.startswith("crates/node/") or "camelot_node" in text
+        ):
+            continue
+        for m in re.finditer(r"\.(partition|set_skew)\(", text):
+            out.append("%s:%d: .%s(" % (rel, text.count("\n", 0, m.start()) + 1, m.group(1)))
+    return out
+
+
 def main():
     failed = False
     counts = []
@@ -351,6 +377,11 @@ def main():
         failed = True
         print("cluster owned outside %s: %s" % (CLUSTER_OWNER, line))
     print("cluster owners outside procs.rs: %d" % len(owners))
+    installs = fault_installs()
+    for line in installs:
+        failed = True
+        print("fault installed outside %s: %s" % (CLUSTER_OWNER, line))
+    print("fault installs outside procs.rs: %d" % len(installs))
     sys.exit(1 if failed else 0)
 
 

@@ -10,9 +10,11 @@
 //! while a kill's recovery inquiries are in flight, skewed timers
 //! racing real ones.
 //!
-//! Between fault cycles the harness pauses the generators, heals,
-//! waits for the supervisor to restore full membership, and audits
-//! the paper's invariants on live state:
+//! Between fault cycles the harness pauses the generators and waits
+//! until none has a transfer in flight (one still in flight after the
+//! slowest possible transfer is a `drain:` violation, and the ledger is
+//! not read under it), heals, waits for the supervisor to restore full
+//! membership, and audits the paper's invariants on live state:
 //!
 //! - **conservation** — committed balances sum to the funded total
 //!   regardless of which transfers committed, aborted, or died with a
@@ -31,13 +33,18 @@
 //!
 //! On violation the harness dumps every site's protocol trace ring
 //! and the fault script executed so far to `--trace-dir` and exits 1.
-//! A clean soak exits 0. `QUICK=1` shrinks the duration for CI.
+//! A clean soak exits 0. `QUICK=1` shrinks the duration for CI;
+//! `--fault-every-ms 0` scripts no faults, a plain banking run with the
+//! same audits.
 //!
-//! Each worker runs the shared banking `transfer` over its own
-//! [`CtrlSession`], which resolves control connections through the
-//! supervisor's address board: ports are OS-assigned and change on
-//! every respawn, so the session re-resolves when supervision bumps
-//! the board's generation.
+//! The campaign's pieces are shared: the fault script and its
+//! injection are `camelot_node::procs` ([`draw_script`],
+//! [`Supervisor::inject`]), the funding, the transfer draw and the
+//! conservation audit `camelot_node::session`. Each worker runs
+//! [`Transfer`]s over its own [`CtrlSession`], which resolves control
+//! connections through the supervisor's address board: ports are
+//! OS-assigned and change on every respawn, so the session re-resolves
+//! when supervision bumps the board's generation.
 
 use std::io::Write as _;
 use std::path::PathBuf;
@@ -46,16 +53,26 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use camelot_bench::{quick, OpenLoop, SplitMix64};
-use camelot_core::CommitMode;
-use camelot_node::procs::{sibling_site_bin, AddrBoard, Supervisor, SupervisorConfig};
-use camelot_node::session::{balance, fund, transfer, CtrlSession, SRV};
+use camelot_bench::{quick, OpenLoop};
+use camelot_node::procs::{
+    draw_script, sibling_site_bin, AddrBoard, FaultEvent, Supervisor, SupervisorConfig,
+};
+use camelot_node::session::{balance, fund_all, CommitMode, CtrlSession, Transfer, SRV};
 use camelot_obs::Phase;
 use camelot_scope::{merge_skew_aware, parse_jsonl, Collector, ScopeEvent, ScrapeTarget};
-use camelot_types::flags::Tool;
-use camelot_types::{ObjectId, SiteId};
+use camelot_types::flags::{Tool, SWITCH};
+use camelot_types::{ObjectId, SiteId, SplitMix64};
 
-const INITIAL: i64 = 100;
+/// Longest one application call may block at a site (its
+/// `--call-timeout-ms`): bounds the stall of a generator thread whose
+/// call races a kill or partition.
+const CALL_TIMEOUT_MS: u64 = 10_000;
+
+/// How long an audit waits for the generators' transfers in flight to
+/// end: a transfer is at most six calls (begin, two reads, two writes,
+/// then commit or abort), and each may block for the call timeout after
+/// up to a second of control-connection retries.
+const DRAIN_BOUND: Duration = Duration::from_millis(6 * (CALL_TIMEOUT_MS + 1_000));
 
 /// Live WAL a quiet site may hold beyond four snapshots' worth.
 const LIVE_WAL_BASE: u64 = 64 * 1024;
@@ -75,6 +92,7 @@ struct Opts {
     duration: Duration,
     accounts: u64,
     transport: String,
+    mode: CommitMode,
     seed: u64,
     restart_budget: u32,
     fault_every: Duration,
@@ -91,9 +109,10 @@ fn parse_opts() -> Opts {
         ("--duration-secs", "SECS", duration, "length of the soak; 10 under QUICK=1"),
         ("--accounts", "N", "4", "transfer accounts per site"),
         ("--transport", "udp|tcp", "tcp", "data-plane socket kind"),
+        ("--nonblocking", SWITCH, "", "commit transfers with the non-blocking protocol"),
         ("--seed", "N", "1", "seed of the fault script and the workload"),
         ("--restart-budget", "N", "25", "respawns before a site is given up on"),
-        ("--fault-every-ms", "MS", "1500", "time between scripted fault events"),
+        ("--fault-every-ms", "MS", "1500", "time between scripted fault events; 0 scripts none"),
         ("--audit-every-secs", "SECS", audit, "time between audits; 5 under QUICK=1"),
         ("--log-dir", "DIR", "", "WAL root (else a fresh temp directory)"),
         ("--trace-dir", "DIR", "target/tmp/soak", "scrape series and violation dumps"),
@@ -104,6 +123,11 @@ fn parse_opts() -> Opts {
             duration: Duration::from_secs(p.int("--duration-secs")?),
             accounts: p.int("--accounts")?,
             transport: p.val("--transport")?,
+            mode: if p.on("--nonblocking") {
+                CommitMode::NonBlocking
+            } else {
+                CommitMode::TwoPhase
+            },
             seed: p.int("--seed")?,
             restart_budget: p.int("--restart-budget")?,
             fault_every: Duration::from_millis(p.int("--fault-every-ms")?),
@@ -120,75 +144,15 @@ fn parse_opts() -> Opts {
 
 // ---------------------------------------------------------------- faults
 
-/// One scripted fault event; the whole schedule derives from the seed
-/// up front, so a soak replays the same script for the same flags.
-#[derive(Debug, Clone)]
-enum FaultEvent {
-    Kill(SiteId),
-    /// Symmetric cut `{1..=m} | {m+1..=sites}`.
-    Partition(u32),
-    /// `per_mille` of nominal timer speed: 1500 late, 500 fast.
-    Skew(SiteId, u32),
-    Heal,
-}
-
-fn draw_script(opts: &Opts) -> Vec<(Duration, FaultEvent)> {
-    let mut rng = SplitMix64::new(opts.seed ^ 0x50AC_50AC);
-    let mut script = Vec::new();
-    let mut at = opts.fault_every;
-    while at < opts.duration {
-        let site = SiteId(1 + rng.next_below(opts.sites as u64) as u32);
-        let ev = match rng.next_below(10) {
-            0..=2 => FaultEvent::Kill(site),
-            3..=5 => FaultEvent::Partition(1 + rng.next_below(opts.sites as u64 - 1) as u32),
-            6..=7 => FaultEvent::Skew(site, if rng.next_below(2) == 0 { 1500 } else { 500 }),
-            _ => FaultEvent::Heal,
-        };
-        script.push((at, ev));
-        at += opts.fault_every;
-    }
-    script
-}
-
-/// Applies one scripted event through the supervisor's control plane.
-/// Partition/skew installs broadcast to every *up* site — each site
-/// only rolls its own outbound faults, so both partition groups need
-/// the cut installed; a site that is down simply misses it (its links
-/// run clean until the next install, which the cyclic script provides).
+/// Applies one scripted event through the supervisor. An install that
+/// misses a site is not a violation: a site that is down misses it and
+/// runs clean until the next install, which the cyclic script provides.
 fn apply_event(sup: &mut Supervisor, sites: u32, ev: &FaultEvent, log: &mut Vec<String>) {
-    let entry = match ev {
-        FaultEvent::Kill(site) => {
-            let hit = sup.kill_site(*site);
-            format!(
-                "kill site {} ({})",
-                site.0,
-                if hit { "hit" } else { "already down" }
-            )
-        }
-        FaultEvent::Partition(m) => {
-            let a: Vec<SiteId> = (1..=*m).map(SiteId).collect();
-            let b: Vec<SiteId> = (*m + 1..=sites).map(SiteId).collect();
-            for id in 1..=sites {
-                if let Some(ctrl) = sup.ctrl(SiteId(id)) {
-                    let _ = ctrl.partition(&a, &b);
-                }
-            }
-            format!("partition {{1..={m}}}|{{{}..={sites}}}", m + 1)
-        }
-        FaultEvent::Skew(site, pm) => {
-            for id in 1..=sites {
-                if let Some(ctrl) = sup.ctrl(SiteId(id)) {
-                    let _ = ctrl.set_skew(*site, *pm);
-                }
-            }
-            format!("skew site {} to {pm}\u{2030}", site.0)
-        }
-        FaultEvent::Heal => {
-            // A site that died since the last poll respawns healed.
-            let _ = sup.heal_all();
-            "heal".to_string()
-        }
-    };
+    let reached = sup.inject(ev).is_ok();
+    let mut entry = ev.describe(sites);
+    if let FaultEvent::Kill(_) = ev {
+        entry.push_str(if reached { " (hit)" } else { " (already down)" });
+    }
     println!("camelot-soak: fault: {entry}");
     log.push(entry);
 }
@@ -210,7 +174,14 @@ struct WorkerShared {
     counters: Counters,
 }
 
-fn worker_loop(shared: Arc<WorkerShared>, sites: u32, accounts: u64, rate: f64, seed: u64) {
+fn worker_loop(
+    shared: Arc<WorkerShared>,
+    sites: u32,
+    accounts: u64,
+    mode: CommitMode,
+    rate: f64,
+    seed: u64,
+) {
     let mut rng = SplitMix64::new(seed);
     let mut session = CtrlSession::new(shared.board.clone());
     let mut pacer = OpenLoop::new(Instant::now(), rate, u64::MAX);
@@ -231,24 +202,9 @@ fn worker_loop(shared: Arc<WorkerShared>, sites: u32, accounts: u64, rate: f64, 
             if shared.paused.load(Ordering::Acquire) || !shared.run.load(Ordering::Acquire) {
                 break;
             }
-            let coord = SiteId(1 + rng.next_below(sites as u64) as u32);
-            let src = SiteId(1 + rng.next_below(sites as u64) as u32);
-            let mut dst = SiteId(1 + rng.next_below(sites as u64) as u32);
-            if dst == src {
-                dst = SiteId(dst.0 % sites + 1);
-            }
-            let src_acct = ObjectId(rng.next_below(accounts));
-            let dst_acct = ObjectId(rng.next_below(accounts));
-            let amount = rng.next_below(20) as i64 + 1;
+            let t = Transfer::draw(&mut rng, sites, accounts);
             shared.counters.in_flight.fetch_add(1, Ordering::AcqRel);
-            let res = transfer(
-                &mut session,
-                coord,
-                (src, src_acct),
-                (dst, dst_acct),
-                amount,
-                CommitMode::TwoPhase,
-            );
+            let res = t.run(&mut session, mode);
             shared.counters.in_flight.fetch_sub(1, Ordering::AcqRel);
             match res {
                 Ok(true) => shared.counters.committed.fetch_add(1, Ordering::Relaxed),
@@ -358,14 +314,8 @@ fn audit(sup: &mut Supervisor, ctx: &mut AuditCtx<'_>) -> Vec<String> {
     ctx.drained.extend(drained_events(sup));
 
     // Conservation over the transfer accounts.
-    let expected = opts.sites as i64 * opts.accounts as i64 * INITIAL;
-    let ledger = CtrlSession::new(sup.board()).ledger(opts.sites, opts.accounts);
-    match ledger.map(|l| l.iter().sum::<i64>()) {
-        Ok(total) if total != expected => violations.push(format!(
-            "conservation: committed balances sum to {total}, funded {expected}"
-        )),
-        Ok(_) => {}
-        Err(e) => violations.push(format!("audit read: {e}")),
+    if let Err(v) = CtrlSession::new(sup.board()).conserved(opts.sites, opts.accounts) {
+        violations.push(v);
     }
 
     // Durability ratchet: the previous audit's committed counter must
@@ -466,10 +416,8 @@ fn main() {
 
     let mut cfg = SupervisorConfig::new(bin, opts.sites, &opts.transport, log_dir);
     cfg.restart_budget = opts.restart_budget;
-    // Bound the worst-case stall of a generator thread whose call
-    // races a kill or partition.
     cfg.extra.push("--call-timeout-ms".into());
-    cfg.extra.push("10000".into());
+    cfg.extra.push(CALL_TIMEOUT_MS.to_string());
     // Rings must outlast an audit interval's worth of events: the
     // audit drains them, and any drop is itself a violation.
     cfg.extra.push("--trace-capacity".into());
@@ -485,10 +433,12 @@ fn main() {
 
     // Fund the transfer accounts. The ratchet counters start at 0,
     // which is what an object no transaction has written reads as.
-    let mut session = CtrlSession::new(sup.board());
-    for id in 1..=opts.sites {
-        fund(&mut session, SiteId(id), opts.accounts, INITIAL).expect("fund every site");
-    }
+    fund_all(
+        &mut CtrlSession::new(sup.board()),
+        opts.sites,
+        opts.accounts,
+    )
+    .expect("fund every site");
 
     let shared = Arc::new(WorkerShared {
         board: sup.board(),
@@ -499,14 +449,14 @@ fn main() {
     let handles: Vec<_> = (0..WORKERS)
         .map(|w| {
             let shared = Arc::clone(&shared);
-            let (sites, accounts) = (opts.sites, opts.accounts);
+            let (sites, accounts, mode) = (opts.sites, opts.accounts, opts.mode);
             let rate = RATE / WORKERS as f64;
             let seed = opts.seed.wrapping_add(w as u64).wrapping_mul(0x9E37_79B9);
-            std::thread::spawn(move || worker_loop(shared, sites, accounts, rate, seed))
+            std::thread::spawn(move || worker_loop(shared, sites, accounts, mode, rate, seed))
         })
         .collect();
 
-    let script = draw_script(&opts);
+    let script = draw_script(opts.seed, opts.sites, opts.fault_every, opts.duration);
     let scrape_config = format!(
         "soak sites={} transport={} rate={} seed={}",
         opts.sites, opts.transport, RATE, opts.seed
@@ -532,12 +482,17 @@ fn main() {
                      audits: &mut u32|
      -> Vec<String> {
         shared.paused.store(true, Ordering::Release);
-        let drain = Instant::now() + Duration::from_secs(30);
+        let drain = Instant::now() + DRAIN_BOUND;
         while shared.counters.in_flight.load(Ordering::Acquire) > 0 && Instant::now() < drain {
             sup.poll();
             std::thread::sleep(Duration::from_millis(10));
         }
-        let v = audit(sup, ctx);
+        // Reading the ledger under a transfer still in flight could
+        // see half of it.
+        let v = match shared.counters.in_flight.load(Ordering::Acquire) {
+            0 => audit(sup, ctx),
+            n => vec![format!("drain: {n} transfers still in flight")],
+        };
         *audits += 1;
         println!(
             "camelot-soak: audit #{audits}: {}",

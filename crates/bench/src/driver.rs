@@ -8,9 +8,8 @@
 //! sink becomes one [`Point`]. Which deployment a point measures is
 //! the `Session` the caller connects, nothing else — that is what
 //! makes lock-vs-queued and sockets-vs-inproc comparisons of *one*
-//! workload. (The banking transfer of `camelot-soak` and
-//! `camelot-launch` is `camelot_node::session::transfer`, over the
-//! same trait.)
+//! workload. (The banking transfer of `camelot-soak` is
+//! `camelot_node::session::Transfer`, over the same trait.)
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Mutex};

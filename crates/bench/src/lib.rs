@@ -10,8 +10,10 @@ pub mod driver;
 pub mod openloop;
 pub mod zipf;
 
+/// Re-exported: the ladder draws its workload from `camelot_bench`.
+pub use camelot_types::SplitMix64;
 pub use openloop::OpenLoop;
-pub use zipf::{SplitMix64, Zipf};
+pub use zipf::Zipf;
 
 /// True when the `QUICK` environment variable asks for short runs.
 pub fn quick() -> bool {

@@ -26,7 +26,7 @@
 //!   two named site groups *symmetrically*: every datagram crossing
 //!   the cut, in either direction, is dropped until [`FaultPlan::heal`].
 //!   In a multi-process deployment each site only rolls its own
-//!   outbound traffic, so the launcher installs the same partition on
+//!   outbound traffic, so the supervisor installs the same partition on
 //!   every site's plan and both directions go dark together.
 //! - **Clock skew** — [`FaultPlan::set_skew`] stretches or shrinks a
 //!   site's *timer deliveries* (vote timeouts, inquiry, notify

@@ -28,7 +28,7 @@
 //! drive socket-level campaigns unchanged.
 //!
 //! Peer addresses are learned two ways: statically via
-//! [`SocketTransport::set_peer`] (the launcher distributes the port
+//! [`SocketTransport::set_peer`] (the supervisor distributes the port
 //! map) and dynamically from traffic (a datagram's source address
 //! updates the sender's entry), so a site that restarts on a new
 //! ephemeral port is re-learned without reconfiguration.

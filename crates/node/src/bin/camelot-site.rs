@@ -357,7 +357,7 @@ fn handle(
         } => {
             // Only this site's timers route through this plan; a skew
             // for another site is a no-op here, so installing it
-            // unconditionally keeps the launcher's broadcast simple.
+            // unconditionally keeps the supervisor's broadcast simple.
             fault.set_skew(target, per_mille);
             CtrlReply::Ok
         }

@@ -27,7 +27,7 @@ use camelot_types::{
 };
 
 wire_struct! {
-    /// One site's data-plane address, as distributed by the launcher.
+    /// One site's data-plane address, as distributed by the supervisor.
     #[derive(Debug, Clone, PartialEq, Eq)]
     pub struct PeerEntry {
         pub site: SiteId,
@@ -75,7 +75,7 @@ wire_enum! {
         15 => FaultStats,
         /// Install a symmetric partition between two site groups on this
         /// site's fault plan. Each site only rolls faults for its own
-        /// outbound traffic, so the launcher installs the same partition
+        /// outbound traffic, so the supervisor installs the same partition
         /// on every site to make both directions go dark.
         16 => Partition { a: Vec<SiteId>, b: Vec<SiteId> },
         /// Scale a site's protocol-timer durations by `per_mille`/1000

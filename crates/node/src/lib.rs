@@ -34,11 +34,11 @@
 //! The crate also hosts the *multi-process* deployment pieces: the
 //! `camelot-site` binary (one real site — engine shards, WAL file,
 //! disk manager, socket transport — as a standalone OS process), the
-//! `camelot-launch` binary (an N-site localhost cluster running the
-//! banking workload), the [`ctrl`] control-plane protocol the two
-//! speak, [`procs`] — the one owner of a cluster of site processes —
-//! and [`session`] — the one begin/read/write/commit surface every
-//! harness drives, in-process or over control connections.
+//! [`ctrl`] control-plane protocol it speaks, [`procs`] — the one owner
+//! of a cluster of site processes, and of the faults scripted against
+//! it — and [`session`] — the one begin/read/write/commit surface every
+//! harness drives, in-process or over control connections, with the
+//! banking campaign run on it.
 
 pub mod app;
 pub mod config;

@@ -1,14 +1,15 @@
 //! Spawning, wiring and supervising `camelot-site` processes.
 //!
 //! [`Supervisor`] is the one owner of a cluster of site processes:
-//! every tool and test that runs one (`camelot-launch`, `-soak`,
-//! `-sockbench`, `camelot-scope smoke`, the `socket_e2e` and
-//! `supervisor_e2e` tests) starts it here. It spawns one process per
-//! site, reads each child's `ready` handshake off stdout, connects a
-//! control client, distributes the data-plane port map, and owns the
-//! steps every harness takes around a run: waiting until the cluster
-//! is quiet, healing every site's faults, and draining every trace
-//! ring. [`SiteProc`] alone is one process with no peers.
+//! every tool and test that runs one (`camelot-soak`, `-sockbench`,
+//! `camelot-scope smoke`, the `socket_e2e` and `supervisor_e2e` tests)
+//! starts it here. It spawns one process per site, reads each child's
+//! `ready` handshake off stdout, connects a control client, distributes
+//! the data-plane port map, and owns the steps every harness takes
+//! around a run: injecting a scripted fault ([`FaultEvent`],
+//! [`draw_script`]), waiting until the cluster is quiet, healing every
+//! site's faults, and draining every trace ring. [`SiteProc`] alone is
+//! one process with no peers.
 
 use std::collections::VecDeque;
 use std::io::{BufRead, BufReader};
@@ -17,7 +18,7 @@ use std::process::{Child, Command, ExitStatus, Stdio};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use camelot_types::SiteId;
+use camelot_types::{SiteId, SplitMix64};
 
 use crate::ctrl::{CtrlClient, Handshake, PeerEntry};
 
@@ -262,7 +263,59 @@ enum Slot {
     Failed,
 }
 
-/// A failed site's post-mortem, for the launcher's exit report.
+/// One scripted fault event.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FaultEvent {
+    Kill(SiteId),
+    /// Symmetric cut `{1..=m} | {m+1..=sites}`.
+    Partition(u32),
+    /// `per_mille` of nominal timer speed: 1500 late, 500 fast.
+    Skew(SiteId, u32),
+    Heal,
+}
+
+impl FaultEvent {
+    /// How a fault log names the event in a cluster of `sites`.
+    pub fn describe(&self, sites: u32) -> String {
+        match self {
+            FaultEvent::Kill(site) => format!("kill site {}", site.0),
+            FaultEvent::Partition(m) => format!("partition {{1..={m}}}|{{{}..={sites}}}", m + 1),
+            FaultEvent::Skew(site, pm) => format!("skew site {} to {pm}\u{2030}", site.0),
+            FaultEvent::Heal => "heal".to_string(),
+        }
+    }
+}
+
+/// A seeded fault script over sites `1..=sites`: one event every
+/// `every` until `duration`, drawn up front so a campaign replays the
+/// same script for the same arguments. A zero `every` is no script.
+pub fn draw_script(
+    seed: u64,
+    sites: u32,
+    every: Duration,
+    duration: Duration,
+) -> Vec<(Duration, FaultEvent)> {
+    if every.is_zero() {
+        return Vec::new();
+    }
+    let mut rng = SplitMix64::new(seed ^ 0x50AC_50AC);
+    let mut script = Vec::new();
+    let mut at = every;
+    while at < duration {
+        let site = SiteId(1 + rng.next_below(sites as u64) as u32);
+        let ev = match rng.next_below(10) {
+            0..=2 => FaultEvent::Kill(site),
+            3..=5 => FaultEvent::Partition(1 + rng.next_below(sites as u64 - 1) as u32),
+            6..=7 => FaultEvent::Skew(site, if rng.next_below(2) == 0 { 1500 } else { 500 }),
+            _ => FaultEvent::Heal,
+        };
+        script.push((at, ev));
+        at += every;
+    }
+    script
+}
+
+/// A failed site's post-mortem, for a harness's exit report.
 #[derive(Debug)]
 pub struct FailedSite {
     pub site: SiteId,
@@ -279,9 +332,8 @@ pub struct FailedSite {
 /// peers reconnect to the new incarnation's ports.
 ///
 /// The supervisor is poll-driven: callers interleave [`poll`] with
-/// their own work (the launch and soak drivers do this between
-/// transaction batches); [`quiesce`] and [`wait_all_up`] poll while
-/// they wait.
+/// their own work (the soak does this between transaction batches);
+/// [`quiesce`] and [`wait_all_up`] poll while they wait.
 ///
 /// [`poll`]: Supervisor::poll
 /// [`quiesce`]: Supervisor::quiesce
@@ -299,6 +351,9 @@ pub struct Supervisor {
     /// How each site's last incarnation ended, once one has.
     last_exit: Vec<Option<ExitStatus>>,
     board: Arc<AddrBoard>,
+    /// What killed sites' trace rings held, for the next
+    /// [`Supervisor::drain_traces`].
+    killed_traces: Vec<(SiteId, String)>,
 }
 
 impl Supervisor {
@@ -323,6 +378,7 @@ impl Supervisor {
             restarts: vec![0; n],
             last_exit: vec![None; n],
             board,
+            killed_traces: Vec::new(),
         };
         sup.redistribute_peers();
         Ok(sup)
@@ -421,15 +477,60 @@ impl Supervisor {
         }
     }
 
-    /// Kills a site's process outright (fault injection). The next
-    /// `poll` observes the death and schedules the respawn.
+    /// Kills a site's process outright (fault injection). Its trace
+    /// ring dies with it, so the ring is drained first and kept for the
+    /// next [`Supervisor::drain_traces`]. The next `poll` observes the
+    /// death and schedules the respawn.
     pub fn kill_site(&mut self, site: SiteId) -> bool {
-        match self.slots.get_mut(site.0 as usize - 1) {
-            Some(Slot::Up(proc)) => {
-                let _ = proc.child.kill();
-                true
+        let Some(Slot::Up(proc)) = self.slots.get_mut(site.0 as usize - 1) else {
+            return false;
+        };
+        if let Ok(trace) = proc.ctrl.drain_trace() {
+            self.killed_traces.push((site, trace));
+        }
+        let _ = proc.child.kill();
+        true
+    }
+
+    /// Installs one scripted fault. A kill hits its site; a partition
+    /// or skew is installed at every up site (each site rolls only its
+    /// own outbound faults, so both sides of a cut need it; a site that
+    /// is down misses it and comes back without it); a heal is
+    /// [`Supervisor::heal_all`]. The error names each site the event
+    /// did not reach: a killed site that was already down, or a site
+    /// whose install failed.
+    pub fn inject(&mut self, ev: &FaultEvent) -> Result<(), String> {
+        match *ev {
+            FaultEvent::Kill(site) if self.kill_site(site) => Ok(()),
+            FaultEvent::Kill(site) => Err(format!("site {}: already down", site.0)),
+            FaultEvent::Partition(m) => {
+                let a: Vec<SiteId> = (1..=m).map(SiteId).collect();
+                let b: Vec<SiteId> = (m + 1..=self.cfg.sites).map(SiteId).collect();
+                self.at_every_up_site("partition", |c| c.partition(&a, &b))
             }
-            _ => false,
+            FaultEvent::Skew(site, pm) => self.at_every_up_site("skew", |c| c.set_skew(site, pm)),
+            FaultEvent::Heal => self.heal_all(),
+        }
+    }
+
+    /// Makes one ctrl call at every up site; the error lists the sites
+    /// whose call failed.
+    fn at_every_up_site(
+        &mut self,
+        what: &str,
+        mut call: impl FnMut(&mut CtrlClient) -> camelot_types::Result<()>,
+    ) -> Result<(), String> {
+        let failed: Vec<String> = self
+            .up()
+            .filter_map(|p| {
+                let e = call(&mut p.ctrl).err()?;
+                Some(format!("site {}: {what}: {e}", p.id.0))
+            })
+            .collect();
+        if failed.is_empty() {
+            Ok(())
+        } else {
+            Err(failed.join(" | "))
         }
     }
 
@@ -491,25 +592,21 @@ impl Supervisor {
     /// skew); a site that is down comes back without any. Every up site
     /// is asked; the error lists the sites whose heal failed.
     pub fn heal_all(&mut self) -> Result<(), String> {
-        let failed: Vec<String> = self
-            .up()
-            .filter_map(|p| {
-                let e = p.ctrl.heal().err()?;
-                Some(format!("site {}: heal: {e}", p.id.0))
-            })
-            .collect();
-        if failed.is_empty() {
-            Ok(())
-        } else {
-            Err(failed.join(" | "))
-        }
+        self.at_every_up_site("heal", |c| c.heal())
     }
 
     /// Drains every up site's trace ring, in site order: each site's
     /// JSON Lines text (every event names its site) or why its drain
-    /// failed.
+    /// failed. The rings [`Supervisor::kill_site`] drained since the
+    /// last call come first.
     pub fn drain_traces(&mut self) -> Vec<(SiteId, camelot_types::Result<String>)> {
-        self.up().map(|p| (p.id, p.ctrl.drain_trace())).collect()
+        let mut out: Vec<_> = self
+            .killed_traces
+            .drain(..)
+            .map(|(s, t)| (s, Ok(t)))
+            .collect();
+        out.extend(self.up().map(|p| (p.id, p.ctrl.drain_trace())));
+        out
     }
 
     /// Respawns performed per site, in site order.
@@ -604,5 +701,58 @@ fn spawn_spec<'a>(cfg: &'a SupervisorConfig, site: SiteId) -> SpawnSpec<'a> {
         // No supervised cluster has asked for the slow timer profile.
         fast: true,
         extra: &cfg.extra,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// `camelot-soak --seed 42`'s script (3 sites, an event every
+    /// 1 500 ms for 60 s). A recorded soak run replays only while this
+    /// stays byte for byte.
+    #[test]
+    fn the_soak_fault_script_is_pinned() {
+        let script = draw_script(42, 3, Duration::from_millis(1500), Duration::from_secs(60));
+        let at: Vec<u128> = script.iter().map(|(at, _)| at.as_millis()).collect();
+        assert_eq!(at, (1..=39).map(|i| i * 1500).collect::<Vec<u128>>());
+        let events: Vec<String> = script
+            .iter()
+            .map(|(_, ev)| match ev {
+                FaultEvent::Kill(s) => format!("K{}", s.0),
+                FaultEvent::Partition(m) => format!("P{m}"),
+                FaultEvent::Skew(s, pm) => format!("S{}:{pm}", s.0),
+                FaultEvent::Heal => "H".into(),
+            })
+            .collect();
+        assert_eq!(
+            events.join(" "),
+            "K3 P1 K1 K2 K3 P1 S2:500 P2 H P2 P2 S3:1500 P2 S2:500 P1 P2 P2 H H K1 \
+             K1 P2 H P1 P2 K3 H S2:500 K3 P2 H K1 S1:500 P1 S2:1500 K3 H P2 P1"
+        );
+    }
+
+    /// A zero interval is no script (it used to loop forever), and so
+    /// is a run shorter than one interval.
+    #[test]
+    fn no_interval_or_a_short_run_is_no_script() {
+        assert!(draw_script(42, 3, Duration::ZERO, Duration::from_secs(60)).is_empty());
+        let short = draw_script(
+            42,
+            3,
+            Duration::from_millis(1500),
+            Duration::from_millis(1499),
+        );
+        assert!(short.is_empty());
+        let one = draw_script(
+            42,
+            3,
+            Duration::from_millis(1500),
+            Duration::from_millis(1501),
+        );
+        assert_eq!(
+            one,
+            [(Duration::from_millis(1500), FaultEvent::Kill(SiteId(3)))]
+        );
     }
 }

@@ -2,19 +2,21 @@
 //! commit / abort, addressed by site.
 //!
 //! Every harness that drives transactions (`camelot-load`,
-//! `-sockbench`, `-soak`, `-launch`) runs the same transaction bodies
-//! through this trait, so "in-process or over sockets" is a choice of
-//! [`Session`], never a second copy of the workload. There are exactly
-//! two deployments:
+//! `-sockbench`, `-soak`) runs the same transaction bodies through this
+//! trait, so "in-process or over sockets" is a choice of [`Session`],
+//! never a second copy of the workload. There are exactly two
+//! deployments:
 //!
 //! - [`InProcSession`]: `camelot-rt` clients of an in-process cluster;
 //! - [`CtrlSession`]: control connections to `camelot-site` processes,
 //!   resolved through an [`AddrBoard`] and cached against its
 //!   generation.
 //!
-//! The banking workload — [`fund`], [`transfer`] and the conservation
-//! audit's [`CtrlSession::ledger`] — lives here (not in
-//! `camelot-bench`) because `camelot-launch` is a binary of this crate.
+//! The banking campaign every process harness runs — [`fund_all`], the
+//! seeded [`Transfer::draw`], [`Transfer::run`] and the conservation
+//! audit [`CtrlSession::conserved`] — lives here (not in `camelot-bench`)
+//! because this crate's process tests (`socket_e2e`, `supervisor_e2e`)
+//! run it too.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -22,13 +24,16 @@ use std::sync::Arc;
 pub use camelot_core::CommitMode;
 use camelot_net::Outcome;
 use camelot_rt::{Client, Cluster};
-use camelot_types::{CamelotError, ObjectId, Result, ServerId, SiteId, Tid};
+use camelot_types::{CamelotError, ObjectId, Result, ServerId, SiteId, SplitMix64, Tid};
 
 use crate::ctrl::CtrlClient;
 use crate::procs::AddrBoard;
 
 /// The data server every harness transaction touches.
 pub const SRV: ServerId = ServerId(1);
+
+/// Every banking account's funded balance.
+pub const INITIAL: i64 = 100;
 
 /// Transaction calls against a set of sites. The coordinator of a
 /// transaction is the site it began at (`tid.family.origin`).
@@ -127,6 +132,27 @@ impl CtrlSession {
             .collect()
     }
 
+    /// The conservation audit: committed balances over sites `1..=sites`
+    /// and accounts `0..accounts` sum to what [`fund_all`] put in,
+    /// whichever transfers committed, aborted or died with a site
+    /// (atomicity makes every subset conserve). The error is the
+    /// violation's text.
+    pub fn conserved(&mut self, sites: u32, accounts: u64) -> std::result::Result<(), String> {
+        let total: i64 = self
+            .ledger(sites, accounts)
+            .map_err(|e| format!("audit read: {e}"))?
+            .iter()
+            .sum();
+        let funded = sites as i64 * accounts as i64 * INITIAL;
+        if total == funded {
+            Ok(())
+        } else {
+            Err(format!(
+                "conservation: committed balances sum to {total}, funded {funded}"
+            ))
+        }
+    }
+
     fn call<T>(&mut self, site: SiteId, f: impl FnOnce(&mut CtrlClient) -> Result<T>) -> Result<T> {
         let generation = self.board.generation();
         if generation != self.generation {
@@ -197,30 +223,63 @@ pub fn fund(s: &mut impl Session, site: SiteId, accounts: u64, amount: i64) -> R
     }
 }
 
-/// One banking transfer coordinated at `coord`: `Ok(true)` committed,
-/// `Ok(false)` aborted. A failed operation (lock conflict, timeout,
-/// dead site) aborts best-effort and surfaces the cause.
-pub fn transfer(
-    s: &mut impl Session,
-    coord: SiteId,
-    (src, src_acct): (SiteId, ObjectId),
-    (dst, dst_acct): (SiteId, ObjectId),
-    amount: i64,
-    mode: CommitMode,
-) -> Result<bool> {
-    let tid = s.begin(coord)?;
-    let participants = [src, dst];
-    let body = (|| {
-        let from = balance(&s.read(&tid, src, src_acct)?);
-        s.write(&tid, src, src_acct, (from - amount).to_le_bytes().to_vec())?;
-        let to = balance(&s.read(&tid, dst, dst_acct)?);
-        s.write(&tid, dst, dst_acct, (to + amount).to_le_bytes().to_vec())
-    })();
-    if let Err(e) = body {
-        let _ = s.abort(&tid, &participants);
-        return Err(e);
+/// Funds accounts `0..accounts` at every site `1..=sites` with
+/// [`INITIAL`] each: the total [`CtrlSession::conserved`] expects.
+pub fn fund_all(s: &mut impl Session, sites: u32, accounts: u64) -> Result<()> {
+    (1..=sites).try_for_each(|site| fund(s, SiteId(site), accounts, INITIAL))
+}
+
+/// One banking transfer's shape: who coordinates, which account pays
+/// which, and how much.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Transfer {
+    pub coord: SiteId,
+    pub from: (SiteId, ObjectId),
+    pub to: (SiteId, ObjectId),
+    pub amount: i64,
+}
+
+impl Transfer {
+    /// Draws one transfer over sites `1..=sites` and accounts
+    /// `0..accounts`, in this order: coordinator, paying site, paid site
+    /// (bumped to the next site when it equals the payer), paying
+    /// account, paid account, amount 1–20. The order is the replayable
+    /// stream of a seeded campaign: changing it changes every campaign.
+    pub fn draw(rng: &mut SplitMix64, sites: u32, accounts: u64) -> Transfer {
+        let mut site = || SiteId(1 + rng.next_below(sites as u64) as u32);
+        let (coord, src, mut dst) = (site(), site(), site());
+        if dst == src {
+            dst = SiteId(dst.0 % sites + 1);
+        }
+        let src_acct = ObjectId(rng.next_below(accounts));
+        let dst_acct = ObjectId(rng.next_below(accounts));
+        Transfer {
+            coord,
+            from: (src, src_acct),
+            to: (dst, dst_acct),
+            amount: rng.next_below(20) as i64 + 1,
+        }
     }
-    s.commit(&tid, mode, &participants)
+
+    /// Runs the transfer, coordinated at `coord`: `Ok(true)` committed,
+    /// `Ok(false)` aborted. A failed operation (lock conflict, timeout,
+    /// dead site) aborts best-effort and surfaces the cause.
+    pub fn run(&self, s: &mut impl Session, mode: CommitMode) -> Result<bool> {
+        let ((src, src_acct), (dst, dst_acct), amount) = (self.from, self.to, self.amount);
+        let tid = s.begin(self.coord)?;
+        let participants = [src, dst];
+        let body = (|| {
+            let from = balance(&s.read(&tid, src, src_acct)?);
+            s.write(&tid, src, src_acct, (from - amount).to_le_bytes().to_vec())?;
+            let to = balance(&s.read(&tid, dst, dst_acct)?);
+            s.write(&tid, dst, dst_acct, (to + amount).to_le_bytes().to_vec())
+        })();
+        if let Err(e) = body {
+            let _ = s.abort(&tid, &participants);
+            return Err(e);
+        }
+        s.commit(&tid, mode, &participants)
+    }
 }
 
 #[cfg(test)]
@@ -242,8 +301,14 @@ mod tests {
         let mut s = InProcSession::new(&cluster, 2);
         let (a, b) = ((SiteId(1), ObjectId(0)), (SiteId(2), ObjectId(3)));
         fund(&mut s, SiteId(1), 1, 100).expect("fund");
+        let t = Transfer {
+            coord: SiteId(2),
+            from: a,
+            to: b,
+            amount: 7,
+        };
         for mode in [CommitMode::TwoPhase, CommitMode::NonBlocking] {
-            assert!(transfer(&mut s, SiteId(2), a, b, 7, mode).expect("transfer"));
+            assert!(t.run(&mut s, mode).expect("transfer"));
         }
         let tid = s.begin(SiteId(1)).expect("begin");
         assert_eq!(balance(&s.read(&tid, a.0, a.1).expect("read a")), 86);
@@ -251,5 +316,45 @@ mod tests {
         assert!(s.commit(&tid, CommitMode::TwoPhase, &[]).expect("commit"));
         drop(s);
         cluster.shutdown();
+    }
+
+    /// The first 16 transfers of `camelot-soak --seed 42`'s worker 0
+    /// (3 sites, 4 accounts): `coord src.acct dst.acct amount`. A
+    /// recorded soak run replays only while this stream stays byte for
+    /// byte.
+    #[test]
+    fn the_soak_transfer_stream_is_pinned() {
+        let mut rng = SplitMix64::new(42u64.wrapping_mul(0x9E37_79B9));
+        let drawn: Vec<String> = (0..16)
+            .map(|_| {
+                let t = Transfer::draw(&mut rng, 3, 4);
+                let ((s, sa), (d, da)) = (t.from, t.to);
+                format!(
+                    "{} {}.{} {}.{} {}",
+                    t.coord.0, s.0, sa.0, d.0, da.0, t.amount
+                )
+            })
+            .collect();
+        assert_eq!(
+            drawn,
+            [
+                "1 3.3 1.3 11",
+                "3 2.1 3.1 2",
+                "3 1.0 2.0 19",
+                "1 1.0 2.3 9",
+                "1 3.2 1.3 16",
+                "2 2.1 1.0 8",
+                "1 2.0 3.2 10",
+                "2 1.1 2.1 20",
+                "3 3.1 2.2 12",
+                "3 2.1 1.3 19",
+                "2 1.3 3.2 13",
+                "3 3.2 2.2 16",
+                "2 2.3 3.3 3",
+                "3 2.1 3.1 14",
+                "2 3.2 1.2 7",
+                "2 1.0 3.2 3",
+            ]
+        );
     }
 }

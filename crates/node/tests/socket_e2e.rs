@@ -22,8 +22,8 @@ use std::process::ExitStatus;
 use std::time::{Duration, Instant};
 
 use camelot_node::procs::{Supervisor, SupervisorConfig};
-use camelot_node::session::{fund, transfer, CommitMode, CtrlSession};
-use camelot_types::{splitmix64, CrashPoint, ObjectId, SiteId};
+use camelot_node::session::{fund, fund_all, CommitMode, CtrlSession, Transfer};
+use camelot_types::{CrashPoint, ObjectId, SiteId, SplitMix64};
 
 const A0: ObjectId = ObjectId(0);
 
@@ -69,13 +69,25 @@ fn three_processes_commit_and_agree() {
 
     // Two-phase: site 1 coordinates, debits itself, credits site 2.
     let (one, two, three) = ((SiteId(1), A0), (SiteId(2), A0), (SiteId(3), A0));
+    let t = Transfer {
+        coord: SiteId(1),
+        from: one,
+        to: two,
+        amount: 30,
+    };
     assert!(
-        transfer(&mut s, SiteId(1), one, two, 30, CommitMode::TwoPhase).expect("2pc transfer"),
+        t.run(&mut s, CommitMode::TwoPhase).expect("2pc transfer"),
         "two-phase transfer must commit"
     );
     // Non-blocking: site 2 coordinates, debits itself, credits site 3.
+    let t = Transfer {
+        coord: SiteId(2),
+        from: two,
+        to: three,
+        amount: 10,
+    };
     assert!(
-        transfer(&mut s, SiteId(2), two, three, 10, CommitMode::NonBlocking).expect("nb transfer"),
+        t.run(&mut s, CommitMode::NonBlocking).expect("nb transfer"),
         "non-blocking transfer must commit"
     );
 
@@ -91,9 +103,14 @@ fn three_processes_commit_and_agree() {
 fn three_processes_commit_over_tcp() {
     let (mut sup, mut s) = cluster(3, "tcp", None, &[]);
     fund(&mut s, SiteId(1), 1, 100).expect("fund");
-    let (one, three) = ((SiteId(1), A0), (SiteId(3), A0));
+    let t = Transfer {
+        coord: SiteId(1),
+        from: (SiteId(1), A0),
+        to: (SiteId(3), A0),
+        amount: 25,
+    };
     assert!(
-        transfer(&mut s, SiteId(1), one, three, 25, CommitMode::TwoPhase).expect("tcp transfer"),
+        t.run(&mut s, CommitMode::TwoPhase).expect("tcp transfer"),
         "transfer over TCP must commit"
     );
     sup.quiesce(QUIET).expect("cluster must quiesce");
@@ -133,8 +150,13 @@ fn killed_subordinate_recovers(transport: &str) {
     // Site 1 coordinates; site 2 is a subordinate with an update.
     // The prepare kills site 2, its vote never arrives, and the vote
     // timeout aborts the transfer.
-    let (from, to) = ((SiteId(3), A0), (SiteId(2), A0));
-    let outcome = transfer(&mut s, SiteId(1), from, to, 40, CommitMode::TwoPhase);
+    let t = Transfer {
+        coord: SiteId(1),
+        from: (SiteId(3), A0),
+        to: (SiteId(2), A0),
+        amount: 40,
+    };
+    let outcome = t.run(&mut s, CommitMode::TwoPhase);
     assert!(
         !outcome.unwrap_or(false),
         "transfer through the dying subordinate must not commit"
@@ -161,7 +183,7 @@ fn killed_subordinate_recovers(transport: &str) {
     // must first tear down its cached stream and reconnect to the new
     // data port (a fresh `FrameDecoder` on the new connection).
     assert!(
-        transfer(&mut s, SiteId(1), from, to, 40, CommitMode::TwoPhase).expect("retry transfer"),
+        t.run(&mut s, CommitMode::TwoPhase).expect("retry transfer"),
         "post-restart transfer must commit"
     );
     sup.quiesce(QUIET).expect("cluster must quiesce");
@@ -220,47 +242,32 @@ fn socket_chaos_campaign_conserves_money() {
                 &seed_arg,
             ],
         );
-        for id in 1..=3 {
-            fund(&mut s, SiteId(id), 2, 100).expect("fund");
-        }
+        fund_all(&mut s, 3, 2).expect("fund");
 
         // The workload may abort or time out under fire — that is the
-        // point. Only safety (conservation) is asserted.
-        let mut rng = seed;
-        let mut mix = move || {
-            rng = rng.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            splitmix64(rng)
-        };
-        for t in 0..6u32 {
-            let src = (mix() % 3) as u32;
-            let dst = (src + 1 + (mix() % 2) as u32) % 3;
-            let mode = match mix() % 2 {
+        // point. Only safety (conservation) is asserted. Transfers
+        // alternate between the two protocols.
+        let mut rng = SplitMix64::new(seed);
+        for t in 0..6 {
+            let mode = match t % 2 {
                 0 => CommitMode::NonBlocking,
                 _ => CommitMode::TwoPhase,
             };
-            let _ = transfer(
-                &mut s,
-                SiteId(t % 3 + 1),
-                (SiteId(src + 1), ObjectId(mix() % 2)),
-                (SiteId(dst + 1), ObjectId(mix() % 2)),
-                (mix() % 15) as i64 + 1,
-                mode,
-            );
+            let _ = Transfer::draw(&mut rng, 3, 2).run(&mut s, mode);
         }
 
         // Stop injecting and let the recovery machinery finish.
         sup.heal_all().expect("heal every site");
         let quiesced = sup.quiesce(Duration::from_secs(30));
-        let total: i64 = s.ledger(3, 2).expect("ledger").iter().sum();
+        let conserved = s.conserved(3, 2);
 
-        if quiesced.is_err() || total != 600 {
+        if quiesced.is_err() || conserved.is_err() {
             let path = artifacts.join(format!("seed-{seed}.jsonl"));
             let traces = sup.drain_traces().into_iter();
             let jsonl: String = traces.map(|(_, t)| t.unwrap_or_default()).collect();
             std::fs::write(&path, jsonl).expect("write trace artifact");
             panic!(
-                "seed {seed}: quiesce {quiesced:?}, total={total} (expected 600); \
-                 traces in {}",
+                "seed {seed}: quiesce {quiesced:?}, {conserved:?}; traces in {}",
                 path.display()
             );
         }

@@ -13,13 +13,12 @@
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
-use camelot_node::procs::{Supervisor, SupervisorConfig};
-use camelot_node::session::{fund, transfer, CommitMode, CtrlSession};
-use camelot_types::{ObjectId, SiteId};
+use camelot_node::procs::{FaultEvent, Supervisor, SupervisorConfig};
+use camelot_node::session::{fund_all, CommitMode, CtrlSession, Transfer};
+use camelot_types::{SiteId, SplitMix64};
 
 const SITES: u32 = 3;
 const ACCOUNTS: u64 = 4;
-const INITIAL: i64 = 100;
 
 fn test_log_dir(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("camelot-supe2e-{}-{name}", std::process::id()));
@@ -42,26 +41,16 @@ fn supervisor(name: &str, budget: u32) -> Supervisor {
     Supervisor::start(cfg).expect("start supervised cluster")
 }
 
-/// A short burst of load: every site coordinates transfers between
-/// rotating account pairs; failures are tolerated (faults are live).
-/// Transfers run over a [`CtrlSession`] on the supervisor's address
-/// board, so a respawned site is re-resolved on its new ports.
-fn burst(sup: &mut Supervisor, rounds: u32, salt: u64) -> u32 {
+/// A short burst of load: `rounds` drawn transfers; failures are
+/// tolerated (faults are live). Transfers run over a [`CtrlSession`] on
+/// the supervisor's address board, so a respawned site is re-resolved
+/// on its new ports.
+fn burst(sup: &mut Supervisor, rng: &mut SplitMix64, rounds: u32) -> u32 {
     let mut session = CtrlSession::new(sup.board());
     let mut committed = 0;
-    for t in 0..rounds {
+    for _ in 0..rounds {
         sup.poll();
-        let x = salt
-            .wrapping_add(t as u64)
-            .wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        let coord = SiteId((t % SITES) + 1);
-        let src = SiteId((x % SITES as u64) as u32 + 1);
-        let dst = SiteId((src.0 % SITES) + 1);
-        let src_acct = ObjectId((x >> 8) % ACCOUNTS);
-        let dst_acct = ObjectId((x >> 16) % ACCOUNTS);
-        let amount = ((x >> 24) % 15) as i64 + 1;
-        let (from, to) = ((src, src_acct), (dst, dst_acct));
-        match transfer(&mut session, coord, from, to, amount, CommitMode::TwoPhase) {
+        match Transfer::draw(rng, SITES, ACCOUNTS).run(&mut session, CommitMode::TwoPhase) {
             Ok(true) => committed += 1,
             Ok(false) => {}
             Err(_) => std::thread::sleep(Duration::from_millis(25)),
@@ -76,53 +65,38 @@ fn burst(sup: &mut Supervisor, rounds: u32, salt: u64) -> u32 {
 fn supervised_cluster_survives_kill_partition_skew_heal_under_load() {
     let mut sup = supervisor("campaign", 5);
     let mut session = CtrlSession::new(sup.board());
-    for id in 1..=SITES {
-        fund(&mut session, SiteId(id), ACCOUNTS, INITIAL).expect("fund");
+    fund_all(&mut session, SITES, ACCOUNTS).expect("fund");
+    let mut rng = SplitMix64::new(1);
+    let mut committed = burst(&mut sup, &mut rng, 6);
+
+    // The killed site 2 is respawned on its WAL; the partition
+    // {1,2} | {3} times out and aborts the transfers crossing it; site
+    // 2's timers run at half speed on top of it; then everything heals.
+    // Each event waits for every site to be up, so it reaches all three.
+    let script = [
+        FaultEvent::Kill(SiteId(2)),
+        FaultEvent::Partition(2),
+        FaultEvent::Skew(SiteId(2), 1500),
+        FaultEvent::Heal,
+    ];
+    for ev in &script {
+        sup.inject(ev).unwrap_or_else(|e| panic!("{ev:?}: {e}"));
+        committed += burst(&mut sup, &mut rng, 6);
+        assert!(
+            sup.wait_all_up(Duration::from_secs(20)),
+            "a site did not come back after {ev:?}: {:?}",
+            sup.failed_sites()
+        );
     }
-    let mut committed = burst(&mut sup, 6, 1);
-
-    // Kill a site mid-load; the supervisor respawns it on its WAL.
-    assert!(sup.kill_site(SiteId(2)), "site 2 was up");
-    committed += burst(&mut sup, 6, 2);
-    assert!(
-        sup.wait_all_up(Duration::from_secs(20)),
-        "site 2 did not come back: {:?}",
-        sup.failed_sites()
-    );
-
-    // Symmetric partition {1,2} | {3}: transfers crossing the cut
-    // time out and abort; the rest keep committing.
-    let (a, b) = ([SiteId(1), SiteId(2)], [SiteId(3)]);
-    for id in 1..=SITES {
-        if let Some(ctrl) = sup.ctrl(SiteId(id)) {
-            ctrl.partition(&a, &b).expect("install partition");
-        }
-    }
-    committed += burst(&mut sup, 6, 3);
-
-    // Clock-skew site 2 to half-speed timers on top of the partition.
-    for id in 1..=SITES {
-        if let Some(ctrl) = sup.ctrl(SiteId(id)) {
-            ctrl.set_skew(SiteId(2), 1500).expect("install skew");
-        }
-    }
-    committed += burst(&mut sup, 6, 4);
-
-    // Heal everything and let the protocols settle.
-    sup.heal_all().expect("heal every site");
-    assert!(sup.wait_all_up(Duration::from_secs(20)));
-    committed += burst(&mut sup, 6, 5);
     assert!(committed > 0, "no transfer committed across the campaign");
     sup.quiesce(Duration::from_secs(20))
         .expect("cluster quiesces within 20s");
 
     // Conservation: atomicity makes every commit/abort subset
     // conserve the funded total, kills and cuts included.
-    let ledger = session.ledger(SITES, ACCOUNTS).expect("audit read");
-    assert_eq!(
-        ledger.iter().sum::<i64>(),
-        SITES as i64 * ACCOUNTS as i64 * INITIAL
-    );
+    session
+        .conserved(SITES, ACCOUNTS)
+        .expect("money is conserved");
 
     // The supervisor reports the campaign.
     let counts = sup.restart_counts();

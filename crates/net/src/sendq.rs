@@ -10,9 +10,9 @@
 //!   blocks: when the queue is full the *oldest* frame is evicted and
 //!   counted. Drop-oldest is protocol-safe — to the layers above, an
 //!   evicted frame is indistinguishable from a datagram the network
-//!   lost, and both the UDP [`ReliableChannel`](crate::ReliableChannel)
-//!   and the commit protocols' own timers (inquiry, notify resend,
-//!   vote timeout) already recover from loss. Evicting the oldest
+//!   lost, and the commit protocols' own timers (inquiry, notify
+//!   resend, vote timeout) already recover from loss, over UDP and TCP
+//!   alike. Evicting the oldest
 //!   rather than rejecting the newest matters under a long stall: the
 //!   queue then holds the *most recent* window of traffic, which is
 //!   what a reconnecting peer can actually use.

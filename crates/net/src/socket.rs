@@ -7,18 +7,24 @@
 //! the repo's wire format, wrapped in a [`frame`](crate::frame), and
 //! handed to a real socket.
 //!
-//! Two modes:
+//! Both modes carry one envelope per frame down one path: `send`
+//! numbers the envelope from one [`SeqAlloc`], and every received
+//! payload is decoded, checked for a misrouted destination and passed
+//! through one [`DupFilter`]. Outgoing sequence numbers start at an
+//! incarnation-derived base, sampled from the clock at bind (see
+//! [`SeqAlloc::starting_at`]), so a restarted site is not mistaken for
+//! its past self. The modes differ only in the link:
 //!
 //! - **UDP** — one datagram per frame over one bound `UdpSocket`.
-//!   Datagrams really get lost and reordered, so the transport runs
-//!   a [`ReliableChannel`] (sequence numbers, acknowledgements,
-//!   retransmission with backoff, duplicate suppression). Outgoing
-//!   sequence numbers start at an incarnation-derived base, sampled
-//!   from the clock at bind (see [`SeqAlloc::starting_at`]), so a
-//!   restarted site is not mistaken for its past self.
-//! - **TCP** — one framed stream per peer; the kernel provides
-//!   ordering and retransmission, so only duplicate suppression (for
-//!   injected duplicate faults) runs above it.
+//!   Datagrams really get lost and reordered.
+//! - **TCP** — one framed stream per peer; the kernel orders and
+//!   retransmits within a connection, but a frame queued to a peer
+//!   that restarts, or evicted from a full queue, is still lost.
+//!
+//! Nothing here acknowledges or retransmits. A lost frame is recovered
+//! the way the paper's transaction managers recover a lost datagram
+//! (§4.2 fn. 1), by the commit protocols' own timers: vote timeout,
+//! inquiry, notify resend, takeover.
 //!
 //! Fault injection happens *here*, below the protocol: a
 //! [`FaultPlan`]'s drop decision discards a frame bound for a kernel
@@ -41,10 +47,8 @@
 //! a dead or stalled peer can cost is its own sender thread — sends to
 //! healthy peers proceed untouched. A full queue evicts its *oldest*
 //! frame (counted in [`TransportStats::queue_drops`]); that is safe
-//! because every layer above already treats a lost frame as a lost
-//! datagram — UDP mode retransmits via the [`ReliableChannel`], and
-//! TCP mode's commit protocols recover through their own timers
-//! (inquiry, notify resend, vote timeout).
+//! because the commit protocols above already treat a lost frame as a
+//! lost datagram and recover it through their own timers.
 
 use std::collections::HashMap;
 use std::io::{ErrorKind, Read, Write as IoWrite};
@@ -58,11 +62,10 @@ use std::time::{Instant, SystemTime, UNIX_EPOCH};
 
 use camelot_obs::{TraceEventKind, Tracer};
 use camelot_types::wire::Wire;
-use camelot_types::{CamelotError, Duration, Result, SiteId, Time};
+use camelot_types::{CamelotError, Result, SiteId};
 
-use crate::channel::{ChannelEvent, ReliableChannel};
 use crate::fault::{FaultPlan, LinkDecision};
-use crate::frame::{decode_frame, encode_frame};
+use crate::frame::{decode_frame, encode_frame, FRAME_HEADER};
 use crate::msg::{Envelope, TmMessage};
 use crate::sendq::{Backoff, Pop, Push, SendQueue, TransportCounters, TransportStats};
 use crate::transport::{DupFilter, SeqAlloc};
@@ -72,23 +75,15 @@ use crate::FrameDecoder;
 /// shutdown.
 const POP_WAIT: StdDuration = StdDuration::from_millis(50);
 
-/// UDP mode: first retransmission interval.
-const RETRY: Duration = Duration::from_millis(40);
-/// UDP mode: retransmission backoff cap.
-const MAX_RETRY: Duration = Duration::from_millis(320);
-/// UDP mode: attempts before a peer is reported unreachable.
-const ATTEMPTS: u32 = 8;
-
 /// Upper bound on one TCP connect attempt.
 const CONNECT_TIMEOUT: StdDuration = StdDuration::from_millis(250);
 
 /// Which kernel transport carries the frames.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SocketMode {
-    /// Datagrams; loss and reordering are real, reliability comes from
-    /// the [`ReliableChannel`] machinery.
+    /// Datagrams; loss and reordering are real.
     Udp,
-    /// Framed streams; the kernel provides reliability and ordering.
+    /// Framed streams; the kernel orders frames within a connection.
     Tcp,
 }
 
@@ -109,8 +104,7 @@ pub struct SocketConfig {
     pub site: SiteId,
     pub mode: SocketMode,
     /// How long one [`SocketTransport::recv`] call waits for traffic
-    /// before returning `None` (and, in UDP mode, running the
-    /// retransmission clock).
+    /// before returning `None`.
     pub recv_timeout: StdDuration,
     /// Per-peer send-queue bound; a full queue evicts its oldest frame.
     pub send_queue: usize,
@@ -156,18 +150,15 @@ pub struct Delivery {
 struct Inner {
     site: SiteId,
     mode: SocketMode,
-    epoch: Instant,
     recv_timeout: StdDuration,
     /// UDP mode: the one socket used for both directions, and the
     /// buffer `recv` reads each datagram into (one receive loop calls
     /// `recv`, so its lock is free).
     udp: Option<(UdpSocket, Mutex<Box<[u8]>>)>,
     local: SocketAddr,
-    /// UDP mode: seq/ack/retransmit/dedup machinery.
-    channel: Mutex<ReliableChannel>,
-    /// TCP mode: outgoing sequence allocation and inbound dedup (the
-    /// kernel is reliable, but injected duplicate faults are not its
-    /// problem).
+    /// Outgoing sequence numbers and inbound duplicate suppression,
+    /// one of each for both modes: injected duplicate faults reach a
+    /// TCP peer as surely as a UDP one.
     seqs: Mutex<SeqAlloc>,
     dups: Mutex<DupFilter>,
     peers: Mutex<HashMap<SiteId, SocketAddr>>,
@@ -214,8 +205,6 @@ impl SocketTransport {
             .duration_since(UNIX_EPOCH)
             .map(|d| d.as_micros() as u64)
             .unwrap_or(1);
-        let channel =
-            ReliableChannel::with_seq_base(cfg.site, RETRY, MAX_RETRY, ATTEMPTS, seq_base);
         let (udp, local, tcp_rx) = match cfg.mode {
             SocketMode::Udp => {
                 let sock = UdpSocket::bind("127.0.0.1:0")?;
@@ -234,11 +223,9 @@ impl SocketTransport {
         let inner = Arc::new(Inner {
             site: cfg.site,
             mode: cfg.mode,
-            epoch: Instant::now(),
             recv_timeout: cfg.recv_timeout,
             udp,
             local,
-            channel: Mutex::new(channel),
             seqs: Mutex::new(SeqAlloc::starting_at(seq_base)),
             dups: Mutex::new(DupFilter::new(64)),
             peers: Mutex::new(HashMap::new()),
@@ -297,42 +284,23 @@ impl SocketTransport {
         self.inner.peers.lock().unwrap().get(&site).copied()
     }
 
-    /// Microseconds since this transport was created, as the protocol
-    /// time base for retransmission clocks.
-    pub fn now(&self) -> Time {
-        Time(self.inner.epoch.elapsed().as_micros() as u64)
-    }
-
-    /// Sends `primary` (+`piggyback`) to `to`. Returns
-    /// `CamelotError::SiteDown` when the peer's address is unknown or
-    /// (TCP) unreachable. A UDP send is tracked for retransmission
-    /// until the peer acknowledges.
+    /// Sends `primary` (+`piggyback`) to `to` as one envelope in one
+    /// frame. Returns `CamelotError::SiteDown` when the peer's address
+    /// is unknown; anything that happens to the frame after that is,
+    /// to the protocol, a lost datagram.
     pub fn send(&self, to: SiteId, primary: TmMessage, piggyback: Vec<TmMessage>) -> Result<()> {
         let inner = &self.inner;
         if inner.peers.lock().unwrap().get(&to).is_none() {
             return Err(CamelotError::SiteDown(to));
         }
-        let env_bytes = match inner.mode {
-            SocketMode::Udp => {
-                let now = self.now();
-                let mut ch = inner.channel.lock().unwrap();
-                match ch.send(to, primary, piggyback, now) {
-                    ChannelEvent::Transmit { bytes, .. } => bytes,
-                    ChannelEvent::PeerUnreachable { .. } => unreachable!("send never gives up"),
-                }
-            }
-            SocketMode::Tcp => {
-                let seq = inner.seqs.lock().unwrap().next(to);
-                Envelope {
-                    src: inner.site,
-                    dst: to,
-                    seq,
-                    primary,
-                    piggyback,
-                }
-                .to_bytes()
-            }
-        };
+        let env_bytes = Envelope {
+            src: inner.site,
+            dst: to,
+            seq: inner.seqs.lock().unwrap().next(to),
+            primary,
+            piggyback,
+        }
+        .to_bytes();
         inner.tracer.site_event(TraceEventKind::WireEncode {
             bytes: env_bytes.len() as u32,
         });
@@ -342,9 +310,8 @@ impl SocketTransport {
     }
 
     /// Waits up to the configured receive timeout for one fresh
-    /// delivery. `Ok(None)` means "nothing new" (timeout, an ack, or a
-    /// suppressed duplicate); the caller just loops. In UDP mode each
-    /// call also runs the retransmission clock.
+    /// delivery. `Ok(None)` means "nothing new" (timeout or a
+    /// suppressed duplicate); the caller just loops.
     pub fn recv(&self) -> Result<Option<Delivery>> {
         match self.inner.mode {
             SocketMode::Udp => self.recv_udp(),
@@ -355,49 +322,17 @@ impl SocketTransport {
     fn recv_udp(&self) -> Result<Option<Delivery>> {
         let inner = &self.inner;
         let (sock, buf) = inner.udp.as_ref().expect("udp mode");
-        let got = {
+        let (payload, from_addr) = {
             let mut buf = buf.lock().unwrap();
             match sock.recv_from(&mut buf) {
-                Ok((n, from_addr)) => Some((decode_frame(&buf[..n])?.0, n, from_addr)),
+                Ok((n, from_addr)) => (decode_frame(&buf[..n])?.0, from_addr),
                 Err(e) if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut => {
-                    None
+                    return Ok(None)
                 }
                 Err(e) => return Err(CamelotError::Log(format!("udp recv: {e}"))),
             }
         };
-        let mut delivery = None;
-        if let Some((payload, n, from_addr)) = got {
-            inner.tracer.site_event(TraceEventKind::WireDecode {
-                bytes: payload.len() as u32,
-            });
-            let inbound = inner.channel.lock().unwrap().receive(&payload)?;
-            if let Some(inbound) = inbound {
-                // Learn/refresh the peer's address from its traffic.
-                inner.peers.lock().unwrap().insert(inbound.from, from_addr);
-                inner.tracer.site_event(TraceEventKind::SocketRecv {
-                    from: inbound.from,
-                    bytes: n as u32,
-                });
-                // Acknowledge even duplicates: the original ack may be
-                // the datagram that was lost.
-                inner.dispatch(inbound.from, encode_frame(&inbound.ack));
-                if inbound.fresh {
-                    delivery = Some(Delivery {
-                        from: inbound.from,
-                        messages: inbound.messages,
-                    });
-                }
-            }
-        }
-        // Run the retransmission clock on every pass.
-        let now = self.now();
-        let events = inner.channel.lock().unwrap().poll(now);
-        for ev in events {
-            if let ChannelEvent::Transmit { to, bytes } = ev {
-                inner.dispatch(to, encode_frame(&bytes));
-            }
-        }
-        Ok(delivery)
+        inner.accept(&payload, Some(from_addr))
     }
 
     fn recv_tcp(&self) -> Result<Option<Delivery>> {
@@ -410,34 +345,7 @@ impl SocketTransport {
                 Err(_) => return Ok(None),
             }
         };
-        inner.tracer.site_event(TraceEventKind::WireDecode {
-            bytes: payload.len() as u32,
-        });
-        let env = Envelope::from_bytes(&payload)?;
-        if env.dst != inner.site {
-            return Err(CamelotError::Codec(format!(
-                "misrouted frame for {} at {}",
-                env.dst, inner.site
-            )));
-        }
-        inner.tracer.site_event(TraceEventKind::SocketRecv {
-            from: env.src,
-            bytes: payload.len() as u32,
-        });
-        if !inner.dups.lock().unwrap().accept(env.src, env.seq) {
-            return Ok(None);
-        }
-        let mut messages = vec![env.primary];
-        messages.extend(env.piggyback);
-        Ok(Some(Delivery {
-            from: env.src,
-            messages,
-        }))
-    }
-
-    /// UDP sends still awaiting acknowledgement.
-    pub fn in_flight(&self) -> usize {
-        self.inner.channel.lock().unwrap().in_flight()
+        inner.accept(&payload, None)
     }
 
     /// Snapshot of the outbound path's counters, with the current
@@ -466,6 +374,40 @@ impl Drop for SocketTransport {
 }
 
 impl Inner {
+    /// One received frame payload, in either mode: decodes the
+    /// envelope, refuses one addressed to another site, and suppresses
+    /// a duplicate (`Ok(None)`). `from_addr` is a UDP datagram's
+    /// source, learned as the sender's address so a site that restarts
+    /// on a new port is heard from without reconfiguration.
+    fn accept(&self, payload: &[u8], from_addr: Option<SocketAddr>) -> Result<Option<Delivery>> {
+        self.tracer.site_event(TraceEventKind::WireDecode {
+            bytes: payload.len() as u32,
+        });
+        let env = Envelope::from_bytes(payload)?;
+        if env.dst != self.site {
+            return Err(CamelotError::Codec(format!(
+                "misrouted envelope for {} at {}",
+                env.dst, self.site
+            )));
+        }
+        if let Some(addr) = from_addr {
+            self.peers.lock().unwrap().insert(env.src, addr);
+        }
+        self.tracer.site_event(TraceEventKind::SocketRecv {
+            from: env.src,
+            bytes: (FRAME_HEADER + payload.len()) as u32,
+        });
+        if !self.dups.lock().unwrap().accept(env.src, env.seq) {
+            return Ok(None);
+        }
+        let mut messages = vec![env.primary];
+        messages.extend(env.piggyback);
+        Ok(Some(Delivery {
+            from: env.src,
+            messages,
+        }))
+    }
+
     /// Applies the fault plan and hands `frame` to the peer's send
     /// queue (possibly late, twice, or never).
     fn dispatch(self: &Arc<Inner>, to: SiteId, frame: Vec<u8>) {
@@ -720,6 +662,9 @@ mod tests {
     use super::*;
     use camelot_types::{FamilyId, Tid};
 
+    /// The link kinds every mode-independent case runs over.
+    const MODES: [SocketMode; 2] = [SocketMode::Udp, SocketMode::Tcp];
+
     fn msg(seq: u64) -> TmMessage {
         TmMessage::Commit {
             tid: Tid::top_level(FamilyId {
@@ -729,13 +674,27 @@ mod tests {
         }
     }
 
-    fn clean(site: u32, mode: SocketMode) -> SocketTransport {
+    fn bind(site: u32, mode: SocketMode, fault: &Arc<FaultPlan>) -> SocketTransport {
         SocketTransport::bind(
             SocketConfig::new(SiteId(site), mode),
-            Arc::new(FaultPlan::disabled()),
+            Arc::clone(fault),
             Tracer::disabled(),
         )
         .unwrap()
+    }
+
+    fn clean(site: u32, mode: SocketMode) -> SocketTransport {
+        bind(site, mode, &Arc::new(FaultPlan::disabled()))
+    }
+
+    /// Sites 1 and 2, each knowing the other; site 1 sends through
+    /// `fault`.
+    fn pair(mode: SocketMode, fault: &Arc<FaultPlan>) -> (SocketTransport, SocketTransport) {
+        let a = bind(1, mode, fault);
+        let b = clean(2, mode);
+        a.set_peer(SiteId(2), b.local_addr());
+        b.set_peer(SiteId(1), a.local_addr());
+        (a, b)
     }
 
     fn recv_until(t: &SocketTransport, deadline: StdDuration) -> Option<Delivery> {
@@ -748,22 +707,92 @@ mod tests {
         None
     }
 
-    #[test]
-    fn udp_roundtrip_and_ack() {
-        let a = clean(1, SocketMode::Udp);
-        let b = clean(2, SocketMode::Udp);
-        a.set_peer(SiteId(2), b.local_addr());
-        b.set_peer(SiteId(1), a.local_addr());
-        a.send(SiteId(2), msg(7), vec![]).unwrap();
-        let d = recv_until(&b, StdDuration::from_secs(2)).expect("delivery");
-        assert_eq!(d.from, SiteId(1));
-        assert_eq!(d.messages, vec![msg(7)]);
-        // The ack flows back once `a` polls its socket.
+    /// Receives until `t` reports an error, which it returns.
+    fn recv_error(t: &SocketTransport) -> CamelotError {
         let start = Instant::now();
-        while a.in_flight() > 0 && start.elapsed() < StdDuration::from_secs(2) {
-            let _ = a.recv().unwrap();
+        while start.elapsed() < StdDuration::from_secs(2) {
+            match t.recv() {
+                Ok(None) => {}
+                Ok(Some(d)) => panic!("delivered {d:?}"),
+                Err(e) => return e,
+            }
         }
-        assert_eq!(a.in_flight(), 0, "ack should clear the send");
+        panic!("no error within 2s");
+    }
+
+    /// Writes `frame` to `to` from a bare kernel socket of `mode`'s
+    /// kind, with no transport above it.
+    fn send_raw(mode: SocketMode, to: SocketAddr, frame: &[u8]) {
+        match mode {
+            SocketMode::Udp => {
+                let sock = UdpSocket::bind("127.0.0.1:0").unwrap();
+                sock.send_to(frame, to).unwrap();
+            }
+            SocketMode::Tcp => TcpStream::connect(to).unwrap().write_all(frame).unwrap(),
+        }
+    }
+
+    /// A bare kernel socket standing in for a peer.
+    enum RawPeer {
+        Udp(UdpSocket),
+        Tcp(TcpListener),
+    }
+
+    impl RawPeer {
+        fn bind(mode: SocketMode) -> RawPeer {
+            match mode {
+                SocketMode::Udp => RawPeer::Udp(UdpSocket::bind("127.0.0.1:0").unwrap()),
+                SocketMode::Tcp => RawPeer::Tcp(TcpListener::bind("127.0.0.1:0").unwrap()),
+            }
+        }
+
+        fn addr(&self) -> SocketAddr {
+            match self {
+                RawPeer::Udp(s) => s.local_addr().unwrap(),
+                RawPeer::Tcp(l) => l.local_addr().unwrap(),
+            }
+        }
+
+        /// The payload of the first frame sent here.
+        fn first_payload(&self) -> Vec<u8> {
+            let mut buf = vec![0u8; 64 * 1024];
+            let timeout = Some(StdDuration::from_secs(2));
+            match self {
+                RawPeer::Udp(s) => {
+                    s.set_read_timeout(timeout).unwrap();
+                    let (n, _) = s.recv_from(&mut buf).expect("first datagram");
+                    decode_frame(&buf[..n]).unwrap().0
+                }
+                RawPeer::Tcp(l) => {
+                    let (mut stream, _) = l.accept().expect("first connection");
+                    stream.set_read_timeout(timeout).unwrap();
+                    let mut dec = FrameDecoder::new();
+                    loop {
+                        if let Some(p) = dec.next_frame().unwrap() {
+                            return p;
+                        }
+                        let n = stream.read(&mut buf).expect("first frame");
+                        assert!(n > 0, "stream closed before one frame");
+                        dec.extend(&buf[..n]);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn roundtrip_both_directions() {
+        for mode in MODES {
+            let (a, b) = pair(mode, &Arc::new(FaultPlan::disabled()));
+            a.send(SiteId(2), msg(1), vec![msg(2)]).unwrap();
+            let d = recv_until(&b, StdDuration::from_secs(2)).expect("delivery");
+            assert_eq!(d.from, SiteId(1), "{mode:?}");
+            assert_eq!(d.messages, vec![msg(1), msg(2)], "{mode:?}");
+            b.send(SiteId(1), msg(3), vec![]).unwrap();
+            let d = recv_until(&a, StdDuration::from_secs(2)).expect("reply");
+            assert_eq!(d.from, SiteId(2), "{mode:?}");
+            assert_eq!(d.messages, vec![msg(3)], "{mode:?}");
+        }
     }
 
     #[test]
@@ -782,81 +811,62 @@ mod tests {
     }
 
     #[test]
-    fn udp_retransmits_through_a_scripted_drop() {
-        let fault = Arc::new(FaultPlan::disabled());
-        // Drop the first datagram 1→2 (the initial transmission).
-        fault.script_fault(SiteId(1), SiteId(2), 0, LinkDecision::Drop);
-        let a = SocketTransport::bind(
-            SocketConfig::udp(SiteId(1)),
-            Arc::clone(&fault),
-            Tracer::disabled(),
-        )
-        .unwrap();
-        let b = clean(2, SocketMode::Udp);
-        a.set_peer(SiteId(2), b.local_addr());
-        b.set_peer(SiteId(1), a.local_addr());
-        a.send(SiteId(2), msg(3), vec![]).unwrap();
-        // `a` must keep polling to drive its retransmission clock.
-        let atx = {
+    fn duplicate_fault_is_suppressed() {
+        for mode in MODES {
+            let fault = Arc::new(FaultPlan::disabled());
+            fault.script_fault(
+                SiteId(1),
+                SiteId(2),
+                0,
+                LinkDecision::Duplicate(StdDuration::from_millis(30)),
+            );
+            let (a, b) = pair(mode, &fault);
+            a.send(SiteId(2), msg(9), vec![]).unwrap();
+            let mut fresh = 0;
             let start = Instant::now();
-            let mut got = None;
-            while start.elapsed() < StdDuration::from_secs(5) && got.is_none() {
-                let _ = a.recv().unwrap();
-                if let Some(d) = b.recv().unwrap() {
-                    got = Some(d);
+            while start.elapsed() < StdDuration::from_millis(300) {
+                if b.recv().unwrap().is_some() {
+                    fresh += 1;
                 }
             }
-            got
-        };
-        let d = atx.expect("retransmission should get through");
-        assert_eq!(d.messages, vec![msg(3)]);
-        assert_eq!(fault.stats().drops, 1);
+            assert_eq!(fault.stats().duplicates, 1, "{mode:?}");
+            assert_eq!(fresh, 1, "{mode:?}: the duplicated frame must deliver once");
+            assert_eq!(a.stats().sends, 2, "{mode:?}: both copies went out");
+        }
     }
 
+    /// An envelope for site 3 arriving at site 2 is an error, not a
+    /// delivery.
     #[test]
-    fn udp_duplicate_fault_is_suppressed() {
-        let fault = Arc::new(FaultPlan::disabled());
-        fault.script_fault(
-            SiteId(1),
-            SiteId(2),
-            0,
-            LinkDecision::Duplicate(StdDuration::from_millis(30)),
-        );
-        let a = SocketTransport::bind(
-            SocketConfig::udp(SiteId(1)),
-            Arc::clone(&fault),
-            Tracer::disabled(),
-        )
-        .unwrap();
-        let b = clean(2, SocketMode::Udp);
-        a.set_peer(SiteId(2), b.local_addr());
-        b.set_peer(SiteId(1), a.local_addr());
-        a.send(SiteId(2), msg(9), vec![]).unwrap();
-        let mut fresh = 0;
-        let start = Instant::now();
-        while start.elapsed() < StdDuration::from_millis(800) {
-            let _ = a.recv().unwrap();
-            if b.recv().unwrap().is_some() {
-                fresh += 1;
+    fn misrouted_envelope_is_refused() {
+        for mode in MODES {
+            let b = clean(2, mode);
+            let env = Envelope {
+                src: SiteId(1),
+                dst: SiteId(3),
+                seq: 0,
+                primary: msg(1),
+                piggyback: vec![],
+            };
+            send_raw(mode, b.local_addr(), &encode_frame(&env.to_bytes()));
+            let e = recv_error(&b);
+            assert!(
+                e.to_string().contains("misrouted envelope"),
+                "{mode:?}: {e}"
+            );
+        }
+    }
+
+    /// A well-framed payload that is not an envelope is an error.
+    #[test]
+    fn garbage_payload_is_an_error() {
+        for mode in MODES {
+            let b = clean(2, mode);
+            for garbage in [&[1u8, 2, 3][..], &[]] {
+                send_raw(mode, b.local_addr(), &encode_frame(garbage));
+                assert!(matches!(recv_error(&b), CamelotError::Codec(_)), "{mode:?}");
             }
         }
-        assert_eq!(fresh, 1, "the duplicated datagram must deliver once");
-    }
-
-    #[test]
-    fn tcp_roundtrip_both_directions() {
-        let a = clean(1, SocketMode::Tcp);
-        let b = clean(2, SocketMode::Tcp);
-        a.set_peer(SiteId(2), b.local_addr());
-        b.set_peer(SiteId(1), a.local_addr());
-        a.send(SiteId(2), msg(1), vec![msg(2)]).unwrap();
-        let d = recv_until(&b, StdDuration::from_secs(2)).expect("delivery");
-        assert_eq!(d.from, SiteId(1));
-        assert_eq!(d.messages, vec![msg(1), msg(2)]);
-        b.send(SiteId(1), msg(3), vec![]).unwrap();
-        let d = recv_until(&a, StdDuration::from_secs(2)).expect("reply");
-        assert_eq!(d.from, SiteId(2));
-        assert_eq!(d.messages, vec![msg(3)]);
     }
 
     /// A restarted site must number its first envelope above anything
@@ -870,49 +880,25 @@ mod tests {
                 .unwrap()
                 .as_micros() as u64
         }
-        // UDP: the reliable channel allocates.
-        let before = micros_now();
-        let a = clean(1, SocketMode::Udp);
-        let peer = UdpSocket::bind("127.0.0.1:0").unwrap();
-        peer.set_read_timeout(Some(StdDuration::from_secs(2)))
-            .unwrap();
-        a.set_peer(SiteId(2), peer.local_addr().unwrap());
-        a.send(SiteId(2), msg(1), vec![]).unwrap();
-        let mut buf = vec![0u8; 64 * 1024];
-        let (n, _) = peer.recv_from(&mut buf).expect("first datagram");
-        let (payload, _) = decode_frame(&buf[..n]).unwrap();
-        let seq = Envelope::from_bytes(&payload).unwrap().seq;
-        assert!((before..=micros_now()).contains(&seq), "udp seq {seq}");
-
-        // TCP: the transport's own allocator does.
-        let before = micros_now();
-        let a = clean(1, SocketMode::Tcp);
-        let peer = TcpListener::bind("127.0.0.1:0").unwrap();
-        a.set_peer(SiteId(2), peer.local_addr().unwrap());
-        a.send(SiteId(2), msg(1), vec![]).unwrap();
-        let (mut stream, _) = peer.accept().expect("first connection");
-        stream
-            .set_read_timeout(Some(StdDuration::from_secs(2)))
-            .unwrap();
-        let mut dec = FrameDecoder::new();
-        let payload = loop {
-            if let Some(p) = dec.next_frame().unwrap() {
-                break p;
-            }
-            let n = stream.read(&mut buf).expect("first frame");
-            assert!(n > 0, "stream closed before one frame");
-            dec.extend(&buf[..n]);
-        };
-        let seq = Envelope::from_bytes(&payload).unwrap().seq;
-        assert!((before..=micros_now()).contains(&seq), "tcp seq {seq}");
+        for mode in MODES {
+            let before = micros_now();
+            let a = clean(1, mode);
+            let peer = RawPeer::bind(mode);
+            a.set_peer(SiteId(2), peer.addr());
+            a.send(SiteId(2), msg(1), vec![]).unwrap();
+            let seq = Envelope::from_bytes(&peer.first_payload()).unwrap().seq;
+            assert!((before..=micros_now()).contains(&seq), "{mode:?} seq {seq}");
+        }
     }
 
     #[test]
     fn send_to_unknown_peer_is_site_down() {
-        let a = clean(1, SocketMode::Udp);
-        assert!(matches!(
-            a.send(SiteId(9), msg(1), vec![]),
-            Err(CamelotError::SiteDown(SiteId(9)))
-        ));
+        for mode in MODES {
+            let a = clean(1, mode);
+            assert!(matches!(
+                a.send(SiteId(9), msg(1), vec![]),
+                Err(CamelotError::SiteDown(SiteId(9)))
+            ));
+        }
     }
 }

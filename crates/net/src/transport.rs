@@ -1,133 +1,22 @@
-//! Datagram transport bookkeeping: retransmission and duplicate
-//! detection.
+//! Datagram bookkeeping: sequence numbers and duplicate detection.
 //!
 //! Transaction managers communicate with unreliable datagrams and are
 //! themselves "responsible for implementing mechanisms such as
 //! timeout/retry and duplicate detection" (paper §4.2, footnote 1).
-//! Both mechanisms are sans-io state machines here so the simulator
-//! and the real-thread runtime share them:
+//! Timeout/retry is the commit protocols' own: the engine's vote
+//! timeout, inquiries, notify resend and takeover timers recover every
+//! lost datagram, in-process and over either socket mode. What is left
+//! for the transport is numbering what it sends and suppressing what it
+//! has already delivered:
 //!
-//! - [`Retransmitter`] tracks in-flight messages that expect an
-//!   answer; the runtime polls it with the current time and re-sends
-//!   what has been outstanding too long. Entries are cancelled when
-//!   the awaited answer arrives. Retransmission intervals back off
-//!   exponentially up to a cap.
+//! - [`SeqAlloc`] numbers each outgoing `(src, dst)` stream, from a
+//!   per-incarnation base.
 //! - [`DupFilter`] suppresses re-deliveries using per-sender sequence
 //!   numbers with a sliding window.
 
 use std::collections::HashMap;
 
-use camelot_types::{Duration, SiteId, Time};
-
-/// Key identifying an awaited answer (caller-chosen; typically a hash
-/// of transaction + phase + peer).
-pub type AwaitKey = (u64, SiteId);
-
-#[derive(Debug)]
-struct Outstanding<P> {
-    payload: P,
-    next_send: Time,
-    interval: Duration,
-    attempts: u32,
-}
-
-/// Retransmission schedule for messages awaiting answers.
-#[derive(Debug)]
-pub struct Retransmitter<P> {
-    base_interval: Duration,
-    max_interval: Duration,
-    max_attempts: u32,
-    outstanding: HashMap<AwaitKey, Outstanding<P>>,
-}
-
-/// What [`Retransmitter::poll`] tells the runtime to do.
-#[derive(Debug, PartialEq, Eq)]
-pub enum Resend<P> {
-    /// Send this payload (again) to the site.
-    Send { to: SiteId, payload: P },
-    /// The peer has not answered after the attempt limit; the
-    /// protocol layer must treat it as failed/partitioned.
-    GiveUp { key: AwaitKey },
-}
-
-impl<P: Clone> Retransmitter<P> {
-    pub fn new(base_interval: Duration, max_interval: Duration, max_attempts: u32) -> Self {
-        assert!(max_attempts >= 1);
-        Retransmitter {
-            base_interval,
-            max_interval,
-            max_attempts,
-            outstanding: HashMap::new(),
-        }
-    }
-
-    /// Registers a message that awaits an answer. The first
-    /// transmission is the caller's job (it already sent it); the
-    /// retransmitter handles the retries.
-    pub fn track(&mut self, key: AwaitKey, payload: P, now: Time) {
-        self.outstanding.insert(
-            key,
-            Outstanding {
-                payload,
-                next_send: now + self.base_interval,
-                interval: self.base_interval,
-                attempts: 1,
-            },
-        );
-    }
-
-    /// The awaited answer arrived; stop retransmitting. Returns true
-    /// if the key was being tracked.
-    pub fn answered(&mut self, key: &AwaitKey) -> bool {
-        self.outstanding.remove(key).is_some()
-    }
-
-    /// Time of the earliest pending retransmission, if any — the
-    /// runtime's next timer.
-    pub fn next_deadline(&self) -> Option<Time> {
-        self.outstanding.values().map(|o| o.next_send).min()
-    }
-
-    /// Collects everything due at `now`. Due entries are re-armed
-    /// with exponential backoff; entries over the attempt limit are
-    /// reported once and dropped.
-    pub fn poll(&mut self, now: Time) -> Vec<Resend<P>> {
-        let mut out = Vec::new();
-        let mut dead = Vec::new();
-        // Deterministic iteration order for reproducible simulations.
-        let mut due: Vec<AwaitKey> = self
-            .outstanding
-            .iter()
-            .filter(|(_, o)| o.next_send <= now)
-            .map(|(k, _)| *k)
-            .collect();
-        due.sort();
-        for key in due {
-            let o = self.outstanding.get_mut(&key).expect("key just seen");
-            if o.attempts >= self.max_attempts {
-                dead.push(key);
-                continue;
-            }
-            o.attempts += 1;
-            o.interval = (o.interval * 2).min(self.max_interval);
-            o.next_send = now + o.interval;
-            out.push(Resend::Send {
-                to: key.1,
-                payload: o.payload.clone(),
-            });
-        }
-        for key in dead {
-            self.outstanding.remove(&key);
-            out.push(Resend::GiveUp { key });
-        }
-        out
-    }
-
-    /// Number of messages still awaiting answers.
-    pub fn pending(&self) -> usize {
-        self.outstanding.len()
-    }
-}
+use camelot_types::SiteId;
 
 /// Sliding-window duplicate detection per sender.
 ///
@@ -185,19 +74,14 @@ impl DupFilter {
 }
 
 /// Per-destination sequence number allocator for outgoing envelopes.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct SeqAlloc {
     base: u64,
     next: HashMap<SiteId, u64>,
 }
 
 impl SeqAlloc {
-    pub fn new() -> Self {
-        SeqAlloc::default()
-    }
-
-    /// An allocator whose per-destination counters start at `base`
-    /// instead of 0.
+    /// An allocator whose per-destination counters start at `base`.
     ///
     /// Sequence numbers never wrap (u64), but they *restart*: a site
     /// process that crashes and comes back would allocate from 0
@@ -226,92 +110,6 @@ impl SeqAlloc {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn t(ms: u64) -> Time {
-        Time(ms * 1000)
-    }
-
-    fn d(ms: u64) -> Duration {
-        Duration::from_millis(ms)
-    }
-
-    #[test]
-    fn retransmit_after_timeout_with_backoff() {
-        let mut r: Retransmitter<&'static str> = Retransmitter::new(d(100), d(800), 10);
-        r.track((1, SiteId(2)), "prepare", t(0));
-        assert!(r.poll(t(50)).is_empty(), "not due yet");
-        let out = r.poll(t(100));
-        assert_eq!(
-            out,
-            vec![Resend::Send {
-                to: SiteId(2),
-                payload: "prepare"
-            }]
-        );
-        // Backoff doubled: next at 100+200=300.
-        assert!(r.poll(t(250)).is_empty());
-        assert_eq!(r.poll(t(300)).len(), 1);
-        assert_eq!(r.next_deadline(), Some(t(700)));
-    }
-
-    #[test]
-    fn backoff_caps_at_max_interval() {
-        let mut r: Retransmitter<u8> = Retransmitter::new(d(100), d(150), 100);
-        r.track((1, SiteId(2)), 0, t(0));
-        r.poll(t(100)); // Interval -> 150 (capped from 200).
-        assert_eq!(r.next_deadline(), Some(t(250)));
-        r.poll(t(250)); // Stays 150.
-        assert_eq!(r.next_deadline(), Some(t(400)));
-    }
-
-    #[test]
-    fn answered_stops_retransmission() {
-        let mut r: Retransmitter<u8> = Retransmitter::new(d(100), d(800), 10);
-        r.track((7, SiteId(3)), 1, t(0));
-        assert!(r.answered(&(7, SiteId(3))));
-        assert!(!r.answered(&(7, SiteId(3))), "second answer is stale");
-        assert!(r.poll(t(1_000)).is_empty());
-        assert_eq!(r.pending(), 0);
-    }
-
-    #[test]
-    fn gives_up_after_max_attempts() {
-        let mut r: Retransmitter<u8> = Retransmitter::new(d(10), d(10), 3);
-        r.track((1, SiteId(2)), 9, t(0));
-        assert_eq!(r.poll(t(10)).len(), 1); // Attempt 2.
-        assert_eq!(r.poll(t(20)).len(), 1); // Attempt 3.
-        let out = r.poll(t(30));
-        assert_eq!(
-            out,
-            vec![Resend::GiveUp {
-                key: (1, SiteId(2))
-            }]
-        );
-        assert_eq!(r.pending(), 0);
-        assert!(r.poll(t(40)).is_empty(), "give-up reported exactly once");
-    }
-
-    #[test]
-    fn poll_is_deterministic_over_many_keys() {
-        let mut r: Retransmitter<u8> = Retransmitter::new(d(10), d(10), 5);
-        for i in (0..20).rev() {
-            r.track((i, SiteId(i as u32 % 3)), 0, t(0));
-        }
-        let sends: Vec<AwaitKey> = r
-            .poll(t(10))
-            .into_iter()
-            .map(|s| match s {
-                Resend::Send { to, .. } => (0, to),
-                Resend::GiveUp { key } => key,
-            })
-            .collect();
-        let mut sorted = sends.clone();
-        sorted.sort();
-        // Keys were polled in sorted order (sends carry only `to`, so
-        // compare lengths and the already-sorted property indirectly).
-        assert_eq!(sends.len(), 20);
-        let _ = sorted;
-    }
 
     #[test]
     fn dup_filter_accepts_once() {
@@ -358,7 +156,7 @@ mod tests {
 
     #[test]
     fn seq_alloc_is_per_destination() {
-        let mut a = SeqAlloc::new();
+        let mut a = SeqAlloc::starting_at(0);
         assert_eq!(a.next(SiteId(1)), 0);
         assert_eq!(a.next(SiteId(1)), 1);
         assert_eq!(a.next(SiteId(2)), 0);

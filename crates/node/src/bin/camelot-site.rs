@@ -21,10 +21,12 @@
 //! Crash points armed over the control socket kill the site inside
 //! the runtime; a watchdog notices and turns that into a real process
 //! exit (status 3), so "kill a subordinate mid-prepare" in a test is
-//! an actual process death. Restarting means spawning a fresh process
-//! on the same `--log-dir`: recovery rebuilds the site from the log,
-//! and a fresh sequence base keeps peers from mistaking the new
-//! incarnation's datagrams for replays.
+//! an actual process death. With a `--log-dir`, the watchdog first
+//! writes the site's drained trace ring there as `crash-trace.jsonl`,
+//! which the supervisor collects when it reaps the exit. Restarting
+//! means spawning a fresh process on the same `--log-dir`: recovery
+//! rebuilds the site from the log, and a fresh sequence base keeps
+//! peers from mistaking the new incarnation's datagrams for replays.
 
 use std::io::Write as IoWrite;
 use std::net::{TcpListener, TcpStream};
@@ -39,6 +41,7 @@ use camelot_net::{FaultPlan, FrameDecoder, SocketConfig, SocketMode, SocketTrans
 use camelot_node::ctrl::{
     read_framed, write_framed, CtrlReply, CtrlRequest, Handshake, SiteStatsWire,
 };
+use camelot_node::procs::CRASH_TRACE;
 use camelot_rt::{Client, Cluster, RemoteNet, RtConfig, TraceEventKind};
 use camelot_types::flags::{Row, Tool, REQUIRED, SWITCH};
 use camelot_types::{CamelotError, FamilyId, SiteId};
@@ -112,17 +115,24 @@ impl RemoteBridge {
 }
 
 impl RemoteNet for RemoteBridge {
-    fn send_remote(&self, _from: SiteId, to: SiteId, msg: camelot_net::TmMessage) {
+    fn send_remote(
+        &self,
+        _from: SiteId,
+        to: SiteId,
+        msg: camelot_net::TmMessage,
+        piggyback: Vec<camelot_net::TmMessage>,
+    ) {
         if let Some(t) = self.transport.lock().unwrap().as_ref() {
             // An unknown peer is a lost datagram; protocol timers
             // (inquiry, resend) recover once the peer map arrives.
-            let _ = t.send(to, msg, vec![]);
+            let _ = t.send(to, msg, piggyback);
         }
     }
 }
 
 fn main() {
     let (site, mode, fault, cfg) = parse_opts();
+    let log_dir = cfg.log_dir.clone();
     let fault = Arc::new(fault);
     let bridge = Arc::new(RemoteBridge::default());
     let cluster = Arc::new(Cluster::new_site(
@@ -161,13 +171,22 @@ fn main() {
 
     // Watchdog: an armed crash point kills the site inside the
     // runtime; make that a real process death so multi-process tests
-    // observe an actual exit.
+    // observe an actual exit. The trace ring would die with the
+    // process, so it goes to the log directory first, where the
+    // supervisor picks it up when it reaps the exit.
     {
         let cluster = Arc::clone(&cluster);
         thread::spawn(move || loop {
             thread::sleep(StdDuration::from_millis(20));
             if !cluster.is_alive(site) {
                 eprintln!("site {}: crashed at armed crash point; exiting", site.0);
+                if let Some(dir) = &log_dir {
+                    let ring = camelot_rt::to_jsonl(&cluster.drain_trace());
+                    let path = dir.join(CRASH_TRACE);
+                    if let Err(e) = std::fs::write(&path, ring) {
+                        eprintln!("site {}: write {}: {e}", site.0, path.display());
+                    }
+                }
                 exit(3);
             }
         });

@@ -25,6 +25,10 @@ use crate::ctrl::{CtrlClient, Handshake, PeerEntry};
 /// How many stderr lines a [`StderrTail`] retains per site.
 const STDERR_TAIL_LINES: usize = 40;
 
+/// Where a site's watchdog leaves its drained trace ring, inside the
+/// site's log directory, before a crash-point exit.
+pub const CRASH_TRACE: &str = "crash-trace.jsonl";
+
 /// A dead site's first restart delay.
 const RESTART_BACKOFF_BASE: Duration = Duration::from_millis(100);
 /// Ceiling the delay doubles up to while respawns keep failing.
@@ -117,8 +121,7 @@ impl SiteProc {
             cmd.arg("--fast");
         }
         if let Some(dir) = spec.log_dir {
-            cmd.arg("--log-dir")
-                .arg(dir.join(format!("site-{}", spec.site.0)));
+            cmd.arg("--log-dir").arg(site_log_dir(dir, spec.site));
         }
         let mut child = cmd.spawn()?;
         let stderr_tail = StderrTail::default();
@@ -167,6 +170,11 @@ impl SiteProc {
         self.ctrl.shutdown();
         let _ = self.child.wait();
     }
+}
+
+/// The log directory of `site` under the WAL root `root`.
+fn site_log_dir(root: &Path, site: SiteId) -> PathBuf {
+    root.join(format!("site-{}", site.0))
 }
 
 /// How a [`Supervisor`] keeps a cluster of site processes alive.
@@ -351,8 +359,10 @@ pub struct Supervisor {
     /// How each site's last incarnation ended, once one has.
     last_exit: Vec<Option<ExitStatus>>,
     board: Arc<AddrBoard>,
-    /// What killed sites' trace rings held, for the next
-    /// [`Supervisor::drain_traces`].
+    /// What dead sites' trace rings held, for the next
+    /// [`Supervisor::drain_traces`]: drained by [`Supervisor::kill_site`]
+    /// before its signal, or left in [`CRASH_TRACE`] by a crash-point
+    /// exit.
     killed_traces: Vec<(SiteId, String)>,
 }
 
@@ -410,6 +420,13 @@ impl Supervisor {
                     };
                     changed = true;
                     self.last_exit[i] = Some(status);
+                    if let Some(root) = &self.cfg.log_dir {
+                        let path = site_log_dir(root, site).join(CRASH_TRACE);
+                        if let Ok(trace) = std::fs::read_to_string(&path) {
+                            let _ = std::fs::remove_file(&path);
+                            self.killed_traces.push((site, trace));
+                        }
+                    }
                     let spent = self.restarts[i];
                     let no_log = self.cfg.log_dir.is_none();
                     if no_log || spent >= self.cfg.restart_budget {
@@ -597,8 +614,8 @@ impl Supervisor {
 
     /// Drains every up site's trace ring, in site order: each site's
     /// JSON Lines text (every event names its site) or why its drain
-    /// failed. The rings [`Supervisor::kill_site`] drained since the
-    /// last call come first.
+    /// failed. The rings of sites that died since the last call, by
+    /// [`Supervisor::kill_site`] or at a crash point, come first.
     pub fn drain_traces(&mut self) -> Vec<(SiteId, camelot_types::Result<String>)> {
         let mut out: Vec<_> = self
             .killed_traces

@@ -170,8 +170,16 @@ impl Default for RtConfig {
 /// injection for remote links belongs to the transport (which shares
 /// the [`FaultPlan`]), so remote sends bypass the cluster's own link
 /// fault roll — otherwise a shared plan would roll twice per datagram.
+/// A datagram arrives with the messages the engine piggybacked on it,
+/// so the transport can carry them in the same envelope.
 pub trait RemoteNet: Send + Sync {
-    fn send_remote(&self, from: SiteId, to: SiteId, msg: camelot_net::TmMessage);
+    fn send_remote(
+        &self,
+        from: SiteId,
+        to: SiteId,
+        msg: camelot_net::TmMessage,
+        piggyback: Vec<camelot_net::TmMessage>,
+    );
 }
 
 /// Shared per-site state.
@@ -358,16 +366,24 @@ impl ClusterInner {
         actions
     }
 
-    /// Posts one inter-site datagram through the fault plan: it may be
-    /// delivered normally, dropped, delayed past later traffic on the
-    /// link (reordering), or duplicated. Timer firings never come
-    /// through here — they are site-local, not network traffic.
-    fn post_datagram(&self, from: SiteId, to: SiteId, msg: camelot_net::TmMessage) {
+    /// Posts one inter-site datagram, and the messages piggybacked on
+    /// it, through the fault plan: each may be delivered normally,
+    /// dropped, delayed past later traffic on the link (reordering), or
+    /// duplicated. Timer firings never come through here — they are
+    /// site-local, not network traffic.
+    fn post_datagram(
+        &self,
+        from: SiteId,
+        to: SiteId,
+        msg: camelot_net::TmMessage,
+        piggyback: Vec<camelot_net::TmMessage>,
+    ) {
         if !self.sites.contains_key(&to) {
-            // Not hosted here: hand to the real transport, which rolls
-            // the (shared) fault plan itself at the socket layer.
+            // Not hosted here: hand to the real transport, which sends
+            // the piggyback in the datagram's envelope and rolls the
+            // (shared) fault plan itself at the socket layer.
             if let Some(remote) = &self.remote {
-                remote.send_remote(from, to, msg);
+                remote.send_remote(from, to, msg, piggyback);
             }
             return;
         }
@@ -375,13 +391,15 @@ impl ClusterInner {
         let deliver = |after: StdDuration, msg: camelot_net::TmMessage| {
             self.deliver_after(after, to, Input::Datagram { from, msg });
         };
-        match self.fault.link_decision(from, to) {
-            LinkDecision::Deliver => deliver(base, msg),
-            LinkDecision::Drop => {}
-            LinkDecision::Delay(extra) => deliver(base + extra, msg),
-            LinkDecision::Duplicate(extra) => {
-                deliver(base, msg.clone());
-                deliver(base + extra, msg);
+        for msg in std::iter::once(msg).chain(piggyback) {
+            match self.fault.link_decision(from, to) {
+                LinkDecision::Deliver => deliver(base, msg),
+                LinkDecision::Drop => {}
+                LinkDecision::Delay(extra) => deliver(base + extra, msg),
+                LinkDecision::Duplicate(extra) => {
+                    deliver(base, msg.clone());
+                    deliver(base + extra, msg);
+                }
             }
         }
     }
@@ -592,14 +610,11 @@ impl ClusterInner {
                     }
                 }
                 Action::Send { to, msg, piggyback } => {
-                    self.post_datagram(site.id, to, msg);
-                    for m in piggyback {
-                        self.post_datagram(site.id, to, m);
-                    }
+                    self.post_datagram(site.id, to, msg, piggyback);
                 }
                 Action::Broadcast { to, msg } => {
                     for dst in to {
-                        self.post_datagram(site.id, dst, msg.clone());
+                        self.post_datagram(site.id, dst, msg.clone(), Vec::new());
                     }
                 }
                 Action::RelayAbort { tid } => {
@@ -614,6 +629,7 @@ impl ClusterInner {
                             site.id,
                             dst,
                             camelot_net::TmMessage::Abort { tid: tid.clone() },
+                            Vec::new(),
                         );
                     }
                 }

@@ -173,7 +173,11 @@ fn main() {
     // runtime; make that a real process death so multi-process tests
     // observe an actual exit. The trace ring would die with the
     // process, so it goes to the log directory first, where the
-    // supervisor picks it up when it reaps the exit.
+    // supervisor picks it up when it reaps the exit. A ring an earlier
+    // incarnation left there and nobody collected is stale.
+    if let Some(dir) = &log_dir {
+        let _ = std::fs::remove_file(dir.join(CRASH_TRACE));
+    }
     {
         let cluster = Arc::clone(&cluster);
         thread::spawn(move || loop {

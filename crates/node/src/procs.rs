@@ -26,7 +26,9 @@ use crate::ctrl::{CtrlClient, Handshake, PeerEntry};
 const STDERR_TAIL_LINES: usize = 40;
 
 /// Where a site's watchdog leaves its drained trace ring, inside the
-/// site's log directory, before a crash-point exit.
+/// site's log directory, before a crash-point exit. A starting site
+/// deletes one that no supervisor collected, so a reap only ever finds
+/// the ring of the incarnation it reaped.
 pub const CRASH_TRACE: &str = "crash-trace.jsonl";
 
 /// A dead site's first restart delay.

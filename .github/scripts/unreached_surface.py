@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
 """Fails when configuration or a build edge exists that nothing reaches.
 
-(i)  Every `pub` field of `RtConfig`, `SocketConfig`, `SupervisorConfig`
-     and `EngineConfig` must be given a value somewhere outside the file
-     that defines it
+(i)  Every `pub` field of `RtConfig`, `SocketConfig`, `SupervisorConfig`,
+     `EngineConfig` and `WorldConfig` must be given a value somewhere
+     outside the file that defines it
      (tests, benches, examples and the ladder count as setters): in a
      `Type { field: .. }` literal, by a `.field = ..` assignment in a
      file that names the type, or as a same-named argument of one of the
@@ -50,6 +50,7 @@ CONFIGS = {
     "SocketConfig": "crates/net/src/socket.rs",
     "SupervisorConfig": "crates/node/src/procs.rs",
     "EngineConfig": "crates/core/src/config.rs",
+    "WorldConfig": "crates/node/src/config.rs",
 }
 SOURCE_DIRS = ["src", "tests", "benches", "examples"]
 

@@ -5,8 +5,8 @@
 //! - **inproc** — the in-process real-thread runtime (`camelot-rt`
 //!   `Cluster`), where inter-site datagrams are channel handoffs;
 //! - **udp** — a localhost cluster of `camelot-site` OS processes
-//!   moving datagrams over kernel UDP sockets (with the transport's
-//!   reliable-channel machinery);
+//!   moving datagrams over kernel UDP sockets, one datagram per
+//!   envelope, a lost one recovered by the engine's timers;
 //! - **tcp** — the same cluster over framed TCP streams.
 //!
 //! Every transport sees the *same* seeded workload from the same

@@ -34,7 +34,7 @@ pub fn sub_forces_per_txn(variant: TwoPhaseVariant, quick: bool) -> f64 {
     let mut cfg = WorldConfig::latency(2, engine, 77);
     // Give the background flush time to batch several lazy commit
     // records per platter write, as a loaded disk manager would.
-    cfg.disk.lazy_flush = Duration::from_millis(500);
+    cfg.lazy_flush = Duration::from_millis(500);
     let spec = AppSpec::minimal(SiteId(1), &[SiteId(2)], true, CommitMode::TwoPhase, reps);
     let mut world = World::new(cfg);
     let app = world.add_app(spec);
@@ -104,7 +104,7 @@ pub fn window_sweep(quick: bool) -> Vec<WindowPoint> {
     let mut out = Vec::new();
     for window_ms in [0u64, 5, 15, 30, 60] {
         let mut cfg = WorldConfig::throughput(20, true, pairs, 88);
-        cfg.disk.policy = if window_ms == 0 {
+        cfg.batch = if window_ms == 0 {
             BatchPolicy::Coalesce
         } else {
             BatchPolicy::Window(Duration::from_millis(window_ms))
@@ -178,7 +178,7 @@ mod tests {
         {
             let engine = EngineConfig::for_variant(*variant);
             let mut cfg = WorldConfig::latency(2, engine, 5);
-            cfg.net = camelot_node::NetConfig::deterministic();
+            cfg.jitter = false;
             let spec = AppSpec::minimal(SiteId(1), &[SiteId(2)], true, CommitMode::TwoPhase, reps);
             let mut world = World::new(cfg);
             let app = world.add_app(spec);

@@ -10,7 +10,7 @@
 //! of the engines — protocol accounting measured, not asserted.
 
 use camelot_core::{CommitMode, EngineConfig, TwoPhaseVariant};
-use camelot_node::{AppSpec, NetConfig, World, WorldConfig};
+use camelot_node::{AppSpec, World, WorldConfig};
 use camelot_sim::Scheduler;
 use camelot_types::{Duration, SiteId, Time};
 
@@ -31,7 +31,7 @@ pub struct Counts {
 /// Runs one minimal 1-subordinate transaction and counts primitives.
 pub fn measure(mode: CommitMode, variant: TwoPhaseVariant, write: bool) -> Counts {
     let mut cfg = WorldConfig::latency(2, EngineConfig::for_variant(variant), 3);
-    cfg.net = NetConfig::deterministic();
+    cfg.jitter = false;
     let mut world = World::new(cfg);
     world.add_app(AppSpec::minimal(SiteId(1), &[SiteId(2)], write, mode, 1));
     let mut sched = Scheduler::new(3);

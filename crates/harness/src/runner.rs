@@ -40,10 +40,10 @@ pub fn run_latency(
     // realistic piggyback traffic.
     engine.ack_flush_interval = Duration::from_millis(50);
     let mut cfg = WorldConfig::latency(subs + 1, engine, seed);
-    cfg.net.multicast = multicast;
+    cfg.multicast = multicast;
     // Per-process CPU overhead the paper's static analysis ignores;
     // calibrated so the local update lands near the measured 31 ms.
-    cfg.tm.hop_overhead_mean = Duration::from_micros(600);
+    cfg.hop_overhead_mean = Duration::from_micros(600);
     let sub_sites: Vec<SiteId> = (2..=subs + 1).map(SiteId).collect();
     let spec = AppSpec::minimal(SiteId(1), &sub_sites, write, mode, reps);
     let mut world = World::new(cfg);

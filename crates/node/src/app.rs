@@ -105,19 +105,12 @@ pub struct TxnRecord {
     /// Total time spent in operation calls (subtracted to derive the
     /// transaction-management-only cost, as in §4.2).
     pub op_time: Duration,
-    /// When the commit-transaction call was issued.
-    pub commit_at: Time,
 }
 
 impl TxnRecord {
     /// End-to-end latency.
     pub fn latency(&self) -> Duration {
         self.end.since(self.start)
-    }
-
-    /// Latency of the commit call alone.
-    pub fn commit_latency(&self) -> Duration {
-        self.end.since(self.commit_at)
     }
 }
 
@@ -126,14 +119,12 @@ impl TxnRecord {
 pub struct AppState {
     pub spec: AppSpec,
     pub records: Vec<TxnRecord>,
-    pub running: bool,
     // Current transaction progress.
     pub tid: Option<camelot_types::Tid>,
     pub started: Time,
     pub op_idx: usize,
     pub op_started: Time,
     pub op_time: Duration,
-    pub commit_at: Time,
 }
 
 impl AppState {
@@ -141,13 +132,11 @@ impl AppState {
         AppState {
             spec,
             records: Vec::new(),
-            running: false,
             tid: None,
             started: Time::ZERO,
             op_idx: 0,
             op_started: Time::ZERO,
             op_time: Duration::ZERO,
-            commit_at: Time::ZERO,
         }
     }
 
@@ -185,10 +174,8 @@ mod tests {
             end: Time(110_000),
             outcome: Outcome::Committed,
             op_time: Duration::from_micros(32_500),
-            commit_at: Time(40_000),
         };
         assert_eq!(r.latency(), Duration::from_millis(110));
-        assert_eq!(r.commit_latency(), Duration::from_millis(70));
     }
 
     #[test]
@@ -201,7 +188,6 @@ mod tests {
             end: Time(1),
             outcome: Outcome::Committed,
             op_time: Duration::ZERO,
-            commit_at: Time(0),
         });
         assert!(st.done());
     }

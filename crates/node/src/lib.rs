@@ -48,6 +48,6 @@ pub mod session;
 pub mod world;
 
 pub use app::{AppSpec, OpSpec, TxnRecord};
-pub use config::{DiskConfig, NetConfig, TmConfig, WorldConfig};
+pub use config::WorldConfig;
 pub use ctrl::{CtrlClient, CtrlReply, CtrlRequest, Handshake, PeerEntry};
 pub use world::World;

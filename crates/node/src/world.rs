@@ -1,28 +1,68 @@
 //! The simulated world: full Camelot sites with cost charging.
 //!
-//! Cost model (derived from the paper's Tables 1–2; see crate docs):
-//! an application↔TranMan call costs 1.5 ms per round (0.75 ms per
-//! hop), an application↔server operation 3 ms per round plus 0.5 ms
-//! locking, a TranMan↔server vote round 3 ms, a remote operation
-//! 29 ms per round plus locking, an inter-TranMan datagram 10 ms
-//! one-way with a 1.7 ms sender cycle time, and a log force one
+//! Cost model (the paper's Tables 1–2, `CostModel::rt_pc_mach`; see
+//! crate docs): an application↔TranMan call costs 1.5 ms per round
+//! (0.75 ms per hop), an application↔server operation 3 ms per round
+//! plus 0.5 ms locking, a TranMan↔server vote round 3 ms, a remote
+//! operation 29 ms per round plus locking, an inter-TranMan datagram
+//! 10 ms one-way with a 1.7 ms sender cycle time, and a log force one
 //! platter write. These charges make the local update transaction's
 //! critical path sum to exactly the paper's static 24.5 ms
 //! (begin 1.5 + operation 3.5 + commit call 1.5 + vote round 3 +
 //! commit force 15) and the local read's to 9.5 ms.
+//!
+//! Every other fixed charge is a constant below: the throughput
+//! testbed's CPU costs, charged when `WorldConfig::threads` is set, and
+//! the jitter model, drawn when `WorldConfig::jitter` is on.
 
 use std::collections::{BTreeMap, HashMap};
 
 use camelot_core::{Action, Engine, ForceToken, Input, TimerToken};
 use camelot_net::comman::CommMan;
 use camelot_net::{Outcome, TmMessage};
-use camelot_server::{DataServer, Request};
-use camelot_sim::{EventId, Resource, Scheduler};
-use camelot_types::{Duration, Lsn, ObjectId, ServerId, SiteId, Tid, Time};
+use camelot_server::{DataServer, Effects, Request};
+use camelot_sim::{Event, EventId, Resource, Scheduler};
+use camelot_types::{CostModel, Duration, Lsn, ObjectId, ServerId, SiteId, Tid, Time};
 use camelot_wal::{BatcherAction, GroupCommitBatcher, MemStore, ReqId, Wal};
 
 use crate::app::{AppSpec, AppState, OpKind, TxnRecord};
 use crate::config::WorldConfig;
+
+// The throughput testbed (the VAX 8200 of §4.4–§4.5).
+
+/// TranMan CPU per input: the per-message protocol-processing cost.
+const TM_CPU_PER_INPUT: Duration = Duration::from_millis(9);
+/// Master-CPU kernel time per local IPC hop. The Mach version of the
+/// throughput testbed "had only a single run queue on one master
+/// processor" (§4.5), so IPC serializes there; this is what caps read
+/// throughput when neither the TranMan thread pool nor the logger does.
+const KERNEL_PER_HOP: Duration = Duration::from_micros(3_300);
+/// Logger CPU per record batch member: receiving the out-of-line
+/// record transfer and processing it. Group commit shares the platter
+/// write but not this per-record work, which is what keeps its gain
+/// bounded (Figure 4).
+const LOGGER_CPU_PER_RECORD: Duration = Duration::from_millis(70);
+
+// The jitter model.
+
+/// Mean of the exponential per-delivery jitter on an idle network.
+const JITTER_BASE: Duration = Duration::from_micros(700);
+/// Additional jitter mean per datagram in flight — what makes variance
+/// grow with network load.
+const JITTER_PER_INFLIGHT: Duration = Duration::from_micros(300);
+/// Probability that a send hits a scheduling *spike* (page fault,
+/// preemption): the heavy tail behind the large standard deviations of
+/// the paper's Figures 2–3.
+const SPIKE_PROB: f64 = 0.06;
+/// Spike magnitude, uniform in `[SPIKE_LO, SPIKE_HI)`.
+const SPIKE_LO: Duration = Duration::from_millis(15);
+const SPIKE_HI: Duration = Duration::from_millis(55);
+/// Escalation of the spike probability across a burst of sequential
+/// sends from one site: the k-th send of a burst spikes with
+/// probability `SPIKE_PROB * (1 + k * SPIKE_BURST_ESCALATION)`. This is
+/// the "variance created by the coordinator's repeated sends" (§4.2); a
+/// multicast is a single send and never escalates.
+const SPIKE_BURST_ESCALATION: f64 = 1.0;
 
 /// What a disk-manager batch request was for.
 #[derive(Debug, Clone, Copy)]
@@ -61,6 +101,16 @@ pub(crate) struct SiteState {
     next_session: u64,
 }
 
+impl SiteState {
+    /// Asks the disk manager to make everything up to `upto` durable.
+    fn request_write(&mut self, kind: DiskReq, upto: Lsn, now: Time) -> Vec<BatcherAction> {
+        let breq = ReqId(self.next_breq);
+        self.next_breq += 1;
+        self.breqs.insert(breq, kind);
+        self.batcher.request(breq, upto, now)
+    }
+}
+
 /// Routing information for application-level calls.
 #[derive(Debug, Clone, Copy)]
 enum Pending {
@@ -72,6 +122,8 @@ enum Pending {
 /// The complete simulation model.
 pub struct World {
     pub cfg: WorldConfig,
+    /// The paper's primitive costs (Tables 1–2).
+    costs: CostModel,
     pub(crate) sites: BTreeMap<SiteId, SiteState>,
     pub apps: Vec<AppState>,
     pending: HashMap<u64, Pending>,
@@ -100,7 +152,7 @@ impl World {
                 SiteState {
                     engine: Engine::new(id, cfg.engine.clone()),
                     wal: Wal::new(MemStore::new()),
-                    batcher: GroupCommitBatcher::new(cfg.disk.policy),
+                    batcher: GroupCommitBatcher::new(cfg.batch),
                     breqs: HashMap::new(),
                     next_breq: 1,
                     lazy: Vec::new(),
@@ -109,9 +161,8 @@ impl World {
                     comman: CommMan::new(id),
                     timers: HashMap::new(),
                     next_send_free: Time::ZERO,
-                    threads: cfg.tm.threads.map(|t| Resource::new("tm-threads", t)),
-                    kernel: (cfg.tm.kernel_per_hop > Duration::ZERO)
-                        .then(|| Resource::new("kernel", 1)),
+                    threads: cfg.threads.map(|t| Resource::new("tm-threads", t)),
+                    kernel: cfg.threads.map(|_| Resource::new("kernel", 1)),
                     held: HashMap::new(),
                     sessions: HashMap::new(),
                     next_session: 1,
@@ -120,6 +171,7 @@ impl World {
         }
         World {
             cfg,
+            costs: CostModel::rt_pc_mach(),
             sites,
             apps: Vec::new(),
             pending: HashMap::new(),
@@ -183,7 +235,7 @@ impl World {
 
     /// Immutable access to a site's engine (assertions in tests).
     pub fn engine(&self, site: SiteId) -> &Engine {
-        &self.sites.get(&site).expect("site exists").engine
+        &self.sites[&site].engine
     }
 
     /// A server's committed object value.
@@ -197,36 +249,49 @@ impl World {
 
     /// Effective platter writes at a site.
     pub fn platter_writes(&self, site: SiteId) -> u64 {
-        self.sites.get(&site).expect("site exists").batcher.writes()
+        self.sites[&site].batcher.writes()
+    }
+
+    fn site(&mut self, site: SiteId) -> &mut SiteState {
+        self.sites.get_mut(&site).expect("site exists")
+    }
+
+    fn server(&mut self, site: SiteId, server: ServerId) -> &mut DataServer {
+        self.site(site)
+            .servers
+            .get_mut(&server)
+            .expect("server exists")
     }
 
     // =================================================================
     // Cost helpers
     // =================================================================
 
-    fn app_tm_hop(&self) -> Duration {
-        self.cfg.costs.local_ipc / 2
-    }
-
     fn server_hop(&self) -> Duration {
-        self.cfg.costs.local_ipc_to_server / 2
+        self.costs.local_ipc_to_server / 2
     }
 
     fn rpc_hop(&self) -> Duration {
-        self.cfg.costs.remote_rpc / 2
+        self.costs.remote_rpc / 2
+    }
+
+    /// One platter write carrying `records` batch members: Table 2's
+    /// log force on the latency testbed; on the throughput testbed its
+    /// slower platter plus the logger's CPU per record.
+    fn platter_write(&self, records: u64) -> Duration {
+        match self.cfg.threads {
+            None => self.costs.log_force,
+            Some(_) => self.costs.log_platter_write + LOGGER_CPU_PER_RECORD * records,
+        }
     }
 
     /// Smooth (exponential) jitter: applied to RPC hops.
     fn jitter_smooth(&mut self, s: &mut S) -> Duration {
-        let mean = self.cfg.net.jitter_base
-            + Duration::from_micros(
-                self.cfg.net.jitter_per_inflight.as_micros() * self.inflight as u64,
-            );
-        if mean == Duration::ZERO {
-            Duration::ZERO
-        } else {
-            s.rng().exp(mean)
+        if !self.cfg.jitter {
+            return Duration::ZERO;
         }
+        s.rng()
+            .exp(JITTER_BASE + JITTER_PER_INFLIGHT * self.inflight as u64)
     }
 
     /// Datagram-send jitter: the smooth component plus the occasional
@@ -237,59 +302,33 @@ impl World {
     /// single send, `burst_idx` 0) escapes the escalation.
     fn jitter(&mut self, s: &mut S, burst_idx: usize) -> Duration {
         let mut d = self.jitter_smooth(s);
-        let p = self.cfg.net.spike_prob
-            * (1.0 + self.cfg.net.spike_burst_escalation * burst_idx as f64);
-        if p > 0.0 && s.rng().chance(p.min(1.0)) {
-            let lo = self.cfg.net.spike_lo.as_micros();
-            let hi = self.cfg.net.spike_hi.as_micros().max(lo + 1);
+        let p = SPIKE_PROB * (1.0 + SPIKE_BURST_ESCALATION * burst_idx as f64);
+        if self.cfg.jitter && s.rng().chance(p.min(1.0)) {
+            let (lo, hi) = (SPIKE_LO.as_micros(), SPIKE_HI.as_micros());
             d += Duration::from_micros(s.rng().uniform_u64(lo, hi));
         }
         d
     }
 
-    /// Per-hop CPU overhead (latency mode): exponential with the
-    /// configured mean.
-    fn hop_overhead(w: &mut World, s: &mut S) -> Duration {
-        let mean = w.cfg.tm.hop_overhead_mean;
-        if mean == Duration::ZERO {
-            Duration::ZERO
-        } else {
-            s.rng().exp(mean)
-        }
-    }
-
-    /// Delivers a local IPC hop: the stated latency, serialized
-    /// through the site's master-CPU kernel when that model is on.
-    fn hop(
-        w: &mut World,
-        s: &mut S,
-        site: SiteId,
-        delay: Duration,
-        cont: camelot_sim::Event<World>,
-    ) {
-        let delay = delay + World::hop_overhead(w, s);
-        let k = w.cfg.tm.kernel_per_hop;
-        if k == Duration::ZERO {
+    /// Delivers a local IPC hop: the stated latency plus the per-hop
+    /// CPU overhead (exponential; a zero mean draws nothing), serialized
+    /// through the site's master-CPU kernel on the throughput testbed.
+    fn hop(w: &mut World, s: &mut S, site: SiteId, delay: Duration, cont: Event<World>) {
+        let delay = delay + s.rng().exp(w.cfg.hop_overhead_mean);
+        let t0 = s.now();
+        let Some(kernel) = w.site(site).kernel.as_mut() else {
             s.after(delay, cont);
             return;
-        }
-        let t0 = s.now();
-        let st = w.sites.get_mut(&site).expect("site exists");
-        st.kernel.as_mut().expect("kernel on").acquire(
+        };
+        kernel.acquire(
             s,
             Box::new(move |_w: &mut World, s: &mut S| {
                 // The grant time: queueing behind the master CPU.
                 let grant = s.now();
                 s.after(
-                    k,
+                    KERNEL_PER_HOP,
                     Box::new(move |w: &mut World, s: &mut S| {
-                        w.sites
-                            .get_mut(&site)
-                            .expect("site exists")
-                            .kernel
-                            .as_mut()
-                            .expect("kernel on")
-                            .release(s);
+                        w.site(site).kernel.as_mut().expect("kernel on").release(s);
                         // The kernel service happens *within* the hop's
                         // latency: at light load the hop costs exactly its
                         // latency; under queueing the latency restarts at
@@ -300,6 +339,13 @@ impl World {
                 );
             }),
         );
+    }
+
+    /// One local IPC hop between an application and its TranMan: half
+    /// a local in-line IPC round.
+    fn tm_hop(w: &mut World, s: &mut S, site: SiteId, cont: Event<World>) {
+        let delay = w.costs.local_ipc / 2;
+        World::hop(w, s, site, delay, cont);
     }
 
     fn alloc_req(&mut self, p: Pending) -> u64 {
@@ -315,19 +361,16 @@ impl World {
 
     fn app_begin(w: &mut World, s: &mut S, app: usize) {
         let st = &mut w.apps[app];
-        st.running = true;
         st.started = s.now();
         st.op_idx = 0;
         st.op_time = Duration::ZERO;
         st.tid = None;
         let home = st.spec.home;
         let req = w.alloc_req(Pending::AppBegin { app });
-        let delay = w.app_tm_hop();
-        World::hop(
+        World::tm_hop(
             w,
             s,
             home,
-            delay,
             Box::new(move |w: &mut World, s: &mut S| {
                 World::tm_dispatch(w, s, home, Input::Begin { req });
             }),
@@ -363,33 +406,23 @@ impl World {
                 value: s.now().as_micros().to_le_bytes().to_vec(),
             },
         };
+        let serve = move |w: &mut World, s: &mut S| {
+            World::serve(w, s, op.site, op.server, |srv| srv.handle(request));
+        };
         if op.site == home {
             let delay = w.server_hop();
-            World::hop(
-                w,
-                s,
-                op.site,
-                delay,
-                Box::new(move |w: &mut World, s: &mut S| {
-                    World::server_handle(w, s, op.site, op.server, request);
-                }),
-            );
+            World::hop(w, s, op.site, delay, Box::new(serve));
         } else {
             // Remote operation through CornMan: the home communication
             // manager notes the spread.
-            let family = tid.family;
-            w.sites
-                .get_mut(&home)
-                .expect("site exists")
-                .comman
-                .note_outgoing(family, op.site);
+            w.site(home).comman.note_outgoing(tid.family, op.site);
             w.inflight += 1;
             let delay = w.rpc_hop() + w.jitter_smooth(s);
             s.after(
                 delay,
                 Box::new(move |w: &mut World, s: &mut S| {
                     w.inflight -= 1;
-                    World::server_handle(w, s, op.site, op.server, request);
+                    serve(w, s);
                 }),
             );
         }
@@ -403,36 +436,24 @@ impl World {
     }
 
     fn app_commit(w: &mut World, s: &mut S, app: usize) {
-        let st = &mut w.apps[app];
-        st.commit_at = s.now();
+        let st = &w.apps[app];
         let tid = st.tid.clone().expect("transaction begun");
         let home = st.spec.home;
         let mode = st.spec.mode;
-        let participants = w
-            .sites
-            .get(&home)
-            .expect("site exists")
-            .comman
-            .participants(&tid.family);
+        let participants = w.site(home).comman.participants(&tid.family);
         let req = w.alloc_req(Pending::AppCommit { app });
-        let delay = w.app_tm_hop();
-        World::hop(
+        let input = Input::CommitTop {
+            req,
+            tid,
+            mode,
+            participants,
+        };
+        World::tm_hop(
             w,
             s,
             home,
-            delay,
             Box::new(move |w: &mut World, s: &mut S| {
-                World::tm_dispatch(
-                    w,
-                    s,
-                    home,
-                    Input::CommitTop {
-                        req,
-                        tid,
-                        mode,
-                        participants,
-                    },
-                );
+                World::tm_dispatch(w, s, home, input);
             }),
         );
     }
@@ -446,17 +467,11 @@ impl World {
             end: now,
             outcome,
             op_time: st.op_time,
-            commit_at: st.commit_at,
         });
         let home = st.spec.home;
         let think = st.spec.think;
-        w.sites
-            .get_mut(&home)
-            .expect("site exists")
-            .comman
-            .forget(&tid.family);
+        w.site(home).comman.forget(&tid.family);
         if w.apps[app].done() {
-            w.apps[app].running = false;
             w.apps_done += 1;
             return;
         }
@@ -472,25 +487,51 @@ impl World {
     // Data servers
     // =================================================================
 
-    fn server_handle(w: &mut World, s: &mut S, site: SiteId, server: ServerId, req: Request) {
-        let st = w.sites.get_mut(&site).expect("site exists");
-        let fx = st
-            .servers
-            .get_mut(&server)
-            .expect("server exists")
-            .handle(req);
+    /// Makes one call on a data server and applies what it produced:
+    /// its log records, a join-transaction call to the local TranMan
+    /// (overlapped with operation processing; Figure 1 step 4), then
+    /// its completed operations. Blocked operations surface later
+    /// through lock releases.
+    fn serve(
+        w: &mut World,
+        s: &mut S,
+        site: SiteId,
+        server: ServerId,
+        call: impl FnOnce(&mut DataServer) -> Effects,
+    ) {
+        let fx = call(w.server(site, server));
+        let st = w.site(site);
         for rec in fx.log {
             st.wal.append(&rec).expect("append");
         }
         if let Some(tid) = fx.join {
-            // Join-transaction call to the local TranMan (overlapped
-            // with operation processing; Figure 1 step 4).
             World::tm_dispatch(w, s, site, Input::Join { tid, server });
         }
         for reply in fx.replies {
             World::op_reply(w, s, site, reply.req);
         }
-        // Blocked operations surface later through lock releases.
+    }
+
+    /// Resolves a family (after its locks drop) or a sub-transaction
+    /// (at once) at each of `servers`.
+    fn resolve(
+        w: &mut World,
+        s: &mut S,
+        site: SiteId,
+        servers: Vec<ServerId>,
+        family: bool,
+        call: impl Fn(&mut DataServer) -> Effects + 'static,
+    ) {
+        let fan_out = move |w: &mut World, s: &mut S| {
+            for server in servers {
+                World::serve(w, s, site, server, &call);
+            }
+        };
+        if family {
+            s.after(w.costs.drop_lock, Box::new(fan_out));
+        } else {
+            fan_out(w, s);
+        }
     }
 
     /// Routes a completed operation back to its application.
@@ -500,7 +541,7 @@ impl World {
         };
         let home = w.apps[app].spec.home;
         if site == home {
-            let delay = w.server_hop() + w.cfg.costs.get_lock;
+            let delay = w.server_hop() + w.costs.get_lock;
             World::hop(
                 w,
                 s,
@@ -519,37 +560,17 @@ impl World {
                 .as_ref()
                 .map(|t| t.family)
                 .expect("transaction active");
-            let stamp = w
-                .sites
-                .get(&site)
-                .expect("site exists")
-                .comman
-                .reply_stamp(&family);
+            let stamp = w.site(site).comman.reply_stamp(&family);
             w.inflight += 1;
-            let delay = w.rpc_hop() + w.cfg.costs.get_lock + w.jitter_smooth(s);
+            let delay = w.rpc_hop() + w.costs.get_lock + w.jitter_smooth(s);
             s.after(
                 delay,
                 Box::new(move |w: &mut World, s: &mut S| {
                     w.inflight -= 1;
-                    w.sites
-                        .get_mut(&home)
-                        .expect("site exists")
-                        .comman
-                        .merge_reply_stamp(family, &stamp);
+                    w.site(home).comman.merge_reply_stamp(family, &stamp);
                     World::app_op_done(w, s, app);
                 }),
             );
-        }
-    }
-
-    /// Applies server-directed engine actions (votes, commits, aborts).
-    fn server_effects(w: &mut World, s: &mut S, site: SiteId, fx: camelot_server::Effects) {
-        let st = w.sites.get_mut(&site).expect("site exists");
-        for rec in fx.log {
-            st.wal.append(&rec).expect("append");
-        }
-        for reply in fx.replies {
-            World::op_reply(w, s, site, reply.req);
         }
     }
 
@@ -560,31 +581,16 @@ impl World {
     /// Entry point for every TranMan input: applies the thread-pool
     /// model in throughput mode, then processes.
     pub(crate) fn tm_dispatch(w: &mut World, s: &mut S, site: SiteId, input: Input) {
-        let bounded = w.cfg.tm.threads.is_some();
-        if !bounded {
+        if w.cfg.threads.is_none() {
             World::tm_process(w, s, site, input);
             return;
         }
         // A force completion whose thread is parked continues on that
         // thread without re-acquiring.
-        if let Input::LogForced { token } = &input {
-            let token = *token;
-            let held = w
-                .sites
-                .get(&site)
-                .expect("site exists")
-                .held
-                .contains_key(&token);
-            if held {
-                let sess = w
-                    .sites
-                    .get_mut(&site)
-                    .expect("site exists")
-                    .held
-                    .remove(&token)
-                    .expect("held checked");
+        if let Input::LogForced { token } = input {
+            if let Some(sess) = w.site(site).held.remove(&token) {
                 let new_forces = World::tm_process(w, s, site, input);
-                let st = w.sites.get_mut(&site).expect("site exists");
+                let st = w.site(site);
                 let remaining = st.sessions.get_mut(&sess).expect("session live");
                 *remaining -= 1;
                 *remaining += new_forces.len();
@@ -598,16 +604,14 @@ impl World {
                 return;
             }
         }
-        let cpu = w.cfg.tm.cpu_per_msg;
-        let st = w.sites.get_mut(&site).expect("site exists");
-        st.threads.as_mut().expect("bounded").acquire(
+        w.site(site).threads.as_mut().expect("bounded").acquire(
             s,
             Box::new(move |_w: &mut World, s: &mut S| {
                 s.after(
-                    cpu,
+                    TM_CPU_PER_INPUT,
                     Box::new(move |w: &mut World, s: &mut S| {
                         let forces = World::tm_process(w, s, site, input);
-                        let st = w.sites.get_mut(&site).expect("site exists");
+                        let st = w.site(site);
                         if forces.is_empty() {
                             st.threads.as_mut().expect("bounded").release(s);
                         } else {
@@ -630,13 +634,7 @@ impl World {
     /// Runs the engine on one input and applies the resulting actions.
     /// Returns the synchronous force tokens issued.
     fn tm_process(w: &mut World, s: &mut S, site: SiteId, input: Input) -> Vec<ForceToken> {
-        let now = s.now();
-        let actions = w
-            .sites
-            .get_mut(&site)
-            .expect("site exists")
-            .engine
-            .handle(input, now);
+        let actions = w.site(site).engine.handle(input, s.now());
         let mut forces = Vec::new();
         for a in actions {
             World::apply_action(w, s, site, a, &mut forces);
@@ -654,12 +652,10 @@ impl World {
         match action {
             Action::Began { req, tid } => {
                 if let Some(Pending::AppBegin { app }) = w.pending.remove(&req) {
-                    let delay = w.app_tm_hop();
-                    World::hop(
+                    World::tm_hop(
                         w,
                         s,
                         site,
-                        delay,
                         Box::new(move |w: &mut World, s: &mut S| {
                             World::app_begin_done(w, s, app, tid);
                         }),
@@ -668,12 +664,10 @@ impl World {
             }
             Action::Resolved { req, outcome, .. } => {
                 if let Some(Pending::AppCommit { app }) = w.pending.remove(&req) {
-                    let delay = w.app_tm_hop();
-                    World::hop(
+                    World::tm_hop(
                         w,
                         s,
                         site,
-                        delay,
                         Box::new(move |w: &mut World, s: &mut S| {
                             World::app_commit_done(w, s, app, outcome);
                         }),
@@ -693,12 +687,7 @@ impl World {
                         site,
                         delay,
                         Box::new(move |w: &mut World, s: &mut S| {
-                            let st = w.sites.get_mut(&site).expect("site exists");
-                            let vote = st
-                                .servers
-                                .get_mut(&server)
-                                .expect("server exists")
-                                .vote(tid.family);
+                            let vote = w.server(site, server).vote(tid.family);
                             let delay = w.server_hop();
                             World::hop(
                                 w,
@@ -719,78 +708,30 @@ impl World {
                 }
             }
             Action::ServerCommit { tid, servers } => {
-                let delay = w.cfg.costs.drop_lock;
-                s.after(
-                    delay,
-                    Box::new(move |w: &mut World, s: &mut S| {
-                        for server in servers {
-                            let fx = w
-                                .sites
-                                .get_mut(&site)
-                                .expect("site exists")
-                                .servers
-                                .get_mut(&server)
-                                .expect("server exists")
-                                .commit_family(tid.family);
-                            World::server_effects(w, s, site, fx);
-                        }
-                    }),
-                );
+                World::resolve(w, s, site, servers, true, move |srv| {
+                    srv.commit_family(tid.family)
+                });
             }
             Action::ServerAbort { tid, servers } => {
-                let delay = w.cfg.costs.drop_lock;
-                s.after(
-                    delay,
-                    Box::new(move |w: &mut World, s: &mut S| {
-                        for server in servers {
-                            let fx = w
-                                .sites
-                                .get_mut(&site)
-                                .expect("site exists")
-                                .servers
-                                .get_mut(&server)
-                                .expect("server exists")
-                                .abort_family(tid.family);
-                            World::server_effects(w, s, site, fx);
-                        }
-                    }),
-                );
+                World::resolve(w, s, site, servers, true, move |srv| {
+                    srv.abort_family(tid.family)
+                });
             }
             Action::ServerSubCommit { tid, servers } => {
-                for server in servers {
-                    let fx = w
-                        .sites
-                        .get_mut(&site)
-                        .expect("site exists")
-                        .servers
-                        .get_mut(&server)
-                        .expect("server exists")
-                        .sub_commit(&tid);
-                    World::server_effects(w, s, site, fx);
-                }
+                World::resolve(w, s, site, servers, false, move |srv| srv.sub_commit(&tid));
             }
             Action::ServerSubAbort { tid, servers } => {
-                for server in servers {
-                    let fx = w
-                        .sites
-                        .get_mut(&site)
-                        .expect("site exists")
-                        .servers
-                        .get_mut(&server)
-                        .expect("server exists")
-                        .sub_abort(&tid);
-                    World::server_effects(w, s, site, fx);
-                }
+                World::resolve(w, s, site, servers, false, move |srv| srv.sub_abort(&tid));
             }
             Action::Send { to, msg, piggyback } => {
                 World::send_datagrams(w, s, site, vec![to], msg, piggyback, false);
             }
             Action::Broadcast { to, msg } => {
-                let multicast = w.cfg.net.multicast;
+                let multicast = w.cfg.multicast;
                 World::send_datagrams(w, s, site, to, msg, vec![], multicast);
             }
             Action::RelayAbort { tid } => {
-                let st = w.sites.get_mut(&site).expect("site exists");
+                let st = w.site(site);
                 let targets = st.comman.participants(&tid.family);
                 st.comman.forget(&tid.family);
                 if !targets.is_empty() {
@@ -806,26 +747,19 @@ impl World {
                 }
             }
             Action::Append { rec } => {
-                w.sites
-                    .get_mut(&site)
-                    .expect("site exists")
-                    .wal
-                    .append(&rec)
-                    .expect("append");
+                w.site(site).wal.append(&rec).expect("append");
             }
             Action::Force { rec, token } => {
                 forces.push(token);
-                let st = w.sites.get_mut(&site).expect("site exists");
+                let now = s.now();
+                let st = w.site(site);
                 st.wal.append(&rec).expect("append");
                 let end = st.wal.end_lsn();
-                let breq = ReqId(st.next_breq);
-                st.next_breq += 1;
-                st.breqs.insert(breq, DiskReq::Engine(token));
-                let actions = st.batcher.request(breq, end, s.now());
+                let actions = st.request_write(DiskReq::Engine(token), end, now);
                 World::apply_batch_actions(w, s, site, actions);
             }
             Action::AppendNotify { rec, token } => {
-                let st = w.sites.get_mut(&site).expect("site exists");
+                let st = w.site(site);
                 st.wal.append(&rec).expect("append");
                 let end = st.wal.end_lsn();
                 st.lazy.push((token, end));
@@ -835,28 +769,14 @@ impl World {
                 let ev = s.after(
                     after,
                     Box::new(move |w: &mut World, s: &mut S| {
-                        w.sites
-                            .get_mut(&site)
-                            .expect("site exists")
-                            .timers
-                            .remove(&token);
+                        w.site(site).timers.remove(&token);
                         World::tm_dispatch(w, s, site, Input::TimerFired { token });
                     }),
                 );
-                w.sites
-                    .get_mut(&site)
-                    .expect("site exists")
-                    .timers
-                    .insert(token, ev);
+                w.site(site).timers.insert(token, ev);
             }
             Action::CancelTimer { token } => {
-                if let Some(ev) = w
-                    .sites
-                    .get_mut(&site)
-                    .expect("site exists")
-                    .timers
-                    .remove(&token)
-                {
+                if let Some(ev) = w.site(site).timers.remove(&token) {
                     s.cancel(ev);
                 }
             }
@@ -866,6 +786,16 @@ impl World {
     // =================================================================
     // Network
     // =================================================================
+
+    /// The next departure slot of `from`'s sender: no earlier than now,
+    /// and one cycle time after the previous send.
+    fn send_slot(&mut self, from: SiteId, now: Time) -> Time {
+        let cycle = self.costs.datagram_cycle;
+        let st = self.site(from);
+        let slot = st.next_send_free.max(now);
+        st.next_send_free = slot + cycle;
+        slot
+    }
 
     /// Sends `msg` (+`piggyback`) to each destination. With multicast
     /// one send slot covers all destinations; otherwise sends are
@@ -881,14 +811,8 @@ impl World {
         piggyback: Vec<TmMessage>,
         multicast: bool,
     ) {
-        let cycle = w.cfg.costs.datagram_cycle;
-        let latency = w.cfg.costs.datagram;
-        let mut slot = {
-            let st = w.sites.get_mut(&from).expect("site exists");
-            let slot = st.next_send_free.max(s.now());
-            st.next_send_free = slot + cycle;
-            slot
-        };
+        let latency = w.costs.datagram;
+        let mut slot = w.send_slot(from, s.now());
         // Sender-side scheduling jitter is drawn per *send*: a
         // multicast is one send, so all destinations share one draw —
         // which is exactly why multicast cuts the variance the
@@ -896,9 +820,7 @@ impl World {
         let mut send_jitter = w.jitter(s, 0);
         for (i, dst) in to.iter().copied().enumerate() {
             if i > 0 && !multicast {
-                let st = w.sites.get_mut(&from).expect("site exists");
-                slot = st.next_send_free.max(s.now());
-                st.next_send_free = slot + cycle;
+                slot = w.send_slot(from, s.now());
                 send_jitter = w.jitter(s, i);
             }
             let mut msgs = vec![msg.clone()];
@@ -926,17 +848,11 @@ impl World {
         for a in actions {
             match a {
                 BatcherAction::StartWrite { upto } => {
-                    let records = {
-                        let st = w.sites.get_mut(&site).expect("site exists");
-                        st.batcher.pending_covered(upto).max(1) as u64
-                    };
-                    let dur = w.cfg.disk.platter
-                        + w.cfg.disk.cpu_per_write
-                        + w.cfg.disk.cpu_per_record * records;
+                    let records = w.site(site).batcher.pending_covered(upto).max(1) as u64;
                     s.after(
-                        dur,
+                        w.platter_write(records),
                         Box::new(move |w: &mut World, s: &mut S| {
-                            let st = w.sites.get_mut(&site).expect("site exists");
+                            let st = w.site(site);
                             st.wal.force().expect("force");
                             let acts = st.batcher.write_complete(s.now());
                             World::apply_batch_actions(w, s, site, acts);
@@ -948,25 +864,15 @@ impl World {
                     s.at(
                         at.max(s.now()),
                         Box::new(move |w: &mut World, s: &mut S| {
-                            let st = w.sites.get_mut(&site).expect("site exists");
-                            let acts = st.batcher.timer_fired(epoch, s.now());
+                            let acts = w.site(site).batcher.timer_fired(epoch, s.now());
                             World::apply_batch_actions(w, s, site, acts);
                         }),
                     );
                 }
                 BatcherAction::Satisfied { reqs, .. } => {
                     for r in reqs {
-                        let kind = w
-                            .sites
-                            .get_mut(&site)
-                            .expect("site exists")
-                            .breqs
-                            .remove(&r);
-                        match kind {
-                            Some(DiskReq::Engine(token)) => {
-                                World::tm_dispatch(w, s, site, Input::LogForced { token });
-                            }
-                            Some(DiskReq::Background) | None => {}
+                        if let Some(DiskReq::Engine(token)) = w.site(site).breqs.remove(&r) {
+                            World::tm_dispatch(w, s, site, Input::LogForced { token });
                         }
                     }
                 }
@@ -977,7 +883,7 @@ impl World {
     /// Completes lazily appended records now covered by the durable
     /// watermark.
     fn complete_lazy(w: &mut World, s: &mut S, site: SiteId) {
-        let st = w.sites.get_mut(&site).expect("site exists");
+        let st = w.site(site);
         let durable = st.wal.durable_lsn();
         let mut done = Vec::new();
         st.lazy.retain(|(token, lsn)| {
@@ -997,25 +903,20 @@ impl World {
     /// that eventually carries delayed commit records when no forced
     /// write does it sooner).
     fn ensure_lazy_flush(w: &mut World, s: &mut S, site: SiteId) {
-        let st = w.sites.get_mut(&site).expect("site exists");
+        let st = w.site(site);
         if st.lazy_flush_scheduled || st.lazy.is_empty() {
             return;
         }
         st.lazy_flush_scheduled = true;
-        let period = w.cfg.disk.lazy_flush;
         s.after(
-            period,
+            w.cfg.lazy_flush,
             Box::new(move |w: &mut World, s: &mut S| {
-                let st = w.sites.get_mut(&site).expect("site exists");
+                let st = w.site(site);
                 st.lazy_flush_scheduled = false;
-                if st.lazy.is_empty() {
+                let Some(upto) = st.lazy.iter().map(|(_, l)| *l).max() else {
                     return;
-                }
-                let upto = st.lazy.iter().map(|(_, l)| *l).max().expect("non-empty");
-                let breq = ReqId(st.next_breq);
-                st.next_breq += 1;
-                st.breqs.insert(breq, DiskReq::Background);
-                let acts = st.batcher.request(breq, upto, s.now());
+                };
+                let acts = st.request_write(DiskReq::Background, upto, s.now());
                 World::apply_batch_actions(w, s, site, acts);
                 World::ensure_lazy_flush(w, s, site);
             }),
@@ -1033,7 +934,7 @@ mod tests {
     const S2: SiteId = SiteId(2);
 
     fn no_jitter(mut cfg: WorldConfig) -> WorldConfig {
-        cfg.net = crate::config::NetConfig::deterministic();
+        cfg.jitter = false;
         cfg
     }
 
@@ -1060,6 +961,23 @@ mod tests {
         assert_eq!(r.outcome, Outcome::Committed);
         // And the value actually committed at the server.
         assert!(!w.committed_value(S1, ServerId(1), ObjectId(1)).is_empty());
+    }
+
+    #[test]
+    fn platter_write_is_the_testbeds_log_force() {
+        // Table 2's 15 ms force on the latency testbed, whatever the
+        // batch; the throughput testbed's ~33 ms platter plus the
+        // logger's CPU per record.
+        let costs = CostModel::rt_pc_mach();
+        let w = World::new(WorldConfig::latency(1, EngineConfig::default(), 1));
+        assert_eq!(w.platter_write(3), Duration::from_millis(15));
+        assert_eq!(w.platter_write(3), costs.log_force);
+        let w = World::new(WorldConfig::throughput(5, true, 4, 1));
+        assert!(w.platter_write(1) > Duration::from_millis(30));
+        assert_eq!(
+            w.platter_write(2),
+            costs.log_platter_write + LOGGER_CPU_PER_RECORD * 2
+        );
     }
 
     #[test]
@@ -1190,11 +1108,9 @@ mod tests {
         // Build the family by hand: begin at site 1.
         let tid = {
             let actions = w
-                .sites
-                .get_mut(&S1)
-                .unwrap()
+                .site(S1)
                 .engine
-                .handle(camelot_core::Input::Begin { req: 1 }, Time::ZERO);
+                .handle(Input::Begin { req: 1 }, Time::ZERO);
             match &actions[0] {
                 camelot_core::Action::Began { tid, .. } => tid.clone(),
                 other => panic!("{other:?}"),
@@ -1220,11 +1136,7 @@ mod tests {
                 server: ServerId(1),
             },
         );
-        w.sites
-            .get_mut(&S2)
-            .unwrap()
-            .comman
-            .note_outgoing(tid.family, SiteId(3));
+        w.site(S2).comman.note_outgoing(tid.family, SiteId(3));
         // Site 1 aborts knowing only site 2.
         World::tm_dispatch(
             &mut w,
@@ -1253,7 +1165,7 @@ mod tests {
         // cycle times on the last prepare; multicast pays none.
         let mk = |multicast: bool| {
             let mut cfg = no_jitter(WorldConfig::latency(4, EngineConfig::default(), 5));
-            cfg.net.multicast = multicast;
+            cfg.multicast = multicast;
             let spec = AppSpec::minimal(
                 S1,
                 &[SiteId(2), SiteId(3), SiteId(4)],

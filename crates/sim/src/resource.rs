@@ -19,9 +19,6 @@ pub struct Resource<M> {
     capacity: usize,
     in_use: usize,
     queue: VecDeque<Event<M>>,
-    // Statistics.
-    grants: u64,
-    peak_queue: usize,
 }
 
 impl<M> Resource<M> {
@@ -37,34 +34,7 @@ impl<M> Resource<M> {
             capacity,
             in_use: 0,
             queue: VecDeque::new(),
-            grants: 0,
-            peak_queue: 0,
         }
-    }
-
-    /// Resource name (for reports).
-    pub fn name(&self) -> &'static str {
-        self.name
-    }
-
-    /// Number of servers.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Units currently held.
-    pub fn in_use(&self) -> usize {
-        self.in_use
-    }
-
-    /// Current queue length.
-    pub fn queue_len(&self) -> usize {
-        self.queue.len()
-    }
-
-    /// Longest queue observed.
-    pub fn peak_queue(&self) -> usize {
-        self.peak_queue
     }
 
     /// Requests one unit. If a server is free the continuation is
@@ -73,11 +43,9 @@ impl<M> Resource<M> {
     pub fn acquire(&mut self, sched: &mut Scheduler<M>, cont: Event<M>) {
         if self.in_use < self.capacity {
             self.in_use += 1;
-            self.grants += 1;
             sched.immediately(cont);
         } else {
             self.queue.push_back(cont);
-            self.peak_queue = self.peak_queue.max(self.queue.len());
         }
     }
 
@@ -92,16 +60,10 @@ impl<M> Resource<M> {
         if let Some(cont) = self.queue.pop_front() {
             // Hand the unit directly to the waiter: in_use stays the
             // same.
-            self.grants += 1;
             sched.immediately(cont);
         } else {
             self.in_use -= 1;
         }
-    }
-
-    /// Total grants so far.
-    pub fn grants(&self) -> u64 {
-        self.grants
     }
 }
 
@@ -200,17 +162,6 @@ mod tests {
     }
 
     #[test]
-    fn grant_and_queue_statistics() {
-        let (mut s, mut w) = world(1);
-        s.at(Time(0), job(1, 10));
-        s.at(Time(0), job(2, 10));
-        s.run(&mut w);
-        assert_eq!(s.now(), Time(20_000));
-        assert_eq!(w.cpu.grants(), 2);
-        assert_eq!(w.cpu.peak_queue(), 1);
-    }
-
-    #[test]
     #[should_panic(expected = "release of idle resource")]
     fn release_without_acquire_panics() {
         let (mut s, mut w) = world(1);
@@ -233,6 +184,6 @@ mod tests {
         s.at(Time(0), job(3, 10));
         s.run(&mut w);
         assert_eq!(w.done.last(), Some(&(3, 30_000)));
-        assert_eq!(w.cpu.in_use(), 0);
+        assert_eq!(w.cpu.in_use, 0);
     }
 }

@@ -58,13 +58,6 @@ impl SimRng {
         let x = -(u.ln()) * mean.as_micros() as f64;
         Duration::from_micros(x.round() as u64)
     }
-
-    /// Picks a uniformly random element index for a slice of length
-    /// `len`.
-    pub fn index(&mut self, len: usize) -> usize {
-        assert!(len > 0, "cannot index an empty collection");
-        self.inner.gen_range(0..len)
-    }
 }
 
 #[cfg(test)]
@@ -110,13 +103,5 @@ mod tests {
         let mut r = SimRng::new(3);
         assert!(!r.chance(0.0));
         assert!(r.chance(1.0));
-    }
-
-    #[test]
-    fn index_in_bounds() {
-        let mut r = SimRng::new(4);
-        for _ in 0..100 {
-            assert!(r.index(7) < 7);
-        }
     }
 }

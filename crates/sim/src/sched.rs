@@ -52,7 +52,6 @@ pub struct Scheduler<M> {
     heap: BinaryHeap<Entry<M>>,
     next_seq: u64,
     cancelled: HashSet<u64>,
-    executed: u64,
     rng: SimRng,
 }
 
@@ -64,7 +63,6 @@ impl<M> Scheduler<M> {
             heap: BinaryHeap::new(),
             next_seq: 0,
             cancelled: HashSet::new(),
-            executed: 0,
             rng: SimRng::new(seed),
         }
     }
@@ -72,11 +70,6 @@ impl<M> Scheduler<M> {
     /// Current virtual time.
     pub fn now(&self) -> Time {
         self.now
-    }
-
-    /// Number of events executed so far.
-    pub fn executed(&self) -> u64 {
-        self.executed
     }
 
     /// The simulation's random number generator.
@@ -136,7 +129,6 @@ impl<M> Scheduler<M> {
             }
             debug_assert!(entry.time >= self.now);
             self.now = entry.time;
-            self.executed += 1;
             (entry.event)(model, self);
             return true;
         }
@@ -198,7 +190,6 @@ mod tests {
         s.run(&mut m);
         assert_eq!(m, vec![1, 2, 3]);
         assert_eq!(s.now(), Time(30_000));
-        assert_eq!(s.executed(), 3);
     }
 
     #[test]

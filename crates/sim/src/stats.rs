@@ -76,26 +76,6 @@ impl Summary {
             self.max
         }
     }
-
-    /// Merges another summary into this one (parallel Welford merge).
-    pub fn merge(&mut self, other: &Summary) {
-        if other.n == 0 {
-            return;
-        }
-        if self.n == 0 {
-            *self = other.clone();
-            return;
-        }
-        let n1 = self.n as f64;
-        let n2 = other.n as f64;
-        let delta = other.mean - self.mean;
-        let n = n1 + n2;
-        self.mean += delta * n2 / n;
-        self.m2 += other.m2 + delta * delta * n1 * n2 / n;
-        self.n += other.n;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
 }
 
 impl fmt::Display for Summary {
@@ -169,14 +149,6 @@ impl Series {
         let rank = ((p / 100.0) * sorted.len() as f64).ceil() as usize;
         sorted[rank.clamp(1, sorted.len()) - 1]
     }
-
-    pub fn median(&self) -> f64 {
-        self.percentile(50.0)
-    }
-
-    pub fn samples(&self) -> &[f64] {
-        &self.samples
-    }
 }
 
 #[cfg(test)]
@@ -205,47 +177,12 @@ mod tests {
     }
 
     #[test]
-    fn merge_equals_sequential() {
-        let xs: Vec<f64> = (0..100).map(|i| (i * 7 % 13) as f64).collect();
-        let mut whole = Summary::new();
-        for &x in &xs {
-            whole.add(x);
-        }
-        let mut a = Summary::new();
-        let mut b = Summary::new();
-        for &x in &xs[..37] {
-            a.add(x);
-        }
-        for &x in &xs[37..] {
-            b.add(x);
-        }
-        a.merge(&b);
-        assert_eq!(a.count(), whole.count());
-        assert!((a.mean() - whole.mean()).abs() < 1e-9);
-        assert!((a.stddev() - whole.stddev()).abs() < 1e-9);
-        assert_eq!(a.min(), whole.min());
-        assert_eq!(a.max(), whole.max());
-    }
-
-    #[test]
-    fn merge_with_empty_sides() {
-        let mut a = Summary::new();
-        let mut b = Summary::new();
-        b.add(3.0);
-        a.merge(&b);
-        assert_eq!(a.count(), 1);
-        let empty = Summary::new();
-        a.merge(&empty);
-        assert_eq!(a.count(), 1);
-    }
-
-    #[test]
     fn series_percentiles() {
         let mut s = Series::new();
         for i in 1..=100 {
             s.add(i as f64);
         }
-        assert_eq!(s.median(), 50.0);
+        assert_eq!(s.percentile(50.0), 50.0);
         assert_eq!(s.percentile(0.0), 1.0);
         assert_eq!(s.percentile(100.0), 100.0);
         assert_eq!(s.percentile(90.0), 90.0);

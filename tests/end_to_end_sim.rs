@@ -4,7 +4,7 @@
 
 use camelot::core::{CommitMode, EngineConfig, TwoPhaseVariant};
 use camelot::net::Outcome;
-use camelot::node::{AppSpec, NetConfig, OpSpec, World, WorldConfig};
+use camelot::node::{AppSpec, OpSpec, World, WorldConfig};
 use camelot::sim::Scheduler;
 use camelot::types::{Duration, ObjectId, ServerId, SiteId, Time};
 
@@ -12,7 +12,7 @@ const HOUR: Time = Time(3_600_000_000);
 
 fn deterministic(sites: u32, seed: u64) -> WorldConfig {
     let mut cfg = WorldConfig::latency(sites, EngineConfig::default(), seed);
-    cfg.net = NetConfig::deterministic();
+    cfg.jitter = false;
     cfg
 }
 

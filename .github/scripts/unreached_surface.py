@@ -25,7 +25,8 @@
      `const (T|Q|R|TAG)_*: u8` tag constant anywhere.
 (v)  A `pub fn` in `crates/*/src` (before the file's `#[cfg(test)]`)
      whose name no product code, binary, bench, example or ladder
-     source mentions is called by tests only: delete it with the test
+     source mentions (a `pub use` re-export is not a mention) is called
+     by tests only: delete it with the test
      that exists to call it, unless it is in `ONLY_TESTS_CALL` — the
      hooks a test needs to observe behaviour nothing else observes.
 (vi) `camelot_node::procs::Supervisor` is the one owner of a cluster of
@@ -223,6 +224,9 @@ ONLY_TESTS_CALL = {
     "crates/wal/src/codec.rs": {"read_frame"},
     "crates/core/src/engine.rs": {"armed_timers"},
     "crates/rt/src/stats.rs": {"total_commits"},
+    # The exact protocol-cost audit: `rt_trace` runs it per protocol in
+    # both execution modes (chaos checks only the floor).
+    "crates/obs/src/audit.rs": {"audit_family"},
     # What ROADMAP item 3 builds on.
     "crates/harness/src/staticpath.rs": {"critical_path_counts", "nonblocking_read", "nonblocking_update"},
     # Test hooks a campaign or a golden vector names.
@@ -234,8 +238,10 @@ ONLY_TESTS_CALL = {
 
 def functions_only_tests_call():
     def product(p):
-        """`p` without its `#[cfg(test)]` tail and its comments."""
-        return re.sub(r"//[^\n]*", "", p.read_text().split("#[cfg(test)]")[0])
+        """`p` without its `#[cfg(test)]` tail, its comments and its
+        re-exports (a `pub use` names a function without calling it)."""
+        text = re.sub(r"//[^\n]*", "", p.read_text().split("#[cfg(test)]")[0])
+        return re.sub(r"pub use [^;]*;", "", text)
 
     callers, crate_src = [], {}
     for crate in sorted((ROOT / "crates").iterdir()):

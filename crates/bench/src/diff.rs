@@ -50,9 +50,8 @@ fn number_field(text: &str, key: &str, from: usize) -> Option<(f64, usize)> {
 }
 
 /// Parses one bench report into its comparable summary. Reports
-/// without any knee (e.g. `rt_scaling`) parse fine with empty
-/// `knees`; reports without a stamp are an error — there is nothing
-/// sound to compare.
+/// without any knee parse fine with empty `knees`; reports without a
+/// stamp are an error — there is nothing sound to compare.
 pub fn parse_summary(text: &str) -> Result<BenchSummary, String> {
     let bench = string_field(text, "bench", 0)
         .map(|(v, _)| v)

@@ -13,12 +13,12 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
-use camelot_core::{CommitMode, EngineConfig, TwoPhaseVariant};
-use camelot_node::session::{InProcSession, Session};
+use camelot_core::CommitMode;
+use camelot_node::session::Session;
 use camelot_obs::AtomicHistogram;
-use camelot_rt::{audit_family, budget_for, AuditProtocol, Cluster, ExecMode, Histogram, RtConfig};
+use camelot_rt::Histogram;
 use camelot_types::flags::Parsed;
 use camelot_types::{ObjectId, SiteId};
 
@@ -317,95 +317,12 @@ pub fn point_json(p: &Point, extras: &str) -> String {
     )
 }
 
-/// Protocol-cost audit: one clean traced 1-subordinate transaction per
-/// protocol configuration under `exec_mode`, its primitive counts
-/// checked against the paper's budget (exact forces/lazy appends,
-/// datagrams in range) — the execution mode may change where time
-/// goes, never what the protocol costs. Prints one line per protocol;
-/// returns the `{"protocol": "ok"|"violation", ...}` report object and
-/// whether every protocol passed.
-pub fn protocol_audit(exec_mode: ExecMode) -> (String, bool) {
-    let mut parts = Vec::new();
-    let mut all_ok = true;
-    for protocol in [
-        AuditProtocol::TwoPhaseDelayed,
-        AuditProtocol::TwoPhaseStandard,
-        AuditProtocol::ReadOnly,
-        AuditProtocol::NonBlocking,
-    ] {
-        let (engine, mode, write) = match protocol {
-            AuditProtocol::TwoPhaseStandard => (
-                EngineConfig::for_variant(TwoPhaseVariant::Unoptimized),
-                CommitMode::TwoPhase,
-                true,
-            ),
-            AuditProtocol::ReadOnly => (EngineConfig::default(), CommitMode::TwoPhase, false),
-            AuditProtocol::NonBlocking => (EngineConfig::default(), CommitMode::NonBlocking, true),
-            _ => (EngineConfig::default(), CommitMode::TwoPhase, true),
-        };
-        let cluster = Cluster::new(
-            2,
-            RtConfig {
-                datagram_delay: Duration::from_millis(1),
-                platter_delay: Duration::from_millis(1),
-                engine,
-                exec_mode,
-                trace: true,
-                ..RtConfig::default()
-            },
-        );
-        let mut s = InProcSession::new(&cluster, 2);
-        let tid = s.begin(SiteId(1)).expect("audit begin");
-        for (site, value) in [(SiteId(1), b"a"), (SiteId(2), b"b")] {
-            let obj = ObjectId(site.0 as u64);
-            if write {
-                s.write(&tid, site, obj, value.to_vec())
-                    .expect("audit write");
-            } else {
-                s.read(&tid, site, obj).expect("audit read");
-            }
-        }
-        assert!(s.commit(&tid, mode, &[]).expect("audit commit"));
-        drop(s);
-        // Let cleanup traffic (ack flush, lazy record flush) land —
-        // it is part of the audited budget.
-        std::thread::sleep(Duration::from_millis(400));
-        let events = cluster.drain_trace();
-        let dropped = cluster.stats().total_trace_dropped();
-        cluster.shutdown();
-        let result = if dropped > 0 {
-            // An audit over an incomplete trace proves nothing: the
-            // missing events could be exactly the over-budget ones.
-            Err(format!(
-                "{dropped} trace events dropped from the rings; audit trace incomplete"
-            ))
-        } else {
-            audit_family(tid.family, &events, &budget_for(protocol))
-        };
-        let name = protocol.name();
-        match result {
-            Ok(c) => {
-                println!(
-                    "  {name}: ok ({} force(s) + {} lazy + {} datagram(s))",
-                    c.forces, c.lazy_appends, c.datagrams
-                );
-                parts.push(format!("\"{name}\": \"ok\""));
-            }
-            Err(e) => {
-                println!("  {name}: VIOLATION: {e}");
-                parts.push(format!("\"{name}\": \"violation\""));
-                all_ok = false;
-            }
-        }
-    }
-    (format!("{{{}}}", parts.join(", ")), all_ok)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use camelot_types::{CamelotError, FamilyId, Result, Tid};
     use std::sync::Arc;
+    use std::time::Duration;
 
     fn mix() -> Mix {
         Mix {

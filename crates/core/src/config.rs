@@ -13,7 +13,7 @@ pub enum CommitMode {
 
 /// How the runtime executes data operations against server state.
 ///
-/// The paper's lock-based path (and `BENCH_rt_scaling.json`) shows
+/// The paper's lock-based path (and `BENCH_load_curves.json`) shows
 /// that once group commit relieves the disk, the next scaling ceiling
 /// is lock contention: under skewed access the hot object's exclusive
 /// lock is held across the whole commitment protocol, so waiters

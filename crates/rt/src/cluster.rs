@@ -94,11 +94,6 @@ pub struct RtConfig {
     /// asynchronously (datagrams, timer firings, log completions).
     /// Application calls run on the calling thread.
     pub tm_threads: usize,
-    /// Simulated TranMan CPU cost per input, charged while the engine
-    /// shard lock is held. Zero (the default) for correctness tests;
-    /// the scaling benchmark sets it to paper-scale values so the
-    /// transaction manager — not the scheduler — is what saturates.
-    pub tm_service_time: StdDuration,
     /// Client call timeout: a blocked operation (e.g. a lock wait
     /// behind a deadlock) errors out after this long, letting the
     /// application abort — Camelot's answer to data-level deadlock.
@@ -143,7 +138,6 @@ impl Default for RtConfig {
             batch: BatchPolicy::Coalesce,
             lazy_flush: StdDuration::from_millis(25),
             tm_threads: 4,
-            tm_service_time: StdDuration::ZERO,
             call_timeout: StdDuration::from_secs(30),
             exec_mode: ExecMode::LockBased,
             data_shards: 4,
@@ -323,8 +317,8 @@ impl ClusterInner {
     }
 
     /// Runs one input through its engine shard: route, lock (timing
-    /// the wait), handle, charge the modeled TranMan CPU. Returns the
-    /// engine's actions for the caller to apply with no locks held.
+    /// the wait), handle. Returns the engine's actions for the caller
+    /// to apply with no locks held.
     pub fn handle_on_shard(&self, site: &SiteShared, input: Input) -> Vec<Action> {
         self.handle_then(site, input, |_| ())
     }
@@ -353,12 +347,6 @@ impl ClusterInner {
                 .lock_wait_ns
                 .fetch_add(waited.as_nanos() as u64, Ordering::Relaxed);
             let actions = engine.handle(input, now);
-            if !self.cfg.tm_service_time.is_zero() {
-                // Modeled TranMan CPU: the shard is owned for the
-                // duration of the call, as the real TranMan's mutexes
-                // would hold it.
-                std::thread::sleep(self.cfg.tm_service_time);
-            }
             locked(&actions);
             actions
         };
@@ -1118,18 +1106,6 @@ impl Cluster {
         }
         let take = max.min(pending.len());
         pending.drain(..take).collect()
-    }
-
-    /// Total trace events overwritten before being drained, across
-    /// all sites. Nonzero means timelines have holes: drain more
-    /// often or raise [`RtConfig::trace_capacity`].
-    pub fn trace_dropped(&self) -> u64 {
-        self.inner
-            .sites
-            .values()
-            .filter_map(|s| s.ring.as_ref())
-            .map(|r| r.dropped())
-            .sum()
     }
 
     /// True if the site is up.

@@ -4,7 +4,8 @@
 //! The lock-based path serializes every operation on one mutex per
 //! data server and holds hot-object locks across the entire
 //! commitment protocol, so under skewed access waiters convoy behind
-//! the hot key (the `lock_wait_ms` blow-up in `BENCH_rt_scaling`).
+//! the hot key (the lock-based knee in `BENCH_load_curves.json`, a
+//! quarter of queued mode's).
 //! Following Qadah's queue-oriented transaction-processing paradigm,
 //! this module partitions each site's objects over `data_shards`
 //! single-owner worker threads. Each worker owns its shard's state

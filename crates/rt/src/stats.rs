@@ -171,11 +171,6 @@ impl ClusterStats {
         self.sites.iter().map(|s| s.engine.commits).sum()
     }
 
-    /// Platter writes cluster-wide.
-    pub fn total_platter_writes(&self) -> u64 {
-        self.sites.iter().map(|s| s.platter_writes).sum()
-    }
-
     /// Total worker lock-wait across sites.
     pub fn total_lock_wait(&self) -> StdDuration {
         self.sites.iter().map(|s| s.lock_wait).sum()

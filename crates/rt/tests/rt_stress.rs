@@ -33,20 +33,44 @@ fn quick_cfg() -> RtConfig {
 /// timeout). Afterwards the value of every distributed object must be
 /// identical at every site that holds a replica of it — the
 /// transactions wrote the same value everywhere, so any divergence
-/// means a subordinate lost or misapplied a commit.
+/// means a subordinate lost or misapplied a commit. Run under every
+/// group-commit policy with one TranMan worker per site and with four:
+/// a deadlock or a lost force completion in any of the six shows up
+/// as a call timeout.
 #[test]
 fn many_clients_mixed_workload_stays_consistent() {
+    let policies = [
+        BatchPolicy::Immediate,
+        BatchPolicy::Coalesce,
+        BatchPolicy::Window(Duration::from_millis(2)),
+    ];
+    for batch in policies {
+        for tm_threads in [1, 4] {
+            let cfg = RtConfig {
+                batch,
+                tm_threads,
+                ..quick_cfg()
+            };
+            mixed_workload_stays_consistent(cfg, format!("{batch:?}, {tm_threads} worker(s)"));
+        }
+    }
+}
+
+fn mixed_workload_stays_consistent(cfg: RtConfig, run: String) {
     let sites = 3u32;
     let clients_per_site = 2usize;
     let txns_per_client = 15u64;
-    let cluster = Arc::new(Cluster::new(sites, quick_cfg()));
+    let cluster = Arc::new(Cluster::new(sites, cfg));
     let commits = Arc::new(AtomicU64::new(0));
     let mut handles = Vec::new();
     for home in 1..=sites {
         for c in 0..clients_per_site {
             let cluster = cluster.clone();
             let commits = commits.clone();
-            handles.push(std::thread::spawn(move || {
+            // A panic inside names the grid cell it happened in.
+            let client_thread =
+                std::thread::Builder::new().name(format!("{run}: client {home}.{c}"));
+            let handle = client_thread.spawn(move || {
                 let me = SiteId(home);
                 let remote = SiteId(home % sites + 1);
                 let client = cluster.client(me);
@@ -76,7 +100,8 @@ fn many_clients_mixed_workload_stays_consistent() {
                     commits.fetch_add(1, Ordering::Relaxed);
                 }
                 (key, local_obj, shared_obj, me, remote, txns_per_client)
-            }));
+            });
+            handles.push(handle.expect("spawn client"));
         }
     }
     let mut expectations = Vec::new();
@@ -85,7 +110,8 @@ fn many_clients_mixed_workload_stays_consistent() {
     }
     assert_eq!(
         commits.load(Ordering::Relaxed),
-        sites as u64 * clients_per_site as u64 * txns_per_client
+        sites as u64 * clients_per_site as u64 * txns_per_client,
+        "{run}"
     );
     // Give lazily acknowledged subordinate commits a beat to apply.
     std::thread::sleep(StdDuration::from_millis(150));
@@ -94,7 +120,7 @@ fn many_clients_mixed_workload_stays_consistent() {
         assert_eq!(
             cluster.committed_value(me, SRV, local_obj),
             last_local,
-            "client {key} local object"
+            "{run}: client {key} local object"
         );
         // The last distributed txn's value, identical at both sites.
         let last_dist = (0..n).rev().find(|i| i % 3 != 0).unwrap();
@@ -102,18 +128,24 @@ fn many_clients_mixed_workload_stays_consistent() {
         assert_eq!(
             cluster.committed_value(me, SRV, shared_obj),
             expect,
-            "client {key} shared object at home"
+            "{run}: client {key} shared object at home"
         );
         assert_eq!(
             cluster.committed_value(remote, SRV, shared_obj),
             expect,
-            "client {key} shared object at subordinate"
+            "{run}: client {key} shared object at subordinate"
         );
     }
     // The contention counters saw the traffic.
     let stats = cluster.stats();
-    assert!(stats.total_commits() >= sites as u64 * clients_per_site as u64 * txns_per_client);
-    assert!(stats.total_platter_writes() > 0);
+    assert!(
+        stats.total_commits() >= sites as u64 * clients_per_site as u64 * txns_per_client,
+        "{run}"
+    );
+    assert!(
+        stats.sites.iter().map(|s| s.platter_writes).sum::<u64>() > 0,
+        "{run}"
+    );
     let cluster = Arc::try_unwrap(cluster).ok().expect("sole owner");
     cluster.shutdown();
 }

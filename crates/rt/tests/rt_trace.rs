@@ -1,16 +1,18 @@
 //! Tracing and auditing on the real-thread runtime: every protocol
 //! configuration runs one clean 1-subordinate transaction with the
-//! trace ring on, and the drained timeline must satisfy the paper's
-//! cost budget under the *full* (exact) check — the same budgets the
-//! harness oracle pins against `harness::counts::measure`. Plus the
-//! phase-histogram wiring and the determinism of `debug_state`.
+//! trace ring on, in each execution mode, and the drained timeline
+//! must satisfy the paper's cost budget under the *full* (exact) check
+//! — the same budgets the harness oracle pins against
+//! `harness::counts::measure`. Plus the phase-histogram wiring and the
+//! determinism of `debug_state`.
 
 use std::time::Duration as StdDuration;
 
 use camelot_core::{CommitMode, EngineConfig, TwoPhaseVariant};
 use camelot_net::Outcome;
 use camelot_rt::{
-    audit_family, budget_for, AuditProtocol, Cluster, Phase, RtConfig, TraceEvent, TraceEventKind,
+    audit_family, budget_for, AuditProtocol, Cluster, ExecMode, Phase, RtConfig, TraceEvent,
+    TraceEventKind,
 };
 use camelot_types::{FamilyId, ObjectId, ServerId, SiteId};
 
@@ -57,20 +59,33 @@ fn run_traced(cfg: RtConfig, mode: CommitMode, write: bool) -> (FamilyId, Vec<Tr
     std::thread::sleep(StdDuration::from_millis(400));
     let family = tid.family;
     let events = cluster.drain_trace();
-    assert_eq!(cluster.trace_dropped(), 0, "trace ring overflowed");
+    assert_eq!(
+        cluster.stats().total_trace_dropped(),
+        0,
+        "trace ring overflowed"
+    );
     cluster.shutdown();
     (family, events)
 }
 
+/// Audits one protocol under both execution modes: queueing data
+/// operations may change where time goes, never how many forces and
+/// datagrams the protocol costs.
 fn audit_one(cfg: RtConfig, mode: CommitMode, write: bool, protocol: AuditProtocol) {
-    let (family, events) = run_traced(cfg, mode, write);
-    let budget = budget_for(protocol);
-    let counts =
-        audit_family(family, &events, &budget).unwrap_or_else(|e| panic!("audit failed: {e}"));
-    assert!(
-        counts.datagrams >= budget.datagrams_min,
-        "timeline missing wire traffic for {family}"
-    );
+    for exec_mode in [ExecMode::LockBased, ExecMode::Queued] {
+        let cfg = RtConfig {
+            exec_mode,
+            ..cfg.clone()
+        };
+        let (family, events) = run_traced(cfg, mode, write);
+        let budget = budget_for(protocol);
+        let counts = audit_family(family, &events, &budget)
+            .unwrap_or_else(|e| panic!("{exec_mode:?}: audit failed: {e}"));
+        assert!(
+            counts.datagrams >= budget.datagrams_min,
+            "{exec_mode:?}: timeline missing wire traffic for {family}"
+        );
+    }
 }
 
 #[test]
@@ -242,7 +257,7 @@ fn untraced_cluster_yields_no_events() {
         .unwrap();
     client.commit(&tid, CommitMode::TwoPhase).unwrap();
     assert!(cluster.drain_trace().is_empty());
-    assert_eq!(cluster.trace_dropped(), 0);
+    assert_eq!(cluster.stats().total_trace_dropped(), 0);
     cluster.shutdown();
 }
 

@@ -83,7 +83,7 @@ fn incarnation(warmups: u64) -> (FamilyId, Vec<ScopeEvent>) {
     // Let the acknowledgement and lazy-flush traffic finish.
     thread::sleep(Duration::from_millis(300));
     let events = cluster.drain_trace();
-    assert_eq!(cluster.trace_dropped(), 0);
+    assert_eq!(cluster.stats().total_trace_dropped(), 0);
     cluster.shutdown();
     (
         tid.family,

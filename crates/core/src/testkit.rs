@@ -416,7 +416,7 @@ impl Net {
     pub fn crash(&mut self, site: SiteId) {
         self.down.insert(site);
         let sb = self.sites.get_mut(&site).expect("site exists");
-        sb.wal.store_mut().crash();
+        sb.wal.lose_volatile();
         sb.lazy.clear();
         self.timers.retain(|t| t.site != site);
     }

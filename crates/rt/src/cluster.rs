@@ -23,9 +23,10 @@
 //!   another TranMan worker of the site is idle to serve traffic
 //!   meanwhile; the disk thread performs every other write. Its
 //!   *simulated* latency (`platter_delay`) is
-//!   slept **without holding the WAL lock**; the store's own
-//!   `force_to` runs under it, so a file-backed site's `write` and
-//!   `sync_data` still block appenders (see `crate::disk`). One write
+//!   slept **without holding the WAL lock**; the log's `force_to` runs
+//!   under it and hands its bytes to `StableStore::write`, so a
+//!   file-backed site's `write` and `sync_data` still block appenders
+//!   (see `crate::disk`). One write
 //!   makes
 //!   durable exactly the prefix it started with
 //!   ([`Wal::force_to`](camelot_wal::Wal::force_to)); everything
@@ -255,7 +256,6 @@ impl SiteShared {
     /// critical section) and returns the log end past it. Durability
     /// comes later, from a platter write.
     pub(crate) fn append(&self, rec: &LogRecord) -> Lsn {
-        self.counters.appends.fetch_add(1, Ordering::Relaxed);
         self.wal.lock().append(rec)
     }
 
@@ -266,9 +266,7 @@ impl SiteShared {
         self.tracer().site_event(TraceEventKind::Crash);
         self.incarnation.fetch_add(1, Ordering::SeqCst);
         self.alive.store(false, Ordering::SeqCst);
-        let mut wal = self.wal.lock();
-        wal.store_mut().lose_volatile();
-        drop(wal);
+        self.wal.lock().lose_volatile();
         self.lazy.lock().clear();
         // Queued mode: speculative shard state dies with the site.
         self.queue_joined.lock().clear();
@@ -902,7 +900,9 @@ impl Cluster {
             !s.alive.load(Ordering::SeqCst),
             "set_wal_image requires a crashed site"
         );
-        s.wal.lock().store_mut().set_durable_bytes(bytes)
+        let mut log = s.wal.lock();
+        log.lose_volatile();
+        log.store_mut().set_durable_bytes(bytes)
     }
 
     /// Restarts a crashed site: the transaction manager and servers
@@ -943,7 +943,7 @@ impl Cluster {
         s.disk.lock().abandon();
         let records = {
             let mut log = s.wal.lock();
-            log.store_mut().lose_volatile();
+            log.lose_volatile();
             let records = log.recover()?;
             log.rebuild_first_lsns(&records);
             records

@@ -18,9 +18,10 @@
 //!   vote). [`platter_write`] sleeps the simulated platter delay with
 //!   **no lock held**, so the log keeps filling while that platter is
 //!   busy, and the leader runs its own `LogForced` step when it
-//!   returns. (True of the simulated sleep only: the store's
-//!   `force_to` then runs inside `site.wal.lock()`, and a
-//!   `FileStore`'s is the real `write` and `sync_data`, so with a real
+//!   returns. (True of the simulated sleep only: the log's
+//!   `force_to` then runs inside `site.wal.lock()` and hands the
+//!   covered prefix of its tail to `StableStore::write`, which on a
+//!   `FileStore` is the real `write` and `sync_data`, so with a real
 //!   disk nothing can be appended while the platter is busy. Moving it
 //!   out from under the lock is owed, as a measured change of its own;
 //!   see ROADMAP.) It wakes the other forces the write covered, and
@@ -388,6 +389,11 @@ fn release(site: &SiteShared, reqs: &[ReqId], durable: Lsn, own: Option<ForceTok
             .filter_map(|req| disk.tokens.remove(&req.0))
             .collect()
     };
+    // Counted before anyone is woken: a caller whose commit returned
+    // sees its force counted.
+    if !released.is_empty() {
+        site.counters.note_batch(released.len() as u64);
+    }
     let mut mine = false;
     for (token, entered) in &released {
         site.hist.record(Phase::ForceWait, entered.elapsed());
@@ -396,9 +402,6 @@ fn release(site: &SiteShared, reqs: &[ReqId], durable: Lsn, own: Option<ForceTok
         } else {
             let _ = site.tm_tx.send(Some(Input::LogForced { token: *token }));
         }
-    }
-    if !released.is_empty() {
-        site.counters.note_batch(released.len() as u64);
     }
     drain_lazy(site, durable);
     mine

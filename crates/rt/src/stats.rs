@@ -29,8 +29,6 @@ pub(crate) struct SiteCounters {
     /// Inputs that crossed `tm_tx` to the worker pool: one thread
     /// hand-off each (datagrams, timer firings, log completions).
     pub worker_inputs: AtomicU64,
-    /// Records appended to the WAL (all sources).
-    pub appends: AtomicU64,
     /// Platter writes performed, by a leading application thread or
     /// worker, or the disk thread.
     pub platter_writes: AtomicU64,

@@ -220,15 +220,24 @@ fn window_policy_with_concurrent_checkpoints() {
 /// writes than forces; with `Immediate` every force still gets a write
 /// of its own (an occasional pair whose appends and requests crossed is
 /// all that may share one). Either way every commit is acknowledged,
-/// and every force released, exactly once.
+/// and every force released, exactly once. Each policy runs on an
+/// in-memory log and on a file-backed one, where every platter write
+/// is also a real `write` and `sync_data`.
 #[test]
 fn eight_committers_batch_under_coalesce_and_not_under_immediate() {
     const THREADS: u64 = 8;
     const TXNS: u64 = 12;
-    for batch in [BatchPolicy::Coalesce, BatchPolicy::Immediate] {
+    let dir = std::env::temp_dir().join(format!("camelot-rt-eight-{}", std::process::id()));
+    for (batch, log_dir) in [BatchPolicy::Coalesce, BatchPolicy::Immediate]
+        .into_iter()
+        .flat_map(|batch| [(batch, None), (batch, Some(dir.clone()))])
+    {
+        let _ = std::fs::remove_dir_all(&dir);
+        let run = format!("{batch:?}, log_dir {log_dir:?}");
         let cfg = RtConfig {
             batch,
             platter_delay: StdDuration::from_millis(5),
+            log_dir,
             ..quick_cfg()
         };
         let cluster = Arc::new(Cluster::new(1, cfg));
@@ -260,26 +269,26 @@ fn eight_committers_batch_under_coalesce_and_not_under_immediate() {
         }
         for c in 0..THREADS {
             let value = cluster.committed_value(SiteId(1), SRV, ObjectId(c));
-            assert_eq!(value, [TXNS as u8 - 1], "{batch:?}: client {c}");
+            assert_eq!(value, [TXNS as u8 - 1], "{run}: client {c}");
         }
         // Quiet includes the batcher: no force is left waiting.
         let s = cluster.stats().sites[0].clone();
         assert_eq!(
             (s.engine.commits, s.forces_satisfied),
             (THREADS * TXNS, THREADS * TXNS),
-            "{batch:?}: one commit, one force, one release each"
+            "{run}: one commit, one force, one release each"
         );
         match batch {
             BatchPolicy::Coalesce => assert!(
                 s.platter_writes < s.forces_satisfied && s.max_batch > 1,
-                "{batch:?}: {} writes for {} forces, largest batch {}",
+                "{run}: {} writes for {} forces, largest batch {}",
                 s.platter_writes,
                 s.forces_satisfied,
                 s.max_batch
             ),
             _ => assert!(
                 s.mean_batch() < 1.25,
-                "{batch:?}: {} writes for {} forces",
+                "{run}: {} writes for {} forces",
                 s.platter_writes,
                 s.forces_satisfied
             ),
@@ -287,6 +296,7 @@ fn eight_committers_batch_under_coalesce_and_not_under_immediate() {
         let cluster = Arc::try_unwrap(cluster).ok().expect("sole owner");
         cluster.shutdown();
     }
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// A leader performs one platter write and returns. Three followers

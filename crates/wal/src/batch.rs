@@ -71,8 +71,6 @@ pub struct GroupCommitBatcher {
     timer_armed: bool,
     /// Platter writes started (the figure-4 "log writes" count).
     writes: u64,
-    /// Largest number of requests one write satisfied.
-    max_batch: u64,
     /// Site-level trace emission (batch start/durable); no-op unless
     /// attached via [`GroupCommitBatcher::set_tracer`].
     tracer: Tracer,
@@ -88,7 +86,6 @@ impl GroupCommitBatcher {
             timer_epoch: 0,
             timer_armed: false,
             writes: 0,
-            max_batch: 0,
             tracer: Tracer::disabled(),
         }
     }
@@ -99,18 +96,9 @@ impl GroupCommitBatcher {
         self.tracer = tracer;
     }
 
-    pub fn policy(&self) -> BatchPolicy {
-        self.policy
-    }
-
     /// Platter writes started so far.
     pub fn writes(&self) -> u64 {
         self.writes
-    }
-
-    /// Largest batch (requests per write) seen.
-    pub fn max_batch(&self) -> u64 {
-        self.max_batch
     }
 
     /// Requests currently waiting.
@@ -131,7 +119,7 @@ impl GroupCommitBatcher {
     }
 
     /// A caller wants everything up to and including the record at
-    /// `lsn_end` (use the store's `end_lsn` after appending) durable.
+    /// `lsn_end` (use the log's `end_lsn` after appending) durable.
     pub fn request(&mut self, req: ReqId, lsn_end: Lsn, now: Time) -> Vec<BatcherAction> {
         if lsn_end <= self.durable {
             return vec![BatcherAction::Satisfied {
@@ -177,7 +165,6 @@ impl GroupCommitBatcher {
         });
         let mut actions = Vec::new();
         if !done.is_empty() {
-            self.max_batch = self.max_batch.max(done.len() as u64);
             actions.push(BatcherAction::Satisfied {
                 reqs: done,
                 durable: self.durable,
@@ -339,7 +326,6 @@ mod tests {
         got.sort_by_key(|r| r.0);
         assert_eq!(got, vec![ReqId(2), ReqId(3), ReqId(4)]);
         assert_eq!(b.writes(), 2, "four transactions, two platter writes");
-        assert_eq!(b.max_batch(), 3);
     }
 
     #[test]
@@ -608,6 +594,5 @@ mod tests {
             assert_eq!(satisfied(&a3), vec![ReqId(i)]);
         }
         assert_eq!(b.writes(), 3, "one write per record");
-        assert_eq!(b.max_batch(), 1);
     }
 }

@@ -11,13 +11,15 @@
 //!   pairs for undo/redo);
 //! - a CRC-framed binary [`codec`] that detects torn tails and
 //!   corruption on recovery scan;
-//! - pluggable [`store::StableStore`] backends: an in-memory store
-//!   with an explicit *durable prefix* and a `crash()` that discards
-//!   the unforced suffix (for failure-injection tests), and a
-//!   file-backed store that syncs on force;
-//! - a [`log::Wal`] front end with append / force semantics and force
-//!   accounting (the paper's metrics count log forces per
-//!   transaction);
+//! - pluggable [`store::StableStore`] backends that hold only durable
+//!   bytes: an in-memory store, and a file-backed store whose one
+//!   `write` is a write plus a sync;
+//! - a [`log::Wal`] front end that frames records into the one
+//!   unforced tail and decides what is forced: `force_to` hands a
+//!   prefix of the tail to the store, `lose_volatile` is a crash (it
+//!   drops the tail, for failure-injection tests), and the force
+//!   accounting lives beside it (the paper's metrics count log forces
+//!   per transaction);
 //! - a sans-io [`batch::GroupCommitBatcher`] implementing group
 //!   commit: force requests that arrive while a platter write is in
 //!   flight are coalesced into the next write. Both the simulator and

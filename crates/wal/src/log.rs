@@ -1,9 +1,13 @@
-//! The typed log front end.
+//! The typed log front end and its one unforced tail.
 //!
-//! [`Wal`] wraps a [`StableStore`] with record encoding and with the
-//! accounting the experiments need: how many records were written, how
-//! many forces were issued, and which forces were *new* (moved the
-//! durable watermark) versus free.
+//! [`Wal`] frames records into an in-memory tail and decides what is
+//! forced: [`Wal::force_to`] hands a prefix of the tail to
+//! [`StableStore::write`] — one platter write — and the store holds
+//! only what is durable. A crash of the owning process is
+//! [`Wal::lose_volatile`], which drops the tail. The accounting the
+//! experiments need lives here too: how many records were written, how
+//! many forces were issued, and which forces were *new* (wrote at least
+//! one byte) versus free.
 
 use camelot_types::wire::Wire;
 use camelot_types::{Lsn, Result};
@@ -28,6 +32,9 @@ pub struct WalStats {
 #[derive(Debug)]
 pub struct Wal<S: StableStore> {
     store: S,
+    /// Framed records appended but not yet forced; the first byte's
+    /// LSN is the store's `durable_lsn`.
+    tail: Vec<u8>,
     stats: WalStats,
 }
 
@@ -35,22 +42,24 @@ impl<S: StableStore> Wal<S> {
     pub fn new(store: S) -> Self {
         Wal {
             store,
+            tail: Vec::new(),
             stats: WalStats::default(),
         }
     }
 
     /// Appends a record without forcing. Returns its LSN.
     pub fn append(&mut self, rec: &LogRecord) -> Result<Lsn> {
-        self.stats.records += 1;
-        self.store.append(&rec.to_bytes())
+        self.append_encoded(&rec.to_bytes())
     }
 
     /// Appends a record the caller already encoded (see
     /// [`record::encode_snapshot`](crate::record::encode_snapshot)).
     /// Returns its LSN.
     pub fn append_encoded(&mut self, rec: &[u8]) -> Result<Lsn> {
+        let lsn = self.end_lsn();
         self.stats.records += 1;
-        self.store.append(rec)
+        codec::frame_onto(&mut self.tail, rec);
+        Ok(lsn)
     }
 
     /// Appends and immediately forces — the "force a log record"
@@ -63,48 +72,53 @@ impl<S: StableStore> Wal<S> {
 
     /// Forces everything appended so far.
     pub fn force(&mut self) -> Result<Lsn> {
-        self.stats.forces_requested += 1;
-        let before = self.store.durable_lsn();
-        let after = self.store.force()?;
-        if after > before {
-            self.stats.forces_effective += 1;
-        }
-        Ok(after)
+        self.force_to(self.end_lsn())
     }
 
-    /// Forces the prefix up to `upto` only (see
-    /// [`StableStore::force_to`]); appends beyond it stay buffered for
-    /// the next write. The pipelined disk manager uses this so one
-    /// platter write covers exactly the batch it started with.
+    /// Makes the tail durable up to `upto` with one
+    /// [`StableStore::write`], leaving anything appended beyond it for
+    /// the next write; returns the new durable watermark. The
+    /// pipelined disk manager uses this so one platter write covers
+    /// exactly the batch it started with. `upto` must lie on a frame
+    /// boundary (an LSN returned by `append`, or `end_lsn` captured
+    /// between appends). Forcing at or below the durable watermark is
+    /// free.
     pub fn force_to(&mut self, upto: Lsn) -> Result<Lsn> {
         self.stats.forces_requested += 1;
-        let before = self.store.durable_lsn();
-        let after = self.store.force_to(upto)?;
-        if after > before {
+        let n = (upto.0.saturating_sub(self.durable_lsn().0) as usize).min(self.tail.len());
+        if n > 0 {
+            self.store.write(&self.tail[..n])?;
+            self.tail.drain(..n);
             self.stats.forces_effective += 1;
         }
-        Ok(after)
+        Ok(self.durable_lsn())
+    }
+
+    /// The owning process crashed: everything appended but not yet
+    /// forced is lost; durable bytes survive.
+    pub fn lose_volatile(&mut self) {
+        self.tail.clear();
     }
 
     pub fn durable_lsn(&self) -> Lsn {
         self.store.durable_lsn()
     }
 
+    /// LSN that the next append will return.
     pub fn end_lsn(&self) -> Lsn {
-        self.store.end_lsn()
+        Lsn(self.durable_lsn().0 + self.tail.len() as u64)
     }
 
     pub fn stats(&self) -> WalStats {
         self.stats
     }
 
-    /// Access to the underlying store (e.g. to crash a `MemStore`).
+    /// The durable medium underneath, for its image hooks. A caller
+    /// that replaces the image drops the tail first
+    /// ([`Wal::lose_volatile`]): the tail's LSNs start at the old
+    /// durable end.
     pub fn store_mut(&mut self) -> &mut S {
         &mut self.store
-    }
-
-    pub fn store(&self) -> &S {
-        &self.store
     }
 
     /// LSN of the first retained record (see
@@ -114,7 +128,8 @@ impl<S: StableStore> Wal<S> {
     }
 
     /// Discards the durable records below `lsn` (see
-    /// [`StableStore::truncate_prefix`]); returns the new base.
+    /// [`StableStore::truncate_prefix`]); returns the new base. The
+    /// tail is never touched.
     pub fn truncate_prefix(&mut self, lsn: Lsn) -> Result<Lsn> {
         self.store.truncate_prefix(lsn)
     }
@@ -218,7 +233,7 @@ mod tests {
             subs: vec![],
         })
         .unwrap();
-        wal.store_mut().crash();
+        wal.lose_volatile();
         let back = wal.recover().unwrap();
         assert_eq!(back.len(), 1);
         assert_eq!(
@@ -252,5 +267,90 @@ mod tests {
         let back = wal.recover().unwrap();
         assert_eq!(back, vec![(second, commit(2)), (third, commit(3))]);
         assert!(third < wal.durable_lsn());
+    }
+
+    /// A medium that keeps every `write` it is handed, and fails the
+    /// next one when told to.
+    #[derive(Default)]
+    struct Recording {
+        inner: MemStore,
+        writes: Vec<Vec<u8>>,
+        fail_next: bool,
+    }
+
+    impl StableStore for Recording {
+        fn write(&mut self, frames: &[u8]) -> Result<()> {
+            if std::mem::take(&mut self.fail_next) {
+                return Err(camelot_types::CamelotError::Log("disk full".into()));
+            }
+            self.writes.push(frames.to_vec());
+            self.inner.write(frames)
+        }
+        fn durable_lsn(&self) -> Lsn {
+            self.inner.durable_lsn()
+        }
+        fn base_lsn(&self) -> Lsn {
+            self.inner.base_lsn()
+        }
+        fn truncate_prefix(&mut self, lsn: Lsn) -> Result<Lsn> {
+            self.inner.truncate_prefix(lsn)
+        }
+        fn durable_bytes(&mut self) -> Result<Vec<u8>> {
+            self.inner.durable_bytes()
+        }
+        fn set_durable_bytes(&mut self, bytes: &[u8]) -> Result<()> {
+            self.inner.set_durable_bytes(bytes)
+        }
+    }
+
+    fn abort(seq: u64) -> LogRecord {
+        RecordBody::Abort { tid: tid(seq) }
+    }
+
+    /// An effective force is exactly one store write carrying exactly
+    /// the frames below `upto`; a free force hands the store nothing.
+    #[test]
+    fn each_effective_force_is_one_write_of_exactly_the_prefix() {
+        let mut wal = Wal::new(Recording::default());
+        wal.append(&abort(1)).unwrap();
+        let second = wal.append(&abort(2)).unwrap();
+        wal.append(&abort(3)).unwrap();
+        let end = wal.end_lsn();
+        assert_eq!(wal.force_to(second).unwrap(), second);
+        assert_eq!(wal.force_to(second).unwrap(), second);
+        assert_eq!(wal.force().unwrap(), end);
+        wal.force().unwrap();
+        let mut framed = Vec::new();
+        for seq in 1..=3 {
+            codec::frame_onto(&mut framed, &abort(seq).to_bytes());
+        }
+        let cut = second.0 as usize;
+        assert_eq!(
+            wal.store_mut().writes,
+            vec![framed[..cut].to_vec(), framed[cut..].to_vec()]
+        );
+        assert_eq!(
+            wal.stats(),
+            WalStats {
+                records: 3,
+                forces_requested: 4,
+                forces_effective: 2,
+            }
+        );
+    }
+
+    /// A write the medium refuses leaves the tail whole and the force
+    /// uncounted; the next force writes the same bytes.
+    #[test]
+    fn a_failed_write_keeps_the_tail() {
+        let mut wal = Wal::new(Recording::default());
+        wal.append(&abort(1)).unwrap();
+        let end = wal.end_lsn();
+        wal.store_mut().fail_next = true;
+        assert!(wal.force().is_err());
+        assert_eq!((wal.durable_lsn(), wal.end_lsn()), (Lsn(0), end));
+        assert_eq!(wal.stats().forces_effective, 0);
+        assert_eq!(wal.force().unwrap(), end);
+        assert_eq!(wal.recover().unwrap(), vec![(Lsn(0), abort(1))]);
     }
 }

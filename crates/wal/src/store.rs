@@ -1,10 +1,12 @@
 //! Stable-storage backends for the log.
 //!
-//! A [`StableStore`] is an append-only byte log with an explicit
-//! *durable watermark*: `append` buffers, `force` makes everything
-//! appended so far durable. The distinction is the whole point — the
-//! paper's protocols are defined by **which records are forced and
-//! when** (log forces dominate commit latency, Table 2: 15 ms each).
+//! A [`StableStore`] is a durable medium and nothing else: every byte
+//! it holds has been forced. [`StableStore::write`] appends whole
+//! frames at the durable end and returns once they are durable — one
+//! platter write. What is appended but not yet forced is the
+//! [`Wal`](crate::Wal)'s tail, the one place that decides which
+//! records are forced and when (log forces dominate commit latency,
+//! Table 2: 15 ms each).
 //!
 //! The log also has a *beginning*: [`StableStore::truncate_prefix`]
 //! discards durable bytes below an LSN once a checkpoint has made them
@@ -12,12 +14,10 @@
 //! they stay monotonic across truncation and across reopen — and
 //! [`StableStore::base_lsn`] names the first one still retained.
 //!
-//! - [`MemStore`] keeps the log in memory and models a crash with
-//!   [`MemStore::crash`], which discards the un-forced suffix. Every
-//!   failure-injection test uses this to check that a protocol never
-//!   depends on un-forced state.
-//! - [`FileStore`] appends to a real file and syncs on force; it
-//!   reopens after a process restart and tolerates a torn tail.
+//! - [`MemStore`] keeps the durable bytes in memory; a crash of its
+//!   owner (`Wal::lose_volatile`) leaves them as they are.
+//! - [`FileStore`] writes and syncs a real file; it reopens after a
+//!   process restart and tolerates a torn tail.
 
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
@@ -28,31 +28,14 @@ use camelot_types::{CamelotError, Lsn, Result};
 
 use crate::codec;
 
-/// Append-only stable byte log with force semantics.
+/// Durable byte log with a movable beginning.
 pub trait StableStore {
-    /// Appends framed bytes; returns the LSN (byte offset) of the
-    /// frame. The data is *not* durable until [`StableStore::force`].
-    fn append(&mut self, payload: &[u8]) -> Result<Lsn>;
-
-    /// Makes all appended data durable; returns the new durable
-    /// watermark (the LSN just past the last durable byte).
-    fn force(&mut self) -> Result<Lsn>;
-
-    /// Makes the prefix up to `upto` durable, leaving anything
-    /// appended beyond it buffered; returns the new durable watermark.
-    /// This is the double-buffered disk manager's write primitive: one
-    /// platter write covers exactly the bytes handed to the controller
-    /// when it started, while later appends keep filling the other
-    /// buffer. `upto` must lie on a frame boundary (an LSN returned by
-    /// `append`, or `end_lsn` captured between appends). Forcing at or
-    /// below the durable watermark is a no-op.
-    fn force_to(&mut self, upto: Lsn) -> Result<Lsn>;
+    /// Appends whole frames at the durable end and returns once they
+    /// are durable: one platter write.
+    fn write(&mut self, frames: &[u8]) -> Result<()>;
 
     /// LSN just past the last durable byte.
     fn durable_lsn(&self) -> Lsn;
-
-    /// LSN that the next append will return.
-    fn end_lsn(&self) -> Lsn;
 
     /// LSN of the first retained byte: where the recovery scan starts.
     /// Zero until the first [`StableStore::truncate_prefix`].
@@ -61,16 +44,10 @@ pub trait StableStore {
     /// Discards the durable prefix below `lsn` and returns the new
     /// base. `lsn` must lie on a frame boundary; it is clamped to
     /// `base_lsn..=durable_lsn`, so truncating at or below the base is
-    /// a no-op and un-forced bytes are never touched. Durable: after a
-    /// crash at any instant of the call the store reopens with either
-    /// the old base or the new one, never a mixture.
+    /// a no-op. Durable: after a crash at any instant of the call the
+    /// store reopens with either the old base or the new one, never a
+    /// mixture.
     fn truncate_prefix(&mut self, lsn: Lsn) -> Result<Lsn>;
-
-    /// Simulates a crash of the owning process: everything appended
-    /// but not yet forced is lost; durable bytes survive. (For a
-    /// file-backed store this just discards the in-memory buffer — a
-    /// real crash could do no worse.)
-    fn lose_volatile(&mut self);
 
     /// Raw image of the retained durable bytes (`base_lsn` to
     /// `durable_lsn`), frames and all: the recovery scan's input, and
@@ -79,37 +56,24 @@ pub trait StableStore {
     fn durable_bytes(&mut self) -> Result<Vec<u8>>;
 
     /// Replaces the retained durable image wholesale (the base stays
-    /// where it is) and discards any buffered suffix. Fault-injection
-    /// hook — models a medium that bit-rotted or tore while the
-    /// process was down. The bytes are *not* validated here; the next
-    /// recovery scan judges them.
+    /// where it is). Fault-injection hook — models a medium that
+    /// bit-rotted or tore while the process was down. The bytes are
+    /// *not* validated here; the next recovery scan judges them.
     fn set_durable_bytes(&mut self, bytes: &[u8]) -> Result<()>;
 }
 
 impl<T: StableStore + ?Sized> StableStore for Box<T> {
-    fn append(&mut self, payload: &[u8]) -> Result<Lsn> {
-        (**self).append(payload)
-    }
-    fn force(&mut self) -> Result<Lsn> {
-        (**self).force()
-    }
-    fn force_to(&mut self, upto: Lsn) -> Result<Lsn> {
-        (**self).force_to(upto)
+    fn write(&mut self, frames: &[u8]) -> Result<()> {
+        (**self).write(frames)
     }
     fn durable_lsn(&self) -> Lsn {
         (**self).durable_lsn()
-    }
-    fn end_lsn(&self) -> Lsn {
-        (**self).end_lsn()
     }
     fn base_lsn(&self) -> Lsn {
         (**self).base_lsn()
     }
     fn truncate_prefix(&mut self, lsn: Lsn) -> Result<Lsn> {
         (**self).truncate_prefix(lsn)
-    }
-    fn lose_volatile(&mut self) {
-        (**self).lose_volatile()
     }
     fn durable_bytes(&mut self) -> Result<Vec<u8>> {
         (**self).durable_bytes()
@@ -119,68 +83,27 @@ impl<T: StableStore + ?Sized> StableStore for Box<T> {
     }
 }
 
-/// In-memory store with crash modelling.
+/// In-memory durable medium: survives its owner's crash, not its drop.
 #[derive(Debug, Default)]
 pub struct MemStore {
     /// LSN of `buf[0]`.
     base: u64,
     buf: Vec<u8>,
-    /// Durable length of `buf`.
-    durable: usize,
-    forces: u64,
 }
 
 impl MemStore {
     pub fn new() -> Self {
         MemStore::default()
     }
-
-    /// Number of forces performed (each force of new data would be one
-    /// platter write on a real disk).
-    pub fn forces(&self) -> u64 {
-        self.forces
-    }
-
-    /// Simulates a crash: everything not yet forced is lost.
-    pub fn crash(&mut self) {
-        self.buf.truncate(self.durable);
-    }
-
-    /// Retained bytes (durable or not).
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
-    }
 }
 
 impl StableStore for MemStore {
-    fn append(&mut self, payload: &[u8]) -> Result<Lsn> {
-        let lsn = self.end_lsn();
-        codec::frame_onto(&mut self.buf, payload);
-        Ok(lsn)
-    }
-
-    fn force(&mut self) -> Result<Lsn> {
-        self.force_to(self.end_lsn())
-    }
-
-    fn force_to(&mut self, upto: Lsn) -> Result<Lsn> {
-        let target = (upto.0.saturating_sub(self.base) as usize).min(self.buf.len());
-        if self.durable < target {
-            self.forces += 1;
-            self.durable = target;
-        }
-        Ok(self.durable_lsn())
+    fn write(&mut self, frames: &[u8]) -> Result<()> {
+        self.buf.extend_from_slice(frames);
+        Ok(())
     }
 
     fn durable_lsn(&self) -> Lsn {
-        Lsn(self.base + self.durable as u64)
-    }
-
-    fn end_lsn(&self) -> Lsn {
         Lsn(self.base + self.buf.len() as u64)
     }
 
@@ -189,31 +112,25 @@ impl StableStore for MemStore {
     }
 
     fn truncate_prefix(&mut self, lsn: Lsn) -> Result<Lsn> {
-        let cut = (lsn.0.saturating_sub(self.base) as usize).min(self.durable);
+        let cut = (lsn.0.saturating_sub(self.base) as usize).min(self.buf.len());
         self.buf.drain(..cut);
-        self.durable -= cut;
         self.base += cut as u64;
         Ok(Lsn(self.base))
     }
 
-    fn lose_volatile(&mut self) {
-        self.crash();
-    }
-
     fn durable_bytes(&mut self) -> Result<Vec<u8>> {
-        Ok(self.buf[..self.durable].to_vec())
+        Ok(self.buf.clone())
     }
 
     fn set_durable_bytes(&mut self, bytes: &[u8]) -> Result<()> {
         self.buf = bytes.to_vec();
-        self.durable = bytes.len();
         Ok(())
     }
 }
 
-/// File-backed store. Appends are buffered in memory; `force` writes
-/// and syncs. Reopening after a crash recovers the synced prefix and
-/// tolerates a torn tail.
+/// File-backed store: `write` is `write_all` plus `sync_data`.
+/// Reopening after a crash recovers the synced prefix and tolerates a
+/// torn tail.
 ///
 /// The file is a [`FileStore::HEADER_LEN`]-byte header — magic, the
 /// base LSN, a CRC over both — followed by the retained frames, so
@@ -227,11 +144,8 @@ pub struct FileStore {
     file: File,
     /// LSN of the first frame in the file.
     base: u64,
-    /// Bytes appended but not yet written+synced.
-    pending: Vec<u8>,
     /// LSN just past the last durable byte on disk.
     durable: u64,
-    forces: u64,
 }
 
 const MAGIC: [u8; 4] = *b"CWL1";
@@ -302,9 +216,7 @@ impl FileStore {
             path,
             file,
             base,
-            pending: Vec::new(),
             durable: base + valid,
-            forces: 0,
         })
     }
 
@@ -313,29 +225,10 @@ impl FileStore {
         &self.path
     }
 
-    /// Number of forces that actually hit the disk.
-    pub fn forces(&self) -> u64 {
-        self.forces
-    }
-
     fn trunc_path(path: &Path) -> PathBuf {
         let mut name = path.as_os_str().to_owned();
         name.push(".trunc");
         PathBuf::from(name)
-    }
-
-    /// Writes and syncs the first `n` pending bytes.
-    fn write_pending(&mut self, n: usize) -> Result<()> {
-        if n > 0 {
-            self.file
-                .write_all(&self.pending[..n])
-                .map_err(|e| io_err("write", e))?;
-            self.file.sync_data().map_err(|e| io_err("sync", e))?;
-            self.durable += n as u64;
-            self.pending.drain(..n);
-            self.forces += 1;
-        }
-        Ok(())
     }
 
     /// Reads the durable frames at and above `from`.
@@ -387,29 +280,17 @@ impl FileStore {
 }
 
 impl StableStore for FileStore {
-    fn append(&mut self, payload: &[u8]) -> Result<Lsn> {
-        let lsn = self.end_lsn();
-        codec::frame_onto(&mut self.pending, payload);
-        Ok(lsn)
-    }
-
-    fn force(&mut self) -> Result<Lsn> {
-        self.write_pending(self.pending.len())?;
-        Ok(Lsn(self.durable))
-    }
-
-    fn force_to(&mut self, upto: Lsn) -> Result<Lsn> {
-        let n = (upto.0.saturating_sub(self.durable) as usize).min(self.pending.len());
-        self.write_pending(n)?;
-        Ok(Lsn(self.durable))
+    fn write(&mut self, frames: &[u8]) -> Result<()> {
+        self.file
+            .write_all(frames)
+            .map_err(|e| io_err("write", e))?;
+        self.file.sync_data().map_err(|e| io_err("sync", e))?;
+        self.durable += frames.len() as u64;
+        Ok(())
     }
 
     fn durable_lsn(&self) -> Lsn {
         Lsn(self.durable)
-    }
-
-    fn end_lsn(&self) -> Lsn {
-        Lsn(self.durable + self.pending.len() as u64)
     }
 
     fn base_lsn(&self) -> Lsn {
@@ -425,39 +306,31 @@ impl StableStore for FileStore {
         Ok(Lsn(self.base))
     }
 
-    fn lose_volatile(&mut self) {
-        self.pending.clear();
-    }
-
     fn durable_bytes(&mut self) -> Result<Vec<u8>> {
         self.read_from(self.base)
     }
 
     fn set_durable_bytes(&mut self, bytes: &[u8]) -> Result<()> {
-        self.pending.clear();
         self.file
             .set_len(Self::HEADER_LEN as u64)
             .map_err(|e| io_err("truncate for image", e))?;
         self.file
             .seek(SeekFrom::End(0))
             .map_err(|e| io_err("seek", e))?;
-        self.file
-            .write_all(bytes)
-            .map_err(|e| io_err("image write", e))?;
-        self.file.sync_data().map_err(|e| io_err("sync", e))?;
-        self.durable = self.base + bytes.len() as u64;
-        Ok(())
+        self.durable = self.base;
+        self.write(bytes)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Wal;
 
     /// The recovery scan: retained durable frames with their LSNs.
-    fn read_durable(store: &mut dyn StableStore) -> Result<Vec<(Lsn, Vec<u8>)>> {
-        let base = store.base_lsn().0;
-        let frames = codec::scan(&store.durable_bytes()?)?;
+    fn read_durable<S: StableStore>(wal: &mut Wal<S>) -> Result<Vec<(Lsn, Vec<u8>)>> {
+        let base = wal.base_lsn().0;
+        let frames = codec::scan(&wal.store_mut().durable_bytes()?)?;
         Ok(frames
             .into_iter()
             .map(|(o, p)| (Lsn(base + o), p))
@@ -472,125 +345,219 @@ mod tests {
         path
     }
 
-    fn check_basic(store: &mut dyn StableStore) {
-        assert_eq!(store.durable_lsn(), Lsn(0));
-        let l1 = store.append(b"alpha").unwrap();
-        let l2 = store.append(b"beta").unwrap();
+    /// Runs a medium-independent check over a fresh log on each store:
+    /// in memory, then in a file named `name`, removed afterwards.
+    fn on_each_medium(name: &str, check: impl Fn(&mut Wal<Box<dyn StableStore>>)) {
+        check(&mut Wal::new(Box::new(MemStore::new())));
+        let path = scratch(name);
+        check(&mut Wal::new(Box::new(FileStore::open(&path).unwrap())));
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    fn append<S: StableStore>(wal: &mut Wal<S>, payload: &[u8]) -> Lsn {
+        wal.append_encoded(payload).unwrap()
+    }
+
+    fn check_basic<S: StableStore>(wal: &mut Wal<S>) {
+        assert_eq!(wal.durable_lsn(), Lsn(0));
+        let l1 = append(wal, b"alpha");
+        let l2 = append(wal, b"beta");
         assert!(l2 > l1);
-        assert_eq!(store.durable_lsn(), Lsn(0), "append must not be durable");
-        let d = store.force().unwrap();
-        assert_eq!(d, store.end_lsn());
-        let frames = read_durable(store).unwrap();
+        assert_eq!(wal.durable_lsn(), Lsn(0), "append must not be durable");
+        let d = wal.force().unwrap();
+        assert_eq!(d, wal.end_lsn());
+        let frames = read_durable(wal).unwrap();
         assert_eq!(frames.len(), 2);
         assert_eq!(frames[0], (l1, b"alpha".to_vec()));
         assert_eq!(frames[1], (l2, b"beta".to_vec()));
+        assert_eq!(wal.stats().forces_effective, 1);
     }
 
     #[test]
-    fn mem_store_basics() {
-        let mut s = MemStore::new();
-        check_basic(&mut s);
-        assert_eq!(s.forces(), 1);
+    fn basics() {
+        on_each_medium("basic.log", check_basic);
     }
 
-    #[test]
-    fn mem_store_crash_loses_unforced_suffix() {
-        let mut s = MemStore::new();
-        s.append(b"kept").unwrap();
-        s.force().unwrap();
-        s.append(b"lost").unwrap();
-        s.crash();
-        let frames = read_durable(&mut s).unwrap();
+    fn check_crash_loses_exactly_the_tail<S: StableStore>(wal: &mut Wal<S>) {
+        append(wal, b"kept");
+        wal.force().unwrap();
+        let lost = append(wal, b"lost");
+        wal.lose_volatile();
+        assert_eq!(wal.end_lsn(), wal.durable_lsn());
+        let frames = read_durable(wal).unwrap();
         assert_eq!(frames.len(), 1);
         assert_eq!(frames[0].1, b"kept");
-        // After the crash the store can keep being used.
-        s.append(b"post").unwrap();
-        s.force().unwrap();
-        assert_eq!(read_durable(&mut s).unwrap().len(), 2);
+        // After the crash the log can keep being used, from where the
+        // lost record began.
+        assert_eq!(append(wal, b"post"), lost);
+        wal.force().unwrap();
+        assert_eq!(read_durable(wal).unwrap().len(), 2);
     }
 
     #[test]
-    fn mem_store_force_idempotent_when_clean() {
-        let mut s = MemStore::new();
-        s.append(b"x").unwrap();
-        s.force().unwrap();
-        s.force().unwrap();
-        s.force().unwrap();
-        assert_eq!(s.forces(), 1, "forcing a clean log is free");
+    fn crash_loses_exactly_the_tail() {
+        on_each_medium("crash.log", check_crash_loses_exactly_the_tail);
     }
 
-    fn check_partial_force(store: &mut dyn StableStore) {
-        store.append(b"first").unwrap();
-        let boundary = store.end_lsn();
-        store.append(b"second").unwrap();
-        let d = store.force_to(boundary).unwrap();
+    fn check_force_free_when_clean<S: StableStore>(wal: &mut Wal<S>) {
+        append(wal, b"x");
+        wal.force().unwrap();
+        wal.force().unwrap();
+        wal.force().unwrap();
+        let stats = wal.stats();
+        assert_eq!(stats.forces_requested, 3);
+        assert_eq!(stats.forces_effective, 1, "forcing a clean log is free");
+    }
+
+    #[test]
+    fn force_idempotent_when_clean() {
+        on_each_medium("clean.log", check_force_free_when_clean);
+    }
+
+    fn check_partial_force<S: StableStore>(wal: &mut Wal<S>) {
+        append(wal, b"first");
+        let boundary = wal.end_lsn();
+        append(wal, b"second");
+        let d = wal.force_to(boundary).unwrap();
         assert_eq!(d, boundary, "exactly the prefix becomes durable");
-        assert_eq!(read_durable(store).unwrap().len(), 1);
-        assert!(
-            store.end_lsn() > store.durable_lsn(),
-            "suffix still buffered"
-        );
+        assert_eq!(read_durable(wal).unwrap().len(), 1);
+        assert!(wal.end_lsn() > wal.durable_lsn(), "suffix still buffered");
         // Forcing at or below the watermark is free.
-        assert_eq!(store.force_to(Lsn(0)).unwrap(), boundary);
+        assert_eq!(wal.force_to(Lsn(0)).unwrap(), boundary);
         // The buffered suffix survives for the next write.
-        let all = store.force().unwrap();
-        assert_eq!(all, store.end_lsn());
-        assert_eq!(read_durable(store).unwrap().len(), 2);
+        let all = wal.force().unwrap();
+        assert_eq!(all, wal.end_lsn());
+        assert_eq!(read_durable(wal).unwrap().len(), 2);
+        assert_eq!(wal.stats().forces_effective, 2);
     }
 
     #[test]
-    fn mem_store_partial_force() {
-        let mut s = MemStore::new();
-        check_partial_force(&mut s);
-        assert_eq!(s.forces(), 2);
+    fn partial_force() {
+        on_each_medium("partial.log", check_partial_force);
+    }
+
+    fn check_durable_image_excludes_unforced<S: StableStore>(wal: &mut Wal<S>) {
+        append(wal, b"a");
+        wal.force().unwrap();
+        append(wal, b"b");
+        assert_eq!(read_durable(wal).unwrap().len(), 1);
     }
 
     #[test]
-    fn file_store_partial_force() {
-        let path = scratch("partial.log");
-        let mut s = FileStore::open(&path).unwrap();
-        check_partial_force(&mut s);
-        std::fs::remove_file(&path).unwrap();
+    fn durable_image_excludes_unforced() {
+        on_each_medium("unforced.log", check_durable_image_excludes_unforced);
+    }
+
+    /// The image hooks a fault harness uses across a restart: snapshot
+    /// the durable image, tear it or flip a bit in it, and restore it.
+    fn check_image_hooks<S: StableStore>(wal: &mut Wal<S>) {
+        let one = append(wal, b"one");
+        let two = append(wal, b"two");
+        wal.force().unwrap();
+        append(wal, b"unforced");
+        let image = wal.store_mut().durable_bytes().unwrap();
+        assert_eq!(codec::scan(&image).unwrap().len(), 2);
+        // The process is down while its medium is edited.
+        wal.lose_volatile();
+
+        // Torn tail injected through the hook: recovery sees a clean
+        // prefix and stops at the tear.
+        let mut torn = image.clone();
+        torn.extend_from_slice(&[9, 0, 0, 0]); // Partial header.
+        wal.store_mut().set_durable_bytes(&torn).unwrap();
+        assert_eq!(
+            read_durable(wal).unwrap().len(),
+            2,
+            "tear hides nothing durable"
+        );
+
+        // Bit flip in a committed frame: recovery errors.
+        for (at, bit) in [(codec::FRAME_HEADER, 0x01), (codec::FRAME_HEADER + 1, 0x10)] {
+            let mut flipped = image.clone();
+            flipped[at] ^= bit;
+            wal.store_mut().set_durable_bytes(&flipped).unwrap();
+            match read_durable(wal) {
+                Err(CamelotError::Corruption { offset: 0 }) => {}
+                other => panic!("expected Corruption at offset 0, got {other:?}"),
+            }
+        }
+
+        // Restoring the pristine image heals the store.
+        wal.store_mut().set_durable_bytes(&image).unwrap();
+        assert_eq!(
+            read_durable(wal).unwrap(),
+            vec![(one, b"one".to_vec()), (two, b"two".to_vec())]
+        );
     }
 
     #[test]
-    fn read_durable_excludes_unforced() {
-        let mut s = MemStore::new();
-        s.append(b"a").unwrap();
-        s.force().unwrap();
-        s.append(b"b").unwrap();
-        let frames = read_durable(&mut s).unwrap();
-        assert_eq!(frames.len(), 1);
+    fn durable_image_hooks_roundtrip_and_inject_faults() {
+        on_each_medium("image-hooks.log", check_image_hooks);
+    }
+
+    /// Truncation discards a durable prefix and nothing else: LSNs
+    /// keep counting from where they were, the un-forced tail is
+    /// untouched, and the image hooks see the retained suffix only.
+    fn check_truncate<S: StableStore>(wal: &mut Wal<S>) {
+        let a = append(wal, b"alpha");
+        let b = append(wal, b"beta");
+        let c = append(wal, b"gamma");
+        wal.force_to(c).unwrap();
+        assert_eq!(wal.base_lsn(), a);
+        // Clamped to the durable watermark: `gamma` is not durable.
+        assert_eq!(wal.truncate_prefix(wal.end_lsn()).unwrap(), c);
+        assert_eq!(read_durable(wal).unwrap(), vec![]);
+        assert_eq!(wal.durable_lsn(), c);
+        wal.force().unwrap();
+        assert_eq!(read_durable(wal).unwrap(), vec![(c, b"gamma".to_vec())]);
+        // At or below the base: a no-op.
+        assert_eq!(wal.truncate_prefix(b).unwrap(), c);
+        let d = append(wal, b"delta");
+        assert!(d > c, "LSNs stay monotonic across a truncation");
+        assert_eq!(d, wal.durable_lsn());
+        wal.force().unwrap();
+        // The image hooks work on the retained suffix and keep the base.
+        let image = wal.store_mut().durable_bytes().unwrap();
+        assert_eq!(codec::scan(&image).unwrap().len(), 2);
+        wal.store_mut()
+            .set_durable_bytes(&image[..image.len() - 3])
+            .unwrap();
+        assert_eq!(wal.base_lsn(), c);
+        assert_eq!(read_durable(wal).unwrap(), vec![(c, b"gamma".to_vec())]);
+        wal.store_mut().set_durable_bytes(&image).unwrap();
+        assert_eq!(wal.end_lsn().0, c.0 + image.len() as u64);
+        assert_eq!(read_durable(wal).unwrap().len(), 2);
     }
 
     #[test]
-    fn file_store_basics() {
-        let path = scratch("basic.log");
-        let mut s = FileStore::open(&path).unwrap();
-        check_basic(&mut s);
-        std::fs::remove_file(&path).unwrap();
+    fn truncate() {
+        on_each_medium("truncate.log", check_truncate);
+    }
+
+    fn open(path: &Path) -> Wal<FileStore> {
+        Wal::new(FileStore::open(path).unwrap())
     }
 
     #[test]
     fn file_store_reopen_recovers_synced_prefix() {
         let path = scratch("reopen.log");
         {
-            let mut s = FileStore::open(&path).unwrap();
-            s.append(b"one").unwrap();
-            s.force().unwrap();
-            s.append(b"never-synced").unwrap();
-            // Dropped without force: pending bytes are lost, as after
-            // a process crash.
+            let mut wal = open(&path);
+            append(&mut wal, b"one");
+            wal.force().unwrap();
+            append(&mut wal, b"never-synced");
+            // Dropped without force: the tail is lost, as after a
+            // process crash.
         }
         {
-            let mut s = FileStore::open(&path).unwrap();
-            let frames = read_durable(&mut s).unwrap();
+            let mut wal = open(&path);
+            let frames = read_durable(&mut wal).unwrap();
             assert_eq!(frames.len(), 1);
             assert_eq!(frames[0].1, b"one");
             // And the log keeps working.
-            s.append(b"two").unwrap();
-            s.force().unwrap();
-            assert_eq!(read_durable(&mut s).unwrap().len(), 2);
+            append(&mut wal, b"two");
+            wal.force().unwrap();
+            assert_eq!(read_durable(&mut wal).unwrap().len(), 2);
         }
         std::fs::remove_file(&path).unwrap();
     }
@@ -599,9 +566,9 @@ mod tests {
     fn file_store_truncates_torn_tail() {
         let path = scratch("torn.log");
         {
-            let mut s = FileStore::open(&path).unwrap();
-            s.append(b"good").unwrap();
-            s.force().unwrap();
+            let mut wal = open(&path);
+            append(&mut wal, b"good");
+            wal.force().unwrap();
         }
         // Simulate a torn write: append garbage that looks like a
         // partial frame.
@@ -611,8 +578,8 @@ mod tests {
             f.write_all(&[7, 0, 0, 0]).unwrap(); // Length header only.
         }
         {
-            let mut s = FileStore::open(&path).unwrap();
-            let frames = read_durable(&mut s).unwrap();
+            let mut wal = open(&path);
+            let frames = read_durable(&mut wal).unwrap();
             assert_eq!(frames.len(), 1);
             assert_eq!(frames[0].1, b"good");
         }
@@ -623,10 +590,10 @@ mod tests {
     fn file_store_reopen_rejects_bitflipped_committed_record() {
         let path = scratch("bitflip.log");
         {
-            let mut s = FileStore::open(&path).unwrap();
-            s.append(b"committed-one").unwrap();
-            s.append(b"committed-two").unwrap();
-            s.force().unwrap();
+            let mut wal = open(&path);
+            append(&mut wal, b"committed-one");
+            append(&mut wal, b"committed-two");
+            wal.force().unwrap();
         }
         // Flip one bit inside the first record's payload — a committed
         // (forced) frame, followed by another valid frame, so this is
@@ -646,146 +613,45 @@ mod tests {
     }
 
     #[test]
-    fn durable_image_hooks_roundtrip_and_inject_faults() {
-        let mut s = MemStore::new();
-        s.append(b"one").unwrap();
-        s.append(b"two").unwrap();
-        s.force().unwrap();
-        s.append(b"unforced").unwrap();
-        let image = s.durable_bytes().unwrap();
-        assert_eq!(codec::scan(&image).unwrap().len(), 2);
-
-        // Torn tail injected through the hook: recovery sees a clean
-        // prefix and stops at the tear.
-        let mut torn = image.clone();
-        torn.extend_from_slice(&[9, 0, 0, 0]); // Partial header.
-        s.set_durable_bytes(&torn).unwrap();
-        assert_eq!(
-            read_durable(&mut s).unwrap().len(),
-            2,
-            "tear hides nothing durable"
-        );
-
-        // Bit flip in a committed frame: recovery errors.
-        let mut flipped = image.clone();
-        flipped[codec::FRAME_HEADER + 1] ^= 0x10;
-        s.set_durable_bytes(&flipped).unwrap();
-        match read_durable(&mut s) {
-            Err(CamelotError::Corruption { offset: 0 }) => {}
-            other => panic!("expected Corruption at offset 0, got {other:?}"),
-        }
-
-        // Restoring the pristine image heals the store.
-        s.set_durable_bytes(&image).unwrap();
-        assert_eq!(read_durable(&mut s).unwrap().len(), 2);
-    }
-
-    #[test]
-    fn file_store_image_hooks() {
-        let path = scratch("image-hooks.log");
-        let mut s = FileStore::open(&path).unwrap();
-        s.append(b"alpha").unwrap();
-        s.force().unwrap();
-        s.append(b"pending-only").unwrap();
-        let image = s.durable_bytes().unwrap();
-        assert_eq!(codec::scan(&image).unwrap().len(), 1);
-        let mut flipped = image.clone();
-        flipped[codec::FRAME_HEADER] ^= 0x01;
-        s.set_durable_bytes(&flipped).unwrap();
-        assert!(matches!(
-            read_durable(&mut s),
-            Err(CamelotError::Corruption { offset: 0 })
-        ));
-        s.set_durable_bytes(&image).unwrap();
-        let frames = read_durable(&mut s).unwrap();
-        assert_eq!(frames.len(), 1);
-        assert_eq!(frames[0].1, b"alpha");
-        std::fs::remove_file(&path).unwrap();
-    }
-    /// Truncation discards a durable prefix and nothing else: LSNs
-    /// keep counting from where they were, the un-forced tail is
-    /// untouched, and the image hooks see the retained suffix only.
-    fn check_truncate(store: &mut dyn StableStore) {
-        let a = store.append(b"alpha").unwrap();
-        let b = store.append(b"beta").unwrap();
-        let c = store.append(b"gamma").unwrap();
-        store.force_to(c).unwrap();
-        assert_eq!(store.base_lsn(), a);
-        // Clamped to the durable watermark: `gamma` is not durable.
-        assert_eq!(store.truncate_prefix(store.end_lsn()).unwrap(), c);
-        assert_eq!(read_durable(store).unwrap(), vec![]);
-        assert_eq!(store.durable_lsn(), c);
-        store.force().unwrap();
-        assert_eq!(read_durable(store).unwrap(), vec![(c, b"gamma".to_vec())]);
-        // At or below the base: a no-op.
-        assert_eq!(store.truncate_prefix(b).unwrap(), c);
-        let d = store.append(b"delta").unwrap();
-        assert!(d > c, "LSNs stay monotonic across a truncation");
-        assert_eq!(d, store.durable_lsn());
-        store.force().unwrap();
-        // The image hooks work on the retained suffix and keep the base.
-        let image = store.durable_bytes().unwrap();
-        assert_eq!(codec::scan(&image).unwrap().len(), 2);
-        store.set_durable_bytes(&image[..image.len() - 3]).unwrap();
-        assert_eq!(store.base_lsn(), c);
-        assert_eq!(read_durable(store).unwrap(), vec![(c, b"gamma".to_vec())]);
-        store.set_durable_bytes(&image).unwrap();
-        assert_eq!(store.end_lsn().0, c.0 + image.len() as u64);
-        assert_eq!(read_durable(store).unwrap().len(), 2);
-    }
-
-    #[test]
-    fn mem_store_truncate() {
-        check_truncate(&mut MemStore::new());
-    }
-
-    #[test]
-    fn file_store_truncate() {
-        let path = scratch("truncate.log");
-        check_truncate(&mut FileStore::open(&path).unwrap());
-        std::fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
     fn file_store_reopen_after_truncation_keeps_lsns() {
         let path = scratch("truncate-reopen.log");
         let (kept, end) = {
-            let mut s = FileStore::open(&path).unwrap();
-            s.append(b"dead weight").unwrap();
-            let kept = s.append(b"kept").unwrap();
-            s.force().unwrap();
-            assert_eq!(s.truncate_prefix(kept).unwrap(), kept);
-            s.append(b"never-synced").unwrap();
-            (kept, s.durable_lsn())
+            let mut wal = open(&path);
+            append(&mut wal, b"dead weight");
+            let kept = append(&mut wal, b"kept");
+            wal.force().unwrap();
+            assert_eq!(wal.truncate_prefix(kept).unwrap(), kept);
+            append(&mut wal, b"never-synced");
+            (kept, wal.durable_lsn())
         };
-        let mut s = FileStore::open(&path).unwrap();
+        let mut wal = open(&path);
         assert_eq!(
-            (s.base_lsn(), s.durable_lsn(), s.end_lsn()),
+            (wal.base_lsn(), wal.durable_lsn(), wal.end_lsn()),
             (kept, end, end)
         );
         assert_eq!(
-            read_durable(&mut s).unwrap(),
+            read_durable(&mut wal).unwrap(),
             vec![(kept, b"kept".to_vec())]
         );
-        let next = s.append(b"after").unwrap();
+        let next = append(&mut wal, b"after");
         assert_eq!(next, end, "the next LSN continues the old numbering");
-        s.force().unwrap();
-        drop(s);
+        wal.force().unwrap();
+        drop(wal);
         // Torn-tail handling on a truncated file: the tear is cut off
         // and the base survives.
         {
             let mut f = OpenOptions::new().append(true).open(&path).unwrap();
             f.write_all(&[7, 0, 0, 0]).unwrap();
         }
-        let mut s = FileStore::open(&path).unwrap();
-        assert_eq!(s.base_lsn(), kept);
-        let frames = read_durable(&mut s).unwrap();
+        let mut wal = open(&path);
+        assert_eq!(wal.base_lsn(), kept);
+        let frames = read_durable(&mut wal).unwrap();
         assert_eq!(
             frames,
             vec![(kept, b"kept".to_vec()), (next, b"after".to_vec())]
         );
         // Corruption is reported at its LSN, not its file offset.
-        drop(s);
+        drop(wal);
         let mut bytes = std::fs::read(&path).unwrap();
         bytes[FileStore::HEADER_LEN + codec::FRAME_HEADER] ^= 0x01;
         std::fs::write(&path, &bytes).unwrap();
@@ -804,32 +670,33 @@ mod tests {
     fn file_store_truncation_crash_windows() {
         let path = scratch("truncate-crash.log");
         let trunc = FileStore::trunc_path(&path);
-        let mut s = FileStore::open(&path).unwrap();
-        let first = s.append(b"dead weight").unwrap();
-        let kept = s.append(b"kept").unwrap();
-        s.force().unwrap();
+        let mut wal = open(&path);
+        let first = append(&mut wal, b"dead weight");
+        let kept = append(&mut wal, b"kept");
+        wal.force().unwrap();
         // Crash with the copy written and synced but not installed.
-        drop(s.write_truncated(kept.0).unwrap());
-        drop(s);
+        drop(wal.store_mut().write_truncated(kept.0).unwrap());
+        drop(wal);
         assert!(trunc.exists());
-        let mut s = FileStore::open(&path).unwrap();
+        let mut wal = open(&path);
         assert!(!trunc.exists(), "a leftover copy is deleted");
-        assert_eq!(s.base_lsn(), first);
-        assert_eq!(read_durable(&mut s).unwrap().len(), 2);
+        assert_eq!(wal.base_lsn(), first);
+        assert_eq!(read_durable(&mut wal).unwrap().len(), 2);
         // Crash with the copy half written.
-        drop(s);
+        drop(wal);
         std::fs::write(&trunc, &header(kept.0)[..9]).unwrap();
-        let mut s = FileStore::open(&path).unwrap();
-        assert_eq!(s.base_lsn(), first);
-        assert_eq!(read_durable(&mut s).unwrap().len(), 2);
+        let mut wal = open(&path);
+        assert_eq!(wal.base_lsn(), first);
+        assert_eq!(read_durable(&mut wal).unwrap().len(), 2);
         // Crash right after the rename.
-        let tmp = s.write_truncated(kept.0).unwrap();
-        s.install_truncated(tmp, kept.0).unwrap();
-        drop(s);
-        let mut s = FileStore::open(&path).unwrap();
-        assert_eq!(s.base_lsn(), kept);
+        let store = wal.store_mut();
+        let tmp = store.write_truncated(kept.0).unwrap();
+        store.install_truncated(tmp, kept.0).unwrap();
+        drop(wal);
+        let mut wal = open(&path);
+        assert_eq!(wal.base_lsn(), kept);
         assert_eq!(
-            read_durable(&mut s).unwrap(),
+            read_durable(&mut wal).unwrap(),
             vec![(kept, b"kept".to_vec())]
         );
         std::fs::remove_file(&path).unwrap();
@@ -839,9 +706,9 @@ mod tests {
     fn file_store_rejects_a_damaged_header() {
         let path = scratch("header.log");
         {
-            let mut s = FileStore::open(&path).unwrap();
-            s.append(b"one").unwrap();
-            s.force().unwrap();
+            let mut wal = open(&path);
+            append(&mut wal, b"one");
+            wal.force().unwrap();
         }
         let mut bytes = std::fs::read(&path).unwrap();
         bytes[5] ^= 0x01; // Inside the base LSN.
@@ -853,9 +720,9 @@ mod tests {
         // A header cut short is a log that crashed while being
         // created: it reopens empty.
         std::fs::write(&path, &bytes[..7]).unwrap();
-        let mut s = FileStore::open(&path).unwrap();
-        assert_eq!((s.base_lsn(), s.end_lsn()), (Lsn(0), Lsn(0)));
-        assert!(read_durable(&mut s).unwrap().is_empty());
+        let mut wal = open(&path);
+        assert_eq!((wal.base_lsn(), wal.end_lsn()), (Lsn(0), Lsn(0)));
+        assert!(read_durable(&mut wal).unwrap().is_empty());
         std::fs::remove_file(&path).unwrap();
     }
 }

@@ -13,7 +13,7 @@ use camelot::server::{DataServer, Request};
 use camelot::types::{FamilyId, Lsn, ObjectId, ServerId, SiteId, Tid, Time, Wire};
 use camelot::wal::record::{QuorumKind, ReplicationInfo};
 use camelot::wal::{
-    BatchPolicy, BatcherAction, GroupCommitBatcher, LogRecord, MemStore, ReqId, Wal,
+    BatchPolicy, BatcherAction, FileStore, GroupCommitBatcher, LogRecord, MemStore, ReqId, Wal,
 };
 
 fn any_tid() -> impl Strategy<Value = Tid> {
@@ -280,27 +280,41 @@ proptest! {
     }
 
     /// Appended+forced records always recover, in order; a crash
-    /// discards exactly the unforced suffix.
+    /// discards exactly the unforced suffix. In memory the crash is
+    /// `lose_volatile`; on a real file it is the process dying: the
+    /// log is dropped and the file reopened.
     #[test]
     fn wal_crash_recovers_durable_prefix(
         recs in prop::collection::vec(any_record(), 1..20),
         force_at in prop::collection::vec(any::<bool>(), 1..20),
     ) {
-        let mut wal = Wal::new(MemStore::new());
+        let path = std::env::temp_dir()
+            .join(format!("camelot-proptest-crash-{}.log", std::process::id()));
+        let _ = std::fs::remove_file(&path);
+        let mut mem = Wal::new(MemStore::new());
+        let mut file = Wal::new(FileStore::open(&path).unwrap());
         let mut durable = Vec::new();
         let mut pending = Vec::new();
         for (rec, force) in recs.iter().zip(force_at.iter().chain(std::iter::repeat(&false))) {
-            wal.append(rec).unwrap();
+            mem.append(rec).unwrap();
+            file.append(rec).unwrap();
             pending.push(rec.clone());
             if *force {
-                wal.force().unwrap();
+                mem.force().unwrap();
+                file.force().unwrap();
                 durable.append(&mut pending);
             }
         }
-        wal.store_mut().crash();
-        let recovered: Vec<LogRecord> =
-            wal.recover().unwrap().into_iter().map(|(_, r)| r).collect();
-        prop_assert_eq!(recovered, durable);
+        mem.lose_volatile();
+        drop(file);
+        let mut file = Wal::new(FileStore::open(&path).unwrap());
+        let mem_recovered: Vec<LogRecord> =
+            mem.recover().unwrap().into_iter().map(|(_, r)| r).collect();
+        let file_recovered: Vec<LogRecord> =
+            file.recover().unwrap().into_iter().map(|(_, r)| r).collect();
+        std::fs::remove_file(&path).unwrap();
+        prop_assert_eq!(&mem_recovered, &durable);
+        prop_assert_eq!(file_recovered, durable);
     }
 
     /// The group-commit batcher satisfies every request exactly once,
@@ -554,8 +568,8 @@ proptest! {
                 }
             }
         }
-        log.full.store_mut().crash();
-        log.cut.store_mut().crash();
+        log.full.lose_volatile();
+        log.cut.lose_volatile();
         prop_assert_eq!(log.full.end_lsn(), log.cut.end_lsn());
         prop_assert_eq!(recovered_state(&mut log.cut), recovered_state(&mut log.full));
 

@@ -191,7 +191,7 @@ impl Net {
         let Some(state) = &mut self.action_digest else {
             return;
         };
-        let mut lines: Vec<String> = actions.iter().map(|a| format!("{a:?}")).collect();
+        let mut lines: Vec<String> = actions.iter().map(render).collect();
         lines.sort();
         fnv1a(state, &site.0.to_le_bytes());
         fnv1a(state, input.as_bytes());
@@ -624,6 +624,22 @@ impl Net {
             }
         }
     }
+}
+
+/// An action as the digest folds it: its `Debug` form, except that the
+/// four server-resolution variants are spelled as one
+/// `ServerResolve { tid, servers, outcome }`.
+fn render(a: &Action) -> String {
+    let (tid, servers, outcome) = match a {
+        Action::ServerCommit { tid, servers } | Action::ServerSubCommit { tid, servers } => {
+            (tid, servers, Outcome::Committed)
+        }
+        Action::ServerAbort { tid, servers } | Action::ServerSubAbort { tid, servers } => {
+            (tid, servers, Outcome::Aborted)
+        }
+        other => return format!("{other:?}"),
+    };
+    format!("ServerResolve {{ tid: {tid:?}, servers: {servers:?}, outcome: {outcome:?} }}")
 }
 
 /// Convenience constructor for records in tests.

@@ -146,17 +146,20 @@ impl LockManager {
     }
 
     /// Requests `object` in `mode` for `tid`. Re-entrant: a holder
-    /// asking for a mode it already covers is granted immediately; a
-    /// shared holder asking for exclusive is upgraded when permitted.
+    /// asking for a mode it already covers is granted immediately,
+    /// unless a descendant has since taken the lock in a conflicting
+    /// mode (then it waits for the descendant to commit or abort, like
+    /// any other request); a shared holder asking for exclusive is
+    /// upgraded when permitted.
     ///
     /// An upgrade request that must wait is queued like any other
     /// request (Camelot's runtime library offers plain
     /// shared/exclusive locks, not upgrade priority).
     pub fn acquire(&mut self, object: ObjectId, tid: &Tid, mode: Mode) -> Acquire {
         let entry = self.table.entry(object).or_default();
-        // Already held strongly enough?
+        // Already held strongly enough, and no co-holder in the way?
         if let Some(held) = entry.holder_mode(tid) {
-            if held == Mode::Exclusive || mode == Mode::Shared {
+            if (held == Mode::Exclusive || mode == Mode::Shared) && entry.compatible(tid, mode) {
                 return Acquire::Granted;
             }
         }
@@ -383,6 +386,23 @@ mod tests {
             Acquire::Granted
         );
         assert_eq!(lm.acquire(obj(1), &child, Mode::Shared), Acquire::Granted);
+    }
+
+    #[test]
+    fn a_holder_waits_for_a_descendant_that_took_the_lock() {
+        let mut lm = LockManager::new();
+        let top = Tid::top_level(fam(1));
+        let child = top.child(1);
+        lm.acquire(obj(1), &top, Mode::Exclusive);
+        lm.acquire(obj(1), &child, Mode::Exclusive);
+        // The child is not top's ancestor: top's own holding does not
+        // let it past the child's.
+        assert_eq!(lm.acquire(obj(1), &top, Mode::Shared), Acquire::Queued);
+        assert_eq!(lm.acquire(obj(1), &top, Mode::Exclusive), Acquire::Queued);
+        let granted = lm.abort_transaction(&child);
+        assert_eq!(granted.len(), 2, "both of top's requests wake");
+        assert!(granted.iter().all(|g| g.tid == top));
+        assert_eq!(lm.held_mode(obj(1), &top), Some(Mode::Exclusive));
     }
 
     #[test]

@@ -5,7 +5,7 @@ use std::time::Duration as StdDuration;
 
 use camelot_core::CommitMode;
 use camelot_net::Outcome;
-use camelot_rt::{Cluster, RtConfig};
+use camelot_rt::{Cluster, ExecMode, RtConfig};
 use camelot_types::{CamelotError, ObjectId, ServerId, SiteId};
 
 const S1: SiteId = SiteId(1);
@@ -111,33 +111,62 @@ fn abort_undoes_everywhere() {
     cluster.shutdown();
 }
 
+/// Children write at the remote site, so their resolution reaches it
+/// as a `SubResolved` notice: c1 commits into the parent, c2
+/// overwrites the parent's remote value, writes a new key and aborts.
 #[test]
 fn nested_transactions_commit_and_abort() {
-    let cluster = Cluster::new(1, quick_cfg());
-    let client = cluster.client(S1);
-    let top = client.begin().unwrap();
-    client
-        .write(&top, S1, SRV, ObjectId(1), b"base".to_vec())
-        .unwrap();
-    // Child 1 commits into the parent.
-    let c1 = client.begin_nested(&top).unwrap();
-    client
-        .write(&c1, S1, SRV, ObjectId(2), b"kept".to_vec())
-        .unwrap();
-    client.commit_nested(&c1).unwrap();
-    // Child 2 aborts: its writes vanish.
-    let c2 = client.begin_nested(&top).unwrap();
-    client
-        .write(&c2, S1, SRV, ObjectId(3), b"gone".to_vec())
-        .unwrap();
-    client.abort(&c2).unwrap();
-    let out = client.commit(&top, CommitMode::TwoPhase).unwrap();
-    assert_eq!(out, Outcome::Committed);
-    std::thread::sleep(StdDuration::from_millis(50));
-    assert_eq!(cluster.committed_value(S1, SRV, ObjectId(1)), b"base");
-    assert_eq!(cluster.committed_value(S1, SRV, ObjectId(2)), b"kept");
-    assert_eq!(cluster.committed_value(S1, SRV, ObjectId(3)), b"");
-    cluster.shutdown();
+    for exec_mode in [ExecMode::LockBased, ExecMode::Queued] {
+        for mode in [CommitMode::TwoPhase, CommitMode::NonBlocking] {
+            let cluster = Cluster::new(
+                2,
+                RtConfig {
+                    exec_mode,
+                    ..quick_cfg()
+                },
+            );
+            let client = cluster.client(S1);
+            let top = client.begin().unwrap();
+            client
+                .write(&top, S1, SRV, ObjectId(1), b"base".to_vec())
+                .unwrap();
+            client
+                .write(&top, S2, SRV, ObjectId(2), b"parent".to_vec())
+                .unwrap();
+            let c1 = client.begin_nested(&top).unwrap();
+            client
+                .write(&c1, S2, SRV, ObjectId(3), b"kept".to_vec())
+                .unwrap();
+            client.commit_nested(&c1).unwrap();
+            let c2 = client.begin_nested(&top).unwrap();
+            client
+                .write(&c2, S2, SRV, ObjectId(2), b"child".to_vec())
+                .unwrap();
+            client
+                .write(&c2, S2, SRV, ObjectId(4), b"gone".to_vec())
+                .unwrap();
+            client.abort(&c2).unwrap();
+            if exec_mode == ExecMode::LockBased {
+                // The abort notice may still be on its way to site 2:
+                // the parent's read waits for it behind c2's lock.
+                let v = client.read(&top, S2, SRV, ObjectId(2)).unwrap();
+                assert_eq!(v, b"parent", "{exec_mode:?} {mode:?}");
+            }
+            let out = client.commit(&top, mode).unwrap();
+            assert_eq!(out, Outcome::Committed, "{exec_mode:?} {mode:?}");
+            std::thread::sleep(StdDuration::from_millis(100));
+            for (site, object, value) in [
+                (S1, 1, &b"base"[..]),
+                (S2, 2, b"parent"),
+                (S2, 3, b"kept"),
+                (S2, 4, b""),
+            ] {
+                let got = cluster.committed_value(site, SRV, ObjectId(object));
+                assert_eq!(got, value, "{exec_mode:?} {mode:?} object {object}");
+            }
+            cluster.shutdown();
+        }
+    }
 }
 
 #[test]

@@ -427,35 +427,6 @@ fn queued_vote_timeout_breaks_dependency_cycles() {
 }
 
 #[test]
-fn queued_nested_transactions_commit_and_abort() {
-    let cluster = Cluster::new(1, queued_cfg());
-    let client = cluster.client(S1);
-    let top = client.begin().unwrap();
-    client
-        .write(&top, S1, SRV, ObjectId(50), b"base".to_vec())
-        .unwrap();
-    let c1 = client.begin_nested(&top).unwrap();
-    client
-        .write(&c1, S1, SRV, ObjectId(51), b"kept".to_vec())
-        .unwrap();
-    client.commit_nested(&c1).unwrap();
-    let c2 = client.begin_nested(&top).unwrap();
-    client
-        .write(&c2, S1, SRV, ObjectId(52), b"gone".to_vec())
-        .unwrap();
-    client.abort(&c2).unwrap();
-    assert_eq!(
-        client.commit(&top, CommitMode::TwoPhase).unwrap(),
-        Outcome::Committed
-    );
-    quiesce();
-    assert_eq!(cluster.committed_value(S1, SRV, ObjectId(50)), b"base");
-    assert_eq!(cluster.committed_value(S1, SRV, ObjectId(51)), b"kept");
-    assert_eq!(cluster.committed_value(S1, SRV, ObjectId(52)), b"");
-    cluster.shutdown();
-}
-
-#[test]
 fn queued_crash_and_restart_recovers_committed_data() {
     let cluster = Cluster::new(1, queued_cfg());
     let client = cluster.client(S1);

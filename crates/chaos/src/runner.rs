@@ -13,7 +13,7 @@
 //! Alongside each engine the runner keeps a *mirror* data server
 //! (a real [`camelot_server::DataServer`]) that performs the
 //! workload's writes, holds the corresponding locks, and applies the
-//! engine's `ServerCommit`/`ServerAbort` notifications — the
+//! engine's `ServerResolve` notifications — the
 //! lock-leak invariant is checked against these mirrors, and on a
 //! crash they are rebuilt through `camelot_server::recover` from the
 //! site's surviving log, like any real server would be.
@@ -406,20 +406,8 @@ fn apply_events(net: &Net, mirrors: &mut BTreeMap<SiteId, DataServer>, cursor: &
         let Some(m) = mirrors.get_mut(site) else {
             continue;
         };
-        match action {
-            Action::ServerCommit { tid, .. } => {
-                m.commit_family(tid.family);
-            }
-            Action::ServerAbort { tid, .. } => {
-                m.abort_family(tid.family);
-            }
-            Action::ServerSubCommit { tid, .. } => {
-                m.sub_commit(tid);
-            }
-            Action::ServerSubAbort { tid, .. } => {
-                m.sub_abort(tid);
-            }
-            _ => {}
+        if let Action::ServerResolve { tid, outcome, .. } = action {
+            m.resolve(tid, *outcome);
         }
     }
     *cursor = net.events.len();

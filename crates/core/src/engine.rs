@@ -581,11 +581,77 @@ impl Engine {
             });
         }
         if !servers.is_empty() {
-            out.push(match outcome {
-                Outcome::Committed => Action::ServerCommit { tid, servers },
-                Outcome::Aborted => Action::ServerAbort { tid, servers },
+            out.push(Action::ServerResolve {
+                tid,
+                servers,
+                outcome,
             });
         }
+    }
+
+    /// A nested resolution at this site: marks `tid`'s subtree, writes
+    /// the abort record (aborts only; recovery uses it to keep the
+    /// subtree's updates out of redo if the family later commits), and
+    /// tells the local servers. A remote `SubResolved` is just this.
+    fn settle_subtree(&mut self, out: &mut Vec<Action>, tid: &Tid, outcome: Outcome) {
+        let Some(fam) = self.families.get_mut(&tid.family) else {
+            return;
+        };
+        fam.ensure_txn(tid);
+        let status = match outcome {
+            Outcome::Committed => TxnStatus::Committed,
+            Outcome::Aborted => TxnStatus::Aborted,
+        };
+        fam.mark_subtree(tid, status);
+        if outcome == Outcome::Aborted {
+            out.push(Action::Append {
+                rec: LogRecord::Abort { tid: tid.clone() },
+            });
+        }
+        let servers: Vec<ServerId> = fam.servers.iter().copied().collect();
+        if !servers.is_empty() {
+            out.push(Action::ServerResolve {
+                tid: tid.clone(),
+                servers,
+                outcome,
+            });
+        }
+    }
+
+    /// `CommitNested` and a nested `AbortTx`: the home site decides
+    /// alone, settles the subtree, tells `participants` so that their
+    /// servers settle it too, and answers the call.
+    fn resolve_nested(
+        &mut self,
+        out: &mut Vec<Action>,
+        req: u64,
+        tid: Tid,
+        outcome: Outcome,
+        reason: Option<AbortReason>,
+        participants: Vec<SiteId>,
+    ) {
+        let detail = match self.families.get(&tid.family) {
+            None => "unknown family",
+            Some(fam) if fam.effective_status(&tid) != Some(TxnStatus::Active) => {
+                "transaction not active"
+            }
+            Some(_) => {
+                self.settle_subtree(out, &tid, outcome);
+                let msg = TmMessage::SubResolved {
+                    tid: tid.clone(),
+                    outcome,
+                };
+                self.broadcast(out, participants, msg);
+                out.push(Action::Resolved {
+                    req,
+                    tid,
+                    outcome,
+                    reason,
+                });
+                return;
+            }
+        };
+        out.push(Action::Rejected { req, tid, detail });
     }
 
     /// The epilogue of a resolution at this site: [`Engine::settle_here`]
@@ -646,11 +712,18 @@ impl Engine {
                 mode,
                 participants,
             } => self.commit_top(&mut out, req, tid, mode, participants),
+            Input::CommitNested { req, tid, .. } if tid.is_top_level() => {
+                out.push(Action::Rejected {
+                    req,
+                    tid,
+                    detail: "top-level commit needs CommitTop",
+                })
+            }
             Input::CommitNested {
                 req,
                 tid,
                 participants,
-            } => self.on_commit_nested(&mut out, req, tid, participants),
+            } => self.resolve_nested(&mut out, req, tid, Outcome::Committed, None, participants),
             Input::AbortTx {
                 req,
                 tid,
@@ -759,61 +832,6 @@ impl Engine {
         }
     }
 
-    fn on_commit_nested(
-        &mut self,
-        out: &mut Vec<Action>,
-        req: u64,
-        tid: Tid,
-        participants: Vec<SiteId>,
-    ) {
-        if tid.is_top_level() {
-            out.push(Action::Rejected {
-                req,
-                tid,
-                detail: "top-level commit needs CommitTop",
-            });
-            return;
-        }
-        let Some(fam) = self.families.get_mut(&tid.family) else {
-            out.push(Action::Rejected {
-                req,
-                tid,
-                detail: "unknown family",
-            });
-            return;
-        };
-        if fam.effective_status(&tid) != Some(TxnStatus::Active) {
-            out.push(Action::Rejected {
-                req,
-                tid,
-                detail: "transaction not active",
-            });
-            return;
-        }
-        fam.mark_subtree(&tid, TxnStatus::Committed);
-        let servers: Vec<ServerId> = fam.servers.iter().copied().collect();
-        if !servers.is_empty() {
-            out.push(Action::ServerSubCommit {
-                tid: tid.clone(),
-                servers,
-            });
-        }
-        self.broadcast(
-            out,
-            participants,
-            TmMessage::SubResolved {
-                tid: tid.clone(),
-                outcome: Outcome::Committed,
-            },
-        );
-        out.push(Action::Resolved {
-            req,
-            tid,
-            outcome: Outcome::Committed,
-            reason: None,
-        });
-    }
-
     fn on_abort(
         &mut self,
         out: &mut Vec<Action>,
@@ -822,6 +840,10 @@ impl Engine {
         reason: AbortReason,
         participants: Vec<SiteId>,
     ) {
+        if !tid.is_top_level() {
+            let reason = Some(reason);
+            return self.resolve_nested(out, req, tid, Outcome::Aborted, reason, participants);
+        }
         let Some(fam) = self.families.get_mut(&tid.family) else {
             out.push(Action::Rejected {
                 req,
@@ -830,47 +852,6 @@ impl Engine {
             });
             return;
         };
-        if !tid.is_top_level() {
-            // Nested abort: purely local decision, propagated so
-            // remote servers undo the subtree promptly.
-            if fam.effective_status(&tid) != Some(TxnStatus::Active) {
-                out.push(Action::Rejected {
-                    req,
-                    tid,
-                    detail: "transaction not active",
-                });
-                return;
-            }
-            fam.mark_subtree(&tid, TxnStatus::Aborted);
-            let servers: Vec<ServerId> = fam.servers.iter().copied().collect();
-            // The abort record is what recovery uses to exclude this
-            // subtree's updates from redo if the family later commits.
-            out.push(Action::Append {
-                rec: LogRecord::Abort { tid: tid.clone() },
-            });
-            if !servers.is_empty() {
-                out.push(Action::ServerSubAbort {
-                    tid: tid.clone(),
-                    servers,
-                });
-            }
-            self.broadcast(
-                out,
-                participants,
-                TmMessage::SubResolved {
-                    tid: tid.clone(),
-                    outcome: Outcome::Aborted,
-                },
-            );
-            out.push(Action::Resolved {
-                req,
-                tid,
-                outcome: Outcome::Aborted,
-                reason: Some(reason),
-            });
-            return;
-        }
-        // Top-level abort.
         let undecided = fam.open_tally().is_some();
         match &fam.role {
             Role::Executing => {
@@ -1040,33 +1021,7 @@ impl Engine {
             }
             TmMessage::NbForget { tid } => self.forget_family(&tid.family),
             // Nested transactions.
-            TmMessage::SubResolved { tid, outcome } => self.on_sub_resolved(out, tid, outcome),
-        }
-    }
-
-    fn on_sub_resolved(&mut self, out: &mut Vec<Action>, tid: Tid, outcome: Outcome) {
-        let Some(fam) = self.families.get_mut(&tid.family) else {
-            return;
-        };
-        fam.ensure_txn(&tid);
-        let status = match outcome {
-            Outcome::Committed => TxnStatus::Committed,
-            Outcome::Aborted => TxnStatus::Aborted,
-        };
-        fam.mark_subtree(&tid, status);
-        let servers: Vec<ServerId> = fam.servers.iter().copied().collect();
-        if outcome == Outcome::Aborted {
-            // Durable undo marker for recovery (see on_abort).
-            out.push(Action::Append {
-                rec: LogRecord::Abort { tid: tid.clone() },
-            });
-        }
-        if servers.is_empty() {
-            return;
-        }
-        match outcome {
-            Outcome::Committed => out.push(Action::ServerSubCommit { tid, servers }),
-            Outcome::Aborted => out.push(Action::ServerSubAbort { tid, servers }),
+            TmMessage::SubResolved { tid, outcome } => self.settle_subtree(out, &tid, outcome),
         }
     }
 
@@ -1344,7 +1299,13 @@ mod tests {
                 rec: LogRecord::Abort { .. }
             }
         )));
-        assert!(a.iter().any(|x| matches!(x, Action::ServerAbort { .. })));
+        assert!(a.iter().any(|x| matches!(
+            x,
+            Action::ServerResolve {
+                outcome: Outcome::Aborted,
+                ..
+            }
+        )));
         assert!(a.iter().any(|x| matches!(
             x,
             Action::Send {
@@ -1399,9 +1360,10 @@ mod tests {
             },
             Time::ZERO,
         );
-        assert!(a
-            .iter()
-            .any(|x| matches!(x, Action::ServerSubCommit { .. })));
+        assert!(a.iter().any(|x| matches!(
+            x,
+            Action::ServerResolve { tid, outcome: Outcome::Committed, .. } if *tid == child
+        )));
         assert!(a.iter().any(|x| matches!(
             x,
             Action::Send {
@@ -1587,7 +1549,13 @@ mod tests {
             },
             Time::ZERO,
         );
-        assert!(a.iter().any(|x| matches!(x, Action::ServerAbort { .. })));
+        assert!(a.iter().any(|x| matches!(
+            x,
+            Action::ServerResolve {
+                outcome: Outcome::Aborted,
+                ..
+            }
+        )));
         assert_eq!(e.family_view(&remote.family), None);
         assert_eq!(e.resolution(&remote.family), Some(Outcome::Aborted));
     }
@@ -1624,6 +1592,8 @@ mod tests {
                 rec: LogRecord::Abort { .. }
             }
         ));
-        assert!(matches!(&a[1], Action::ServerSubAbort { tid, .. } if *tid == remote_child));
+        assert!(
+            matches!(&a[1], Action::ServerResolve { tid, outcome: Outcome::Aborted, .. } if *tid == remote_child)
+        );
     }
 }

@@ -132,27 +132,14 @@ pub enum Action {
         tid: Tid,
         servers: Vec<ServerId>,
     },
-    /// Top-level commit at this site: servers drop the family's locks
-    /// (Figure 1 step 11) and make updates visible.
-    ServerCommit {
+    /// A resolution at this site: servers keep or undo the updates
+    /// and drop the locks (Figure 1 step 11). A top-level `tid`
+    /// resolves the whole family; a nested one only its subtree, whose
+    /// locks pass to its parent on commit.
+    ServerResolve {
         tid: Tid,
         servers: Vec<ServerId>,
-    },
-    /// Top-level abort at this site: servers undo and release.
-    ServerAbort {
-        tid: Tid,
-        servers: Vec<ServerId>,
-    },
-    /// Nested commit: servers transfer the subtree's locks/updates to
-    /// the parent.
-    ServerSubCommit {
-        tid: Tid,
-        servers: Vec<ServerId>,
-    },
-    /// Nested abort: servers undo the subtree and release its locks.
-    ServerSubAbort {
-        tid: Tid,
-        servers: Vec<ServerId>,
+        outcome: Outcome,
     },
 
     // ----- Network -----

@@ -524,9 +524,10 @@ impl Engine {
                         s.phase = SubPhase::AwaitDurable;
                         s.pending_ack_to = Some(from);
                         self.disarm(out, family);
-                        out.push(Action::ServerCommit {
+                        out.push(Action::ServerResolve {
                             tid: Tid::top_level(family),
                             servers,
+                            outcome: Outcome::Committed,
                         });
                         self.record_resolution(family, Outcome::Committed);
                         // The outcome record is lazy: each site forces
@@ -552,9 +553,10 @@ impl Engine {
                 match outcome {
                     Outcome::Committed => {
                         if local_update {
-                            out.push(Action::ServerCommit {
+                            out.push(Action::ServerResolve {
                                 tid: Tid::top_level(family),
                                 servers,
+                                outcome: Outcome::Committed,
                             });
                         }
                         self.record_resolution(family, Outcome::Committed);

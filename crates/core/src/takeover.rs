@@ -479,7 +479,11 @@ impl Engine {
             return;
         }
         if t.local_update && !servers.is_empty() {
-            out.push(Action::ServerCommit { tid, servers });
+            out.push(Action::ServerResolve {
+                tid,
+                servers,
+                outcome: Outcome::Committed,
+            });
         }
         self.record_resolution(family, Outcome::Committed);
         self.takeover_announce(out, family, Outcome::Committed);

@@ -191,7 +191,7 @@ impl Net {
         let Some(state) = &mut self.action_digest else {
             return;
         };
-        let mut lines: Vec<String> = actions.iter().map(render).collect();
+        let mut lines: Vec<String> = actions.iter().map(|a| format!("{a:?}")).collect();
         lines.sort();
         fnv1a(state, &site.0.to_le_bytes());
         fnv1a(state, input.as_bytes());
@@ -313,10 +313,7 @@ impl Net {
             other @ (Action::Began { .. }
             | Action::Resolved { .. }
             | Action::Rejected { .. }
-            | Action::ServerCommit { .. }
-            | Action::ServerAbort { .. }
-            | Action::ServerSubCommit { .. }
-            | Action::ServerSubAbort { .. }) => {
+            | Action::ServerResolve { .. }) => {
                 self.events.push((site, other));
             }
         }
@@ -564,17 +561,21 @@ impl Net {
         }
     }
 
-    /// True if `ServerCommit` was delivered for `tid` at `site`.
+    /// True if `site`'s servers were told to commit `tid`'s family.
     pub fn server_committed(&self, site: SiteId, tid: &Tid) -> bool {
-        self.events.iter().any(|(s, a)| {
-            *s == site && matches!(a, Action::ServerCommit { tid: t, .. } if t.family == tid.family)
-        })
+        self.server_resolved(site, tid, Outcome::Committed)
     }
 
-    /// True if `ServerAbort` was delivered for `tid` at `site`.
+    /// True if `site`'s servers were told to abort `tid`'s family.
     pub fn server_aborted(&self, site: SiteId, tid: &Tid) -> bool {
+        self.server_resolved(site, tid, Outcome::Aborted)
+    }
+
+    fn server_resolved(&self, site: SiteId, tid: &Tid, outcome: Outcome) -> bool {
         self.events.iter().any(|(s, a)| {
-            *s == site && matches!(a, Action::ServerAbort { tid: t, .. } if t.family == tid.family)
+            *s == site
+                && matches!(a, Action::ServerResolve { tid: t, outcome: o, .. }
+                    if t.is_top_level() && t.family == tid.family && *o == outcome)
         })
     }
 
@@ -624,22 +625,6 @@ impl Net {
             }
         }
     }
-}
-
-/// An action as the digest folds it: its `Debug` form, except that the
-/// four server-resolution variants are spelled as one
-/// `ServerResolve { tid, servers, outcome }`.
-fn render(a: &Action) -> String {
-    let (tid, servers, outcome) = match a {
-        Action::ServerCommit { tid, servers } | Action::ServerSubCommit { tid, servers } => {
-            (tid, servers, Outcome::Committed)
-        }
-        Action::ServerAbort { tid, servers } | Action::ServerSubAbort { tid, servers } => {
-            (tid, servers, Outcome::Aborted)
-        }
-        other => return format!("{other:?}"),
-    };
-    format!("ServerResolve {{ tid: {tid:?}, servers: {servers:?}, outcome: {outcome:?} }}")
 }
 
 /// Convenience constructor for records in tests.

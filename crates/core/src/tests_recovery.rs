@@ -292,10 +292,10 @@ fn delayed_commit_every_subordinate_crash_point_recovers() {
 #[test]
 fn delayed_commit_lazy_record_lost_reinquires_and_recommits() {
     // Crash point unique to delayed commit: the subordinate dropped
-    // its locks on the commit notice (ServerCommit already issued)
+    // its locks on the commit notice (its commit ServerResolve issued)
     // but died before the lazily-appended commit record reached the
     // platter. The surviving log says only "prepared": recovery must
-    // inquire, and on learning the commit re-issue ServerCommit so
+    // inquire, and on learning the commit resolve the servers again so
     // the recovered data server redoes the family.
     let t = tid(2, 7);
     let (mut engine, actions) = recover(
@@ -329,7 +329,13 @@ fn delayed_commit_lazy_record_lost_reinquires_and_recommits() {
         camelot_types::Time::ZERO,
     );
     assert!(
-        out.iter().any(|a| matches!(a, Action::ServerCommit { .. })),
+        out.iter().any(|a| matches!(
+            a,
+            Action::ServerResolve {
+                outcome: Outcome::Committed,
+                ..
+            }
+        )),
         "recovered subordinate must re-notify its servers: {out:?}"
     );
     assert_eq!(engine.resolution(&t.family), Some(Outcome::Committed));

@@ -352,7 +352,13 @@ fn subordinate_phase_one_under_both_protocols() {
         sub.prepare(&remote);
         let a = sub.server_votes(&remote, Vote::ReadOnly);
         assert_eq!(sub.vote_sent(&a), Some(Vote::ReadOnly), "{mode:?}");
-        assert!(a.iter().any(|x| matches!(x, Action::ServerCommit { .. })));
+        assert!(a.iter().any(|x| matches!(
+            x,
+            Action::ServerResolve {
+                outcome: Outcome::Committed,
+                ..
+            }
+        )));
         assert!(!a.iter().any(|x| matches!(x, Action::Force { .. })));
         assert_eq!(sub.eng.live_families(), 0, "{mode:?}");
 
@@ -364,7 +370,13 @@ fn subordinate_phase_one_under_both_protocols() {
         sub.prepare(&remote);
         let a = sub.server_votes(&remote, Vote::No);
         assert_eq!(sub.vote_sent(&a), Some(Vote::No), "{mode:?}");
-        assert!(a.iter().any(|x| matches!(x, Action::ServerAbort { .. })));
+        assert!(a.iter().any(|x| matches!(
+            x,
+            Action::ServerResolve {
+                outcome: Outcome::Aborted,
+                ..
+            }
+        )));
         assert_eq!(
             sub.eng.resolution(&remote.family),
             Some(Outcome::Aborted),

@@ -405,9 +405,10 @@ impl Engine {
             // non-blocking quorum later needs us, NbReplicate
             // recreates the state.
             let servers: Vec<ServerId> = fam.servers.iter().copied().collect();
-            out.push(Action::ServerCommit {
+            out.push(Action::ServerResolve {
                 tid: tid.clone(),
                 servers,
+                outcome: Outcome::Committed,
             });
             self.forget_family(&family);
             self.send_vote(out, mode, coordinator, tid, Vote::ReadOnly);

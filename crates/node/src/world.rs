@@ -519,12 +519,13 @@ impl World {
         s: &mut S,
         site: SiteId,
         servers: Vec<ServerId>,
-        family: bool,
-        call: impl Fn(&mut DataServer) -> Effects + 'static,
+        tid: Tid,
+        outcome: Outcome,
     ) {
+        let family = tid.is_top_level();
         let fan_out = move |w: &mut World, s: &mut S| {
             for server in servers {
-                World::serve(w, s, site, server, &call);
+                World::serve(w, s, site, server, |srv| srv.resolve(&tid, outcome));
             }
         };
         if family {
@@ -707,22 +708,11 @@ impl World {
                     );
                 }
             }
-            Action::ServerCommit { tid, servers } => {
-                World::resolve(w, s, site, servers, true, move |srv| {
-                    srv.commit_family(tid.family)
-                });
-            }
-            Action::ServerAbort { tid, servers } => {
-                World::resolve(w, s, site, servers, true, move |srv| {
-                    srv.abort_family(tid.family)
-                });
-            }
-            Action::ServerSubCommit { tid, servers } => {
-                World::resolve(w, s, site, servers, false, move |srv| srv.sub_commit(&tid));
-            }
-            Action::ServerSubAbort { tid, servers } => {
-                World::resolve(w, s, site, servers, false, move |srv| srv.sub_abort(&tid));
-            }
+            Action::ServerResolve {
+                tid,
+                servers,
+                outcome,
+            } => World::resolve(w, s, site, servers, tid, outcome),
             Action::Send { to, msg, piggyback } => {
                 World::send_datagrams(w, s, site, vec![to], msg, piggyback, false);
             }

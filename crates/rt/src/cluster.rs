@@ -535,64 +535,18 @@ impl ClusterInner {
                         }
                     }
                 }
-                Action::ServerCommit { tid, servers } => {
-                    if self.cfg.exec_mode == ExecMode::Queued {
-                        self.queued_resolve(site, &tid, &servers, camelot_net::Outcome::Committed);
-                    } else {
-                        for s in servers {
-                            let fx = site
-                                .servers
-                                .get(&s)
-                                .expect("server exists")
-                                .lock()
-                                .commit_family(tid.family);
-                            self.route_server_effects(site, s, fx);
-                        }
+                Action::ServerResolve {
+                    tid,
+                    servers,
+                    outcome,
+                } => {
+                    for s in servers {
+                        let srv = site.servers.get(&s).expect("server exists");
+                        let fx = srv.lock().resolve(&tid, outcome);
+                        self.route_server_effects(site, s, fx);
                     }
-                }
-                Action::ServerAbort { tid, servers } => {
                     if self.cfg.exec_mode == ExecMode::Queued {
-                        self.queued_resolve(site, &tid, &servers, camelot_net::Outcome::Aborted);
-                    } else {
-                        for s in servers {
-                            let fx = site
-                                .servers
-                                .get(&s)
-                                .expect("server exists")
-                                .lock()
-                                .abort_family(tid.family);
-                            self.route_server_effects(site, s, fx);
-                        }
-                    }
-                }
-                Action::ServerSubCommit { tid, servers } => {
-                    if self.cfg.exec_mode == ExecMode::Queued {
-                        self.queued_sub_resolve(site, &tid, &servers, true);
-                    } else {
-                        for s in servers {
-                            let fx = site
-                                .servers
-                                .get(&s)
-                                .expect("server exists")
-                                .lock()
-                                .sub_commit(&tid);
-                            self.route_server_effects(site, s, fx);
-                        }
-                    }
-                }
-                Action::ServerSubAbort { tid, servers } => {
-                    if self.cfg.exec_mode == ExecMode::Queued {
-                        self.queued_sub_resolve(site, &tid, &servers, false);
-                    } else {
-                        for s in servers {
-                            let fx = site
-                                .servers
-                                .get(&s)
-                                .expect("server exists")
-                                .lock()
-                                .sub_abort(&tid);
-                            self.route_server_effects(site, s, fx);
-                        }
+                        self.queued_resolve(site, &tid, outcome);
                     }
                 }
                 Action::Send { to, msg, piggyback } => {

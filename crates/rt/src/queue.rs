@@ -103,16 +103,12 @@ pub(crate) enum QueueJob {
         server: ServerId,
         enqueued: Instant,
     },
-    /// The family's outcome is decided: install or discard its
-    /// speculative writes, release dependents.
+    /// `tid` is resolved. For a family: install or discard its
+    /// speculative writes, release dependents. For a subtree of a live
+    /// family: see `sub_resolve`.
     Resolve {
-        family: FamilyId,
-        outcome: Outcome,
-    },
-    /// Nested resolution inside a live family (subtree commit/abort).
-    SubResolve {
         tid: Tid,
-        commit: bool,
+        outcome: Outcome,
     },
     /// Checkpoint barrier: answer with the families this shard still
     /// holds speculative state for. FIFO order makes the answer cover
@@ -300,8 +296,10 @@ fn handle_job(inner: &Arc<ClusterInner>, site: &Arc<SiteShared>, sh: &mut Shard,
                 }
             }
         }
-        QueueJob::Resolve { family, outcome } => resolve(site, sh, family, outcome),
-        QueueJob::SubResolve { tid, commit } => sub_resolve(sh, &tid, commit),
+        QueueJob::Resolve { tid, outcome } if tid.is_top_level() => {
+            resolve(site, sh, tid.family, outcome)
+        }
+        QueueJob::Resolve { tid, outcome } => sub_resolve(sh, &tid, outcome),
         QueueJob::Held(reply) => {
             let _ = reply.send(sh.fams.keys().copied().collect());
         }
@@ -620,8 +618,8 @@ fn expire_parked(site: &SiteShared, sh: &mut Shard) {
 /// updates simply remain part of the family, as in the lock-based
 /// server); sub-abort removes the subtree's updates and recomputes
 /// the family's visible value per touched key.
-fn sub_resolve(sh: &mut Shard, tid: &Tid, commit: bool) {
-    if commit || tid.is_top_level() {
+fn sub_resolve(sh: &mut Shard, tid: &Tid, outcome: Outcome) {
+    if outcome == Outcome::Committed {
         return;
     }
     let fam = tid.family;
@@ -720,60 +718,18 @@ impl ClusterInner {
         }
     }
 
-    /// Queued-mode family resolution: resolve at the data server too
-    /// (idempotent; covers families recovered in-doubt whose state
-    /// lives there, not in the shard queues), then broadcast.
-    pub(crate) fn queued_resolve(
-        &self,
-        site: &Arc<SiteShared>,
-        tid: &Tid,
-        servers: &[ServerId],
-        outcome: Outcome,
-    ) {
-        for &s in servers {
-            let fx = {
-                let mut srv = site.servers.get(&s).expect("server exists").lock();
-                match outcome {
-                    Outcome::Committed => srv.commit_family(tid.family),
-                    Outcome::Aborted => srv.abort_family(tid.family),
-                }
-            };
-            self.route_server_effects(site, s, fx);
-        }
-        site.queue_joined.lock().retain(|(f, _)| *f != tid.family);
-        site.vote_aggs.lock().retain(|(f, _), _| *f != tid.family);
-        for tx in &site.queue_txs {
-            let _ = tx.send(QueueJob::Resolve {
-                family: tid.family,
-                outcome,
-            });
-        }
-    }
-
-    /// Queued-mode nested subtree resolution.
-    pub(crate) fn queued_sub_resolve(
-        &self,
-        site: &Arc<SiteShared>,
-        tid: &Tid,
-        servers: &[ServerId],
-        commit: bool,
-    ) {
-        for &s in servers {
-            let fx = {
-                let mut srv = site.servers.get(&s).expect("server exists").lock();
-                if commit {
-                    srv.sub_commit(tid)
-                } else {
-                    srv.sub_abort(tid)
-                }
-            };
-            self.route_server_effects(site, s, fx);
+    /// Queued-mode resolution, after the data servers resolved (they
+    /// hold the state of families recovered in doubt): a family's
+    /// outcome clears its joins and pending votes, and every shard
+    /// hears of it.
+    pub(crate) fn queued_resolve(&self, site: &Arc<SiteShared>, tid: &Tid, outcome: Outcome) {
+        if tid.is_top_level() {
+            site.queue_joined.lock().retain(|(f, _)| *f != tid.family);
+            site.vote_aggs.lock().retain(|(f, _), _| *f != tid.family);
         }
         for tx in &site.queue_txs {
-            let _ = tx.send(QueueJob::SubResolve {
-                tid: tid.clone(),
-                commit,
-            });
+            let tid = tid.clone();
+            let _ = tx.send(QueueJob::Resolve { tid, outcome });
         }
     }
 }

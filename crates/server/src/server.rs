@@ -3,7 +3,7 @@
 use std::collections::HashMap;
 
 use camelot_locks::{Acquire, Granted, LockManager, Mode};
-use camelot_net::Vote;
+use camelot_net::{Outcome, Vote};
 use camelot_types::{FamilyId, ObjectId, ServerId, SiteId, Tid};
 use camelot_wal::LogRecord;
 
@@ -336,6 +336,17 @@ impl DataServer {
         }
     }
 
+    /// The transaction manager's resolution of `tid`: the whole family
+    /// if `tid` is top-level, else its subtree.
+    pub fn resolve(&mut self, tid: &Tid, outcome: Outcome) -> Effects {
+        match (tid.is_top_level(), outcome) {
+            (true, Outcome::Committed) => self.commit_family(tid.family),
+            (true, Outcome::Aborted) => self.abort_family(tid.family),
+            (false, Outcome::Committed) => self.sub_commit(tid),
+            (false, Outcome::Aborted) => self.sub_abort(tid),
+        }
+    }
+
     /// Top-level commit: make updates visible, drop the family's
     /// locks (Figure 1 step 11). Returns effects whose replies are
     /// operations the lock release unblocked.
@@ -631,6 +642,38 @@ mod tests {
         assert_eq!(s.committed_value(ObjectId(7)), b"from-child");
         s.commit_family(fam(2));
         assert_eq!(s.committed_value(ObjectId(7)), b"intruder");
+    }
+
+    #[test]
+    fn resolve_maps_each_resolution_onto_the_family_or_the_subtree() {
+        let (t, c1, other) = (top(1), top(1).child(1), top(2));
+        let child: &[u8] = b"child";
+        // (resolved, outcome, committed 7, what the parent then reads
+        // at 7 if its family lives on, another family's read of 7
+        // granted at once)
+        let cases = [
+            (&t, Outcome::Committed, child, None, true),
+            (&t, Outcome::Aborted, b"", None, true),
+            (&c1, Outcome::Committed, b"", Some(child), false),
+            (&c1, Outcome::Aborted, b"", Some(&b""[..]), true),
+        ];
+        for (tid, outcome, committed, parent_reads, other_reads) in cases {
+            let case = format!("{tid} {outcome:?}");
+            let mut s = server();
+            write(&mut s, 1, &t, 8, b"parent");
+            write(&mut s, 2, &c1, 7, b"child");
+            s.resolve(tid, outcome);
+            assert_eq!(s.committed_value(ObjectId(7)), committed, "{case}");
+            assert_eq!(!read(&mut s, 3, &other, 7).blocked, other_reads, "{case}");
+            assert_eq!(s.families().contains(&fam(1)), parent_reads.is_some());
+            if let Some(value) = parent_reads {
+                // Only the subtree resolved: the parent keeps its own
+                // write and reads 7 at once, through the lock c1 passed
+                // up on commit or dropped on abort.
+                assert_eq!(read(&mut s, 4, &t, 7).replies[0].value, value, "{case}");
+                assert_eq!(read(&mut s, 5, &t, 8).replies[0].value, b"parent");
+            }
+        }
     }
 
     #[test]

@@ -188,17 +188,24 @@ fn sub_resolved_lost_before_top_commit(net: &mut Net) {
 }
 
 fn nested_digest() -> u64 {
-    let scripts: [(u32, &dyn Fn(&mut Net)); 5] = [
-        (3, &|n| home_and_remote_children(n, CommitMode::TwoPhase)),
-        (3, &|n| home_and_remote_children(n, CommitMode::NonBlocking)),
-        (2, &no_servers_at_home_then_top_abort),
-        (2, &rejections),
-        (2, &sub_resolved_lost_before_top_commit),
+    let mut runs = Vec::new();
+    for mode in [CommitMode::TwoPhase, CommitMode::NonBlocking] {
+        let mut net = recording(3);
+        home_and_remote_children(&mut net, mode);
+        runs.push(net);
+    }
+    let scripts: [fn(&mut Net); 3] = [
+        no_servers_at_home_then_top_abort,
+        rejections,
+        sub_resolved_lost_before_top_commit,
     ];
-    let mut state = FNV_OFFSET;
-    for (sites, script) in scripts {
-        let mut net = recording(sites);
+    for script in scripts {
+        let mut net = recording(2);
         script(&mut net);
+        runs.push(net);
+    }
+    let mut state = FNV_OFFSET;
+    for mut net in runs {
         let all: Vec<SiteId> = net.sites.keys().copied().collect();
         for _ in 0..2 {
             for &s in &all {

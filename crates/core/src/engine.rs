@@ -183,10 +183,6 @@ pub struct Engine {
     pub(crate) families: HashMap<FamilyId, Family>,
     pub(crate) forces: HashMap<ForceToken, ForcePurpose>,
     pub(crate) timers: HashMap<TimerToken, TimerPurpose>,
-    /// Timers retired where no action list is at hand
-    /// ([`Engine::forget_family`]); [`Engine::handle`] turns them into
-    /// [`Action::CancelTimer`]s on its way out.
-    retired_timers: Vec<TimerToken>,
     next_token: u64,
     /// Queued piggybackable messages per destination.
     pending_acks: HashMap<SiteId, Vec<TmMessage>>,
@@ -223,7 +219,6 @@ impl Engine {
             families: HashMap::new(),
             forces: HashMap::new(),
             timers: HashMap::new(),
-            retired_timers: Vec::new(),
             next_token: shard as u64 + 1,
             pending_acks: HashMap::new(),
             ack_flush_timer: HashMap::new(),
@@ -351,9 +346,8 @@ impl Engine {
         t
     }
 
-    /// Arms `family`'s timer (`kind` says which slot: the orphan
-    /// watchdog has its own, every commitment role shares the other)
-    /// for the `attempt`-th firing of a schedule based on `base`.
+    /// Arms `family`'s timer, replacing the one it held, for the
+    /// `attempt`-th firing of a schedule based on `base`.
     pub(crate) fn arm_attempt(
         &mut self,
         out: &mut Vec<Action>,
@@ -362,13 +356,11 @@ impl Engine {
         base: Duration,
         attempt: u32,
     ) {
+        self.disarm(out, family);
         let token = self.alloc_timer(TimerPurpose::Family(kind, family));
         if let Some(fam) = self.families.get_mut(&family) {
             fam.retry_attempts = attempt;
-            match kind {
-                TimerKind::OrphanCheck => fam.orphan_timer = Some(token),
-                _ => fam.timer = Some(token),
-            }
+            fam.timer = Some(token);
         }
         let after = self.retry_after(&family, base, attempt);
         out.push(Action::SetTimer { token, after });
@@ -399,17 +391,12 @@ impl Engine {
         self.arm_attempt(out, kind, family, base, attempt);
     }
 
-    pub(crate) fn cancel_timer(&mut self, out: &mut Vec<Action>, t: Option<TimerToken>) {
-        if let Some(t) = t {
-            self.timers.remove(&t);
-            out.push(Action::CancelTimer { token: t });
-        }
-    }
-
-    /// Cancels the timer of `family`'s commitment role, if one is set.
+    /// Cancels `family`'s timer, unless it has already fired.
     pub(crate) fn disarm(&mut self, out: &mut Vec<Action>, family: FamilyId) {
         let timer = self.families.get_mut(&family).and_then(|f| f.timer.take());
-        self.cancel_timer(out, timer);
+        if let Some(token) = timer.filter(|t| self.timers.remove(t).is_some()) {
+            out.push(Action::CancelTimer { token });
+        }
     }
 
     /// Emits a datagram, attaching any queued piggybackable messages
@@ -492,23 +479,9 @@ impl Engine {
         }
     }
 
-    /// Retires a subordinate's orphan watchdog: the family is leaving
-    /// [`Role::Executing`] (commitment carries its own timers) or
-    /// being forgotten, so the watchdog has nothing left to watch.
-    pub(crate) fn retire_orphan_timer(&mut self, id: &FamilyId) {
-        let timer = self
-            .families
-            .get_mut(id)
-            .and_then(|f| f.orphan_timer.take());
-        if let Some(t) = timer {
-            self.timers.remove(&t);
-            self.retired_timers.push(t);
-        }
-    }
-
-    /// Drops all per-family bookkeeping.
-    pub(crate) fn forget_family(&mut self, id: &FamilyId) {
-        self.retire_orphan_timer(id);
+    /// Drops all per-family bookkeeping, the family's timer included.
+    pub(crate) fn forget_family(&mut self, out: &mut Vec<Action>, id: &FamilyId) {
+        self.disarm(out, *id);
         self.families.remove(id);
         self.forces.retain(|_, p| p.family != *id);
     }
@@ -739,11 +712,6 @@ impl Engine {
             }
             Input::TimerFired { token } => self.on_timer(&mut out, token),
         }
-        out.extend(
-            self.retired_timers
-                .drain(..)
-                .map(|token| Action::CancelTimer { token }),
-        );
         out
     }
 
@@ -820,7 +788,7 @@ impl Engine {
         // guarantees a safe answer for forgotten families, and the
         // origin stays silent while the family is live and undecided.
         if tid.family.origin != self.site
-            && fam.orphan_timer.is_none()
+            && fam.timer.is_none()
             && matches!(fam.role, Role::Executing)
         {
             self.arm(
@@ -857,7 +825,7 @@ impl Engine {
             Role::Executing => {
                 fam.commit_req = Some(req);
                 self.resolve_here(out, tid.family, Outcome::Aborted, Some(reason));
-                self.forget_family(&tid.family);
+                self.forget_family(out, &tid.family);
                 self.broadcast(out, participants, TmMessage::Abort { tid });
             }
             // Abort during early commitment: fold into the protocol's
@@ -1019,7 +987,7 @@ impl Engine {
             TmMessage::NbAbortJoinResp { tid, from, joined } => {
                 self.takeover_abort_join_resp(out, tid, from, joined)
             }
-            TmMessage::NbForget { tid } => self.forget_family(&tid.family),
+            TmMessage::NbForget { tid } => self.forget_family(out, &tid.family),
             // Nested transactions.
             TmMessage::SubResolved { tid, outcome } => self.settle_subtree(out, &tid, outcome),
         }
@@ -1028,16 +996,10 @@ impl Engine {
     /// Abort notice (or the abort protocol) arriving at a participant.
     pub(crate) fn participant_abort(&mut self, out: &mut Vec<Action>, tid: Tid) {
         let family = tid.family;
-        let Some(fam) = self.families.get(&family) else {
+        if !self.families.contains_key(&family) {
             return;
-        };
-        // A relayed abort can loop back to the coordinator; its timer
-        // is not cancelled (it fires later and finds no family).
-        let participant = !fam.coordinating();
-        self.settle_here(out, family, Outcome::Aborted, None);
-        if participant {
-            self.disarm(out, family);
         }
+        self.settle_here(out, family, Outcome::Aborted, None);
         // Ref [7]: forward the abort along this site's own outgoing
         // calls — the initiator may not know the full participant set.
         out.push(Action::RelayAbort { tid });
@@ -1046,7 +1008,7 @@ impl Engine {
         self.tracer
             .family(family, TraceEventKind::Decision { outcome: "Aborted" });
         self.resolutions.insert(family, Outcome::Aborted);
-        self.forget_family(&family);
+        self.forget_family(out, &family);
     }
 
     // -----------------------------------------------------------------
@@ -1087,22 +1049,14 @@ impl Engine {
     /// and the watchdog retires (the commit protocols carry their own
     /// inquiry timers).
     fn orphan_check_fired(&mut self, out: &mut Vec<Action>, family: FamilyId) {
-        let Some(fam) = self.families.get_mut(&family) else {
-            return;
-        };
-        if !matches!(fam.role, Role::Executing) {
-            fam.orphan_timer = None;
+        let role = self.families.get(&family).map(|f| &f.role);
+        if !matches!(role, Some(Role::Executing)) {
             return;
         }
-        let tid = fam.top_tid();
-        self.rearm_with_backoff(
-            out,
-            TimerKind::OrphanCheck,
-            family,
-            self.config.orphan_check_interval,
-        );
-        let me = self.site;
-        self.send(out, family.origin, TmMessage::Inquire { tid, from: me });
+        let base = self.config.orphan_check_interval;
+        self.rearm_with_backoff(out, TimerKind::OrphanCheck, family, base);
+        let (tid, from) = (Tid::top_level(family), self.site);
+        self.send(out, family.origin, TmMessage::Inquire { tid, from });
     }
 
     fn on_timer(&mut self, out: &mut Vec<Action>, token: TimerToken) {

@@ -360,18 +360,17 @@ pub struct Family {
     /// Correlation id of the pending commit/abort call, if this is
     /// the application's home site.
     pub commit_req: Option<u64>,
-    /// The commitment role's timer. Every role has at most one armed
-    /// at a time: the vote timeout, then the replicate/notify resend
+    /// The family's one timer. While the family only executes here it
+    /// is the orphan watchdog; from the prepare on it is the role's:
+    /// the vote timeout, then the replicate/notify resend
     /// (coordinators); the inquiry or outcome timer (subordinates);
-    /// the window, recruit or retry timer (takeover).
+    /// the window, recruit or retry timer (takeover). Arming replaces
+    /// it; forgetting the family cancels it.
     pub timer: Option<TimerToken>,
     /// How many times the family's current periodic datagram (inquiry,
     /// notice resend, takeover retry) has already fired; drives the
     /// exponential-backoff schedule.
     pub retry_attempts: u32,
-    /// Watchdog for remote-origin families still executing: fires an
-    /// inquiry at the origin in case the abort relay was lost.
-    pub orphan_timer: Option<TimerToken>,
 }
 
 impl Family {
@@ -387,7 +386,6 @@ impl Family {
             commit_req: None,
             timer: None,
             retry_attempts: 0,
-            orphan_timer: None,
         }
     }
 

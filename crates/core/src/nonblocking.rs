@@ -175,7 +175,6 @@ impl Engine {
         if !c.tally.any_update() {
             // Fully read-only: commit with no further log writes or
             // messages — same critical path as two-phase commit.
-            self.disarm(out, family);
             self.stats.read_only_commits += 1;
             self.resolve_here(out, family, Outcome::Committed, None);
             self.end_family(out, family);
@@ -321,9 +320,8 @@ impl Engine {
         };
         let notify = c.state_holders(self.site);
         self.resolve_here(out, family, Outcome::Aborted, Some(reason));
-        self.disarm(out, family);
         if notify.is_empty() {
-            self.forget_family(&family);
+            self.forget_family(out, &family);
         } else {
             self.announce(out, family, notify, Outcome::Aborted);
         }
@@ -468,7 +466,6 @@ impl Engine {
                 s.joined = Some(QuorumKind::Commit);
                 let reply_to = s.pending_ack_to.take().unwrap_or(s.coordinator);
                 // Restart the outcome timer: progress was made.
-                self.disarm(out, family);
                 self.arm_in_doubt_timer(out, family, CommitMode::NonBlocking);
                 self.send_replicate_ack(out, reply_to, tid, true);
             }
@@ -577,13 +574,12 @@ impl Engine {
             Role::CoordNb(_) => {
                 // A takeover coordinator finished our transaction
                 // while we were slow (not crashed). Adopt.
-                self.disarm(out, family);
                 let reason = (outcome == Outcome::Aborted).then_some(AbortReason::SiteFailure);
                 self.resolve_here(out, family, outcome, reason);
                 if outcome == Outcome::Committed {
                     out.push(Action::Append { rec: commit_rec });
                 }
-                self.forget_family(&family);
+                self.forget_family(out, &family);
                 self.send(out, from, ack);
             }
             _ => {}

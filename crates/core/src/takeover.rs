@@ -428,7 +428,6 @@ impl Engine {
         } else {
             // A refusal means a commit-quorum member exists after all;
             // restart gathering to find it.
-            self.disarm(out, family);
             self.begin_gathering(out, family);
         }
     }
@@ -458,7 +457,6 @@ impl Engine {
                 self.force(out, ForceKind::TkCommit, family, rec);
             }
             Outcome::Aborted => {
-                self.disarm(out, family);
                 self.resolve_here(out, family, Outcome::Aborted, None);
                 self.takeover_announce(out, family, Outcome::Aborted);
             }

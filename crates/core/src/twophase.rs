@@ -137,7 +137,7 @@ impl Engine {
             // Fully read-only: committed with no log write at all.
             self.stats.read_only_commits += 1;
             self.resolve_here(out, family, Outcome::Committed, None);
-            self.forget_family(&family);
+            self.forget_family(out, &family);
             return;
         }
         let fam = self.families.get_mut(&family).expect("family exists");
@@ -189,7 +189,7 @@ impl Engine {
                 tid: Tid::top_level(family),
             },
         });
-        self.forget_family(&family);
+        self.forget_family(out, &family);
     }
 
     /// An acknowledgement of the announced outcome arrived (a
@@ -219,7 +219,6 @@ impl Engine {
             return;
         }
         let tombstones = self.tombstone_holders(family);
-        self.disarm(out, family);
         self.broadcast(out, tombstones, TmMessage::NbForget { tid });
         self.end_family(out, family);
     }
@@ -237,8 +236,7 @@ impl Engine {
         };
         let participants = c.participants.clone();
         self.resolve_here(out, family, Outcome::Aborted, Some(reason));
-        self.disarm(out, family);
-        self.forget_family(&family);
+        self.forget_family(out, &family);
         let tid = Tid::top_level(family);
         self.broadcast(out, participants, TmMessage::Abort { tid });
     }
@@ -321,7 +319,6 @@ impl Engine {
             None => CommitMode::TwoPhase,
             Some(_) => CommitMode::NonBlocking,
         };
-        self.retire_orphan_timer(&family);
         let vote = match self.families.get_mut(&family) {
             // Presumed abort: no information means vote NO. This
             // site cannot tell "no server ever joined here" (or
@@ -332,7 +329,7 @@ impl Engine {
             // commit a transaction whose updates were lost.
             None => Vote::No,
             Some(fam) if !fam.committing() && fam.servers.is_empty() => {
-                self.forget_family(&family);
+                self.forget_family(out, &family);
                 Vote::ReadOnly
             }
             Some(fam) if !fam.committing() => {
@@ -354,6 +351,8 @@ impl Engine {
                     tid,
                     servers: servers.into_iter().collect(),
                 });
+                // The role's timers take over from the orphan watchdog.
+                self.disarm(out, family);
                 return;
             }
             // Retransmitted prepare: repeat the vote if we already
@@ -385,7 +384,7 @@ impl Engine {
         }
         self.resolve_here(out, family, Outcome::Aborted, None);
         if mode == CommitMode::TwoPhase {
-            self.forget_family(&family);
+            self.forget_family(out, &family);
         }
         self.send_vote(out, mode, coordinator, tid, Vote::No);
     }
@@ -410,7 +409,7 @@ impl Engine {
                 servers,
                 outcome: Outcome::Committed,
             });
-            self.forget_family(&family);
+            self.forget_family(out, &family);
             self.send_vote(out, mode, coordinator, tid, Vote::ReadOnly);
             return;
         }
@@ -537,7 +536,7 @@ impl Engine {
             self.settle_here(out, family, Outcome::Committed, None);
         }
         let (tid, from) = (Tid::top_level(family), self.site);
-        self.forget_family(&family);
+        self.forget_family(out, &family);
         // `queue_ack` sends immediately when piggybacking is off
         // (unoptimized) and delays otherwise.
         self.queue_ack(out, coordinator, TmMessage::CommitAck { tid, from });

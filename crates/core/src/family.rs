@@ -234,6 +234,8 @@ pub struct Sub2pc {
 /// State of a non-blocking commitment this site participates in.
 #[derive(Debug, Clone)]
 pub struct SubNb {
+    /// The site this subordinate answers to: the coordinator that
+    /// prepared it, or whoever announced the outcome.
     pub coordinator: SiteId,
     pub tally: Tally,
     pub phase: SubPhase,

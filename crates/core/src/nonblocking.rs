@@ -515,12 +515,15 @@ impl Engine {
                     SubPhase::AwaitDurable => return, // Ack under way.
                     _ => {}
                 }
+                // From here the subordinate answers to whoever
+                // announced the outcome, and its tombstone keeps the
+                // outcome timer to ask them for the forget note.
                 s.outcome = Some(outcome);
+                s.coordinator = from;
                 match outcome {
                     Outcome::Committed => {
                         s.phase = SubPhase::AwaitDurable;
                         s.pending_ack_to = Some(from);
-                        self.disarm(out, family);
                         out.push(Action::ServerResolve {
                             tid: Tid::top_level(family),
                             servers,
@@ -534,7 +537,6 @@ impl Engine {
                     }
                     Outcome::Aborted => {
                         s.phase = SubPhase::Resolved;
-                        self.disarm(out, family);
                         self.resolve_here(out, family, Outcome::Aborted, None);
                         self.send(out, from, ack);
                     }
@@ -544,7 +546,7 @@ impl Engine {
                 // Someone else finished first: adopt their outcome and
                 // fall back to a subordinate of whoever announced it.
                 let local_update = t.local_update;
-                self.disarm(out, family);
+                self.arm_in_doubt_timer(out, family, CommitMode::NonBlocking);
                 let mut sub = SubNb::at(from, NbInfo::default(), SubPhase::Resolved, local_update);
                 sub.outcome = Some(outcome);
                 match outcome {

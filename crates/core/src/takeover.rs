@@ -31,6 +31,7 @@ use camelot_types::{FamilyId, ServerId, SiteId, Tid};
 use camelot_wal::record::QuorumKind;
 use camelot_wal::LogRecord;
 
+use crate::config::CommitMode;
 use crate::engine::{Engine, ForceKind, TimerKind};
 use crate::family::{Family, Role, SubNb, SubPhase, Takeover, TakeoverPhase};
 use crate::io::Action;
@@ -43,8 +44,11 @@ fn state_of(outcome: Outcome) -> NbSiteState {
 }
 
 impl Engine {
-    /// The outcome timer of a prepared/replicated subordinate fired:
-    /// become a coordinator.
+    /// The outcome timer of a subordinate fired. In doubt (prepared
+    /// or replicated): become a coordinator. Resolved: the tombstone
+    /// is still waiting for its forget note, so it acknowledges the
+    /// outcome again — a site that has forgotten the family answers
+    /// with the note. Its commit record still on its way: wait.
     pub(crate) fn subnb_outcome_timeout(&mut self, out: &mut Vec<Action>, family: FamilyId) {
         let Some(fam) = self.families.get_mut(&family) else {
             return;
@@ -55,6 +59,16 @@ impl Engine {
         let self_state = match s.phase {
             SubPhase::Prepared => NbSiteState::Prepared,
             SubPhase::Replicated => NbSiteState::Replicated,
+            SubPhase::AwaitDurable | SubPhase::Resolved => {
+                let ack_to = (s.phase == SubPhase::Resolved).then_some(s.coordinator);
+                let base = self.config.notify_resend_interval;
+                self.rearm_with_backoff(out, TimerKind::NbOutcome, family, base);
+                if let Some(to) = ack_to {
+                    let (tid, from) = (Tid::top_level(family), self.site);
+                    self.send(out, to, TmMessage::NbOutcomeAck { tid, from });
+                }
+                return;
+            }
             _ => return,
         };
         let mut takeover =
@@ -346,7 +360,8 @@ impl Engine {
         let joined = match &mut fam.role {
             Role::Executing => {
                 // Never prepared here: join the abort quorum and
-                // resolve locally as aborted.
+                // resolve locally as aborted, keeping a tombstone and
+                // its outcome timer.
                 fam.role = Role::SubNb(SubNb {
                     outcome: Some(Outcome::Aborted),
                     joined: Some(QuorumKind::Abort),
@@ -354,6 +369,7 @@ impl Engine {
                     ..SubNb::at(from, NbInfo::default(), SubPhase::Resolved, false)
                 });
                 self.resolve_here(out, family, Outcome::Aborted, None);
+                self.arm_in_doubt_timer(out, family, CommitMode::NonBlocking);
                 return self.force(out, ForceKind::NbSubAbortJoin, family, join_rec);
             }
             Role::SubNb(s) => {

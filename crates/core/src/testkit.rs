@@ -76,6 +76,9 @@ pub struct Net {
     /// The behaviour-equivalence oracle (`tests/golden_actions.rs`)
     /// pins this value over a chaos campaign.
     pub action_digest: Option<u64>,
+    /// Every action the engines emitted, with its site, in order, when
+    /// `Some`; the default `None` records nothing.
+    pub actions: Option<Vec<(SiteId, Action)>>,
     next_req: u64,
 }
 
@@ -119,6 +122,7 @@ impl Net {
             auto_drain: true,
             relay_aborts: false,
             action_digest: None,
+            actions: None,
             next_req: 100,
         }
     }
@@ -180,6 +184,9 @@ impl Net {
         };
         if let Some(label) = label {
             self.fold_step(site, &label, &actions);
+        }
+        if let Some(log) = &mut self.actions {
+            log.extend(actions.iter().map(|a| (site, a.clone())));
         }
         for a in actions {
             self.apply(site, a);

@@ -4,10 +4,11 @@
 //! and presumed-abort answers must carry the protocols through a
 //! lossy network.
 
-use camelot_net::Outcome;
+use camelot_net::{Outcome, TmMessage};
 use camelot_types::{ServerId, SiteId};
 
 use crate::config::{CommitMode, EngineConfig};
+use crate::io::Input;
 use crate::testkit::Net;
 
 const S1: SiteId = SiteId(1);
@@ -36,6 +37,20 @@ fn run_with_loss(drop_every: usize, mode: CommitMode) -> (camelot_types::Tid, u6
     (tid, req, net)
 }
 
+/// Every site of the three has forgotten every family and holds no
+/// armed timer: nothing is left that could ever send again.
+fn assert_quiet(net: &Net, case: &str) {
+    for s in [S1, S2, S3] {
+        let e = net.engine(s);
+        assert_eq!(
+            (e.live_families(), e.armed_timers()),
+            (0, 0),
+            "{s} is not quiet ({case}): {:?}",
+            e.family_ids()
+        );
+    }
+}
+
 #[test]
 fn two_phase_completes_despite_periodic_loss() {
     // Drop every 5th datagram: phase-one or phase-two messages get
@@ -52,19 +67,9 @@ fn two_phase_completes_despite_periodic_loss() {
             coord.is_some(),
             "coordinator must decide (drop {drop_every})"
         );
-        for s in [S2, S3] {
-            let r = net.engine(s).resolution(&tid.family);
-            // A read-only or never-prepared site may have nothing to
-            // resolve; but if it resolved, it matches (checked by
-            // assert_no_conflict). A prepared site must NOT be left
-            // in doubt forever.
-            if net.engine(s).live_families() > 0 {
-                assert!(
-                    r.is_some(),
-                    "{s} still holds state without a resolution (drop {drop_every})"
-                );
-            }
-        }
+        // Whatever a site resolved matches (checked above); no site is
+        // left holding state, in doubt or otherwise.
+        assert_quiet(&net, &format!("drop every {drop_every}"));
     }
 }
 
@@ -79,16 +84,56 @@ fn nonblocking_completes_despite_periodic_loss() {
             coord.is_some(),
             "coordinator must decide (drop {drop_every})"
         );
-        // Non-blocking: nobody may be left in doubt.
-        for s in [S2, S3] {
-            if net.engine(s).live_families() > 0 {
-                assert!(
-                    net.engine(s).resolution(&tid.family).is_some(),
-                    "{s} left in doubt under non-blocking commit (drop {drop_every})"
-                );
+        // Nobody is left in doubt, and no tombstone outlives a lost
+        // forget note.
+        assert_quiet(&net, &format!("drop every {drop_every}"));
+    }
+}
+
+#[test]
+fn lost_forget_notes_are_asked_for_again_after_the_coordinator_restarts() {
+    // A failure-free non-blocking commit whose every forget note is
+    // lost: both subordinates keep their tombstones. The coordinator
+    // has ended the family durably, then crashes and restarts with
+    // nothing to say about it. Each tombstone's outcome timer asks it
+    // again, and the answer is the note.
+    let mut net = Net::new(3, EngineConfig::default());
+    let tid = net.begin(S1);
+    for s in [S1, S2, S3] {
+        net.update_op(s, SRV, &tid);
+    }
+    net.auto_drain = false;
+    let req = net.commit(S1, &tid, CommitMode::NonBlocking, vec![S2, S3]);
+    let mut forgets = 0;
+    while net.queue_len() > 0 {
+        while let Some((_, input)) = net.queued(0) {
+            if let Input::Datagram {
+                msg: TmMessage::NbForget { .. },
+                ..
+            } = input
+            {
+                net.drop_at(0);
+                forgets += 1;
+            } else {
+                net.step_at(0);
             }
         }
+        for s in [S1, S2, S3] {
+            net.flush_lazy(s);
+        }
     }
+    assert_eq!(forgets, 2, "one forget note per subordinate");
+    assert_eq!(net.outcome_of(S1, req), Some(Outcome::Committed));
+    assert_eq!(net.engine(S1).live_families(), 0, "the coordinator ended");
+    for s in [S2, S3] {
+        assert_eq!(net.engine(s).family_ids(), vec![tid.family], "{s}");
+    }
+    net.auto_drain = true;
+    net.crash(S1);
+    net.restart(S1, EngineConfig::default());
+    net.run_timers(50);
+    net.assert_agreement(&tid.family, Outcome::Committed, 3);
+    assert_quiet(&net, "forget notes lost, coordinator restarted");
 }
 
 #[test]

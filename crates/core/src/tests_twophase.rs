@@ -33,6 +33,50 @@ fn local_update_commit() {
     assert_eq!(net.engine(S1).live_families(), 0, "family forgotten");
 }
 
+/// What one failure-free commit at three update sites costs in
+/// timers and datagrams, summed over the sites: `SetTimer`,
+/// `CancelTimer`, `Send`, `Broadcast`. The subordinates' orphan
+/// watchdogs and 2PC's ack-flush timers are in it. A non-blocking
+/// tombstone keeps its outcome timer until the forget note, so its
+/// cancel comes with the note and costs the failure-free path nothing.
+#[test]
+fn failure_free_commit_timer_and_datagram_counts() {
+    let pins = [
+        (CommitMode::TwoPhase, [8, 6, 4, 2]),
+        (CommitMode::NonBlocking, [9, 9, 6, 4]),
+    ];
+    for (mode, want) in pins {
+        let mut net = net(3);
+        net.actions = Some(Vec::new());
+        let tid = net.begin(S1);
+        for s in [S1, S2, S3] {
+            net.update_op(s, SRV, &tid);
+        }
+        let req = net.commit(S1, &tid, mode, vec![S2, S3]);
+        net.flush_lazy(S2);
+        net.flush_lazy(S3);
+        net.run_timers(10);
+        assert_eq!(net.outcome_of(S1, req), Some(Outcome::Committed));
+        let actions = net.actions.take().expect("recording");
+        let count = |kind: fn(&Action) -> bool| actions.iter().filter(|(_, a)| kind(a)).count();
+        let got = [
+            count(|a| matches!(a, Action::SetTimer { .. })),
+            count(|a| matches!(a, Action::CancelTimer { .. })),
+            count(|a| matches!(a, Action::Send { .. })),
+            count(|a| matches!(a, Action::Broadcast { .. })),
+        ];
+        assert_eq!(got, want, "{mode:?}");
+        for s in [S1, S2, S3] {
+            let e = net.engine(s);
+            assert_eq!(
+                (e.live_families(), e.armed_timers()),
+                (0, 0),
+                "{mode:?} {s}"
+            );
+        }
+    }
+}
+
 #[test]
 fn local_read_commit_writes_nothing() {
     let mut net = net(1);

@@ -197,6 +197,8 @@ impl Engine {
     /// `NbOutcomeAck`: the participant resolved). After the last one
     /// the family ends here — and under non-blocking commit everyone
     /// who kept a tombstone is told to forget (change 4's epilogue).
+    /// A tombstone whose forget note was lost asks again with its ack;
+    /// a site that no longer holds the family answers with the note.
     pub(crate) fn on_outcome_ack(
         &mut self,
         out: &mut Vec<Action>,
@@ -206,6 +208,9 @@ impl Engine {
     ) {
         let family = tid.family;
         let Some(fam) = self.families.get_mut(&family) else {
+            if mode == CommitMode::NonBlocking {
+                self.send(out, from, TmMessage::NbForget { tid });
+            }
             return;
         };
         if fam.mode() != Some(mode) {
@@ -369,7 +374,7 @@ impl Engine {
     /// abort lets a two-phase subordinate forget immediately after
     /// telling the coordinator; a non-blocking one keeps a tombstone —
     /// status requests must see "aborted" until the coordinator's
-    /// forget note (change 4).
+    /// forget note (change 4) — and an outcome timer to ask for it.
     pub(crate) fn sub_veto(&mut self, out: &mut Vec<Action>, family: FamilyId) {
         let Some(fam) = self.families.get_mut(&family) else {
             return;
@@ -383,8 +388,9 @@ impl Engine {
             s.outcome = Some(Outcome::Aborted);
         }
         self.resolve_here(out, family, Outcome::Aborted, None);
-        if mode == CommitMode::TwoPhase {
-            self.forget_family(out, &family);
+        match mode {
+            CommitMode::TwoPhase => self.forget_family(out, &family),
+            CommitMode::NonBlocking => self.arm_in_doubt_timer(out, family, mode),
         }
         self.send_vote(out, mode, coordinator, tid, Vote::No);
     }

@@ -9,7 +9,8 @@
 //! recover it. A dropped Prepare leaves the coordinator without a vote
 //! until its vote timeout aborts the transaction; a dropped Commit
 //! leaves the subordinate prepared until the coordinator re-sends the
-//! notice.
+//! notice; a dropped non-blocking forget note leaves the subordinate's
+//! tombstone live until its outcome timer asks again.
 //!
 //! Each case pins, per site, how many envelopes the engine handed to
 //! the transport and how many frames the transport put on the wire.
@@ -128,11 +129,11 @@ impl Site {
 }
 
 /// Runs one two-site transfer-shaped transaction — a write at each
-/// site, committed under 2PC by site 1 — with the `nth` frame from
+/// site, committed under `mode` by site 1 — with the `nth` frame from
 /// site 1 to site 2 dropped. Returns the outcome, each site's
 /// committed value, and each site's (envelopes, frames) once both
 /// engines are quiet and the counts have settled.
-fn run_with_drop(nth: u64) -> (Outcome, [Vec<u8>; 2], [(u64, u64); 2]) {
+fn run_with_drop(nth: u64, mode: CommitMode) -> (Outcome, [Vec<u8>; 2], [(u64, u64); 2]) {
     let plan = FaultPlan::disabled();
     plan.script_fault(COORD, SUB, nth, LinkDecision::Drop);
     let sites = [
@@ -153,7 +154,7 @@ fn run_with_drop(nth: u64) -> (Outcome, [Vec<u8>; 2], [(u64, u64); 2]) {
     sub.write(&tid, SUB, SRV, OBJ, b"v".to_vec())
         .expect("write at the subordinate");
     let outcome = home
-        .commit_with(&tid, CommitMode::TwoPhase, vec![SUB])
+        .commit_with(&tid, mode, vec![SUB])
         .expect("commit returns");
 
     let quiet_by = Instant::now() + Duration::from_secs(5);
@@ -193,7 +194,7 @@ fn run_with_drop(nth: u64) -> (Outcome, [Vec<u8>; 2], [(u64, u64); 2]) {
 /// wire; site 2 sent nothing.
 #[test]
 fn a_lost_prepare_is_a_vote_timeout_abort() {
-    let (outcome, values, counts) = run_with_drop(0);
+    let (outcome, values, counts) = run_with_drop(0, CommitMode::TwoPhase);
     assert_eq!(outcome, Outcome::Aborted);
     assert_eq!(
         values,
@@ -211,7 +212,7 @@ fn a_lost_prepare_is_a_vote_timeout_abort() {
 /// acknowledgement.
 #[test]
 fn a_lost_commit_notice_is_resent_by_the_coordinator() {
-    let (outcome, values, counts) = run_with_drop(1);
+    let (outcome, values, counts) = run_with_drop(1, CommitMode::TwoPhase);
     assert_eq!(outcome, Outcome::Committed);
     assert_eq!(
         values,
@@ -219,4 +220,24 @@ fn a_lost_commit_notice_is_resent_by_the_coordinator() {
         "both applied the write"
     );
     assert_eq!(counts, [(3, 2), (2, 2)], "(envelopes, frames) per site");
+}
+
+/// Under non-blocking commit the frames from site 1 to site 2 are the
+/// prepare, the replicate request, the outcome and the forget note;
+/// the fourth is dropped. The subordinate's tombstone keeps its outcome
+/// timer and, when it fires, acknowledges the outcome again; the
+/// coordinator, which has ended the family, answers with the note.
+/// Site 1 sent its four frames and the answer, and lost the note;
+/// site 2 sent its vote, its replicate ack, its outcome ack and the
+/// re-sent ack.
+#[test]
+fn a_lost_forget_note_is_asked_for_again() {
+    let (outcome, values, counts) = run_with_drop(3, CommitMode::NonBlocking);
+    assert_eq!(outcome, Outcome::Committed);
+    assert_eq!(
+        values,
+        [b"v".to_vec(), b"v".to_vec()],
+        "both applied the write"
+    );
+    assert_eq!(counts, [(5, 4), (4, 4)], "(envelopes, frames) per site");
 }

@@ -212,46 +212,13 @@ fn killed_subordinate_recovers_over_tcp() {
     killed_subordinate_recovers("tcp");
 }
 
-/// A quiesce failure that is only subordinate tombstones waiting for
-/// the non-blocking coordinator's `NbForget`. The coordinator sends the
-/// note once and keeps no timer for it, and a resolved subordinate
-/// keeps none either (ROADMAP item 4 (h)). When nothing else is busy,
-/// no live site holds those families in any other role, so nobody will
-/// ever send the note again.
-fn only_lost_forget_notes(busy: &str) -> bool {
-    busy.split(" | ").all(|site| {
-        site.split_once(": ").is_some_and(|(_, dump)| {
-            dump.split("; ")
-                .all(|line| line.ends_with(" nb-subordinate Resolving"))
-        })
-    })
-}
-
-/// Waits up to 30 s for every site to go quiet after a heal. It stops
-/// early once the only busy state is lost forget notes at two looks a
-/// second apart: that state never clears, and the second look rules
-/// out a note still in flight.
-fn settle(sup: &mut Supervisor) -> Result<(), String> {
-    let deadline = Instant::now() + Duration::from_secs(30);
-    let mut orphaned = false;
-    loop {
-        match sup.quiesce(Duration::from_secs(1)) {
-            Ok(()) => return Ok(()),
-            Err(busy) if Instant::now() >= deadline => return Err(busy),
-            Err(busy) if orphaned && only_lost_forget_notes(&busy) => return Err(busy),
-            Err(busy) => orphaned = only_lost_forget_notes(&busy),
-        }
-    }
-}
-
 /// 25 seeded chaos schedules against real sockets: every site injects
 /// drop/delay/duplicate faults on its own links (one `--fault-seed`;
 /// each roll is keyed on the link, so the sites' streams differ), the
 /// workload runs through the noise, the plans are healed, and the
 /// ledger must still conserve money and every site go quiet. Odd seeds
 /// run over UDP and even seeds over TCP; the outcomes are tallied per
-/// transport, and a TCP seed's lost forget notes are counted instead of
-/// failed. Failures dump the cluster's drained trace rings as JSONL
+/// transport. Failures dump the cluster's drained trace rings as JSONL
 /// under `CARGO_TARGET_TMPDIR` for offline forensics.
 ///
 /// Ignored by default (takes minutes); CI runs it with
@@ -263,7 +230,7 @@ fn socket_chaos_campaign_conserves_money() {
     std::fs::create_dir_all(&artifacts).expect("artifact dir");
     // Per transport: committed, aborted, failed (an error or time-out).
     let mut tally = [("udp", [0u32; 3]), ("tcp", [0u32; 3])];
-    let (mut failures, mut lost_forgets) = (Vec::new(), Vec::new());
+    let mut failures = Vec::new();
 
     for seed in 1..=25u64 {
         let seed_arg = seed.to_string();
@@ -306,19 +273,10 @@ fn socket_chaos_campaign_conserves_money() {
             outcomes[outcome] += 1;
         }
 
-        // Stop injecting and let the recovery machinery finish. A UDP
-        // seed must go quiet. A TCP seed may keep lost forget notes,
-        // which are counted: TCP leaked them before it joined this
-        // campaign. Until the engine resends the note (ROADMAP item 4
-        // (h)), UDP seeds that lose one fail.
+        // Stop injecting and let the recovery machinery finish: every
+        // site must go quiet.
         sup.heal_all().expect("heal every site");
-        let quiesced = match settle(&mut sup) {
-            Err(busy) if *transport == "tcp" && only_lost_forget_notes(&busy) => {
-                lost_forgets.push(format!("seed {seed}: {busy}"));
-                Ok(())
-            }
-            quiesced => quiesced,
-        };
+        let quiesced = sup.quiesce(QUIET);
         let conserved = s.conserved(3, 2);
 
         if quiesced.is_err() || conserved.is_err() {
@@ -335,10 +293,6 @@ fn socket_chaos_campaign_conserves_money() {
     }
     for (transport, [committed, aborted, failed]) in tally {
         println!("{transport}: {committed} committed, {aborted} aborted, {failed} failed");
-    }
-    println!("lost forget notes over tcp: {}", lost_forgets.len());
-    for line in &lost_forgets {
-        println!("  {line}");
     }
     assert!(failures.is_empty(), "{}", failures.join("\n"));
 }

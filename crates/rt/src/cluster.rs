@@ -33,6 +33,10 @@
 //!   appended during the write rides the next one. The disk thread
 //!   also checkpoints and truncates the log, so restart replays a
 //!   bounded tail.
+//!
+//! A datagram due now between two sites of this process costs no
+//! hand-off at all: the thread that posts it runs it
+//! (`ClusterInner::apply_for`, DESIGN §5.7).
 
 use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -355,14 +359,18 @@ impl ClusterInner {
     /// Posts one inter-site datagram, and the messages piggybacked on
     /// it, through the fault plan: each may be delivered normally,
     /// dropped, delayed past later traffic on the link (reordering), or
-    /// duplicated. Timer firings never come through here — they are
-    /// site-local, not network traffic.
+    /// duplicated. A copy due now (zero `datagram_delay`, and the plan
+    /// added nothing) for a site hosted here goes onto `inbox`, for the
+    /// posting thread to run ([`ClusterInner::apply_for`]); a later one
+    /// waits in the router. Timer firings never come through here —
+    /// they are site-local, not network traffic.
     fn post_datagram(
         &self,
         from: SiteId,
         to: SiteId,
         msg: camelot_net::TmMessage,
         piggyback: Vec<camelot_net::TmMessage>,
+        inbox: &mut VecDeque<(SiteId, Input)>,
     ) {
         if !self.sites.contains_key(&to) {
             // Not hosted here: hand to the real transport, which sends
@@ -374,8 +382,13 @@ impl ClusterInner {
             return;
         }
         let base = self.cfg.datagram_delay;
-        let deliver = |after: StdDuration, msg: camelot_net::TmMessage| {
-            self.deliver_after(after, to, Input::Datagram { from, msg });
+        let mut deliver = |after: StdDuration, msg: camelot_net::TmMessage| {
+            let input = Input::Datagram { from, msg };
+            if after.is_zero() {
+                inbox.push_back((to, input));
+            } else {
+                self.deliver_after(after, to, input);
+            }
         };
         for msg in std::iter::once(msg).chain(piggyback) {
             match self.fault.link_decision(from, to) {
@@ -399,13 +412,11 @@ impl ClusterInner {
         }
     }
 
-    /// Delivers `input` — a datagram, or a timer firing — to `to` after
-    /// `after`. One rule, read off the due time alone: what is due now
-    /// (a datagram under zero `datagram_delay` that the fault plan lets
-    /// through untouched) has nothing to wait for and goes straight to
-    /// the destination's workers from this thread; everything else
-    /// waits in the router's queue, and the router thread is woken
-    /// only if it now has to get up earlier than it meant to.
+    /// Delivers `input` — a delayed datagram, or a timer firing — to
+    /// `to` after `after`. A timer due now goes straight to the site's
+    /// workers from this thread; everything else waits in the router's
+    /// queue, and the router thread is woken only if it now has to get
+    /// up earlier than it meant to.
     fn deliver_after(&self, after: StdDuration, to: SiteId, input: Input) {
         if after.is_zero() {
             if let Input::TimerFired { token } = &input {
@@ -471,6 +482,15 @@ impl ClusterInner {
     /// [`ClusterInner::apply_actions`] on behalf of application call
     /// `caller`: the reply to that call, if this thread produces it,
     /// is returned instead of going through the completion table.
+    ///
+    /// A datagram due now for a site hosted here is not handed to that
+    /// site's workers: it waits in this call's inbox, and once the
+    /// current site's actions are applied this loop runs the inbox in
+    /// FIFO order — each entry's engine step on its destination site,
+    /// then that site's actions — so a zero-delay exchange between
+    /// in-process sites costs no thread hand-off (DESIGN §5.7). A
+    /// thread about to lead a platter write first hands the inbox over
+    /// to the destinations' workers, which run it while it writes.
     pub fn apply_for(
         &self,
         site: &Arc<SiteShared>,
@@ -478,10 +498,25 @@ impl ClusterInner {
         caller: Option<u64>,
     ) -> Option<Action> {
         let mut reply = None;
+        let mut site = site;
         let mut queue = VecDeque::from(actions);
-        // Queued mode's `AskVote`s, held back until the rest is applied.
+        let mut inbox: VecDeque<(SiteId, Input)> = VecDeque::new();
+        // Queued mode's `AskVote`s, each with its site, held back until
+        // the rest, the inbox included, is applied.
         let mut asks = Vec::new();
-        while let Some(action) = queue.pop_front().or_else(|| asks.pop()) {
+        loop {
+            let action = if let Some(action) = queue.pop_front() {
+                action
+            } else if let Some((to, input)) = inbox.pop_front() {
+                site = &self.sites[&to];
+                queue.extend(self.handle_on_shard(site, input));
+                continue;
+            } else if let Some((at, action)) = asks.pop() {
+                site = at;
+                action
+            } else {
+                return reply;
+            };
             match action {
                 a @ (Action::Began { .. } | Action::Resolved { .. } | Action::Rejected { .. }) => {
                     let req = reply_req(&a).expect("matched a reply");
@@ -507,13 +542,14 @@ impl ClusterInner {
                         // The shards answer at once, on their own
                         // threads, and a veto's abort notice must not
                         // leave before the prepares this batch has yet
-                        // to send: a subordinate drops an outcome for a
-                        // family it has not been asked to prepare, then
-                        // prepares and waits for the resend. Ask last —
-                        // the order lock-based mode gets from running
-                        // the vote inline, behind the batch.
-                        if !queue.is_empty() {
-                            asks.push(Action::AskVote { tid, servers });
+                        // to send or has yet to run from the inbox: a
+                        // subordinate drops an outcome for a family it
+                        // has not been asked to prepare, then prepares
+                        // and waits for the resend. Ask last — the order
+                        // lock-based mode gets from running the vote
+                        // inline, behind the batch.
+                        if !queue.is_empty() || !inbox.is_empty() {
+                            asks.push((site, Action::AskVote { tid, servers }));
                             continue;
                         }
                         self.queued_ask_vote(site, &mut queue, &tid, &servers);
@@ -550,11 +586,11 @@ impl ClusterInner {
                     }
                 }
                 Action::Send { to, msg, piggyback } => {
-                    self.post_datagram(site.id, to, msg, piggyback);
+                    self.post_datagram(site.id, to, msg, piggyback, &mut inbox);
                 }
                 Action::Broadcast { to, msg } => {
                     for dst in to {
-                        self.post_datagram(site.id, dst, msg.clone(), Vec::new());
+                        self.post_datagram(site.id, dst, msg.clone(), Vec::new(), &mut inbox);
                     }
                 }
                 Action::RelayAbort { tid } => {
@@ -570,6 +606,7 @@ impl ClusterInner {
                             dst,
                             camelot_net::TmMessage::Abort { tid: tid.clone() },
                             Vec::new(),
+                            &mut inbox,
                         );
                     }
                 }
@@ -593,10 +630,17 @@ impl ClusterInner {
                     // force with work queued behind it (non-blocking
                     // commit's begin record, ahead of phase one) must not
                     // hold that work up for a platter write, so it never
-                    // leads.
+                    // leads; nor may the inbox wait for it — other
+                    // sites' forces would run one after another — so a
+                    // leader hands it to the destinations' workers.
                     let upto = site.append(&rec);
                     let lead = queue.is_empty()
                         && (caller.is_some() || site.idle_workers.load(Ordering::Relaxed) > 0);
+                    if lead {
+                        for (to, input) in inbox.drain(..) {
+                            self.deliver(to, input);
+                        }
+                    }
                     if request_force(self, site, token, upto, lead) {
                         queue.extend(self.log_forced(site, token));
                     }
@@ -620,7 +664,6 @@ impl ClusterInner {
                 }
             }
         }
-        reply
     }
 }
 

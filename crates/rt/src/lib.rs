@@ -30,7 +30,10 @@
 //!   delayed datagrams and (cancellable) protocol timers, edited in
 //!   place by whoever sends or arms, and a thread that delivers what
 //!   falls due. What is due when it is posted (a datagram with no
-//!   delay) skips it; traffic to crashed sites is dropped;
+//!   delay) skips it: the posting thread runs it on the destination
+//!   site itself, after its own site's actions, unless it is about to
+//!   lead a platter write, when it hands it to the destination's
+//!   workers first. Traffic to crashed sites is dropped;
 //! - **client handles** — synchronous begin / read / write / commit /
 //!   abort calls. The paper's local IPC between application and
 //!   TranMan is *not* modelled here (the call is a function call on

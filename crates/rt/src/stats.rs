@@ -27,7 +27,8 @@ pub(crate) struct SiteCounters {
     /// Inputs the engine shards handled, on whichever thread.
     pub inputs: AtomicU64,
     /// Inputs that crossed `tm_tx` to the worker pool: one thread
-    /// hand-off each (datagrams, timer firings, log completions).
+    /// hand-off each (timer firings, log completions, delayed or
+    /// handed-over datagrams).
     pub worker_inputs: AtomicU64,
     /// Platter writes performed, by a leading application thread or
     /// worker, or the disk thread.
@@ -78,10 +79,11 @@ pub struct SiteStats {
     /// Inputs the engine shards handled, on whichever thread.
     pub inputs: u64,
     /// Inputs that crossed to the worker pool — the hand-off budget:
-    /// application calls, local server votes and the `LogForced` of a
-    /// force its requester led run on the thread that produced them,
-    /// so only datagrams, timer firings and other log completions count
-    /// here.
+    /// application calls, local server votes, the `LogForced` of a
+    /// force its requester led and a datagram due now for a site of
+    /// this process run on the thread that produced them, so only timer
+    /// firings, other log completions, delayed datagrams and those a
+    /// leader handed over before its platter write count here.
     pub worker_inputs: u64,
     /// Platter writes performed, by a leading application thread or
     /// worker, or the disk thread.

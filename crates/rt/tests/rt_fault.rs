@@ -368,8 +368,9 @@ fn a_coordinator_that_lost_its_end_record_forgets_the_family_at_once() {
         .find(|(_, r)| is_end(r))
         .unwrap();
     cluster.set_wal_image(S1, &image[..end_at]).unwrap();
-    let sub_inputs =
-        |c: &Cluster| -> u64 { c.stats().sites[1..].iter().map(|s| s.worker_inputs).sum() };
+    // Engine steps, not worker inputs: a zero-delay datagram runs on
+    // the thread that posted it, here the restarting one.
+    let sub_inputs = |c: &Cluster| -> u64 { c.stats().sites[1..].iter().map(|s| s.inputs).sum() };
     let before = sub_inputs(&cluster);
     let restarted = Instant::now();
     cluster.restart(S1).unwrap();

@@ -2,16 +2,17 @@
 //! `tm_tx` to the worker pool, and how many of those the router thread
 //! had to carry there, pinned per transaction shape.
 //!
-//! Application calls, local server votes and the `LogForced` of a
-//! force its requester led run on the thread that produced them; only
-//! what is genuinely asynchronous — a datagram, a timer firing, a log
-//! completion somebody else produced — crosses to a worker, and each
-//! crossing is one thread hand-off. The router thread is a second
-//! hand-off in front of that one, paid only by what has to wait: a
-//! timer that fires, a datagram with a delay. Like the paper's force
-//! and datagram budgets these are exact counts, so a change that puts
-//! a hand-off back on the path fails here as a number, not as noise in
-//! a latency figure.
+//! Application calls, local server votes, the `LogForced` of a force
+//! its requester led and a datagram due now for a site of the same
+//! process run on the thread that produced them; only what is
+//! genuinely asynchronous — a timer firing, a log completion somebody
+//! else produced, a datagram a leader handed over before its platter
+//! write — crosses to a worker, and each crossing is one thread
+//! hand-off. The router thread is a second hand-off in front of that
+//! one, paid only by what has to wait: a timer that fires, a datagram
+//! with a delay. Like the paper's force and datagram budgets these are
+//! exact counts, so a change that puts a hand-off back on the path
+//! fails here as a number, not as noise in a latency figure.
 
 use std::time::{Duration as StdDuration, Instant};
 
@@ -122,57 +123,69 @@ fn local_update_never_leaves_the_calling_thread_either() {
     assert_eq!(budget, (vec![0], 0));
 }
 
-/// Three-site delayed-commit 2PC (the default variant). Coordinator:
-/// two votes and two acks = 4. Each subordinate: the prepare, the
-/// commit, the lazy commit record's LogDurable and the ack-flush timer
+/// Three-site delayed-commit 2PC (the default variant). The
+/// committing thread posts both prepares into its inbox and runs the
+/// first, site 2's, whose prepare record it leads: before the write it
+/// hands site 3's prepare to site 3's workers (site 3: 1), so the two
+/// subordinates write in parallel. Site 2's vote then runs on the
+/// committing thread too. Site 3's worker leads its own prepare record
+/// — the site's other workers sit idle — and runs its vote at the
+/// coordinator, whose commit record it leads as well: the commit
+/// notices to both subordinates and their acks all run on that one
+/// thread. What is left crosses at each subordinate: the lazy commit
+/// record's `LogDurable`, from the disk thread, and the ack-flush timer
 /// (an isolated transaction has no later datagram to piggyback its ack
-/// on) = 4. All three forces — each subordinate's prepare record, the
-/// coordinator's commit record after the last vote — are requested by a
-/// worker while the site's other workers sit idle, so that worker leads
-/// the platter write and runs the force's `LogForced` itself: none of
-/// them crosses.
+/// on). Site 2: 2, site 3: 3, the coordinator: 0.
 ///
 /// The router thread carries exactly the timers that fire — the two
-/// subordinates' ack-flush timers — and no datagram: with no delay all
-/// eight are due when posted and go straight to the destination's
-/// workers. (The coordinator's vote timeout and notify-resend timer and
-/// the subordinates' orphan and inquiry watchdogs are armed and
-/// cancelled in place, without the router thread hearing of them.)
+/// subordinates' ack-flush timers — and no datagram: with no delay
+/// every datagram is due when posted. (The coordinator's vote timeout
+/// and notify-resend timer and the subordinates' orphan and inquiry
+/// watchdogs are armed and cancelled in place, without the router
+/// thread hearing of them.)
 #[test]
-fn three_site_delayed_commit_costs_twelve_worker_inputs() {
+fn three_site_delayed_commit_costs_five_worker_inputs() {
     let budget = budget_of(cfg(), 3, 3, true, CommitMode::TwoPhase);
-    assert_eq!(budget, (vec![4, 4, 4], 2));
+    assert_eq!(budget, (vec![0, 2, 3], 2));
 }
 
 /// The other side of the rule: with one TranMan worker per site there
-/// is never a second, idle worker to serve the site's traffic, so the
-/// one worker does not sleep through a platter write. Each of the
-/// three forces is written by the disk thread and its `LogForced`
-/// crosses back to the worker: one more input at every site.
+/// is never a second, idle worker to serve the site's traffic, so a
+/// worker does not sleep through its own site's platter write. The
+/// committing thread still leads site 2's prepare record, as above;
+/// site 3's prepare record is written by the disk thread and its
+/// `LogForced` crosses back to the worker (site 3: one more, 4). That
+/// worker then runs site 3's vote at the coordinator, whose one worker
+/// sits idle, so it leads the coordinator's commit record: the
+/// coordinator still receives nothing.
 #[test]
-fn one_worker_per_site_never_leads_its_forces() {
+fn one_worker_per_site_leaves_its_own_sites_force_to_the_disk_thread() {
     let cfg = RtConfig {
         tm_threads: 1,
         ..cfg()
     };
     let budget = budget_of(cfg, 3, 3, true, CommitMode::TwoPhase);
-    assert_eq!(budget, (vec![5, 5, 5], 2));
+    assert_eq!(budget, (vec![0, 2, 4], 2));
 }
 
 /// Three-site non-blocking commit. Coordinator: its begin record's
-/// LogForced (that force has phase one queued behind it, so it never
-/// leads), two votes, two replication acks and two outcome acks = 7;
-/// its commit record, forced after the last replication ack, is led.
-/// Each subordinate: the prepare, the replication, the outcome, the
-/// lazy outcome record's LogDurable and the forget note = 5; its
-/// prepare and replication records are led. Five of the protocol's six
-/// forces are led.
+/// `LogForced` — that force has phase one queued behind it, so it never
+/// leads and the disk thread writes it — and nothing else = 1. The
+/// committing thread runs site 2's prepare and leads its prepare
+/// record, handing site 3's prepare over first. Whoever completes
+/// phase one at the coordinator runs the replication into site 2 and
+/// leads site 2's replication record, handing site 3's replication
+/// over. The first replication ack closes the 2-of-3 quorum, and its
+/// thread leads the coordinator's commit record and delivers the
+/// outcome. What crosses at each subordinate besides is the lazy
+/// outcome record's `LogDurable`: site 2: 1, site 3: 3. The outcome
+/// acks and the forget notes run where they are posted.
 ///
 /// No timer fires, so the router thread carries nothing: a
 /// subordinate acknowledges the outcome as soon as its record is
 /// durable, with no ack-flush timer.
 #[test]
-fn three_site_nonblocking_commit_costs_seventeen_worker_inputs() {
+fn three_site_nonblocking_commit_costs_five_worker_inputs() {
     let budget = budget_of(cfg(), 3, 3, true, CommitMode::NonBlocking);
-    assert_eq!(budget, (vec![7, 5, 5], 0));
+    assert_eq!(budget, (vec![1, 1, 3], 0));
 }

@@ -361,6 +361,46 @@ fn a_leader_writes_once_and_leaves_the_next_write_to_the_disk_thread() {
     cluster.shutdown();
 }
 
+/// With no datagram delay, a datagram between two of the cluster's
+/// sites runs on the thread that posted it — here the committing
+/// thread, which runs the first subordinate's prepare and leads its
+/// platter write. Before it writes it hands the second subordinate's
+/// prepare to that site's workers, so the subordinates write in
+/// parallel: 2PC costs two platter writes in sequence (prepare, commit
+/// record) and non-blocking commit three (prepare, replication, commit
+/// record). A leader that kept the rest of its inbox for after its
+/// write would run the sites' writes one after another: three and five.
+#[test]
+fn a_leader_hands_the_other_sites_their_datagrams_before_it_writes() {
+    let platter = StdDuration::from_millis(50);
+    let cfg = RtConfig {
+        datagram_delay: StdDuration::ZERO,
+        platter_delay: platter,
+        // No background flush: every platter write here is a force's.
+        lazy_flush: StdDuration::from_secs(60),
+        ..quick_cfg()
+    };
+    for (mode, writes) in [(CommitMode::TwoPhase, 2), (CommitMode::NonBlocking, 3)] {
+        let cluster = Cluster::new(3, cfg.clone());
+        let client = cluster.client(SiteId(1));
+        let tid = client.begin().unwrap();
+        for s in 1..=3 {
+            let (site, obj) = (SiteId(s), ObjectId(s as u64));
+            client.write(&tid, site, SRV, obj, b"v".to_vec()).unwrap();
+        }
+        let started = std::time::Instant::now();
+        assert_eq!(client.commit(&tid, mode).unwrap(), Outcome::Committed);
+        let took = started.elapsed();
+        let bound = platter * (2 * writes + 1) / 2;
+        assert!(
+            took < bound,
+            "{mode:?} commit took {took:?}, over {bound:?}: the sites' \
+             {platter:?} writes ran one after another"
+        );
+        cluster.shutdown();
+    }
+}
+
 /// A blocked operation that outlives the call timeout surfaces as the
 /// typed `Timeout` error *naming the blocked transaction* — not a
 /// stringly error, and not `SiteDown` (the site is fine; the outcome

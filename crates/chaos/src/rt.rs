@@ -81,9 +81,9 @@ impl Schedule for RtRunResult {
     }
 }
 
-fn rt_cfg(canary: bool, queued: bool) -> RtConfig {
+fn rt_cfg(canary: bool, queued: bool, datagram_delay: StdDuration) -> RtConfig {
     let mut cfg = RtConfig {
-        datagram_delay: StdDuration::from_millis(1),
+        datagram_delay,
         platter_delay: StdDuration::from_millis(1),
         // A wide lazy window keeps the canary's append-without-force
         // commit record volatile long enough for a post-commit kill
@@ -278,6 +278,15 @@ fn rt_run_one(ch: &mut Chooser, canary: bool) -> RtRunResult {
         3 => RecoveryFault::Checkpoint(Some(CrashPoint::MidTruncate)),
         _ => RecoveryFault::MidRecovery,
     };
+    // Datagram delay: with none, a datagram between the cluster's sites
+    // runs on the thread that posted it (`ClusterInner::apply_for`'s
+    // inbox); with one, every datagram waits in the router and crosses
+    // to a worker. Drawn last, so a trace that predates the draw
+    // replays with the 1 ms it always ran with.
+    let datagram_delay = match ch.choose(2) {
+        0 => StdDuration::from_millis(1),
+        _ => StdDuration::ZERO,
+    };
     // A plan with clean links, no crash, no partition/skew and no
     // corruption exercises the protocols' *cost*, not their fault
     // recovery: committed transactions on such runs are audited
@@ -295,7 +304,8 @@ fn rt_run_one(ch: &mut Chooser, canary: bool) -> RtRunResult {
         && !queued;
     let mut plan = format!(
         "{sites} sites, {n_txns} txns, {profile}, queued={queued}, crash={} on txn {victim}, \
-         corrupt_wal={corrupt_wal}, partition={}, skew={}, recovery={recovery_fault:?}",
+         corrupt_wal={corrupt_wal}, partition={}, skew={}, recovery={recovery_fault:?}, \
+         datagram_delay={datagram_delay:?}",
         match crash_mode {
             CrashMode::None => "none".to_string(),
             CrashMode::At(p) => format!("{p:?}"),
@@ -313,7 +323,8 @@ fn rt_run_one(ch: &mut Chooser, canary: bool) -> RtRunResult {
 
     // ---- Run the workload with the plan armed ----
     let fault = Arc::new(fault);
-    let cluster = Cluster::new_with_faults(sites, rt_cfg(canary, queued), fault.clone());
+    let cluster =
+        Cluster::new_with_faults(sites, rt_cfg(canary, queued, datagram_delay), fault.clone());
     if let Some((site, pm)) = skew {
         fault.set_skew(site, pm);
     }

@@ -18,7 +18,9 @@ use camelot_chaos::{campaign, run_trace, RtRunResult};
 /// Decisions, in draw order: sites, n_txns, then per txn
 /// (home, remote, mode), link profile, victim, queued?, crash mode
 /// (4 = kill-after-commit in the lock-based menu), WAL corruption,
-/// partition, skew, recovery fault.
+/// partition, skew, recovery fault, datagram delay. A trace that ends
+/// early draws 0 from there on: no recovery fault, and the 1 ms
+/// datagram delay.
 const KILL_AFTER_COMMIT: &[u32] = &[0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 4, 0, 0, 0];
 
 /// Under the honest protocol the kill-after-commit schedule is

@@ -93,9 +93,6 @@ impl Args {
 struct LoadPoint {
     point: Point,
     lock_wait_ms: f64,
-    /// Trace-ring drops across all sites: nonzero means the point's
-    /// protocol trace is incomplete and any audit over it is unsound.
-    trace_dropped: u64,
     /// This bench's own report fields, for [`point_json`].
     extras: String,
 }
@@ -144,12 +141,11 @@ fn load_point(args: &Args, mode: ExecMode, rate: f64) -> LoadPoint {
     let servers = stats.total_server_stats();
     let sum = |f: fn(&camelot_rt::SiteStats) -> u64| stats.sites.iter().map(f).sum::<u64>();
     let lock_wait_ms = stats.total_lock_wait().as_secs_f64() * 1e3;
-    let trace_dropped = stats.total_trace_dropped();
     let extras = format!(
         "\"commit_overhead_pct\": {:.1}, \"lock_wait_ms\": {lock_wait_ms:.1}, \
          \"server_lock_waits\": {}, \"deadlocks\": {}, \"queue_ops\": {}, \
          \"queue_vote_timeouts\": {}, \"queue_cascades\": {}, \"queue_wait_p95_us\": {}, \
-         \"trace_dropped\": {trace_dropped}, \"protocol_phases\": {}",
+         \"protocol_phases\": {}",
         point.commit_overhead_pct,
         servers.lock_waits,
         servers.deadlocks,
@@ -163,7 +159,6 @@ fn load_point(args: &Args, mode: ExecMode, rate: f64) -> LoadPoint {
     LoadPoint {
         point,
         lock_wait_ms,
-        trace_dropped,
         extras,
     }
 }
@@ -200,12 +195,6 @@ fn main() {
                 p.point.commit_overhead_pct,
                 p.lock_wait_ms
             );
-            if p.trace_dropped > 0 {
-                println!(
-                    "  warning: {} trace events dropped at this point (rings too small)",
-                    p.trace_dropped
-                );
-            }
             points.push(p);
         }
         let sat = points

@@ -500,7 +500,7 @@ impl ClusterInner {
         let mut reply = None;
         let mut site = site;
         let mut queue = VecDeque::from(actions);
-        let mut inbox: VecDeque<(SiteId, Input)> = VecDeque::new();
+        let mut inbox = VecDeque::new();
         // Queued mode's `AskVote`s, each with its site, held back until
         // the rest, the inbox included, is applied.
         let mut asks = Vec::new();

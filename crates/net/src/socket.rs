@@ -152,8 +152,8 @@ struct Inner {
     mode: SocketMode,
     recv_timeout: StdDuration,
     /// UDP mode: the one socket used for both directions, and the
-    /// buffer `recv` reads each datagram into (one receive loop calls
-    /// `recv`, so its lock is free).
+    /// buffer `recv` reads each datagram into (only the owning
+    /// runtime's receive loop calls `recv`, so its lock is free).
     udp: Option<(UdpSocket, Mutex<Box<[u8]>>)>,
     local: SocketAddr,
     /// Outgoing sequence numbers and inbound duplicate suppression,
@@ -179,9 +179,9 @@ struct Inner {
     shutdown: AtomicBool,
 }
 
-/// A site's endpoint. All methods take `&self`; the intended shape is
-/// one receive loop plus any number of senders sharing the transport
-/// through an `Arc`.
+/// A site's endpoint. All methods take `&self`. A site process's
+/// runtime (`camelot_rt::Cluster::new_site`) owns it and runs its one
+/// receive loop; any of the runtime's threads send through it.
 pub struct SocketTransport {
     inner: Arc<Inner>,
 }

@@ -1,9 +1,10 @@
 //! One Camelot site as a standalone OS process.
 //!
-//! Runs the real-thread runtime (`camelot-rt`) hosting exactly one
-//! site — engine shards, data servers, WAL (optionally file-backed),
-//! pipelined disk manager, tracer — and moves inter-TranMan traffic
-//! over real kernel sockets via `camelot_net::SocketTransport`.
+//! Runs the runtime of one site process (`camelot_rt::Cluster::new_site`)
+//! — engine shards, data servers, WAL (optionally file-backed),
+//! pipelined disk manager, tracer — which moves inter-TranMan traffic
+//! over real kernel sockets through the `camelot_net::SocketTransport`
+//! it binds.
 //!
 //! On startup the process binds two OS-assigned localhost ports (the
 //! UDP/TCP *data* socket and a TCP *control* socket), then prints one
@@ -32,7 +33,7 @@ use std::io::Write as IoWrite;
 use std::net::{TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::process::exit;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::thread;
 use std::time::Duration as StdDuration;
 
@@ -42,7 +43,7 @@ use camelot_node::ctrl::{
     read_framed, write_framed, CtrlReply, CtrlRequest, Handshake, SiteStatsWire,
 };
 use camelot_node::procs::CRASH_TRACE;
-use camelot_rt::{Client, Cluster, RemoteNet, RtConfig, TraceEventKind};
+use camelot_rt::{Client, Cluster, RtConfig, TraceEventKind};
 use camelot_types::flags::{Row, Tool, REQUIRED, SWITCH};
 use camelot_types::{CamelotError, FamilyId, SiteId};
 
@@ -63,9 +64,9 @@ const FLAGS: &[Row] = &[
 ];
 const TOOL: Tool = Tool::new("camelot-site", FLAGS);
 
-/// What the command line asks for: the site, its socket kind, its
+/// What the command line asks for: the site and its socket kind, its
 /// link-fault plan and its runtime configuration.
-fn parse_opts() -> (SiteId, SocketMode, FaultPlan, RtConfig) {
+fn parse_opts() -> (SocketConfig, FaultPlan, RtConfig) {
     TOOL.from_env(|p| {
         let site = SiteId(p.int("--site")?);
         if site.0 == 0 {
@@ -95,79 +96,16 @@ fn parse_opts() -> (SiteId, SocketMode, FaultPlan, RtConfig) {
         if let Some(cap) = p.int_opt("--trace-capacity")? {
             cfg.trace_capacity = cap;
         }
-        Ok((site, mode, fault, cfg))
+        Ok((SocketConfig::new(site, mode), fault, cfg))
     })
 }
 
-/// Bridges the partial cluster's non-local datagrams onto the socket
-/// transport. Installed after the transport exists; the brief window
-/// where sends find no transport is indistinguishable from loss, which
-/// the protocol already tolerates.
-#[derive(Default)]
-struct RemoteBridge {
-    transport: Mutex<Option<Arc<SocketTransport>>>,
-}
-
-impl RemoteBridge {
-    fn install(&self, t: Arc<SocketTransport>) {
-        *self.transport.lock().unwrap() = Some(t);
-    }
-}
-
-impl RemoteNet for RemoteBridge {
-    fn send_remote(
-        &self,
-        _from: SiteId,
-        to: SiteId,
-        msg: camelot_net::TmMessage,
-        piggyback: Vec<camelot_net::TmMessage>,
-    ) {
-        if let Some(t) = self.transport.lock().unwrap().as_ref() {
-            // An unknown peer is a lost datagram; protocol timers
-            // (inquiry, resend) recover once the peer map arrives.
-            let _ = t.send(to, msg, piggyback);
-        }
-    }
-}
-
 fn main() {
-    let (site, mode, fault, cfg) = parse_opts();
+    let (socket, fault, cfg) = parse_opts();
+    let site = socket.site;
     let log_dir = cfg.log_dir.clone();
     let fault = Arc::new(fault);
-    let bridge = Arc::new(RemoteBridge::default());
-    let cluster = Arc::new(Cluster::new_site(
-        site,
-        cfg,
-        Arc::clone(&fault),
-        bridge.clone() as Arc<dyn RemoteNet>,
-    ));
-    let transport = Arc::new(
-        SocketTransport::bind(
-            SocketConfig::new(site, mode),
-            Arc::clone(&fault),
-            cluster.site_tracer(site),
-        )
-        .expect("bind data socket"),
-    );
-    bridge.install(Arc::clone(&transport));
-
-    // Inbound data plane: deduplicated deliveries feed the TranMan
-    // exactly as the in-process router would.
-    {
-        let cluster = Arc::clone(&cluster);
-        let transport = Arc::clone(&transport);
-        thread::spawn(move || loop {
-            match transport.recv() {
-                Ok(Some(delivery)) => {
-                    for msg in delivery.messages {
-                        cluster.inject_datagram(delivery.from, site, msg);
-                    }
-                }
-                Ok(None) => {}
-                Err(e) => eprintln!("site {}: data recv error: {e}", site.0),
-            }
-        });
-    }
+    let cluster = Arc::new(Cluster::new_site(socket, cfg, Arc::clone(&fault)));
 
     // Watchdog: an armed crash point kills the site inside the
     // runtime; make that a real process death so multi-process tests
@@ -199,7 +137,7 @@ fn main() {
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind ctrl socket");
     let handshake = Handshake {
         site,
-        data: transport.local_addr(),
+        data: transport(&cluster).local_addr(),
         ctrl: listener.local_addr().expect("ctrl addr"),
     };
     println!("{}", handshake.render());
@@ -208,19 +146,17 @@ fn main() {
     for conn in listener.incoming() {
         let Ok(stream) = conn else { continue };
         let cluster = Arc::clone(&cluster);
-        let transport = Arc::clone(&transport);
         let fault = Arc::clone(&fault);
-        thread::spawn(move || serve_ctrl(stream, site, cluster, transport, fault));
+        thread::spawn(move || serve_ctrl(stream, site, cluster, fault));
     }
 }
 
-fn serve_ctrl(
-    mut stream: TcpStream,
-    site: SiteId,
-    cluster: Arc<Cluster>,
-    transport: Arc<SocketTransport>,
-    fault: Arc<FaultPlan>,
-) {
+/// The socket `Cluster::new_site` bound for this site.
+fn transport(cluster: &Cluster) -> &SocketTransport {
+    cluster.transport().expect("new_site binds a socket")
+}
+
+fn serve_ctrl(mut stream: TcpStream, site: SiteId, cluster: Arc<Cluster>, fault: Arc<FaultPlan>) {
     let _ = stream.set_nodelay(true);
     let client = cluster.client(site);
     let mut dec = FrameDecoder::new();
@@ -234,7 +170,7 @@ fn serve_ctrl(
             }
         };
         let shutdown = matches!(req, CtrlRequest::Shutdown);
-        let reply = handle(req, site, &client, &cluster, &transport, &fault);
+        let reply = handle(req, site, &client, &cluster, &fault);
         if write_framed(&mut stream, &reply).is_err() {
             return;
         }
@@ -250,7 +186,6 @@ fn handle(
     site: SiteId,
     client: &Client,
     cluster: &Cluster,
-    transport: &SocketTransport,
     fault: &FaultPlan,
 ) -> CtrlReply {
     match req {
@@ -261,7 +196,7 @@ fn handle(
                     continue;
                 }
                 match p.addr.parse() {
-                    Ok(addr) => transport.set_peer(p.site, addr),
+                    Ok(addr) => transport(cluster).set_peer(p.site, addr),
                     Err(e) => {
                         return CtrlReply::Err {
                             detail: format!("bad peer address {}: {e}", p.addr),
@@ -365,7 +300,7 @@ fn handle(
         }
         CtrlRequest::Shutdown => CtrlReply::Ok,
         CtrlRequest::TransportStats => CtrlReply::Transport {
-            stats: transport.stats(),
+            stats: transport(cluster).stats(),
         },
         CtrlRequest::FaultStats => CtrlReply::Fault {
             stats: fault.stats(),

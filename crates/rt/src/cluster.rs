@@ -37,6 +37,11 @@
 //! A datagram due now between two sites of this process costs no
 //! hand-off at all: the thread that posts it runs it
 //! (`ClusterInner::apply_for`, DESIGN §5.7).
+//!
+//! The runtime of a site process ([`Cluster::new_site`]) hosts one
+//! site and owns its socket: datagrams for every other site leave
+//! through the [`SocketTransport`] it binds, and one receive thread
+//! hands what arrives to the site's workers.
 
 use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -52,6 +57,7 @@ use camelot_core::{
     ForceToken, Input, TimerToken,
 };
 use camelot_net::comman::CommMan;
+use camelot_net::{SocketConfig, SocketTransport};
 use camelot_obs::trace::merge_timelines;
 use camelot_obs::{
     Phase, PhaseHistograms, ProtocolPhaseHistograms, TraceEvent, TraceEventKind, TraceRing, Tracer,
@@ -153,32 +159,6 @@ impl Default for RtConfig {
             trace_capacity: 16 * 1024,
         }
     }
-}
-
-/// Outbound hook for datagrams whose destination is not one of this
-/// cluster's local sites.
-///
-/// An ordinary in-process cluster hosts every site and never needs
-/// one. A *partial* cluster — one site process of a multi-process
-/// deployment, built with [`Cluster::new_site`] — installs a hook that
-/// hands the datagram to a real transport
-/// ([`SocketTransport`](camelot_net::SocketTransport)); inbound
-/// traffic comes back through [`Cluster::inject_datagram`].
-///
-/// The hook is called below the engine but *above* the wire: fault
-/// injection for remote links belongs to the transport (which shares
-/// the [`FaultPlan`]), so remote sends bypass the cluster's own link
-/// fault roll — otherwise a shared plan would roll twice per datagram.
-/// A datagram arrives with the messages the engine piggybacked on it,
-/// so the transport can carry them in the same envelope.
-pub trait RemoteNet: Send + Sync {
-    fn send_remote(
-        &self,
-        from: SiteId,
-        to: SiteId,
-        msg: camelot_net::TmMessage,
-        piggyback: Vec<camelot_net::TmMessage>,
-    );
 }
 
 /// Shared per-site state.
@@ -298,10 +278,11 @@ pub(crate) struct ClusterInner {
     /// Fault-injection plan consulted on every datagram and at the
     /// named crash points. [`FaultPlan::disabled`] for ordinary runs.
     pub fault: Arc<FaultPlan>,
-    /// Where datagrams for non-local sites go (multi-process
-    /// deployments); `None` drops them, as a fully local cluster has
-    /// no non-local destinations.
-    pub remote: Option<Arc<dyn RemoteNet>>,
+    /// A site process's socket ([`Cluster::new_site`]): datagrams for
+    /// sites not hosted here leave through it, and `socket_main` hands
+    /// what arrives to the site's workers. `None` in an in-process
+    /// cluster, which hosts every destination.
+    pub transport: Option<SocketTransport>,
     /// Buffer between the rings and chunked trace drains: a full
     /// drain lands here and [`Cluster::drain_trace_chunk`] pops
     /// bounded slices, so one ctrl reply never has to carry the whole
@@ -373,11 +354,13 @@ impl ClusterInner {
         inbox: &mut VecDeque<(SiteId, Input)>,
     ) {
         if !self.sites.contains_key(&to) {
-            // Not hosted here: hand to the real transport, which sends
-            // the piggyback in the datagram's envelope and rolls the
-            // (shared) fault plan itself at the socket layer.
-            if let Some(remote) = &self.remote {
-                remote.send_remote(from, to, msg, piggyback);
+            // Not hosted here: out through the site's socket, which
+            // sends the piggyback in the datagram's envelope and rolls
+            // the (shared) fault plan itself. A peer whose address is
+            // not known yet is a lost datagram, which the protocol's
+            // timers recover.
+            if let Some(transport) = &self.transport {
+                let _ = transport.send(to, msg, piggyback);
             }
             return;
         }
@@ -696,26 +679,26 @@ impl Cluster {
         Cluster::build((1..=n).map(SiteId).collect(), cfg, fault, None)
     }
 
-    /// Builds a *partial* cluster hosting exactly one site — the shape
-    /// of a `camelot-site` process. Datagrams for any other site go
-    /// through `remote`; inbound traffic from peers is fed back with
-    /// [`Cluster::inject_datagram`]. Everything else (engine shards,
-    /// WAL file, disk manager, tracer, crash points) is the ordinary
-    /// runtime.
-    pub fn new_site(
-        site: SiteId,
-        cfg: RtConfig,
-        fault: Arc<FaultPlan>,
-        remote: Arc<dyn RemoteNet>,
-    ) -> Cluster {
-        Cluster::build(vec![site], cfg, fault, Some(remote))
+    /// Builds the runtime of one site process — the shape of a
+    /// `camelot-site`: a *partial* cluster hosting only `socket.site`,
+    /// with its socket. The [`SocketTransport`] is bound from `socket`
+    /// on the site's tracer before startup recovery runs, and every
+    /// datagram for another site goes out through it; the transport
+    /// rolls `fault` for each frame, so those datagrams skip the
+    /// cluster's own roll. Once recovery is done, one receive thread
+    /// hands each delivery to the site's workers;
+    /// [`Cluster::shutdown`] stops it with the rest. Everything else
+    /// (engine shards, WAL file, disk manager, tracer, crash points)
+    /// is the ordinary runtime.
+    pub fn new_site(socket: SocketConfig, cfg: RtConfig, fault: Arc<FaultPlan>) -> Cluster {
+        Cluster::build(vec![socket.site], cfg, fault, Some(socket))
     }
 
     fn build(
         site_ids: Vec<SiteId>,
         cfg: RtConfig,
         fault: Arc<FaultPlan>,
-        remote: Option<Arc<dyn RemoteNet>>,
+        socket: Option<SocketConfig>,
     ) -> Cluster {
         // One epoch for the whole cluster's engine clock, taken before
         // any site state exists. Trace rings stamp the host clock
@@ -787,6 +770,10 @@ impl Cluster {
             sites.insert(id, shared);
             site_channels.push((id, tm_rx, disk_rx, queue_rxs));
         }
+        let transport = socket.map(|socket| {
+            let tracer = sites[&socket.site].tracer();
+            SocketTransport::bind(socket, fault.clone(), tracer).expect("bind the site's socket")
+        });
         let inner = Arc::new(ClusterInner {
             sites,
             router: Router::default(),
@@ -796,7 +783,7 @@ impl Cluster {
             epoch,
             cfg: cfg.clone(),
             fault,
-            remote,
+            transport,
             trace_pending: Mutex::new(std::collections::VecDeque::new()),
         });
         let mut handles = Vec::new();
@@ -825,7 +812,7 @@ impl Cluster {
                 disk_main(inner2, site2, disk_rx)
             }));
         }
-        let cluster = Cluster { inner, handles };
+        let mut cluster = Cluster { inner, handles };
         // With persistent logs, a fresh cluster may be a *restart* of
         // an earlier one: recover every site from whatever its log
         // already holds.
@@ -833,6 +820,12 @@ impl Cluster {
             for id in cluster.inner.sites.keys().copied().collect::<Vec<_>>() {
                 cluster.restart(id).expect("recovery scan at startup");
             }
+        }
+        if cluster.inner.transport.is_some() {
+            let inner = cluster.inner.clone();
+            cluster
+                .handles
+                .push(std::thread::spawn(move || socket_main(inner)));
         }
         cluster
     }
@@ -842,22 +835,16 @@ impl Cluster {
         &self.inner.fault
     }
 
-    /// Feeds one datagram from a remote peer into a local site's
-    /// TranMan, exactly as the router would deliver local traffic.
-    /// The transport has already deduplicated; traffic to dead or
-    /// unknown sites is dropped, as the router drops it.
-    pub fn inject_datagram(&self, from: SiteId, to: SiteId, msg: camelot_net::TmMessage) {
-        if let Some(site) = self.inner.sites.get(&to) {
-            if site.alive.load(Ordering::SeqCst) {
-                let _ = site.tm_tx.send(Some(Input::Datagram { from, msg }));
-            }
-        }
+    /// A site process's socket ([`Cluster::new_site`]); `None` for an
+    /// in-process cluster. Its owner reads the address peers send to,
+    /// installs the peer map and reads the send counters through it.
+    pub fn transport(&self) -> Option<&SocketTransport> {
+        self.inner.transport.as_ref()
     }
 
     /// An emission handle into `site`'s trace ring (no-op when tracing
-    /// is off or the site is not hosted here) — lets the transport a
-    /// site process owns stamp its socket events into the same
-    /// timeline the engine writes.
+    /// is off or the site is not hosted here), the one the engine and
+    /// a site process's socket stamp their events with.
     pub fn site_tracer(&self, site: SiteId) -> Tracer {
         self.inner
             .sites
@@ -1077,13 +1064,8 @@ impl Cluster {
     /// [`RtConfig::trace`]. Draining consumes: each event is returned
     /// once.
     pub fn drain_trace(&self) -> Vec<TraceEvent> {
-        let mut events: Vec<TraceEvent> = self.inner.trace_pending.lock().drain(..).collect();
-        for s in self.inner.sites.values() {
-            if let Some(ring) = &s.ring {
-                events.extend(ring.drain());
-            }
-        }
-        merge_timelines(events)
+        let pending = self.inner.trace_pending.lock().drain(..).collect();
+        self.drain_rings_into(pending)
     }
 
     /// Drains at most `max` trace events, buffering the rest for the
@@ -1093,16 +1075,21 @@ impl Cluster {
     pub fn drain_trace_chunk(&self, max: usize) -> Vec<TraceEvent> {
         let mut pending = self.inner.trace_pending.lock();
         if pending.is_empty() {
-            let mut events = Vec::new();
-            for s in self.inner.sites.values() {
-                if let Some(ring) = &s.ring {
-                    events.extend(ring.drain());
-                }
-            }
-            pending.extend(merge_timelines(events));
+            pending.extend(self.drain_rings_into(Vec::new()));
         }
         let take = max.min(pending.len());
         pending.drain(..take).collect()
+    }
+
+    /// `events` and everything drained from every site's ring, merged
+    /// into one timeline.
+    fn drain_rings_into(&self, mut events: Vec<TraceEvent>) -> Vec<TraceEvent> {
+        for s in self.inner.sites.values() {
+            if let Some(ring) = &s.ring {
+                events.extend(ring.drain());
+            }
+        }
+        merge_timelines(events)
     }
 
     /// True if the site is up.
@@ -1237,6 +1224,29 @@ fn tm_worker(inner: Arc<ClusterInner>, site: Arc<SiteShared>, rx: Receiver<Optio
     }
 }
 
+/// A site process's receive loop: hands each message of every fresh
+/// delivery from the socket to the site's workers, as the router hands
+/// over local traffic (a dead site's is dropped). Exits within one
+/// receive timeout of [`Cluster::shutdown`] stopping the router.
+fn socket_main(inner: Arc<ClusterInner>) {
+    let Some(transport) = &inner.transport else {
+        return;
+    };
+    let site = transport.site();
+    while !inner.router.lock().stop {
+        match transport.recv() {
+            Ok(Some(delivery)) => {
+                for msg in delivery.messages {
+                    let from = delivery.from;
+                    inner.deliver(site, Input::Datagram { from, msg });
+                }
+            }
+            Ok(None) => {}
+            Err(e) => eprintln!("site {}: data recv error: {e}", site.0),
+        }
+    }
+}
+
 /// The router's pending set, ordered by `(due, seq)`, with an index
 /// from each live timer to its key: cancelling or re-arming a timer
 /// deletes its entry, so the set holds only live timers and datagrams
@@ -1246,7 +1256,8 @@ struct RouterQueue {
     due: BTreeMap<(Instant, u64), (SiteId, Input)>,
     timers: HashMap<(SiteId, TimerToken), (Instant, u64)>,
     seq: u64,
-    /// Set by [`Cluster::shutdown`].
+    /// Set by [`Cluster::shutdown`]: the router thread and a site
+    /// process's receive loop (`socket_main`) exit on it.
     stop: bool,
 }
 

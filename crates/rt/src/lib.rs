@@ -33,7 +33,11 @@
 //!   delay) skips it: the posting thread runs it on the destination
 //!   site itself, after its own site's actions, unless it is about to
 //!   lead a platter write, when it hands it to the destination's
-//!   workers first. Traffic to crashed sites is dropped;
+//!   workers first. Traffic to crashed sites is dropped. A site
+//!   process's runtime ([`Cluster::new_site`]) hosts one site and
+//!   binds that site's [`SocketTransport`](camelot_net::SocketTransport)
+//!   itself: datagrams for the other sites leave through it, and a
+//!   receive thread hands what arrives to the site's workers;
 //! - **client handles** — synchronous begin / read / write / commit /
 //!   abort calls. The paper's local IPC between application and
 //!   TranMan is *not* modelled here (the call is a function call on
@@ -66,5 +70,5 @@ pub use camelot_obs::{
 };
 pub use camelot_wal::BatchPolicy;
 pub use client::Client;
-pub use cluster::{Cluster, RemoteNet, RtConfig};
+pub use cluster::{Cluster, RtConfig};
 pub use stats::{ClusterStats, SiteStats};

@@ -38,7 +38,7 @@ use std::thread;
 use std::time::Duration as StdDuration;
 
 use camelot_core::CommitMode;
-use camelot_net::{FaultPlan, FrameDecoder, SocketConfig, SocketMode, SocketTransport};
+use camelot_net::{FaultPlan, FrameDecoder, SocketConfig, SocketMode};
 use camelot_node::ctrl::{
     read_framed, write_framed, CtrlReply, CtrlRequest, Handshake, SiteStatsWire,
 };
@@ -137,7 +137,7 @@ fn main() {
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind ctrl socket");
     let handshake = Handshake {
         site,
-        data: transport(&cluster).local_addr(),
+        data: cluster.transport().local_addr(),
         ctrl: listener.local_addr().expect("ctrl addr"),
     };
     println!("{}", handshake.render());
@@ -149,11 +149,6 @@ fn main() {
         let fault = Arc::clone(&fault);
         thread::spawn(move || serve_ctrl(stream, site, cluster, fault));
     }
-}
-
-/// The socket `Cluster::new_site` bound for this site.
-fn transport(cluster: &Cluster) -> &SocketTransport {
-    cluster.transport().expect("new_site binds a socket")
 }
 
 fn serve_ctrl(mut stream: TcpStream, site: SiteId, cluster: Arc<Cluster>, fault: Arc<FaultPlan>) {
@@ -196,7 +191,7 @@ fn handle(
                     continue;
                 }
                 match p.addr.parse() {
-                    Ok(addr) => transport(cluster).set_peer(p.site, addr),
+                    Ok(addr) => cluster.transport().set_peer(p.site, addr),
                     Err(e) => {
                         return CtrlReply::Err {
                             detail: format!("bad peer address {}: {e}", p.addr),
@@ -300,7 +295,7 @@ fn handle(
         }
         CtrlRequest::Shutdown => CtrlReply::Ok,
         CtrlRequest::TransportStats => CtrlReply::Transport {
-            stats: transport(cluster).stats(),
+            stats: cluster.transport().stats(),
         },
         CtrlRequest::FaultStats => CtrlReply::Fault {
             stats: fault.stats(),

@@ -835,11 +835,18 @@ impl Cluster {
         &self.inner.fault
     }
 
-    /// A site process's socket ([`Cluster::new_site`]); `None` for an
-    /// in-process cluster. Its owner reads the address peers send to,
-    /// installs the peer map and reads the send counters through it.
-    pub fn transport(&self) -> Option<&SocketTransport> {
-        self.inner.transport.as_ref()
+    /// A site process's socket ([`Cluster::new_site`]). Its owner reads
+    /// the address peers send to, installs the peer map and reads the
+    /// send counters through it.
+    ///
+    /// # Panics
+    ///
+    /// On an in-process cluster, which has no socket.
+    pub fn transport(&self) -> &SocketTransport {
+        self.inner
+            .transport
+            .as_ref()
+            .expect("only a site process's runtime has a socket")
     }
 
     /// An emission handle into `site`'s trace ring (no-op when tracing

@@ -25,7 +25,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use camelot::core::CommitMode;
-use camelot::net::{FaultPlan, LinkDecision, Outcome, SocketConfig, SocketMode, SocketTransport};
+use camelot::net::{FaultPlan, LinkDecision, Outcome, SocketConfig, SocketMode};
 use camelot::node::config::fast_engine;
 use camelot::rt::{Cluster, RtConfig};
 use camelot::types::{ObjectId, ServerId, SiteId};
@@ -48,15 +48,11 @@ fn start(id: SiteId, link: SocketMode, fault: FaultPlan) -> Cluster {
     Cluster::new_site(SocketConfig::new(id, link), cfg, Arc::new(fault))
 }
 
-fn transport(site: &Cluster) -> &SocketTransport {
-    site.transport().expect("new_site binds a socket")
-}
-
 /// Envelopes the engine sent, and frames the transport sent.
 fn counts(site: &Cluster) -> (u64, u64) {
     let stats = site.stats();
     let envelopes = stats.sites.iter().map(|s| s.engine.datagrams).sum();
-    (envelopes, transport(site).stats().sends)
+    (envelopes, site.transport().stats().sends)
 }
 
 fn live_families(site: &Cluster) -> usize {
@@ -79,8 +75,9 @@ fn run_with_drop(
         start(COORD, link, plan),
         start(SUB, link, FaultPlan::disabled()),
     ];
-    transport(&sites[0]).set_peer(SUB, transport(&sites[1]).local_addr());
-    transport(&sites[1]).set_peer(COORD, transport(&sites[0]).local_addr());
+    let (coord_net, sub_net) = (sites[0].transport(), sites[1].transport());
+    coord_net.set_peer(SUB, sub_net.local_addr());
+    sub_net.set_peer(COORD, coord_net.local_addr());
 
     let (home, sub) = (sites[0].client(COORD), sites[1].client(SUB));
     let tid = home.begin().expect("begin");
@@ -99,7 +96,7 @@ fn run_with_drop(
             "a family is still live after 5 s: {:?}",
             sites
                 .iter()
-                .map(|s| s.debug_state(transport(s).site()))
+                .map(|s| s.debug_state(s.transport().site()))
                 .collect::<Vec<_>>()
         );
         std::thread::sleep(Duration::from_millis(5));

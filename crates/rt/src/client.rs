@@ -264,16 +264,18 @@ impl Client {
     /// thread of control): the engine step, its actions, and whatever
     /// local work they produce. A reply produced along the way is
     /// handed straight back; only a call the engine leaves pending — a
-    /// force, remote votes — parks a completion for the thread that
-    /// finishes it — a worker (which may have led the force itself), or
-    /// this thread again when it leads its own commit force. A reply
-    /// that never arrives within
-    /// `call_timeout` (or cannot arrive, the site having died under the
-    /// call) surfaces as the typed [`CamelotError::Timeout`] carrying `tid`:
-    /// the outcome is *unknown* (the engine may still resolve the
-    /// transaction later), which is a different situation from
-    /// [`CamelotError::SiteDown`], where the call provably never
-    /// started.
+    /// force, remote votes — parks a completion at the home site for
+    /// the thread that finishes it — a worker (which may have led the
+    /// force itself), or this thread again when it leads its own commit
+    /// force. A reply that cannot arrive, because the home site died
+    /// under the call (on this thread or any other), or that does not
+    /// arrive within `call_timeout`, surfaces as the typed
+    /// [`CamelotError::Timeout`] carrying `tid`: the outcome is
+    /// *unknown* (the engine may still resolve the transaction later),
+    /// which is a different situation from [`CamelotError::SiteDown`],
+    /// where the call provably never started. The crash wakes the
+    /// caller at once: `kill` drops every completion parked at the
+    /// site.
     fn tm_call(&self, tid: Option<Tid>, make: impl FnOnce(u64) -> Input) -> Result<Action> {
         let site = self.inner.sites.get(&self.home).expect("home exists");
         let req = self.inner.alloc_req();
@@ -283,31 +285,20 @@ impl Client {
             // pending, no other thread can have answered it yet, so a
             // completion parked now cannot miss its reply.
             if !actions.iter().any(|a| reply_req(a) == Some(req)) {
-                parked = Some(self.inner.pending.park(req));
+                parked = Some(site.pending.park(req, &site.alive));
             }
         });
         match (self.inner.apply_for(site, actions, Some(req)), parked) {
             (Some(reply), parked) => {
                 if parked.is_some() {
-                    self.inner.pending.cancel(req);
+                    site.pending.cancel(req);
                 }
                 Ok(reply)
             }
-            (None, Some(rx)) => {
-                // A site that died under this call — at a crash point
-                // on this very thread, say — took with it whatever
-                // would have answered: the outcome is unknown now, not
-                // after `call_timeout`.
-                let wait = if site.alive.load(Ordering::SeqCst) {
-                    self.inner.cfg.call_timeout
-                } else {
-                    std::time::Duration::ZERO
-                };
-                rx.recv_timeout(wait).map_err(|_| {
-                    self.inner.pending.cancel(req);
-                    CamelotError::Timeout { tid }
-                })
-            }
+            (None, Some(rx)) => rx.recv_timeout(self.inner.cfg.call_timeout).map_err(|_| {
+                site.pending.cancel(req);
+                CamelotError::Timeout { tid }
+            }),
             // The engine never saw the call: the site was down.
             (None, None) => Err(CamelotError::SiteDown(self.home)),
         }
@@ -405,9 +396,9 @@ impl Client {
                 incarnation: site.incarnation.load(Ordering::SeqCst),
                 enqueued: Instant::now(),
             };
-            parked = Some(self.inner.pending_ops.park(req));
+            parked = Some(site.pending_ops.park(req, &site.alive));
             if tx.send(job).is_err() {
-                self.inner.pending_ops.cancel(req);
+                site.pending_ops.cancel(req);
                 return Err(CamelotError::SiteDown(site_id));
             }
         } else {
@@ -418,7 +409,7 @@ impl Client {
                 // releases the lock, under this same server mutex:
                 // parked before unlocking, it cannot miss that reply.
                 if fx.blocked {
-                    parked = Some(self.inner.pending_ops.park(req));
+                    parked = Some(site.pending_ops.park(req, &site.alive));
                 }
                 fx
             };
@@ -446,12 +437,13 @@ impl Client {
             None => parked
                 .and_then(|rx| rx.recv_timeout(self.inner.cfg.call_timeout).ok())
                 .ok_or_else(|| {
-                    self.inner.pending_ops.cancel(req);
+                    site.pending_ops.cancel(req);
                     // The operation was accepted but its reply never
-                    // came — typically a lock wait that outlived the
-                    // call timeout. The outcome is unknown; the typed
-                    // error names the transaction so the application
-                    // can abort it.
+                    // came — a lock wait that outlived the call
+                    // timeout, or the site crashed under it (which
+                    // wakes the wait at once). The outcome is unknown;
+                    // the typed error names the transaction so the
+                    // application can abort it.
                     CamelotError::Timeout {
                         tid: Some(tid.clone()),
                     }

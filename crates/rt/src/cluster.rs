@@ -203,6 +203,14 @@ pub(crate) struct SiteShared {
     pub vote_aggs: Mutex<HashMap<(FamilyId, ServerId), VoteAgg>>,
     /// Trace ring when `RtConfig::trace` is set.
     pub ring: Option<Arc<TraceRing>>,
+    /// Completions for application-level engine calls (begin, commit)
+    /// homed here whose reply comes from another thread: this site's
+    /// engine produces every such reply.
+    pub pending: ShardedMap<Action>,
+    /// Completions for data-server operations on this site that went
+    /// asynchronous (a lock wait, a shard queue): this site's servers
+    /// or queue workers answer them.
+    pub pending_ops: ShardedMap<OpReply>,
 }
 
 impl SiteShared {
@@ -243,6 +251,24 @@ impl SiteShared {
         self.wal.lock().append(rec)
     }
 
+    /// The families this site's queue shards still hold speculative
+    /// state for (none in lock-based mode). A FIFO barrier: each shard
+    /// answers after every job sent to it before this call, so the
+    /// answer covers every resolution already sent. `None` once the
+    /// shard workers are gone (the cluster is stopping).
+    pub(crate) fn queue_held(&self) -> Option<Vec<FamilyId>> {
+        let (tx, rx) = unbounded();
+        for queue in &self.queue_txs {
+            let _ = queue.send(QueueJob::Held(tx.clone()));
+        }
+        drop(tx);
+        let mut held = Vec::new();
+        for _ in &self.queue_txs {
+            held.extend(rx.recv().ok()?);
+        }
+        Some(held)
+    }
+
     /// Kills the site in place: volatile state is lost, unforced log
     /// records discarded, traffic to it dropped by the router. Safe to
     /// call from any runtime thread holding no site locks.
@@ -250,6 +276,10 @@ impl SiteShared {
         self.tracer().site_event(TraceEventKind::Crash);
         self.incarnation.fetch_add(1, Ordering::SeqCst);
         self.alive.store(false, Ordering::SeqCst);
+        // Whatever would have answered a call parked here died with
+        // the site: every such caller wakes now, outcome unknown.
+        self.pending.clear();
+        self.pending_ops.clear();
         self.wal.lock().lose_volatile();
         self.lazy.lock().clear();
         // Queued mode: speculative shard state dies with the site.
@@ -265,13 +295,6 @@ impl SiteShared {
 pub(crate) struct ClusterInner {
     pub sites: BTreeMap<SiteId, Arc<SiteShared>>,
     router: Router,
-    /// Completions for application-level engine calls (begin, commit)
-    /// whose reply comes from another thread, striped to keep
-    /// completion bookkeeping off the hot-lock list.
-    pub pending: ShardedMap<Action>,
-    /// Completions for data-server operations that went asynchronous
-    /// (a lock wait, a shard queue).
-    pub pending_ops: ShardedMap<OpReply>,
     pub next_req: AtomicU64,
     pub epoch: Instant,
     pub cfg: RtConfig,
@@ -453,7 +476,7 @@ impl ClusterInner {
             site.append(&rec);
         }
         for reply in fx.replies {
-            self.pending_ops.complete(reply.req, reply);
+            site.pending_ops.complete(reply.req, reply);
         }
     }
 
@@ -517,7 +540,7 @@ impl ClusterInner {
                     if caller == Some(req) {
                         reply = Some(a);
                     } else {
-                        self.pending.complete(req, a);
+                        site.pending.complete(req, a);
                     }
                 }
                 Action::AskVote { tid, servers } => {
@@ -766,6 +789,8 @@ impl Cluster {
                 queue_joined: Mutex::new(HashSet::new()),
                 vote_aggs: Mutex::new(HashMap::new()),
                 ring,
+                pending: ShardedMap::new(16),
+                pending_ops: ShardedMap::new(16),
             });
             sites.insert(id, shared);
             site_channels.push((id, tm_rx, disk_rx, queue_rxs));
@@ -777,8 +802,6 @@ impl Cluster {
         let inner = Arc::new(ClusterInner {
             sites,
             router: Router::default(),
-            pending: ShardedMap::new(16),
-            pending_ops: ShardedMap::new(16),
             next_req: AtomicU64::new(1),
             epoch,
             cfg: cfg.clone(),
@@ -1016,17 +1039,20 @@ impl Cluster {
 
     /// One-line-per-entity diagnostic dump of a site's protocol
     /// state: every live family descriptor in every engine shard
-    /// (with phase and role), every server family still tracked
-    /// (with its lock count), and the forces waiting for a platter
-    /// write. Chaos campaigns attach this to progress-violation
+    /// (with phase and role), every family a queue shard still holds,
+    /// every server family still tracked (with its lock count), and
+    /// the forces waiting for a platter write. Empty means the site is
+    /// quiet. Chaos campaigns attach this to progress-violation
     /// reports so a wedged schedule explains itself. The output is
-    /// deterministic — engine lines are sorted
+    /// deterministic — engine and queue lines are sorted
     /// by family id regardless of which shard owns them, and server
     /// lines by (server, family) — so two dumps of the same state
     /// compare equal.
     pub fn debug_state(&self, site: SiteId) -> String {
         let mut out = Vec::new();
         if let Some(s) = self.inner.sites.get(&site) {
+            // First, holding no lock: a queue shard takes server locks.
+            let mut queued = s.queue_held().unwrap_or_default();
             let mut engine_lines = Vec::new();
             for shard in &s.shards {
                 let e = shard.lock();
@@ -1039,6 +1065,8 @@ impl Cluster {
             }
             engine_lines.sort_by_key(|(id, _)| (id.origin, id.seq));
             out.extend(engine_lines.into_iter().map(|(_, line)| line));
+            queued.sort_by_key(|f| (f.origin, f.seq));
+            out.extend(queued.iter().map(|f| format!("{site} queue: {f}")));
             for (srv, server) in &s.servers {
                 let srv = srv.0;
                 let m = server.lock();

@@ -80,7 +80,7 @@ use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration as StdDuration, Instant};
 
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
+use crossbeam::channel::{Receiver, RecvTimeoutError, Sender};
 
 use camelot_core::{CrashPoint, ForceToken, Input};
 use camelot_obs::{Phase, Tracer};
@@ -90,7 +90,6 @@ use camelot_wal::{
 };
 
 use crate::cluster::{ClusterInner, SiteShared};
-use crate::queue::QueueJob;
 
 pub(crate) enum DiskJob {
     /// Batcher actions left to the disk thread: a platter write nobody
@@ -561,22 +560,11 @@ impl DiskManager {
             held.extend(engine.family_ids());
             next_family_seq = next_family_seq.max(engine.next_family_seq());
         }
-        if !site.queue_txs.is_empty() {
-            // FIFO barrier: each queue worker answers after every job
-            // sent before this one, with the families it still holds.
-            let (tx, rx) = unbounded();
-            for queue in &site.queue_txs {
-                let _ = queue.send(QueueJob::Held(tx.clone()));
-            }
-            drop(tx);
-            for _ in &site.queue_txs {
-                match rx.recv() {
-                    Ok(families) => held.extend(families),
-                    // The workers are gone: the cluster is stopping.
-                    Err(_) => return,
-                }
-            }
-        }
+        // The workers are gone: the cluster is stopping.
+        let Some(queued) = site.queue_held() else {
+            return;
+        };
+        held.extend(queued);
         let snapshots: Vec<Vec<u8>> = site
             .servers
             .values()

@@ -308,9 +308,9 @@ fn handle_job(inner: &Arc<ClusterInner>, site: &Arc<SiteShared>, sh: &mut Shard,
     }
 }
 
-/// Completes a client operation through the shared completion map.
-fn reply_op(inner: &ClusterInner, req: u64, value: Vec<u8>) {
-    inner.pending_ops.complete(req, OpReply { req, value });
+/// Completes a client operation through the site's completion map.
+fn reply_op(site: &SiteShared, req: u64, value: Vec<u8>) {
+    site.pending_ops.complete(req, OpReply { req, value });
 }
 
 /// Committed value of a key: the shard cache, falling back (once per
@@ -370,7 +370,7 @@ fn exec_op(
             let key = (server, object);
             let fam = tid.family;
             if let Some(v) = sh.fams.get(&fam).and_then(|fs| fs.seen.get(&key)).cloned() {
-                reply_op(inner, req, v);
+                reply_op(site, req, v);
                 return;
             }
             let top = sh.objs.get(&key).and_then(|o| o.versions.last().cloned());
@@ -390,7 +390,7 @@ fn exec_op(
             if !own {
                 fs.reads.entry(key).or_insert_with(|| value.clone());
             }
-            reply_op(inner, req, value);
+            reply_op(site, req, value);
         }
         Request::Write {
             req,
@@ -447,7 +447,7 @@ fn exec_op(
                 old,
                 new: value.clone(),
             });
-            reply_op(inner, req, value);
+            reply_op(site, req, value);
         }
     }
 }

@@ -1,12 +1,15 @@
 //! Integration tests of the real-thread runtime: the same protocols
 //! as the simulator, under genuine concurrency.
 
+mod common;
+
 use std::time::Duration as StdDuration;
 
 use camelot_core::CommitMode;
 use camelot_net::Outcome;
 use camelot_rt::{Cluster, ExecMode, RtConfig};
 use camelot_types::{CamelotError, ObjectId, ServerId, SiteId};
+use common::wait_quiet;
 
 const S1: SiteId = SiteId(1);
 const S2: SiteId = SiteId(2);
@@ -67,7 +70,7 @@ fn distributed_two_phase_commit() {
     let out = client.commit(&tid, CommitMode::TwoPhase).unwrap();
     assert_eq!(out, Outcome::Committed);
     // Every site applied its write.
-    std::thread::sleep(StdDuration::from_millis(100));
+    wait_quiet(&cluster);
     assert_eq!(cluster.committed_value(S1, SRV, ObjectId(1)), b"a");
     assert_eq!(cluster.committed_value(S2, SRV, ObjectId(2)), b"b");
     assert_eq!(cluster.committed_value(S3, SRV, ObjectId(3)), b"c");
@@ -87,7 +90,7 @@ fn distributed_nonblocking_commit() {
         .unwrap();
     let out = client.commit(&tid, CommitMode::NonBlocking).unwrap();
     assert_eq!(out, Outcome::Committed);
-    std::thread::sleep(StdDuration::from_millis(100));
+    wait_quiet(&cluster);
     assert_eq!(cluster.committed_value(S2, SRV, ObjectId(2)), b"nb");
     assert_eq!(cluster.committed_value(S3, SRV, ObjectId(3)), b"nb");
     cluster.shutdown();
@@ -105,7 +108,7 @@ fn abort_undoes_everywhere() {
         .write(&tid, S2, SRV, ObjectId(2), b"y".to_vec())
         .unwrap();
     client.abort(&tid).unwrap();
-    std::thread::sleep(StdDuration::from_millis(100));
+    wait_quiet(&cluster);
     assert_eq!(cluster.committed_value(S1, SRV, ObjectId(1)), b"");
     assert_eq!(cluster.committed_value(S2, SRV, ObjectId(2)), b"");
     cluster.shutdown();
@@ -154,7 +157,7 @@ fn nested_transactions_commit_and_abort() {
             }
             let out = client.commit(&top, mode).unwrap();
             assert_eq!(out, Outcome::Committed, "{exec_mode:?} {mode:?}");
-            std::thread::sleep(StdDuration::from_millis(100));
+            wait_quiet(&cluster);
             for (site, object, value) in [
                 (S1, 1, &b"base"[..]),
                 (S2, 2, b"parent"),
@@ -187,7 +190,7 @@ fn lock_conflict_resolves_at_commit() {
     std::thread::sleep(StdDuration::from_millis(50));
     c1.commit(&t1, CommitMode::TwoPhase).unwrap();
     assert_eq!(h.join().unwrap(), Outcome::Committed);
-    std::thread::sleep(StdDuration::from_millis(50));
+    wait_quiet(&cluster);
     assert_eq!(cluster.committed_value(S1, SRV, ObjectId(9)), b"second");
     cluster.shutdown();
 }
@@ -201,8 +204,8 @@ fn crash_and_restart_recovers_committed_data() {
         .write(&tid, S1, SRV, ObjectId(7), b"durable".to_vec())
         .unwrap();
     client.commit(&tid, CommitMode::TwoPhase).unwrap();
-    // Give the lazy machinery a moment, then crash.
-    std::thread::sleep(StdDuration::from_millis(30));
+    // Let the lazy machinery finish, then crash.
+    wait_quiet(&cluster);
     cluster.crash(S1);
     assert!(!cluster.is_alive(S1));
     cluster.restart(S1).unwrap();
@@ -270,17 +273,20 @@ fn nonblocking_survives_coordinator_crash_mid_protocol() {
     let _ = h.join();
     // Subordinate takeover must resolve both survivors identically:
     // either both commit, or (if the prepares never arrived) both
-    // abort and stay empty. Poll until the takeover settles.
+    // abort and stay empty. A survivor's servers let go of the family
+    // once the survivors have decided it among themselves. (The
+    // cluster never goes quiet here: each survivor keeps a tombstone
+    // of the outcome until the dead coordinator's forget note.)
     let deadline = std::time::Instant::now() + StdDuration::from_secs(10);
-    let (v2, v3) = loop {
-        let v2 = cluster.committed_value(S2, SRV, ObjectId(2));
-        let v3 = cluster.committed_value(S3, SRV, ObjectId(3));
-        let committed = v2 == b"v2" && v3 == b"v3";
-        if committed || std::time::Instant::now() > deadline {
-            break (v2, v3);
+    for site in [S2, S3] {
+        while cluster.debug_state(site).contains("server") {
+            let state = cluster.debug_state(site);
+            assert!(std::time::Instant::now() < deadline, "undecided: {state}");
+            std::thread::yield_now();
         }
-        std::thread::sleep(StdDuration::from_millis(25));
-    };
+    }
+    let v2 = cluster.committed_value(S2, SRV, ObjectId(2));
+    let v3 = cluster.committed_value(S3, SRV, ObjectId(3));
     assert_eq!(
         v2 == b"v2",
         v3 == b"v3",
@@ -332,7 +338,7 @@ fn many_concurrent_clients_stay_consistent() {
         }));
     }
     let total: u64 = handles.into_iter().map(|h| h.join().unwrap()).sum();
-    std::thread::sleep(StdDuration::from_millis(100));
+    wait_quiet(&cluster);
     let mut sum = 0u64;
     for obj in 0..4u64 {
         let v = cluster.committed_value(S1, SRV, ObjectId(obj));
@@ -367,7 +373,7 @@ fn persistent_logs_survive_whole_cluster_restart() {
             .unwrap();
         client.commit(&tid, CommitMode::TwoPhase).unwrap();
         // Let the subordinate's lazy commit record flush.
-        std::thread::sleep(StdDuration::from_millis(80));
+        wait_quiet(&cluster);
         cluster.shutdown();
     }
     {
@@ -439,11 +445,7 @@ fn checkpoint_truncates_the_log_and_restart_starts_at_its_base() {
     // is answered by a worker that tells the server *afterwards*, and
     // a checkpoint taken in between finds the family still held and
     // keeps its records: wait for the server to let go.
-    let deadline = std::time::Instant::now() + StdDuration::from_secs(5);
-    while !cluster.debug_state(S1).is_empty() {
-        assert!(std::time::Instant::now() < deadline, "never went quiet");
-        std::thread::yield_now();
-    }
+    wait_quiet(&cluster);
     let before = cluster.stats().sites[0].clone();
     assert_eq!(
         (before.checkpoints, before.wal_truncated_bytes),
@@ -588,7 +590,7 @@ fn deadlock_resolves_via_call_timeout_and_abort() {
         a_committed || b_committed,
         "deadlock must resolve via timeout"
     );
-    std::thread::sleep(StdDuration::from_millis(100));
+    wait_quiet(&cluster);
     if a_committed {
         assert_eq!(cluster.committed_value(S1, SRV, ObjectId(2)), b"a2");
     }

@@ -11,6 +11,8 @@
 //! depends on which side of the force the crash landed — exactly what
 //! the named crash points pin down.
 
+mod common;
+
 use std::sync::Arc;
 use std::time::{Duration as StdDuration, Instant};
 
@@ -19,6 +21,7 @@ use camelot_rt::{Cluster, CrashPoint, FaultPlan, RtConfig};
 use camelot_types::wire::Wire;
 use camelot_types::{CamelotError, ObjectId, ServerId, SiteId};
 use camelot_wal::LogRecord;
+use common::wait_quiet;
 
 const S1: SiteId = SiteId(1);
 const S2: SiteId = SiteId(2);
@@ -66,8 +69,8 @@ fn crash_point_round_trip(point: CrashPoint, mode: CommitMode) {
     );
     assert_eq!(cluster.faults().stats().crashes, 1);
     cluster.restart(S1).expect("clean log recovers");
-    // Let recovery announcements, inquiries, and takeovers settle.
-    std::thread::sleep(StdDuration::from_millis(1500));
+    // Recovery announcements, inquiries and takeovers settle.
+    wait_quiet(&cluster);
     let v1 = cluster.committed_value(S1, SRV, obj);
     let v2 = cluster.committed_value(S2, SRV, obj);
     assert_eq!(
@@ -88,7 +91,7 @@ fn crash_point_round_trip(point: CrashPoint, mode: CommitMode) {
         .write(&probe, S2, SRV, ObjectId(99), b"alive".to_vec())
         .unwrap();
     client.commit(&probe, CommitMode::TwoPhase).unwrap();
-    std::thread::sleep(StdDuration::from_millis(100));
+    wait_quiet(&cluster);
     assert_eq!(cluster.committed_value(S2, SRV, ObjectId(99)), b"alive");
     cluster.shutdown();
 }
@@ -173,7 +176,7 @@ fn crash_inside_checkpoint_or_truncation_loses_nothing() {
         let s = cluster.stats().sites[0].clone();
         assert!(s.checkpoints >= 1 && s.wal_truncated_bytes > 0, "{s:?}");
         commit_both(&cluster, ObjectId(99), b"alive");
-        std::thread::sleep(StdDuration::from_millis(100));
+        wait_quiet(&cluster);
         assert_eq!(cluster.committed_value(S2, SRV, ObjectId(99)), b"alive");
         cluster.shutdown();
     }
@@ -190,7 +193,7 @@ fn crash_during_recovery_then_restart_again() {
     commit_both(&cluster, ObjectId(1), b"kept");
     cluster.checkpoint(S1);
     commit_both(&cluster, ObjectId(2), b"after the checkpoint");
-    std::thread::sleep(StdDuration::from_millis(50));
+    wait_quiet(&cluster);
     // Leave site 2 prepared and in doubt: its coordinator dies after
     // the commit record is durable and before anyone is told.
     let client = cluster.client(S1);
@@ -216,7 +219,7 @@ fn crash_during_recovery_then_restart_again() {
     cluster
         .restart(S1)
         .expect("the second restart goes through");
-    std::thread::sleep(StdDuration::from_millis(800));
+    wait_quiet(&cluster);
     for site in [S1, S2] {
         assert_eq!(cluster.committed_value(site, SRV, ObjectId(1)), b"kept");
         assert_eq!(
@@ -225,8 +228,6 @@ fn crash_during_recovery_then_restart_again() {
         );
         assert_eq!(cluster.committed_value(site, SRV, ObjectId(3)), b"decided");
     }
-    assert_eq!(cluster.debug_state(S1), "");
-    assert_eq!(cluster.debug_state(S2), "");
     cluster.shutdown();
 }
 
@@ -472,7 +473,7 @@ fn a_worker_leading_a_prepare_write_dies_mid_write() {
         "site 2 never voted, yet the commit returned {outcome:?}"
     );
     cluster.restart(S2).expect("clean log recovers");
-    std::thread::sleep(StdDuration::from_millis(300));
+    wait_quiet(&cluster);
     for site in [S1, S2] {
         assert_eq!(cluster.committed_value(site, SRV, obj), b"", "{site}");
     }
@@ -483,9 +484,15 @@ fn a_worker_leading_a_prepare_write_dies_mid_write() {
             .unwrap();
     }
     client.commit(&probe, CommitMode::TwoPhase).unwrap();
-    std::thread::sleep(StdDuration::from_millis(100));
+    // Site 2's lazy commit record waits for a background flush this
+    // cluster never runs, so the family stays open: wait for both
+    // sites to apply the commit instead of for quiet.
+    let deadline = Instant::now() + StdDuration::from_secs(10);
     for site in [S1, S2] {
-        assert_eq!(cluster.committed_value(site, SRV, obj), b"alive", "{site}");
+        while cluster.committed_value(site, SRV, obj) != b"alive" {
+            assert!(Instant::now() < deadline, "{}", cluster.debug_state(site));
+            std::thread::yield_now();
+        }
     }
     Arc::try_unwrap(cluster)
         .ok()
@@ -578,11 +585,11 @@ fn site_killed_under_a_caller_mid_commit() {
 /// Three followers ride behind a leader whose site dies at
 /// [`CrashPoint::MidPlatterWrite`]: the write they were all waiting
 /// for tears, and none of the four commit records is durable. Every
-/// caller gets the typed unknown-outcome error — the followers when
-/// their call timeout runs out, nothing hangs — the batcher keeps no
-/// force of the dead incarnation (a token left behind would be answered
-/// to an engine that never asked), and the restart presumes abort for
-/// all four.
+/// caller gets the typed unknown-outcome error at once — the crash
+/// drops the followers' parked completions, so none waits out its
+/// call timeout — the batcher keeps no force of the dead incarnation
+/// (a token left behind would be answered to an engine that never
+/// asked), and the restart presumes abort for all four.
 #[test]
 fn followers_of_a_leader_whose_site_dies_mid_write_get_typed_errors() {
     let fault = Arc::new(FaultPlan::disabled());
@@ -593,6 +600,7 @@ fn followers_of_a_leader_whose_site_dies_mid_write_get_typed_errors() {
         call_timeout: StdDuration::from_millis(500),
         ..quick_cfg()
     };
+    let call_timeout = cfg.call_timeout;
     let cluster = Arc::new(Cluster::new_with_faults(1, cfg, fault.clone()));
     fault.arm_crash(S1, CrashPoint::MidPlatterWrite);
     let committers: Vec<_> = (0..4u64)
@@ -610,15 +618,20 @@ fn followers_of_a_leader_whose_site_dies_mid_write_get_typed_errors() {
                 while i > 0 && !cluster.debug_state(S1).contains("waiting") {
                     std::thread::yield_now();
                 }
-                client.commit(&tid, CommitMode::TwoPhase)
+                let started = Instant::now();
+                (client.commit(&tid, CommitMode::TwoPhase), started.elapsed())
             })
         })
         .collect();
     for (i, committer) in committers.into_iter().enumerate() {
-        let outcome = committer.join().expect("no committer panics");
+        let (outcome, took) = committer.join().expect("no committer panics");
         assert!(
             matches!(outcome, Err(CamelotError::Timeout { tid: Some(_) })),
             "committer {i}: want a typed unknown-outcome error, got {outcome:?}"
+        );
+        assert!(
+            took < call_timeout / 2,
+            "committer {i} waited {took:?}: the crash did not wake it"
         );
     }
     assert!(!cluster.is_alive(S1));
@@ -764,7 +777,7 @@ fn queued_crash_mid_burst_recovers() {
         // but the cluster must still be healthy.
         fault.heal();
     }
-    std::thread::sleep(StdDuration::from_millis(1500));
+    wait_quiet(&cluster);
     assert_eq!(
         cluster.committed_value(S1, SRV, obj),
         cluster.committed_value(S2, SRV, obj),
@@ -778,7 +791,7 @@ fn queued_crash_mid_burst_recovers() {
         .write(&probe, S2, SRV, ObjectId(99), b"alive".to_vec())
         .unwrap();
     client.commit(&probe, CommitMode::TwoPhase).unwrap();
-    std::thread::sleep(StdDuration::from_millis(200));
+    wait_quiet(&cluster);
     assert_eq!(cluster.committed_value(S2, SRV, ObjectId(99)), b"alive");
     cluster.shutdown();
 }
@@ -824,7 +837,7 @@ fn queued_lost_parked_prepare_resolves_by_client_timeout() {
     client.abort(&t2).unwrap();
     // The dependency's writer is unharmed.
     client.commit(&t1, CommitMode::TwoPhase).unwrap();
-    std::thread::sleep(StdDuration::from_millis(200));
+    wait_quiet(&cluster);
     assert_eq!(cluster.committed_value(S1, SRV, obj), b"first");
     cluster.shutdown();
 }
@@ -841,7 +854,7 @@ fn corrupted_wal_fails_restart_with_typed_error_then_heals() {
         .write(&tid, S1, SRV, ObjectId(1), b"precious".to_vec())
         .unwrap();
     client.commit(&tid, CommitMode::TwoPhase).unwrap();
-    std::thread::sleep(StdDuration::from_millis(50));
+    wait_quiet(&cluster);
     cluster.crash(S1);
     let pristine = cluster.wal_image(S1).unwrap();
     assert!(pristine.len() > 8, "commit records should be durable");
@@ -899,8 +912,108 @@ fn duplicated_and_reordered_datagrams_are_harmless() {
         "the fault mix never fired: {stats:?}"
     );
     fault.heal();
-    std::thread::sleep(StdDuration::from_millis(200));
+    wait_quiet(&cluster);
     assert_eq!(cluster.committed_value(S1, SRV, ObjectId(5)), [9]);
     assert_eq!(cluster.committed_value(S2, SRV, ObjectId(5)), [9]);
     cluster.shutdown();
+}
+
+/// A commit parked on remote votes wakes as soon as its home site
+/// crashes, whichever thread crashes it: the crash drops every
+/// completion parked at the site, so the caller gets the typed
+/// unknown-outcome error now, not after the 30 s default call timeout.
+#[test]
+fn a_crash_wakes_a_commit_parked_on_remote_votes() {
+    let fault = Arc::new(FaultPlan::disabled());
+    let cfg = RtConfig {
+        call_timeout: RtConfig::default().call_timeout,
+        ..quick_cfg()
+    };
+    let cluster = Arc::new(Cluster::new_with_faults(2, cfg, fault.clone()));
+    let client = cluster.client(S1);
+    let tid = client.begin().unwrap();
+    for site in [S1, S2] {
+        client
+            .write(&tid, site, SRV, ObjectId(1), b"fate".to_vec())
+            .unwrap();
+    }
+    // Site 2 never hears the prepare, so its vote never comes.
+    fault.partition(&[S1], &[S2]);
+    let committer = {
+        let cluster = cluster.clone();
+        std::thread::spawn(move || {
+            let outcome = cluster.client(S1).commit(&tid, CommitMode::TwoPhase);
+            (outcome, Instant::now())
+        })
+    };
+    // The prepare is dropped after the commit parked its completion.
+    // The scenario is a caller already waiting on it, so give the
+    // caller time to get from posting the prepare to the wait.
+    while fault.stats().partition_drops == 0 {
+        std::thread::yield_now();
+    }
+    std::thread::sleep(StdDuration::from_millis(50));
+    let crashed = Instant::now();
+    cluster.crash(S1);
+    let (outcome, returned) = committer.join().expect("no committer panics");
+    assert!(
+        matches!(outcome, Err(CamelotError::Timeout { tid: Some(_) })),
+        "want a typed unknown-outcome error, got {outcome:?}"
+    );
+    let waited = returned.saturating_duration_since(crashed);
+    assert!(
+        waited < StdDuration::from_secs(1),
+        "the commit returned {waited:?} after its site crashed"
+    );
+    Arc::try_unwrap(cluster)
+        .ok()
+        .expect("sole owner")
+        .shutdown();
+}
+
+/// A write parked behind another transaction's lock wakes as soon as
+/// the site holding the lock crashes: nothing there will ever grant it,
+/// and the caller gets the typed unknown-outcome error at once instead
+/// of after the 30 s default call timeout.
+#[test]
+fn a_crash_wakes_a_write_parked_on_a_lock() {
+    let cfg = RtConfig {
+        call_timeout: RtConfig::default().call_timeout,
+        ..quick_cfg()
+    };
+    let cluster = Arc::new(Cluster::new(2, cfg));
+    let holder = cluster.client(S1);
+    let held = holder.begin().unwrap();
+    holder
+        .write(&held, S2, SRV, ObjectId(1), b"first".to_vec())
+        .unwrap();
+    let waiter = {
+        let cluster = cluster.clone();
+        std::thread::spawn(move || {
+            let client = cluster.client(S1);
+            let tid = client.begin().unwrap();
+            let outcome = client.write(&tid, S2, SRV, ObjectId(1), b"second".to_vec());
+            (outcome, Instant::now())
+        })
+    };
+    // A lock wait is counted under the server mutex it parked under.
+    while cluster.stats().sites[1].servers.lock_waits == 0 {
+        std::thread::yield_now();
+    }
+    let crashed = Instant::now();
+    cluster.crash(S2);
+    let (outcome, returned) = waiter.join().expect("no waiter panics");
+    assert!(
+        matches!(outcome, Err(CamelotError::Timeout { tid: Some(_) })),
+        "want a typed unknown-outcome error, got {outcome:?}"
+    );
+    let waited = returned.saturating_duration_since(crashed);
+    assert!(
+        waited < StdDuration::from_secs(1),
+        "the write returned {waited:?} after its site crashed"
+    );
+    Arc::try_unwrap(cluster)
+        .ok()
+        .expect("sole owner")
+        .shutdown();
 }

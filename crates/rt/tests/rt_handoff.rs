@@ -94,6 +94,14 @@ fn budget_of(
                 client.read(&tid, site, SRV, obj).unwrap();
             }
         }
+        // The operations' log records are unforced, and a background
+        // flush may start writing them just as the commit asks for a
+        // force; that force then follows the flush instead of leading,
+        // and its `LogForced` crosses to a worker (DESIGN §5.7). Make
+        // them durable first, so the count is the commit's alone.
+        for s in 1..=spread {
+            cluster.checkpoint(SiteId(s));
+        }
         let out = client.commit(&tid, mode).unwrap();
         assert_eq!(out, Outcome::Committed);
         settled(&cluster)

@@ -4,9 +4,12 @@
 //!
 //! Queued-mode visibility note: a commit's write-through to the data
 //! servers happens when the shard workers process the Resolve job,
-//! *after* the client's commit call returns — tests quiesce briefly
-//! before asserting on `committed_value`, as the lock-based tests
-//! already do for lazy commit records.
+//! *after* the client's commit call returns — tests wait for the
+//! cluster to go quiet (the shards included) before asserting on
+//! `committed_value`, as the lock-based tests do for lazy commit
+//! records.
+
+mod common;
 
 use std::time::Duration as StdDuration;
 
@@ -14,6 +17,7 @@ use camelot_core::CommitMode;
 use camelot_net::Outcome;
 use camelot_rt::{Cluster, ExecMode, RtConfig};
 use camelot_types::{ObjectId, ServerId, SiteId};
+use common::wait_quiet;
 
 const S1: SiteId = SiteId(1);
 const S2: SiteId = SiteId(2);
@@ -37,10 +41,6 @@ fn queued_cfg() -> RtConfig {
     cfg
 }
 
-fn quiesce() {
-    std::thread::sleep(StdDuration::from_millis(100));
-}
-
 #[test]
 fn queued_local_commit_and_read_back() {
     let cluster = Cluster::new(1, queued_cfg());
@@ -55,7 +55,7 @@ fn queued_local_commit_and_read_back() {
         client.commit(&tid, CommitMode::TwoPhase).unwrap(),
         Outcome::Committed
     );
-    quiesce();
+    wait_quiet(&cluster);
     assert_eq!(cluster.committed_value(S1, SRV, ObjectId(1)), b"hello");
     // A later transaction reads the committed value through the queue.
     let tid2 = client.begin().unwrap();
@@ -84,7 +84,7 @@ fn queued_distributed_two_phase_commit() {
         client.commit(&tid, CommitMode::TwoPhase).unwrap(),
         Outcome::Committed
     );
-    quiesce();
+    wait_quiet(&cluster);
     assert_eq!(cluster.committed_value(S1, SRV, ObjectId(1)), b"a");
     assert_eq!(cluster.committed_value(S2, SRV, ObjectId(2)), b"b");
     cluster.shutdown();
@@ -105,7 +105,7 @@ fn queued_distributed_nonblocking_commit() {
         client.commit(&tid, CommitMode::NonBlocking).unwrap(),
         Outcome::Committed
     );
-    quiesce();
+    wait_quiet(&cluster);
     assert_eq!(cluster.committed_value(S1, SRV, ObjectId(3)), b"nb1");
     assert_eq!(cluster.committed_value(S2, SRV, ObjectId(4)), b"nb2");
     cluster.shutdown();
@@ -123,7 +123,7 @@ fn queued_abort_discards_speculative_writes() {
         .write(&tid, S2, SRV, ObjectId(2), b"y".to_vec())
         .unwrap();
     client.abort(&tid).unwrap();
-    quiesce();
+    wait_quiet(&cluster);
     assert_eq!(cluster.committed_value(S1, SRV, ObjectId(1)), b"");
     assert_eq!(cluster.committed_value(S2, SRV, ObjectId(2)), b"");
     // The speculative version is gone: a new transaction reads empty.
@@ -155,7 +155,7 @@ fn queued_dirty_read_chain_serializes_after_writer() {
         c2.commit(&t2, CommitMode::TwoPhase).unwrap(),
         Outcome::Committed
     );
-    quiesce();
+    wait_quiet(&cluster);
     assert_eq!(cluster.committed_value(S1, SRV, ObjectId(10)), b"a");
     assert_eq!(cluster.committed_value(S1, SRV, ObjectId(11)), b"a");
     cluster.shutdown();
@@ -180,7 +180,7 @@ fn queued_dirty_read_cascade_aborts_reader() {
         Outcome::Aborted,
         "a dirty reader of an aborted writer must cascade-abort"
     );
-    quiesce();
+    wait_quiet(&cluster);
     assert_eq!(cluster.committed_value(S1, SRV, ObjectId(20)), b"");
     assert_eq!(cluster.committed_value(S1, SRV, ObjectId(21)), b"");
     let stats = cluster.stats();
@@ -215,7 +215,7 @@ fn queued_write_write_order_installs_last_committer() {
         Outcome::Committed
     );
     assert_eq!(h.join().unwrap(), Outcome::Committed);
-    quiesce();
+    wait_quiet(&cluster);
     assert_eq!(cluster.committed_value(S1, SRV, ObjectId(30)), b"second");
     cluster.shutdown();
 }
@@ -241,7 +241,14 @@ fn queued_read_modify_write_first_committer_wins() {
         c1.commit(&t1, CommitMode::TwoPhase).unwrap(),
         Outcome::Committed
     );
-    quiesce();
+    // The shard installs t1 before t2 writes. t2 is open, so the site
+    // is not quiet: wait for the shard to let go of t1 alone.
+    let installing = format!("{S1} queue: {}", t1.family);
+    let deadline = std::time::Instant::now() + StdDuration::from_secs(10);
+    while cluster.debug_state(S1).split("; ").any(|l| l == installing) {
+        assert!(std::time::Instant::now() < deadline, "{installing}");
+        std::thread::yield_now();
+    }
     c2.write(&t2, S1, SRV, obj, bump(seen2)).unwrap();
     assert_eq!(
         c2.commit(&t2, CommitMode::TwoPhase).unwrap(),
@@ -251,7 +258,7 @@ fn queued_read_modify_write_first_committer_wins() {
     // The retry reads the winner's value and goes through (once the
     // shard has heard of the abort: until then the newest version is
     // still the loser's, and reading it would cascade).
-    quiesce();
+    wait_quiet(&cluster);
     let t3 = c2.begin().unwrap();
     let seen3 = c2.read(&t3, S1, SRV, obj).unwrap();
     c2.write(&t3, S1, SRV, obj, bump(seen3)).unwrap();
@@ -259,7 +266,7 @@ fn queued_read_modify_write_first_committer_wins() {
         c2.commit(&t3, CommitMode::TwoPhase).unwrap(),
         Outcome::Committed
     );
-    quiesce();
+    wait_quiet(&cluster);
     assert_eq!(cluster.committed_value(S1, SRV, obj), [2]);
 
     // Both write before either commits: write-write order parks the
@@ -278,7 +285,7 @@ fn queued_read_modify_write_first_committer_wins() {
         Outcome::Committed
     );
     assert_eq!(second.join().unwrap(), Outcome::Aborted);
-    quiesce();
+    wait_quiet(&cluster);
     assert_eq!(cluster.committed_value(S1, SRV, obj), [1]);
     cluster.shutdown();
 }
@@ -322,7 +329,7 @@ fn queued_concurrent_increments_lose_no_update() {
     for counter in counters {
         counter.join().expect("no counter panics");
     }
-    quiesce();
+    wait_quiet(&cluster);
     assert_eq!(
         cluster.committed_value(S1, SRV, obj),
         (THREADS * INCREMENTS).to_le_bytes(),
@@ -436,7 +443,7 @@ fn queued_crash_and_restart_recovers_committed_data() {
         .unwrap();
     client.commit(&tid, CommitMode::TwoPhase).unwrap();
     // Let the resolve write-through and lazy records land.
-    quiesce();
+    wait_quiet(&cluster);
     // An uncommitted straggler, lost with the crash.
     let doomed = client.begin().unwrap();
     client
@@ -460,7 +467,7 @@ fn queued_crash_and_restart_recovers_committed_data() {
         client.commit(&tid, CommitMode::TwoPhase).unwrap(),
         Outcome::Committed
     );
-    quiesce();
+    wait_quiet(&cluster);
     assert_eq!(cluster.committed_value(S1, SRV, ObjectId(62)), b"post");
     cluster.shutdown();
 }
@@ -493,7 +500,7 @@ fn queued_hot_key_writers_never_block_and_stay_consistent() {
     }
     let total: u64 = handles.into_iter().map(|h| h.join().unwrap()).sum();
     assert!(total >= 30, "hot-key writers should mostly commit: {total}");
-    quiesce();
+    wait_quiet(&cluster);
     let v = cluster.committed_value(S1, SRV, ObjectId(70));
     assert!(
         v.starts_with(b"w") && v.len() >= 4,

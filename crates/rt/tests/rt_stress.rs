@@ -7,6 +7,8 @@
 //! inconsistency (a subordinate applying a different value than its
 //! coordinator).
 
+mod common;
+
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration as StdDuration;
@@ -15,6 +17,7 @@ use camelot_core::CommitMode;
 use camelot_net::Outcome;
 use camelot_rt::{BatchPolicy, Cluster, RtConfig};
 use camelot_types::{CamelotError, Duration, ObjectId, ServerId, SiteId};
+use common::wait_quiet;
 
 const SRV: ServerId = ServerId(1);
 
@@ -113,8 +116,8 @@ fn mixed_workload_stays_consistent(cfg: RtConfig, run: String) {
         sites as u64 * clients_per_site as u64 * txns_per_client,
         "{run}"
     );
-    // Give lazily acknowledged subordinate commits a beat to apply.
-    std::thread::sleep(StdDuration::from_millis(150));
+    // Lazily acknowledged subordinate commits apply.
+    wait_quiet(&cluster);
     for (key, local_obj, shared_obj, me, remote, n) in expectations {
         let last_local = format!("c{key}-t{}", ((n - 1) / 3) * 3).into_bytes();
         assert_eq!(
@@ -198,7 +201,7 @@ fn window_policy_with_concurrent_checkpoints() {
     }
     stop.store(1, Ordering::Relaxed);
     ckpt.join().expect("checkpoint thread");
-    std::thread::sleep(StdDuration::from_millis(100));
+    wait_quiet(&cluster);
     for c in 0..4u64 {
         assert_eq!(
             cluster.committed_value(SiteId(1), SRV, ObjectId(10 + c)),
@@ -262,11 +265,7 @@ fn eight_committers_batch_under_coalesce_and_not_under_immediate() {
         }
         // A follower's reply comes from the worker that then tells the
         // server; wait for the last of them to let go.
-        let deadline = std::time::Instant::now() + StdDuration::from_secs(5);
-        while !cluster.debug_state(SiteId(1)).is_empty() {
-            assert!(std::time::Instant::now() < deadline, "never went quiet");
-            std::thread::yield_now();
-        }
+        wait_quiet(&cluster);
         for c in 0..THREADS {
             let value = cluster.committed_value(SiteId(1), SRV, ObjectId(c));
             assert_eq!(value, [TXNS as u8 - 1], "{run}: client {c}");
@@ -432,7 +431,7 @@ fn blocked_operation_times_out_with_typed_error() {
     // Recovery guidance encoded in the type: abort the named txn.
     waiter.abort(&tw).unwrap();
     holder.commit(&th, CommitMode::TwoPhase).unwrap();
-    std::thread::sleep(StdDuration::from_millis(50));
+    wait_quiet(&cluster);
     assert_eq!(
         cluster.committed_value(SiteId(1), SRV, ObjectId(1)),
         b"held"
@@ -464,7 +463,7 @@ fn immediate_policy_correctness_and_write_accounting() {
             Outcome::Committed
         );
     }
-    std::thread::sleep(StdDuration::from_millis(100));
+    wait_quiet(&cluster);
     assert_eq!(cluster.committed_value(SiteId(1), SRV, ObjectId(1)), [7]);
     assert_eq!(cluster.committed_value(SiteId(2), SRV, ObjectId(1)), [7]);
     let stats = cluster.stats();

@@ -5,15 +5,16 @@
 //! Protocol-specific handling lives in [`crate::twophase`] and
 //! [`crate::nonblocking`]; restart recovery in [`crate::recovery`].
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::HashMap;
 
 use camelot_net::{Outcome, TmMessage, Vote};
 use camelot_obs::{TraceEventKind, Tracer};
 use camelot_types::{AbortReason, Duration, FamilyId, ServerId, SiteId, Tid, Time};
+use camelot_wal::record::QuorumKind;
 use camelot_wal::LogRecord;
 
 use crate::config::{CommitMode, EngineConfig, TwoPhaseVariant};
-use crate::family::{Family, FamilyView, Role, SubPhase, TallyStep, TxnStatus};
+use crate::family::{Announcing, Family, FamilyView, Role, SubPhase, TallyStep, TxnStatus};
 use crate::io::{Action, ForceToken, Input, TimerToken};
 
 /// Multiplier applied to a retry interval on each successive re-send
@@ -640,28 +641,51 @@ impl Engine {
         self.record_resolution(family, outcome);
     }
 
-    /// Enters the notify phase: tells `to` the outcome (a commit
-    /// notice under two-phase commit, an `NbOutcome` otherwise) and
-    /// keeps re-sending until every one of them acknowledges.
-    pub(crate) fn announce(
-        &mut self,
-        out: &mut Vec<Action>,
-        family: FamilyId,
-        to: BTreeSet<SiteId>,
-        outcome: Outcome,
-    ) {
+    /// Hands a decided family to the announcing role: tells
+    /// `a.awaiting_acks` the outcome and keeps re-sending until every
+    /// one of them acknowledges.
+    pub(crate) fn announce(&mut self, out: &mut Vec<Action>, family: FamilyId, a: Announcing) {
         let Some(fam) = self.families.get_mut(&family) else {
             return;
         };
-        let msg = outcome_msg(fam, outcome);
-        fam.set_notifying(to.clone(), outcome);
+        let msg = a.notice(fam.top_tid());
+        let to = a.awaiting_acks.iter().copied().collect();
+        fam.role = Role::Announcing(a);
         self.arm(
             out,
             TimerKind::NotifyResend,
             family,
             self.config.notify_resend_interval,
         );
-        self.broadcast(out, to.into_iter().collect(), msg);
+        self.broadcast(out, to, msg);
+    }
+
+    /// Writes the one record of a non-blocking quorum join, `NbQuorum`
+    /// of `kind` — forced as `force`, or appended for the replication
+    /// record's force to carry. Refuses, writing nothing, if the site
+    /// already joined the other quorum (change 4).
+    pub(crate) fn join_quorum(
+        &mut self,
+        out: &mut Vec<Action>,
+        family: FamilyId,
+        kind: QuorumKind,
+        force: Option<ForceKind>,
+    ) -> bool {
+        let Some(fam) = self.families.get_mut(&family) else {
+            return false;
+        };
+        if fam.joined.is_some_and(|k| k != kind) {
+            return false;
+        }
+        let rec = LogRecord::NbQuorum {
+            tid: fam.top_tid(),
+            kind,
+        };
+        match force {
+            Some(force) => self.force(out, force, family, rec),
+            None => out.push(Action::Append { rec }),
+        }
+        true
     }
 
     // -----------------------------------------------------------------
@@ -839,11 +863,13 @@ impl Engine {
                     reason: Some(reason),
                 });
             }
-            Role::Coord2pc(_) | Role::CoordNb(_) => out.push(Action::Rejected {
-                req,
-                tid,
-                detail: "too late to abort",
-            }),
+            Role::Coord2pc(_) | Role::CoordNb(_) | Role::Announcing(_) => {
+                out.push(Action::Rejected {
+                    req,
+                    tid,
+                    detail: "too late to abort",
+                })
+            }
             _ => out.push(Action::Rejected {
                 req,
                 tid,
@@ -1086,17 +1112,6 @@ impl Engine {
             TimerKind::TakeoverRetry => self.takeover_retry_fired(out, f),
             TimerKind::OrphanCheck => self.orphan_check_fired(out, f),
         }
-    }
-}
-
-/// The message that tells a participant of `fam` the outcome: the
-/// commit notice under two-phase commit (aborts are presumed, never
-/// announced this way), `NbOutcome` otherwise.
-pub(crate) fn outcome_msg(fam: &Family, outcome: Outcome) -> TmMessage {
-    let tid = fam.top_tid();
-    match fam.mode() {
-        Some(CommitMode::TwoPhase) => TmMessage::Commit { tid },
-        _ => TmMessage::NbOutcome { tid, outcome },
     }
 }
 

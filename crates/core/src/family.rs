@@ -5,13 +5,14 @@
 //! descriptors." (paper §3.4). A family descriptor carries the set of
 //! local data servers that joined any member of the family, and — once
 //! commitment begins — the state of the commitment role this site
-//! plays (coordinator or subordinate, two-phase or non-blocking, or a
-//! takeover coordinator during non-blocking termination).
+//! plays (coordinator or subordinate, two-phase or non-blocking, a
+//! takeover coordinator during non-blocking termination, or, once the
+//! outcome is decided here, its announcer).
 
 use std::collections::{BTreeMap, BTreeSet};
 
 use camelot_net::msg::NbInfo;
-use camelot_net::{NbSiteState, Outcome, Vote};
+use camelot_net::{NbSiteState, Outcome, TmMessage, Vote};
 use camelot_types::{FamilyId, ServerId, SiteId, Tid};
 use camelot_wal::record::QuorumKind;
 
@@ -142,10 +143,11 @@ impl Tally {
 // Coordinator roles
 // ---------------------------------------------------------------------
 
-/// Coordinator progress. Two-phase commit collects its local votes
+/// Coordinator progress up to the decision (the notify phase is
+/// [`Role::Announcing`]). Two-phase commit collects its local votes
 /// first and never replicates; non-blocking commit starts in
 /// `CollectVotes` (local and remote votes arrive concurrently).
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CoordPhase {
     /// 2PC: waiting for local servers' votes; prepare not yet sent.
     CollectLocal,
@@ -158,14 +160,6 @@ pub enum CoordPhase {
     /// Commit record force in flight — the commit point (NB: writing
     /// it completes the quorum, change 3 of §3.3).
     ForcingCommit,
-    /// Outcome sent; waiting for acknowledgements before the end
-    /// record can be written and the transaction forgotten (2PC: from
-    /// the update subordinates, always `Committed`; NB change 4: from
-    /// every participant that holds state).
-    Notifying {
-        awaiting_acks: BTreeSet<SiteId>,
-        outcome: Outcome,
-    },
 }
 
 /// State of a 2PC commitment this site coordinates.
@@ -241,8 +235,6 @@ pub struct SubNb {
     pub phase: SubPhase,
     pub info: NbInfo,
     pub outcome: Option<Outcome>,
-    /// Which quorum this site irrevocably joined, if any.
-    pub joined: Option<QuorumKind>,
     /// Where the acknowledgement of an in-flight force must go (the
     /// original coordinator or a takeover coordinator).
     pub pending_ack_to: Option<SiteId>,
@@ -251,7 +243,7 @@ pub struct SubNb {
 impl SubNb {
     /// A subordinate entry created past its local vote collection (a
     /// recruited read-only site, an adopted outcome, a recovered
-    /// in-doubt site): nothing joined, nothing pending.
+    /// in-doubt site): nothing pending.
     pub fn at(coordinator: SiteId, info: NbInfo, phase: SubPhase, local_update: bool) -> SubNb {
         SubNb {
             coordinator,
@@ -262,7 +254,6 @@ impl SubNb {
             phase,
             info,
             outcome: None,
-            joined: None,
             pending_ack_to: None,
         }
     }
@@ -279,31 +270,25 @@ pub enum TakeoverPhase {
     RecruitAbort,
     /// Commit record force in flight.
     ForcingCommit,
-    /// Outcome decided and announced; awaiting acks.
-    Announcing {
-        awaiting_acks: BTreeSet<SiteId>,
-        outcome: Outcome,
-    },
     /// Neither quorum reachable; will retry (possible only under
     /// multiple failures).
     Blocked,
 }
 
 /// State of a takeover ("a subordinate becomes a coordinator",
-/// change 2 of §3.3).
+/// change 2 of §3.3). The quorum this site itself joined is
+/// [`Family::joined`].
 #[derive(Debug, Clone)]
 pub struct Takeover {
     pub info: NbInfo,
-    /// Our own protocol state at takeover time.
-    pub self_state: NbSiteState,
-    pub joined: Option<QuorumKind>,
     /// Whether local servers still hold this family's locks here.
     pub local_update: bool,
     pub statuses: BTreeMap<SiteId, NbSiteState>,
-    /// Sites known to hold the replication record (commit-quorum
-    /// members), including ourselves when applicable.
+    /// Sites whose replication record is durable (commit-quorum
+    /// members), ourselves included once our own record is.
     pub replicated: BTreeSet<SiteId>,
-    /// Sites known to have joined the abort quorum.
+    /// Sites whose abort-quorum join is durable, ourselves included
+    /// once our own record is.
     pub abort_joined: BTreeSet<SiteId>,
     pub phase: TakeoverPhase,
     /// Gathering rounds that ended blocked so far; backs the retry
@@ -313,22 +298,62 @@ pub struct Takeover {
 
 impl Takeover {
     /// A takeover about to gather status reports.
-    pub fn gathering(
-        info: NbInfo,
-        self_state: NbSiteState,
-        joined: Option<QuorumKind>,
-        local_update: bool,
-    ) -> Takeover {
+    pub fn gathering(info: NbInfo, local_update: bool) -> Takeover {
         Takeover {
             info,
-            self_state,
-            joined,
             local_update,
             statuses: BTreeMap::new(),
             replicated: BTreeSet::new(),
             abort_joined: BTreeSet::new(),
             phase: TakeoverPhase::Gathering,
             blocked_rounds: 0,
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
+// The decided role
+// ---------------------------------------------------------------------
+
+/// A decided outcome on its way to the participants. Whoever decides
+/// here — either protocol's coordinator, a takeover, or a coordinator
+/// that restarted mid-notify — hands the family to this one role: it
+/// re-sends the outcome until every site in `awaiting_acks`
+/// acknowledges, then writes the end record, tells `forget` to drop
+/// their tombstones (change 4 of §3.3) and forgets the family.
+#[derive(Debug, Clone)]
+pub struct Announcing {
+    /// The non-blocking decision information, or `None` under
+    /// two-phase commit (the announcement is then a commit notice).
+    pub nb: Option<NbInfo>,
+    pub outcome: Outcome,
+    /// Sites whose acknowledgement is outstanding.
+    pub awaiting_acks: BTreeSet<SiteId>,
+    /// Every site that may keep a tombstone, fixed when the outcome is
+    /// decided; empty under two-phase commit, whose presumed abort
+    /// keeps none.
+    pub forget: Vec<SiteId>,
+}
+
+impl Announcing {
+    /// The protocol being announced.
+    pub fn mode(&self) -> CommitMode {
+        match self.nb {
+            Some(_) => CommitMode::NonBlocking,
+            None => CommitMode::TwoPhase,
+        }
+    }
+
+    /// The message that tells a participant the outcome: the commit
+    /// notice under two-phase commit (aborts are presumed, never
+    /// announced this way), `NbOutcome` otherwise.
+    pub fn notice(&self, tid: Tid) -> TmMessage {
+        match self.nb {
+            Some(_) => TmMessage::NbOutcome {
+                tid,
+                outcome: self.outcome,
+            },
+            None => TmMessage::Commit { tid },
         }
     }
 }
@@ -347,6 +372,7 @@ pub enum Role {
     CoordNb(CoordNb),
     SubNb(SubNb),
     Takeover(Takeover),
+    Announcing(Announcing),
 }
 
 /// One family descriptor.
@@ -359,6 +385,10 @@ pub struct Family {
     /// Local data servers that joined any member of the family.
     pub servers: BTreeSet<ServerId>,
     pub role: Role,
+    /// The non-blocking quorum this site joined for the family, if
+    /// any; written only by `Engine::join_quorum`, and kept whatever
+    /// role the site plays next (change 4: never both).
+    pub joined: Option<QuorumKind>,
     /// Correlation id of the pending commit/abort call, if this is
     /// the application's home site.
     pub commit_req: Option<u64>,
@@ -385,6 +415,7 @@ impl Family {
             txns,
             servers: BTreeSet::new(),
             role: Role::Executing,
+            joined: None,
             commit_req: None,
             timer: None,
             retry_attempts: 0,
@@ -452,10 +483,11 @@ impl Family {
 
     /// The protocol of the commitment under way, if any.
     pub fn mode(&self) -> Option<CommitMode> {
-        match self.role {
+        match &self.role {
             Role::Executing => None,
             Role::Coord2pc(_) | Role::Sub2pc(_) => Some(CommitMode::TwoPhase),
             Role::CoordNb(_) | Role::SubNb(_) | Role::Takeover(_) => Some(CommitMode::NonBlocking),
+            Role::Announcing(a) => Some(a.mode()),
         }
     }
 
@@ -489,51 +521,6 @@ impl Family {
         match &mut self.role {
             Role::Sub2pc(s) => Some((s.coordinator, CommitMode::TwoPhase, &mut s.phase)),
             Role::SubNb(s) => Some((s.coordinator, CommitMode::NonBlocking, &mut s.phase)),
-            _ => None,
-        }
-    }
-
-    /// Enters the notify phase of whichever role decides outcomes
-    /// here: `awaiting_acks` must acknowledge `outcome`.
-    pub fn set_notifying(&mut self, awaiting_acks: BTreeSet<SiteId>, outcome: Outcome) {
-        match &mut self.role {
-            Role::Coord2pc(Coord2pc { phase, .. }) | Role::CoordNb(CoordNb { phase, .. }) => {
-                *phase = CoordPhase::Notifying {
-                    awaiting_acks,
-                    outcome,
-                }
-            }
-            Role::Takeover(t) => {
-                t.phase = TakeoverPhase::Announcing {
-                    awaiting_acks,
-                    outcome,
-                }
-            }
-            _ => {}
-        }
-    }
-
-    /// The sites whose acknowledgement is outstanding and the outcome
-    /// they were sent, while in the notify phase.
-    pub fn notifying(&mut self) -> Option<(&mut BTreeSet<SiteId>, Outcome)> {
-        match &mut self.role {
-            Role::Coord2pc(Coord2pc { phase, .. }) | Role::CoordNb(CoordNb { phase, .. }) => {
-                match phase {
-                    CoordPhase::Notifying {
-                        awaiting_acks,
-                        outcome,
-                    } => Some((awaiting_acks, *outcome)),
-                    _ => None,
-                }
-            }
-            Role::Takeover(Takeover {
-                phase:
-                    TakeoverPhase::Announcing {
-                        awaiting_acks,
-                        outcome,
-                    },
-                ..
-            }) => Some((awaiting_acks, *outcome)),
             _ => None,
         }
     }
@@ -572,7 +559,7 @@ pub struct FamilyView {
 impl Family {
     /// Builds the external snapshot.
     pub fn view(&self) -> FamilyView {
-        let coord_phase = |p: &CoordPhase| match p {
+        let coord_phase = |p: CoordPhase| match p {
             CoordPhase::CollectLocal | CoordPhase::CollectVotes => FamilyPhase::Preparing,
             _ => FamilyPhase::Resolving,
         };
@@ -586,9 +573,9 @@ impl Family {
         };
         let (phase, role) = match &self.role {
             Role::Executing => (FamilyPhase::Executing, "executing"),
-            Role::Coord2pc(c) => (coord_phase(&c.phase), "2pc-coordinator"),
+            Role::Coord2pc(c) => (coord_phase(c.phase), "2pc-coordinator"),
             Role::Sub2pc(s) => (sub_phase(s.phase), "2pc-subordinate"),
-            Role::CoordNb(c) => (coord_phase(&c.phase), "nb-coordinator"),
+            Role::CoordNb(c) => (coord_phase(c.phase), "nb-coordinator"),
             Role::SubNb(s) => (sub_phase(s.phase), "nb-subordinate"),
             Role::Takeover(t) => {
                 let p = match t.phase {
@@ -597,6 +584,7 @@ impl Family {
                 };
                 (p, "nb-takeover")
             }
+            Role::Announcing(_) => (FamilyPhase::Resolving, "announcing"),
         };
         FamilyView {
             id: self.id,

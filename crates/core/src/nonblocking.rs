@@ -39,14 +39,16 @@
 use std::collections::BTreeSet;
 
 use camelot_net::msg::NbInfo;
-use camelot_net::{NbSiteState, Outcome, TmMessage};
+use camelot_net::{Outcome, TmMessage};
 use camelot_types::{AbortReason, FamilyId, ServerId, SiteId, Tid};
 use camelot_wal::record::{QuorumKind, ReplicationInfo};
 use camelot_wal::LogRecord;
 
 use crate::config::CommitMode;
 use crate::engine::{Engine, ForceKind, TimerKind};
-use crate::family::{CoordNb, CoordPhase, Family, Role, SubNb, SubPhase, TakeoverPhase, Tally};
+use crate::family::{
+    Announcing, CoordNb, CoordPhase, Family, Role, SubNb, SubPhase, TakeoverPhase, Tally,
+};
 use crate::io::Action;
 
 /// Converts wire info to the log-record form.
@@ -318,34 +320,13 @@ impl Engine {
         let Some(Role::CoordNb(c)) = self.families.get(&family).map(|f| &f.role) else {
             return;
         };
-        let notify = c.state_holders(self.site);
+        let announcing = c.announcing(self.site, Outcome::Aborted, c.state_holders(self.site));
         self.resolve_here(out, family, Outcome::Aborted, Some(reason));
-        if notify.is_empty() {
+        if announcing.awaiting_acks.is_empty() {
             self.forget_family(out, &family);
         } else {
-            self.announce(out, family, notify, Outcome::Aborted);
+            self.announce(out, family, announcing);
         }
-    }
-
-    /// Who gets the forget note once every acknowledgement is in:
-    /// everyone that may hold a tombstone (change 4). Nobody under
-    /// two-phase commit — presumed abort keeps none.
-    pub(crate) fn tombstone_holders(&self, family: FamilyId) -> Vec<SiteId> {
-        let me = self.site;
-        let mut holders = match self.families.get(&family).map(|f| &f.role) {
-            // Every non-read-only participant, plus read-only sites
-            // that were recruited into the replication phase. Sites
-            // that never kept state ignore the note.
-            Some(Role::CoordNb(c)) => {
-                let mut holders = c.state_holders(me);
-                holders.extend(c.replication_targets.iter().copied());
-                holders
-            }
-            Some(Role::Takeover(t)) => t.info.sites.iter().copied().collect(),
-            _ => BTreeSet::new(),
-        };
-        holders.remove(&me);
-        holders.into_iter().collect()
     }
 
     // =================================================================
@@ -373,6 +354,7 @@ impl Engine {
             .families
             .entry(family)
             .or_insert_with(|| Family::new(family));
+        let joined_abort = fam.joined == Some(QuorumKind::Abort);
         let joined = match &mut fam.role {
             Role::Executing => {
                 // A read-only participant being recruited into the
@@ -381,7 +363,7 @@ impl Engine {
                 None
             }
             Role::SubNb(s) => match s.phase {
-                SubPhase::Prepared if s.joined == Some(QuorumKind::Abort) => Some(false),
+                SubPhase::Prepared if joined_abort => Some(false),
                 SubPhase::Prepared => None,
                 // Duplicate: re-acknowledge.
                 SubPhase::Replicated => Some(true),
@@ -390,9 +372,12 @@ impl Engine {
             },
             // Another coordinator recruits us while we run our own
             // takeover: cooperate if we have not joined abort.
-            Role::Takeover(t) if t.joined == Some(QuorumKind::Abort) => Some(false),
-            Role::Takeover(t) if t.self_state == NbSiteState::Replicated => Some(true),
+            Role::Takeover(_) if joined_abort => Some(false),
+            Role::Takeover(t) if t.replicated.contains(&self.site) => Some(true),
             Role::Takeover(_) => None,
+            // Decided here: a member of the commit quorum exactly if
+            // the outcome is commit.
+            Role::Announcing(a) => Some(a.outcome == Outcome::Committed),
             _ => return,
         };
         match joined {
@@ -438,12 +423,9 @@ impl Engine {
         tid: Tid,
         info: &NbInfo,
     ) {
-        out.push(Action::Append {
-            rec: LogRecord::NbQuorum {
-                tid: tid.clone(),
-                kind: QuorumKind::Commit,
-            },
-        });
+        if !self.join_quorum(out, family, QuorumKind::Commit, None) {
+            return;
+        }
         let rec = LogRecord::NbReplicate {
             tid,
             info: info_to_record(info),
@@ -463,7 +445,7 @@ impl Engine {
                     return;
                 }
                 s.phase = SubPhase::Replicated;
-                s.joined = Some(QuorumKind::Commit);
+                fam.joined = Some(QuorumKind::Commit);
                 let reply_to = s.pending_ack_to.take().unwrap_or(s.coordinator);
                 // Restart the outcome timer: progress was made.
                 self.arm_in_doubt_timer(out, family, CommitMode::NonBlocking);
@@ -471,8 +453,7 @@ impl Engine {
             }
             Role::Takeover(t) => {
                 // Our own recruit-self force completed.
-                t.self_state = NbSiteState::Replicated;
-                t.joined = Some(QuorumKind::Commit);
+                fam.joined = Some(QuorumKind::Commit);
                 t.replicated.insert(self.site);
                 if matches!(t.phase, TakeoverPhase::RecruitCommit)
                     && t.replicated.len() >= t.info.commit_quorum as usize
@@ -542,10 +523,13 @@ impl Engine {
                     }
                 }
             }
-            Role::Takeover(t) => {
+            role @ (Role::Takeover(_) | Role::Announcing(_)) => {
                 // Someone else finished first: adopt their outcome and
                 // fall back to a subordinate of whoever announced it.
-                let local_update = t.local_update;
+                let local_update = match role {
+                    Role::Takeover(t) => t.local_update,
+                    _ => !servers.is_empty(),
+                };
                 self.arm_in_doubt_timer(out, family, CommitMode::NonBlocking);
                 let mut sub = SubNb::at(from, NbInfo::default(), SubPhase::Resolved, local_update);
                 sub.outcome = Some(outcome);
@@ -560,7 +544,6 @@ impl Engine {
                         }
                         self.record_resolution(family, Outcome::Committed);
                         sub.phase = SubPhase::AwaitDurable;
-                        sub.joined = Some(QuorumKind::Commit);
                         sub.pending_ack_to = Some(from);
                         self.append_lazy(out, ForceKind::NbSubOutcomeLazy, family, commit_rec);
                     }
@@ -604,6 +587,28 @@ impl Engine {
 }
 
 impl CoordNb {
+    /// The announcement of `outcome` to `awaiting_acks`. The forget
+    /// note goes to every participant that may hold a tombstone
+    /// (change 4): the state holders, plus read-only sites that were
+    /// recruited into the replication phase. Sites that never kept
+    /// state ignore the note.
+    pub(crate) fn announcing(
+        &self,
+        me: SiteId,
+        outcome: Outcome,
+        awaiting_acks: BTreeSet<SiteId>,
+    ) -> Announcing {
+        let mut forget = self.state_holders(me);
+        forget.extend(self.replication_targets.iter().copied());
+        forget.remove(&me);
+        Announcing {
+            nb: Some(self.info.clone()),
+            outcome,
+            awaiting_acks,
+            forget: forget.into_iter().collect(),
+        }
+    }
+
     /// Every participant that may hold protocol state for the
     /// family: all of them except read-only voters (who already
     /// dropped out). That includes no-voters (their tombstones wait

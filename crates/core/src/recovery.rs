@@ -26,14 +26,14 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use camelot_net::msg::NbInfo;
-use camelot_net::{NbSiteState, Outcome, TmMessage};
+use camelot_net::{Outcome, TmMessage};
 use camelot_types::{FamilyId, Lsn, ServerId, SiteId};
 use camelot_wal::record::{QuorumKind, ReplicationInfo};
 use camelot_wal::LogRecord;
 
 use crate::config::{CommitMode, EngineConfig};
 use crate::engine::Engine;
-use crate::family::{Coord2pc, CoordPhase, Family, Role, SubNb, SubPhase, Takeover, Tally};
+use crate::family::{Announcing, Family, Role, SubNb, SubPhase, Takeover};
 use crate::io::Action;
 use crate::nonblocking::info_from_record;
 
@@ -136,44 +136,37 @@ impl Engine {
                     continue;
                 }
                 // Coordinator mid-notify: re-announce until acked.
-                let awaiting: BTreeSet<SiteId> = if let Some(info) = s.nb_begin {
-                    let info = info_from_record(&info);
-                    let peers = info.sites.iter().copied().filter(|p| *p != site).collect();
-                    fam.role = Role::Takeover(Takeover::gathering(
-                        info,
-                        NbSiteState::Committed,
-                        Some(QuorumKind::Commit),
-                        true,
-                    ));
-                    peers
-                } else {
-                    let awaiting: BTreeSet<SiteId> = subs.iter().copied().collect();
-                    fam.role = Role::Coord2pc(Coord2pc {
-                        participants: subs,
-                        tally: Tally {
-                            local_update: true,
-                            yes_subs: awaiting.clone(),
-                            ..Tally::default()
-                        },
-                        phase: CoordPhase::ForcingCommit,
-                    });
-                    awaiting
+                let announcing = match s.nb_begin {
+                    Some(info) => Engine::announcing_to_peers(
+                        site,
+                        info_from_record(&info),
+                        Outcome::Committed,
+                    ),
+                    None => Announcing {
+                        nb: None,
+                        outcome: Outcome::Committed,
+                        awaiting_acks: subs.into_iter().collect(),
+                        forget: Vec::new(),
+                    },
                 };
                 engine.families.insert(fid, fam);
-                engine.announce(&mut out, fid, awaiting, Outcome::Committed);
+                engine.announce(&mut out, fid, announcing);
                 continue;
             }
             if s.aborted {
                 engine.resolutions.insert(fid, Outcome::Aborted);
                 continue;
             }
+            fam.joined = match s.nb_replicate {
+                Some(_) => Some(QuorumKind::Commit),
+                None => s.quorum,
+            };
             let in_doubt = if let Some(info) = s.nb_replicate {
                 // In-doubt, replicated: quorum member. Take over
                 // promptly.
                 let info = info_from_record(&info);
                 let coordinator = s.nb_prepared.map(|(c, _)| c).unwrap_or(info.sites[0]);
-                let mut sub = SubNb::at(coordinator, info, SubPhase::Replicated, true);
-                sub.joined = Some(QuorumKind::Commit);
+                let sub = SubNb::at(coordinator, info, SubPhase::Replicated, true);
                 Some(Role::SubNb(sub))
             } else if let Some((coordinator, sites)) = s.nb_prepared {
                 // In-doubt non-blocking subordinate.
@@ -184,8 +177,7 @@ impl Engine {
                     commit_quorum: vc,
                     abort_quorum: va,
                 };
-                let mut sub = SubNb::at(coordinator, info, SubPhase::Prepared, true);
-                sub.joined = s.quorum;
+                let sub = SubNb::at(coordinator, info, SubPhase::Prepared, true);
                 Some(Role::SubNb(sub))
             } else {
                 None
@@ -200,7 +192,7 @@ impl Engine {
                 // The original coordinator, crashed before deciding:
                 // it must ask the quorum, not assume.
                 let info = info_from_record(&info);
-                let takeover = Takeover::gathering(info, NbSiteState::Prepared, s.quorum, true);
+                let takeover = Takeover::gathering(info, true);
                 fam.role = Role::Takeover(takeover);
                 engine.families.insert(fid, fam);
                 engine.begin_gathering(&mut out, fid);

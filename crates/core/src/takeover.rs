@@ -33,7 +33,7 @@ use camelot_wal::LogRecord;
 
 use crate::config::CommitMode;
 use crate::engine::{Engine, ForceKind, TimerKind};
-use crate::family::{Family, Role, SubNb, SubPhase, Takeover, TakeoverPhase};
+use crate::family::{Announcing, Family, Role, SubNb, SubPhase, Takeover, TakeoverPhase};
 use crate::io::Action;
 
 fn state_of(outcome: Outcome) -> NbSiteState {
@@ -56,9 +56,9 @@ impl Engine {
         let Role::SubNb(s) = &mut fam.role else {
             return;
         };
-        let self_state = match s.phase {
-            SubPhase::Prepared => NbSiteState::Prepared,
-            SubPhase::Replicated => NbSiteState::Replicated,
+        let replicated = match s.phase {
+            SubPhase::Prepared => false,
+            SubPhase::Replicated => true,
             SubPhase::AwaitDurable | SubPhase::Resolved => {
                 let ack_to = (s.phase == SubPhase::Resolved).then_some(s.coordinator);
                 let base = self.config.notify_resend_interval;
@@ -71,9 +71,8 @@ impl Engine {
             }
             _ => return,
         };
-        let mut takeover =
-            Takeover::gathering(s.info.clone(), self_state, s.joined, s.tally.local_update);
-        if self_state == NbSiteState::Replicated {
+        let mut takeover = Takeover::gathering(s.info.clone(), s.tally.local_update);
+        if replicated {
             takeover.replicated.insert(self.site);
         }
         fam.role = Role::Takeover(takeover);
@@ -113,7 +112,6 @@ impl Engine {
                 (state, None)
             }
             Some(fam) => {
-                let announced = fam.notifying().map(|(_, outcome)| state_of(outcome));
                 match &fam.role {
                     Role::SubNb(s) => {
                         let state = match s.phase {
@@ -134,11 +132,15 @@ impl Engine {
                     // Not durably decided: report prepared (our
                     // commit record, once forced, is what joins
                     // the quorum).
-                    Role::CoordNb(c) => (
-                        announced.unwrap_or(NbSiteState::Prepared),
-                        Some(c.info.clone()),
-                    ),
-                    Role::Takeover(t) => (announced.unwrap_or(t.self_state), Some(t.info.clone())),
+                    Role::CoordNb(c) => (NbSiteState::Prepared, Some(c.info.clone())),
+                    Role::Takeover(t) => {
+                        let state = match t.replicated.contains(&me) {
+                            true => NbSiteState::Replicated,
+                            false => NbSiteState::Prepared,
+                        };
+                        (state, Some(t.info.clone()))
+                    }
+                    Role::Announcing(a) => (state_of(a.outcome), a.nb.clone()),
                     _ => (NbSiteState::Unknown, None),
                 }
             }
@@ -188,10 +190,12 @@ impl Engine {
 
     /// The status-gathering window closed: decide what can be decided.
     pub(crate) fn takeover_window_fired(&mut self, out: &mut Vec<Action>, family: FamilyId) {
+        let me = self.site;
         let Some(fam) = self.families.get_mut(&family) else {
             return;
         };
         let tid = fam.top_tid();
+        let joined = fam.joined;
         let Role::Takeover(t) = &mut fam.role else {
             return;
         };
@@ -212,8 +216,8 @@ impl Engine {
             .filter(|(_, s)| **s == NbSiteState::Prepared)
             .map(|(site, _)| *site)
             .collect();
-        let self_prepared =
-            t.self_state == NbSiteState::Prepared && t.joined != Some(QuorumKind::Abort);
+        let self_replicated = t.replicated.contains(&me);
+        let self_prepared = !self_replicated && joined != Some(QuorumKind::Abort);
         let window = self.config.recruit_window;
         if !t.replicated.is_empty() {
             // Commit is the only possibly-decided outcome; recruit
@@ -237,8 +241,7 @@ impl Engine {
         // No replicated site reachable: the vote may never have
         // completed, so abort is the only safe outcome. Recruit an
         // abort quorum.
-        let self_eligible =
-            t.joined != Some(QuorumKind::Commit) && t.self_state != NbSiteState::Replicated;
+        let self_eligible = joined != Some(QuorumKind::Commit) && !self_replicated;
         if prepared_peers.len() + usize::from(self_eligible) < va {
             self.takeover_blocked(out, family);
             return;
@@ -246,13 +249,8 @@ impl Engine {
         t.phase = TakeoverPhase::RecruitAbort;
         self.arm(out, TimerKind::RecruitWindow, family, window);
         if self_eligible {
-            let rec = LogRecord::NbQuorum {
-                tid: tid.clone(),
-                kind: QuorumKind::Abort,
-            };
-            self.force(out, ForceKind::TkAbortJoin, family, rec);
+            self.join_quorum(out, family, QuorumKind::Abort, Some(ForceKind::TkAbortJoin));
         }
-        let me = self.site;
         self.broadcast(
             out,
             prepared_peers,
@@ -307,10 +305,13 @@ impl Engine {
     /// Our own abort-quorum join record is durable (we recruited
     /// ourselves during takeover).
     pub(crate) fn takeover_abort_join_forced(&mut self, out: &mut Vec<Action>, family: FamilyId) {
-        let Some(Role::Takeover(t)) = self.families.get_mut(&family).map(|f| &mut f.role) else {
+        let Some(fam) = self.families.get_mut(&family) else {
             return;
         };
-        t.joined = Some(QuorumKind::Abort);
+        let Role::Takeover(t) = &mut fam.role else {
+            return;
+        };
+        fam.joined = Some(QuorumKind::Abort);
         t.abort_joined.insert(self.site);
         if matches!(t.phase, TakeoverPhase::RecruitAbort)
             && t.abort_joined.len() >= t.info.abort_quorum as usize
@@ -353,10 +354,7 @@ impl Engine {
             .families
             .entry(family)
             .or_insert_with(|| Family::new(family));
-        let join_rec = LogRecord::NbQuorum {
-            tid: tid.clone(),
-            kind: QuorumKind::Abort,
-        };
+        let force = Some(ForceKind::NbSubAbortJoin);
         let joined = match &mut fam.role {
             Role::Executing => {
                 // Never prepared here: join the abort quorum and
@@ -364,41 +362,42 @@ impl Engine {
                 // its outcome timer.
                 fam.role = Role::SubNb(SubNb {
                     outcome: Some(Outcome::Aborted),
-                    joined: Some(QuorumKind::Abort),
                     pending_ack_to: Some(from),
                     ..SubNb::at(from, NbInfo::default(), SubPhase::Resolved, false)
                 });
+                fam.joined = Some(QuorumKind::Abort);
                 self.resolve_here(out, family, Outcome::Aborted, None);
                 self.arm_in_doubt_timer(out, family, CommitMode::NonBlocking);
-                return self.force(out, ForceKind::NbSubAbortJoin, family, join_rec);
+                self.join_quorum(out, family, QuorumKind::Abort, force);
+                return;
             }
             Role::SubNb(s) => {
-                if s.joined == Some(QuorumKind::Commit)
+                if fam.joined == Some(QuorumKind::Commit)
                     || matches!(s.phase, SubPhase::Replicated | SubPhase::AwaitDurable)
                 {
                     false
-                } else if s.joined == Some(QuorumKind::Abort) {
+                } else if fam.joined == Some(QuorumKind::Abort) {
                     true
                 } else if s.phase == SubPhase::Resolved {
                     s.outcome == Some(Outcome::Aborted)
                 } else {
                     // Prepared and unjoined: force the join record.
                     s.pending_ack_to = Some(from);
-                    return self.force(out, ForceKind::NbSubAbortJoin, family, join_rec);
+                    self.join_quorum(out, family, QuorumKind::Abort, force);
+                    return;
                 }
             }
-            Role::Takeover(t) => match t.joined {
+            Role::Takeover(t) => match fam.joined {
                 Some(QuorumKind::Commit) => false,
                 Some(QuorumKind::Abort) => true,
-                None if t.self_state == NbSiteState::Replicated => false,
+                None if t.replicated.contains(&me) => false,
                 None => {
                     // Join their abort quorum (abandoning our own
                     // commit ambitions is safe: we had none — we
                     // are not replicated).
-                    t.joined = Some(QuorumKind::Abort);
+                    fam.joined = Some(QuorumKind::Abort);
                     t.abort_joined.insert(me);
-                    out.push(Action::Append { rec: join_rec });
-                    true
+                    self.join_quorum(out, family, QuorumKind::Abort, None)
                 }
             },
             _ => false,
@@ -408,10 +407,13 @@ impl Engine {
 
     /// A subordinate's abort-join record became durable: reply.
     pub(crate) fn subnb_abort_join_forced(&mut self, out: &mut Vec<Action>, family: FamilyId) {
-        let Some(Role::SubNb(s)) = self.families.get_mut(&family).map(|f| &mut f.role) else {
+        let Some(fam) = self.families.get_mut(&family) else {
             return;
         };
-        s.joined = Some(QuorumKind::Abort);
+        let Role::SubNb(s) = &mut fam.role else {
+            return;
+        };
+        fam.joined = Some(QuorumKind::Abort);
         // A prepared site that joined the abort quorum resolves as
         // aborted once the takeover coordinator announces; until then
         // it stays prepared (locks held) — joining is a promise not to
@@ -456,12 +458,9 @@ impl Engine {
         outcome: Outcome,
     ) {
         let Some(Role::Takeover(t)) = self.families.get_mut(&family).map(|f| &mut f.role) else {
-            return;
+            return; // Not taking over, or already announcing.
         };
-        if matches!(
-            t.phase,
-            TakeoverPhase::Announcing { .. } | TakeoverPhase::ForcingCommit
-        ) {
+        if t.phase == TakeoverPhase::ForcingCommit {
             return; // Already finishing.
         }
         match outcome {
@@ -504,13 +503,24 @@ impl Engine {
     }
 
     /// Broadcast the decided outcome to every other site and collect
-    /// acknowledgements.
+    /// acknowledgements; every other site may hold a tombstone.
     fn takeover_announce(&mut self, out: &mut Vec<Action>, family: FamilyId, outcome: Outcome) {
         let Some(Role::Takeover(t)) = self.families.get(&family).map(|f| &f.role) else {
             return;
         };
-        let me = self.site;
-        let peers: BTreeSet<SiteId> = t.info.sites.iter().copied().filter(|s| *s != me).collect();
-        self.announce(out, family, peers, outcome);
+        let announcing = Engine::announcing_to_peers(self.site, t.info.clone(), outcome);
+        self.announce(out, family, announcing);
+    }
+
+    /// A non-blocking outcome decided by this site alone for all of
+    /// `info.sites`: every other site is told, and may keep a tombstone.
+    pub(crate) fn announcing_to_peers(me: SiteId, info: NbInfo, outcome: Outcome) -> Announcing {
+        let peers: BTreeSet<SiteId> = info.sites.iter().copied().filter(|s| *s != me).collect();
+        Announcing {
+            forget: peers.iter().copied().collect(),
+            nb: Some(info),
+            outcome,
+            awaiting_acks: peers,
+        }
     }
 }

@@ -28,9 +28,9 @@ use camelot_types::{AbortReason, FamilyId, ServerId, SiteId, Tid};
 use camelot_wal::LogRecord;
 
 use crate::config::{CommitMode, TwoPhaseVariant};
-use crate::engine::{outcome_msg, Engine, ForceKind, TimerKind};
+use crate::engine::{Engine, ForceKind, TimerKind};
 use crate::family::{
-    Coord2pc, CoordPhase, Family, Role, Sub2pc, SubNb, SubPhase, Tally, TxnStatus,
+    Announcing, Coord2pc, CoordPhase, Family, Role, Sub2pc, SubNb, SubPhase, Tally, TxnStatus,
 };
 use crate::io::Action;
 
@@ -163,21 +163,25 @@ impl Engine {
     /// locks, and notify whoever holds state for the family: the
     /// update subordinates, or the replication targets.
     pub(crate) fn coord_commit_forced(&mut self, out: &mut Vec<Action>, family: FamilyId) {
-        let notify = match self.families.get(&family).map(|f| &f.role) {
-            Some(Role::Coord2pc(c)) if c.phase == CoordPhase::ForcingCommit => {
-                c.tally.yes_subs.clone()
-            }
+        let announcing = match self.families.get(&family).map(|f| &f.role) {
+            Some(Role::Coord2pc(c)) if c.phase == CoordPhase::ForcingCommit => Announcing {
+                nb: None,
+                outcome: Outcome::Committed,
+                awaiting_acks: c.tally.yes_subs.clone(),
+                forget: Vec::new(),
+            },
             Some(Role::CoordNb(c)) if c.phase == CoordPhase::ForcingCommit => {
-                c.replication_targets.clone()
+                let targets = c.replication_targets.clone();
+                c.announcing(self.site, Outcome::Committed, targets)
             }
             _ => return,
         };
         self.resolve_here(out, family, Outcome::Committed, None);
-        if notify.is_empty() {
+        if announcing.awaiting_acks.is_empty() {
             // Local-update transaction: nothing to notify.
             self.end_family(out, family);
         } else {
-            self.announce(out, family, notify, Outcome::Committed);
+            self.announce(out, family, announcing);
         }
     }
 
@@ -213,18 +217,18 @@ impl Engine {
             }
             return;
         };
-        if fam.mode() != Some(mode) {
-            return;
-        }
-        let Some((awaiting_acks, _)) = fam.notifying() else {
+        let Role::Announcing(a) = &mut fam.role else {
             return;
         };
-        awaiting_acks.remove(&from);
-        if !awaiting_acks.is_empty() {
+        if a.mode() != mode {
             return;
         }
-        let tombstones = self.tombstone_holders(family);
-        self.broadcast(out, tombstones, TmMessage::NbForget { tid });
+        a.awaiting_acks.remove(&from);
+        if !a.awaiting_acks.is_empty() {
+            return;
+        }
+        let forget = std::mem::take(&mut a.forget);
+        self.broadcast(out, forget, TmMessage::NbForget { tid });
         self.end_family(out, family);
     }
 
@@ -259,17 +263,14 @@ impl Engine {
     /// Re-send unacknowledged notifications (commit notices or
     /// non-blocking outcomes), backing off each successive resend.
     pub(crate) fn notify_resend(&mut self, out: &mut Vec<Action>, family: FamilyId) {
-        let Some(fam) = self.families.get_mut(&family) else {
+        let Some(Role::Announcing(a)) = self.families.get(&family).map(|f| &f.role) else {
             return;
         };
-        let Some((awaiting_acks, outcome)) = fam.notifying() else {
-            return;
-        };
-        if awaiting_acks.is_empty() {
+        if a.awaiting_acks.is_empty() {
             return;
         }
-        let sites: Vec<SiteId> = awaiting_acks.iter().copied().collect();
-        let msg = outcome_msg(fam, outcome);
+        let sites: Vec<SiteId> = a.awaiting_acks.iter().copied().collect();
+        let msg = a.notice(Tid::top_level(family));
         let base = self.config.notify_resend_interval;
         self.rearm_with_backoff(out, TimerKind::NotifyResend, family, base);
         self.broadcast(out, sites, msg);

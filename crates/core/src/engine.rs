@@ -660,10 +660,12 @@ impl Engine {
         self.broadcast(out, to, msg);
     }
 
-    /// Writes the one record of a non-blocking quorum join, `NbQuorum`
-    /// of `kind` — forced as `force`, or appended for the replication
-    /// record's force to carry. Refuses, writing nothing, if the site
-    /// already joined the other quorum (change 4).
+    /// Joins the non-blocking quorum of `kind`: writes its `NbQuorum`
+    /// record — forced as `force`, or appended for the replication
+    /// record's force to carry — and records the join on the family in
+    /// the same step, for the append is the decision. Refuses, writing
+    /// nothing, if the site already joined the other quorum (change 4).
+    /// Every `NbQuorum` record is written here.
     pub(crate) fn join_quorum(
         &mut self,
         out: &mut Vec<Action>,
@@ -677,6 +679,7 @@ impl Engine {
         if fam.joined.is_some_and(|k| k != kind) {
             return false;
         }
+        fam.joined = Some(kind);
         let rec = LogRecord::NbQuorum {
             tid: fam.top_tid(),
             kind,

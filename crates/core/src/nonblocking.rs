@@ -354,7 +354,7 @@ impl Engine {
             .families
             .entry(family)
             .or_insert_with(|| Family::new(family));
-        let joined_abort = fam.joined == Some(QuorumKind::Abort);
+        let me = self.site;
         let joined = match &mut fam.role {
             Role::Executing => {
                 // A read-only participant being recruited into the
@@ -363,7 +363,6 @@ impl Engine {
                 None
             }
             Role::SubNb(s) => match s.phase {
-                SubPhase::Prepared if joined_abort => Some(false),
                 SubPhase::Prepared => None,
                 // Duplicate: re-acknowledge.
                 SubPhase::Replicated => Some(true),
@@ -371,66 +370,52 @@ impl Engine {
                 _ => return, // Mid-force; the requester will retry.
             },
             // Another coordinator recruits us while we run our own
-            // takeover: cooperate if we have not joined abort.
-            Role::Takeover(_) if joined_abort => Some(false),
-            Role::Takeover(t) if t.replicated.contains(&self.site) => Some(true),
+            // takeover: cooperate unless we joined abort.
+            Role::Takeover(t) if t.replicated.contains(&me) => Some(true),
             Role::Takeover(_) => None,
             // Decided here: a member of the commit quorum exactly if
             // the outcome is commit.
             Role::Announcing(a) => Some(a.outcome == Outcome::Committed),
             _ => return,
         };
-        match joined {
-            Some(joined) => self.send_replicate_ack(out, from, tid, joined),
-            None => self.subnb_do_replicate(out, family, from, tid, info),
+        if let Some(joined) = joined {
+            return self.send_replicate_ack(out, from, tid, joined);
         }
-    }
-
-    /// Appends the quorum-join marker and forces the replication
-    /// record.
-    fn subnb_do_replicate(
-        &mut self,
-        out: &mut Vec<Action>,
-        family: FamilyId,
-        reply_to: SiteId,
-        tid: Tid,
-        info: NbInfo,
-    ) {
-        if let Some(fam) = self.families.get_mut(&family) {
-            match &mut fam.role {
-                Role::SubNb(s) => {
-                    s.phase = SubPhase::ForcingReplicate;
-                    s.pending_ack_to = Some(reply_to);
-                    s.info = info.clone();
-                }
-                Role::Takeover(t) => {
-                    // Self-recruiting is routed through the takeover
-                    // handlers; remember the peer for the ack.
-                    t.info = info.clone();
-                }
-                _ => return,
+        if !self.force_replicate(out, family, tid.clone(), &info) {
+            // This site joined the abort quorum.
+            return self.send_replicate_ack(out, from, tid, false);
+        }
+        match self.families.get_mut(&family).map(|f| &mut f.role) {
+            Some(Role::SubNb(s)) => {
+                s.phase = SubPhase::ForcingReplicate;
+                s.pending_ack_to = Some(from);
+                s.info = info;
             }
+            // A takeover counts itself once the record is durable.
+            Some(Role::Takeover(t)) => t.info = info,
+            _ => {}
         }
-        self.force_replicate(out, family, tid, &info);
     }
 
     /// Joins the commit quorum: the join marker, then the forced
-    /// replication record.
+    /// replication record. False, writing nothing, if this site joined
+    /// the abort quorum.
     pub(crate) fn force_replicate(
         &mut self,
         out: &mut Vec<Action>,
         family: FamilyId,
         tid: Tid,
         info: &NbInfo,
-    ) {
+    ) -> bool {
         if !self.join_quorum(out, family, QuorumKind::Commit, None) {
-            return;
+            return false;
         }
         let rec = LogRecord::NbReplicate {
             tid,
             info: info_to_record(info),
         };
         self.force(out, ForceKind::NbSubReplicate, family, rec);
+        true
     }
 
     /// Replication record durable: we are now a commit-quorum member.
@@ -445,7 +430,6 @@ impl Engine {
                     return;
                 }
                 s.phase = SubPhase::Replicated;
-                fam.joined = Some(QuorumKind::Commit);
                 let reply_to = s.pending_ack_to.take().unwrap_or(s.coordinator);
                 // Restart the outcome timer: progress was made.
                 self.arm_in_doubt_timer(out, family, CommitMode::NonBlocking);
@@ -453,7 +437,6 @@ impl Engine {
             }
             Role::Takeover(t) => {
                 // Our own recruit-self force completed.
-                fam.joined = Some(QuorumKind::Commit);
                 t.replicated.insert(self.site);
                 if matches!(t.phase, TakeoverPhase::RecruitCommit)
                     && t.replicated.len() >= t.info.commit_quorum as usize

@@ -241,7 +241,7 @@ impl Engine {
         // No replicated site reachable: the vote may never have
         // completed, so abort is the only safe outcome. Recruit an
         // abort quorum.
-        let self_eligible = joined != Some(QuorumKind::Commit) && !self_replicated;
+        let self_eligible = joined != Some(QuorumKind::Commit);
         if prepared_peers.len() + usize::from(self_eligible) < va {
             self.takeover_blocked(out, family);
             return;
@@ -305,13 +305,9 @@ impl Engine {
     /// Our own abort-quorum join record is durable (we recruited
     /// ourselves during takeover).
     pub(crate) fn takeover_abort_join_forced(&mut self, out: &mut Vec<Action>, family: FamilyId) {
-        let Some(fam) = self.families.get_mut(&family) else {
+        let Some(Role::Takeover(t)) = self.families.get_mut(&family).map(|f| &mut f.role) else {
             return;
         };
-        let Role::Takeover(t) = &mut fam.role else {
-            return;
-        };
-        fam.joined = Some(QuorumKind::Abort);
         t.abort_joined.insert(self.site);
         if matches!(t.phase, TakeoverPhase::RecruitAbort)
             && t.abort_joined.len() >= t.info.abort_quorum as usize
@@ -365,7 +361,6 @@ impl Engine {
                     pending_ack_to: Some(from),
                     ..SubNb::at(from, NbInfo::default(), SubPhase::Resolved, false)
                 });
-                fam.joined = Some(QuorumKind::Abort);
                 self.resolve_here(out, family, Outcome::Aborted, None);
                 self.arm_in_doubt_timer(out, family, CommitMode::NonBlocking);
                 self.join_quorum(out, family, QuorumKind::Abort, force);
@@ -376,26 +371,24 @@ impl Engine {
                     || matches!(s.phase, SubPhase::Replicated | SubPhase::AwaitDurable)
                 {
                     false
-                } else if fam.joined == Some(QuorumKind::Abort) {
-                    true
                 } else if s.phase == SubPhase::Resolved {
                     s.outcome == Some(Outcome::Aborted)
+                } else if fam.joined == Some(QuorumKind::Abort) && s.pending_ack_to.is_none() {
+                    true // Joined, and the record is durable.
                 } else {
-                    // Prepared and unjoined: force the join record.
+                    // Prepared: force the join record, reply once it
+                    // is durable.
                     s.pending_ack_to = Some(from);
                     self.join_quorum(out, family, QuorumKind::Abort, force);
                     return;
                 }
             }
             Role::Takeover(t) => match fam.joined {
-                Some(QuorumKind::Commit) => false,
-                Some(QuorumKind::Abort) => true,
-                None if t.replicated.contains(&me) => false,
+                Some(kind) => kind == QuorumKind::Abort,
                 None => {
                     // Join their abort quorum (abandoning our own
                     // commit ambitions is safe: we had none — we
-                    // are not replicated).
-                    fam.joined = Some(QuorumKind::Abort);
+                    // joined nothing).
                     t.abort_joined.insert(me);
                     self.join_quorum(out, family, QuorumKind::Abort, None)
                 }
@@ -407,13 +400,9 @@ impl Engine {
 
     /// A subordinate's abort-join record became durable: reply.
     pub(crate) fn subnb_abort_join_forced(&mut self, out: &mut Vec<Action>, family: FamilyId) {
-        let Some(fam) = self.families.get_mut(&family) else {
+        let Some(Role::SubNb(s)) = self.families.get_mut(&family).map(|f| &mut f.role) else {
             return;
         };
-        let Role::SubNb(s) = &mut fam.role else {
-            return;
-        };
-        fam.joined = Some(QuorumKind::Abort);
         // A prepared site that joined the abort quorum resolves as
         // aborted once the takeover coordinator announces; until then
         // it stays prepared (locks held) — joining is a promise not to

@@ -643,11 +643,15 @@ impl Engine {
 
     /// Hands a decided family to the announcing role: tells
     /// `a.awaiting_acks` the outcome and keeps re-sending until every
-    /// one of them acknowledges.
+    /// one of them acknowledges. With nobody to tell, the family ends
+    /// at once.
     pub(crate) fn announce(&mut self, out: &mut Vec<Action>, family: FamilyId, a: Announcing) {
         let Some(fam) = self.families.get_mut(&family) else {
             return;
         };
+        if a.awaiting_acks.is_empty() {
+            return self.end_family(out, family, a.forget);
+        }
         let msg = a.notice(fam.top_tid());
         let to = a.awaiting_acks.iter().copied().collect();
         fam.role = Role::Announcing(a);

@@ -179,7 +179,7 @@ impl Engine {
             // messages — same critical path as two-phase commit.
             self.stats.read_only_commits += 1;
             self.resolve_here(out, family, Outcome::Committed, None);
-            self.end_family(out, family);
+            self.end_family(out, family, Vec::new());
             return;
         }
         // An update exists: the replication phase needs the begin
@@ -322,11 +322,7 @@ impl Engine {
         };
         let announcing = c.announcing(self.site, Outcome::Aborted, c.state_holders(self.site));
         self.resolve_here(out, family, Outcome::Aborted, Some(reason));
-        if announcing.awaiting_acks.is_empty() {
-            self.forget_family(out, &family);
-        } else {
-            self.announce(out, family, announcing);
-        }
+        self.announce(out, family, announcing);
     }
 
     // =================================================================

@@ -177,21 +177,22 @@ impl Engine {
             _ => return,
         };
         self.resolve_here(out, family, Outcome::Committed, None);
-        if announcing.awaiting_acks.is_empty() {
-            // Local-update transaction: nothing to notify.
-            self.end_family(out, family);
-        } else {
-            self.announce(out, family, announcing);
-        }
+        self.announce(out, family, announcing);
     }
 
-    /// Writes the end record and forgets the family: nobody is left
-    /// who could ask about it.
-    pub(crate) fn end_family(&mut self, out: &mut Vec<Action>, family: FamilyId) {
+    /// Nobody is left who could ask about the family: tells `forget`
+    /// to drop their tombstones (change 4), writes the end record and
+    /// forgets the family.
+    pub(crate) fn end_family(
+        &mut self,
+        out: &mut Vec<Action>,
+        family: FamilyId,
+        forget: Vec<SiteId>,
+    ) {
+        let tid = Tid::top_level(family);
+        self.broadcast(out, forget, TmMessage::NbForget { tid: tid.clone() });
         out.push(Action::Append {
-            rec: LogRecord::End {
-                tid: Tid::top_level(family),
-            },
+            rec: LogRecord::End { tid },
         });
         self.forget_family(out, &family);
     }
@@ -224,12 +225,10 @@ impl Engine {
             return;
         }
         a.awaiting_acks.remove(&from);
-        if !a.awaiting_acks.is_empty() {
-            return;
+        if a.awaiting_acks.is_empty() {
+            let forget = std::mem::take(&mut a.forget);
+            self.end_family(out, family, forget);
         }
-        let forget = std::mem::take(&mut a.forget);
-        self.broadcast(out, forget, TmMessage::NbForget { tid });
-        self.end_family(out, family);
     }
 
     /// Coordinator-side abort: presumed abort means no force and no

@@ -162,3 +162,21 @@ fn a_takeover_that_joined_the_commit_quorum_never_joins_the_abort_quorum() {
     net.assert_agreement(&tid.family, Outcome::Committed, 2);
     assert_quiet(&net);
 }
+
+/// A local non-blocking commit crashes right after its begin record's
+/// force. Recovery rebuilds a takeover over the one site, which decides
+/// abort and has nobody to tell: the family must end there and then.
+#[test]
+fn a_takeover_with_nobody_to_tell_ends_the_family() {
+    let mut net = Net::new(1, EngineConfig::default());
+    let tid = update_txn(&mut net, &[S1]);
+    net.auto_drain = false;
+    net.commit(S1, &tid, CommitMode::NonBlocking, vec![]);
+    deliver(&mut net, |_, inp| matches!(inp, Input::CommitTop { .. }));
+    // The begin record is durable; its completion never runs.
+    net.crash(S1);
+    net.restart(S1, EngineConfig::default());
+    settle(&mut net);
+    assert_eq!(net.engine(S1).resolution(&tid.family), Some(Outcome::Aborted));
+    assert_quiet(&net);
+}

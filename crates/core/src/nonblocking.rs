@@ -502,13 +502,10 @@ impl Engine {
                     }
                 }
             }
-            role @ (Role::Takeover(_) | Role::Announcing(_)) => {
+            Role::Takeover(t) => {
                 // Someone else finished first: adopt their outcome and
                 // fall back to a subordinate of whoever announced it.
-                let local_update = match role {
-                    Role::Takeover(t) => t.local_update,
-                    _ => !servers.is_empty(),
-                };
+                let local_update = t.local_update;
                 self.arm_in_doubt_timer(out, family, CommitMode::NonBlocking);
                 let mut sub = SubNb::at(from, NbInfo::default(), SubPhase::Resolved, local_update);
                 sub.outcome = Some(outcome);
@@ -534,6 +531,12 @@ impl Engine {
                 if let Some(fam) = self.families.get_mut(&family) {
                     fam.role = Role::SubNb(sub);
                 }
+            }
+            // Two announcers crossed: the sender has resolved, which is
+            // what its acknowledgement would say.
+            Role::Announcing(_) => {
+                self.send(out, from, ack);
+                self.on_outcome_ack(out, Tid::top_level(family), from, CommitMode::NonBlocking);
             }
             Role::CoordNb(_) => {
                 // A takeover coordinator finished our transaction

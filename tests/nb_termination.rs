@@ -12,6 +12,7 @@ use camelot::wal::LogRecord;
 
 const S1: SiteId = SiteId(1);
 const S2: SiteId = SiteId(2);
+const S3: SiteId = SiteId(3);
 const A: ServerId = ServerId(1);
 
 /// Delivers the first queued input that `pick` accepts; false if none.
@@ -35,6 +36,10 @@ fn fire_next(net: &mut Net) {
 
 fn datagram_to(site: SiteId, want: fn(&TmMessage) -> bool) -> impl Fn(SiteId, &Input) -> bool {
     move |s, inp| s == site && matches!(inp, Input::Datagram { msg, .. } if want(msg))
+}
+
+fn is_outcome(m: &TmMessage) -> bool {
+    matches!(m, TmMessage::NbOutcome { .. })
 }
 
 fn is_replicate(m: &TmMessage) -> bool {
@@ -177,6 +182,69 @@ fn a_takeover_with_nobody_to_tell_ends_the_family() {
     net.crash(S1);
     net.restart(S1, EngineConfig::default());
     settle(&mut net);
-    assert_eq!(net.engine(S1).resolution(&tid.family), Some(Outcome::Aborted));
+    assert_eq!(
+        net.engine(S1).resolution(&tid.family),
+        Some(Outcome::Aborted)
+    );
+    assert_quiet(&net);
+}
+
+/// The shape of a coordinator that crashed after its begin record and
+/// recovers to learn the survivors' abort, stepped so that the
+/// survivors' announcer re-sends its outcome to the restarted
+/// coordinator while the coordinator is announcing the same outcome to
+/// it. Each announcer hears the other's outcome before its ack: both
+/// must still finish and go quiet.
+#[test]
+fn crossing_announcements_both_finish() {
+    let mut net = Net::new(3, EngineConfig::default());
+    let tid = update_txn(&mut net, &[S1, S2, S3]);
+    net.partition = vec![[S1].into(), [S2, S3].into()];
+    net.commit(S1, &tid, CommitMode::NonBlocking, vec![S2, S3]);
+    net.crash(S1);
+    // The prepares that were in flight reach the survivors, which take
+    // over and abort; the announcer keeps re-sending to the dead S1.
+    let info = camelot::net::msg::NbInfo {
+        sites: vec![S1, S2, S3],
+        yes_votes: vec![],
+        commit_quorum: 2,
+        abort_quorum: 2,
+    };
+    for s in [S2, S3] {
+        let (tid, info) = (tid.clone(), info.clone());
+        let msg = TmMessage::NbPrepare {
+            tid,
+            coordinator: S1,
+            info,
+        };
+        net.inject(s, Input::Datagram { from: S1, msg });
+    }
+    net.run_timers(30);
+    net.assert_agreement(&tid.family, Outcome::Aborted, 2);
+    // S1 restarts as a takeover, learns the abort from the status
+    // replies and announces it; its outcome notices are held back.
+    net.partition.clear();
+    net.auto_drain = false;
+    net.restart(S1, EngineConfig::default());
+    let any_outcome =
+        |_: SiteId, inp: &Input| matches!(inp, Input::Datagram { msg, .. } if is_outcome(msg));
+    deliver_all_but(&mut net, any_outcome);
+    // The survivors' announcer re-sends its outcome to S1.
+    let resend_to_s1 = |net: &Net| {
+        (0..net.queue_len()).find_map(|i| match net.queued(i) {
+            Some((S1, Input::Datagram { from, msg })) if is_outcome(msg) => Some(*from),
+            _ => None,
+        })
+    };
+    while resend_to_s1(&net).is_none() {
+        fire_next(&mut net);
+        deliver_all_but(&mut net, any_outcome);
+    }
+    let announcer = resend_to_s1(&net).expect("resend queued");
+    // The two notices cross.
+    assert!(deliver(&mut net, |s, inp| s == announcer && any_outcome(s, inp)));
+    assert!(deliver(&mut net, |s, inp| s == S1 && any_outcome(s, inp)));
+    settle(&mut net);
+    net.assert_agreement(&tid.family, Outcome::Aborted, 3);
     assert_quiet(&net);
 }

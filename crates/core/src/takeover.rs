@@ -208,14 +208,12 @@ impl Engine {
             self.takeover_finish(out, family, Outcome::Committed);
             return;
         }
-        // Reachable prepared peers (and whether we ourselves are
-        // merely prepared).
-        let prepared_peers: Vec<SiteId> = t
-            .statuses
-            .iter()
-            .filter(|(_, s)| **s == NbSiteState::Prepared)
-            .map(|(site, _)| *site)
-            .collect();
+        // Reachable peers in one of the `want` states.
+        let peers = |want: &[NbSiteState]| -> Vec<SiteId> {
+            let found = t.statuses.iter().filter(|(_, s)| want.contains(s));
+            found.map(|(site, _)| *site).collect()
+        };
+        let prepared_peers = peers(&[NbSiteState::Prepared]);
         let self_replicated = t.replicated.contains(&me);
         let self_prepared = !self_replicated && joined != Some(QuorumKind::Abort);
         let window = self.config.recruit_window;
@@ -240,9 +238,12 @@ impl Engine {
         }
         // No replicated site reachable: the vote may never have
         // completed, so abort is the only safe outcome. Recruit an
-        // abort quorum.
+        // abort quorum. A peer that answers `Unknown` never prepared —
+        // a site that did keeps the family until every site has
+        // resolved it (change 4) — so it is free to join.
+        let abort_peers = peers(&[NbSiteState::Prepared, NbSiteState::Unknown]);
         let self_eligible = joined != Some(QuorumKind::Commit);
-        if prepared_peers.len() + usize::from(self_eligible) < va {
+        if abort_peers.len() + usize::from(self_eligible) < va {
             self.takeover_blocked(out, family);
             return;
         }
@@ -251,11 +252,8 @@ impl Engine {
         if self_eligible {
             self.join_quorum(out, family, QuorumKind::Abort, Some(ForceKind::TkAbortJoin));
         }
-        self.broadcast(
-            out,
-            prepared_peers,
-            TmMessage::NbAbortJoinReq { tid, from: me },
-        );
+        let msg = TmMessage::NbAbortJoinReq { tid, from: me };
+        self.broadcast(out, abort_peers, msg);
     }
 
     /// The recruiting window closed without a quorum.

@@ -248,3 +248,26 @@ fn crossing_announcements_both_finish() {
     net.assert_agreement(&tid.family, Outcome::Aborted, 3);
     assert_quiet(&net);
 }
+
+/// The coordinator forces its begin record and crashes before any
+/// prepare arrives. Restarted from that record alone it takes over,
+/// and every peer answers `Unknown`: they never prepared, so they are
+/// free to join the abort quorum, and the family must not block
+/// holding the coordinator's locks.
+#[test]
+fn a_restarted_coordinator_whose_peers_never_prepared_aborts() {
+    let mut net = Net::new(3, EngineConfig::default());
+    let tid = update_txn(&mut net, &[S1, S2, S3]);
+    net.partition = vec![[S1].into(), [S2, S3].into()];
+    net.commit(S1, &tid, CommitMode::NonBlocking, vec![S2, S3]);
+    net.crash(S1);
+    net.partition.clear();
+    net.restart(S1, EngineConfig::default());
+    settle(&mut net);
+    net.assert_agreement(&tid.family, Outcome::Aborted, 3);
+    assert!(
+        net.server_aborted(S1, &tid),
+        "the coordinator's locks let go"
+    );
+    assert_quiet(&net);
+}

@@ -27,7 +27,11 @@
 //!   server anywhere still holds locks or family state for it after
 //!   full healing (the engine's orphan watchdog closes the
 //!   joined-but-never-prepared gap by inquiring at the origin), and
-//!   no locks survive without a live family.
+//!   no locks survive without a live family;
+//! - **quiescence** — after healing, no up site's engine still holds a
+//!   live family or an armed timer: every family every site has
+//!   resolved is forgotten everywhere (change 4's forget note), and
+//!   none waits forever.
 //!
 //! Every run is a pure function of a decision trace ([`Chooser`]),
 //! so a failure prints a seed and a (shrunk) trace that replays the

@@ -206,6 +206,7 @@ fn run_one(ch: &mut Chooser, canary: bool) -> RunResult {
     check_agreement(&net, &sc, &tids, &mut violations);
     check_progress(&mut net, &sc, &tids, &ever_crashed, &mut violations);
     check_locks(&net, &tids, &mirrors, &mut violations);
+    check_quiet(&net, "after healing", &mut violations);
     check_app_outcomes(&net, &sc, &tids, &app, "after healing", &mut violations);
 
     // ---- Durability: a committed outcome survives a full-cluster
@@ -263,6 +264,7 @@ fn run_one(ch: &mut Chooser, canary: bool) -> RunResult {
     check_agreement(&net, &sc, &tids, &mut violations);
     check_progress(&mut net, &sc, &tids, &ever_crashed, &mut violations);
     check_locks(&net, &tids, &mirrors, &mut violations);
+    check_quiet(&net, "after the cluster-wide crash", &mut violations);
     check_app_outcomes(
         &net,
         &sc,
@@ -595,6 +597,29 @@ fn check_progress(
                 ));
             }
         }
+    }
+}
+
+/// Invariant: after healing the cluster is quiet — no up site's engine
+/// holds a live family or an armed timer. Change 4 keeps a family live
+/// until every site has resolved it; once they all have, a family still
+/// held pins its site's log (retention is by live family) and, while it
+/// is undecided there, its server's locks.
+fn check_quiet(net: &Net, when: &str, violations: &mut Vec<String>) {
+    for (site, sb) in &net.sites {
+        let (families, timers) = (sb.engine.family_ids(), sb.engine.armed_timers());
+        if net.down.contains(site) || (families.is_empty() && timers == 0) {
+            continue;
+        }
+        let held: Vec<String> = families
+            .iter()
+            .filter_map(|f| sb.engine.family_view(f))
+            .map(|v| format!("{} {} {:?}", v.id, v.role, v.phase))
+            .collect();
+        violations.push(format!(
+            "quiet: {site} still holds [{}] and {timers} armed timer(s) {when}",
+            held.join(", ")
+        ));
     }
 }
 

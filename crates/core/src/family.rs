@@ -309,6 +309,28 @@ impl Takeover {
             blocked_rounds: 0,
         }
     }
+
+    /// Counts `site` as a durable member of `kind`'s quorum. Returns
+    /// the outcome that quorum decides if the takeover is recruiting it
+    /// and it is now complete.
+    pub fn count(&mut self, kind: QuorumKind, site: SiteId) -> Option<Outcome> {
+        let (members, size, recruiting, outcome) = match kind {
+            QuorumKind::Commit => (
+                &mut self.replicated,
+                self.info.commit_quorum,
+                TakeoverPhase::RecruitCommit,
+                Outcome::Committed,
+            ),
+            QuorumKind::Abort => (
+                &mut self.abort_joined,
+                self.info.abort_quorum,
+                TakeoverPhase::RecruitAbort,
+                Outcome::Aborted,
+            ),
+        };
+        members.insert(site);
+        (self.phase == recruiting && members.len() >= size as usize).then_some(outcome)
+    }
 }
 
 // ---------------------------------------------------------------------

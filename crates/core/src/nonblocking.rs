@@ -295,13 +295,13 @@ impl Engine {
                 if !matches!(t.phase, TakeoverPhase::RecruitCommit) {
                     return;
                 }
-                if joined {
-                    t.replicated.insert(from);
-                    if t.replicated.len() >= t.info.commit_quorum as usize {
-                        self.takeover_finish(out, family, Outcome::Committed);
-                    }
-                } else {
-                    t.abort_joined.insert(from);
+                // A refusal means the site joined the abort quorum.
+                let kind = match joined {
+                    true => QuorumKind::Commit,
+                    false => QuorumKind::Abort,
+                };
+                if let Some(outcome) = t.count(kind, from) {
+                    self.takeover_finish(out, family, outcome);
                 }
             }
             _ => {}
@@ -433,11 +433,8 @@ impl Engine {
             }
             Role::Takeover(t) => {
                 // Our own recruit-self force completed.
-                t.replicated.insert(self.site);
-                if matches!(t.phase, TakeoverPhase::RecruitCommit)
-                    && t.replicated.len() >= t.info.commit_quorum as usize
-                {
-                    self.takeover_finish(out, family, Outcome::Committed);
+                if let Some(outcome) = t.count(QuorumKind::Commit, self.site) {
+                    self.takeover_finish(out, family, outcome);
                 }
             }
             _ => {}

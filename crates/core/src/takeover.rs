@@ -177,11 +177,8 @@ impl Engine {
             NbSiteState::Committed => self.takeover_finish(out, family, Outcome::Committed),
             NbSiteState::Aborted => self.takeover_finish(out, family, Outcome::Aborted),
             NbSiteState::Replicated => {
-                t.replicated.insert(from);
-                if matches!(t.phase, TakeoverPhase::RecruitCommit)
-                    && t.replicated.len() >= t.info.commit_quorum as usize
-                {
-                    self.takeover_finish(out, family, Outcome::Committed);
+                if let Some(outcome) = t.count(QuorumKind::Commit, from) {
+                    self.takeover_finish(out, family, outcome);
                 }
             }
             _ => {}
@@ -306,11 +303,8 @@ impl Engine {
         let Some(Role::Takeover(t)) = self.families.get_mut(&family).map(|f| &mut f.role) else {
             return;
         };
-        t.abort_joined.insert(self.site);
-        if matches!(t.phase, TakeoverPhase::RecruitAbort)
-            && t.abort_joined.len() >= t.info.abort_quorum as usize
-        {
-            self.takeover_finish(out, family, Outcome::Aborted);
+        if let Some(outcome) = t.count(QuorumKind::Abort, self.site) {
+            self.takeover_finish(out, family, outcome);
         }
     }
 
@@ -426,9 +420,8 @@ impl Engine {
             return;
         }
         if joined {
-            t.abort_joined.insert(from);
-            if t.abort_joined.len() >= t.info.abort_quorum as usize {
-                self.takeover_finish(out, family, Outcome::Aborted);
+            if let Some(outcome) = t.count(QuorumKind::Abort, from) {
+                self.takeover_finish(out, family, outcome);
             }
         } else {
             // A refusal means a commit-quorum member exists after all;

@@ -40,7 +40,7 @@ use std::collections::BTreeSet;
 
 use camelot_net::msg::NbInfo;
 use camelot_net::{Outcome, TmMessage};
-use camelot_types::{AbortReason, FamilyId, ServerId, SiteId, Tid};
+use camelot_types::{AbortReason, FamilyId, SiteId, Tid};
 use camelot_wal::record::{QuorumKind, ReplicationInfo};
 use camelot_wal::LogRecord;
 
@@ -462,78 +462,25 @@ impl Engine {
             self.send(out, from, ack);
             return;
         };
-        let servers: Vec<ServerId> = fam.servers.iter().copied().collect();
-        let commit_rec = LogRecord::Commit { tid, subs: vec![] };
         match &mut fam.role {
-            Role::SubNb(s) => {
-                match s.phase {
-                    // Tombstone: re-ack.
-                    SubPhase::Resolved => return self.send(out, from, ack),
-                    SubPhase::AwaitDurable => return, // Ack under way.
-                    _ => {}
-                }
-                // From here the subordinate answers to whoever
-                // announced the outcome, and its tombstone keeps the
-                // outcome timer to ask them for the forget note.
-                s.outcome = Some(outcome);
-                s.coordinator = from;
-                match outcome {
-                    Outcome::Committed => {
-                        s.phase = SubPhase::AwaitDurable;
-                        s.pending_ack_to = Some(from);
-                        out.push(Action::ServerResolve {
-                            tid: Tid::top_level(family),
-                            servers,
-                            outcome: Outcome::Committed,
-                        });
-                        self.record_resolution(family, Outcome::Committed);
-                        // The outcome record is lazy: each site forces
-                        // only two records in this protocol (prepared
-                        // and replication).
-                        self.append_lazy(out, ForceKind::NbSubOutcomeLazy, family, commit_rec);
-                    }
-                    Outcome::Aborted => {
-                        s.phase = SubPhase::Resolved;
-                        self.resolve_here(out, family, Outcome::Aborted, None);
-                        self.send(out, from, ack);
-                    }
-                }
-            }
+            Role::SubNb(s) => match s.phase {
+                // Tombstone: re-ack.
+                SubPhase::Resolved => return self.send(out, from, ack),
+                SubPhase::AwaitDurable => return, // Ack under way.
+                _ => {}
+            },
             Role::Takeover(t) => {
-                // Someone else finished first: adopt their outcome and
-                // fall back to a subordinate of whoever announced it.
-                let local_update = t.local_update;
+                // Someone else finished first: fall back to a
+                // subordinate, with its outcome timer, and adopt.
+                let (info, local_update) = (std::mem::take(&mut t.info), t.local_update);
+                fam.role = Role::SubNb(SubNb::at(from, info, SubPhase::Prepared, local_update));
                 self.arm_in_doubt_timer(out, family, CommitMode::NonBlocking);
-                let mut sub = SubNb::at(from, NbInfo::default(), SubPhase::Resolved, local_update);
-                sub.outcome = Some(outcome);
-                match outcome {
-                    Outcome::Committed => {
-                        if local_update {
-                            out.push(Action::ServerResolve {
-                                tid: Tid::top_level(family),
-                                servers,
-                                outcome: Outcome::Committed,
-                            });
-                        }
-                        self.record_resolution(family, Outcome::Committed);
-                        sub.phase = SubPhase::AwaitDurable;
-                        sub.pending_ack_to = Some(from);
-                        self.append_lazy(out, ForceKind::NbSubOutcomeLazy, family, commit_rec);
-                    }
-                    Outcome::Aborted => {
-                        self.resolve_here(out, family, Outcome::Aborted, None);
-                        self.send(out, from, ack);
-                    }
-                }
-                if let Some(fam) = self.families.get_mut(&family) {
-                    fam.role = Role::SubNb(sub);
-                }
             }
             // Two announcers crossed: the sender has resolved, which is
             // what its acknowledgement would say.
             Role::Announcing(_) => {
                 self.send(out, from, ack);
-                self.on_outcome_ack(out, Tid::top_level(family), from, CommitMode::NonBlocking);
+                return self.on_outcome_ack(out, tid, from, CommitMode::NonBlocking);
             }
             Role::CoordNb(_) => {
                 // A takeover coordinator finished our transaction
@@ -541,12 +488,39 @@ impl Engine {
                 let reason = (outcome == Outcome::Aborted).then_some(AbortReason::SiteFailure);
                 self.resolve_here(out, family, outcome, reason);
                 if outcome == Outcome::Committed {
-                    out.push(Action::Append { rec: commit_rec });
+                    let rec = LogRecord::Commit { tid, subs: vec![] };
+                    out.push(Action::Append { rec });
                 }
                 self.forget_family(out, &family);
-                self.send(out, from, ack);
+                return self.send(out, from, ack);
             }
-            _ => {}
+            _ => return,
+        }
+        // The subordinate adopts the outcome. From here it answers to
+        // whoever announced it, and its tombstone keeps the outcome
+        // timer to ask them for the forget note.
+        let Some(Role::SubNb(s)) = self.families.get_mut(&family).map(|f| &mut f.role) else {
+            return;
+        };
+        s.outcome = Some(outcome);
+        s.coordinator = from;
+        s.phase = match outcome {
+            Outcome::Committed => {
+                s.pending_ack_to = Some(from);
+                SubPhase::AwaitDurable
+            }
+            Outcome::Aborted => SubPhase::Resolved,
+        };
+        self.resolve_here(out, family, outcome, None);
+        match outcome {
+            // The outcome record is lazy (each site forces only two
+            // records in this protocol, prepared and replication); the
+            // ack waits for it.
+            Outcome::Committed => {
+                let rec = LogRecord::Commit { tid, subs: vec![] };
+                self.append_lazy(out, ForceKind::NbSubOutcomeLazy, family, rec);
+            }
+            Outcome::Aborted => self.send(out, from, ack),
         }
     }
 

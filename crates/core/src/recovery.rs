@@ -136,21 +136,23 @@ impl Engine {
                     continue;
                 }
                 // Coordinator mid-notify: re-announce until acked.
-                let announcing = match s.nb_begin {
-                    Some(info) => Engine::announcing_to_peers(
-                        site,
-                        info_from_record(&info),
-                        Outcome::Committed,
-                    ),
-                    None => Announcing {
-                        nb: None,
-                        outcome: Outcome::Committed,
-                        awaiting_acks: subs.into_iter().collect(),
-                        forget: Vec::new(),
-                    },
-                };
                 engine.families.insert(fid, fam);
-                engine.announce(&mut out, fid, announcing);
+                let committed = Outcome::Committed;
+                match s.nb_begin {
+                    Some(info) => {
+                        let info = info_from_record(&info);
+                        engine.announce_to_peers(&mut out, fid, info, committed)
+                    }
+                    None => {
+                        let announcing = Announcing {
+                            nb: None,
+                            outcome: committed,
+                            awaiting_acks: subs.into_iter().collect(),
+                            forget: Vec::new(),
+                        };
+                        engine.announce(&mut out, fid, announcing)
+                    }
+                }
                 continue;
             }
             if s.aborted {

@@ -452,8 +452,9 @@ impl Engine {
                 self.force(out, ForceKind::TkCommit, family, rec);
             }
             Outcome::Aborted => {
+                let info = t.info.clone();
                 self.resolve_here(out, family, Outcome::Aborted, None);
-                self.takeover_announce(out, family, Outcome::Aborted);
+                self.announce_to_peers(out, family, info, Outcome::Aborted);
             }
         }
     }
@@ -471,6 +472,7 @@ impl Engine {
         if !matches!(t.phase, TakeoverPhase::ForcingCommit) {
             return;
         }
+        let info = t.info.clone();
         if t.local_update && !servers.is_empty() {
             out.push(Action::ServerResolve {
                 tid,
@@ -479,28 +481,26 @@ impl Engine {
             });
         }
         self.record_resolution(family, Outcome::Committed);
-        self.takeover_announce(out, family, Outcome::Committed);
+        self.announce_to_peers(out, family, info, Outcome::Committed);
     }
 
-    /// Broadcast the decided outcome to every other site and collect
-    /// acknowledgements; every other site may hold a tombstone.
-    fn takeover_announce(&mut self, out: &mut Vec<Action>, family: FamilyId, outcome: Outcome) {
-        let Some(Role::Takeover(t)) = self.families.get(&family).map(|f| &f.role) else {
-            return;
-        };
-        let announcing = Engine::announcing_to_peers(self.site, t.info.clone(), outcome);
-        self.announce(out, family, announcing);
-    }
-
-    /// A non-blocking outcome decided by this site alone for all of
-    /// `info.sites`: every other site is told, and may keep a tombstone.
-    pub(crate) fn announcing_to_peers(me: SiteId, info: NbInfo, outcome: Outcome) -> Announcing {
+    /// Announces `outcome`, decided here alone, to every other site of
+    /// `info.sites`; each of them may keep a tombstone.
+    pub(crate) fn announce_to_peers(
+        &mut self,
+        out: &mut Vec<Action>,
+        family: FamilyId,
+        info: NbInfo,
+        outcome: Outcome,
+    ) {
+        let me = self.site;
         let peers: BTreeSet<SiteId> = info.sites.iter().copied().filter(|s| *s != me).collect();
-        Announcing {
+        let announcing = Announcing {
             forget: peers.iter().copied().collect(),
             nb: Some(info),
             outcome,
             awaiting_acks: peers,
-        }
+        };
+        self.announce(out, family, announcing);
     }
 }

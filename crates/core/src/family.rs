@@ -349,7 +349,8 @@ pub struct Announcing {
     /// two-phase commit (the announcement is then a commit notice).
     pub nb: Option<NbInfo>,
     pub outcome: Outcome,
-    /// Sites whose acknowledgement is outstanding.
+    /// Sites whose acknowledgement is outstanding; never empty (the
+    /// family ends when the last one acknowledges).
     pub awaiting_acks: BTreeSet<SiteId>,
     /// Every site that may keep a tombstone, fixed when the outcome is
     /// decided; empty under two-phase commit, whose presumed abort

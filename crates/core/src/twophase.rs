@@ -265,9 +265,6 @@ impl Engine {
         let Some(Role::Announcing(a)) = self.families.get(&family).map(|f| &f.role) else {
             return;
         };
-        if a.awaiting_acks.is_empty() {
-            return;
-        }
         let sites: Vec<SiteId> = a.awaiting_acks.iter().copied().collect();
         let msg = a.notice(Tid::top_level(family));
         let base = self.config.notify_resend_interval;

@@ -15,10 +15,14 @@ const S2: SiteId = SiteId(2);
 const S3: SiteId = SiteId(3);
 const A: ServerId = ServerId(1);
 
+/// The position of the first queued input that `pick` accepts.
+fn find(net: &Net, pick: impl Fn(SiteId, &Input) -> bool) -> Option<usize> {
+    (0..net.queue_len()).find(|&i| net.queued(i).is_some_and(|(s, inp)| pick(s, inp)))
+}
+
 /// Delivers the first queued input that `pick` accepts; false if none.
 fn deliver(net: &mut Net, pick: impl Fn(SiteId, &Input) -> bool) -> bool {
-    let found = (0..net.queue_len()).find(|&i| net.queued(i).is_some_and(|(s, inp)| pick(s, inp)));
-    found.is_some_and(|i| net.step_at(i))
+    find(net, pick).is_some_and(|i| net.step_at(i))
 }
 
 /// Delivers queued inputs in order, except those `hold` keeps back,
@@ -64,18 +68,11 @@ fn settle(net: &mut Net) {
     }
 }
 
-/// Every site's durable log records.
-fn durable_log(net: &mut Net, site: SiteId) -> Vec<LogRecord> {
-    let wal = &mut net.sites.get_mut(&site).expect("site").wal;
-    let records = wal.recover().expect("recover");
-    records.into_iter().map(|(_, r)| r).collect()
-}
-
 /// The quorum kinds `site`'s durable log says it joined for `family`.
 fn quorums_joined(net: &mut Net, site: SiteId, family: FamilyId) -> Vec<QuorumKind> {
-    let mut kinds: Vec<QuorumKind> = durable_log(net, site)
-        .into_iter()
-        .filter_map(|r| match r {
+    let wal = &mut net.sites.get_mut(&site).expect("site").wal;
+    let mut kinds: Vec<QuorumKind> = (wal.recover().expect("recover").into_iter())
+        .filter_map(|(_, r)| match r {
             LogRecord::NbQuorum { tid, kind } if tid.family == family => Some(kind),
             _ => None,
         })
@@ -134,12 +131,7 @@ fn a_takeover_that_joined_the_commit_quorum_never_joins_the_abort_quorum() {
     // S2's outcome timer fires first: it starts a takeover.
     fire_next(&mut net);
     // The replication request arrives, and is duplicated on the way.
-    let idx = (0..net.queue_len())
-        .find(|&i| {
-            net.queued(i)
-                .is_some_and(|(s, inp)| datagram_to(S2, is_replicate)(s, inp))
-        })
-        .expect("replication request queued");
+    let idx = find(&net, datagram_to(S2, is_replicate)).expect("replication request queued");
     net.dup_at(idx);
     net.step_at(idx);
     // The takeover window closes before the replication record's

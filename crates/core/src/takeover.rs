@@ -375,14 +375,20 @@ impl Engine {
                     return;
                 }
             }
+            // A takeover answers only from a durable join (its own
+            // force's completion counts it); the asker asks again in
+            // its next round.
             Role::Takeover(t) => match fam.joined {
-                Some(kind) => kind == QuorumKind::Abort,
+                Some(QuorumKind::Commit) => false,
+                Some(QuorumKind::Abort) if t.abort_joined.contains(&me) => true,
+                Some(QuorumKind::Abort) => return,
                 None => {
                     // Join their abort quorum (abandoning our own
                     // commit ambitions is safe: we had none — we
                     // joined nothing).
-                    t.abort_joined.insert(me);
-                    self.join_quorum(out, family, QuorumKind::Abort, None)
+                    let force = Some(ForceKind::TkAbortJoin);
+                    self.join_quorum(out, family, QuorumKind::Abort, force);
+                    return;
                 }
             },
             _ => false,

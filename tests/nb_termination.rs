@@ -104,6 +104,27 @@ fn assert_quiet(net: &Net) {
     }
 }
 
+/// The coordinator S1 of a three-site non-blocking commit died after
+/// sending its prepares: they reach S2 and S3, which prepare and vote
+/// into the void.
+fn prepare_survivors(net: &mut Net, tid: &Tid) {
+    let info = camelot::net::msg::NbInfo {
+        sites: vec![S1, S2, S3],
+        yes_votes: vec![],
+        commit_quorum: 2,
+        abort_quorum: 2,
+    };
+    for s in [S2, S3] {
+        let (tid, info) = (tid.clone(), info.clone());
+        let msg = TmMessage::NbPrepare {
+            tid,
+            coordinator: S1,
+            info,
+        };
+        net.inject(s, Input::Datagram { from: S1, msg });
+    }
+}
+
 /// An update transaction from S1 over `sites`, each updating server A.
 fn update_txn(net: &mut Net, sites: &[SiteId]) -> Tid {
     let tid = net.begin(S1);
@@ -194,23 +215,9 @@ fn crossing_announcements_both_finish() {
     net.partition = vec![[S1].into(), [S2, S3].into()];
     net.commit(S1, &tid, CommitMode::NonBlocking, vec![S2, S3]);
     net.crash(S1);
-    // The prepares that were in flight reach the survivors, which take
-    // over and abort; the announcer keeps re-sending to the dead S1.
-    let info = camelot::net::msg::NbInfo {
-        sites: vec![S1, S2, S3],
-        yes_votes: vec![],
-        commit_quorum: 2,
-        abort_quorum: 2,
-    };
-    for s in [S2, S3] {
-        let (tid, info) = (tid.clone(), info.clone());
-        let msg = TmMessage::NbPrepare {
-            tid,
-            coordinator: S1,
-            info,
-        };
-        net.inject(s, Input::Datagram { from: S1, msg });
-    }
+    // The survivors take over and abort; the announcer keeps
+    // re-sending to the dead S1.
+    prepare_survivors(&mut net, &tid);
     net.run_timers(30);
     net.assert_agreement(&tid.family, Outcome::Aborted, 2);
     // S1 restarts as a takeover, learns the abort from the status
@@ -261,5 +268,55 @@ fn a_restarted_coordinator_whose_peers_never_prepared_aborts() {
         net.server_aborted(S1, &tid),
         "the coordinator's locks let go"
     );
+    assert_quiet(&net);
+}
+
+/// Both survivors of a crashed coordinator take over at once, and each
+/// asks the other to join its abort quorum. A site may answer that it
+/// joined only once its join record is durable: the asker counts the
+/// answer toward a quorum, and a join lost in a crash would leave the
+/// site free to join the commit quorum later.
+#[test]
+fn an_abort_join_is_answered_only_once_durable() {
+    let mut net = Net::new(3, EngineConfig::default());
+    let tid = update_txn(&mut net, &[S1, S2, S3]);
+    net.partition = vec![[S1].into(), [S2, S3].into()];
+    net.commit(S1, &tid, CommitMode::NonBlocking, vec![S2, S3]);
+    net.crash(S1);
+    net.partition.clear();
+    net.auto_drain = false;
+    prepare_survivors(&mut net, &tid);
+    // One input at a time, timers in deadline order, until both
+    // survivors have decided.
+    let decided = |net: &Net| {
+        [S2, S3]
+            .iter()
+            .all(|s| net.engine(*s).resolution(&tid.family).is_some())
+    };
+    for _ in 0..2_000 {
+        if decided(&net) {
+            break;
+        }
+        if net.queue_len() == 0 {
+            assert!(net.fire_timer_at(0), "no timer pending");
+            continue;
+        }
+        if let Some((_, Input::Datagram { from, msg })) = net.queued(0) {
+            if let TmMessage::NbAbortJoinResp { joined: true, .. } = msg {
+                let from = *from;
+                let kinds = quorums_joined(&mut net, from, tid.family);
+                assert_eq!(
+                    kinds,
+                    [QuorumKind::Abort],
+                    "{from} answered before its join was durable"
+                );
+            }
+        }
+        net.step_at(0);
+    }
+    net.assert_agreement(&tid.family, Outcome::Aborted, 2);
+    net.restart(S1, EngineConfig::default());
+    settle(&mut net);
+    net.assert_agreement(&tid.family, Outcome::Aborted, 3);
     assert_quiet(&net);
 }

@@ -253,7 +253,10 @@ fn nonblocking_survives_coordinator_crash_mid_protocol() {
     // The headline §3.3 property, on real threads: the coordinator
     // dies right after issuing the commit; the subordinates finish
     // the transaction among themselves.
-    let cluster = Cluster::new(3, quick_cfg());
+    let mut cfg = quick_cfg();
+    // A survivor the coordinator never reached asks it again soon.
+    cfg.engine.orphan_check_interval = camelot_types::Duration::from_millis(200);
+    let cluster = Cluster::new(3, cfg);
     let client = cluster.client(S1);
     let tid = client.begin().unwrap();
     client
@@ -273,18 +276,25 @@ fn nonblocking_survives_coordinator_crash_mid_protocol() {
     let _ = h.join();
     // Subordinate takeover must resolve both survivors identically:
     // either both commit, or (if the prepares never arrived) both
-    // abort and stay empty. A survivor's servers let go of the family
-    // once the survivors have decided it among themselves. (The
-    // cluster never goes quiet here: each survivor keeps a tombstone
-    // of the outcome until the dead coordinator's forget note.)
+    // abort and stay empty. A survivor that prepared lets go of the
+    // family's server state once the survivors have decided it among
+    // themselves; one the coordinator never reached (the crash can
+    // even come before the commit call) is still only executing it.
     let deadline = std::time::Instant::now() + StdDuration::from_secs(10);
     for site in [S2, S3] {
-        while cluster.debug_state(site).contains("server") {
-            let state = cluster.debug_state(site);
+        let mut state = cluster.debug_state(site);
+        while state.contains("server") && !state.contains("executing") {
             assert!(std::time::Instant::now() < deadline, "undecided: {state}");
             std::thread::yield_now();
+            state = cluster.debug_state(site);
         }
     }
+    // The coordinator restarts: it learns the outcome, announces the
+    // one its log holds, or, knowing nothing, answers the survivors'
+    // inquiries with presumed abort. Every site then forgets the
+    // family.
+    cluster.restart(S1).unwrap();
+    wait_quiet(&cluster);
     let v2 = cluster.committed_value(S2, SRV, ObjectId(2));
     let v3 = cluster.committed_value(S3, SRV, ObjectId(3));
     assert_eq!(

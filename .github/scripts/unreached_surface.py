@@ -222,7 +222,6 @@ ONLY_TESTS_CALL = {
     },
     # How a test observes behaviour nothing else observes.
     "crates/wal/src/codec.rs": {"read_frame"},
-    "crates/core/src/engine.rs": {"armed_timers"},
     "crates/rt/src/stats.rs": {"total_commits"},
     # The exact protocol-cost audit: `rt_trace` runs it per protocol in
     # both execution modes (chaos checks only the floor).

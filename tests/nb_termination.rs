@@ -301,16 +301,21 @@ fn an_abort_join_is_answered_only_once_durable() {
             assert!(net.fire_timer_at(0), "no timer pending");
             continue;
         }
-        if let Some((_, Input::Datagram { from, msg })) = net.queued(0) {
-            if let TmMessage::NbAbortJoinResp { joined: true, .. } = msg {
-                let from = *from;
-                let kinds = quorums_joined(&mut net, from, tid.family);
-                assert_eq!(
-                    kinds,
-                    [QuorumKind::Abort],
-                    "{from} answered before its join was durable"
-                );
-            }
+        if let Some((
+            _,
+            Input::Datagram {
+                from,
+                msg: TmMessage::NbAbortJoinResp { joined: true, .. },
+            },
+        )) = net.queued(0)
+        {
+            let from = *from;
+            let kinds = quorums_joined(&mut net, from, tid.family);
+            assert_eq!(
+                kinds,
+                [QuorumKind::Abort],
+                "{from} answered before its join was durable"
+            );
         }
         net.step_at(0);
     }

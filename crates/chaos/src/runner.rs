@@ -398,8 +398,7 @@ fn restart_site(
             .map(|(_, r)| r)
             .collect()
     };
-    let recovered = camelot_server::recover(site, SRV, &records);
-    mirrors.insert(site, recovered.server);
+    mirrors.insert(site, camelot_server::recover(site, SRV, &records));
 }
 
 /// Applies freshly emitted engine notifications to the mirrors.

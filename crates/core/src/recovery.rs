@@ -1,54 +1,38 @@
 //! Restart recovery of transaction-manager protocol state.
 //!
-//! After a crash, the recovery process replays the stable log and
-//! rebuilds the transaction manager's in-memory state. For each
-//! transaction family the durable records determine what must happen:
+//! After a crash, the recovery process reads the stable log and
+//! rebuilds the transaction manager's in-memory state. What became of
+//! each family is read once, by [`camelot_wal::families`], the same
+//! reading the data servers recover from. For each fate:
 //!
-//! - **commit record without end record, with subordinates** — the
-//!   coordinator crashed mid-notify: resume the notify phase (the
-//!   outcome is decided; presumed abort obliges the coordinator to
-//!   keep re-announcing until every ack arrives).
-//! - **2PC prepared record without outcome** — an in-doubt
-//!   subordinate: rebuild the prepared state and inquire (it stays
-//!   *blocked* until the coordinator answers — the vulnerability
-//!   non-blocking commitment removes).
-//! - **non-blocking prepared/replication record without outcome** —
-//!   rebuild the subordinate state and let the outcome timer drive a
-//!   takeover.
-//! - **non-blocking begin record without outcome** — the original
-//!   coordinator crashed mid-protocol: it rejoins as a takeover
-//!   coordinator (its own decision may have been made *for* it by a
-//!   quorum while it was down, so it must ask, not assume).
-//! - **anything else without a prepare** — presumed abort: the
-//!   transaction simply aborted; an abort record is appended for
-//!   hygiene.
-
-use std::collections::{BTreeMap, BTreeSet};
+//! - **committed** — booked for inquiries. A coordinator's commit
+//!   record naming subordinates and no end record means it crashed
+//!   mid-notify: resume the notify phase (presumed abort obliges the
+//!   coordinator to keep re-announcing until every ack arrives).
+//! - **aborted** — booked for inquiries.
+//! - **in doubt** — a 2PC prepared record rebuilds the prepared
+//!   subordinate, which inquires (it stays *blocked* until the
+//!   coordinator answers — the vulnerability non-blocking commitment
+//!   removes); a non-blocking prepared or replication record rebuilds
+//!   the subordinate, whose outcome timer drives a takeover; a
+//!   non-blocking begin record alone means the original coordinator
+//!   crashed mid-protocol, and it rejoins as a takeover coordinator
+//!   (its own decision may have been made *for* it by a quorum while
+//!   it was down, so it must ask, not assume).
+//! - **died** — this site's part of the family died in the crash:
+//!   presumed abort; an abort record is appended for hygiene.
 
 use camelot_net::msg::NbInfo;
 use camelot_net::{Outcome, TmMessage};
-use camelot_types::{FamilyId, Lsn, ServerId, SiteId};
-use camelot_wal::record::{QuorumKind, ReplicationInfo};
-use camelot_wal::LogRecord;
+use camelot_types::{FamilyId, Lsn, SiteId};
+use camelot_wal::record::QuorumKind;
+use camelot_wal::{families, FamilyLog, Fate, LogRecord};
 
 use crate::config::{CommitMode, EngineConfig};
 use crate::engine::Engine;
 use crate::family::{Announcing, Family, Role, SubNb, SubPhase, Takeover};
 use crate::io::Action;
 use crate::nonblocking::info_from_record;
-
-#[derive(Default)]
-struct FamScan {
-    prepared_2pc: Option<SiteId>,
-    nb_prepared: Option<(SiteId, Vec<SiteId>)>,
-    nb_begin: Option<ReplicationInfo>,
-    nb_replicate: Option<ReplicationInfo>,
-    quorum: Option<QuorumKind>,
-    commit_subs: Option<Vec<SiteId>>,
-    aborted: bool,
-    ended: bool,
-    servers: BTreeSet<ServerId>,
-}
 
 impl Engine {
     /// Rebuilds an engine from the durable log. Returns the engine and
@@ -76,146 +60,114 @@ impl Engine {
         of: u32,
         records: impl IntoIterator<Item = &'a (Lsn, LogRecord)>,
     ) -> (Engine, Vec<Action>) {
-        let mut scans: BTreeMap<FamilyId, FamScan> = BTreeMap::new();
-        let mut max_seq = 0u64;
-        for (_, rec) in records {
+        let mut spent = 0u64;
+        let fams = families(records.into_iter().map(|(_, rec)| {
             if let LogRecord::Checkpoint { next_family_seq } = rec {
-                max_seq = max_seq.max(next_family_seq.saturating_sub(1));
+                spent = spent.max(next_family_seq.saturating_sub(1));
             }
-            let Some(tid) = rec.tid() else { continue };
-            let fid = tid.family;
-            if fid.origin == site {
-                max_seq = max_seq.max(fid.seq);
-            }
-            let s = scans.entry(fid).or_default();
-            match rec {
-                LogRecord::Prepared { coordinator, .. } => s.prepared_2pc = Some(*coordinator),
-                LogRecord::Commit { subs, .. } => s.commit_subs = Some(subs.clone()),
-                LogRecord::Abort { .. } => s.aborted = true,
-                LogRecord::End { .. } => s.ended = true,
-                LogRecord::NbBegin { info, .. } => s.nb_begin = Some(info.clone()),
-                LogRecord::NbPrepared {
-                    coordinator, sites, ..
-                } => s.nb_prepared = Some((*coordinator, sites.clone())),
-                LogRecord::NbReplicate { info, .. } => s.nb_replicate = Some(info.clone()),
-                LogRecord::NbQuorum { kind, .. } => s.quorum = Some(*kind),
-                LogRecord::ServerJoin { server, .. } => {
-                    s.servers.insert(*server);
-                }
-                LogRecord::ServerUpdate { server, .. } => {
-                    s.servers.insert(*server);
-                }
-                LogRecord::Checkpoint { .. } | LogRecord::ServerSnapshot { .. } => {}
-            }
-        }
-
+            rec
+        }));
+        let spent = (fams.keys().filter(|fid| fid.origin == site))
+            .map(|fid| fid.seq)
+            .fold(spent, u64::max);
         let mut engine = Engine::sharded(site, config, shard, of);
-        engine.bump_family_seq(max_seq + 1);
+        engine.bump_family_seq(spent + 1);
         let mut out = Vec::new();
-
-        for (fid, s) in scans {
-            let mut fam = Family::new(fid);
-            fam.servers = s.servers.clone();
-            let tid = fam.top_tid();
-            if s.ended || (s.aborted && s.commit_subs.is_none()) {
-                // Fully resolved (or presumed-abort aborted): nothing
-                // to rebuild. Remember outcomes for inquiries.
-                if s.aborted {
-                    engine.resolutions.insert(fid, Outcome::Aborted);
-                } else if s.commit_subs.is_some() {
-                    engine.resolutions.insert(fid, Outcome::Committed);
+        for (fid, log) in &fams {
+            match log.fate() {
+                Fate::Committed => {
+                    engine.resolutions.insert(*fid, Outcome::Committed);
+                    engine.rebuild_notifier(&mut out, *fid, log);
                 }
-                continue;
-            }
-            if let Some(subs) = s.commit_subs {
-                engine.resolutions.insert(fid, Outcome::Committed);
-                if subs.is_empty() {
-                    // A subordinate's own (lazy) commit record, or a
-                    // local-only commit whose end record was lost:
-                    // nothing further owed by us.
-                    continue;
+                Fate::Aborted => {
+                    engine.resolutions.insert(*fid, Outcome::Aborted);
                 }
-                // Coordinator mid-notify: re-announce until acked.
-                engine.families.insert(fid, fam);
-                let committed = Outcome::Committed;
-                match s.nb_begin {
-                    Some(info) => {
-                        let info = info_from_record(&info);
-                        engine.announce_to_peers(&mut out, fid, info, committed)
-                    }
-                    None => {
-                        let announcing = Announcing {
-                            nb: None,
-                            outcome: committed,
-                            awaiting_acks: subs.into_iter().collect(),
-                            forget: Vec::new(),
-                        };
-                        engine.announce(&mut out, fid, announcing)
-                    }
+                Fate::InDoubt => engine.rebuild_in_doubt(&mut out, *fid, log),
+                Fate::Died if log.ended => {}
+                Fate::Died => {
+                    let tid = camelot_types::Tid::top_level(*fid);
+                    out.push(Action::Append {
+                        rec: LogRecord::Abort { tid },
+                    });
+                    engine.resolutions.insert(*fid, Outcome::Aborted);
                 }
-                continue;
             }
-            if s.aborted {
-                engine.resolutions.insert(fid, Outcome::Aborted);
-                continue;
-            }
-            fam.joined = match s.nb_replicate {
-                Some(_) => Some(QuorumKind::Commit),
-                None => s.quorum,
-            };
-            let in_doubt = if let Some(info) = s.nb_replicate {
-                // In-doubt, replicated: quorum member. Take over
-                // promptly.
-                let info = info_from_record(&info);
-                let coordinator = s.nb_prepared.map(|(c, _)| c).unwrap_or(info.sites[0]);
-                let sub = SubNb::at(coordinator, info, SubPhase::Replicated, true);
-                Some(Role::SubNb(sub))
-            } else if let Some((coordinator, sites)) = s.nb_prepared {
-                // In-doubt non-blocking subordinate.
-                let (vc, va) = crate::nonblocking::quorum_sizes(sites.len());
-                let info = NbInfo {
-                    sites,
-                    yes_votes: vec![],
-                    commit_quorum: vc,
-                    abort_quorum: va,
-                };
-                let sub = SubNb::at(coordinator, info, SubPhase::Prepared, true);
-                Some(Role::SubNb(sub))
-            } else {
-                None
-            };
-            if let Some(role) = in_doubt {
-                fam.role = role;
-                engine.families.insert(fid, fam);
-                engine.arm_in_doubt_timer(&mut out, fid, CommitMode::NonBlocking);
-                continue;
-            }
-            if let Some(info) = s.nb_begin {
-                // The original coordinator, crashed before deciding:
-                // it must ask the quorum, not assume.
-                let info = info_from_record(&info);
-                let takeover = Takeover::gathering(info, true);
-                fam.role = Role::Takeover(takeover);
-                engine.families.insert(fid, fam);
-                engine.begin_gathering(&mut out, fid);
-                continue;
-            }
-            if let Some(coordinator) = s.prepared_2pc {
-                // In-doubt 2PC subordinate: blocked until the
-                // coordinator answers.
-                crate::twophase::prepared_subordinate(&mut fam, coordinator);
-                engine.families.insert(fid, fam);
-                engine.arm_in_doubt_timer(&mut out, fid, CommitMode::TwoPhase);
-                let from = site;
-                engine.send(&mut out, coordinator, TmMessage::Inquire { tid, from });
-                continue;
-            }
-            // Active but never prepared: presumed abort.
-            out.push(Action::Append {
-                rec: LogRecord::Abort { tid },
-            });
-            engine.resolutions.insert(fid, Outcome::Aborted);
         }
         (engine, out)
+    }
+
+    /// A committed family whose commit record names subordinates and
+    /// that has no end record: the coordinator crashed mid-notify and
+    /// re-announces until acked. (A subordinate's own lazy commit
+    /// record names none; nothing further is owed by us.)
+    fn rebuild_notifier(&mut self, out: &mut Vec<Action>, fid: FamilyId, log: &FamilyLog) {
+        let subs = log.commit.unwrap_or_default();
+        if log.ended || subs.is_empty() {
+            return;
+        }
+        let mut fam = Family::new(fid);
+        fam.servers = log.servers.clone();
+        self.families.insert(fid, fam);
+        let committed = Outcome::Committed;
+        match log.nb_begin {
+            Some(info) => self.announce_to_peers(out, fid, info_from_record(info), committed),
+            None => {
+                let announcing = Announcing {
+                    nb: None,
+                    outcome: committed,
+                    awaiting_acks: subs.iter().copied().collect(),
+                    forget: Vec::new(),
+                };
+                self.announce(out, fid, announcing)
+            }
+        }
+    }
+
+    /// An in-doubt family gets back the role its last record left it
+    /// in.
+    fn rebuild_in_doubt(&mut self, out: &mut Vec<Action>, fid: FamilyId, log: &FamilyLog) {
+        let mut fam = Family::new(fid);
+        fam.servers = log.servers.clone();
+        let tid = fam.top_tid();
+        fam.joined = match log.nb_replicate {
+            Some(_) => Some(QuorumKind::Commit),
+            None => log.quorum,
+        };
+        let nb_sub = if let Some(info) = log.nb_replicate {
+            // In doubt, replicated: quorum member. Take over promptly.
+            let info = info_from_record(info);
+            let coordinator = log.nb_prepared.map_or(info.sites[0], |(c, _)| c);
+            Some(SubNb::at(coordinator, info, SubPhase::Replicated, true))
+        } else if let Some((coordinator, sites)) = log.nb_prepared {
+            let (vc, va) = crate::nonblocking::quorum_sizes(sites.len());
+            let info = NbInfo {
+                sites: sites.to_vec(),
+                yes_votes: vec![],
+                commit_quorum: vc,
+                abort_quorum: va,
+            };
+            Some(SubNb::at(coordinator, info, SubPhase::Prepared, true))
+        } else {
+            None
+        };
+        if let Some(sub) = nb_sub {
+            fam.role = Role::SubNb(sub);
+            self.families.insert(fid, fam);
+            self.arm_in_doubt_timer(out, fid, CommitMode::NonBlocking);
+        } else if let Some(info) = log.nb_begin {
+            // The original coordinator, crashed before deciding: it
+            // must ask the quorum, not assume.
+            fam.role = Role::Takeover(Takeover::gathering(info_from_record(info), true));
+            self.families.insert(fid, fam);
+            self.begin_gathering(out, fid);
+        } else if let Some(coordinator) = log.prepared {
+            // In-doubt 2PC subordinate: blocked until the coordinator
+            // answers.
+            crate::twophase::prepared_subordinate(&mut fam, coordinator);
+            self.families.insert(fid, fam);
+            self.arm_in_doubt_timer(out, fid, CommitMode::TwoPhase);
+            let from = self.site;
+            self.send(out, coordinator, TmMessage::Inquire { tid, from });
+        }
     }
 }

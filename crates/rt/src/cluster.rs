@@ -966,8 +966,7 @@ impl Cluster {
         s.hist.record(Phase::RecoverScan, scanned - started);
         // Rebuild servers.
         for (sid, server) in &s.servers {
-            let recovered = server_recover(site, *sid, records.iter().map(|(_, rec)| rec));
-            *server.lock() = recovered.server;
+            *server.lock() = server_recover(site, *sid, records.iter().map(|(_, rec)| rec));
         }
         let servers_done = Instant::now();
         s.hist.record(Phase::RecoverServers, servers_done - scanned);

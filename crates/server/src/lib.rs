@@ -17,5 +17,5 @@
 pub mod recovery;
 pub mod server;
 
-pub use recovery::{recover, RecoveredServer};
+pub use recovery::recover;
 pub use server::{DataServer, Effects, OpReply, Request, ServerStats};

@@ -4,62 +4,28 @@
 //! recovery process reads the log and instructs servers how to undo
 //! or redo updates of interrupted transactions." (paper §2)
 //!
-//! The scan classifies each family found in the durable log:
+//! What became of each family is read once, by
+//! [`camelot_wal::families`], the same reading the transaction
+//! manager recovers from. A server acts on each family's fate:
 //!
-//! - **committed** (a commit record exists): *redo* — install every
-//!   update's new value;
-//! - **aborted**, or active with no prepared record: *undo* — install
-//!   nothing (the store never saw uncommitted values; undo means
-//!   discarding the updates);
-//! - **prepared / replicated but unresolved**: *in doubt* — the
-//!   updates are reinstated as uncommitted state with their exclusive
-//!   locks re-acquired, until the transaction manager resolves the
-//!   outcome (the server then commits or aborts the family normally).
+//! - **committed**: *redo*, installing every update's new value;
+//! - **aborted**, or **died** in the crash: *undo*, installing nothing
+//!   (the store never saw uncommitted values; undo means discarding
+//!   the updates);
+//! - **in doubt**: the updates are reinstated as uncommitted state
+//!   with their exclusive locks re-acquired, until the transaction
+//!   manager resolves the outcome (the server then commits or aborts
+//!   the family normally).
+//!
+//! Updates under a nested transaction that aborted are never redone
+//! or reinstated.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
-use camelot_types::{FamilyId, ObjectId, ServerId, SiteId, Tid};
-use camelot_wal::LogRecord;
+use camelot_types::{ServerId, SiteId};
+use camelot_wal::{families, Fate, LogRecord};
 
 use crate::server::DataServer;
-
-/// Result of a server recovery scan.
-pub struct RecoveredServer {
-    pub server: DataServer,
-    /// Families reinstated in doubt (prepared, outcome unknown).
-    pub in_doubt: Vec<FamilyId>,
-    /// Families redone (committed).
-    pub redone: Vec<FamilyId>,
-    /// Families undone (aborted or never prepared).
-    pub undone: Vec<FamilyId>,
-}
-
-#[derive(Default)]
-struct FamScan {
-    prepared: bool,
-    committed: bool,
-    aborted: bool,
-    /// Subtrees aborted before the crash: their updates must not be
-    /// redone even if the family committed. (The engine logs an abort
-    /// record per subtree via the abort protocol; here we track
-    /// per-tid aborts from `Abort` records of nested tids.)
-    aborted_subtrees: Vec<Tid>,
-    /// Updates of this server outside the aborted subtrees, kept only
-    /// while the family may turn out in doubt.
-    live_updates: Vec<(Tid, ObjectId, Vec<u8>, Vec<u8>)>,
-    /// Whether any such update exists (undone families drop theirs).
-    updated: bool,
-}
-
-impl FamScan {
-    fn redo(&self) -> bool {
-        self.committed && !self.aborted
-    }
-
-    fn undo(&self) -> bool {
-        !self.redo() && (self.aborted || !self.prepared)
-    }
-}
 
 /// Rebuilds one data server's state from the durable log records of
 /// its site (records of other servers are ignored).
@@ -70,53 +36,28 @@ impl FamScan {
 /// then reconstructs the same state whether or not older records
 /// survive — which is what makes pre-checkpoint log truncation safe.
 ///
-/// Two passes over borrowed records: the first classifies every
-/// family, the second touches each update once — redone in log order,
-/// copied out for an in-doubt family, skipped otherwise.
-pub fn recover<'a, I>(site: SiteId, id: ServerId, records: I) -> RecoveredServer
+/// The in-doubt families it reinstates are those with its updates:
+/// the servers the transaction manager will tell the outcome.
+pub fn recover<'a, I>(site: SiteId, id: ServerId, records: I) -> DataServer
 where
     I: IntoIterator<Item = &'a LogRecord> + Clone,
 {
-    let mut scans: HashMap<FamilyId, FamScan> = HashMap::new();
-    let mut snapshot: Option<&[(ObjectId, Vec<u8>)]> = None;
-    for rec in records.clone() {
-        match rec {
-            LogRecord::ServerSnapshot { server, objects } if *server == id => {
-                snapshot = Some(objects);
-            }
-            LogRecord::ServerUpdate { tid, server, .. } if *server == id => {
-                scans.entry(tid.family).or_default();
-            }
-            LogRecord::Prepared { tid, .. }
-            | LogRecord::NbPrepared { tid, .. }
-            | LogRecord::NbReplicate { tid, .. } => {
-                scans.entry(tid.family).or_default().prepared = true;
-            }
-            LogRecord::Commit { tid, .. } => {
-                scans.entry(tid.family).or_default().committed = true;
-            }
-            LogRecord::Abort { tid } => {
-                let s = scans.entry(tid.family).or_default();
-                if tid.is_top_level() {
-                    s.aborted = true;
-                } else {
-                    s.aborted_subtrees.push(tid.clone());
-                }
-            }
-            _ => {}
-        }
-    }
-
+    let fams = families(records.clone());
     let mut server = DataServer::new(site, id);
-    if let Some(objects) = snapshot {
-        for (obj, val) in objects {
-            server.install_committed(*obj, val.clone());
-        }
+    let snapshot = (records.clone().into_iter())
+        .filter_map(|rec| match rec {
+            LogRecord::ServerSnapshot { server, objects } if *server == id => Some(objects),
+            _ => None,
+        })
+        .last();
+    for (obj, val) in snapshot.into_iter().flatten() {
+        server.install_committed(*obj, val.clone());
     }
     // Redo installs committed new-values exactly in the order they
     // were originally applied, interleaving across families: two
     // committed families touching the same object must redo in *log*
     // order, which family-id order does not preserve.
+    let mut in_doubt = BTreeMap::<_, Vec<_>>::new();
     for rec in records {
         let LogRecord::ServerUpdate {
             tid,
@@ -128,57 +69,34 @@ where
         else {
             continue;
         };
-        if *srv != id {
+        let fam = &fams[&tid.family];
+        if *srv != id || !fam.keeps(tid) {
             continue;
         }
-        let scan = scans.get_mut(&tid.family).expect("classified above");
-        if scan
-            .aborted_subtrees
-            .iter()
-            .any(|a| a.is_self_or_ancestor_of(tid))
-        {
-            continue;
-        }
-        scan.updated = true;
-        if scan.redo() {
-            server.install_committed(*object, new.clone());
-        } else if !scan.undo() {
-            scan.live_updates
-                .push((tid.clone(), *object, old.clone(), new.clone()));
+        match fam.fate() {
+            Fate::Committed => server.install_committed(*object, new.clone()),
+            Fate::InDoubt => in_doubt.entry(tid.family).or_default().push((
+                tid.clone(),
+                *object,
+                old.clone(),
+                new.clone(),
+            )),
+            Fate::Aborted | Fate::Died => {}
         }
     }
-    let mut in_doubt = Vec::new();
-    let mut redone = Vec::new();
-    let mut undone = Vec::new();
-    // Deterministic order for the report lists.
-    let mut fams: Vec<FamilyId> = scans.keys().copied().collect();
-    fams.sort();
-    for f in fams {
-        let scan = scans.get_mut(&f).expect("key exists");
-        if scan.redo() {
-            redone.push(f);
-        } else if scan.undo() {
-            // Undo: nothing to install (the store holds pre-images).
-            if scan.updated || scan.aborted {
-                undone.push(f);
-            }
-        } else {
-            // In doubt: reinstate uncommitted state + locks.
-            server.install_in_doubt(f, std::mem::take(&mut scan.live_updates));
-            in_doubt.push(f);
+    for (family, fam) in &fams {
+        if fam.fate() == Fate::InDoubt && fam.servers.contains(&id) {
+            let updates = in_doubt.remove(family).unwrap_or_default();
+            server.install_in_doubt(*family, updates);
         }
     }
-    RecoveredServer {
-        server,
-        in_doubt,
-        redone,
-        undone,
-    }
+    server
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use camelot_types::{FamilyId, ObjectId, Tid};
     use camelot_wal::LogRecord as R;
 
     const SITE: SiteId = SiteId(1);
@@ -216,11 +134,10 @@ mod tests {
                 subs: vec![],
             },
         ];
-        let r = recover(SITE, SRV, &log);
-        assert_eq!(r.server.committed_value(ObjectId(7)), b"v1");
-        assert_eq!(r.server.committed_value(ObjectId(8)), b"v2");
-        assert_eq!(r.redone, vec![fam(1)]);
-        assert!(r.in_doubt.is_empty());
+        let s = recover(SITE, SRV, &log);
+        assert_eq!(s.committed_value(ObjectId(7)), b"v1");
+        assert_eq!(s.committed_value(ObjectId(8)), b"v2");
+        assert!(s.in_doubt_families().is_empty());
     }
 
     #[test]
@@ -234,8 +151,8 @@ mod tests {
                 subs: vec![],
             },
         ];
-        let r = recover(SITE, SRV, &log);
-        assert_eq!(r.server.committed_value(ObjectId(7)), b"second");
+        let s = recover(SITE, SRV, &log);
+        assert_eq!(s.committed_value(ObjectId(7)), b"second");
     }
 
     #[test]
@@ -257,9 +174,8 @@ mod tests {
                 subs: vec![],
             },
         ];
-        let r = recover(SITE, SRV, &log);
-        assert_eq!(r.server.committed_value(ObjectId(7)), b"second");
-        assert_eq!(r.redone.len(), 2);
+        let s = recover(SITE, SRV, &log);
+        assert_eq!(s.committed_value(ObjectId(7)), b"second");
     }
 
     #[test]
@@ -272,10 +188,10 @@ mod tests {
             upd(&t2, 8, b"", b"crashed-mid-flight"),
             // t2 never prepared: presumed abort.
         ];
-        let r = recover(SITE, SRV, &log);
-        assert_eq!(r.server.committed_value(ObjectId(7)), b"");
-        assert_eq!(r.server.committed_value(ObjectId(8)), b"");
-        assert_eq!(r.undone.len(), 2);
+        let s = recover(SITE, SRV, &log);
+        assert_eq!(s.committed_value(ObjectId(7)), b"");
+        assert_eq!(s.committed_value(ObjectId(8)), b"");
+        assert_eq!(s.active_families(), 0);
     }
 
     #[test]
@@ -288,9 +204,8 @@ mod tests {
                 coordinator: SiteId(9),
             },
         ];
-        let r = recover(SITE, SRV, &log);
-        let mut s = r.server;
-        assert_eq!(r.in_doubt, vec![fam(1)]);
+        let mut s = recover(SITE, SRV, &log);
+        assert_eq!(s.in_doubt_families(), vec![fam(1)]);
         // The committed store is untouched...
         assert_eq!(s.committed_value(ObjectId(7)), b"");
         // ...and the object is still locked against other families.
@@ -319,8 +234,7 @@ mod tests {
                 sites: vec![],
             },
         ];
-        let r = recover(SITE, SRV, &log);
-        let mut s = r.server;
+        let mut s = recover(SITE, SRV, &log);
         s.abort_family(fam(1));
         assert_eq!(s.committed_value(ObjectId(7)), b"");
         assert_eq!(s.active_families(), 0);
@@ -339,9 +253,9 @@ mod tests {
                 subs: vec![],
             },
         ];
-        let r = recover(SITE, SRV, &log);
-        assert_eq!(r.server.committed_value(ObjectId(7)), b"keep");
-        assert_eq!(r.server.committed_value(ObjectId(8)), b"");
+        let s = recover(SITE, SRV, &log);
+        assert_eq!(s.committed_value(ObjectId(7)), b"keep");
+        assert_eq!(s.committed_value(ObjectId(8)), b"");
     }
 
     #[test]
@@ -360,8 +274,8 @@ mod tests {
                 subs: vec![],
             },
         ];
-        let r = recover(SITE, SRV, &log);
-        assert_eq!(r.server.committed_value(ObjectId(7)), b"");
+        let s = recover(SITE, SRV, &log);
+        assert_eq!(s.committed_value(ObjectId(7)), b"");
     }
 
     #[test]
@@ -378,8 +292,8 @@ mod tests {
         let a = recover(SITE, SRV, &log);
         let b = recover(SITE, SRV, &log);
         assert_eq!(
-            a.server.committed_value(ObjectId(7)),
-            b.server.committed_value(ObjectId(7))
+            a.committed_value(ObjectId(7)),
+            b.committed_value(ObjectId(7))
         );
     }
 
@@ -401,9 +315,9 @@ mod tests {
                 subs: vec![],
             },
         ];
-        let r = recover(SITE, SRV, &log);
-        assert_eq!(r.server.committed_value(ObjectId(1)), b"from-snapshot");
-        assert_eq!(r.server.committed_value(ObjectId(2)), b"after");
+        let s = recover(SITE, SRV, &log);
+        assert_eq!(s.committed_value(ObjectId(1)), b"from-snapshot");
+        assert_eq!(s.committed_value(ObjectId(2)), b"after");
     }
 
     #[test]
@@ -427,8 +341,8 @@ mod tests {
             },
             R::Checkpoint { next_family_seq: 1 },
         ];
-        let r = recover(SITE, SRV, &log);
-        assert_eq!(r.server.committed_value(ObjectId(1)), b"new");
+        let s = recover(SITE, SRV, &log);
+        assert_eq!(s.committed_value(ObjectId(1)), b"new");
     }
 
     #[test]
@@ -437,8 +351,8 @@ mod tests {
             server: ServerId(99),
             objects: vec![(ObjectId(1), b"not-mine".to_vec())],
         }];
-        let r = recover(SITE, SRV, &log);
-        assert_eq!(r.server.committed_value(ObjectId(1)), b"");
+        let s = recover(SITE, SRV, &log);
+        assert_eq!(s.committed_value(ObjectId(1)), b"");
     }
 
     #[test]
@@ -453,14 +367,14 @@ mod tests {
         });
         s.commit_family(fam(7));
         let snap = camelot_types::wire::Wire::from_bytes(&s.snapshot()).unwrap();
-        let r = recover(SITE, SRV, &[snap]);
-        assert_eq!(r.server.committed_value(ObjectId(3)), b"v");
+        let s = recover(SITE, SRV, &[snap]);
+        assert_eq!(s.committed_value(ObjectId(3)), b"v");
     }
 
     #[test]
     fn empty_log_recovers_empty_server() {
-        let r = recover(SITE, SRV, &[]);
-        assert_eq!(r.server.active_families(), 0);
-        assert!(r.in_doubt.is_empty() && r.redone.is_empty() && r.undone.is_empty());
+        let s = recover(SITE, SRV, &[]);
+        assert_eq!(s.active_families(), 0);
+        assert!(s.in_doubt_families().is_empty());
     }
 }

@@ -9,6 +9,9 @@
 //!   (prepare / commit / abort, and the non-blocking protocol's
 //!   replication records) and data-server updates (old/new value
 //!   pairs for undo/redo);
+//! - [`fate::families`], the one reading of a restarted site's log
+//!   that both the data servers and the transaction manager recover
+//!   from: what became of each family there;
 //! - a CRC-framed binary [`codec`] that detects torn tails and
 //!   corruption on recovery scan;
 //! - pluggable [`store::StableStore`] backends that hold only durable
@@ -27,11 +30,13 @@
 
 pub mod batch;
 pub mod codec;
+pub mod fate;
 pub mod log;
 pub mod record;
 pub mod store;
 
 pub use batch::{BatchPolicy, BatcherAction, GroupCommitBatcher, ReqId};
+pub use fate::{families, FamilyLog, Fate};
 pub use log::{Wal, WalStats};
 pub use record::{LogRecord, RecordBody};
 pub use store::{FileStore, MemStore, StableStore};

@@ -9,6 +9,7 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use camelot::core::{shard_of_family, Engine, EngineConfig, Input};
 use camelot::locks::{Acquire, LockManager, Mode};
+use camelot::net::Outcome;
 use camelot::server::{DataServer, Request};
 use camelot::types::{FamilyId, Lsn, ObjectId, ServerId, SiteId, Tid, Time, Wire};
 use camelot::wal::record::{QuorumKind, ReplicationInfo};
@@ -92,6 +93,12 @@ enum Shape {
     SubNb { replicate: bool, commit: bool },
     /// Non-blocking coordinator: begin, commit, end.
     CoordNb,
+    /// 2PC subordinate whose write was made by a child transaction
+    /// that then aborted.
+    ChildAborted { commit: bool },
+    /// Non-blocking read-only participant: writes nothing, then joins
+    /// the abort quorum when a takeover recruits it.
+    ReadOnlyNb,
 }
 
 fn any_shape() -> impl Strategy<Value = Shape> {
@@ -102,6 +109,8 @@ fn any_shape() -> impl Strategy<Value = Shape> {
         (any::<bool>(), any::<bool>())
             .prop_map(|(replicate, commit)| Shape::SubNb { replicate, commit }),
         Just(Shape::CoordNb),
+        any::<bool>().prop_map(|commit| Shape::ChildAborted { commit }),
+        Just(Shape::ReadOnlyNb),
     ]
 }
 
@@ -157,6 +166,18 @@ fn protocol_records(shape: Shape, tid: &Tid) -> Vec<LogRecord> {
                 coordinator: PEER,
             },
             outcome(commit, vec![]),
+        ],
+        Shape::ChildAborted { commit } => {
+            let mut recs = protocol_records(Shape::Sub2pc { commit }, &tid);
+            recs.insert(0, LogRecord::Abort { tid: tid.child(1) });
+            recs
+        }
+        Shape::ReadOnlyNb => vec![
+            outcome(false, vec![]),
+            LogRecord::NbQuorum {
+                tid: tid.clone(),
+                kind: QuorumKind::Abort,
+            },
         ],
         Shape::SubNb { replicate, commit } => {
             let mut recs = vec![LogRecord::NbPrepared {
@@ -234,12 +255,16 @@ impl TwinLog {
 /// committed value, the in-doubt families, every lock holder, and each
 /// engine shard's live families with role and phase (the content of
 /// `Cluster::debug_state`).
+///
+/// The server and the engine read the log alike: the families the
+/// server reinstates in doubt are exactly those the engine rebuilds in
+/// a role that has not decided yet, among the families that name the
+/// server.
 type Recovered = (Vec<Vec<u8>>, Vec<FamilyId>, Vec<String>, Vec<String>);
 
 fn recovered_state(wal: &mut Wal<MemStore>) -> Recovered {
     let records = wal.recover().unwrap();
-    let recovered = camelot::server::recover(SITE, SRV, records.iter().map(|(_, rec)| rec));
-    let server = recovered.server;
+    let server = camelot::server::recover(SITE, SRV, records.iter().map(|(_, rec)| rec));
     let values = (0..OBJECTS)
         .map(|o| server.committed_value(ObjectId(o)).to_vec())
         .collect();
@@ -254,6 +279,7 @@ fn recovered_state(wal: &mut Wal<MemStore>) -> Recovered {
         .map(|(o, (tid, mode))| format!("obj{o}: {tid} {mode:?}"))
         .collect();
     let mut engines = Vec::new();
+    let mut undecided = Vec::new();
     for k in 0..SHARDS {
         let part = records.iter().filter(|(_, rec)| match rec.tid() {
             Some(tid) => shard_of_family(SITE, &tid.family, SHARDS) == k,
@@ -264,9 +290,16 @@ fn recovered_state(wal: &mut Wal<MemStore>) -> Recovered {
         for id in engine.family_ids() {
             let v = engine.family_view(&id).unwrap();
             engines.push(format!("shard {k}: {id} {} {:?}", v.role, v.phase));
+            if v.role != "announcing" && v.servers > 0 {
+                undecided.push(id);
+            }
         }
     }
-    (values, recovered.in_doubt, locks, engines)
+    let mut in_doubt = server.in_doubt_families();
+    in_doubt.sort();
+    undecided.sort();
+    assert_eq!(in_doubt, undecided, "the server's in-doubt families");
+    (values, in_doubt, locks, engines)
 }
 
 proptest! {
@@ -502,7 +535,7 @@ proptest! {
         let mut server = DataServer::new(SITE, SRV);
         // Per family: its tid, the records still to log, whether the
         // transaction manager still remembers it.
-        struct Fam { tid: Tid, wrote: bool, todo: Vec<LogRecord>, held: bool }
+        struct Fam { tid: Tid, shape: Shape, wrote: bool, todo: Vec<LogRecord>, held: bool }
         let mut fams: Vec<Fam> = shapes.iter().enumerate().map(|(k, shape)| {
             let local = matches!(shape, Shape::Local { .. } | Shape::Coordinator | Shape::CoordNb);
             let tid = Tid::top_level(FamilyId {
@@ -511,7 +544,7 @@ proptest! {
             });
             let mut todo = protocol_records(*shape, &tid);
             todo.reverse();
-            Fam { tid, wrote: false, todo, held: false }
+            Fam { tid, shape: *shape, wrote: false, todo, held: false }
         }).collect();
         // Strict two-phase locking, restated: an object belongs to the
         // family that wrote it until the server resolves that family.
@@ -530,18 +563,28 @@ proptest! {
                     let fam = &mut fams[k];
                     let family = fam.tid.family;
                     if !fam.wrote {
-                        // One step covers the join and the write.
+                        // One step covers the join and the write (a
+                        // read, which logs nothing, for a read-only
+                        // participant).
                         fam.wrote = true;
                         fam.held = true;
+                        if matches!(fam.shape, Shape::ReadOnlyNb) {
+                            log.append(&LogRecord::ServerJoin { tid: fam.tid.clone(), server: SRV });
+                            continue;
+                        }
                         let (object, byte) = writes[k];
                         if *owner.entry(object).or_insert(family) != family {
                             continue;
                         }
                         log.append(&LogRecord::ServerJoin { tid: fam.tid.clone(), server: SRV });
+                        let writer = match fam.shape {
+                            Shape::ChildAborted { .. } => fam.tid.child(1),
+                            _ => fam.tid.clone(),
+                        };
                         req += 1;
                         let fx = server.handle(Request::Write {
                             req,
-                            tid: fam.tid.clone(),
+                            tid: writer,
                             object: ObjectId(object),
                             value: vec![byte, k as u8],
                         });
@@ -557,6 +600,9 @@ proptest! {
                         LogRecord::Commit { .. } => {
                             server.commit_family(family);
                             owner.retain(|_, f| *f != family);
+                        }
+                        LogRecord::Abort { tid } if !tid.is_top_level() => {
+                            server.resolve(tid, Outcome::Aborted);
                         }
                         LogRecord::Abort { .. } => {
                             server.abort_family(family);

@@ -19,8 +19,12 @@
 //!   crashed mid-protocol, and it rejoins as a takeover coordinator
 //!   (its own decision may have been made *for* it by a quorum while
 //!   it was down, so it must ask, not assume).
-//! - **died** — this site's part of the family died in the crash:
-//!   presumed abort; an abort record is appended for hygiene.
+//! - **died** — this site's part of the family died in the crash. It
+//!   never voted yes, so the family cannot commit with it, and presumed
+//!   abort needs no record of that: nothing is rebuilt, booked or
+//!   written. A coordinator that inquires is told "aborted" by presumed
+//!   abort; a takeover that asks is told "unknown", and may recruit
+//!   this site into its abort quorum.
 
 use camelot_net::msg::NbInfo;
 use camelot_net::{Outcome, TmMessage};
@@ -83,14 +87,7 @@ impl Engine {
                     engine.resolutions.insert(*fid, Outcome::Aborted);
                 }
                 Fate::InDoubt => engine.rebuild_in_doubt(&mut out, *fid, log),
-                Fate::Died if log.ended => {}
-                Fate::Died => {
-                    let tid = camelot_types::Tid::top_level(*fid);
-                    out.push(Action::Append {
-                        rec: LogRecord::Abort { tid },
-                    });
-                    engine.resolutions.insert(*fid, Outcome::Aborted);
-                }
+                Fate::Died => {}
             }
         }
         (engine, out)

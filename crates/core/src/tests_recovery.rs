@@ -116,14 +116,10 @@ fn active_unprepared_transaction_presumed_aborted() {
             new: vec![1],
         }],
     );
+    // Its part died in the crash: no role, no outcome, no record.
     assert_eq!(engine.live_families(), 0);
-    assert_eq!(engine.resolution(&t.family), Some(Outcome::Aborted));
-    assert!(actions.iter().any(|a| matches!(
-        a,
-        Action::Append {
-            rec: LogRecord::Abort { .. }
-        }
-    )));
+    assert_eq!(engine.resolution(&t.family), None);
+    assert!(actions.is_empty(), "{actions:?}");
 }
 
 #[test]

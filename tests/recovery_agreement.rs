@@ -9,8 +9,9 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use camelot::core::CommitMode;
-use camelot::net::{FaultPlan, Outcome};
+use camelot::core::testkit::Net;
+use camelot::core::{CommitMode, EngineConfig, Input};
+use camelot::net::{FaultPlan, NbSiteState, Outcome, TmMessage};
 use camelot::rt::{Cluster, CrashPoint, RtConfig};
 use camelot::types::{ObjectId, ServerId, SiteId};
 
@@ -169,4 +170,40 @@ fn a_coordinator_that_died_after_its_begin_record_keeps_its_updates() {
         .ok()
         .expect("sole owner")
         .shutdown();
+}
+
+/// (C) A read-only participant's part of a family dies in its crash:
+/// it never voted, so it has nothing to say about the outcome. Asked
+/// by a takeover after its restart, it answers `Unknown`, not a
+/// presumed `Aborted` that would end the takeover on the spot.
+#[test]
+fn a_restarted_read_only_participant_answers_unknown() {
+    let mut net = Net::new(3, EngineConfig::default());
+    let tid = net.begin(S1);
+    net.read_op(S2, SRV, &tid);
+    // A background flush makes everything S2 logged durable.
+    net.flush_lazy(S2);
+    net.crash(S2);
+    net.restart(S2, EngineConfig::default());
+    net.auto_drain = false;
+    let msg = TmMessage::NbStatusReq {
+        tid: tid.clone(),
+        from: S3,
+    };
+    net.inject(S2, Input::Datagram { from: S3, msg });
+    assert!(net.step_at(net.queue_len() - 1));
+    let answers: Vec<NbSiteState> = (0..net.queue_len())
+        .filter_map(|i| match net.queued(i) {
+            Some((
+                S3,
+                Input::Datagram {
+                    msg: TmMessage::NbStatus { state, .. },
+                    ..
+                },
+            )) => Some(*state),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(answers, vec![NbSiteState::Unknown]);
+    assert_eq!(net.engine(S2).resolution(&tid.family), None);
 }

@@ -802,15 +802,12 @@ impl Engine {
             .entry(tid.family)
             .or_insert_with(|| Family::new(tid.family));
         fam.ensure_txn(&tid);
+        // Not logged: recovery learns a family's servers from their
+        // update records, and a server that only read has nothing to
+        // recover.
         if fam.servers.insert(server) {
             self.tracer
                 .family(tid.family, TraceEventKind::Join { server });
-            out.push(Action::Append {
-                rec: LogRecord::ServerJoin {
-                    tid: tid.clone(),
-                    server,
-                },
-            });
         }
         // A remote-origin family that only ever *executes* here is
         // invisible to the commitment protocols; if the origin aborts
@@ -1192,35 +1189,23 @@ mod tests {
     }
 
     #[test]
-    fn join_registers_server_and_logs_once() {
+    fn a_join_registers_its_server_and_logs_nothing() {
         let mut e = engine();
         let a = e.handle(Input::Begin { req: 1 }, Time::ZERO);
         let top = match &a[0] {
             Action::Began { tid, .. } => tid.clone(),
             other => panic!("{other:?}"),
         };
-        let a = e.handle(
-            Input::Join {
-                tid: top.clone(),
-                server: ServerId(4),
-            },
-            Time::ZERO,
-        );
-        assert!(matches!(
-            a[0],
-            Action::Append {
-                rec: LogRecord::ServerJoin { .. }
-            }
-        ));
-        // Second join of the same server: no second record.
-        let a = e.handle(
-            Input::Join {
-                tid: top.clone(),
-                server: ServerId(4),
-            },
-            Time::ZERO,
-        );
-        assert!(a.is_empty());
+        for _ in 0..2 {
+            let a = e.handle(
+                Input::Join {
+                    tid: top.clone(),
+                    server: ServerId(4),
+                },
+                Time::ZERO,
+            );
+            assert!(a.is_empty(), "{a:?}");
+        }
         let v = e.family_view(&top.family).unwrap();
         assert_eq!(v.servers, 1);
     }

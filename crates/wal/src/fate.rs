@@ -55,7 +55,7 @@ pub struct FamilyLog<'a> {
     /// Nested transactions with an abort record: their subtrees'
     /// updates are never redone.
     pub aborted_subtrees: Vec<&'a Tid>,
-    /// The servers that joined the family or logged updates for it.
+    /// The servers that logged updates for the family.
     pub servers: BTreeSet<ServerId>,
 }
 
@@ -110,7 +110,7 @@ pub fn families<'a>(
             } => log.nb_prepared = Some((*coordinator, sites.as_slice())),
             LogRecord::NbReplicate { info, .. } => log.nb_replicate = Some(info),
             LogRecord::NbQuorum { kind, .. } => log.quorum = Some(*kind),
-            LogRecord::ServerJoin { server, .. } | LogRecord::ServerUpdate { server, .. } => {
+            LogRecord::ServerUpdate { server, .. } => {
                 log.servers.insert(*server);
             }
             _ => {}

@@ -82,8 +82,8 @@ wire_enum! {
         8 => NbQuorum { tid: Tid, kind: QuorumKind },
 
         // ----- Data servers -----
-        /// A server joined a transaction at this site.
-        9 => ServerJoin { tid: Tid, server: ServerId },
+        // Tag 9 is retired: a server's join is not logged. Recovery
+        // learns a family's servers from its update records.
         /// Old/new value pair for one object update: enough to undo (old)
         /// or redo (new) the update during recovery.
         10 => ServerUpdate {
@@ -124,7 +124,6 @@ impl RecordBody {
             | RecordBody::NbPrepared { tid, .. }
             | RecordBody::NbReplicate { tid, .. }
             | RecordBody::NbQuorum { tid, .. }
-            | RecordBody::ServerJoin { tid, .. }
             | RecordBody::ServerUpdate { tid, .. } => Some(tid),
             RecordBody::Checkpoint { .. } | RecordBody::ServerSnapshot { .. } => None,
         }
@@ -226,10 +225,6 @@ mod tests {
             RecordBody::NbQuorum {
                 tid: tid(),
                 kind: QuorumKind::Abort,
-            },
-            RecordBody::ServerJoin {
-                tid: tid(),
-                server: ServerId(7),
             },
             RecordBody::ServerUpdate {
                 tid: tid(),

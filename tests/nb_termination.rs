@@ -6,7 +6,7 @@
 use camelot::core::testkit::Net;
 use camelot::core::{CommitMode, EngineConfig, Input, Outcome};
 use camelot::net::TmMessage;
-use camelot::types::{FamilyId, ServerId, SiteId, Tid};
+use camelot::types::{FamilyId, ObjectId, ServerId, SiteId, Tid};
 use camelot::wal::record::QuorumKind;
 use camelot::wal::LogRecord;
 
@@ -125,11 +125,22 @@ fn prepare_survivors(net: &mut Net, tid: &Tid) {
     }
 }
 
-/// An update transaction from S1 over `sites`, each updating server A.
+/// An update transaction from S1 over `sites`, each updating server A
+/// and logging the update record the server reports (lazily, as the
+/// runtime does), which tells a restart the family's servers.
 fn update_txn(net: &mut Net, sites: &[SiteId]) -> Tid {
     let tid = net.begin(S1);
     for &s in sites {
         net.update_op(s, A, &tid);
+        let rec = LogRecord::ServerUpdate {
+            tid: tid.clone(),
+            server: A,
+            object: ObjectId(1),
+            old: vec![],
+            new: vec![1],
+        };
+        let wal = &mut net.sites.get_mut(&s).expect("site").wal;
+        wal.append(&rec).expect("append");
     }
     tid
 }

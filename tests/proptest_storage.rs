@@ -563,20 +563,18 @@ proptest! {
                     let fam = &mut fams[k];
                     let family = fam.tid.family;
                     if !fam.wrote {
-                        // One step covers the join and the write (a
-                        // read, which logs nothing, for a read-only
-                        // participant).
+                        // One step covers the join and the write; a
+                        // read-only participant only reads, which logs
+                        // nothing.
                         fam.wrote = true;
                         fam.held = true;
                         if matches!(fam.shape, Shape::ReadOnlyNb) {
-                            log.append(&LogRecord::ServerJoin { tid: fam.tid.clone(), server: SRV });
                             continue;
                         }
                         let (object, byte) = writes[k];
                         if *owner.entry(object).or_insert(family) != family {
                             continue;
                         }
-                        log.append(&LogRecord::ServerJoin { tid: fam.tid.clone(), server: SRV });
                         let writer = match fam.shape {
                             Shape::ChildAborted { .. } => fam.tid.child(1),
                             _ => fam.tid.clone(),

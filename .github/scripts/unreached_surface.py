@@ -218,7 +218,7 @@ ONLY_TESTS_CALL = {
     # core::testkit's assertion helpers are the tests' reference.
     "crates/core/src/testkit.rs": {
         "outcome_of", "server_committed", "server_aborted", "assert_agreement",
-        "assert_no_conflict", "abort_rec",
+        "assert_no_conflict",
     },
     # How a test observes behaviour nothing else observes.
     "crates/wal/src/codec.rs": {"read_frame"},

@@ -183,10 +183,7 @@ fn run_one(ch: &mut Chooser, canary: bool) -> RunResult {
     // protocol run.
     let mut app_aborted = false;
     for (txn, tid) in sc.txns.iter().zip(&tids) {
-        let resolved_anywhere = net
-            .sites
-            .values()
-            .any(|sb| sb.engine.resolution(&tid.family).is_some());
+        let resolved_anywhere = (net.sites.keys()).any(|s| net.decision(*s, &tid.family).is_some());
         if !resolved_anywhere {
             net.abort(txn.coord, tid, txn.participants());
             app_aborted = true;
@@ -480,7 +477,7 @@ fn check_app_outcomes(
         subjects.dedup();
         let updating = txn.ops.iter().any(|(_, k)| *k == OpKind::Update);
         for s in subjects {
-            let r = net.sites[&s].engine.resolution(&tid.family);
+            let r = net.decision(s, &tid.family);
             match outcome {
                 Outcome::Committed if updating && r != Some(Outcome::Committed) => {
                     violations.push(format!(
@@ -504,9 +501,9 @@ fn check_app_outcomes(
 
 fn resolution_map(net: &Net, tids: &[camelot_types::Tid]) -> BTreeMap<(SiteId, FamilyId), Outcome> {
     let mut map = BTreeMap::new();
-    for (site, sb) in &net.sites {
+    for site in net.sites.keys() {
         for tid in tids {
-            if let Some(o) = sb.engine.resolution(&tid.family) {
+            if let Some(o) = net.decision(*site, &tid.family) {
                 map.insert((*site, tid.family), o);
             }
         }
@@ -532,7 +529,7 @@ fn check_agreement(
         subjects.dedup();
         let mut seen: Option<(SiteId, Outcome)> = None;
         for s in subjects {
-            if let Some(o) = net.sites[&s].engine.resolution(&tid.family) {
+            if let Some(o) = net.decision(s, &tid.family) {
                 match seen {
                     None => seen = Some((s, o)),
                     Some((first, prev)) if prev != o => violations.push(format!(
@@ -560,12 +557,7 @@ fn check_progress(
     violations: &mut Vec<String>,
 ) {
     for (txn, tid) in sc.txns.iter().zip(tids) {
-        if !ever_crashed.contains(&txn.coord)
-            && net.sites[&txn.coord]
-                .engine
-                .resolution(&tid.family)
-                .is_none()
-        {
+        if !ever_crashed.contains(&txn.coord) && net.decision(txn.coord, &tid.family).is_none() {
             violations.push(format!(
                 "progress: coordinator {} never resolved {}",
                 txn.coord, tid.family
@@ -589,7 +581,7 @@ fn check_progress(
                     LogRecord::Prepared { tid: t, .. } | LogRecord::NbPrepared { tid: t, .. }
                         if t.family == tid.family)
             });
-            if prepared && net.sites[&s].engine.resolution(&tid.family).is_none() {
+            if prepared && net.decision(s, &tid.family).is_none() {
                 violations.push(format!(
                     "progress: {s} is prepared for {} but still in doubt after healing",
                     tid.family
@@ -639,10 +631,7 @@ fn check_locks(
 ) {
     for tid in tids {
         let f = tid.family;
-        let resolved_anywhere = net
-            .sites
-            .values()
-            .any(|sb| sb.engine.resolution(&f).is_some());
+        let resolved_anywhere = (net.sites.keys()).any(|s| net.decision(*s, &f).is_some());
         if !resolved_anywhere {
             continue;
         }

@@ -12,7 +12,7 @@ use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 
 use camelot_net::{Outcome, TmMessage, Vote};
 use camelot_types::{AbortReason, FamilyId, ServerId, SiteId, Tid, Time};
-use camelot_wal::{LogRecord, MemStore, Wal};
+use camelot_wal::{families, FamilyLog, Fate, LogRecord, MemStore, Wal};
 
 use crate::config::{CommitMode, EngineConfig};
 use crate::engine::Engine;
@@ -79,6 +79,8 @@ pub struct Net {
     /// Every action the engines emitted, with its site, in order, when
     /// `Some`; the default `None` records nothing.
     pub actions: Option<Vec<(SiteId, Action)>>,
+    /// What each site decided per family ([`Net::decision`]).
+    decided: BTreeMap<(SiteId, FamilyId), Outcome>,
     next_req: u64,
 }
 
@@ -123,6 +125,7 @@ impl Net {
             relay_aborts: false,
             action_digest: None,
             actions: None,
+            decided: BTreeMap::new(),
             next_req: 100,
         }
     }
@@ -236,6 +239,9 @@ impl Net {
     }
 
     fn apply(&mut self, site: SiteId, action: Action) {
+        if let Some((family, outcome)) = decided_by(&action) {
+            self.decided.insert((site, family), outcome);
+        }
         match action {
             Action::Send { to, msg, piggyback } => {
                 self.deliver(site, to, msg);
@@ -434,6 +440,9 @@ impl Net {
             sb.wal.recover().expect("recover")
         };
         let (engine, actions) = Engine::recover(site, config, &records);
+        self.decided.retain(|(s, _), _| *s != site);
+        let logged = logged_outcomes(records.iter().map(|(_, rec)| rec));
+        (self.decided).extend(logged.into_iter().map(|(f, o)| ((site, f), o)));
         let sb = self.sites.get_mut(&site).expect("site exists");
         sb.engine = engine;
         self.fold_step(site, "restart", &actions);
@@ -586,6 +595,13 @@ impl Net {
         })
     }
 
+    /// The outcome `site` decided for `family` in its current
+    /// incarnation: its log's fate at its last restart, then what
+    /// [`decided_by`] reads off its actions.
+    pub fn decision(&self, site: SiteId, family: &FamilyId) -> Option<Outcome> {
+        self.decided.get(&(site, *family)).copied()
+    }
+
     /// The engine at a site (immutable).
     pub fn engine(&self, site: SiteId) -> &Engine {
         &self.sites.get(&site).expect("site exists").engine
@@ -601,40 +617,53 @@ impl Net {
             .forces_effective
     }
 
+    /// Every site's decision for `family` (see [`Net::decision`]).
+    fn decisions(&self, family: &FamilyId) -> Vec<(SiteId, Outcome)> {
+        let of_family = self.decided.iter().filter(|((_, f), _)| f == family);
+        of_family.map(|((site, _), o)| (*site, *o)).collect()
+    }
+
     /// Asserts every site that resolved `family` agrees on `outcome`,
     /// and at least `min_sites` resolved it.
     pub fn assert_agreement(&self, family: &FamilyId, outcome: Outcome, min_sites: usize) {
-        let mut resolved = 0;
-        for (id, sb) in &self.sites {
-            if let Some(o) = sb.engine.resolution(family) {
-                assert_eq!(o, outcome, "site {id} disagrees on {family}");
-                resolved += 1;
-            }
-        }
-        assert!(
-            resolved >= min_sites,
-            "only {resolved} sites resolved {family}, wanted >= {min_sites}"
-        );
+        let decided = self.decisions(family);
+        let agreed = decided.iter().all(|(_, o)| *o == outcome) && decided.len() >= min_sites;
+        let want = format!("{outcome:?} at >= {min_sites} sites");
+        assert!(agreed, "{family}: {decided:?}, wanted {want}");
     }
 
-    /// Asserts no site resolved the family with `outcome`'s opposite —
-    /// used for split-brain checks without requiring resolution.
+    /// Asserts no two sites resolved the family differently — used for
+    /// split-brain checks without requiring resolution.
     pub fn assert_no_conflict(&self, family: &FamilyId) {
-        let mut seen: Option<Outcome> = None;
-        for (id, sb) in &self.sites {
-            if let Some(o) = sb.engine.resolution(family) {
-                match seen {
-                    None => seen = Some(o),
-                    Some(prev) => {
-                        assert_eq!(prev, o, "sites disagree on {family} (at {id})")
-                    }
-                }
-            }
-        }
+        let decided = self.decisions(family);
+        let split = decided.windows(2).any(|w| w[0].1 != w[1].1);
+        assert!(!split, "sites disagree on {family}: {decided:?}");
     }
 }
 
-/// Convenience constructor for records in tests.
-pub fn abort_rec(tid: &Tid) -> LogRecord {
-    LogRecord::Abort { tid: tid.clone() }
+/// The outcome `records` (a site's log) give each family that has one
+/// there: the committed and aborted fates of `camelot_wal::families`.
+pub fn logged_outcomes<'a>(
+    records: impl IntoIterator<Item = &'a LogRecord>,
+) -> BTreeMap<FamilyId, Outcome> {
+    let outcome = |(family, log): (FamilyId, FamilyLog)| match log.fate() {
+        Fate::Committed => Some((family, Outcome::Committed)),
+        Fate::Aborted => Some((family, Outcome::Aborted)),
+        Fate::InDoubt | Fate::Died => None,
+    };
+    families(records).into_iter().filter_map(outcome).collect()
+}
+
+/// The top-level outcome `action` shows its site deciding: an outcome
+/// record it logs, or the outcome of the application's call.
+pub fn decided_by(action: &Action) -> Option<(FamilyId, Outcome)> {
+    match action {
+        Action::Force { rec, .. } | Action::AppendNotify { rec, .. } | Action::Append { rec } => {
+            logged_outcomes([rec]).pop_first()
+        }
+        Action::Resolved { tid, outcome, .. } => {
+            tid.is_top_level().then_some((tid.family, *outcome))
+        }
+        _ => None,
+    }
 }

@@ -62,7 +62,7 @@ fn two_phase_completes_despite_periodic_loss() {
         // The decision is whatever the coordinator reached (loss can
         // turn a would-be commit into a timeout abort — both legal);
         // every surviving participant must eventually learn it.
-        let coord = net.engine(S1).resolution(&tid.family);
+        let coord = net.decision(S1, &tid.family);
         assert!(
             coord.is_some(),
             "coordinator must decide (drop {drop_every})"
@@ -79,7 +79,7 @@ fn nonblocking_completes_despite_periodic_loss() {
         let (tid, _req, net) = run_with_loss(drop_every, CommitMode::NonBlocking);
         assert!(net.dropped > 0);
         net.assert_no_conflict(&tid.family);
-        let coord = net.engine(S1).resolution(&tid.family);
+        let coord = net.decision(S1, &tid.family);
         assert!(
             coord.is_some(),
             "coordinator must decide (drop {drop_every})"
@@ -151,14 +151,11 @@ fn lost_commit_notice_resolved_by_inquiry() {
     assert_eq!(net.outcome_of(S1, req), Some(Outcome::Committed));
     assert!(net.dropped >= 1);
     // Subordinate is prepared and in doubt...
-    assert!(net.engine(S2).resolution(&tid.family).is_none());
+    assert!(net.decision(S2, &tid.family).is_none());
     // ...until its inquiry (or the coordinator's resend) gets through.
     net.drop_every = 0;
     net.run_timers(20);
-    assert_eq!(
-        net.engine(S2).resolution(&tid.family),
-        Some(Outcome::Committed)
-    );
+    assert_eq!(net.decision(S2, &tid.family), Some(Outcome::Committed));
     net.assert_no_conflict(&tid.family);
 }
 

@@ -190,14 +190,8 @@ fn coordinator_crash_before_replication_aborts_via_takeover() {
     // Outcome timers fire; a subordinate becomes coordinator, gathers
     // statuses, recruits the abort quorum, announces.
     net.run_timers(30);
-    assert_eq!(
-        net.engine(S2).resolution(&tid.family),
-        Some(Outcome::Aborted)
-    );
-    assert_eq!(
-        net.engine(S3).resolution(&tid.family),
-        Some(Outcome::Aborted)
-    );
+    assert_eq!(net.decision(S2, &tid.family), Some(Outcome::Aborted));
+    assert_eq!(net.decision(S3, &tid.family), Some(Outcome::Aborted));
     net.assert_no_conflict(&tid.family);
     assert!(net.server_aborted(S2, &tid), "locks released — not blocked");
     assert!(net.server_aborted(S3, &tid));
@@ -246,10 +240,7 @@ fn crashed_coordinator_recovers_and_learns_abort() {
     net.partition.clear();
     net.restart(S1, EngineConfig::default());
     net.run_timers(20);
-    assert_eq!(
-        net.engine(S1).resolution(&tid.family),
-        Some(Outcome::Aborted)
-    );
+    assert_eq!(net.decision(S1, &tid.family), Some(Outcome::Aborted));
     net.assert_no_conflict(&tid.family);
 }
 
@@ -303,14 +294,8 @@ fn coordinator_crash_after_replication_commits_via_takeover() {
     }
     // Takeover: two replicated sites form the commit quorum (Vc = 2).
     net.run_timers(40);
-    assert_eq!(
-        net.engine(S2).resolution(&tid.family),
-        Some(Outcome::Committed)
-    );
-    assert_eq!(
-        net.engine(S3).resolution(&tid.family),
-        Some(Outcome::Committed)
-    );
+    assert_eq!(net.decision(S2, &tid.family), Some(Outcome::Committed));
+    assert_eq!(net.decision(S3, &tid.family), Some(Outcome::Committed));
     net.assert_no_conflict(&tid.family);
     assert!(net.server_committed(S2, &tid));
     assert!(net.server_committed(S3, &tid));
@@ -358,14 +343,8 @@ fn single_replicated_site_recruits_prepared_peer_and_commits() {
         },
     );
     net.run_timers(40);
-    assert_eq!(
-        net.engine(S2).resolution(&tid.family),
-        Some(Outcome::Committed)
-    );
-    assert_eq!(
-        net.engine(S3).resolution(&tid.family),
-        Some(Outcome::Committed)
-    );
+    assert_eq!(net.decision(S2, &tid.family), Some(Outcome::Committed));
+    assert_eq!(net.decision(S3, &tid.family), Some(Outcome::Committed));
     net.assert_no_conflict(&tid.family);
 }
 
@@ -378,11 +357,11 @@ fn partitioned_minority_blocks_instead_of_deciding() {
     net.partition = vec![[S2].into(), [S3].into()];
     net.run_timers(25);
     assert!(
-        net.engine(S2).resolution(&tid.family).is_none(),
+        net.decision(S2, &tid.family).is_none(),
         "S2 must not decide"
     );
     assert!(
-        net.engine(S3).resolution(&tid.family).is_none(),
+        net.decision(S3, &tid.family).is_none(),
         "S3 must not decide"
     );
     let blocked = net.engine(S2).stats().blocked + net.engine(S3).stats().blocked;
@@ -451,10 +430,7 @@ fn replicated_subordinate_crash_and_recovery_resumes_takeover() {
     // S2 alone (1 < Vc=2) blocks. Restart S3: both recover and commit.
     net.crash(S3);
     net.run_timers(15);
-    assert!(
-        net.engine(S2).resolution(&tid.family).is_none(),
-        "S2 blocked alone"
-    );
+    assert!(net.decision(S2, &tid.family).is_none(), "S2 blocked alone");
     net.restart(S3, EngineConfig::default());
     net.run_timers(40);
     net.assert_agreement(&tid.family, Outcome::Committed, 2);

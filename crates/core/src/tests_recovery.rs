@@ -10,7 +10,7 @@ use camelot_wal::LogRecord;
 use crate::config::{CommitMode, EngineConfig};
 use crate::engine::Engine;
 use crate::io::{Action, Input};
-use crate::testkit::Net;
+use crate::testkit::{decided_by, logged_outcomes, Net};
 
 const S1: SiteId = SiteId(1);
 const S2: SiteId = SiteId(2);
@@ -42,19 +42,20 @@ fn empty_log_recovers_empty_engine() {
 #[test]
 fn committed_with_end_record_needs_nothing() {
     let t = tid(1, 1);
-    let (engine, actions) = recover(
-        S1,
-        vec![
-            LogRecord::Commit {
-                tid: t.clone(),
-                subs: vec![S2],
-            },
-            LogRecord::End { tid: t.clone() },
-        ],
-    );
+    let log = vec![
+        LogRecord::Commit {
+            tid: t.clone(),
+            subs: vec![S2],
+        },
+        LogRecord::End { tid: t.clone() },
+    ];
+    let (engine, actions) = recover(S1, log.clone());
     assert_eq!(engine.live_families(), 0);
     assert!(actions.is_empty());
-    assert_eq!(engine.resolution(&t.family), Some(Outcome::Committed));
+    assert_eq!(
+        logged_outcomes(&log).get(&t.family),
+        Some(&Outcome::Committed)
+    );
 }
 
 #[test]
@@ -106,19 +107,17 @@ fn prepared_subordinate_inquires() {
 #[test]
 fn active_unprepared_transaction_presumed_aborted() {
     let t = tid(2, 4);
-    let (engine, actions) = recover(
-        S1,
-        vec![LogRecord::ServerUpdate {
-            tid: t.clone(),
-            server: SRV,
-            object: camelot_types::ObjectId(1),
-            old: vec![],
-            new: vec![1],
-        }],
-    );
+    let log = vec![LogRecord::ServerUpdate {
+        tid: t.clone(),
+        server: SRV,
+        object: camelot_types::ObjectId(1),
+        old: vec![],
+        new: vec![1],
+    }];
+    let (engine, actions) = recover(S1, log.clone());
     // Its part died in the crash: no role, no outcome, no record.
     assert_eq!(engine.live_families(), 0);
-    assert_eq!(engine.resolution(&t.family), None);
+    assert_eq!(logged_outcomes(&log).get(&t.family), None);
     assert!(actions.is_empty(), "{actions:?}");
 }
 
@@ -222,10 +221,7 @@ fn full_cycle_crash_all_sites_and_recover() {
     // the subordinate either still knows (prepared record) or treats
     // the commit notice idempotently. Nobody may think "aborted".
     net.assert_no_conflict(&tid.family);
-    assert_eq!(
-        net.engine(S1).resolution(&tid.family),
-        Some(Outcome::Committed)
-    );
+    assert_eq!(net.decision(S1, &tid.family), Some(Outcome::Committed));
 }
 
 #[test]
@@ -272,14 +268,14 @@ fn delayed_commit_every_subordinate_crash_point_recovers() {
         net.assert_no_conflict(&tid.family);
         if committed_pre {
             assert_eq!(
-                net.engine(S2).resolution(&tid.family),
+                net.decision(S2, &tid.family),
                 Some(Outcome::Committed),
                 "crash point {crash_before}: subordinate lost a commit \
                  the coordinator answered"
             );
         }
         assert!(
-            net.engine(S1).resolution(&tid.family).is_some(),
+            net.decision(S1, &tid.family).is_some(),
             "crash point {crash_before}: coordinator never resolved"
         );
     }
@@ -334,7 +330,9 @@ fn delayed_commit_lazy_record_lost_reinquires_and_recommits() {
         )),
         "recovered subordinate must re-notify its servers: {out:?}"
     );
-    assert_eq!(engine.resolution(&t.family), Some(Outcome::Committed));
+    assert!(out
+        .iter()
+        .any(|a| decided_by(a) == Some((t.family, Outcome::Committed))));
 }
 
 #[test]
@@ -345,28 +343,29 @@ fn delayed_commit_durable_record_ack_lost_reacks_resend() {
     // coordinator's commit-notice resend is re-acked from the
     // recorded resolution.
     let t = tid(2, 8);
-    let (mut engine, actions) = recover(
-        S1,
-        vec![
-            LogRecord::ServerUpdate {
-                tid: t.clone(),
-                server: SRV,
-                object: camelot_types::ObjectId(9),
-                old: vec![],
-                new: vec![8],
-            },
-            LogRecord::Prepared {
-                tid: t.clone(),
-                coordinator: S2,
-            },
-            LogRecord::Commit {
-                tid: t.clone(),
-                subs: vec![],
-            },
-        ],
-    );
+    let log = vec![
+        LogRecord::ServerUpdate {
+            tid: t.clone(),
+            server: SRV,
+            object: camelot_types::ObjectId(9),
+            old: vec![],
+            new: vec![8],
+        },
+        LogRecord::Prepared {
+            tid: t.clone(),
+            coordinator: S2,
+        },
+        LogRecord::Commit {
+            tid: t.clone(),
+            subs: vec![],
+        },
+    ];
+    let (mut engine, actions) = recover(S1, log.clone());
     assert_eq!(engine.live_families(), 0);
-    assert_eq!(engine.resolution(&t.family), Some(Outcome::Committed));
+    assert_eq!(
+        logged_outcomes(&log).get(&t.family),
+        Some(&Outcome::Committed)
+    );
     assert!(actions.is_empty(), "nothing owed at recovery: {actions:?}");
     // The coordinator resends its commit notice; the ack must come
     // back (directly, or after the piggyback delay timer fires).
@@ -434,9 +433,6 @@ fn subordinate_crash_after_prepare_recovers_to_commit() {
     net.crash(S2);
     net.restart(S2, EngineConfig::default());
     net.run_timers(20);
-    assert_eq!(
-        net.engine(S2).resolution(&tid.family),
-        Some(Outcome::Committed)
-    );
+    assert_eq!(net.decision(S2, &tid.family), Some(Outcome::Committed));
     net.assert_no_conflict(&tid.family);
 }

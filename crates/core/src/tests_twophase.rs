@@ -9,7 +9,7 @@ use crate::config::{CommitMode, EngineConfig, TwoPhaseVariant};
 use crate::engine::Engine;
 use crate::family::FamilyPhase;
 use crate::io::{Action, Input};
-use crate::testkit::Net;
+use crate::testkit::{decided_by, Net};
 
 const S1: SiteId = SiteId(1);
 const S2: SiteId = SiteId(2);
@@ -421,9 +421,9 @@ fn subordinate_phase_one_under_both_protocols() {
                 ..
             }
         )));
-        assert_eq!(
-            sub.eng.resolution(&remote.family),
-            Some(Outcome::Aborted),
+        assert!(
+            a.iter()
+                .any(|x| decided_by(x) == Some((remote.family, Outcome::Aborted))),
             "{mode:?}"
         );
         match mode {
@@ -479,13 +479,13 @@ fn coordinator_crash_blocks_prepared_subordinate() {
         .family_view(&tid.family)
         .expect("family live");
     assert_eq!(view.phase, FamilyPhase::Prepared, "subordinate is blocked");
-    assert!(net.engine(S2).resolution(&tid.family).is_none());
+    assert!(net.decision(S2, &tid.family).is_none());
     // Coordinator recovers with no commit record for the family:
     // presumed abort answers the next inquiry.
     net.restart(S1, EngineConfig::default());
     net.run_timers(5);
     assert_eq!(
-        net.engine(S2).resolution(&tid.family),
+        net.decision(S2, &tid.family),
         Some(Outcome::Aborted),
         "presumed abort after coordinator recovery"
     );
@@ -537,10 +537,7 @@ fn inquiry_after_coordinator_forgot_is_presumed_abort() {
     // S2 prepared and votes; coordinator knows nothing -> on inquiry
     // it answers aborted.
     net.run_timers(3);
-    assert_eq!(
-        net.engine(S2).resolution(&tid.family),
-        Some(Outcome::Aborted)
-    );
+    assert_eq!(net.decision(S2, &tid.family), Some(Outcome::Aborted));
 }
 
 #[test]

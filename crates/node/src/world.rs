@@ -918,6 +918,7 @@ impl World {
 mod tests {
     use super::*;
     use crate::app::AppSpec;
+    use camelot_core::testkit::logged_outcomes;
     use camelot_core::{CommitMode, EngineConfig};
 
     const S1: SiteId = SiteId(1);
@@ -1140,10 +1141,13 @@ mod tests {
             },
         );
         s.run(&mut w);
-        // Site 3 learned the abort via the relay.
+        // Site 3 learned the abort via the relay: its log says so.
+        let wal = &mut w.site(SiteId(3)).wal;
+        wal.force().expect("force");
+        let records = wal.recover().expect("recover");
         assert_eq!(
-            w.engine(SiteId(3)).resolution(&tid.family),
-            Some(Outcome::Aborted),
+            logged_outcomes(records.iter().map(|(_, rec)| rec)).get(&tid.family),
+            Some(&Outcome::Aborted),
             "abort must relay through site 2"
         );
         assert_eq!(w.engine(SiteId(3)).live_families(), 0);

@@ -206,10 +206,7 @@ fn a_takeover_with_nobody_to_tell_ends_the_family() {
     net.crash(S1);
     net.restart(S1, EngineConfig::default());
     settle(&mut net);
-    assert_eq!(
-        net.engine(S1).resolution(&tid.family),
-        Some(Outcome::Aborted)
-    );
+    assert_eq!(net.decision(S1, &tid.family), Some(Outcome::Aborted));
     assert_quiet(&net);
 }
 
@@ -302,7 +299,7 @@ fn an_abort_join_is_answered_only_once_durable() {
     let decided = |net: &Net| {
         [S2, S3]
             .iter()
-            .all(|s| net.engine(*s).resolution(&tid.family).is_some())
+            .all(|s| net.decision(*s, &tid.family).is_some())
     };
     for _ in 0..2_000 {
         if decided(&net) {

@@ -145,7 +145,7 @@ proptest! {
         // Survivors resolved (they are never left blocked).
         for s in &subs {
             prop_assert!(
-                net.engine(*s).resolution(&tid.family).is_some(),
+                net.decision(*s, &tid.family).is_some(),
                 "{} still unresolved", s
             );
         }
@@ -169,8 +169,8 @@ proptest! {
         net.restart(SiteId(1), EngineConfig::default());
         net.run_timers(80);
         net.assert_no_conflict(&tid.family);
-        let o1 = net.engine(SiteId(1)).resolution(&tid.family);
-        let o2 = net.engine(SiteId(2)).resolution(&tid.family);
+        let o1 = net.decision(SiteId(1), &tid.family);
+        let o2 = net.decision(SiteId(2), &tid.family);
         prop_assert!(o1.is_some(), "coordinator unresolved after recovery");
         prop_assert_eq!(o1, o2);
     }

@@ -205,5 +205,5 @@ fn a_restarted_read_only_participant_answers_unknown() {
         })
         .collect();
     assert_eq!(answers, vec![NbSiteState::Unknown]);
-    assert_eq!(net.engine(S2).resolution(&tid.family), None);
+    assert_eq!(net.decision(S2, &tid.family), None);
 }

@@ -1017,7 +1017,7 @@ impl Engine {
             TmMessage::NbAbortJoinResp { tid, from, joined } => {
                 self.takeover_abort_join_resp(out, tid, from, joined)
             }
-            TmMessage::NbForget { tid } => self.forget_family(out, &tid.family),
+            TmMessage::NbForget { tid } => self.subnb_forget(out, tid),
             // Nested transactions.
             TmMessage::SubResolved { tid, outcome } => self.settle_subtree(out, &tid, outcome),
         }

@@ -537,6 +537,22 @@ impl Engine {
         let (tid, from) = (Tid::top_level(family), self.site);
         self.send(out, to, TmMessage::NbOutcomeAck { tid, from });
     }
+
+    /// The forget note: every site has resolved the family (change 4).
+    /// A subordinate that resolved it logs that, unforced, with an end
+    /// record before its tombstone goes, so that no restart rebuilds
+    /// the tombstone.
+    pub(crate) fn subnb_forget(&mut self, out: &mut Vec<Action>, tid: Tid) {
+        let family = tid.family;
+        if let Some(Role::SubNb(s)) = self.families.get(&family).map(|f| &f.role) {
+            if s.outcome.is_some() {
+                out.push(Action::Append {
+                    rec: LogRecord::End { tid },
+                });
+            }
+        }
+        self.forget_family(out, &family);
+    }
 }
 
 impl CoordNb {

@@ -220,7 +220,7 @@ fn run_point_sockets(args: &Args, transport: Transport, rate: f64) -> SockPoint 
         CtrlSession::new(board.clone())
     });
 
-    // Let in-flight resolutions land, then read the counters. A
+    // Let in-flight outcomes land, then read the counters. A
     // cluster that does not settle (a site died, or work is stuck)
     // would give a point covering only part of it: none is recorded.
     if let Err(busy) = sup.quiesce(StdDuration::from_secs(10)) {

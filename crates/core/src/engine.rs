@@ -188,10 +188,6 @@ pub struct Engine {
     /// Queued piggybackable messages per destination.
     pending_acks: HashMap<SiteId, Vec<TmMessage>>,
     ack_flush_timer: HashMap<SiteId, TimerToken>,
-    /// Outcomes of families resolved at this site (kept for inquiry
-    /// answering in tests and for idempotence; presumed abort lets a
-    /// real system drop these).
-    pub(crate) resolutions: HashMap<FamilyId, Outcome>,
     pub(crate) stats: EngineStats,
     /// Trace emission handle; disabled (no-op) unless the runtime
     /// attaches a ring via [`Engine::set_tracer`].
@@ -223,7 +219,6 @@ impl Engine {
             next_token: shard as u64 + 1,
             pending_acks: HashMap::new(),
             ack_flush_timer: HashMap::new(),
-            resolutions: HashMap::new(),
             stats: EngineStats::default(),
             tracer: Tracer::disabled(),
         }
@@ -278,11 +273,6 @@ impl Engine {
     /// restart from a truncated log never reuses a family id.
     pub fn next_family_seq(&self) -> u64 {
         self.next_family_seq
-    }
-
-    /// The locally known outcome of a family, if it resolved here.
-    pub fn resolution(&self, id: &FamilyId) -> Option<Outcome> {
-        self.resolutions.get(id).copied()
     }
 
     /// Raises the family sequence counter (recovery: never reuse a
@@ -508,7 +498,8 @@ impl Engine {
         Duration(backed.0 + if jitter > 0 { h % jitter } else { 0 })
     }
 
-    /// Record a family's final outcome.
+    /// Counts and traces a family's final outcome (which lives in the
+    /// family itself, see [`Family::outcome`]).
     pub(crate) fn record_resolution(&mut self, id: FamilyId, outcome: Outcome) {
         match outcome {
             Outcome::Committed => self.stats.commits += 1,
@@ -520,7 +511,6 @@ impl Engine {
                 outcome: outcome_name(outcome),
             },
         );
-        self.resolutions.insert(id, outcome);
     }
 
     /// What every resolution does at the site where it happens, short
@@ -540,13 +530,18 @@ impl Engine {
         };
         let tid = fam.top_tid();
         let servers: Vec<ServerId> = fam.servers.iter().copied().collect();
+        let req = fam.commit_req.take();
+        // A non-blocking subordinate acks once its lazy record is durable.
+        let ack_waits = matches!(&fam.role, Role::SubNb(s) if s.phase == SubPhase::AwaitDurable);
         if outcome == Outcome::Aborted {
             fam.mark_subtree(&tid, TxnStatus::Aborted);
-            out.push(Action::Append {
-                rec: LogRecord::Abort { tid: tid.clone() },
-            });
+            let rec = LogRecord::Abort { tid: tid.clone() };
+            match ack_waits {
+                true => self.append_lazy(out, ForceKind::NbSubOutcomeLazy, family, rec),
+                false => out.push(Action::Append { rec }),
+            }
         }
-        if let Some(req) = fam.commit_req.take() {
+        if let Some(req) = req {
             out.push(Action::Resolved {
                 req,
                 tid: tid.clone(),
@@ -1017,7 +1012,11 @@ impl Engine {
             TmMessage::NbAbortJoinResp { tid, from, joined } => {
                 self.takeover_abort_join_resp(out, tid, from, joined)
             }
-            TmMessage::NbForget { tid } => self.subnb_forget(out, tid),
+            // Every site has resolved it: one that holds its outcome ends it.
+            TmMessage::NbForget { tid } => match self.families.get(&tid.family) {
+                Some(fam) if fam.outcome().is_some() => self.end_family(out, tid.family, vec![]),
+                _ => self.forget_family(out, &tid.family),
+            },
             // Nested transactions.
             TmMessage::SubResolved { tid, outcome } => self.settle_subtree(out, &tid, outcome),
         }
@@ -1033,11 +1032,10 @@ impl Engine {
         // Ref [7]: forward the abort along this site's own outgoing
         // calls — the initiator may not know the full participant set.
         out.push(Action::RelayAbort { tid });
-        // An abort notice is booked without counting it in
+        // An abort notice is traced without counting it in
         // `EngineStats::aborts` (decisions and announced outcomes).
         self.tracer
             .family(family, TraceEventKind::Decision { outcome: "Aborted" });
-        self.resolutions.insert(family, Outcome::Aborted);
         self.forget_family(out, &family);
     }
 

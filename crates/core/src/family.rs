@@ -203,9 +203,9 @@ pub enum SubPhase {
     /// 2PC: commit notice received; commit-record force in flight
     /// (unoptimized / semi-optimized variants).
     ForcingCommit,
-    /// Commit outcome received; locks dropped; lazy commit record
-    /// awaiting durability before the acknowledgement goes out (2PC:
-    /// the delayed-commit optimization).
+    /// Outcome received (2PC: a commit); locks dropped; lazy outcome
+    /// record awaiting durability before the acknowledgement goes out
+    /// (2PC: the delayed-commit optimization).
     AwaitDurable,
     /// NB: replication record force in flight.
     ForcingReplicate,
@@ -534,6 +534,16 @@ impl Family {
             {
                 Some(tally)
             }
+            _ => None,
+        }
+    }
+
+    /// The outcome decided here, held by an announcer or by a tombstone
+    /// until its forget note (change 4); `None` while undecided.
+    pub fn outcome(&self) -> Option<Outcome> {
+        match &self.role {
+            Role::Announcing(a) => Some(a.outcome),
+            Role::SubNb(s) => s.outcome,
             _ => None,
         }
     }

@@ -71,15 +71,20 @@ pub(crate) fn info_from_record(i: &ReplicationInfo) -> NbInfo {
     }
 }
 
-/// Majority-based quorum sizes over a population of `n` sites:
-/// `Vc + Va = n + 1 > n`, so any commit quorum intersects any abort
-/// quorum (the Gifford weighted-voting condition the protocol relies
-/// on).
-pub(crate) fn quorum_sizes(n: usize) -> (u32, u32) {
-    let n = n as u32;
-    let vc = n / 2 + 1;
-    let va = n + 1 - vc;
-    (vc, va)
+/// The decision information of a commitment over `sites`, before any
+/// vote, with majority-based quorum sizes: `Vc + Va = n + 1 > n`, so
+/// any commit quorum intersects any abort quorum (the Gifford
+/// weighted-voting condition the protocol relies on).
+pub(crate) fn quorum_info(sites: Vec<SiteId>) -> NbInfo {
+    let n = sites.len() as u32;
+    let commit_quorum = n / 2 + 1;
+    let abort_quorum = n + 1 - commit_quorum;
+    NbInfo {
+        sites,
+        yes_votes: Vec::new(),
+        commit_quorum,
+        abort_quorum,
+    }
 }
 
 impl Engine {
@@ -97,13 +102,7 @@ impl Engine {
         let servers = fam.servers.clone();
         let mut sites = vec![self.site];
         sites.extend(participants.iter().copied());
-        let (vc, va) = quorum_sizes(sites.len());
-        let info = NbInfo {
-            sites,
-            yes_votes: Vec::new(),
-            commit_quorum: vc,
-            abort_quorum: va,
-        };
+        let info = quorum_info(sites);
         fam.role = Role::CoordNb(CoordNb {
             info: info.clone(),
             begun: false,
@@ -462,39 +461,30 @@ impl Engine {
             self.send(out, from, ack);
             return;
         };
-        match &mut fam.role {
+        let fallback = match &mut fam.role {
             Role::SubNb(s) => match s.phase {
                 // Tombstone: re-ack.
                 SubPhase::Resolved => return self.send(out, from, ack),
                 SubPhase::AwaitDurable => return, // Ack under way.
-                _ => {}
+                _ => None,
             },
-            Role::Takeover(t) => {
-                // Someone else finished first: fall back to a
-                // subordinate, with its outcome timer, and adopt.
-                let (info, local_update) = (std::mem::take(&mut t.info), t.local_update);
-                fam.role = Role::SubNb(SubNb::at(from, info, SubPhase::Prepared, local_update));
-                self.arm_in_doubt_timer(out, family, CommitMode::NonBlocking);
-            }
+            // Someone else finished first — a rival takeover, or a
+            // takeover that finished our own transaction while we were
+            // slow (not crashed): fall back to a subordinate, with its
+            // outcome timer, and adopt.
+            Role::Takeover(t) => Some((std::mem::take(&mut t.info), t.local_update)),
+            Role::CoordNb(c) => Some((std::mem::take(&mut c.info), c.tally.local_update)),
             // Two announcers crossed: the sender has resolved, which is
             // what its acknowledgement would say.
             Role::Announcing(_) => {
                 self.send(out, from, ack);
                 return self.on_outcome_ack(out, tid, from, CommitMode::NonBlocking);
             }
-            Role::CoordNb(_) => {
-                // A takeover coordinator finished our transaction
-                // while we were slow (not crashed). Adopt.
-                let reason = (outcome == Outcome::Aborted).then_some(AbortReason::SiteFailure);
-                self.resolve_here(out, family, outcome, reason);
-                if outcome == Outcome::Committed {
-                    let rec = LogRecord::Commit { tid, subs: vec![] };
-                    out.push(Action::Append { rec });
-                }
-                self.forget_family(out, &family);
-                return self.send(out, from, ack);
-            }
             _ => return,
+        };
+        if let Some((info, local_update)) = fallback {
+            fam.role = Role::SubNb(SubNb::at(from, info, SubPhase::Prepared, local_update));
+            self.arm_in_doubt_timer(out, family, CommitMode::NonBlocking);
         }
         // The subordinate adopts the outcome. From here it answers to
         // whoever announced it, and its tombstone keeps the outcome
@@ -504,27 +494,20 @@ impl Engine {
         };
         s.outcome = Some(outcome);
         s.coordinator = from;
-        s.phase = match outcome {
-            Outcome::Committed => {
-                s.pending_ack_to = Some(from);
-                SubPhase::AwaitDurable
-            }
-            Outcome::Aborted => SubPhase::Resolved,
-        };
-        self.resolve_here(out, family, outcome, None);
-        match outcome {
-            // The outcome record is lazy (each site forces only two
-            // records in this protocol, prepared and replication); the
-            // ack waits for it.
-            Outcome::Committed => {
-                let rec = LogRecord::Commit { tid, subs: vec![] };
-                self.append_lazy(out, ForceKind::NbSubOutcomeLazy, family, rec);
-            }
-            Outcome::Aborted => self.send(out, from, ack),
+        s.pending_ack_to = Some(from);
+        s.phase = SubPhase::AwaitDurable;
+        // The outcome record is lazy (each site forces only two records
+        // in this protocol, prepared and replication); the ack waits for
+        // it. At the family's home site this answers the application.
+        let reason = (outcome == Outcome::Aborted).then_some(AbortReason::SiteFailure);
+        self.resolve_here(out, family, outcome, reason);
+        if outcome == Outcome::Committed {
+            let rec = LogRecord::Commit { tid, subs: vec![] };
+            self.append_lazy(out, ForceKind::NbSubOutcomeLazy, family, rec);
         }
     }
 
-    /// Lazy commit record became durable: acknowledge the outcome.
+    /// Lazy outcome record became durable: acknowledge the outcome.
     pub(crate) fn subnb_outcome_durable(&mut self, out: &mut Vec<Action>, family: FamilyId) {
         let Some(Role::SubNb(s)) = self.families.get_mut(&family).map(|f| &mut f.role) else {
             return;
@@ -536,22 +519,6 @@ impl Engine {
         let to = s.pending_ack_to.take().unwrap_or(s.coordinator);
         let (tid, from) = (Tid::top_level(family), self.site);
         self.send(out, to, TmMessage::NbOutcomeAck { tid, from });
-    }
-
-    /// The forget note: every site has resolved the family (change 4).
-    /// A subordinate that resolved it logs that, unforced, with an end
-    /// record before its tombstone goes, so that no restart rebuilds
-    /// the tombstone.
-    pub(crate) fn subnb_forget(&mut self, out: &mut Vec<Action>, tid: Tid) {
-        let family = tid.family;
-        if let Some(Role::SubNb(s)) = self.families.get(&family).map(|f| &f.role) {
-            if s.outcome.is_some() {
-                out.push(Action::Append {
-                    rec: LogRecord::End { tid },
-                });
-            }
-        }
-        self.forget_family(out, &family);
     }
 }
 

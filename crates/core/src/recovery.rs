@@ -1,32 +1,28 @@
 //! Restart recovery of transaction-manager protocol state.
 //!
 //! After a crash, the recovery process reads the stable log and
-//! rebuilds the transaction manager's in-memory state. What became of
+//! rebuilds the transaction manager's in-memory state: what became of
 //! each family is read once, by [`camelot_wal::families`], the same
-//! reading the data servers recover from. For each fate:
+//! reading the data servers recover from, and only what is still owed
+//! is rebuilt (DESIGN §5.8).
 //!
-//! - **committed** — booked for inquiries. A coordinator's commit
-//!   record naming subordinates and no end record means it crashed
-//!   mid-notify: resume the notify phase (presumed abort obliges the
-//!   coordinator to keep re-announcing until every ack arrives).
-//! - **aborted** — booked for inquiries.
-//! - **in doubt** — a 2PC prepared record rebuilds the prepared
-//!   subordinate, which inquires (it stays *blocked* until the
-//!   coordinator answers — the vulnerability non-blocking commitment
-//!   removes); a non-blocking prepared or replication record rebuilds
-//!   the subordinate, whose outcome timer drives a takeover; a
-//!   non-blocking begin record alone means the original coordinator
-//!   crashed mid-protocol, and it rejoins as a takeover coordinator
-//!   (its own decision may have been made *for* it by a quorum while
-//!   it was down, so it must ask, not assume).
-//! - **died** — this site's part of the family died in the crash. It
-//!   never voted yes, so the family cannot commit with it, and presumed
-//!   abort needs no record of that: nothing is rebuilt, booked or
-//!   written. A coordinator that inquires is told "aborted" by presumed
-//!   abort; a takeover that asks is told "unknown", and may recruit
-//!   this site into its abort quorum.
+//! - **committed** or **aborted**, and no end record: a non-blocking
+//!   coordinator (its begin record) re-announces the outcome to every
+//!   other site; a non-blocking subordinate keeps its tombstone and
+//!   acknowledges again at once, until the forget note (change 4); a
+//!   2PC coordinator whose commit record names subordinates
+//!   re-announces until every ack arrives.
+//! - **in doubt**: a 2PC prepared subordinate inquires (*blocked* until
+//!   the coordinator answers — the vulnerability non-blocking
+//!   commitment removes); a non-blocking subordinate's outcome timer
+//!   drives a takeover; a non-blocking begin record alone rejoins the
+//!   original coordinator as a takeover (a quorum may have decided for
+//!   it while it was down, so it must ask, not assume).
+//! - Anything else, **died** included: nothing is rebuilt or written,
+//!   and presumed abort answers for the family — "aborted" to an
+//!   inquiry, "unknown" to a takeover, which may then recruit this site
+//!   into its abort quorum.
 
-use camelot_net::msg::NbInfo;
 use camelot_net::{Outcome, TmMessage};
 use camelot_types::{FamilyId, Lsn, SiteId};
 use camelot_wal::record::QuorumKind;
@@ -34,7 +30,7 @@ use camelot_wal::{families, FamilyLog, Fate, LogRecord};
 
 use crate::config::{CommitMode, EngineConfig};
 use crate::engine::Engine;
-use crate::family::{Announcing, Family, Role, SubNb, SubPhase, Takeover};
+use crate::family::{Announcing, Family, Role, Sub2pc, SubNb, SubPhase, Takeover, Tally};
 use crate::io::Action;
 use crate::nonblocking::info_from_record;
 
@@ -78,93 +74,105 @@ impl Engine {
         engine.bump_family_seq(spent + 1);
         let mut out = Vec::new();
         for (fid, log) in &fams {
-            match log.fate() {
-                Fate::Committed => {
-                    engine.resolutions.insert(*fid, Outcome::Committed);
-                    engine.rebuild_notifier(&mut out, *fid, log);
-                }
-                Fate::Aborted => {
-                    engine.resolutions.insert(*fid, Outcome::Aborted);
-                }
-                Fate::InDoubt => engine.rebuild_in_doubt(&mut out, *fid, log),
-                Fate::Died => {}
+            let decided = match log.fate() {
+                Fate::Committed => Some(Outcome::Committed),
+                Fate::Aborted => Some(Outcome::Aborted),
+                Fate::InDoubt => None,
+                Fate::Died => continue,
+            };
+            if !log.ended {
+                engine.rebuild(&mut out, *fid, log, decided);
             }
         }
         (engine, out)
     }
 
-    /// A committed family whose commit record names subordinates and
-    /// that has no end record: the coordinator crashed mid-notify and
-    /// re-announces until acked. (A subordinate's own lazy commit
-    /// record names none; nothing further is owed by us.)
-    fn rebuild_notifier(&mut self, out: &mut Vec<Action>, fid: FamilyId, log: &FamilyLog) {
-        let subs = log.commit.unwrap_or_default();
-        if log.ended || subs.is_empty() {
-            return;
-        }
+    /// Gives a family that still owes something the role its records
+    /// leave it in; `decided` is its outcome here, `None` in doubt.
+    fn rebuild(
+        &mut self,
+        out: &mut Vec<Action>,
+        fid: FamilyId,
+        log: &FamilyLog,
+        decided: Option<Outcome>,
+    ) {
         let mut fam = Family::new(fid);
         fam.servers = log.servers.clone();
-        self.families.insert(fid, fam);
-        let committed = Outcome::Committed;
-        match log.nb_begin {
-            Some(info) => self.announce_to_peers(out, fid, info_from_record(info), committed),
-            None => {
-                let announcing = Announcing {
-                    nb: None,
-                    outcome: committed,
-                    awaiting_acks: subs.iter().copied().collect(),
-                    forget: Vec::new(),
-                };
-                self.announce(out, fid, announcing)
-            }
-        }
-    }
-
-    /// An in-doubt family gets back the role its last record left it
-    /// in.
-    fn rebuild_in_doubt(&mut self, out: &mut Vec<Action>, fid: FamilyId, log: &FamilyLog) {
-        let mut fam = Family::new(fid);
-        fam.servers = log.servers.clone();
-        let tid = fam.top_tid();
         fam.joined = match log.nb_replicate {
             Some(_) => Some(QuorumKind::Commit),
             None => log.quorum,
         };
-        let nb_sub = if let Some(info) = log.nb_replicate {
+        let (tid, me) = (fam.top_tid(), self.site);
+        let phase = match (decided, log.nb_replicate) {
+            (Some(_), _) => SubPhase::Resolved,
             // In doubt, replicated: quorum member. Take over promptly.
-            let info = info_from_record(info);
-            let coordinator = log.nb_prepared.map_or(info.sites[0], |(c, _)| c);
-            Some(SubNb::at(coordinator, info, SubPhase::Replicated, true))
-        } else if let Some((coordinator, sites)) = log.nb_prepared {
-            let (vc, va) = crate::nonblocking::quorum_sizes(sites.len());
-            let info = NbInfo {
-                sites: sites.to_vec(),
-                yes_votes: vec![],
-                commit_quorum: vc,
-                abort_quorum: va,
-            };
-            Some(SubNb::at(coordinator, info, SubPhase::Prepared, true))
-        } else {
-            None
+            (None, Some(_)) => SubPhase::Replicated,
+            (None, None) => SubPhase::Prepared,
         };
-        if let Some(sub) = nb_sub {
-            fam.role = Role::SubNb(sub);
-            self.families.insert(fid, fam);
-            self.arm_in_doubt_timer(out, fid, CommitMode::NonBlocking);
-        } else if let Some(info) = log.nb_begin {
-            // The original coordinator, crashed before deciding: it
-            // must ask the quorum, not assume.
-            fam.role = Role::Takeover(Takeover::gathering(info_from_record(info), true));
-            self.families.insert(fid, fam);
-            self.begin_gathering(out, fid);
-        } else if let Some(coordinator) = log.prepared {
-            // In-doubt 2PC subordinate: blocked until the coordinator
-            // answers.
-            crate::twophase::prepared_subordinate(&mut fam, coordinator);
-            self.families.insert(fid, fam);
-            self.arm_in_doubt_timer(out, fid, CommitMode::TwoPhase);
-            let from = self.site;
-            self.send(out, coordinator, TmMessage::Inquire { tid, from });
+        let begun = log.nb_begin.map(info_from_record);
+        match (decided, begun, nb_subordinate(log, phase), log.prepared) {
+            (Some(outcome), Some(info), _, _) => {
+                self.families.insert(fid, fam);
+                self.announce_to_peers(out, fid, info, outcome);
+            }
+            (outcome, _, Some(sub), _) => {
+                let to = sub.coordinator;
+                fam.role = Role::SubNb(SubNb { outcome, ..sub });
+                self.families.insert(fid, fam);
+                self.arm_in_doubt_timer(out, fid, CommitMode::NonBlocking);
+                if outcome.is_some() {
+                    self.send(out, to, TmMessage::NbOutcomeAck { tid, from: me });
+                }
+            }
+            (None, Some(info), None, _) => {
+                fam.role = Role::Takeover(Takeover::gathering(info, true));
+                self.families.insert(fid, fam);
+                self.begin_gathering(out, fid);
+            }
+            (None, None, None, Some(coordinator)) => {
+                let tally = Tally {
+                    local_update: true,
+                    ..Tally::default()
+                };
+                let phase = SubPhase::Prepared;
+                fam.role = Role::Sub2pc(Sub2pc {
+                    coordinator,
+                    tally,
+                    phase,
+                });
+                self.families.insert(fid, fam);
+                self.arm_in_doubt_timer(out, fid, CommitMode::TwoPhase);
+                self.send(out, coordinator, TmMessage::Inquire { tid, from: me });
+            }
+            (Some(outcome), None, None, _) => {
+                // A subordinate's own commit record names no subordinates.
+                let Some(subs) = log.commit.filter(|subs| !subs.is_empty()) else {
+                    return;
+                };
+                self.families.insert(fid, fam);
+                let a = Announcing {
+                    nb: None,
+                    outcome,
+                    awaiting_acks: subs.iter().copied().collect(),
+                    forget: vec![],
+                };
+                self.announce(out, fid, a);
+            }
+            (None, None, None, None) => {}
         }
     }
+}
+
+/// The non-blocking subordinate a restarted log describes, in `phase`:
+/// its coordinator and the decision information, from the replication
+/// record or else the prepared record.
+fn nb_subordinate(log: &FamilyLog, phase: SubPhase) -> Option<SubNb> {
+    let (coordinator, info) = if let Some(info) = log.nb_replicate {
+        let info = info_from_record(info);
+        (log.nb_prepared.map_or(info.sites[0], |(c, _)| c), info)
+    } else {
+        let (coordinator, sites) = log.nb_prepared?;
+        (coordinator, crate::nonblocking::quorum_info(sites.to_vec()))
+    };
+    Some(SubNb::at(coordinator, info, phase, true))
 }

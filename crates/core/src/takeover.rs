@@ -103,47 +103,31 @@ impl Engine {
     pub(crate) fn nb_status_req(&mut self, out: &mut Vec<Action>, tid: Tid, from: SiteId) {
         let family = tid.family;
         let me = self.site;
-        let (state, info) = match self.families.get_mut(&family) {
-            None => {
-                let state = self
-                    .resolutions
-                    .get(&family)
-                    .map_or(NbSiteState::Unknown, |o| state_of(*o));
-                (state, None)
-            }
-            Some(fam) => {
-                match &fam.role {
-                    Role::SubNb(s) => {
-                        let state = match s.phase {
-                            SubPhase::CollectLocal
-                            | SubPhase::ForcingPrepared
-                            | SubPhase::Prepared
-                            | SubPhase::ForcingCommit
-                            | SubPhase::ForcingReplicate => NbSiteState::Prepared,
-                            SubPhase::Replicated => NbSiteState::Replicated,
-                            SubPhase::AwaitDurable => NbSiteState::Committed,
-                            SubPhase::Resolved => match s.outcome {
-                                Some(Outcome::Committed) => NbSiteState::Committed,
-                                _ => NbSiteState::Aborted,
-                            },
-                        };
-                        (state, Some(s.info.clone()))
-                    }
-                    // Not durably decided: report prepared (our
-                    // commit record, once forced, is what joins
-                    // the quorum).
-                    Role::CoordNb(c) => (NbSiteState::Prepared, Some(c.info.clone())),
-                    Role::Takeover(t) => {
-                        let state = match t.replicated.contains(&me) {
-                            true => NbSiteState::Replicated,
-                            false => NbSiteState::Prepared,
-                        };
-                        (state, Some(t.info.clone()))
-                    }
-                    Role::Announcing(a) => (state_of(a.outcome), a.nb.clone()),
-                    _ => (NbSiteState::Unknown, None),
+        let (state, info) = match self.families.get(&family) {
+            // Never prepared here, or every site has resolved it.
+            None => (NbSiteState::Unknown, None),
+            Some(fam) => match (&fam.role, fam.outcome()) {
+                (Role::Announcing(a), Some(outcome)) => (state_of(outcome), a.nb.clone()),
+                (Role::SubNb(s), Some(outcome)) => (state_of(outcome), Some(s.info.clone())),
+                (Role::SubNb(s), None) => {
+                    let state = match s.phase {
+                        SubPhase::Replicated => NbSiteState::Replicated,
+                        _ => NbSiteState::Prepared,
+                    };
+                    (state, Some(s.info.clone()))
                 }
-            }
+                // Not durably decided: report prepared (our commit
+                // record, once forced, is what joins the quorum).
+                (Role::CoordNb(c), _) => (NbSiteState::Prepared, Some(c.info.clone())),
+                (Role::Takeover(t), _) => {
+                    let state = match t.replicated.contains(&me) {
+                        true => NbSiteState::Replicated,
+                        false => NbSiteState::Prepared,
+                    };
+                    (state, Some(t.info.clone()))
+                }
+                _ => (NbSiteState::Unknown, None),
+            },
         };
         self.send(
             out,
@@ -218,6 +202,14 @@ impl Engine {
             // Commit is the only possibly-decided outcome; recruit
             // prepared sites into the commit quorum.
             let achievable = t.replicated.len() + prepared_peers.len() + usize::from(self_prepared);
+            // Replication proves the coordinator's begin record durable,
+            // so it holds the family until every site resolved it (change
+            // 4). If no other site holds it, this site's replication came
+            // from a stale duplicate request: holding no updates, forget.
+            let unknown = peers(&[NbSiteState::Unknown]).len();
+            if !t.local_update && unknown + 1 == t.info.sites.len() {
+                return self.forget_family(out, &family);
+            }
             if achievable < vc {
                 self.takeover_blocked(out, family);
                 return;
@@ -318,30 +310,19 @@ impl Engine {
     pub(crate) fn nb_abort_join_req(&mut self, out: &mut Vec<Action>, tid: Tid, from: SiteId) {
         let family = tid.family;
         let me = self.site;
-        // A site that resolved (or never heard of) the transaction:
-        // under change 4 a resolved site still has its tombstone, so
-        // "unknown" really means "never prepared" — free to join.
-        match self.resolutions.get(&family) {
-            Some(Outcome::Aborted) => return self.send_abort_join_resp(out, from, tid, true),
-            Some(Outcome::Committed) => {
-                let state = NbSiteState::Committed;
-                return self.send(
-                    out,
-                    from,
-                    TmMessage::NbStatus {
-                        tid,
-                        from: me,
-                        state,
-                        info: None,
-                    },
-                );
-            }
-            None => {}
-        }
         let fam = self
             .families
             .entry(family)
             .or_insert_with(|| Family::new(family));
+        // A site that resolved the transaction answers with its outcome:
+        // it holds the family (an announcer, or a tombstone) until every
+        // site has resolved it (change 4). One that does not never
+        // prepared: free to join.
+        match fam.outcome() {
+            Some(Outcome::Aborted) => return self.send_abort_join_resp(out, from, tid, true),
+            Some(Outcome::Committed) => return self.nb_status_req(out, tid, from),
+            None => {}
+        }
         let force = Some(ForceKind::NbSubAbortJoin);
         let joined = match &mut fam.role {
             Role::Executing => {
@@ -359,12 +340,8 @@ impl Engine {
                 return;
             }
             Role::SubNb(s) => {
-                if fam.joined == Some(QuorumKind::Commit)
-                    || matches!(s.phase, SubPhase::Replicated | SubPhase::AwaitDurable)
-                {
+                if fam.joined == Some(QuorumKind::Commit) || s.phase == SubPhase::Replicated {
                     false
-                } else if s.phase == SubPhase::Resolved {
-                    s.outcome == Some(Outcome::Aborted)
                 } else if fam.joined == Some(QuorumKind::Abort) && s.pending_ack_to.is_none() {
                     true // Joined, and the record is durable.
                 } else {

@@ -28,12 +28,12 @@ fn run_with_loss(drop_every: usize, mode: CommitMode) -> (camelot_types::Tid, u6
     let req = net.commit(S1, &tid, mode, vec![S2, S3]);
     // Let timeout/retry machinery grind: inquiry timers, notify
     // resends, takeover rounds, ack flushes.
-    net.flush_lazy(S2);
-    net.flush_lazy(S3);
-    net.run_timers(400);
-    net.flush_lazy(S2);
-    net.flush_lazy(S3);
-    net.run_timers(200);
+    for timers in [400, 200] {
+        for s in [S1, S2, S3] {
+            net.flush_lazy(s);
+        }
+        net.run_timers(timers);
+    }
     (tid, req, net)
 }
 

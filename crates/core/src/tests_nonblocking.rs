@@ -127,6 +127,8 @@ fn nb_veto_aborts_everywhere() {
     assert_eq!(net.outcome_of(S1, req), Some(Outcome::Aborted));
     net.assert_no_conflict(&tid.family);
     assert!(net.server_aborted(S1, &tid));
+    // A subordinate acknowledges the abort once its record is durable.
+    net.flush_lazy(S2);
     net.run_timers(10);
     for s in [S1, S2, S3] {
         assert_eq!(
@@ -461,4 +463,90 @@ fn no_split_brain_under_any_single_crash_point() {
         // crash since the harness is instantaneous).
         net.assert_agreement(&tid.family, Outcome::Committed, 2);
     }
+}
+
+/// A coordinator that was slow, not crashed, hears the outcome a
+/// takeover decided while it still collected votes. It adopts the
+/// outcome the way a takeover does: it answers the application, falls
+/// back to a subordinate, acknowledges once its abort record is
+/// durable, and keeps the outcome as a tombstone until the forget
+/// note, which it logs.
+#[test]
+fn a_slow_coordinator_adopts_a_takeover_outcome_as_a_tombstone() {
+    use crate::engine::Engine;
+    use crate::io::{Action, Input};
+    use camelot_net::TmMessage;
+    use camelot_types::Time;
+    use camelot_wal::LogRecord;
+
+    let mut e = Engine::new(S1, EngineConfig::default());
+    let tid = match &e.handle(Input::Begin { req: 1 }, Time::ZERO)[0] {
+        Action::Began { tid, .. } => tid.clone(),
+        other => panic!("{other:?}"),
+    };
+    let server = SRV;
+    e.handle(
+        Input::Join {
+            tid: tid.clone(),
+            server,
+        },
+        Time::ZERO,
+    );
+    let commit = Input::CommitTop {
+        req: 2,
+        tid: tid.clone(),
+        mode: CommitMode::NonBlocking,
+        participants: vec![S2, S3],
+    };
+    e.handle(commit, Time::ZERO);
+    let outcome = Outcome::Aborted;
+    let msg = TmMessage::NbOutcome {
+        tid: tid.clone(),
+        outcome,
+    };
+    let a = e.handle(Input::Datagram { from: S2, msg }, Time::ZERO);
+    assert!(a.iter().any(|x| matches!(
+        x,
+        Action::Resolved {
+            req: 2,
+            outcome: Outcome::Aborted,
+            ..
+        }
+    )));
+    // The abort record is lazy; the ack goes once it is durable.
+    let token = a.iter().find_map(|x| match x {
+        Action::AppendNotify {
+            rec: LogRecord::Abort { .. },
+            token,
+        } => Some(*token),
+        _ => None,
+    });
+    let a = e.handle(
+        Input::LogDurable {
+            token: token.unwrap(),
+        },
+        Time::ZERO,
+    );
+    assert!(a.iter().any(|x| matches!(
+        x,
+        Action::Send {
+            to: S2,
+            msg: TmMessage::NbOutcomeAck { .. },
+            ..
+        }
+    )));
+    let view = e.family_view(&tid.family).expect("tombstone");
+    assert_eq!(
+        (view.role, view.phase),
+        ("nb-subordinate", FamilyPhase::Resolving)
+    );
+    let msg = TmMessage::NbForget { tid: tid.clone() };
+    let a = e.handle(Input::Datagram { from: S2, msg }, Time::ZERO);
+    assert!(a.iter().any(|x| matches!(
+        x,
+        Action::Append {
+            rec: LogRecord::End { .. }
+        }
+    )));
+    assert_eq!(e.live_families(), 0);
 }

@@ -9,6 +9,7 @@ use camelot_wal::LogRecord;
 
 use crate::config::{CommitMode, EngineConfig};
 use crate::engine::Engine;
+use crate::family::FamilyPhase;
 use crate::io::{Action, Input};
 use crate::testkit::{decided_by, logged_outcomes, Net};
 
@@ -173,6 +174,85 @@ fn nb_coordinator_mid_protocol_starts_takeover() {
     assert!(actions.iter().any(|a| matches!(
         a,
         Action::Send { to, msg: TmMessage::NbStatusReq { .. }, .. } if *to == S2
+    )));
+}
+
+/// A non-blocking subordinate that resolved the family keeps its
+/// tombstone across a restart until the forget note is in its log:
+/// rebuilt, it acknowledges the outcome again at once and keeps its
+/// outcome timer. With the note logged, nothing is owed.
+#[test]
+fn a_resolved_nb_subordinate_is_rebuilt_until_its_forget_note() {
+    let t = tid(2, 5);
+    let info = ReplicationInfo {
+        sites: vec![S2, S1],
+        yes_votes: vec![S2, S1],
+        commit_quorum: 2,
+        abort_quorum: 1,
+    };
+    let mut log = vec![
+        LogRecord::NbPrepared {
+            tid: t.clone(),
+            coordinator: S2,
+            sites: vec![S2, S1],
+        },
+        LogRecord::NbReplicate {
+            tid: t.clone(),
+            info,
+        },
+        LogRecord::Commit {
+            tid: t.clone(),
+            subs: vec![],
+        },
+    ];
+    let (engine, actions) = recover(S1, log.clone());
+    let v = engine.family_view(&t.family).expect("tombstone");
+    assert_eq!(
+        (v.role, v.phase),
+        ("nb-subordinate", FamilyPhase::Resolving)
+    );
+    assert!(actions.iter().any(|a| matches!(
+        a,
+        Action::Send { to, msg: TmMessage::NbOutcomeAck { from, .. }, .. }
+            if *to == S2 && *from == S1
+    )));
+    assert!(actions.iter().any(|a| matches!(a, Action::SetTimer { .. })));
+    log.push(LogRecord::End { tid: t.clone() });
+    let (engine, actions) = recover(S1, log);
+    assert_eq!(engine.live_families(), 0);
+    assert!(actions.is_empty(), "{actions:?}");
+}
+
+/// A non-blocking coordinator that aborted and had not ended the
+/// family re-announces the abort to every other site.
+#[test]
+fn an_nb_coordinator_re_announces_its_abort() {
+    let t = tid(1, 6);
+    let info = ReplicationInfo {
+        sites: vec![S1, S2],
+        yes_votes: vec![],
+        commit_quorum: 2,
+        abort_quorum: 1,
+    };
+    let log = vec![
+        LogRecord::NbBegin {
+            tid: t.clone(),
+            info,
+        },
+        LogRecord::Abort { tid: t.clone() },
+    ];
+    let (engine, actions) = recover(S1, log);
+    assert_eq!(engine.family_view(&t.family).unwrap().role, "announcing");
+    assert!(actions.iter().any(|a| matches!(
+        a,
+        Action::Send {
+            to: S2,
+            msg: TmMessage::NbOutcome {
+                outcome: Outcome::Aborted,
+                ..
+            },
+            ..
+        }
     )));
 }
 

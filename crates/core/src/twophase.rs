@@ -275,12 +275,11 @@ impl Engine {
     /// A prepared subordinate (or a recovering site) asks about the
     /// outcome. Presumed abort: unknown means aborted.
     pub(crate) fn answer_inquiry(&mut self, out: &mut Vec<Action>, tid: Tid, from: SiteId) {
-        let family = tid.family;
-        let outcome = match self.resolutions.get(&family) {
-            Some(outcome) => *outcome,
-            // Still undecided here; the subordinate will ask again.
-            None if self.families.contains_key(&family) => return,
+        let outcome = match self.families.get(&tid.family).map(Family::outcome) {
             None => Outcome::Aborted,
+            Some(Some(outcome)) => outcome,
+            // Still undecided here; the subordinate will ask again.
+            Some(None) => return,
         };
         self.send(out, from, TmMessage::InquireResp { tid, outcome });
     }
@@ -559,17 +558,4 @@ impl Engine {
         let (tid, from) = (Tid::top_level(family), self.site);
         self.send(out, coordinator, TmMessage::Inquire { tid, from });
     }
-}
-
-/// Internal helper shared with recovery: build a subordinate entry in
-/// the prepared state (used when restart finds a prepared record).
-pub(crate) fn prepared_subordinate(fam: &mut Family, coordinator: SiteId) {
-    fam.role = Role::Sub2pc(Sub2pc {
-        coordinator,
-        tally: Tally {
-            local_update: true,
-            ..Tally::default()
-        },
-        phase: SubPhase::Prepared,
-    });
 }

@@ -333,3 +333,34 @@ fn an_abort_join_is_answered_only_once_durable() {
     net.assert_agreement(&tid.family, Outcome::Aborted, 3);
     assert_quiet(&net);
 }
+
+/// A duplicate of the coordinator's replication request arrives after
+/// the family ended everywhere. It recreates the family at S2, which
+/// joins the commit quorum, acknowledges to a coordinator that no
+/// longer holds the family, and later takes over. Every other site
+/// answers that it does not hold the family — the coordinator would
+/// hold it until every site had resolved it — so S2, holding no
+/// updates, forgets it instead of blocking for good.
+#[test]
+fn a_stale_replication_request_after_the_end_goes_quiet() {
+    let mut net = Net::new(3, EngineConfig::default());
+    let tid = update_txn(&mut net, &[S1, S2, S3]);
+    let req = net.commit(S1, &tid, CommitMode::NonBlocking, vec![S2, S3]);
+    settle(&mut net);
+    assert_eq!(net.outcome_of(S1, req), Some(Outcome::Committed));
+    assert_quiet(&net);
+    let info = camelot::net::msg::NbInfo {
+        sites: vec![S1, S2, S3],
+        yes_votes: vec![S1, S2, S3],
+        commit_quorum: 2,
+        abort_quorum: 2,
+    };
+    let msg = TmMessage::NbReplicate {
+        tid: tid.clone(),
+        info,
+    };
+    net.inject(S2, Input::Datagram { from: S1, msg });
+    settle(&mut net);
+    assert_quiet(&net);
+    net.assert_agreement(&tid.family, Outcome::Committed, 3);
+}

@@ -7,7 +7,7 @@ use proptest::prelude::*;
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use camelot::core::{shard_of_family, Engine, EngineConfig, Input};
+use camelot::core::{shard_of_family, Engine, EngineConfig, FamilyPhase, Input};
 use camelot::locks::{Acquire, LockManager, Mode};
 use camelot::net::Outcome;
 use camelot::server::{DataServer, Request};
@@ -89,16 +89,38 @@ enum Shape {
     Coordinator,
     /// 2PC subordinate: in doubt from prepared until the outcome.
     Sub2pc { commit: bool },
-    /// Non-blocking subordinate, optionally a replication-quorum member.
-    SubNb { replicate: bool, commit: bool },
+    /// Non-blocking subordinate, optionally a replication-quorum
+    /// member: remembered as a tombstone from the outcome on, until
+    /// the forget note logs its end record (`forgotten`).
+    SubNb {
+        replicate: bool,
+        commit: bool,
+        forgotten: bool,
+    },
     /// Non-blocking coordinator: begin, commit, end.
     CoordNb,
     /// 2PC subordinate whose write was made by a child transaction
     /// that then aborted.
     ChildAborted { commit: bool },
     /// Non-blocking read-only participant: writes nothing, then joins
-    /// the abort quorum when a takeover recruits it.
+    /// the abort quorum when a takeover recruits it, and keeps that
+    /// tombstone.
     ReadOnlyNb,
+}
+
+impl Shape {
+    /// Whether the transaction manager still holds the family once it
+    /// has logged every record: a non-blocking subordinate keeps its
+    /// tombstone until the forget note.
+    fn keeps_tombstone(self) -> bool {
+        matches!(
+            self,
+            Shape::SubNb {
+                forgotten: false,
+                ..
+            } | Shape::ReadOnlyNb
+        )
+    }
 }
 
 fn any_shape() -> impl Strategy<Value = Shape> {
@@ -106,8 +128,13 @@ fn any_shape() -> impl Strategy<Value = Shape> {
         any::<bool>().prop_map(|commit| Shape::Local { commit }),
         Just(Shape::Coordinator),
         any::<bool>().prop_map(|commit| Shape::Sub2pc { commit }),
-        (any::<bool>(), any::<bool>())
-            .prop_map(|(replicate, commit)| Shape::SubNb { replicate, commit }),
+        (any::<bool>(), any::<bool>(), any::<bool>()).prop_map(|(replicate, commit, forgotten)| {
+            Shape::SubNb {
+                replicate,
+                commit,
+                forgotten,
+            }
+        }),
         Just(Shape::CoordNb),
         any::<bool>().prop_map(|commit| Shape::ChildAborted { commit }),
         Just(Shape::ReadOnlyNb),
@@ -179,7 +206,11 @@ fn protocol_records(shape: Shape, tid: &Tid) -> Vec<LogRecord> {
                 kind: QuorumKind::Abort,
             },
         ],
-        Shape::SubNb { replicate, commit } => {
+        Shape::SubNb {
+            replicate,
+            commit,
+            forgotten,
+        } => {
             let mut recs = vec![LogRecord::NbPrepared {
                 tid: tid.clone(),
                 coordinator: PEER,
@@ -192,6 +223,9 @@ fn protocol_records(shape: Shape, tid: &Tid) -> Vec<LogRecord> {
                 });
             }
             recs.push(outcome(commit, vec![]));
+            if forgotten {
+                recs.push(LogRecord::End { tid: tid.clone() });
+            }
             recs
         }
         Shape::CoordNb => vec![
@@ -258,8 +292,8 @@ impl TwinLog {
 ///
 /// The server and the engine read the log alike: the families the
 /// server reinstates in doubt are exactly those the engine rebuilds in
-/// a role that has not decided yet, among the families that name the
-/// server.
+/// a role that has not decided yet (a rebuilt announcer or tombstone
+/// has), among the families that name the server.
 type Recovered = (Vec<Vec<u8>>, Vec<FamilyId>, Vec<String>, Vec<String>);
 
 fn recovered_state(wal: &mut Wal<MemStore>) -> Recovered {
@@ -290,7 +324,7 @@ fn recovered_state(wal: &mut Wal<MemStore>) -> Recovered {
         for id in engine.family_ids() {
             let v = engine.family_view(&id).unwrap();
             engines.push(format!("shard {k}: {id} {} {:?}", v.role, v.phase));
-            if v.role != "announcing" && v.servers > 0 {
+            if v.phase != FamilyPhase::Resolving && v.servers > 0 {
                 undecided.push(id);
             }
         }
@@ -608,7 +642,7 @@ proptest! {
                         }
                         _ => {}
                     }
-                    fam.held = !fam.todo.is_empty();
+                    fam.held = !fam.todo.is_empty() || fam.shape.keeps_tombstone();
                 }
             }
         }

@@ -4,14 +4,16 @@
 //! on which two readings of the log used to disagree.
 //!
 //! The runtime cases wait on state (committed values, `debug_state`),
-//! never on the clock.
+//! never on the clock. The last one is the outcome a non-blocking
+//! subordinate remembers across restarts: its tombstone is its only
+//! memory of the family, rebuilt from its log and kept by retention.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use camelot::core::testkit::Net;
 use camelot::core::{CommitMode, EngineConfig, Input};
-use camelot::net::{FaultPlan, NbSiteState, Outcome, TmMessage};
+use camelot::net::{FaultPlan, LinkDecision, NbSiteState, Outcome, TmMessage};
 use camelot::rt::{Cluster, CrashPoint, RtConfig};
 use camelot::types::{ObjectId, ServerId, SiteId};
 
@@ -206,4 +208,54 @@ fn a_restarted_read_only_participant_answers_unknown() {
         .collect();
     assert_eq!(answers, vec![NbSiteState::Unknown]);
     assert_eq!(net.decision(S2, &tid.family), None);
+}
+
+/// (D) Non-blocking commit over S1, S2, S3: S1 decides commit with the
+/// quorum {S1, S2}, while its replication request and its outcome
+/// never reach S3, which stays prepared. S1 then dies for good, and S2,
+/// which committed, restarts twice. Each restart ends with a
+/// checkpoint that truncates its log below every family it does not
+/// hold. S2 holds the family as a tombstone, so after the second
+/// restart it still answers S3's takeover "committed", and S3 commits
+/// too. Were the outcome kept anywhere but in the family, the
+/// truncation would lose it: S2 would answer "unknown", join S3's
+/// abort quorum, and S3 would abort what S1 and S2 committed.
+#[test]
+fn a_subordinate_restarted_twice_still_answers_with_its_outcome() {
+    let fault = Arc::new(FaultPlan::disabled());
+    // Everything S1 sends S3 after its prepare is lost, and S2 and S3
+    // cannot talk until S2 has restarted twice.
+    for nth in 1..400 {
+        fault.script_fault(S1, S3, nth, LinkDecision::Drop);
+    }
+    fault.partition(&[S2], &[S3]);
+    let cluster = Cluster::new_with_faults(3, config(), fault.clone());
+    let obj = ObjectId(5);
+    let client = cluster.client(S1);
+    let tid = client.begin().unwrap();
+    for site in [S1, S2, S3] {
+        client
+            .write(&tid, site, SRV, obj, b"kept".to_vec())
+            .unwrap();
+    }
+    let outcome = client.commit(&tid, CommitMode::NonBlocking).unwrap();
+    assert_eq!(outcome, Outcome::Committed);
+    wait_value(&cluster, S2, obj, b"kept");
+    // S2's lazily appended commit record is durable once this returns.
+    cluster.checkpoint(S2);
+    cluster.crash(S1);
+    for _ in 0..2 {
+        cluster.crash(S2);
+        cluster.restart(S2).expect("clean log recovers");
+    }
+    assert_eq!(cluster.committed_value(S3, SRV, obj), b"");
+    assert!(
+        cluster.debug_state(S3).contains("nb-"),
+        "S3 is not in doubt: {}",
+        cluster.debug_state(S3)
+    );
+    fault.heal();
+    wait_value(&cluster, S3, obj, b"kept");
+    assert_eq!(cluster.committed_value(S2, SRV, obj), b"kept");
+    cluster.shutdown();
 }

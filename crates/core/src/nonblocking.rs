@@ -480,6 +480,14 @@ impl Engine {
                 self.send(out, from, ack);
                 return self.on_outcome_ack(out, tid, from, CommitMode::NonBlocking);
             }
+            // The family only executed here: this site never prepared,
+            // so its work was never in the vote. An abort ends it at
+            // once; a commit was decided without it and is ignored (the
+            // orphan watchdog learns the family's fate at its origin).
+            Role::Executing if outcome == Outcome::Aborted => {
+                self.participant_abort(out, tid);
+                return self.send(out, from, ack);
+            }
             _ => return,
         };
         if let Some((info, local_update)) = fallback {

@@ -334,6 +334,44 @@ fn an_abort_join_is_answered_only_once_durable() {
     assert_quiet(&net);
 }
 
+/// An announced outcome reaches a site where the family only executed:
+/// the site never prepared, so its work was never in the vote. An abort
+/// ends the family there at once — its servers let go and it
+/// acknowledges — instead of after the orphan watchdog's interval. A
+/// commit, decided without that work, is ignored.
+#[test]
+fn an_announced_outcome_at_a_site_still_executing() {
+    for outcome in [Outcome::Aborted, Outcome::Committed] {
+        let mut net = Net::new(2, EngineConfig::default());
+        let tid = net.begin(S1);
+        net.update_op(S2, A, &tid);
+        net.auto_drain = false;
+        let msg = TmMessage::NbOutcome {
+            tid: tid.clone(),
+            outcome,
+        };
+        net.inject(S2, Input::Datagram { from: S1, msg });
+        assert!(deliver(&mut net, datagram_to(S2, is_outcome)));
+        let is_ack = |m: &TmMessage| matches!(m, TmMessage::NbOutcomeAck { .. });
+        let acked = find(&net, datagram_to(S1, is_ack)).is_some();
+        let live = net.engine(S2).family_view(&tid.family).is_some();
+        match outcome {
+            Outcome::Aborted => {
+                assert!(
+                    net.server_aborted(S2, &tid),
+                    "servers still hold the family"
+                );
+                assert!(acked && !live, "acked {acked}, still live {live}");
+                assert_eq!(net.engine(S2).armed_timers(), 0);
+            }
+            Outcome::Committed => {
+                assert!(!net.server_committed(S2, &tid));
+                assert!(!acked && live, "acked {acked}, still live {live}");
+            }
+        }
+    }
+}
+
 /// A duplicate of the coordinator's replication request arrives after
 /// the family ended everywhere. It recreates the family at S2, which
 /// joins the commit quorum, acknowledges to a coordinator that no

@@ -134,53 +134,11 @@ pub(crate) fn outcome_name(outcome: Outcome) -> &'static str {
     }
 }
 
-/// Which of `of` engine shards owns `family` at `site`.
-///
-/// Locally originated families are strided over the shards by their
-/// sequence number (each shard allocates sequence numbers in its own
-/// residue class, see [`Engine::sharded`]), so the owner can be read
-/// straight off the id. Remote-origin families — first seen when a
-/// server joins on behalf of a remote transaction or when a prepare
-/// arrives — are assigned by a deterministic hash: any fixed function
-/// works, because the family's state is created on first touch at
-/// whichever shard the function names.
-pub fn shard_of_family(site: SiteId, family: &FamilyId, of: usize) -> usize {
-    if of <= 1 {
-        return 0;
-    }
-    if family.origin == site {
-        ((family.seq.wrapping_sub(1)) % of as u64) as usize
-    } else {
-        let mut h = (family.origin.0 as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        h ^= family.seq.wrapping_mul(0xC2B2_AE3D_27D4_EB4F);
-        h ^= h >> 29;
-        (h % of as u64) as usize
-    }
-}
-
-/// Which of `of` engine shards issued this force/timer token. Tokens
-/// are strided like family sequence numbers, so a completion input can
-/// be routed without any shared lookup table.
-pub fn shard_of_token(token: u64, of: usize) -> usize {
-    if of <= 1 {
-        0
-    } else {
-        ((token.wrapping_sub(1)) % of as u64) as usize
-    }
-}
-
 /// The Camelot transaction manager for one site, sans-io.
 pub struct Engine {
     pub(crate) site: SiteId,
     pub(crate) config: EngineConfig,
     next_family_seq: u64,
-    /// This engine's shard index and the total shard count (1 = the
-    /// whole site). Family sequence numbers and force/timer tokens are
-    /// allocated `shard + 1, shard + 1 + stride, ...` so the id spaces
-    /// of co-sited shards never collide and ownership is computable
-    /// from the id alone ([`shard_of_family`], [`shard_of_token`]).
-    shard: u64,
-    shard_stride: u64,
     pub(crate) families: HashMap<FamilyId, Family>,
     pub(crate) forces: HashMap<ForceToken, ForcePurpose>,
     pub(crate) timers: HashMap<TimerToken, TimerPurpose>,
@@ -197,26 +155,14 @@ pub struct Engine {
 impl Engine {
     /// Creates an engine for `site`.
     pub fn new(site: SiteId, config: EngineConfig) -> Self {
-        Engine::sharded(site, config, 0, 1)
-    }
-
-    /// Creates shard `shard` of `of` co-sited engine shards. Each
-    /// shard owns a disjoint slice of the site's transaction families
-    /// (routing per [`shard_of_family`]) and allocates family sequence
-    /// numbers and tokens in its own residue class, so shards never
-    /// contend and their ids never collide.
-    pub fn sharded(site: SiteId, config: EngineConfig, shard: u32, of: u32) -> Self {
-        assert!(of >= 1 && shard < of, "shard {shard} out of range 0..{of}");
         Engine {
             site,
             config,
-            next_family_seq: shard as u64 + 1,
-            shard: shard as u64,
-            shard_stride: of as u64,
+            next_family_seq: 1,
             families: HashMap::new(),
             forces: HashMap::new(),
             timers: HashMap::new(),
-            next_token: shard as u64 + 1,
+            next_token: 1,
             pending_acks: HashMap::new(),
             ack_flush_timer: HashMap::new(),
             stats: EngineStats::default(),
@@ -268,21 +214,17 @@ impl Engine {
         self.timers.len()
     }
 
-    /// The sequence number this shard's next family gets. A
-    /// checkpoint records the maximum over the site's shards, so a
-    /// restart from a truncated log never reuses a family id.
+    /// The sequence number this site's next family gets. A checkpoint
+    /// records it, so a restart from a truncated log never reuses a
+    /// family id.
     pub fn next_family_seq(&self) -> u64 {
         self.next_family_seq
     }
 
     /// Raises the family sequence counter (recovery: never reuse a
-    /// sequence number that may appear in the durable log), keeping it
-    /// in this shard's residue class.
+    /// sequence number that may appear in the durable log).
     pub(crate) fn bump_family_seq(&mut self, at_least: u64) {
-        let mut v = self.next_family_seq.max(at_least);
-        let rem = (v - 1) % self.shard_stride;
-        v += (self.shard + self.shard_stride - rem) % self.shard_stride;
-        self.next_family_seq = v;
+        self.next_family_seq = self.next_family_seq.max(at_least);
     }
 
     // -----------------------------------------------------------------
@@ -291,7 +233,7 @@ impl Engine {
 
     pub(crate) fn alloc_force(&mut self, p: ForcePurpose) -> ForceToken {
         let t = ForceToken(self.next_token);
-        self.next_token += self.shard_stride;
+        self.next_token += 1;
         self.tracer.family(
             p.family,
             TraceEventKind::LogEnqueue {
@@ -332,7 +274,7 @@ impl Engine {
 
     pub(crate) fn alloc_timer(&mut self, p: TimerPurpose) -> TimerToken {
         let t = TimerToken(self.next_token);
-        self.next_token += self.shard_stride;
+        self.next_token += 1;
         self.timers.insert(t, p);
         t
     }
@@ -750,7 +692,7 @@ impl Engine {
             origin: self.site,
             seq: self.next_family_seq,
         };
-        self.next_family_seq += self.shard_stride;
+        self.next_family_seq += 1;
         let fam = Family::new(id);
         let tid = fam.top_tid();
         self.families.insert(id, fam);
@@ -1352,77 +1294,6 @@ mod tests {
             Time::ZERO,
         );
         assert!(matches!(a[0], Action::Rejected { req: 4, .. }));
-    }
-
-    #[test]
-    fn sharded_engines_allocate_disjoint_routable_ids() {
-        const N: u32 = 4;
-        let mut seen = std::collections::HashSet::new();
-        for shard in 0..N {
-            let mut e = Engine::sharded(SiteId(1), EngineConfig::default(), shard, N);
-            for req in 0..8 {
-                let a = e.handle(Input::Begin { req }, Time::ZERO);
-                let tid = match &a[0] {
-                    Action::Began { tid, .. } => tid.clone(),
-                    other => panic!("{other:?}"),
-                };
-                assert!(seen.insert(tid.family), "family id collision across shards");
-                assert_eq!(
-                    shard_of_family(SiteId(1), &tid.family, N as usize),
-                    shard as usize,
-                    "a shard's own families must route back to it"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn sharded_tokens_route_back_to_their_shard() {
-        const N: u32 = 4;
-        for shard in 0..N {
-            let mut e = Engine::sharded(SiteId(1), EngineConfig::default(), shard, N);
-            for _ in 0..5 {
-                let t = e.alloc_force(ForcePurpose {
-                    kind: ForceKind::CoordCommit,
-                    family: FamilyId {
-                        origin: SiteId(1),
-                        seq: 1,
-                    },
-                });
-                assert_eq!(shard_of_token(t.0, N as usize), shard as usize);
-            }
-        }
-    }
-
-    #[test]
-    fn remote_families_route_deterministically() {
-        let fid = FamilyId {
-            origin: SiteId(7),
-            seq: 42,
-        };
-        let a = shard_of_family(SiteId(1), &fid, 8);
-        let b = shard_of_family(SiteId(1), &fid, 8);
-        assert_eq!(a, b);
-        assert!(a < 8);
-    }
-
-    #[test]
-    fn bump_family_seq_stays_in_residue_class() {
-        const N: u32 = 4;
-        for shard in 0..N {
-            let mut e = Engine::sharded(SiteId(1), EngineConfig::default(), shard, N);
-            e.bump_family_seq(1000);
-            let a = e.handle(Input::Begin { req: 1 }, Time::ZERO);
-            let tid = match &a[0] {
-                Action::Began { tid, .. } => tid.clone(),
-                other => panic!("{other:?}"),
-            };
-            assert!(tid.family.seq >= 1000);
-            assert_eq!(
-                shard_of_family(SiteId(1), &tid.family, N as usize),
-                shard as usize
-            );
-        }
     }
 
     #[test]

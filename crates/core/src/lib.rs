@@ -84,6 +84,6 @@ pub mod twophase;
 
 pub use camelot_net::{Outcome, Vote};
 pub use config::{CommitMode, EngineConfig, ExecMode, TwoPhaseVariant};
-pub use engine::{shard_of_family, shard_of_token, Engine, EngineStats};
+pub use engine::{Engine, EngineStats};
 pub use family::{FamilyPhase, FamilyView};
 pub use io::{Action, CrashPoint, ForceToken, Input, TimerToken};

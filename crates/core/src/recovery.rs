@@ -37,27 +37,13 @@ use crate::nonblocking::info_from_record;
 impl Engine {
     /// Rebuilds an engine from the durable log. Returns the engine and
     /// the immediate actions (inquiries, takeover status requests,
-    /// re-announcements, timers) the runtime must execute.
+    /// re-announcements, timers) the runtime must execute. Checkpoint
+    /// markers carry the family sequence numbers already spent below
+    /// them, where the log may be gone; server snapshots are ignored
+    /// here.
     pub fn recover<'a>(
         site: SiteId,
         config: EngineConfig,
-        records: impl IntoIterator<Item = &'a (Lsn, LogRecord)>,
-    ) -> (Engine, Vec<Action>) {
-        Engine::recover_sharded(site, config, 0, 1, records)
-    }
-
-    /// Rebuilds one shard of a sharded engine (see [`Engine::sharded`])
-    /// from the durable log. Of the family-bearing records the caller
-    /// must pass only those of families this shard owns (route with
-    /// [`crate::engine::shard_of_family`]). Checkpoint markers go to
-    /// every shard: the log below them may be gone, and they carry
-    /// the family sequence numbers already spent there. Server
-    /// snapshots are ignored here.
-    pub fn recover_sharded<'a>(
-        site: SiteId,
-        config: EngineConfig,
-        shard: u32,
-        of: u32,
         records: impl IntoIterator<Item = &'a (Lsn, LogRecord)>,
     ) -> (Engine, Vec<Action>) {
         let mut spent = 0u64;
@@ -70,7 +56,7 @@ impl Engine {
         let spent = (fams.keys().filter(|fid| fid.origin == site))
             .map(|fid| fid.seq)
             .fold(spent, u64::max);
-        let mut engine = Engine::sharded(site, config, shard, of);
+        let mut engine = Engine::new(site, config);
         engine.bump_family_seq(spent + 1);
         let mut out = Vec::new();
         for (fid, log) in &fams {

@@ -1,7 +1,7 @@
 //! One Camelot site as a standalone OS process.
 //!
 //! Runs the runtime of one site process (`camelot_rt::Cluster::new_site`)
-//! — engine shards, data servers, WAL (optionally file-backed),
+//! — one engine, data servers, WAL (optionally file-backed),
 //! pipelined disk manager, tracer — which moves inter-TranMan traffic
 //! over real kernel sockets through the `camelot_net::SocketTransport`
 //! it binds.

@@ -196,7 +196,8 @@ site_stats_wire! { |s, router_pending|
     wal_records = s.wal.records,
     wal_forces_requested = s.wal.forces_requested,
     wal_forces_effective = s.wal.forces_effective,
-    // Runtime counters.
+    // Runtime counters. `lock_wait_us`: the wait for the site's one
+    // engine lock.
     lock_wait_us = s.lock_wait.as_micros() as u64,
     inputs = s.inputs,
     /// Inputs that crossed to the TranMan worker pool (thread

@@ -32,7 +32,7 @@
 
 //!
 //! The crate also hosts the *multi-process* deployment pieces: the
-//! `camelot-site` binary (one real site — engine shards, WAL file,
+//! `camelot-site` binary (one real site — its engine, WAL file,
 //! disk manager, socket transport — as a standalone OS process), the
 //! [`ctrl`] control-plane protocol it speaks, [`procs`] — the one owner
 //! of a cluster of site processes, and of the faults scripted against

@@ -204,7 +204,7 @@ impl Wire for Histogram {
 
 /// The commit phases the runtime times. Client-visible call phases
 /// (begin / operation / commit) reproduce the paper's Table 3 latency
-/// breakdown; the pipeline phases (force wait, platter write, shard
+/// breakdown; the pipeline phases (force wait, platter write, engine
 /// lock wait) attribute where inside the TranMan that time went.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Phase {
@@ -224,7 +224,9 @@ pub enum Phase {
     /// One platter write, by a leading application thread or the disk
     /// thread.
     PlatterWrite,
-    /// Wait to acquire an engine shard's lock in a TranMan worker.
+    /// Wait to acquire the site's one engine lock, on every input, by
+    /// whichever thread runs it (the name and its `shard_lock_wait`
+    /// key stay for the reports that read them).
     ShardLockWait,
     /// Queued execution mode: residence of a job in its data shard's
     /// FIFO operation queue (enqueue → dequeue by the shard worker).
@@ -239,7 +241,7 @@ pub enum Phase {
     /// Restart: rebuilding the data servers (snapshot base, redo,
     /// in-doubt reinstatement).
     RecoverServers,
-    /// Restart: rebuilding the engine shards.
+    /// Restart: rebuilding the site's engine.
     RecoverEngine,
 }
 
@@ -280,8 +282,10 @@ impl Phase {
         }
     }
 
+    /// Position in [`Phase::ALL`], which lists the variants in
+    /// declaration order.
     fn index(self) -> usize {
-        Phase::ALL.iter().position(|p| *p == self).unwrap()
+        self as usize
     }
 }
 
@@ -423,6 +427,13 @@ impl Wire for ProtocolPhaseSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn phase_index_is_its_position_in_all() {
+        for (i, phase) in Phase::ALL.iter().enumerate() {
+            assert_eq!(phase.index(), i, "{phase:?}");
+        }
+    }
 
     #[test]
     fn bucket_boundaries_are_powers_of_two() {

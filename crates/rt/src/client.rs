@@ -281,7 +281,7 @@ impl Client {
         let req = self.inner.alloc_req();
         let mut parked = None;
         let actions = self.inner.handle_then(site, make(req), |actions| {
-            // Still under the shard lock: if the engine kept the call
+            // Still under the engine lock: if the engine kept the call
             // pending, no other thread can have answered it yet, so a
             // completion parked now cannot miss its reply.
             if !actions.iter().any(|a| reply_req(a) == Some(req)) {

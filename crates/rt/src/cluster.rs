@@ -4,16 +4,15 @@
 //!
 //! The paper's conclusion 3 observes that with group commit the
 //! transaction manager, not the disk, becomes the throughput
-//! bottleneck — which only helps if the TranMan can actually use more
-//! than one processor. Two structural choices make that true here:
+//! bottleneck — which only helps if the TranMan's threads can overlap
+//! their log forces. Two structural choices make that true here:
 //!
-//! - **Sharded engine state.** Each site runs `ENGINE_SHARDS`
-//!   independent [`Engine`] shards (see [`Engine::sharded`]), each
-//!   behind its own lock and owning a disjoint set of transaction
-//!   families. Workers route every input to its family's shard
-//!   ([`shard_of_family`] / [`shard_of_token`] read the owner straight
-//!   off the id), so unrelated transactions never contend on one
-//!   engine lock.
+//! - **One engine per site, behind one lock.** Each site runs one
+//!   [`Engine`], as `testkit` and the DES world do; every input, on
+//!   whichever thread, takes its lock for one `Engine::handle` step and
+//!   nothing more. No platter write, datagram or server call runs
+//!   under it, so threads contend only for the engine's bookkeeping
+//!   (`Phase::ShardLockWait` times that wait).
 //! - **A pipelined disk manager** (`crate::disk`). Whoever produces a
 //!   record appends it into the WAL's in-memory segment itself, under
 //!   a short lock, and asks the site's group-commit batcher for the
@@ -53,8 +52,7 @@ use crossbeam::channel::{unbounded, Receiver, Sender};
 use parking_lot::Mutex;
 
 use camelot_core::{
-    shard_of_family, shard_of_token, Action, CrashPoint, Engine, EngineConfig, ExecMode,
-    ForceToken, Input, TimerToken,
+    Action, CrashPoint, Engine, EngineConfig, ExecMode, ForceToken, Input, TimerToken,
 };
 use camelot_net::comman::CommMan;
 use camelot_net::{SocketConfig, SocketTransport};
@@ -70,13 +68,8 @@ use crate::client::Client;
 use crate::disk::{disk_main, request_force, DiskJob, DiskState, SiteLog};
 use crate::queue::{queue_worker, QueueJob, VoteAgg};
 use crate::shardmap::ShardedMap;
-use crate::stats::{add_engine_stats, add_server_stats, ClusterStats, SiteCounters, SiteStats};
+use crate::stats::{add_server_stats, ClusterStats, SiteCounters, SiteStats};
 use camelot_net::fault::{FaultPlan, LinkDecision};
-
-/// Engine shards per site. Families are partitioned over the shards,
-/// each behind its own lock, so TranMan work on unrelated transactions
-/// proceeds in parallel.
-const ENGINE_SHARDS: u32 = 8;
 
 /// Data servers per site (`ServerId(1)..=ServerId(SERVERS_PER_SITE)`).
 const SERVERS_PER_SITE: u32 = 1;
@@ -84,9 +77,9 @@ const SERVERS_PER_SITE: u32 = 1;
 /// Runtime configuration.
 ///
 /// What every deployment runs with the same value is a constant next
-/// to its reader, not a field: `ENGINE_SHARDS` and `SERVERS_PER_SITE`
-/// in this module, and the client's retry of an operation that found
-/// its site down (`OP_RETRIES`, `OP_RETRY_BASE` in `crate::client`).
+/// to its reader, not a field: `SERVERS_PER_SITE` in this module, and
+/// the client's retry of an operation that found its site down
+/// (`OP_RETRIES`, `OP_RETRY_BASE` in `crate::client`).
 #[derive(Debug, Clone)]
 pub struct RtConfig {
     /// One-way inter-site datagram delay.
@@ -165,12 +158,8 @@ impl Default for RtConfig {
 pub(crate) struct SiteShared {
     pub id: SiteId,
     pub alive: AtomicBool,
-    /// The TranMan, partitioned by transaction family. Shard `k` owns
-    /// the families [`shard_of_family`] maps to `k`.
-    pub shards: Vec<Mutex<Engine>>,
-    /// Round-robin cursor distributing `Begin` (which has no family
-    /// yet) over the shards.
-    next_begin: AtomicUsize,
+    /// The site's TranMan: every family at this site, behind one lock.
+    pub engine: Mutex<Engine>,
     pub wal: Mutex<SiteLog>,
     /// The group-commit batcher and what waits on it (`crate::disk`).
     pub disk: Mutex<DiskState>,
@@ -220,27 +209,6 @@ impl SiteShared {
         match &self.ring {
             Some(r) => Tracer::attached(r.clone()),
             None => Tracer::disabled(),
-        }
-    }
-
-    /// Which engine shard handles this input. Family-bearing inputs go
-    /// to the family's owner; log and timer completions carry tokens
-    /// allocated in the owning shard's residue class, so they route
-    /// back by arithmetic alone. `Begin` has no family yet — any shard
-    /// may allocate one — so it round-robins.
-    fn route(&self, input: &Input) -> usize {
-        let n = self.shards.len();
-        match input {
-            Input::Begin { .. } => self.next_begin.fetch_add(1, Ordering::Relaxed) % n,
-            Input::BeginNested { parent, .. } => shard_of_family(self.id, &parent.family, n),
-            Input::CommitTop { tid, .. }
-            | Input::CommitNested { tid, .. }
-            | Input::AbortTx { tid, .. }
-            | Input::Join { tid, .. }
-            | Input::ServerVote { tid, .. } => shard_of_family(self.id, &tid.family, n),
-            Input::Datagram { msg, .. } => shard_of_family(self.id, &msg.tid().family, n),
-            Input::LogForced { token } | Input::LogDurable { token } => shard_of_token(token.0, n),
-            Input::TimerFired { token } => shard_of_token(token.0, n),
         }
     }
 
@@ -322,17 +290,17 @@ impl ClusterInner {
         self.next_req.fetch_add(1, Ordering::Relaxed)
     }
 
-    /// Runs one input through its engine shard: route, lock (timing
-    /// the wait), handle. Returns the engine's actions for the caller
-    /// to apply with no locks held.
-    pub fn handle_on_shard(&self, site: &SiteShared, input: Input) -> Vec<Action> {
+    /// Runs one input through the site's engine: lock (timing the
+    /// wait), handle. Returns the engine's actions for the caller to
+    /// apply with no locks held.
+    pub fn handle(&self, site: &SiteShared, input: Input) -> Vec<Action> {
         self.handle_then(site, input, |_| ())
     }
 
-    /// [`ClusterInner::handle_on_shard`], calling `locked` on the
-    /// actions before the shard lock is released (not at all if the
-    /// site is down). Whatever `locked` does is ordered before every
-    /// later input to this shard.
+    /// [`ClusterInner::handle`], calling `locked` on the actions
+    /// before the engine lock is released (not at all if the site is
+    /// down). Whatever `locked` does is ordered before every later
+    /// input to this site's engine.
     pub fn handle_then(
         &self,
         site: &SiteShared,
@@ -342,11 +310,10 @@ impl ClusterInner {
         if !site.alive.load(Ordering::SeqCst) {
             return Vec::new();
         }
-        let shard = site.route(&input);
         let now = self.now();
         let contend = Instant::now();
         let actions = {
-            let mut engine = site.shards[shard].lock();
+            let mut engine = site.engine.lock();
             let waited = contend.elapsed();
             site.hist.record(Phase::ShardLockWait, waited);
             site.counters
@@ -439,7 +406,7 @@ impl ClusterInner {
     /// led the force's platter write, on a worker for every other — and
     /// returns the actions to apply.
     pub fn log_forced(&self, site: &SiteShared, token: ForceToken) -> Vec<Action> {
-        let actions = self.handle_on_shard(site, Input::LogForced { token });
+        let actions = self.handle(site, Input::LogForced { token });
         // Crash point: the force hit the platter (the decision is
         // durable) but the datagrams announcing it never leave — the
         // window where peers must find the outcome via recovery or
@@ -469,7 +436,7 @@ impl ClusterInner {
             // TranMan knows about the join, so a later prepare (or
             // commit) can never overtake it and mistake an updated
             // family for an unknown one.
-            let actions = self.handle_on_shard(site, Input::Join { tid, server });
+            let actions = self.handle(site, Input::Join { tid, server });
             self.apply_actions(site, actions);
         }
         for rec in fx.log {
@@ -515,7 +482,7 @@ impl ClusterInner {
                 action
             } else if let Some((to, input)) = inbox.pop_front() {
                 site = &self.sites[&to];
-                queue.extend(self.handle_on_shard(site, input));
+                queue.extend(self.handle(site, input));
                 continue;
             } else if let Some((at, action)) = asks.pop() {
                 site = at;
@@ -573,7 +540,7 @@ impl ClusterInner {
                             // and its actions queue behind this batch.
                             let tid = tid.clone();
                             let input = Input::ServerVote { tid, server, vote };
-                            queue.extend(self.handle_on_shard(site, input));
+                            queue.extend(self.handle(site, input));
                         }
                     }
                 }
@@ -711,7 +678,7 @@ impl Cluster {
     /// cluster's own roll. Once recovery is done, one receive thread
     /// hands each delivery to the site's workers;
     /// [`Cluster::shutdown`] stops it with the rest. Everything else
-    /// (engine shards, WAL file, disk manager, tracer, crash points)
+    /// (engine, WAL file, disk manager, tracer, crash points)
     /// is the ordinary runtime.
     pub fn new_site(socket: SocketConfig, cfg: RtConfig, fault: Arc<FaultPlan>) -> Cluster {
         Cluster::build(vec![socket.site], cfg, fault, Some(socket))
@@ -761,18 +728,12 @@ impl Cluster {
                 Some(r) => Tracer::attached(r.clone()),
                 None => Tracer::disabled(),
             };
-            let shards = (0..ENGINE_SHARDS)
-                .map(|k| {
-                    let mut engine = Engine::sharded(id, cfg.engine.clone(), k, ENGINE_SHARDS);
-                    engine.set_tracer(tracer.clone());
-                    Mutex::new(engine)
-                })
-                .collect();
+            let mut engine = Engine::new(id, cfg.engine.clone());
+            engine.set_tracer(tracer.clone());
             let shared = Arc::new(SiteShared {
                 id,
                 alive: AtomicBool::new(true),
-                shards,
-                next_begin: AtomicUsize::new(0),
+                engine: Mutex::new(engine),
                 wal: Mutex::new(SiteLog::new(store)),
                 disk: Mutex::new(DiskState::new(cfg.batch, tracer.clone())),
                 servers,
@@ -921,9 +882,8 @@ impl Cluster {
 
     /// Restarts a crashed site: the transaction manager and servers
     /// are rebuilt from the retained durable log — one scan, then the
-    /// servers and each engine shard (from the records of the families
-    /// it owns) read the same decoded records in place. The three
-    /// steps are timed as [`Phase::RecoverScan`],
+    /// servers and the engine read the same decoded records in place.
+    /// The three steps are timed as [`Phase::RecoverScan`],
     /// [`Phase::RecoverServers`] and [`Phase::RecoverEngine`]. The
     /// restart ends by taking a checkpoint ([`Cluster::checkpoint`]) and
     /// returns once it is durable and the log truncated, so a site that
@@ -971,49 +931,24 @@ impl Cluster {
         let servers_done = Instant::now();
         s.hist.record(Phase::RecoverServers, servers_done - scanned);
         // Crash point: the site dies again half way through recovery,
-        // servers rebuilt and engines not. Recovery only reads the
+        // servers rebuilt and the engine not. Recovery only reads the
         // log, so the next restart starts from the same place.
         if self.inner.fault.should_crash(site, CrashPoint::MidRecovery) {
             s.kill();
             return Err(camelot_types::CamelotError::SiteDown(site));
         }
-        // Partition the log by owning shard and rebuild each engine.
-        // Checkpoint markers go to every shard (they carry the family
-        // sequence numbers spent below the truncation point);
-        // snapshots are for the servers only.
-        let n = s.shards.len();
-        let mut parts: Vec<Vec<&(Lsn, LogRecord)>> = (0..n).map(|_| Vec::new()).collect();
-        for entry in &records {
-            match entry.1.tid() {
-                Some(tid) => parts[shard_of_family(site, &tid.family, n)].push(entry),
-                None if matches!(entry.1, LogRecord::Checkpoint { .. }) => {
-                    parts.iter_mut().for_each(|part| part.push(entry));
-                }
-                None => {}
-            }
-        }
-        let mut all_actions = Vec::new();
+        let (mut engine, actions) = Engine::recover(site, self.inner.cfg.engine.clone(), &records);
         let tracer = s.tracer();
-        for (k, part) in parts.into_iter().enumerate() {
-            let (mut engine, actions) = Engine::recover_sharded(
-                site,
-                self.inner.cfg.engine.clone(),
-                k as u32,
-                n as u32,
-                part,
-            );
-            engine.set_tracer(tracer.clone());
-            if tracer.is_enabled() {
-                for id in engine.family_ids() {
-                    tracer.family(id, TraceEventKind::Recovered { state: "live" });
-                }
+        engine.set_tracer(tracer.clone());
+        if tracer.is_enabled() {
+            for id in engine.family_ids() {
+                tracer.family(id, TraceEventKind::Recovered { state: "live" });
             }
-            *s.shards[k].lock() = engine;
-            all_actions.extend(actions);
         }
+        *s.engine.lock() = engine;
         s.hist.record(Phase::RecoverEngine, servers_done.elapsed());
         s.alive.store(true, Ordering::SeqCst);
-        self.inner.apply_actions(s, all_actions);
+        self.inner.apply_actions(s, actions);
         self.checkpoint(site);
         s.counters
             .last_restart_us
@@ -1037,14 +972,13 @@ impl Cluster {
     }
 
     /// One-line-per-entity diagnostic dump of a site's protocol
-    /// state: every live family descriptor in every engine shard
-    /// (with phase and role), every family a queue shard still holds,
-    /// every server family still tracked (with its lock count), and
-    /// the forces waiting for a platter write. Empty means the site is
-    /// quiet. Chaos campaigns attach this to progress-violation
-    /// reports so a wedged schedule explains itself. The output is
-    /// deterministic — engine and queue lines are sorted
-    /// by family id regardless of which shard owns them, and server
+    /// state: every live family descriptor in the engine (with phase
+    /// and role), every family a queue shard still holds, every server
+    /// family still tracked (with its lock count), and the forces
+    /// waiting for a platter write. Empty means the site is quiet.
+    /// Chaos campaigns attach this to progress-violation reports so a
+    /// wedged schedule explains itself. The output is deterministic —
+    /// engine and queue lines are sorted by family id, and server
     /// lines by (server, family) — so two dumps of the same state
     /// compare equal.
     pub fn debug_state(&self, site: SiteId) -> String {
@@ -1052,18 +986,14 @@ impl Cluster {
         if let Some(s) = self.inner.sites.get(&site) {
             // First, holding no lock: a queue shard takes server locks.
             let mut queued = s.queue_held().unwrap_or_default();
-            let mut engine_lines = Vec::new();
-            for shard in &s.shards {
-                let e = shard.lock();
+            {
+                let e = s.engine.lock();
                 for id in e.family_ids() {
                     if let Some(v) = e.family_view(&id) {
-                        engine_lines
-                            .push((id, format!("{site} engine: {id} {} {:?}", v.role, v.phase)));
+                        out.push(format!("{site} engine: {id} {} {:?}", v.role, v.phase));
                     }
                 }
             }
-            engine_lines.sort_by_key(|(id, _)| (id.origin, id.seq));
-            out.extend(engine_lines.into_iter().map(|(_, line)| line));
             queued.sort_by_key(|f| (f.origin, f.seq));
             out.extend(queued.iter().map(|f| format!("{site} queue: {f}")));
             for (srv, server) in &s.servers {
@@ -1151,7 +1081,7 @@ impl Cluster {
     }
 
     /// A point-in-time snapshot of the cluster's contention and
-    /// throughput counters: per-shard protocol counters (summed), WAL
+    /// throughput counters: each engine's protocol counters, WAL
     /// append/force counts, worker lock-wait time, platter writes and
     /// group-commit batch sizes.
     pub fn stats(&self) -> ClusterStats {
@@ -1160,13 +1090,10 @@ impl Cluster {
             .sites
             .values()
             .map(|s| {
-                let mut engine = camelot_core::EngineStats::default();
-                let mut live = 0usize;
-                for shard in &s.shards {
-                    let e = shard.lock();
-                    add_engine_stats(&mut engine, e.stats());
-                    live += e.live_families();
-                }
+                let (engine, live) = {
+                    let e = s.engine.lock();
+                    (e.stats(), e.live_families())
+                };
                 let (wal, wal_live_bytes) = {
                     let log = s.wal.lock();
                     (log.stats(), log.end_lsn().0 - log.base_lsn().0)
@@ -1236,10 +1163,9 @@ impl Cluster {
 /// One TranMan worker. Any thread serves any input (§3.4) that arrives
 /// asynchronously — a datagram, a timer firing, a log completion, a
 /// queued-mode vote aggregate; application calls and the local work
-/// they produce run on the calling thread and never come here. The
-/// input's transaction family picks the engine shard, so threads
-/// working on different families hold different locks. While parked in
-/// `recv` a worker counts as idle, which lets the others lead their
+/// they produce run on the calling thread and never come here. Each
+/// input holds the site's engine lock for one step only. While parked
+/// in `recv` a worker counts as idle, which lets the others lead their
 /// own platter writes (see the `Action::Force` arm of `apply_for`).
 fn tm_worker(inner: Arc<ClusterInner>, site: Arc<SiteShared>, rx: Receiver<Option<Input>>) {
     loop {
@@ -1252,7 +1178,7 @@ fn tm_worker(inner: Arc<ClusterInner>, site: Arc<SiteShared>, rx: Receiver<Optio
         site.counters.worker_inputs.fetch_add(1, Ordering::Relaxed);
         let actions = match input {
             Input::LogForced { token } => inner.log_forced(&site, token),
-            input => inner.handle_on_shard(&site, input),
+            input => inner.handle(&site, input),
         };
         inner.apply_actions(&site, actions);
     }
@@ -1525,8 +1451,8 @@ mod tests {
         }
         client.abort(&tid).unwrap();
         let armed = || -> usize {
-            let shards = cluster.inner.sites.values().flat_map(|s| s.shards.iter());
-            shards.map(|shard| shard.lock().armed_timers()).sum()
+            let sites = cluster.inner.sites.values();
+            sites.map(|s| s.engine.lock().armed_timers()).sum()
         };
         let deadline = Instant::now() + StdDuration::from_secs(5);
         loop {

@@ -54,14 +54,14 @@
 //!
 //! ```text
 //! min(log end when the checkpoint began,
-//!     first LSN of every family an engine shard, a queue shard or a
+//!     first LSN of every family the engine, a queue shard or a
 //!     data server held when its state was looked at)
 //! ```
 //!
 //! **Retention invariant:** a record below that floor belongs to a
 //! family that had left every holder before the snapshot was taken, so
 //! its committed effects are in the snapshot and its protocol state is
-//! forgotten. Holders are looked at in hand-off order — engine shards,
+//! forgotten. Holders are looked at in hand-off order — the engine,
 //! then queue shards (a FIFO barrier), then the data servers under the
 //! same lock that takes their snapshot — because a family's
 //! resolution travels that way: whoever has let go of a family by the
@@ -70,7 +70,7 @@
 //! idle moment": a site that is never quiescent still truncates.
 //!
 //! **Lock order:** the checkpointer takes one lock at a time — log
-//! (read the end), each engine shard, each data server, log again
+//! (read the end), the engine, each data server, log again
 //! (append, prune) — and waits for the queue workers holding none.
 //! Nothing it waits for ever waits for the disk thread.
 
@@ -553,13 +553,11 @@ impl DiskManager {
             return;
         }
         let began_at = site.wal.lock().end_lsn();
-        let mut held: HashSet<FamilyId> = HashSet::new();
-        let mut next_family_seq = 0;
-        for shard in &site.shards {
-            let engine = shard.lock();
-            held.extend(engine.family_ids());
-            next_family_seq = next_family_seq.max(engine.next_family_seq());
-        }
+        let (mut held, next_family_seq) = {
+            let engine = site.engine.lock();
+            let held: HashSet<FamilyId> = engine.family_ids().into_iter().collect();
+            (held, engine.next_family_seq())
+        };
         // The workers are gone: the cluster is stopping.
         let Some(queued) = site.queue_held() else {
             return;

@@ -12,10 +12,10 @@
 //!   (§3.4). The pool serves what arrives asynchronously (datagrams,
 //!   timer firings, log completions); an application call runs its
 //!   engine step and the local work it produces on the calling
-//!   thread. The engine's family table is partitioned into
-//!   independently locked shards so the pool actually scales
-//!   (conclusion 3 makes the TranMan the bottleneck once group commit
-//!   relieves the disk);
+//!   thread. Each site runs one engine behind one lock, held for one
+//!   step at a time and never across a platter write, so the pool's
+//!   threads overlap their log forces (conclusion 3: with group
+//!   commit, that overlap is what a multithreaded TranMan buys);
 //! - a pipelined **disk manager** per site — whoever produces a record
 //!   appends it into the log's in-memory segment itself and asks the
 //!   group-commit batcher (§3.5) for the force. Platter writes happen

@@ -346,7 +346,7 @@ fn ensure_join(
     }
     let fresh = site.queue_joined.lock().insert(key);
     if fresh {
-        let actions = inner.handle_on_shard(
+        let actions = inner.handle(
             site,
             Input::Join {
                 tid: tid.clone(),
@@ -712,7 +712,7 @@ impl ClusterInner {
                     // lock-based vote.
                     let tid = tid.clone();
                     let input = Input::ServerVote { tid, server, vote };
-                    queue.extend(self.handle_on_shard(site, input));
+                    queue.extend(self.handle(site, input));
                 }
             }
         }

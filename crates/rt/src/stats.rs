@@ -6,7 +6,7 @@
 //! manager or the disk is the bottleneck (conclusion 3). The runtime
 //! keeps cheap relaxed atomics on the hot paths and
 //! [`Cluster::stats`](crate::Cluster::stats) assembles them — together
-//! with the per-shard engine counters and the WAL counters — into one
+//! with each site's engine counters and the WAL counters — into one
 //! [`ClusterStats`] snapshot.
 
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
@@ -22,9 +22,9 @@ use camelot_wal::WalStats;
 /// values are diagnostics, not synchronization.
 #[derive(Default)]
 pub(crate) struct SiteCounters {
-    /// Nanoseconds workers spent waiting to acquire an engine shard.
+    /// Nanoseconds threads spent waiting to acquire the site's engine.
     pub lock_wait_ns: AtomicU64,
-    /// Inputs the engine shards handled, on whichever thread.
+    /// Inputs the site's engine handled, on whichever thread.
     pub inputs: AtomicU64,
     /// Inputs that crossed `tm_tx` to the worker pool: one thread
     /// hand-off each (timer firings, log completions, delayed or
@@ -68,15 +68,17 @@ impl SiteCounters {
 #[derive(Debug, Clone)]
 pub struct SiteStats {
     pub site: SiteId,
-    /// Protocol counters, summed over the engine shards.
+    /// The site engine's protocol counters.
     pub engine: EngineStats,
-    /// Families currently live across all shards.
+    /// Families currently live in the site's engine.
     pub live_families: usize,
     /// WAL append/force counters.
     pub wal: WalStats,
-    /// Total time workers spent blocked on engine-shard locks.
+    /// Total time threads spent waiting for the site's one engine lock,
+    /// over every input it handled (application threads and workers
+    /// alike).
     pub lock_wait: StdDuration,
-    /// Inputs the engine shards handled, on whichever thread.
+    /// Inputs the site's engine handled, on whichever thread.
     pub inputs: u64,
     /// Inputs that crossed to the worker pool — the hand-off budget:
     /// application calls, local server votes, the `LogForced` of a
@@ -122,7 +124,7 @@ pub struct SiteStats {
     /// picture the README results table reports.
     pub servers: ServerStats,
     /// Per-phase latency histograms (client calls, force waits,
-    /// platter writes, shard-lock waits) — the §4.1 latency breakdown.
+    /// platter writes, engine-lock waits) — the §4.1 latency breakdown.
     pub phases: PhaseSnapshot,
     /// The same phase histograms keyed by the commit protocol the
     /// transaction actually ran, so one mixed workload yields
@@ -212,21 +214,6 @@ impl ClusterStats {
         }
         acc
     }
-}
-
-/// Field-wise sum of two engine-shard counter sets.
-pub(crate) fn add_engine_stats(acc: &mut EngineStats, s: EngineStats) {
-    acc.begins += s.begins;
-    acc.nested_begins += s.nested_begins;
-    acc.commits += s.commits;
-    acc.read_only_commits += s.read_only_commits;
-    acc.aborts += s.aborts;
-    acc.forces += s.forces;
-    acc.lazy_appends += s.lazy_appends;
-    acc.datagrams += s.datagrams;
-    acc.piggybacked += s.piggybacked;
-    acc.takeovers += s.takeovers;
-    acc.blocked += s.blocked;
 }
 
 /// Field-wise sum of two data-server counter sets.

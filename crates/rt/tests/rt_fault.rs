@@ -551,7 +551,7 @@ fn site_killed_under_a_caller_mid_commit() {
             !cluster.debug_state(S1).contains("waiting"),
             "{point:?}: a force is left waiting"
         );
-        // Every site lock (engine shards, WAL, batcher, servers) can
+        // Every site lock (engine, WAL, batcher, servers) can
         // still be taken: the dying call left none behind.
         let (done_tx, done_rx) = std::sync::mpsc::channel();
         let probe = cluster.clone();

@@ -1,8 +1,7 @@
 //! Multi-client stress tests: many real application threads driving
-//! mixed local/distributed transactions through the sharded engine and
+//! mixed local/distributed transactions through each site's engine and
 //! the leader/follower disk manager at once. These are the tests that
-//! catch routing mistakes (an input handled by the wrong engine shard),
-//! lost completions (a force token dropped by the disk pipeline — the
+//! catch lost completions (a force token dropped by the disk pipeline — the
 //! client would then hit its call timeout), and cross-site
 //! inconsistency (a subordinate applying a different value than its
 //! coordinator).

@@ -298,12 +298,12 @@ fn phase_histograms_capture_the_commit_pipeline() {
 
 /// `debug_state` is deterministic: with in-doubt protocol state held
 /// still, two dumps of the same site compare equal, and families
-/// appear sorted by id however the shards hash them.
+/// appear sorted by id whatever order they began or arrived in.
 #[test]
 fn debug_state_is_deterministic() {
     let cluster = Cluster::new(2, traced_cfg());
     let client = cluster.client(S1);
-    // Pin several live families across the engine shards by leaving
+    // Pin several live families in each site's engine by leaving
     // transactions open mid-flight.
     let mut open = Vec::new();
     for i in 0..6u64 {

@@ -21,7 +21,7 @@
 //!    time blocked on durability beyond the platter write itself
 //!    (batch formation, group-commit queueing);
 //! 3. `prepare_wait` — subordinate-side `datagram_recv`→`server_vote`
-//!    (shard lock acquisition and prepare processing, including
+//!    (engine lock acquisition and prepare processing, including
 //!    parked prepares under queued execution);
 //! 4. `net_transit`  — matched `datagram_send`→`datagram_recv` pairs;
 //! 5. `coord_think`  — the unclaimed remainder: coordinator-side

@@ -47,7 +47,7 @@ crate::wire_enum! {
         /// reads records a completed truncation would have discarded.
         6 => MidTruncate,
         /// Inside a restart: the data servers are rebuilt from the log,
-        /// the engine shards are not. Recovery only reads, so restarting
+        /// the site's engine is not. Recovery only reads, so restarting
         /// again must end in the same state.
         7 => MidRecovery,
         _ => "bad crash point",

@@ -7,7 +7,7 @@ use proptest::prelude::*;
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use camelot::core::{shard_of_family, Engine, EngineConfig, FamilyPhase, Input};
+use camelot::core::{Engine, EngineConfig, FamilyPhase, Input};
 use camelot::locks::{Acquire, LockManager, Mode};
 use camelot::net::Outcome;
 use camelot::server::{DataServer, Request};
@@ -76,7 +76,6 @@ const SITE: SiteId = SiteId(1);
 const PEER: SiteId = SiteId(2);
 const SRV: ServerId = ServerId(1);
 const OBJECTS: u64 = 6;
-const SHARDS: usize = 4;
 
 /// The part a family plays at this site, which fixes the protocol
 /// records it logs after its updates and the one that lets the
@@ -286,8 +285,8 @@ impl TwinLog {
 }
 
 /// What a restart rebuilds, in comparable form: every object's
-/// committed value, the in-doubt families, every lock holder, and each
-/// engine shard's live families with role and phase (the content of
+/// committed value, the in-doubt families, every lock holder, and the
+/// engine's live families with role and phase (the content of
 /// `Cluster::debug_state`).
 ///
 /// The server and the engine read the log alike: the families the
@@ -314,24 +313,16 @@ fn recovered_state(wal: &mut Wal<MemStore>) -> Recovered {
         .collect();
     let mut engines = Vec::new();
     let mut undecided = Vec::new();
-    for k in 0..SHARDS {
-        let part = records.iter().filter(|(_, rec)| match rec.tid() {
-            Some(tid) => shard_of_family(SITE, &tid.family, SHARDS) == k,
-            None => matches!(rec, LogRecord::Checkpoint { .. }),
-        });
-        let (engine, _) =
-            Engine::recover_sharded(SITE, EngineConfig::default(), k as u32, SHARDS as u32, part);
-        for id in engine.family_ids() {
-            let v = engine.family_view(&id).unwrap();
-            engines.push(format!("shard {k}: {id} {} {:?}", v.role, v.phase));
-            if v.phase != FamilyPhase::Resolving && v.servers > 0 {
-                undecided.push(id);
-            }
+    let (engine, _) = Engine::recover(SITE, EngineConfig::default(), &records);
+    for id in engine.family_ids() {
+        let v = engine.family_view(&id).unwrap();
+        engines.push(format!("{id} {} {:?}", v.role, v.phase));
+        if v.phase != FamilyPhase::Resolving && v.servers > 0 {
+            undecided.push(id);
         }
     }
     let mut in_doubt = server.in_doubt_families();
     in_doubt.sort();
-    undecided.sort();
     assert_eq!(in_doubt, undecided, "the server's in-doubt families");
     (values, in_doubt, locks, engines)
 }
@@ -553,7 +544,7 @@ proptest! {
     /// log is truncated at every checkpoint by the runtime's rule.
     /// Recovering from either yields the same committed store, the
     /// same in-doubt families holding the same locks, and the same
-    /// live families in every engine shard; and the engine recovered
+    /// live families in the engine; and the engine recovered
     /// from the truncated log never hands out a spent family id.
     #[test]
     fn recovery_from_a_truncated_log_equals_recovery_from_the_whole_log(

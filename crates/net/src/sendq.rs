@@ -58,6 +58,10 @@ pub enum Pop {
 struct QueueState {
     frames: VecDeque<Vec<u8>>,
     closed: bool,
+    /// Threads parked in [`SendQueue::pop`] (the peer's sender thread,
+    /// or nobody). A push notifies only when one is, since a notify
+    /// makes a `futex_wake` system call even when nobody waits.
+    parked: usize,
 }
 
 /// Bounded FIFO of encoded frames bound for one peer.
@@ -82,6 +86,7 @@ impl SendQueue {
             state: Mutex::new(QueueState {
                 frames: VecDeque::new(),
                 closed: false,
+                parked: 0,
             }),
             cv: Condvar::new(),
             addr_gen: AtomicU64::new(0),
@@ -101,8 +106,11 @@ impl SendQueue {
             false
         };
         st.frames.push_back(frame);
+        let wake = st.parked > 0;
         drop(st);
-        self.cv.notify_one();
+        if wake {
+            self.cv.notify_one();
+        }
         if evicted {
             Push::Evicted
         } else {
@@ -119,7 +127,9 @@ impl SendQueue {
         if st.closed {
             return Pop::Closed;
         }
+        st.parked += 1;
         let (mut st, _timeout) = self.cv.wait_timeout(st, wait).unwrap();
+        st.parked -= 1;
         match st.frames.pop_front() {
             Some(f) => Pop::Frame(f),
             None if st.closed => Pop::Closed,

@@ -197,7 +197,8 @@ site_stats_wire! { |s, router_pending|
     wal_forces_requested = s.wal.forces_requested,
     wal_forces_effective = s.wal.forces_effective,
     // Runtime counters. `lock_wait_us`: the wait for the site's one
-    // engine lock.
+    // engine lock; an uncontended acquisition counts as a zero wait,
+    // with no clock read.
     lock_wait_us = s.lock_wait.as_micros() as u64,
     inputs = s.inputs,
     /// Inputs that crossed to the TranMan worker pool (thread

@@ -226,7 +226,9 @@ pub enum Phase {
     PlatterWrite,
     /// Wait to acquire the site's one engine lock, on every input, by
     /// whichever thread runs it (the name and its `shard_lock_wait`
-    /// key stay for the reports that read them).
+    /// key stay for the reports that read them). An uncontended
+    /// acquisition is recorded as a zero wait, without a clock read;
+    /// only a wait behind a held lock is timed.
     ShardLockWait,
     /// Queued execution mode: residence of a job in its data shard's
     /// FIFO operation queue (enqueue → dequeue by the shard worker).

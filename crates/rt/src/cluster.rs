@@ -12,7 +12,10 @@
 //!   whichever thread, takes its lock for one `Engine::handle` step and
 //!   nothing more. No platter write, datagram or server call runs
 //!   under it, so threads contend only for the engine's bookkeeping
-//!   (`Phase::ShardLockWait` times that wait).
+//!   (`Phase::ShardLockWait` times that wait). An uncontended
+//!   acquisition is recorded as a zero wait, without a clock read;
+//!   only a thread that finds the lock held reads the clock around
+//!   its wait.
 //! - **A pipelined disk manager** (`crate::disk`). Whoever produces a
 //!   record appends it into the WAL's in-memory segment itself, under
 //!   a short lock, and asks the site's group-commit batcher for the
@@ -291,8 +294,8 @@ impl ClusterInner {
     }
 
     /// Runs one input through the site's engine: lock (timing the
-    /// wait), handle. Returns the engine's actions for the caller to
-    /// apply with no locks held.
+    /// wait only if the lock was held), handle. Returns the engine's
+    /// actions for the caller to apply with no locks held.
     pub fn handle(&self, site: &SiteShared, input: Input) -> Vec<Action> {
         self.handle_then(site, input, |_| ())
     }
@@ -310,16 +313,27 @@ impl ClusterInner {
         if !site.alive.load(Ordering::SeqCst) {
             return Vec::new();
         }
-        let now = self.now();
-        let contend = Instant::now();
         let actions = {
-            let mut engine = site.engine.lock();
-            let waited = contend.elapsed();
-            site.hist.record(Phase::ShardLockWait, waited);
-            site.counters
-                .lock_wait_ns
-                .fetch_add(waited.as_nanos() as u64, Ordering::Relaxed);
-            let actions = engine.handle(input, now);
+            // An uncontended acquisition is a zero wait, recorded
+            // without reading the clock; only a held lock is timed.
+            let mut engine = match site.engine.try_lock() {
+                Some(engine) => {
+                    site.hist.record_us(Phase::ShardLockWait, 0);
+                    engine
+                }
+                None => {
+                    let contend = Instant::now();
+                    let engine = site.engine.lock();
+                    let waited = contend.elapsed();
+                    site.hist.record(Phase::ShardLockWait, waited);
+                    site.counters
+                        .lock_wait_ns
+                        .fetch_add(waited.as_nanos() as u64, Ordering::Relaxed);
+                    engine
+                }
+            };
+            // The engine never reads the clock (`Engine::handle`).
+            let actions = engine.handle(input, Time::ZERO);
             locked(&actions);
             actions
         };
@@ -1412,6 +1426,54 @@ mod tests {
             .apply_actions(&site, live.map(cancel).to_vec());
         let stats = cluster.stats();
         assert_eq!((stats.router_pending, stats.router_delivered), (0, 0));
+        cluster.shutdown();
+    }
+
+    /// The engine lock is timed only when it is held: an uncontended
+    /// step records a zero wait and adds nothing to `lock_wait`, a step
+    /// made while another thread holds the engine adds that thread's
+    /// hold, and every step leaves one `ShardLockWait` sample.
+    #[test]
+    fn only_a_contended_engine_lock_is_timed() {
+        let cluster = Cluster::new(1, RtConfig::default());
+        let site = cluster.inner.sites[&S1].clone();
+        let lock_wait = || cluster.stats().sites[0].lock_wait;
+        // A timer nobody armed: one engine step that does nothing.
+        let step = || cluster.inner.handle(&site, timer(1 << 42));
+
+        let before = lock_wait();
+        for _ in 0..100 {
+            assert!(step().is_empty());
+        }
+        assert_eq!(lock_wait(), before, "uncontended steps add exactly 0");
+
+        // `stats` takes the engine lock too: read it before the hold.
+        let before = lock_wait();
+        let (held_tx, held_rx) = crossbeam::channel::bounded(1);
+        let holder = {
+            let site = site.clone();
+            std::thread::spawn(move || {
+                let _engine = site.engine.lock();
+                held_tx.send(()).unwrap();
+                std::thread::sleep(StdDuration::from_millis(20));
+            })
+        };
+        held_rx.recv().unwrap();
+        step();
+        holder.join().unwrap();
+        let waited = lock_wait() - before;
+        assert!(
+            waited >= StdDuration::from_millis(15),
+            "a step behind a 20 ms hold waited {waited:?}"
+        );
+
+        let stats = cluster.stats();
+        let site_stats = &stats.sites[0];
+        assert_eq!(
+            site_stats.phases.get(Phase::ShardLockWait).count(),
+            site_stats.inputs,
+            "one engine-lock sample per step"
+        );
         cluster.shutdown();
     }
 

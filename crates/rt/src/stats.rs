@@ -22,7 +22,8 @@ use camelot_wal::WalStats;
 /// values are diagnostics, not synchronization.
 #[derive(Default)]
 pub(crate) struct SiteCounters {
-    /// Nanoseconds threads spent waiting to acquire the site's engine.
+    /// Nanoseconds threads spent waiting to acquire the site's engine
+    /// while another thread held it (an uncontended step adds 0).
     pub lock_wait_ns: AtomicU64,
     /// Inputs the site's engine handled, on whichever thread.
     pub inputs: AtomicU64,
@@ -76,7 +77,8 @@ pub struct SiteStats {
     pub wal: WalStats,
     /// Total time threads spent waiting for the site's one engine lock,
     /// over every input it handled (application threads and workers
-    /// alike).
+    /// alike). An uncontended acquisition is a zero wait, recorded
+    /// without a clock read: only waits behind a held lock add here.
     pub lock_wait: StdDuration,
     /// Inputs the site's engine handled, on whichever thread.
     pub inputs: u64,
